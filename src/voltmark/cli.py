@@ -126,10 +126,14 @@ def load_config(text: str) -> dict:
     cfg["M"] = c.getint("mc", "M")
     cfg["seed"] = c.getint("mc", "seed")
     cfg["n_boot"] = c.getint("mc", "n_boot")
+    if cfg["n_boot"] < 1:
+        raise ConfigError(f"mc.n_boot: expected >= 1, got {cfg['n_boot']}")
     cfg["truncation_K"] = c.getint("riccati", "truncation_K")
     cfg["oracle_refinement"] = c.getint("riccati", "oracle_refinement")
     cfg["m"] = c.getfloat("experiment", "m")
     cfg["u"] = _parse_floats(c.get("experiment", "u"), "experiment.u")
+    if len(cfg["u"]) != cfg["d"]:
+        raise ConfigError(f"experiment.u: expected {cfg['d']} values, got {len(cfg['u'])}")
     cfg["m_count"] = c.getint("experiment", "m_count")
     cfg["frontier_horizons"] = _parse_floats(
         c.get("experiment", "frontier_horizons"), "experiment.frontier_horizons")

@@ -17,8 +17,9 @@ coefficient nu_i^2/2).
 Runtime guards: solutions are non-positive in exact arithmetic and
 bounded by theta_i^2 / lam_bar_i (1 - R_{lam_bar_i}(T)) whenever
 lam_bar_i = lam_i + 2 nu_i rho_i theta_i ||sig_i||_inf 1{rho_i <= 0} is
-positive; the solver aborts once any |psi_i| exceeds ten times that
-bound (or a fixed cap when the bound does not apply).
+positive; the solver aborts once any psi_i turns NaN/Inf or |psi_i|
+exceeds ten times that bound (or a fixed cap when the bound does not
+apply).
 """
 
 import warnings
@@ -175,7 +176,8 @@ def solve_riccati_adams(model: MarketModel, stabs, n: int, *,
                 + a_{k+1,k+1} f(t_{k+1}, y_{k+1}^P),    y_0 = 0,
 
     with f(t_j, y) = -theta^2 + F(T - t_j, y).  Raises BlowupError when
-    any |psi_i| exceeds 10x the resolvent bound (or 1e6 without one).
+    any psi_i is not finite or |psi_i| exceeds 10x the resolvent bound
+    (or 1e6 without one).
     """
     if n < 2:
         raise ParameterError("Adams solve needs n >= 2")
@@ -210,9 +212,9 @@ def solve_riccati_adams(model: MarketModel, stabs, n: int, *,
             if k >= 1:
                 acc += fhist[1 : k + 1, i] @ a_inner[:k][::-1]
             y_new[i] = acc + a_diag * f_pred[i]
-        if np.any(np.abs(y_new) > cap):
+        if not np.all(np.isfinite(y_new)) or np.any(np.abs(y_new) > cap):
             raise BlowupError(
-                f"|psi| exceeded the blow-up guard at t = {grid.times[k + 1]:.6g} "
+                f"psi not finite or beyond the blow-up guard at t = {grid.times[k + 1]:.6g} "
                 f"(values {y_new}, caps {cap})"
             )
         psi[k + 1] = y_new

@@ -90,6 +90,20 @@ def test_wrong_vector_length_rejected():
         load_config(bad)
 
 
+def test_wrong_u_length_exit_code(tmp_path, capsys):
+    path = _write(tmp_path, TINY.replace("u = -0.05", "u = -0.05, -0.05"))
+    assert main(["laplace", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "experiment.u" in err
+
+
+def test_zero_n_boot_exit_code(tmp_path, capsys):
+    path = _write(tmp_path, TINY.replace("n_boot = 150", "n_boot = 0"))
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "mc.n_boot" in err
+
+
 def test_missing_field_exit_code(tmp_path):
     path = _write(tmp_path, "[model]\nd = 2\n")
     assert main(["riccati", "--config", path]) == 2
@@ -193,3 +207,13 @@ def test_numerical_failure_exit_code(tmp_path):
                .replace("T = 1.0", "T = 5.0"))
     path = _write(tmp_path, cfg)
     assert main(["riccati", "--config", path, "--out", str(tmp_path / "o")]) == 3
+
+
+def test_riccati_infinite_theta_is_numerical_failure(tmp_path, capsys):
+    # theta = inf drives psi to NaN, which the blow-up guard must catch
+    path = _write(tmp_path, TINY.replace("theta = 0.2", "theta = inf"))
+    out = tmp_path / "o"
+    assert main(["riccati", "--config", path, "--out", str(out)]) == 3
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and err.startswith("numerical failure")
+    assert not (out / "riccati_psi.csv").exists()

@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 from scipy.special import gamma as G
 
-from voltmark.kernels import KernelSpec, ParameterError
+from voltmark.kernels import (
+    KernelSpec,
+    ParameterError,
+    ResolventSpec,
+    fractional_kernel,
+    resolvent,
+    resolvent_density,
+)
 from voltmark.stabilizer import (
     ConstantStabilizer,
+    _sigma_sq_convolution,
     build_stabilizer,
     density_l2_norm,
     functional_equation_residual,
@@ -92,10 +100,64 @@ def test_residual_constant_kernel_closed_form():
     assert np.max(res) <= 1e-10
 
 
+BUNDLED = [(0.6, 0.2, 0.01), (0.9, 0.2, 0.03)]
+
+
 def test_residual_bundled_parameters():
-    for alpha, lam, c in [(0.6, 0.2, 0.01), (0.9, 0.2, 0.03)]:
+    # on the CLI's grid (T = 1, n = 200) the residual is at rounding level
+    for alpha, lam, c in BUNDLED:
         st = build_stabilizer(alpha, lam, c)
-        assert stabilizer_residual(st, 1.0, 25) <= 1e-3
+        assert stabilizer_residual(st, 1.0, 200) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha,lam,c", BUNDLED)
+def test_convolution_matches_tanh_sinh(alpha, lam, c):
+    # the graded rule against 20-digit tanh-sinh on the same integrand
+    mpmath = pytest.importorskip("mpmath")
+    st = build_stabilizer(alpha, lam, c)
+    spec = ResolventSpec(fractional_kernel(alpha), lam)
+    p = 1.0 / (2.0 * alpha - 1.0)
+    times = np.array([0.005, 0.285, 1.0])
+    rule = _sigma_sq_convolution(st, spec, times)
+    for t, val in zip(times, rule):
+        def integrand(w):
+            s = float(w) ** p
+            f = resolvent_density(spec, s)
+            return p * (f * s ** (1.0 - alpha)) ** 2 * st.eval(max(t - s, 0.0)) ** 2
+
+        with mpmath.workdps(20):
+            ref = float(mpmath.quad(integrand, [0.0, t ** (1.0 / p)]))
+        assert abs(val - ref) <= 1e-12 * c * lam**2
+
+
+def test_residual_alpha_near_half():
+    # p = 1/(2 alpha - 1) = 50: the innermost nodes underflow to s = 0
+    st = build_stabilizer(0.51, 0.5, 1.0)
+    assert stabilizer_residual(st, 2.0, 20) <= 1e-12
+
+
+class _ScaledStabilizer:
+    """A built stabilizer whose sigma is off by a constant factor."""
+
+    def __init__(self, stab, factor):
+        self.alpha = stab.alpha
+        self._stab = stab
+        self._factor = factor
+
+    def eval(self, t):
+        return self._factor * self._stab.eval(t)
+
+
+@pytest.mark.parametrize("alpha,lam,c", BUNDLED)
+def test_residual_detects_wrong_sigma(alpha, lam, c):
+    # sigma scaled by 1.01 leaves the residual (1.01^2 - 1)(1 - R(t)^2)
+    T, n = 5.0, 40
+    st = _ScaledStabilizer(build_stabilizer(alpha, lam, c), 1.01)
+    res = functional_equation_residual(st, lam, c, T, n)
+    grid = np.linspace(0.0, T, n + 1)
+    R = resolvent(ResolventSpec(fractional_kernel(alpha), lam), grid)
+    assert np.max(np.abs(res - (1.01**2 - 1.0) * (1.0 - R**2))) <= 1e-12
+    assert 1e-2 <= np.max(res) <= 3e-2
 
 
 def test_constant_stabilizer_interface():
