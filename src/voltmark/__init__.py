@@ -27,6 +27,7 @@ from .markowitz import (
     LaplaceReport,
     MarkowitzSolution,
     WealthEnsemble,
+    affine_wealth_terminal,
     efficient_frontier,
     gamma0,
     laplace_affine_check,

@@ -306,10 +306,11 @@ def run_frontier(cfg: dict, out_dir: str, T: float | None = None,
     from .montecarlo import frontier_experiment, frontier_m_grid
 
     model = _build_model(cfg, T=T)
+    stabs = model.build_stabilizers(cfg["truncation_K"])
     grid = Grid(model.T, cfg["n"])
     points = frontier_experiment(
         model, frontier_m_grid(model, cfg["m_count"]), cfg["M"], cfg["seed"],
-        grid=grid, n_boot=cfg["n_boot"],
+        grid=grid, stabs=stabs, n_boot=cfg["n_boot"],
     )
     tag = f"_T{model.T:g}" if T is not None else ""
     write_csv(

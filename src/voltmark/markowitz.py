@@ -14,8 +14,10 @@ With psi solved, everything the Markowitz problem needs is explicit:
   the efficient frontier m = x0 e^(rT) + sigma sqrt(e^(2rT)/Gamma0 - 1)
   and the optimal terminal variance V(m).
 * a wealth Euler scheme driven by the same increments as the variance
-  ensemble, and the exponential-affine Laplace-transform check that
-  pits a Monte Carlo functional of the paths against the closed form.
+  ensemble, its terminal-only affine form X_T = A_T + xi* B_T that
+  serves every frontier target from one recursion, and the
+  exponential-affine Laplace-transform check that pits a Monte Carlo
+  functional of the paths against the closed form.
 """
 
 from dataclasses import dataclass, field
@@ -27,7 +29,12 @@ from scipy.special import roots_legendre
 from .kernels import ParameterError, fractional_integral
 from .model import Grid, MarketModel
 from .riccati import RiccatiSolution, solve_laplace_riccati, solve_riccati_adams
-from .simulate import PathEnsemble, correlate_asset_brownian, simulate_variance_paths
+from .simulate import (
+    PathEnsemble,
+    _asset_increments,
+    correlate_asset_brownian,
+    simulate_variance_paths,
+)
 
 _GAMMA0_REFINE = 2400
 _GAMMA0_TOL = 1e-6
@@ -220,6 +227,15 @@ def control_coefficient(model: MarketModel, solution: RiccatiSolution, stabs, t)
     )
 
 
+def _gain(coef, V):
+    """Per-asset gain -coef sqrt(V^+) of the optimal feedback, and sqrt(V^+).
+
+    alpha*_i = gain_i (X - xi* e^(-r(T-t))); coef broadcasts against V.
+    """
+    root = np.sqrt(np.maximum(V, 0.0))
+    return -coef * root, root
+
+
 def optimal_control(model: MarketModel, solution: RiccatiSolution, stabs, xi_star: float,
                     t: float, X_t, V_t) -> np.ndarray:
     """Optimal amounts alpha*_i(t, X, V), vectorized over paths.
@@ -231,10 +247,10 @@ def optimal_control(model: MarketModel, solution: RiccatiSolution, stabs, xi_sta
     V_t = np.asarray(V_t, dtype=float)
     X_t = np.asarray(X_t, dtype=float)
     gap = X_t - xi_star * model.discount(model.T - float(t))
-    root = np.sqrt(np.maximum(V_t, 0.0))
+    gain, _ = _gain(coef, V_t)
     if V_t.ndim == 2:  # (M, d) batch
-        return -coef[None, :] * root * gap[:, None]
-    return -coef * root * gap
+        return gain * gap[:, None]
+    return gain * gap
 
 
 def simulate_wealth(model: MarketModel, ensemble: PathEnsemble, solution: RiccatiSolution,
@@ -245,10 +261,10 @@ def simulate_wealth(model: MarketModel, ensemble: PathEnsemble, solution: Riccat
              + sum_i alpha_i (rho_i DW_i - sqrt(1-rho_i^2) DWperp_i),
 
     with alpha evaluated at the left node from the same variance paths.
+    Stores every path and strategy; when only X_T is needed, for any
+    number of targets, ``affine_wealth_terminal`` is far cheaper.
     """
-    grid = ensemble.grid
-    if solution.grid != grid:
-        raise ParameterError("wealth scheme requires the psi grid to match the path grid")
+    grid = _check_wealth_grid(ensemble, solution)
     n, dt = grid.n, grid.dt
     M = ensemble.M
     dB = correlate_asset_brownian(ensemble, model)
@@ -260,12 +276,58 @@ def simulate_wealth(model: MarketModel, ensemble: PathEnsemble, solution: Riccat
     theta = model.theta
     for k in range(1, n + 1):
         x_prev = X[:, k - 1]
-        root_v = np.sqrt(np.maximum(ensemble.V[:, :, k - 1], 0.0))      # (M, d)
-        alpha = -coef[:, k - 1][None, :] * root_v * (x_prev - target[k - 1])[:, None]
+        gain, root_v = _gain(coef[:, k - 1][None, :], ensemble.V[:, :, k - 1])  # (M, d)
+        alpha = gain * (x_prev - target[k - 1])[:, None]
         alpha_paths[:, :, k - 1] = alpha
         drift = model.r * x_prev + (alpha * root_v) @ theta
         X[:, k] = x_prev + drift * dt + np.einsum("md,md->m", alpha, dB[:, :, k - 1])
     return WealthEnsemble(model=model, grid=grid, xi_star=xi_star, X=X, alpha_paths=alpha_paths)
+
+
+# time steps per block of the terminal-only wealth recursion; fixed so
+# that the output never depends on the environment
+_WEALTH_BLOCK = 64
+
+
+def affine_wealth_terminal(model: MarketModel, ensemble: PathEnsemble,
+                           solution: RiccatiSolution, stabs) -> tuple[np.ndarray, np.ndarray]:
+    """Terminal wealth of every target at once: X_T = A_T + xi* B_T.
+
+    The optimal feedback is affine in xi*, so the Euler scheme of
+    ``simulate_wealth`` is too.  With the per-step factor
+    s_k = (g sqrt(V^+)) . theta dt + g . DB, g = -coef sqrt(V^+),
+
+        A_k = A_{k-1} (1 + r dt + s_k),                       A_0 = x0,
+        B_k = B_{k-1} (1 + r dt + s_k) - e^(-r(T-t_{k-1})) s_k, B_0 = 0.
+
+    V and the Brownian increments are read in fixed blocks of time
+    steps; neither the increment array, the wealth paths nor the
+    strategy are stored.  Returns (A_T, B_T), each of shape (M,).
+    """
+    grid = _check_wealth_grid(ensemble, solution)
+    n, dt = grid.n, grid.dt
+    coef = control_coefficient(model, solution, stabs, grid.times[:-1])  # (d, n)
+    disc = np.exp(-model.r * (model.T - grid.times[:-1]))               # (n,)
+    A = np.full(ensemble.M, float(model.x0))
+    B = np.zeros(ensemble.M)
+    for lo in range(0, n, _WEALTH_BLOCK):
+        hi = min(lo + _WEALTH_BLOCK, n)
+        gain, root_v = _gain(coef[None, :, lo:hi], ensemble.V[:, :, lo:hi])  # (M, d, w)
+        dB = _asset_increments(model, ensemble.dW[:, :, lo:hi], ensemble.dWperp[:, :, lo:hi])
+        s = (np.einsum("mdk,mdk,d->km", gain, root_v, model.theta) * dt
+             + np.einsum("mdk,mdk->km", gain, dB))                         # (w, M)
+        for b in range(hi - lo):
+            growth = 1.0 + model.r * dt + s[b]
+            A *= growth
+            B *= growth
+            B -= disc[lo + b] * s[b]
+    return A, B
+
+
+def _check_wealth_grid(ensemble: PathEnsemble, solution: RiccatiSolution) -> Grid:
+    if solution.grid != ensemble.grid:
+        raise ParameterError("wealth scheme requires the psi grid to match the path grid")
+    return ensemble.grid
 
 
 @dataclass(frozen=True)

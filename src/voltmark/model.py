@@ -70,6 +70,11 @@ class MarketModel:
             raise ParameterError(f"asset count d must be >= 1, got {self.d}")
         for name in ("alpha", "lam", "nu", "rho", "theta", "mu0", "c"):
             object.__setattr__(self, name, _vec(getattr(self, name), self.d, name))
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ParameterError(f"{name} components must be finite")
+        for name in ("r", "x0", "T"):
+            if not np.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if np.any(self.alpha <= 0.5) or np.any(self.alpha > 1.0):
             raise ParameterError("alpha components must lie in (1/2, 1]")
         if np.any(self.lam <= 0.0):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import ParameterError
-from .markowitz import gamma0, simulate_wealth, variance_of_terminal, xi_eta_star
+from .markowitz import affine_wealth_terminal, gamma0, variance_of_terminal, xi_eta_star
 from .model import Grid, MarketModel
 from .riccati import RiccatiSolution, solve_riccati_adams
 from .simulate import PathEnsemble, simulate_variance_paths
@@ -120,17 +120,51 @@ class FrontierPoint:
 def terminal_bootstrap(terminal: np.ndarray, n_boot: int = _DEFAULT_BOOT,
                        seed: int = 0) -> tuple[float, float, float, float]:
     """(mean, mean SE, variance, variance SE) of terminal wealth."""
-    M = len(terminal)
-    rng = np.random.default_rng(seed)
-    w = _bootstrap_weights(M, n_boot, rng)
-    bm = w @ terminal
-    bv = (w @ terminal**2 - bm**2) * M / (M - 1.0)
-    return (
-        float(np.mean(terminal)),
-        float(np.std(bm, ddof=1)),
-        float(np.var(terminal, ddof=1)),
-        float(np.std(bv, ddof=1)),
-    )
+    terminal = np.asarray(terminal, dtype=float)
+    return affine_bootstrap(terminal, np.zeros_like(terminal), [0.0], n_boot, seed)[0]
+
+
+def _resample_moments(A: np.ndarray, B: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Per-resample E_w of (a, b, a^2, ab, b^2), with a, b = A, B minus their means.
+
+    Centring leaves every bootstrap variance unchanged and keeps the
+    closed-form variances below free of cancellation.
+    """
+    a = A - A.mean()
+    b = B - B.mean()
+    return w @ np.column_stack([a, b, a * a, a * b, b * b])      # (n_boot, 5)
+
+
+def _resample_mean_var(moments: np.ndarray, A: np.ndarray, B: np.ndarray,
+                       xi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-resample mean and unbiased variance of x = A + xi B from the moments."""
+    M = len(A)
+    mean_c = moments[:, 0] + xi * moments[:, 1]
+    sq_c = moments[:, 2] + 2.0 * xi * moments[:, 3] + xi * xi * moments[:, 4]
+    return A.mean() + xi * B.mean() + mean_c, (sq_c - mean_c**2) * M / (M - 1.0)
+
+
+def affine_bootstrap(A: np.ndarray, B: np.ndarray, xi_values, n_boot: int = _DEFAULT_BOOT,
+                     seed: int = 0) -> list[tuple[float, float, float, float]]:
+    """``terminal_bootstrap`` of x = A + xi B for every xi, from one weight draw.
+
+    One (n_boot, M) x (M, 5) product gives each resample's moments of
+    (A, B); each target's resampled means and variances then follow in
+    closed form.  Point estimates come from x itself.
+    """
+    w = _bootstrap_weights(len(A), n_boot, np.random.default_rng(seed))
+    moments = _resample_moments(A, B, w)
+    out = []
+    for xi in xi_values:
+        x = A + xi * B
+        bm, bv = _resample_mean_var(moments, A, B, xi)
+        out.append((
+            float(np.mean(x)),
+            float(np.std(bm, ddof=1)),
+            float(np.var(x, ddof=1)),
+            float(np.std(bv, ddof=1)),
+        ))
+    return out
 
 
 def frontier_experiment(model: MarketModel, m_values, M: int, seed: int, *,
@@ -141,8 +175,10 @@ def frontier_experiment(model: MarketModel, m_values, M: int, seed: int, *,
     """Monte Carlo frontier: simulated Var(X_T) against V(m) per target m.
 
     One variance ensemble (deterministic V0 = x_inf, matching the single
-    Gamma0 that prices the frontier) is reused across all targets; only
-    the cheap wealth recursion reruns per m.
+    Gamma0 that prices the frontier) serves all targets.  The terminal
+    wealth is affine in xi*, so one recursion gives the pair (A_T, B_T)
+    and each target's X_T = A_T + xi* B_T.  One bootstrap weight draw
+    (seed + 7919) serves every target through ``affine_bootstrap``.
     """
     grid = grid or Grid(model.T, 600)
     stabs = stabs or model.build_stabilizers()
@@ -152,19 +188,18 @@ def frontier_experiment(model: MarketModel, m_values, M: int, seed: int, *,
             model, stabs, grid, M, seed, initial="fixed", store_noise=False
         )
     g0 = gamma0(model, solution, stabs)  # m-independent, priced once
-    out = []
-    for j, m in enumerate(np.atleast_1d(np.asarray(m_values, dtype=float))):
-        xi, _ = xi_eta_star(g0, model, float(m))
-        wealth = simulate_wealth(model, ensemble, solution, stabs, xi)
-        mean, mean_se, var, var_se = terminal_bootstrap(
-            wealth.terminal, n_boot=n_boot, seed=seed + 7919 * (j + 1)
-        )
-        out.append(FrontierPoint(
+    A, B = affine_wealth_terminal(model, ensemble, solution, stabs)
+    m_values = np.atleast_1d(np.asarray(m_values, dtype=float))
+    xis = [xi_eta_star(g0, model, float(m))[0] for m in m_values]
+    stats = affine_bootstrap(A, B, xis, n_boot=n_boot, seed=seed + 7919)
+    return [
+        FrontierPoint(
             m=float(m), xi_star=xi,
             v_theory=variance_of_terminal(g0, model, float(m)),
             v_mc=var, v_mc_se=var_se, mean_terminal=mean, mean_se=mean_se,
-        ))
-    return out
+        )
+        for m, xi, (mean, mean_se, var, var_se) in zip(m_values, xis, stats)
+    ]
 
 
 def frontier_m_grid(model: MarketModel, count: int = 8) -> np.ndarray:

@@ -166,6 +166,9 @@ def _rhs_tables(model: MarketModel, stabs, grid: Grid, forcing, include_theta):
     return rhs
 
 
+# overflow and NaN are caught by the blow-up guard, which raises with one
+# message; numpy's own warnings would only repeat it on stderr
+@np.errstate(over="ignore", invalid="ignore")
 def solve_riccati_adams(model: MarketModel, stabs, n: int, *,
                         forcing=None, include_theta: bool = True,
                         cap=None) -> RiccatiSolution:

@@ -310,8 +310,13 @@ def correlate_asset_brownian(ensemble: PathEnsemble, model: MarketModel) -> np.n
     W-perp of the model's correlation structure; the joint law of (V, B)
     is the same as with the forward construction.
     """
+    return _asset_increments(model, ensemble.dW, ensemble.dWperp)
+
+
+def _asset_increments(model: MarketModel, dW: np.ndarray, dWperp: np.ndarray) -> np.ndarray:
+    """DB from (M, d, k) slices of DW and DWperp, for any run of cells k."""
     rho = model.rho
     if np.any(np.abs(rho) > 1.0):
         raise ParameterError("correlations must lie in [-1, 1]")
     comp = np.sqrt(1.0 - rho**2)
-    return rho[None, :, None] * ensemble.dW - comp[None, :, None] * ensemble.dWperp
+    return rho[None, :, None] * dW - comp[None, :, None] * dWperp

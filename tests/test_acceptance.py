@@ -19,6 +19,7 @@ from voltmark.kernels import (
     resolvent_equation_residual,
 )
 from voltmark.markowitz import (
+    affine_wealth_terminal,
     efficient_frontier,
     frontier_slope,
     gamma0,
@@ -105,11 +106,11 @@ def test_criterion_2_frontier_consistency(model_t1, stabs_t1, riccati_600,
     ens5 = simulate_variance_paths(model5, stabs5, grid5, 50000, seed=502,
                                    initial="fixed", store_noise=False)
     g0_5 = gamma0(model5, sol5, stabs5)
+    A5, B5 = affine_wealth_terminal(model5, ens5, sol5, stabs5)  # X_T = A + xi* B
     worst5 = 0.0
     for m in frontier_m_grid(model5, 8):
         xi, _ = xi_eta_star(g0_5, model5, float(m))
-        wealth = simulate_wealth(model5, ens5, sol5, stabs5, xi)
-        chunks = wealth.terminal.reshape(10, 5000)
+        chunks = (A5 + xi * B5).reshape(10, 5000)
         per_batch = chunks.var(axis=1, ddof=1)
         v_mc = float(np.mean(per_batch))
         batch_se = float(np.std(per_batch, ddof=1) / np.sqrt(10))

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import voltmark
 from voltmark.cli import ConfigError, _DEFAULT_CONFIG, load_config, main
 
 TINY = """\
@@ -210,10 +211,41 @@ def test_numerical_failure_exit_code(tmp_path):
 
 
 def test_riccati_infinite_theta_is_numerical_failure(tmp_path, capsys):
-    # theta = inf drives psi to NaN, which the blow-up guard must catch
-    path = _write(tmp_path, TINY.replace("theta = 0.2", "theta = inf"))
+    # theta = 1e200 is finite but theta^2 overflows: psi turns NaN in the
+    # first Adams step, which the blow-up guard must catch
+    path = _write(tmp_path, TINY.replace("theta = 0.2", "theta = 1e200"))
     out = tmp_path / "o"
     assert main(["riccati", "--config", path, "--out", str(out)]) == 3
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and err.startswith("numerical failure")
     assert not (out / "riccati_psi.csv").exists()
+
+
+def test_blowup_stderr_is_one_line(tmp_path):
+    # numpy's RuntimeWarnings reach a real stderr but not capsys (pytest's
+    # warnings plugin takes them), so run the CLI in a child process
+    path = _write(tmp_path, TINY.replace("theta = 0.2", "theta = 1e200"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(voltmark.__file__)), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "voltmark.cli", "riccati", "--config", path,
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure"), proc.stderr
+
+
+@pytest.mark.parametrize("key, old, new", [
+    ("r", "r = 0.02", "r = nan"),
+    ("x0", "x0 = 2.0", "x0 = inf"),
+    ("T", "T = 1.0", "T = inf"),
+    ("nu", "nu = 0.5", "nu = nan"),
+    ("mu0", "mu0 = 1.5", "mu0 = inf"),
+])
+def test_non_finite_parameter_exit_code(tmp_path, capsys, key, old, new):
+    path = _write(tmp_path, TINY.replace(old, new))
+    assert main(["wealth", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and err.startswith("config error") and key in err

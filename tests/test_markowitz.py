@@ -7,6 +7,7 @@ from conftest import small_model
 from voltmark.kernels import ParameterError
 from voltmark.markowitz import (
     ConsistencyError,
+    affine_wealth_terminal,
     efficient_frontier,
     frontier_slope,
     gamma0,
@@ -19,6 +20,7 @@ from voltmark.markowitz import (
     xi_eta_star,
 )
 from voltmark.model import Grid, MarketModel, bundled_model
+from voltmark.montecarlo import frontier_m_grid
 from voltmark.riccati import solve_riccati_adams
 from voltmark.simulate import simulate_variance_paths
 
@@ -132,6 +134,43 @@ def test_wealth_riskless_compounding():
     expected = m.x0 * (1.0 + m.r * grid.dt) ** grid.n
     assert np.max(np.abs(wealth.terminal - expected)) <= 1e-12
     assert wealth.terminal_var <= 1e-25
+
+
+def test_affine_terminal_matches_wealth_scheme():
+    # X_T = A_T + xi* B_T reproduces the full Euler scheme for any target;
+    # the error is measured against the ensemble's scale because X_T
+    # itself can pass through zero
+    m = small_model()
+    stabs = m.build_stabilizers()
+    grid = Grid(1.0, 100)
+    sol = solve_riccati_adams(m, stabs, grid.n)
+    ens = simulate_variance_paths(m, stabs, grid, 200, seed=12, initial="fixed",
+                                  store_noise=False)
+    g0 = gamma0(m, sol, stabs)
+    A, B = affine_wealth_terminal(m, ens, sol, stabs)
+    m_grid = frontier_m_grid(m, 8)
+    for target in (m.m0, m_grid[len(m_grid) // 2], m_grid[-1]):
+        xi, _ = xi_eta_star(g0, m, float(target))
+        ref = simulate_wealth(m, ens, sol, stabs, xi).terminal
+        assert np.max(np.abs(A + xi * B - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_affine_terminal_riskless_compounding():
+    # theta = 0: no risky position, so B_T = 0 and A_T is the bank account
+    m = small_model(theta=[0.0])
+    stabs = m.build_stabilizers()
+    grid = Grid(1.0, 50)
+    sol = solve_riccati_adams(m, stabs, grid.n)
+    ens = simulate_variance_paths(m, stabs, grid, 30, seed=1)
+    A, B = affine_wealth_terminal(m, ens, sol, stabs)
+    assert np.all(B == 0.0)
+    assert np.max(np.abs(A - m.x0 * (1.0 + m.r * grid.dt) ** grid.n)) <= 1e-12
+
+
+def test_affine_terminal_grid_mismatch_rejected(model_t1, stabs_t1, riccati_600):
+    ens = simulate_variance_paths(model_t1, stabs_t1, Grid(1.0, 30), 5, seed=1)
+    with pytest.raises(ParameterError):
+        affine_wealth_terminal(model_t1, ens, riccati_600, stabs_t1)
 
 
 def test_wealth_mean_tracks_target(model_t1, stabs_t1, riccati_600, ensemble_5000_fixed):

@@ -7,6 +7,9 @@ from conftest import small_model
 from voltmark.kernels import ParameterError
 from voltmark.model import Grid, bundled_model
 from voltmark.montecarlo import (
+    _bootstrap_weights,
+    _resample_mean_var,
+    _resample_moments,
     ensemble_stats,
     frontier_experiment,
     frontier_m_grid,
@@ -91,6 +94,33 @@ def test_terminal_bootstrap_consistency():
     assert mean == pytest.approx(1.0, abs=5 * mean_se)
     assert var == pytest.approx(4.0, abs=5 * var_se)
     assert mean_se == pytest.approx(2.0 / np.sqrt(4000), rel=0.2)
+
+
+def test_affine_resamples_match_direct():
+    # the closed form from the five moments of (A, B) against w @ x and
+    # w @ x^2 for the same weights
+    rng = np.random.default_rng(21)
+    M = 500
+    A = 2.0 + 0.3 * rng.standard_normal(M)
+    B = -0.4 + 0.1 * rng.standard_normal(M) + 0.2 * (A - 2.0)
+    w = _bootstrap_weights(M, 300, np.random.default_rng(4))
+    moments = _resample_moments(A, B, w)
+    for xi in (0.0, 2.5, 11.0):
+        x = A + xi * B
+        bm, bv = _resample_mean_var(moments, A, B, xi)
+        direct_mean = w @ x
+        direct_var = (w @ (x * x) - direct_mean**2) * M / (M - 1.0)
+        assert np.max(np.abs(bm - direct_mean)) <= 1e-12 * np.max(np.abs(direct_mean))
+        assert np.max(np.abs(bv - direct_var)) <= 1e-12 * np.max(np.abs(direct_var))
+
+
+def test_frontier_experiment_reproducible():
+    m = small_model()
+    grid = Grid(1.0, 40)
+    targets = frontier_m_grid(m, 3)
+    p1 = frontier_experiment(m, targets, 80, seed=6, grid=grid, n_boot=200)
+    p2 = frontier_experiment(m, targets, 80, seed=6, grid=grid, n_boot=200)
+    assert p1 == p2
 
 
 def test_frontier_on_target_zero_variance():
