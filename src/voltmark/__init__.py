@@ -50,7 +50,6 @@ from .riccati import (
     check_admissibility,
     oracle_volterra_picard,
     riccati_bound,
-    riccati_rhs,
     solve_laplace_riccati,
     solve_riccati_adams,
 )

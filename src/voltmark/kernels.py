@@ -1,16 +1,15 @@
-"""Convolution kernels, resolvents and the special functions behind them.
+"""The fractional kernel, its resolvents and the special functions behind them.
 
-Four kernel families are supported: the fractional kernel t^(a-1)/G(a)
-(the rough one, a in (1/2, 1]), the gamma kernel t^(a-1) e^(-b t)/G(a),
-the exponential kernel e^(-b t), and the constant kernel 1.  On top of
-plain evaluation this module provides
+The model uses one kernel family: the fractional kernel t^(a-1)/G(a) of
+order a in (1/2, 1] (Hurst exponent H = a - 1/2).  Its Markovian edge
+a = 1 is the constant kernel K = 1.  On top of plain evaluation this
+module provides
 
-* the lambda-resolvent R_lam of a kernel, solving R + lam K*R = 1, and
-  its density f_lam = -R'_lam (a Mittag-Leffler function for the
-  fractional family),
+* the lambda-resolvent R_lam, solving R + lam K*R = 1, and its density
+  f_lam = -R'_lam, both Mittag-Leffler functions (exponentials at a = 1),
 * one- and two-parameter Mittag-Leffler evaluation that stays accurate
-  for large negative arguments (power series near zero, Gauss-Laguerre
-  quadrature of the spectral representation far out),
+  for large negative arguments (power series near zero, Laplace
+  inversion on a parabolic contour far out),
 * exact segment integrals of the kernel and of kernel products, the
   building blocks of the simulation covariance matrices,
 * Riemann-Liouville fractional integrals of grid functions by product
@@ -25,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
-from scipy.special import gammainc, roots_jacobi, roots_legendre
+from scipy.special import roots_jacobi, roots_legendre
 
 
 class ParameterError(ValueError):
@@ -35,8 +34,6 @@ class ParameterError(ValueError):
 class DomainError(ValueError):
     """Evaluation point outside the domain of the requested quantity."""
 
-
-FAMILIES = ("fractional", "gamma", "exponential", "constant")
 
 # Switch from the power series to the spectral integral representation of
 # the Mittag-Leffler functions beyond this |z|; the alternating series
@@ -49,18 +46,11 @@ _N_LEGENDRE = 32
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Scalar convolution kernel K from one of the four supported families.
+    """The fractional kernel K(t) = t^(alpha-1)/Gamma(alpha).
 
-    Parameters
-    ----------
-    family : str
-        One of ``fractional``, ``gamma``, ``exponential``, ``constant``.
-    alpha : float, optional
-        Fractional order in (1/2, 1]; required by the fractional and
-        gamma families.  The Hurst exponent is H = alpha - 1/2.
-    beta : float, optional
-        Exponential decay rate; > 0 for the exponential family, >= 0 for
-        the gamma family (beta = 0 degenerates to fractional).
+    ``alpha`` lies in (1/2, 1]; alpha = 1 is the constant kernel K = 1.
+    ``family`` is always ``"fractional"`` and ``beta`` always None; both
+    are kept as readable attributes for code that keys on them.
     """
 
     family: str
@@ -68,24 +58,18 @@ class KernelSpec:
     beta: float | None = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ParameterError(f"unknown kernel family {self.family!r}")
-        if self.family in ("fractional", "gamma"):
-            if self.alpha is None or not 0.5 < self.alpha <= 1.0:
-                raise ParameterError(
-                    f"{self.family} kernel requires alpha in (1/2, 1], got {self.alpha}"
-                )
-        if self.family == "exponential":
-            if self.beta is None or self.beta <= 0.0:
-                raise ParameterError("exponential kernel requires beta > 0")
-        if self.family == "gamma":
-            if self.beta is None or self.beta < 0.0:
-                raise ParameterError("gamma kernel requires beta >= 0")
+        if self.family != "fractional" or self.beta is not None:
+            raise ParameterError(
+                f"only the fractional kernel is supported, got family {self.family!r}, "
+                f"beta {self.beta}"
+            )
+        if self.alpha is None or not 0.5 < self.alpha <= 1.0:
+            raise ParameterError(f"fractional kernel requires alpha in (1/2, 1], got {self.alpha}")
 
     @property
     def singular(self) -> bool:
-        """True when K(0+) = +inf (fractional/gamma with alpha < 1)."""
-        return self.family in ("fractional", "gamma") and self.alpha < 1.0
+        """True when K(0+) = +inf, i.e. alpha < 1."""
+        return self.alpha < 1.0
 
 
 def fractional_kernel(alpha: float) -> KernelSpec:
@@ -96,8 +80,8 @@ def fractional_kernel(alpha: float) -> KernelSpec:
 class ResolventSpec:
     """Kernel together with a mean-reversion rate lambda > 0.
 
-    R_lam solves R_lam(t) + lam * (K * R_lam)(t) = 1 with R_lam(0) = 1;
-    its density f_lam = -R'_lam integrates to 1 - a where a = lim R_lam.
+    R_lam solves R_lam(t) + lam * (K * R_lam)(t) = 1 with R_lam(0) = 1
+    and decays to 0, so its density f_lam = -R'_lam integrates to 1.
     """
 
     kernel: KernelSpec
@@ -159,8 +143,8 @@ def _ml_contour(alpha: float, x: np.ndarray, power_alpha: bool = True) -> np.nda
 def mittag_leffler(alpha: float, z) -> float | np.ndarray:
     """Standard Mittag-Leffler function E_alpha(z) for real z.
 
-    Uses the power series for |z| <= 5 and the Gauss-Laguerre spectral
-    quadrature for large negative arguments.  E_1(z) = exp(z) exactly.
+    Uses the power series for |z| <= 5 and the parabolic-contour Laplace
+    inversion for large negative arguments.  E_1(z) = exp(z) exactly.
     """
     if not 0.0 < alpha <= 1.0:
         raise ParameterError(f"mittag_leffler requires alpha in (0, 1], got {alpha}")
@@ -184,131 +168,52 @@ def mittag_leffler(alpha: float, z) -> float | np.ndarray:
 # ---------------------------------------------------------------------------
 
 def eval_kernel(spec: KernelSpec, t) -> float | np.ndarray:
-    """Evaluate K(t) for t > 0 (singular families reject t <= 0)."""
+    """Evaluate K(t) for t > 0 (a singular kernel rejects t <= 0)."""
     scalar = np.isscalar(t)
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if spec.singular and np.any(t <= 0.0):
-        raise DomainError(f"{spec.family} kernel is singular at t <= 0")
-    if spec.family == "constant":
-        out = np.ones_like(t)
-    elif spec.family == "exponential":
-        out = np.exp(-spec.beta * t)
-    elif spec.family == "fractional":
-        out = t ** (spec.alpha - 1.0) / gamma_fn(spec.alpha)
-    else:  # gamma
-        out = t ** (spec.alpha - 1.0) * np.exp(-spec.beta * t) / gamma_fn(spec.alpha)
+        raise DomainError("fractional kernel is singular at t <= 0")
+    out = t ** (spec.alpha - 1.0) / gamma_fn(spec.alpha)
     return float(out[0]) if scalar else out
 
 
 def resolvent(spec: ResolventSpec, t) -> float | np.ndarray:
-    """R_lam(t) for t >= 0.
-
-    Closed form E_alpha(-lam t^alpha) for the fractional family and
-    exp(-lam t) for the constant kernel.  The exponential kernel has the
-    elementary form (beta + lam e^(-(beta+lam) t)) / (beta + lam); the
-    gamma family is integrated from its density, see
-    :func:`resolvent_density`.
-    """
+    """R_lam(t) = E_alpha(-lam t^alpha) for t >= 0 (exp(-lam t) at alpha = 1)."""
     scalar = np.isscalar(t)
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t < 0.0):
         raise DomainError("resolvent requires t >= 0")
-    k, lam = spec.kernel, spec.lam
-    if k.family == "constant":
-        out = np.exp(-lam * t)
-    elif k.family == "fractional":
-        out = np.asarray(mittag_leffler(k.alpha, -lam * t ** k.alpha))
-    elif k.family == "exponential":
-        b = k.beta
-        out = (b + lam * np.exp(-(b + lam) * t)) / (b + lam)
-    else:  # gamma: R(t) = 1 - int_0^t e^(-beta s) f^frac_lam(s) ds
-        out = np.array([1.0 - _gamma_density_integral(spec, ti) for ti in t])
+    alpha, lam = spec.kernel.alpha, spec.lam
+    out = np.asarray(mittag_leffler(alpha, -lam * t ** alpha))
     return float(out[0]) if scalar else out
 
 
-def _gamma_density_integral(spec: ResolventSpec, t: float) -> float:
-    """int_0^t e^(-beta s) f^frac_{alpha,lam}(s) ds for the gamma family.
-
-    The substitution s = w^(1/alpha) removes the s^(alpha-1) endpoint
-    singularity; geometric panels keep the Legendre rule sharp when the
-    transformed upper limit t^alpha is large.
-    """
-    if t == 0.0:
-        return 0.0
-    alpha, b, lam = spec.kernel.alpha, spec.kernel.beta, spec.lam
-    frac = ResolventSpec(fractional_kernel(alpha), lam)
-
-    def smooth(w):
-        s = w ** (1.0 / alpha)
-        return np.exp(-b * s) * resolvent_density(frac, s) * s ** (1.0 - alpha) / alpha
-
-    nodes, weights = roots_legendre(48)
-    w_hi = t ** alpha
-    edges = [0.0, min(1.0, w_hi)]
-    while edges[-1] < w_hi:
-        edges.append(min(4.0 * edges[-1], w_hi))
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        h = 0.5 * (hi - lo)
-        w = lo + h * (nodes + 1.0)
-        total += h * float(weights @ smooth(w))
-    return total
-
-
 def resolvent_density(spec: ResolventSpec, t) -> float | np.ndarray:
-    """f_lam(t) = -R'_lam(t) for t > 0.
+    """f_lam(t) = -R'_lam(t) = lam t^(alpha-1) E_{alpha,alpha}(-lam t^alpha), t > 0.
 
-    Fractional family: lam t^(alpha-1) E_{alpha,alpha}(-lam t^alpha),
-    evaluated by series for lam t^alpha <= 5 and by the spectral
-    quadrature beyond.  Gamma family uses the exponential-shift identity
-    f^gamma_lam(t) = e^(-beta t) f^frac_lam(t).
+    Evaluated by series for lam t^alpha <= 5 and by the contour
+    integral beyond; alpha = 1 gives lam e^(-lam t).
     """
     scalar = np.isscalar(t)
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t <= 0.0):
         raise DomainError("resolvent_density requires t > 0")
-    k, lam = spec.kernel, spec.lam
-    if k.family == "constant":
+    alpha, lam = spec.kernel.alpha, spec.lam
+    if alpha == 1.0:
         out = lam * np.exp(-lam * t)
-    elif k.family == "exponential":
-        out = lam * np.exp(-(k.beta + lam) * t)
     else:
-        alpha = k.alpha
-        if alpha == 1.0:
-            out = lam * np.exp(-lam * t)
-        else:
-            x = lam * t ** alpha
-            out = np.empty_like(t)
-            small = x <= _ML_SERIES_RADIUS
-            if np.any(small):
-                out[small] = (
-                    lam * t[small] ** (alpha - 1.0) * _ml_series(alpha, alpha, -x[small])
-                )
-            if np.any(~small):
-                # f_lam(t) = lam t^(alpha-1) E_{a,a}(-x) with the E_{a,a}
-                # factor recovered from the q = 0 contour integral
-                out[~small] = (
-                    lam * t[~small] ** (alpha - 1.0) * _ml_contour(alpha, x[~small], power_alpha=False)
-                )
-        if k.family == "gamma":
-            out = out * np.exp(-k.beta * t)
+        x = lam * t ** alpha
+        out = np.empty_like(t)
+        small = x <= _ML_SERIES_RADIUS
+        if np.any(small):
+            out[small] = lam * t[small] ** (alpha - 1.0) * _ml_series(alpha, alpha, -x[small])
+        if np.any(~small):
+            # f_lam(t) = lam t^(alpha-1) E_{a,a}(-x) with the E_{a,a}
+            # factor recovered from the q = 0 contour integral
+            out[~small] = (
+                lam * t[~small] ** (alpha - 1.0) * _ml_contour(alpha, x[~small], power_alpha=False)
+            )
     return float(out[0]) if scalar else out
-
-
-def resolvent_limit(spec: ResolventSpec) -> float:
-    """a = lim_{t->inf} R_lam(t).
-
-    Zero for fractional and constant kernels; beta/(beta+lam) for the
-    exponential family and beta^alpha/(beta^alpha+lam) for gamma (from
-    the Laplace transform lam/(p^alpha+lam) of the fractional density).
-    """
-    k = spec.kernel
-    if k.family == "exponential":
-        return k.beta / (k.beta + spec.lam)
-    if k.family == "gamma" and k.beta > 0.0:
-        ba = k.beta ** k.alpha
-        return ba / (ba + spec.lam)
-    return 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +223,7 @@ def resolvent_limit(spec: ResolventSpec) -> float:
 def kernel_mean_segment(spec: KernelSpec, t_k, a, b) -> float | np.ndarray:
     """int_a^b K(t_k - s) ds for a < b <= t_k (vectorized in t_k).
 
-    Fractional closed form ((t_k-a)^alpha - (t_k-b)^alpha)/Gamma(alpha+1);
-    the gamma family reduces to regularized incomplete gamma functions.
+    Closed form ((t_k-a)^alpha - (t_k-b)^alpha)/Gamma(alpha+1).
     """
     scalar = np.isscalar(t_k)
     t_k = np.atleast_1d(np.asarray(t_k, dtype=float))
@@ -327,20 +231,8 @@ def kernel_mean_segment(spec: KernelSpec, t_k, a, b) -> float | np.ndarray:
         raise DomainError(f"segment [{a}, {b}] is empty or reversed")
     if np.any(b > t_k * (1 + 1e-12) + 1e-300):
         raise DomainError("segment must satisfy b <= t_k")
-    fam = spec.family
-    if fam == "constant":
-        out = np.full_like(t_k, b - a)
-    elif fam == "exponential":
-        bt = spec.beta
-        out = (np.exp(-bt * (t_k - b)) - np.exp(-bt * (t_k - a))) / bt
-    elif fam == "fractional" or (fam == "gamma" and spec.beta == 0.0):
-        al = spec.alpha
-        out = ((t_k - a) ** al - np.maximum(t_k - b, 0.0) ** al) / gamma_fn(al + 1.0)
-    else:
-        al, bt = spec.alpha, spec.beta
-        hi = gammainc(al, bt * (t_k - a))
-        lo = gammainc(al, bt * np.maximum(t_k - b, 0.0))
-        out = (hi - lo) / bt ** al
+    al = spec.alpha
+    out = ((t_k - a) ** al - np.maximum(t_k - b, 0.0) ** al) / gamma_fn(al + 1.0)
     return float(out[0]) if scalar else out
 
 
@@ -360,44 +252,31 @@ def kernel_cross_segment(spec: KernelSpec, t_k: float, t_k2: float, a: float, b:
     """int_a^b K(t_k - s) K(t_k2 - s) ds for a < b <= min(t_k, t_k2).
 
     Needed for the covariance of kernel-weighted Brownian integrals.  The
-    equal-time fractional case has the closed form
-    ((t_k-a)^(2a-1) - (t_k-b)^(2a-1)) / ((2a-1) Gamma(a)^2); otherwise a
-    Gauss-Jacobi rule absorbs the (t_min - s)^(alpha-1) endpoint
-    singularity whenever b hits t_min, and plain Gauss-Legendre is used
-    when both factors are regular on the segment.
+    equal-time case has the closed form
+    ((t_k-a)^(2a-1) - (t_k-b)^(2a-1)) / ((2a-1) Gamma(a)^2) and K = 1
+    gives b - a; otherwise a Gauss-Jacobi rule absorbs the
+    (t_min - s)^(alpha-1) endpoint singularity whenever b hits t_min,
+    and plain Gauss-Legendre is used when both factors are regular on
+    the segment.
     """
     if not a < b:
         raise DomainError(f"segment [{a}, {b}] is empty or reversed")
     t_lo, t_hi = min(t_k, t_k2), max(t_k, t_k2)
     if b > t_lo * (1 + 1e-12) + 1e-300:
         raise DomainError("segment must satisfy b <= min(t_k, t_k2)")
-    fam = spec.family
-    if fam == "constant":
-        return b - a
-    if fam == "exponential":
-        bt = spec.beta
-        return np.exp(-bt * (t_k + t_k2)) * (np.exp(2 * bt * b) - np.exp(2 * bt * a)) / (2 * bt)
     al = spec.alpha
-    pure_frac = fam == "fractional" or spec.beta == 0.0
-    if pure_frac and t_k == t_k2:
-        if al == 1.0:
-            return b - a
+    if al == 1.0:
+        return b - a
+    if t_k == t_k2:
         p = 2.0 * al - 1.0
         return ((t_k - a) ** p - (t_k - b) ** p) / (p * gamma_fn(al) ** 2)
-    singular_at_b = spec.singular and np.isclose(b, t_lo, rtol=1e-12, atol=0.0)
-    if singular_at_b:
-        expo = 2.0 * al - 2.0 if t_k == t_k2 else al - 1.0
+    if np.isclose(b, t_lo, rtol=1e-12, atol=0.0):
+        expo = al - 1.0
         nodes, weights = _jacobi_rule(expo)
         h = 0.5 * (b - a)
         s = a + h * (nodes + 1.0)
         # split off the singular power of (t_lo - s); the rest is smooth
-        smooth = eval_kernel(spec, t_hi - s) if t_k != t_k2 else np.ones_like(s)
-        g = gamma_fn(al)
-        if t_k == t_k2:
-            smooth = smooth * np.exp(-2.0 * spec.beta * (t_lo - s)) / g**2 if fam == "gamma" else smooth / g**2
-        else:
-            rest = np.exp(-spec.beta * (t_lo - s)) / g if fam == "gamma" else 1.0 / g
-            smooth = smooth * rest
+        smooth = eval_kernel(spec, t_hi - s) * (1.0 / gamma_fn(al))
         return float(h ** (expo + 1.0) * (weights @ smooth))
     nodes, weights = _legendre_rule()
     h = 0.5 * (b - a)
@@ -406,42 +285,16 @@ def kernel_cross_segment(spec: KernelSpec, t_k: float, t_k2: float, a: float, b:
     return float(h * (weights @ vals))
 
 
-def segment_moments(spec: KernelSpec, lags: np.ndarray, dt: float):
-    """Zeroth and first kernel moments over one grid cell at integer lags.
+def _power_moments(r: float, n: int, dt: float):
+    """Cell moments of the power kernel u^(r-1)/Gamma(r), any r in (0, 1].
 
-    For j in ``lags`` returns m0[j] = int_{jd}^{(j+1)d} K(u) du and
-    m1[j] = int_{jd}^{(j+1)d} K(u) ((j+1)d - u) du, the weights of
-    product integration that is exact for piecewise-linear integrands.
+    For the cells [j dt, (j+1) dt], j = 0..n-1, returns
+    m0[j] = int K(u) du and m1[j] = int K(u) ((j+1) dt - u) du, the
+    weights of product integration that is exact for piecewise-linear
+    integrands.
     """
-    lags = np.asarray(lags, dtype=float)
-    lo = lags * dt
-    hi = (lags + 1.0) * dt
-    fam = spec.family
-    if fam == "constant":
-        m0 = np.full_like(lo, dt)
-        m1 = np.full_like(lo, 0.5 * dt * dt)
-        return m0, m1
-    if fam == "exponential":
-        bt = spec.beta
-        e_lo, e_hi = np.exp(-bt * lo), np.exp(-bt * hi)
-        m0 = (e_lo - e_hi) / bt
-        # int u K du = [-(u/b + 1/b^2) e^(-bu)]
-        int_u = (lo / bt + 1.0 / bt**2) * e_lo - (hi / bt + 1.0 / bt**2) * e_hi
-        m1 = hi * m0 - int_u
-        return m0, m1
-    al = spec.alpha
-    if fam == "fractional" or spec.beta == 0.0:
-        return _power_moments(al, lo, hi)
-    bt = spec.beta
-    g0 = (gammainc(al, bt * hi) - gammainc(al, bt * lo)) / bt ** al
-    g1 = gamma_fn(al + 1.0) / gamma_fn(al) * (
-        gammainc(al + 1.0, bt * hi) - gammainc(al + 1.0, bt * lo)
-    ) / bt ** (al + 1.0)
-    return g0, hi * g0 - g1
-
-
-def _power_moments(r: float, lo: np.ndarray, hi: np.ndarray):
-    """Cell moments of the power kernel u^(r-1)/Gamma(r), any r in (0, 1]."""
+    lags = np.arange(n, dtype=float)
+    lo, hi = lags * dt, (lags + 1.0) * dt
     g = gamma_fn(r)
     m0 = (hi ** r - lo ** r) / (r * g)
     int_u = (hi ** (r + 1.0) - lo ** (r + 1.0)) / ((r + 1.0) * g)
@@ -458,7 +311,7 @@ def kernel_convolve(spec: KernelSpec, g: np.ndarray, grid: np.ndarray) -> np.nda
     dt = grid[1] - grid[0]
     if not np.allclose(np.diff(grid), dt):
         raise DomainError("kernel_convolve requires a uniform grid")
-    m0, m1 = segment_moments(spec, np.arange(n), dt)
+    m0, m1 = _power_moments(spec.alpha, n, dt)
     w_right = m1 / dt          # weight on g(t_l) for cell ending at lag j
     w_left = m0 - w_right      # weight on g(t_{l-1})
     out = np.zeros(n + 1)
@@ -468,7 +321,6 @@ def kernel_convolve(spec: KernelSpec, g: np.ndarray, grid: np.ndarray) -> np.nda
         + np.convolve(w_right, g[1:])[:n]
     )
     return out
-
 
 def resolvent_equation_residual(spec: ResolventSpec, T: float, n: int) -> float:
     """max_k |R(t_k) + lam (K*R)(t_k) - 1| on the uniform grid over [0, T].
@@ -497,8 +349,7 @@ def fractional_integral(r: float, f: np.ndarray, T: float) -> float:
         raise DomainError("f must be a 1-d grid function with at least 2 samples")
     n = len(f) - 1
     dt = T / n
-    lags = np.arange(n, dtype=float)
-    m0, m1 = _power_moments(r, lags * dt, (lags + 1.0) * dt)
+    m0, m1 = _power_moments(r, n, dt)
     w_right = m1 / dt
     w_left = m0 - w_right
     # lag j = n - l pairs cell l with weights at distance from T

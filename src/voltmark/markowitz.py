@@ -379,9 +379,7 @@ def laplace_affine_check(model: MarketModel, stabs, u, grid: Grid, M: int, seed:
         raise ParameterError("Laplace check requires u <= 0 componentwise")
     closed = laplace_closed_form(model, stabs, u, v0=v0, n_solver=max(grid.n, _GAMMA0_REFINE))
     if ensemble is None:
-        ensemble = simulate_variance_paths(
-            model, stabs, grid, M, seed, initial="fixed", store_noise=False
-        )
+        ensemble = simulate_variance_paths(model, stabs, grid, M, seed, initial="fixed")
     integral = np.trapezoid(ensemble.V, dx=grid.dt, axis=2)   # (M, d)
     samples = np.exp(integral @ u)
     mc = float(np.mean(samples))

@@ -122,7 +122,7 @@ class MarketModel:
         return float(np.exp(-self.r * s))
 
     def build_stabilizers(self, truncation_K: int | None = None) -> list:
-        """Per-asset stabilizer evaluators (alpha < 1 required)."""
+        """Per-asset stabilizer evaluators (constant where alpha = 1)."""
         kwargs = {} if truncation_K is None else {"truncation_K": truncation_K}
         return [
             build_stabilizer(self.alpha[i], self.lam[i], self.c[i], **kwargs)

@@ -184,9 +184,7 @@ def frontier_experiment(model: MarketModel, m_values, M: int, seed: int, *,
     stabs = stabs or model.build_stabilizers()
     solution = solution or solve_riccati_adams(model, stabs, grid.n)
     if ensemble is None:
-        ensemble = simulate_variance_paths(
-            model, stabs, grid, M, seed, initial="fixed", store_noise=False
-        )
+        ensemble = simulate_variance_paths(model, stabs, grid, M, seed, initial="fixed")
     g0 = gamma0(model, solution, stabs)  # m-independent, priced once
     A, B = affine_wealth_terminal(model, ensemble, solution, stabs)
     m_values = np.atleast_1d(np.asarray(m_values, dtype=float))

@@ -28,13 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
-from .kernels import (
-    ParameterError,
-    ResolventSpec,
-    fractional_kernel,
-    resolvent,
-    segment_moments,
-)
+from .kernels import ParameterError, ResolventSpec, _power_moments, fractional_kernel, resolvent
 from .model import Grid, MarketModel
 
 _FALLBACK_CAP = 1e6
@@ -68,15 +62,6 @@ class RiccatiSolution:
         for i in range(self.model.d):
             out[i] = np.interp(t, self.grid.times, self.psi[i])
         return out
-
-
-def riccati_rhs(model: MarketModel, stabs, s: float, psi: np.ndarray) -> np.ndarray:
-    """Integrand vector -theta^2 + F(s, psi) of the Markowitz system."""
-    psi = np.asarray(psi, dtype=float)
-    sig = np.array([st.eval(s) for st in stabs])
-    lin = -2.0 * model.theta * model.rho * model.nu * sig * psi + model.D.T @ psi
-    quad = 0.5 * model.nu**2 * (1.0 - 2.0 * model.rho**2) * (sig * psi) ** 2
-    return -model.theta**2 + lin + quad
 
 
 def _second_diff_weights(alpha: float, n: int) -> np.ndarray:
@@ -240,10 +225,7 @@ def oracle_volterra_picard(model: MarketModel, stabs, n_fine: int, sweeps: int =
     grid = Grid(model.T, n_fine)
     d = model.d
     rhs = _rhs_tables(model, stabs, grid, forcing, include_theta)
-    c_seg = [
-        segment_moments(fractional_kernel(model.alpha[i]), np.arange(n_fine), grid.dt)[0]
-        for i in range(d)
-    ]
+    c_seg = [_power_moments(model.alpha[i], n_fine, grid.dt)[0] for i in range(d)]
     psi = np.zeros((n_fine + 1, d))
     for _ in range(sweeps):
         g = np.empty((n_fine, d))

@@ -42,14 +42,6 @@ class FactorizationError(RuntimeError):
     """Covariance factorization failed even after stabilization."""
 
 
-def _kernel_is_constant(spec: KernelSpec) -> bool:
-    if spec.family == "constant":
-        return True
-    if spec.family == "fractional" and spec.alpha == 1.0:
-        return True
-    return spec.family == "gamma" and spec.alpha == 1.0 and spec.beta == 0.0
-
-
 @dataclass(frozen=True, eq=False)
 class GaussianBlockFactor:
     """Joint sampler of one cell's kernel integrals and its DW increment.
@@ -67,7 +59,6 @@ class GaussianBlockFactor:
     cov: np.ndarray = field(repr=False)
     factor: np.ndarray = field(repr=False)
     c_seg: np.ndarray = field(repr=False)
-    eigenvalues: np.ndarray = field(repr=False)
 
     @property
     def rank(self) -> int:
@@ -91,8 +82,8 @@ def _covariance_matrix(spec: KernelSpec, grid: Grid) -> tuple[np.ndarray, np.nda
     t_up = (lags + 1.0) * dt
     c_seg = np.asarray(kernel_mean_segment(spec, t_up, 0.0, dt))
     cov = np.empty((n + 1, n + 1))
-    if _kernel_is_constant(spec):
-        # every lag integral equals DW itself
+    if spec.alpha == 1.0:
+        # K = 1: every lag integral equals DW itself
         cov[:, :] = dt
         return cov, c_seg
     # interior block by a fixed Legendre rule on the shared cell; rows
@@ -117,9 +108,9 @@ def _covariance_matrix(spec: KernelSpec, grid: Grid) -> tuple[np.ndarray, np.nda
 def build_gaussian_factor(spec: KernelSpec, grid: Grid) -> GaussianBlockFactor:
     """Assemble and factor the joint cell covariance for one asset.
 
-    Constant-like kernels use the exact rank-one factor sqrt(dt) 1.  For
-    singular kernels the matrix is a Gramian of shifted kernel slices
-    whose spectrum collapses after a handful of modes, so a plain
+    The constant kernel (alpha = 1) uses the exact rank-one factor
+    sqrt(dt) 1.  For singular kernels the matrix is a Gramian of shifted
+    kernel slices whose spectrum collapses after a handful of modes, so a plain
     Cholesky is numerically hopeless at realistic n; the stabilized
     route is the symmetric eigendecomposition with negative and
     below-cut eigenvalues clipped to zero, keeping a thin factor.  The
@@ -130,12 +121,9 @@ def build_gaussian_factor(spec: KernelSpec, grid: Grid) -> GaussianBlockFactor:
     """
     cov, c_seg = _covariance_matrix(spec, grid)
     norm = float(np.linalg.norm(cov))
-    if _kernel_is_constant(spec):
+    if spec.alpha == 1.0:
         factor = np.full((cov.shape[0], 1), np.sqrt(grid.dt))
-        return GaussianBlockFactor(
-            spec=spec, grid=grid, cov=cov, factor=factor, c_seg=c_seg,
-            eigenvalues=np.array([grid.dt * cov.shape[0]]),
-        )
+        return GaussianBlockFactor(spec=spec, grid=grid, cov=cov, factor=factor, c_seg=c_seg)
     w, U = np.linalg.eigh(cov)
     w = w[::-1]
     U = U[:, ::-1]
@@ -147,10 +135,7 @@ def build_gaussian_factor(spec: KernelSpec, grid: Grid) -> GaussianBlockFactor:
             f"spectral factor misses covariance by {err / norm:.2e} relative "
             f"(smallest eigenvalue {w[-1]:.3e})"
         )
-    return GaussianBlockFactor(
-        spec=spec, grid=grid, cov=cov, factor=factor, c_seg=c_seg,
-        eigenvalues=w.copy(),
-    )
+    return GaussianBlockFactor(spec=spec, grid=grid, cov=cov, factor=factor, c_seg=c_seg)
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,8 +145,7 @@ class PathEnsemble:
     V has shape (M, d, n+1) and is stored raw (the scheme can leave
     slightly negative values, consumers clip); dW and dWperp are the
     per-cell increments of W and the independent W-perp, shape
-    (M, d, n).  kernel_integrals[m, i, k-1] = sum_{l<=k} G_{k,l}, the
-    running kernel-weighted noise integral int_0^t_k K(t_k - s) dW_s.
+    (M, d, n).
     """
 
     model: MarketModel
@@ -171,7 +155,6 @@ class PathEnsemble:
     V: np.ndarray = field(repr=False)
     dW: np.ndarray = field(repr=False)
     dWperp: np.ndarray = field(repr=False)
-    kernel_integrals: np.ndarray | None = field(repr=False, default=None)
 
 
 def sample_initial_variance(model: MarketModel, M: int, seed,
@@ -190,13 +173,17 @@ def sample_initial_variance(model: MarketModel, M: int, seed,
 def simulate_variance_paths(model: MarketModel, stabs, grid: Grid, M: int, seed: int, *,
                             initial: str = "stationary",
                             factors: list | None = None,
-                            store_noise: bool = True) -> PathEnsemble:
+                            store_noise: bool = False) -> PathEnsemble:
     """Simulate M joint variance paths with the K-integrated Euler scheme.
 
     initial = "stationary" draws V0 from N(x_inf, v0) (the fake
     stationary configuration); "fixed" starts every path at x_inf.
     Prebuilt per-asset factors may be passed to amortize construction.
+    The kernel-weighted noise integrals are not kept; ``store_noise``
+    only accepts False.
     """
+    if store_noise:
+        raise ParameterError("kernel-weighted noise integrals are not stored")
     if grid.T != model.T:
         raise ParameterError(f"grid horizon  {grid.T} != model horizon {model.T}")
     if initial not in ("stationary", "fixed"):
@@ -224,18 +211,11 @@ def simulate_variance_paths(model: MarketModel, stabs, grid: Grid, M: int, seed:
     V = np.empty((M, d, n + 1))
     V[:, :, 0] = V0
     dW = np.empty((M, d, n))
-    noise_int = np.empty((M, d, n)) if store_noise else None
 
     sig_grid = np.stack([np.asarray(st.eval(grid.times[:-1])) for st in stabs], axis=0)  # (d, n)
     for i in range(d):
-        _advance_asset(
-            model, i, factors[i], sig_grid[i], V0[:, i], rngs_asset[i],
-            V, dW, noise_int,
-        )
-    return PathEnsemble(
-        model=model, grid=grid, M=M, seed=seed,
-        V=V, dW=dW, dWperp=dWperp, kernel_integrals=noise_int,
-    )
+        _advance_asset(model, i, factors[i], sig_grid[i], V0[:, i], rngs_asset[i], V, dW)
+    return PathEnsemble(model=model, grid=grid, M=M, seed=seed, V=V, dW=dW, dWperp=dWperp)
 
 
 # cells per far-field block of the Volterra accumulation; fixed so that
@@ -246,7 +226,7 @@ _BLOCK = 64
 
 def _advance_asset(model: MarketModel, i: int, fac: GaussianBlockFactor,
                    sig: np.ndarray, V0: np.ndarray, rng: np.random.Generator,
-                   V: np.ndarray, dW: np.ndarray, noise_int) -> None:
+                   V: np.ndarray, dW: np.ndarray) -> None:
     """Blocked Volterra accumulation of one asset over all paths.
 
     Each cell l contributes drift_l C[k-l] + vol_l G_{k,l} to every
@@ -257,7 +237,6 @@ def _advance_asset(model: MarketModel, i: int, fac: GaussianBlockFactor,
     compute-bound instead of rewriting the whole future per cell.
     """
     n, M = fac.grid.n, V.shape[0]
-    store_noise = noise_int is not None
     r = fac.rank
     # noise modes plus one drift "mode" per cell
     F_aug = np.concatenate([fac.factor[:n], fac.c_seg[:, None]], axis=1)  # (n, r+1)
@@ -265,9 +244,7 @@ def _advance_asset(model: MarketModel, i: int, fac: GaussianBlockFactor,
     mu0, lam = model.mu0[i], model.lam[i]
     nu = model.nu[i]
     acc = np.zeros((n + 1, M))
-    acc_raw = np.zeros((n + 1, M)) if store_noise else None
     y_blk = np.empty((_BLOCK, r + 1, M))
-    z_blk = np.empty((_BLOCK, r, M)) if store_noise else None
     for lo in range(0, n, _BLOCK):
         width = min(_BLOCK, n - lo)
         hi = lo + width                       # block holds cells lo+1 .. hi
@@ -282,9 +259,6 @@ def _advance_asset(model: MarketModel, i: int, fac: GaussianBlockFactor,
             np.subtract(mu0, lam * v_prev, out=y[r])
             m_loc = hi - ell + 1
             acc[ell : hi + 1] += F_aug[:m_loc] @ y
-            if store_noise:
-                z_blk[b] = z
-                acc_raw[ell : hi + 1] += fac.factor[:m_loc] @ z
             V[:, i, ell] = V0 + acc[ell]
         if hi < n:
             rows = n - hi                     # far-field times hi+1 .. n
@@ -293,14 +267,6 @@ def _advance_asset(model: MarketModel, i: int, fac: GaussianBlockFactor,
                 j0 = hi - lo - b              # lag of k = hi+1 seen from cell lo+1+b
                 f_big[:, b * (r + 1) : (b + 1) * (r + 1)] = F_aug[j0 : j0 + rows]
             acc[hi + 1 :] += f_big @ y_blk[:width].reshape(width * (r + 1), M)
-            if store_noise:
-                f_raw = np.empty((rows, width * r))
-                for b in range(width):
-                    j0 = hi - lo - b
-                    f_raw[:, b * r : (b + 1) * r] = fac.factor[j0 : j0 + rows]
-                acc_raw[hi + 1 :] += f_raw @ z_blk[:width].reshape(width * r, M)
-    if store_noise:
-        noise_int[:, i, :] = acc_raw[1:].T
 
 
 def correlate_asset_brownian(ensemble: PathEnsemble, model: MarketModel) -> np.ndarray:

@@ -10,7 +10,8 @@ For the fractional kernel of order alpha and mean reversion lam it is
 with coefficients c_k built from a Gamma/Beta recurrence.  The series
 has infinite radius of convergence but loses floating-point accuracy for
 large arguments, so beyond a computed switch point the evaluation jumps
-to the exact limit value sqrt(c) lam / ||f_{alpha,lam}||_L2.
+to the exact limit value sqrt(c) lam / ||f_{alpha,lam}||_L2.  At the
+Markovian edge alpha = 1 that limit, sqrt(2 c lam), holds for all t.
 
 The construction is validated a posteriori: `functional_equation_residual`
 measures how well the evaluated stabilizer satisfies the defining
@@ -196,7 +197,9 @@ class StabilizerSeries:
 
 
 class ConstantStabilizer:
-    """Constant diffusion multiplier, for Markovian (alpha = 1) edge cases."""
+    """Constant diffusion multiplier, the exact stabilizer at alpha = 1."""
+
+    alpha = 1.0
 
     def __init__(self, value: float):
         if value < 0.0:
@@ -214,10 +217,12 @@ class ConstantStabilizer:
 
 
 def build_stabilizer(alpha: float, lam: float, c: float,
-                     truncation_K: int = _DEFAULT_TRUNCATION) -> StabilizerSeries:
+                     truncation_K: int = _DEFAULT_TRUNCATION):
     """Construct the stabilizer evaluator for one asset.
 
-    Coefficients are kept only while they stand clear of the rounding
+    At alpha = 1 (K = 1, f_lam = lam e^(-lam t)) the constant
+    sqrt(2 lam c) solves the functional equation exactly.  For alpha < 1
+    coefficients are kept only while they stand clear of the rounding
     noise of the recurrence.  The switch point is the largest scaled
     time u at which (a) the terms are decaying at the truncation order
     with margin, (b) the geometric tail bound and (c) the cancellation
@@ -226,6 +231,8 @@ def build_stabilizer(alpha: float, lam: float, c: float,
     """
     if not lam > 0.0 or not c > 0.0:
         raise ParameterError("stabilizer requires lam > 0 and c > 0")
+    if alpha == 1.0:
+        return ConstantStabilizer(np.sqrt(2.0 * lam * c))
     coeffs, floor = _coeffs_with_floor(alpha, truncation_K)
     clean = np.abs(coeffs) > 20.0 * floor
     k_eff = int(np.argmin(clean)) if not clean.all() else truncation_K
@@ -279,17 +286,14 @@ def _graded_rule():
 def _sigma_sq_convolution(stab, spec: ResolventSpec, times: np.ndarray) -> np.ndarray:
     """(f_lam^2 * sigma^2)(t) for each t > 0 in `times`.
 
-    Singular kernels integrate over w in [0, t^(1/p)] with s = w^p and
+    The integral runs over w in [0, t^(1/p)] with s = w^p and
     p = 1/(2 alpha - 1), so the integrand p (f_lam(s) s^(1-alpha))^2
     sigma^2(t - s) is bounded at w = 0; at the upper end it keeps the
     (t - s)^(1-alpha) behaviour of sigma^2.  The graded rule resolves
-    both ends.  Non-singular kernels use p = 1 on [0, t].
+    both ends.  At alpha = 1 this is the plain integral over [0, t].
     """
-    kernel = spec.kernel
-    if kernel.singular:
-        p, e = 1.0 / (2.0 * kernel.alpha - 1.0), 1.0 - kernel.alpha
-    else:
-        p, e = 1.0, 0.0
+    alpha = spec.kernel.alpha
+    p, e = 1.0 / (2.0 * alpha - 1.0), 1.0 - alpha
     x, w = _graded_rule()
     upper = times ** (1.0 / p)
     out = np.empty_like(times)
@@ -304,21 +308,19 @@ def _sigma_sq_convolution(stab, spec: ResolventSpec, times: np.ndarray) -> np.nd
     return out
 
 
-def functional_equation_residual(stab, lam: float, c: float, T: float, n: int,
-                                 kernel=None) -> np.ndarray:
+def functional_equation_residual(stab, lam: float, c: float, T: float, n: int) -> np.ndarray:
     """Pointwise defining-equation residual, normalized by c lam^2.
 
     Evaluates |c lam^2 (1 - R_lam(t)^2) - (f_lam^2 * sigma^2)(t)| /
     (c lam^2) on the uniform grid over [0, T].  The convolution uses one
     fixed composite Gauss-Legendre rule (16 points on 82 panels, graded
     geometrically toward both ends) scaled to every grid time, after the
-    substitution s = w^(1/(2 alpha - 1)) for fractional kernels.  For the
+    substitution s = w^(1/(2 alpha - 1)) with alpha = stab.alpha.  For the
     bundled parameters the rule agrees with 20-digit tanh-sinh
     quadrature of the same integrand within 2e-16 of c lam^2, so the
     residual measures the stabilizer and not the quadrature.
     """
-    kernel = kernel if kernel is not None else fractional_kernel(stab.alpha)
-    spec = ResolventSpec(kernel, lam)
+    spec = ResolventSpec(fractional_kernel(stab.alpha), lam)
     grid = np.linspace(0.0, T, n + 1)
     lhs = c * lam**2 * (1.0 - np.asarray(resolvent(spec, grid)) ** 2)
     rhs = np.zeros_like(grid)

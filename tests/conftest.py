@@ -39,18 +39,14 @@ def grid_600():
 @pytest.fixture(scope="session")
 def ensemble_5000_fixed(model_t1, stabs_t1, grid_600):
     """Fixed-V0 ensemble backing the wealth and frontier acceptance runs."""
-    return simulate_variance_paths(
-        model_t1, stabs_t1, grid_600, 5000, seed=20240, initial="fixed",
-        store_noise=False,
-    )
+    return simulate_variance_paths(model_t1, stabs_t1, grid_600, 5000, seed=20240,
+                                   initial="fixed")
 
 
 @pytest.fixture(scope="session")
 def ensemble_10000_stationary(model_t1, stabs_t1, grid_600):
     """Stationary ensemble for the fake-stationarity diagnostics."""
-    return simulate_variance_paths(
-        model_t1, stabs_t1, grid_600, 10000, seed=31415, store_noise=False,
-    )
+    return simulate_variance_paths(model_t1, stabs_t1, grid_600, 10000, seed=31415)
 
 
 def small_model(**overrides):

@@ -103,8 +103,7 @@ def test_criterion_2_frontier_consistency(model_t1, stabs_t1, riccati_600,
     stabs5 = model5.build_stabilizers()
     grid5 = Grid(5.0, 600)
     sol5 = solve_riccati_adams(model5, stabs5, 600)
-    ens5 = simulate_variance_paths(model5, stabs5, grid5, 50000, seed=502,
-                                   initial="fixed", store_noise=False)
+    ens5 = simulate_variance_paths(model5, stabs5, grid5, 50000, seed=502, initial="fixed")
     g0_5 = gamma0(model5, sol5, stabs5)
     A5, B5 = affine_wealth_terminal(model5, ens5, sol5, stabs5)  # X_T = A + xi* B
     worst5 = 0.0

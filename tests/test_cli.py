@@ -35,7 +35,6 @@ n_boot = 150
 
 [riccati]
 truncation_K = 120
-oracle_refinement = 8
 
 [experiment]
 m = 2.1
@@ -52,6 +51,12 @@ def _write(tmp_path, text, name="cfg.ini"):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+def _child_env():
+    """Environment for a child interpreter that imports this voltmark."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(voltmark.__file__)), os.environ.get("PYTHONPATH", "")]))
 
 
 def test_default_config_matches_bundled_table():
@@ -78,6 +83,9 @@ def test_missing_field_reports_path():
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="model.bogus"):
         load_config(TINY.replace("d = 1", "d = 1\nbogus = 1"))
+    # nothing read riccati.oracle_refinement, so it left the schema
+    with pytest.raises(ConfigError, match="unknown config key riccati.oracle_refinement"):
+        load_config(TINY.replace("truncation_K = 120", "truncation_K = 120\noracle_refinement = 8"))
 
 
 def test_unknown_section_rejected():
@@ -181,7 +189,7 @@ def test_print_config_round_trips(capsys):
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "voltmark.cli", "print-config"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=_child_env(),
     )
     assert proc.returncode == 0
     assert "[model]" in proc.stdout
@@ -197,6 +205,30 @@ def test_full_mode_smoke(tmp_path):
     for name in ("stabilizer_asset1.csv", "riccati_psi.csv", "wealth_stats.csv",
                  "frontier_T1.csv", "laplace_check.csv", "manifest.json"):
         assert (out / name).exists()
+
+
+def test_stabilizer_residual_above_tolerance_exit_code(tmp_path, capsys):
+    # lam = 5 moves the series/limit switch to t = 0.83 < T = 1, where the
+    # jump to the limit leaves a residual of about 1e-2
+    path = _write(tmp_path, _DEFAULT_CONFIG.replace("lam = 0.2, 0.2", "lam = 5.0, 0.2"))
+    out = tmp_path / "o"
+    assert main(["stabilizer", "--config", path, "--out", str(out)]) == 4
+    res = np.loadtxt(out / "stabilizer_asset1.csv", delimiter=",", skiprows=1)[:, 2]
+    assert res.max() > 1e-3
+    assert "asset 1: max residual" in capsys.readouterr().out
+
+
+def test_full_markovian_edge(tmp_path):
+    # alpha = 1 (K = 1) runs end to end with the exact constant stabilizer
+    path = _write(tmp_path, TINY.replace("alpha = 0.7", "alpha = 1.0"))
+    out = tmp_path / "out"
+    assert main(["full", "--config", path, "--out", str(out)]) in (0, 4)
+    for name in ("stabilizer_asset1.csv", "riccati_psi.csv", "variance_stats_asset1.csv",
+                 "wealth_stats.csv", "frontier_T1.csv", "laplace_check.csv"):
+        tab = np.loadtxt(out / name, delimiter=",", skiprows=1, ndmin=2)
+        assert tab.size and np.all(np.isfinite(tab)), name
+    stab = np.loadtxt(out / "stabilizer_asset1.csv", delimiter=",", skiprows=1)
+    assert np.max(stab[:, 2]) <= 1e-12
 
 
 def test_numerical_failure_exit_code(tmp_path):
@@ -225,12 +257,10 @@ def test_blowup_stderr_is_one_line(tmp_path):
     # numpy's RuntimeWarnings reach a real stderr but not capsys (pytest's
     # warnings plugin takes them), so run the CLI in a child process
     path = _write(tmp_path, TINY.replace("theta = 0.2", "theta = 1e200"))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [os.path.dirname(os.path.dirname(voltmark.__file__)), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-m", "voltmark.cli", "riccati", "--config", path,
          "--out", str(tmp_path / "o")],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_child_env(),
     )
     assert proc.returncode == 3
     lines = proc.stderr.splitlines()

@@ -24,15 +24,15 @@ from voltmark.kernels import (
     resolvent,
     resolvent_density,
     resolvent_equation_residual,
-    resolvent_limit,
 )
 
+# alpha = 1 is the constant kernel K = 1, the Markovian edge
 ALL_SPECS = [
     fractional_kernel(0.6),
     fractional_kernel(0.9),
-    KernelSpec("gamma", alpha=0.7, beta=0.8),
-    KernelSpec("exponential", beta=1.3),
-    KernelSpec("constant"),
+    fractional_kernel(0.7),
+    fractional_kernel(0.55),
+    fractional_kernel(1.0),
 ]
 
 
@@ -40,13 +40,10 @@ ALL_SPECS = [
 
 def test_eval_kernel_closed_forms():
     assert eval_kernel(fractional_kernel(1.0), 0.37) == 1.0
-    assert eval_kernel(KernelSpec("constant"), 5.0) == 1.0
+    assert eval_kernel(fractional_kernel(1.0), 5.0) == 1.0
     # 1/Gamma(0.6), mpmath frozen
     assert eval_kernel(fractional_kernel(0.6), 1.0) == pytest.approx(
         0.67150497244207335818, abs=1e-15)
-    assert eval_kernel(KernelSpec("exponential", beta=2.0), 0.5) == pytest.approx(np.exp(-1.0))
-    assert eval_kernel(KernelSpec("gamma", alpha=0.6, beta=2.0), 1.0) == pytest.approx(
-        np.exp(-2.0) / G(0.6))
 
 
 def test_eval_kernel_domain_and_validation():
@@ -55,7 +52,9 @@ def test_eval_kernel_domain_and_validation():
     with pytest.raises(ParameterError):
         KernelSpec("fractional", alpha=0.4)
     with pytest.raises(ParameterError):
-        KernelSpec("exponential", beta=0.0)
+        KernelSpec("fractional", alpha=0.6, beta=0.8)
+    with pytest.raises(ParameterError):
+        KernelSpec("exponential", beta=1.3)
     with pytest.raises(ParameterError):
         KernelSpec("nope")
 
@@ -105,7 +104,7 @@ def test_resolvent_at_zero_is_one(spec):
 
 
 def test_resolvent_constant_kernel_exponential():
-    rs = ResolventSpec(KernelSpec("constant"), 0.8)
+    rs = ResolventSpec(fractional_kernel(1.0), 0.8)
     t = np.linspace(0.0, 3.0, 7)
     assert np.allclose(resolvent(rs, t), np.exp(-0.8 * t), atol=1e-14)
 
@@ -118,9 +117,9 @@ def test_resolvent_fractional_is_mittag_leffler():
 @pytest.mark.parametrize("spec,lam", [
     (fractional_kernel(0.6), 0.2),
     (fractional_kernel(0.9), 1.5),
-    (KernelSpec("gamma", alpha=0.7, beta=0.8), 1.1),
-    (KernelSpec("exponential", beta=1.3), 0.9),
-    (KernelSpec("constant"), 0.7),
+    (fractional_kernel(0.7), 1.1),
+    (fractional_kernel(0.75), 0.9),
+    (fractional_kernel(1.0), 0.7),
 ])
 def test_resolvent_defining_equation(spec, lam):
     res = resolvent_equation_residual(ResolventSpec(spec, lam), 2.0, 8000)
@@ -129,8 +128,6 @@ def test_resolvent_defining_equation(spec, lam):
 
 def test_resolvent_density_constant_and_markovian_edge():
     t = np.linspace(0.1, 2.0, 8)
-    rs = ResolventSpec(KernelSpec("constant"), 0.4)
-    assert np.allclose(resolvent_density(rs, t), 0.4 * np.exp(-0.4 * t), atol=1e-14)
     rs1 = ResolventSpec(fractional_kernel(1.0), 0.4)
     assert np.allclose(resolvent_density(rs1, t), 0.4 * np.exp(-0.4 * t), atol=1e-14)
 
@@ -144,8 +141,8 @@ def test_resolvent_density_matches_derivative():
 
 @pytest.mark.parametrize("spec,lam", [
     (fractional_kernel(0.6), 0.2),
-    (KernelSpec("gamma", alpha=0.7, beta=0.8), 1.1),
-    (KernelSpec("exponential", beta=1.3), 0.9),
+    (fractional_kernel(0.7), 1.1),
+    (fractional_kernel(1.0), 0.9),
 ])
 def test_resolvent_density_nonnegative_and_mass(spec, lam):
     rs = ResolventSpec(spec, lam)
@@ -163,20 +160,9 @@ def test_resolvent_density_nonnegative_and_mass(spec, lam):
     assert mass == pytest.approx(1.0 - resolvent(rs, T), abs=1e-6)
 
 
-def test_resolvent_limit_values():
-    assert resolvent_limit(ResolventSpec(fractional_kernel(0.6), 0.2)) == 0.0
-    rs = ResolventSpec(KernelSpec("exponential", beta=1.3), 0.9)
-    assert resolvent_limit(rs) == pytest.approx(1.3 / 2.2)
-    assert resolvent(rs, 80.0) == pytest.approx(1.3 / 2.2, abs=1e-10)
-    rg = ResolventSpec(KernelSpec("gamma", alpha=0.7, beta=0.8), 1.1)
-    a = 0.8**0.7 / (0.8**0.7 + 1.1)
-    assert resolvent_limit(rg) == pytest.approx(a)
-
-
 # --- segment integrals -----------------------------------------------------
 
 def test_kernel_mean_segment_closed_forms():
-    assert kernel_mean_segment(KernelSpec("constant"), 2.0, 0.3, 1.1) == pytest.approx(0.8)
     assert kernel_mean_segment(fractional_kernel(1.0), 2.0, 0.3, 1.1) == pytest.approx(0.8)
     # (1 - 0.5^0.6)/Gamma(1.6), mpmath frozen
     assert kernel_mean_segment(fractional_kernel(0.6), 1.0, 0.0, 0.5) == pytest.approx(
@@ -198,7 +184,7 @@ def test_kernel_mean_segment_ordering():
 
 
 def test_kernel_cross_segment_closed_forms():
-    assert kernel_cross_segment(KernelSpec("constant"), 2.0, 1.5, 0.2, 1.0) == pytest.approx(0.8)
+    assert kernel_cross_segment(fractional_kernel(1.0), 2.0, 1.5, 0.2, 1.0) == pytest.approx(0.8)
     d = 1.0 / 600
     al = 0.6
     exact = d ** (2 * al - 1) / ((2 * al - 1) * G(al) ** 2)
@@ -220,18 +206,6 @@ def test_kernel_cross_segment_symmetry_and_sign():
         v2 = kernel_cross_segment(spec, tk2, tk, a, b)
         assert v1 >= 0.0
         assert v1 == pytest.approx(v2, rel=1e-12)
-
-
-def test_kernel_cross_segment_gamma_vs_quadrature():
-    spec = KernelSpec("gamma", alpha=0.7, beta=0.8)
-    val = kernel_cross_segment(spec, 1.0, 0.4, 0.1, 0.4)
-    a = spec.alpha
-    # substitute s = 0.4 - w^(1/a) to flatten the right-endpoint singularity
-    ref, _ = quad(
-        lambda w: eval_kernel(spec, 1.0 - (0.4 - w ** (1 / a)))
-        * eval_kernel(spec, w ** (1 / a)) * w ** (1 / a - 1) / a,
-        0.0, 0.3**a, limit=200)
-    assert val == pytest.approx(ref, rel=1e-8)
 
 
 # --- fractional integrals --------------------------------------------------
@@ -271,5 +245,5 @@ def test_kernel_convolve_exact_for_linear():
     # constant kernel: (K*g)(t) = int_0^t g, exact for piecewise-linear g
     grid = np.linspace(0.0, 2.0, 21)
     g = 1.0 + 3.0 * grid
-    out = kernel_convolve(KernelSpec("constant"), g, grid)
+    out = kernel_convolve(fractional_kernel(1.0), g, grid)
     assert np.allclose(out, grid + 1.5 * grid**2, atol=1e-13)

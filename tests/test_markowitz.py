@@ -144,8 +144,7 @@ def test_affine_terminal_matches_wealth_scheme():
     stabs = m.build_stabilizers()
     grid = Grid(1.0, 100)
     sol = solve_riccati_adams(m, stabs, grid.n)
-    ens = simulate_variance_paths(m, stabs, grid, 200, seed=12, initial="fixed",
-                                  store_noise=False)
+    ens = simulate_variance_paths(m, stabs, grid, 200, seed=12, initial="fixed")
     g0 = gamma0(m, sol, stabs)
     A, B = affine_wealth_terminal(m, ens, sol, stabs)
     m_grid = frontier_m_grid(m, 8)

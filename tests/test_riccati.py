@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import small_model
-from voltmark.model import MarketModel, bundled_model
+from voltmark.model import Grid, MarketModel, bundled_model
 from voltmark.riccati import (
     BlowupError,
+    _rhs_tables,
     admissibility_constant,
     check_admissibility,
     oracle_volterra_picard,
     riccati_bound,
-    riccati_rhs,
     solve_laplace_riccati,
     solve_riccati_adams,
 )
@@ -28,12 +28,15 @@ def regime_a_model():
 
 
 def test_rhs_at_zero_psi(model_t1, stabs_t1):
-    val = riccati_rhs(model_t1, stabs_t1, 0.3, np.zeros(2))
-    assert np.allclose(val, -model_t1.theta**2)
+    # node j = 7 of n = 10 sits at the reversed time T - t_j = 0.3
+    grid = Grid(1.0, 10)
+    rhs = _rhs_tables(model_t1, stabs_t1, grid, None, True)
+    assert np.allclose(rhs(7, np.zeros(2)), -model_t1.theta**2)
     m0 = bundled_model(T=1.0)
     zero = MarketModel(d=2, alpha=m0.alpha, lam=m0.lam, nu=m0.nu, rho=m0.rho,
                        theta=[0.0, 0.0], mu0=m0.mu0, c=m0.c, r=m0.r, x0=m0.x0, T=1.0)
-    assert np.allclose(riccati_rhs(zero, stabs_t1, 0.3, np.zeros(2)), 0.0)
+    rhs_zero = _rhs_tables(zero, stabs_t1, grid, None, True)
+    assert np.allclose(rhs_zero(7, np.zeros(2)), 0.0)
 
 
 def test_rhs_scalar_reduction():
@@ -41,7 +44,7 @@ def test_rhs_scalar_reduction():
     m = small_model(rho=[0.0])
     st = [ConstantStabilizer(1.0)]
     psi = np.array([-0.7])
-    val = riccati_rhs(m, st, 0.5, psi)
+    val = _rhs_tables(m, st, Grid(1.0, 4), None, True)(2, psi)
     expect = -m.theta[0] ** 2 - m.lam[0] * psi[0] + 0.5 * m.nu[0] ** 2 * psi[0] ** 2
     assert val[0] == pytest.approx(expect, rel=1e-14)
 

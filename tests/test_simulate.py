@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import small_model
-from voltmark.kernels import KernelSpec, eval_kernel, fractional_kernel, kernel_mean_segment
+from voltmark.kernels import eval_kernel, fractional_kernel, kernel_mean_segment
 from voltmark.model import Grid, MarketModel, bundled_model
 from voltmark.simulate import (
     build_gaussian_factor,
@@ -13,23 +13,16 @@ from voltmark.simulate import (
     sample_initial_variance,
     simulate_variance_paths,
 )
-from voltmark.stabilizer import ConstantStabilizer
 
 
 def test_factor_constant_kernel_rank_one():
+    # alpha = 1 is K = 1: every lag integral is DW itself
     g = Grid(1.0, 8)
-    fac = build_gaussian_factor(KernelSpec("constant"), g)
+    fac = build_gaussian_factor(fractional_kernel(1.0), g)
     assert fac.rank == 1
     assert np.allclose(fac.cov, g.dt)
     assert np.allclose(fac.factor, np.sqrt(g.dt))
-
-
-def test_factor_markovian_edge_equals_constant():
-    g = Grid(1.0, 8)
-    f1 = build_gaussian_factor(fractional_kernel(1.0), g)
-    fc = build_gaussian_factor(KernelSpec("constant"), g)
-    assert np.allclose(f1.cov, fc.cov)
-    assert np.allclose(f1.factor, fc.factor)
+    assert np.allclose(fac.c_seg, g.dt)
 
 
 @pytest.mark.parametrize("alpha", [0.6, 0.9])
@@ -97,7 +90,6 @@ def test_deterministic_under_seed(model_t1, stabs_t1):
     assert np.array_equal(e1.V, e2.V)
     assert np.array_equal(e1.dW, e2.dW)
     assert np.array_equal(e1.dWperp, e2.dWperp)
-    assert np.array_equal(e1.kernel_integrals, e2.kernel_integrals)
     e3 = simulate_variance_paths(model_t1, stabs_t1, g, 25, seed=43)
     assert not np.array_equal(e1.V, e3.V)
 
@@ -112,9 +104,10 @@ def test_zero_vol_constant_solution(stabs_t1):
 
 def test_markovian_edge_matches_classical_cir():
     m = small_model(alpha=[1.0], lam=[0.5], nu=[0.9], rho=[-0.3], theta=[0.1], c=[0.04])
-    sigma_const = np.sqrt(2.0 * m.lam[0] * m.c[0])  # alpha -> 1 stabilizer level
-    ens = simulate_variance_paths(m, [ConstantStabilizer(sigma_const)], Grid(1.0, 64),
-                                  50, seed=3)
+    stabs = m.build_stabilizers()
+    sigma_const = np.sqrt(2.0 * m.lam[0] * m.c[0])  # the exact alpha = 1 stabilizer
+    assert stabs[0].eval(0.3) == sigma_const
+    ens = simulate_variance_paths(m, stabs, Grid(1.0, 64), 50, seed=3)
     V, dW = ens.V[:, 0, :], ens.dW[:, 0, :]
     ref = np.empty_like(V)
     ref[:, 0] = V[:, 0]
@@ -154,13 +147,11 @@ def test_correlate_asset_brownian_limits(model_t1, stabs_t1):
     assert np.var(dB2[:, 0, :]) == pytest.approx(g.dt, rel=0.1)
 
 
-def test_kernel_integrals_constant_kernel_is_brownian(model_t1):
-    # K = 1: every kernel-weighted integral over a cell is DW itself, so
-    # the running integral must be the cumulative sum of the increments
-    m = small_model(alpha=[1.0], c=[0.04])
-    ens = simulate_variance_paths(m, [ConstantStabilizer(0.1)], Grid(1.0, 32), 20, seed=6)
-    expect = np.cumsum(ens.dW, axis=2)
-    assert np.allclose(ens.kernel_integrals, expect, atol=1e-12)
+def test_store_noise_rejected(model_t1, stabs_t1):
+    from voltmark.kernels import ParameterError
+
+    with pytest.raises(ParameterError):
+        simulate_variance_paths(model_t1, stabs_t1, Grid(1.0, 10), 5, seed=1, store_noise=True)
 
 
 def test_grid_mismatch_rejected(model_t1, stabs_t1):

@@ -5,7 +5,6 @@ import pytest
 from scipy.special import gamma as G
 
 from voltmark.kernels import (
-    KernelSpec,
     ParameterError,
     ResolventSpec,
     fractional_kernel,
@@ -92,12 +91,15 @@ def test_residual_zero_at_origin():
 
 
 def test_residual_constant_kernel_closed_form():
-    # K = 1: R = e^(-lam t), f = lam e^(-lam t); sigma^2 = 2 lam c solves
-    # the functional equation exactly
+    # alpha = 1 (K = 1): R = e^(-lam t), f = lam e^(-lam t); sigma^2 = 2 lam c
+    # solves the functional equation exactly and equals the limit
+    # sqrt(c) lam / ||f|| with ||f|| = sqrt(lam / 2)
     lam, c = 0.7, 0.05
-    st = ConstantStabilizer(np.sqrt(2.0 * lam * c))
-    res = functional_equation_residual(st, lam, c, 2.0, 25, kernel=KernelSpec("constant"))
-    assert np.max(res) <= 1e-10
+    st = build_stabilizer(1.0, lam, c)
+    assert isinstance(st, ConstantStabilizer)
+    assert st.eval(2.3) == pytest.approx(np.sqrt(c) * lam / density_l2_norm(1.0, lam), rel=1e-15)
+    res = functional_equation_residual(st, lam, c, 2.0, 25)
+    assert np.max(res) <= 1e-12
 
 
 BUNDLED = [(0.6, 0.2, 0.01), (0.9, 0.2, 0.03)]
