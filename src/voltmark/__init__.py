@@ -5,9 +5,19 @@ Modules: kernels (special functions and segment integrals), stabilizer
 (fractional Adams solver and oracles), simulate (K-integrated Euler
 Monte Carlo), markowitz (closed forms and the optimal strategy),
 montecarlo (statistics and experiment drivers), cli (entry point).
+
+VOLTMARK_THREADS=k caps the BLAS threads.  It takes effect here, before
+the imports below load numpy, so it must be set before numpy is first
+imported in the process.
 """
 
+import os as _os
+
 __version__ = "0.1.0"
+
+if _os.environ.get("VOLTMARK_THREADS"):
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        _os.environ.setdefault(_var, _os.environ["VOLTMARK_THREADS"])
 
 from .kernels import (
     DomainError,

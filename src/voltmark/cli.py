@@ -14,7 +14,9 @@ above 1e-3, a Monte Carlo gate).
 
 CSV bodies are byte-stable for a fixed config and seed: 12 significant
 digits, comma separated, LF line endings.  VOLTMARK_THREADS caps the
-BLAS thread count (set before numpy loads).
+BLAS thread count (the package applies it on import, before numpy
+loads).  With one BLAS thread the path engine advances the assets on
+one thread each, up to the CPUs the process may use.
 """
 
 import argparse
@@ -194,11 +196,11 @@ def _dump_paths(path: str, ensemble) -> None:
     with open(path, "wb") as fh:
         np.array([ensemble.M, ensemble.model.d, ensemble.grid.n], dtype="<i8").tofile(fh)
         np.array([ensemble.grid.T], dtype="<f8").tofile(fh)
-        ensemble.V.astype("<f8").tofile(fh)
+        np.ascontiguousarray(ensemble.V, dtype="<f8").tofile(fh)
 
 
 # ---------------------------------------------------------------------------
-# experiment runners (lazy imports keep thread env effective)
+# experiment runners
 # ---------------------------------------------------------------------------
 
 def run_stabilizer(cfg: dict, out_dir: str) -> int:
@@ -256,14 +258,15 @@ def run_simulate(cfg: dict, out_dir: str, dump_paths: bool = False,
     from .montecarlo import ensemble_stats, stationarity_diagnostics
 
     model, stabs, grid, ens = _simulate(cfg, cfg["M"], "stationary")
-    for i in range(model.d):
-        stats = ensemble_stats(ens.V[:, i, :], grid.times, cfg["n_boot"], cfg["seed"] + i)
+    stats = [ensemble_stats(ens.V[:, i, :], grid.times, cfg["n_boot"], cfg["seed"] + i)
+             for i in range(model.d)]
+    for i, st in enumerate(stats):
         write_csv(
             os.path.join(out_dir, f"variance_stats_asset{i + 1}.csv"),
             ["t", "mean", "variance", "ci_low", "ci_high"],
-            zip(stats.times, stats.mean, stats.variance, stats.ci_low, stats.ci_high),
+            zip(st.times, st.mean, st.variance, st.ci_low, st.ci_high),
         )
-    report = stationarity_diagnostics(ens, model, cfg["n_boot"], cfg["seed"])
+    report = stationarity_diagnostics(ens, model, stats=stats)
     print(f"stationarity: mean coverage {report.mean_coverage}, "
           f"variance coverage {report.var_coverage}, passed={report.passed}")
     if dump_paths:
@@ -384,11 +387,6 @@ _RUNNERS = {
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("VOLTMARK_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
-
     parser = argparse.ArgumentParser(
         prog="voltmark",
         description="Fake stationary Volterra market: simulation and mean-variance solver",
@@ -431,7 +429,7 @@ def main(argv=None) -> int:
     try:
         from .markowitz import ConsistencyError
         from .riccati import BlowupError, ConvergenceError
-        from .simulate import FactorizationError
+        from .simulate import FactorizationError, NonFiniteError
         from .stabilizer import TruncationError
 
         if args.command == "simulate":
@@ -443,7 +441,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (BlowupError, ConvergenceError, FactorizationError,
-            ConsistencyError, TruncationError) as exc:
+            ConsistencyError, TruncationError, NonFiniteError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     return status

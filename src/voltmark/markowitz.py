@@ -33,6 +33,7 @@ from .simulate import (
     PathEnsemble,
     _asset_increments,
     correlate_asset_brownian,
+    require_finite,
     simulate_variance_paths,
 )
 
@@ -261,6 +262,7 @@ def simulate_wealth(model: MarketModel, ensemble: PathEnsemble, solution: Riccat
              + sum_i alpha_i (rho_i DW_i - sqrt(1-rho_i^2) DWperp_i),
 
     with alpha evaluated at the left node from the same variance paths.
+    Raises NonFiniteError when a wealth or strategy value is not finite.
     Stores every path and strategy; when only X_T is needed, for any
     number of targets, ``affine_wealth_terminal`` is far cheaper.
     """
@@ -274,13 +276,16 @@ def simulate_wealth(model: MarketModel, ensemble: PathEnsemble, solution: Riccat
     X[:, 0] = model.x0
     alpha_paths = np.empty((M, model.d, n))
     theta = model.theta
-    for k in range(1, n + 1):
-        x_prev = X[:, k - 1]
-        gain, root_v = _gain(coef[:, k - 1][None, :], ensemble.V[:, :, k - 1])  # (M, d)
-        alpha = gain * (x_prev - target[k - 1])[:, None]
-        alpha_paths[:, :, k - 1] = alpha
-        drift = model.r * x_prev + (alpha * root_v) @ theta
-        X[:, k] = x_prev + drift * dt + np.einsum("md,md->m", alpha, dB[:, :, k - 1])
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for k in range(1, n + 1):
+            x_prev = X[:, k - 1]
+            gain, root_v = _gain(coef[:, k - 1][None, :], ensemble.V[:, :, k - 1])  # (M, d)
+            alpha = gain * (x_prev - target[k - 1])[:, None]
+            alpha_paths[:, :, k - 1] = alpha
+            drift = model.r * x_prev + (alpha * root_v) @ theta
+            X[:, k] = x_prev + drift * dt + np.einsum("md,md->m", alpha, dB[:, :, k - 1])
+    require_finite("wealth paths", X)
+    require_finite("optimal strategy", alpha_paths)
     return WealthEnsemble(model=model, grid=grid, xi_star=xi_star, X=X, alpha_paths=alpha_paths)
 
 
@@ -302,7 +307,8 @@ def affine_wealth_terminal(model: MarketModel, ensemble: PathEnsemble,
 
     V and the Brownian increments are read in fixed blocks of time
     steps; neither the increment array, the wealth paths nor the
-    strategy are stored.  Returns (A_T, B_T), each of shape (M,).
+    strategy are stored.  Returns (A_T, B_T), each of shape (M,);
+    raises NonFiniteError when either is not finite.
     """
     grid = _check_wealth_grid(ensemble, solution)
     n, dt = grid.n, grid.dt
@@ -310,17 +316,20 @@ def affine_wealth_terminal(model: MarketModel, ensemble: PathEnsemble,
     disc = np.exp(-model.r * (model.T - grid.times[:-1]))               # (n,)
     A = np.full(ensemble.M, float(model.x0))
     B = np.zeros(ensemble.M)
-    for lo in range(0, n, _WEALTH_BLOCK):
-        hi = min(lo + _WEALTH_BLOCK, n)
-        gain, root_v = _gain(coef[None, :, lo:hi], ensemble.V[:, :, lo:hi])  # (M, d, w)
-        dB = _asset_increments(model, ensemble.dW[:, :, lo:hi], ensemble.dWperp[:, :, lo:hi])
-        s = (np.einsum("mdk,mdk,d->km", gain, root_v, model.theta) * dt
-             + np.einsum("mdk,mdk->km", gain, dB))                         # (w, M)
-        for b in range(hi - lo):
-            growth = 1.0 + model.r * dt + s[b]
-            A *= growth
-            B *= growth
-            B -= disc[lo + b] * s[b]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for lo in range(0, n, _WEALTH_BLOCK):
+            hi = min(lo + _WEALTH_BLOCK, n)
+            gain, root_v = _gain(coef[None, :, lo:hi], ensemble.V[:, :, lo:hi])  # (M, d, w)
+            dB = _asset_increments(model, ensemble.dW[:, :, lo:hi], ensemble.dWperp[:, :, lo:hi])
+            s = (np.einsum("mdk,mdk,d->km", gain, root_v, model.theta) * dt
+                 + np.einsum("mdk,mdk->km", gain, dB))                         # (w, M)
+            for b in range(hi - lo):
+                growth = 1.0 + model.r * dt + s[b]
+                A *= growth
+                B *= growth
+                B -= disc[lo + b] * s[b]
+    require_finite("terminal wealth A_T", A)
+    require_finite("terminal wealth B_T", B)
     return A, B
 
 

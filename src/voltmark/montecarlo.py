@@ -16,7 +16,7 @@ from .kernels import ParameterError
 from .markowitz import affine_wealth_terminal, gamma0, variance_of_terminal, xi_eta_star
 from .model import Grid, MarketModel
 from .riccati import RiccatiSolution, solve_riccati_adams
-from .simulate import PathEnsemble, simulate_variance_paths
+from .simulate import PathEnsemble, require_finite, simulate_variance_paths
 
 _DEFAULT_BOOT = 1000
 
@@ -51,20 +51,24 @@ def ensemble_stats(paths: np.ndarray, times: np.ndarray, n_boot: int = _DEFAULT_
     M = paths.shape[0]
     rng = np.random.default_rng(seed)
     w = _bootstrap_weights(M, n_boot, rng)           # (n_boot, M)
-    boot_mean = w @ paths                            # (n_boot, n_times)
-    boot_sq = w @ (paths * paths)
-    boot_var = (boot_sq - boot_mean**2) * M / (M - 1.0)
-    lo, hi = np.percentile(boot_mean, [2.5, 97.5], axis=0)
-    return EnsembleStats(
-        times=np.asarray(times, dtype=float),
-        mean=paths.mean(axis=0),
-        variance=paths.var(axis=0, ddof=1),
-        ci_low=lo,
-        ci_high=hi,
-        mean_se=boot_mean.std(axis=0, ddof=1),
-        var_se=boot_var.std(axis=0, ddof=1),
-        n_boot=n_boot,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        boot_mean = w @ paths                        # (n_boot, n_times)
+        boot_sq = w @ (paths * paths)
+        boot_var = (boot_sq - boot_mean**2) * M / (M - 1.0)
+        lo, hi = np.percentile(boot_mean, [2.5, 97.5], axis=0)
+        stats = EnsembleStats(
+            times=np.asarray(times, dtype=float),
+            mean=paths.mean(axis=0),
+            variance=paths.var(axis=0, ddof=1),
+            ci_low=lo,
+            ci_high=hi,
+            mean_se=boot_mean.std(axis=0, ddof=1),
+            var_se=boot_var.std(axis=0, ddof=1),
+            n_boot=n_boot,
+        )
+    for name in ("mean", "variance", "mean_se", "var_se"):
+        require_finite(f"ensemble {name.replace('_', ' ')}", getattr(stats, name))
+    return stats
 
 
 @dataclass(frozen=True)
@@ -79,19 +83,24 @@ class StationarityReport:
 
 
 def stationarity_diagnostics(ensemble: PathEnsemble, model: MarketModel,
-                             n_boot: int = _DEFAULT_BOOT, seed: int = 0) -> StationarityReport:
+                             n_boot: int = _DEFAULT_BOOT, seed: int = 0, *,
+                             stats: list[EnsembleStats] | None = None) -> StationarityReport:
     """Check that per-time sample moments stay on the stationary constants.
 
     For each asset the sample mean of V must sit within 3 bootstrap SEs
     of x_inf at >= 99% of grid times and the sample variance within 3
-    SEs of v0 at >= 95% of times.
+    SEs of v0 at >= 95% of times.  ``stats`` passes per-asset
+    ``ensemble_stats`` that a caller already computed (asset i with
+    seed + i); they are computed here otherwise.
     """
+    if stats is None:
+        stats = [ensemble_stats(ensemble.V[:, i, :], ensemble.grid.times, n_boot, seed + i)
+                 for i in range(model.d)]
     mean_cov = np.empty(model.d)
     var_cov = np.empty(model.d)
-    for i in range(model.d):
-        stats = ensemble_stats(ensemble.V[:, i, :], ensemble.grid.times, n_boot, seed + i)
-        z_mean = np.abs(stats.mean - model.x_inf[i]) / stats.mean_se
-        z_var = np.abs(stats.variance - model.v0[i]) / stats.var_se
+    for i, st in enumerate(stats):
+        z_mean = np.abs(st.mean - model.x_inf[i]) / st.mean_se
+        z_var = np.abs(st.variance - model.v0[i]) / st.var_se
         mean_cov[i] = float(np.mean(z_mean <= 3.0))
         var_cov[i] = float(np.mean(z_var <= 3.0))
     passed = bool(np.all(mean_cov >= 0.99) and np.all(var_cov >= 0.95))
@@ -153,17 +162,19 @@ def affine_bootstrap(A: np.ndarray, B: np.ndarray, xi_values, n_boot: int = _DEF
     closed form.  Point estimates come from x itself.
     """
     w = _bootstrap_weights(len(A), n_boot, np.random.default_rng(seed))
-    moments = _resample_moments(A, B, w)
     out = []
-    for xi in xi_values:
-        x = A + xi * B
-        bm, bv = _resample_mean_var(moments, A, B, xi)
-        out.append((
-            float(np.mean(x)),
-            float(np.std(bm, ddof=1)),
-            float(np.var(x, ddof=1)),
-            float(np.std(bv, ddof=1)),
-        ))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        moments = _resample_moments(A, B, w)
+        for xi in xi_values:
+            x = A + xi * B
+            bm, bv = _resample_mean_var(moments, A, B, xi)
+            out.append((
+                float(np.mean(x)),
+                float(np.std(bm, ddof=1)),
+                float(np.var(x, ddof=1)),
+                float(np.std(bv, ddof=1)),
+            ))
+    require_finite("terminal wealth statistics", np.array(out))
     return out
 
 
@@ -187,6 +198,7 @@ def frontier_experiment(model: MarketModel, m_values, M: int, seed: int, *,
         ensemble = simulate_variance_paths(model, stabs, grid, M, seed, initial="fixed")
     g0 = gamma0(model, solution, stabs)  # m-independent, priced once
     A, B = affine_wealth_terminal(model, ensemble, solution, stabs)
+    del ensemble  # only (A_T, B_T) is read from here on: free the paths before the bootstrap
     m_values = np.atleast_1d(np.asarray(m_values, dtype=float))
     xis = [xi_eta_star(g0, model, float(m))[0] for m in m_values]
     stats = affine_bootstrap(A, B, xis, n_boot=n_boot, seed=seed + 7919)

@@ -14,11 +14,24 @@ therefore drives every cell.  Paths are vectorized: each cell draws a
 low-rank standard-normal block and one thin matrix product produces the
 exact joint sample for all paths at once.
 
+Storage is time-major: V is a (d, n+1, M) array and dW a (d, n, M) one,
+so each time step of an asset is one contiguous row of M paths, and the
+engine accumulates the Volterra sums straight into the rows of V.  The
+ensemble exposes both as (M, d, .) transposed views.  The assets share
+nothing but the read-only model, so they advance at the same time on one
+thread each (numpy's random fills, ufuncs and BLAS calls release the
+GIL), on the CPUs of the process that the BLAS threads leave free.
+
 Everything is reproducible: a single integer seed spawns one child
 stream for the initial variance and the orthogonal increments plus one
-stream per asset, and the draw order is fixed regardless of array sizes.
+stream per asset, and the draw order is fixed regardless of array sizes
+and of the number of threads.
 """
 
+import functools
+import mmap
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +53,10 @@ _FACTOR_RTOL = 1e-8       # required relative Frobenius reproduction
 
 class FactorizationError(RuntimeError):
     """Covariance factorization failed even after stabilization."""
+
+
+class NonFiniteError(ArithmeticError):
+    """A simulated path or wealth left the finite floats."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,7 +162,9 @@ class PathEnsemble:
     V has shape (M, d, n+1) and is stored raw (the scheme can leave
     slightly negative values, consumers clip); dW and dWperp are the
     per-cell increments of W and the independent W-perp, shape
-    (M, d, n).
+    (M, d, n).  V and dW are transposed views of time-major (d, n+1, M)
+    and (d, n, M) arrays, so V[:, i, k] is contiguous; dWperp is stored
+    path-major, in the order of its draws.
     """
 
     model: MarketModel
@@ -180,7 +199,8 @@ def simulate_variance_paths(model: MarketModel, stabs, grid: Grid, M: int, seed:
     stationary configuration); "fixed" starts every path at x_inf.
     Prebuilt per-asset factors may be passed to amortize construction.
     The kernel-weighted noise integrals are not kept; ``store_noise``
-    only accepts False.
+    only accepts False.  Raises NonFiniteError when V0 or a path leaves
+    the finite floats.
     """
     if store_noise:
         raise ParameterError("kernel-weighted noise integrals are not stored")
@@ -203,70 +223,176 @@ def simulate_variance_paths(model: MarketModel, stabs, grid: Grid, M: int, seed:
     rngs_asset = [np.random.default_rng(children[1 + i]) for i in range(d)]
 
     if initial == "stationary":
-        V0 = sample_initial_variance(model, M, None, rng=rng_common)
+        with np.errstate(over="ignore", invalid="ignore"):
+            V0 = sample_initial_variance(model, M, None, rng=rng_common)
     else:
         V0 = np.tile(model.x_inf, (M, 1))
+    require_finite("initial variance", V0)
     dWperp = np.sqrt(dt) * rng_common.standard_normal((M, d, n))
 
-    V = np.empty((M, d, n + 1))
-    V[:, :, 0] = V0
-    dW = np.empty((M, d, n))
-
+    # time-major storage: each asset's cells are contiguous rows of M paths
+    V = _mapped((d, n + 1, M))
+    V[:, 0, :] = V0.T
+    dW = _mapped((d, n, M))
     sig_grid = np.stack([np.asarray(st.eval(grid.times[:-1])) for st in stabs], axis=0)  # (d, n)
-    for i in range(d):
-        _advance_asset(model, i, factors[i], sig_grid[i], V0[:, i], rngs_asset[i], V, dW)
-    return PathEnsemble(model=model, grid=grid, M=M, seed=seed, V=V, dW=dW, dWperp=dWperp)
+    _run_concurrently([
+        functools.partial(_advance_asset, model, i, factors[i], sig_grid[i], rngs_asset[i],
+                          V[i], dW[i])
+        for i in range(d)
+    ])
+    return PathEnsemble(model=model, grid=grid, M=M, seed=seed,
+                        V=V.transpose(2, 0, 1), dW=dW.transpose(2, 0, 1), dWperp=dWperp)
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _blas_threads() -> int:
+    """Threads each BLAS call may start: the first positive cap in the
+    environment the BLAS library read at load, else every CPU."""
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "")
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return _cpu_count()
+
+
+def _run_concurrently(jobs) -> None:
+    """Run independent jobs on threads, re-raising the first error.
+
+    Each job's BLAS calls start their own threads, so the jobs get
+    CPUs // BLAS threads workers; with BLAS on every CPU (its default)
+    they run one after the other.  Oversubscribing costs: on two CPUs,
+    two asset threads over two BLAS threads each took 3.0 s where one
+    asset thread took 2.4 s (T = 5, n = 600, M = 10^4).  The jobs write
+    disjoint arrays and each owns its generator, so the result does not
+    depend on the number of threads.
+    """
+    workers = min(len(jobs), _cpu_count() // _blas_threads())
+    if workers <= 1:
+        for job in jobs:
+            job()
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for future in [pool.submit(job) for job in jobs]:
+            future.result()
+
+
+def require_finite(what: str, arr: np.ndarray) -> None:
+    """Raise NonFiniteError unless every entry of arr is finite.
+
+    max and min propagate NaN, so two reductions check the whole array
+    without a boolean temporary.
+    """
+    if arr.size and not (np.isfinite(arr.max()) and np.isfinite(arr.min())):
+        raise NonFiniteError(f"{what} is not finite")
 
 
 # cells per far-field block of the Volterra accumulation; fixed so that
 # summation order, and with it the bit-exact output, never depends on
 # the environment
 _BLOCK = 64
+# entries per far-field product: a block's flush is split into chunks
+# of paths so that its product buffer stays near 4 MB.  Chunks start at
+# multiples of 64 paths and the last one runs to M, so BLAS computes
+# each entry with the same tile, and the same rounding, as in one
+# product over all paths (test_path_chunks_keep_the_bits)
+_FAR_CELLS = 1 << 19
+
+
+def _path_bounds(rows: int, M: int) -> list[int]:
+    """Chunk edges over M paths for a far-field product with ``rows`` rows."""
+    cols = max(64, _FAR_CELLS // rows // 64 * 64)
+    return [j * cols for j in range(max(1, M // cols))] + [M]
+
+
+def _mapped(shape) -> np.ndarray:
+    """Zero-filled float64 array in an anonymous memory map of its own.
+
+    No malloc arena owns the map, and it goes back to the system whole
+    when the array is freed.  Engine arrays therefore leave no holes in
+    the heap, and a worker thread can allocate them without stranding
+    the memory in a per-thread arena that the main thread cannot reuse.
+    """
+    size = int(np.prod(shape))
+    pages = mmap.mmap(-1, max(8 * size, 1), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    return np.frombuffer(pages, count=size).reshape(shape)
 
 
 def _advance_asset(model: MarketModel, i: int, fac: GaussianBlockFactor,
-                   sig: np.ndarray, V0: np.ndarray, rng: np.random.Generator,
+                   sig: np.ndarray, rng: np.random.Generator,
                    V: np.ndarray, dW: np.ndarray) -> None:
-    """Blocked Volterra accumulation of one asset over all paths.
+    """Blocked Volterra accumulation of one asset over all paths, in place.
 
-    Each cell l contributes drift_l C[k-l] + vol_l G_{k,l} to every
-    later time k.  Contributions to times inside the current block of
-    cells are applied immediately (they feed the next vol coefficient);
-    contributions beyond it are deferred and flushed as a single thin
-    matrix product per block, which keeps the O(n^2 M) accumulation
+    V is the asset's time-major (n+1, M) slab, holding V0 in row 0 and
+    zeros below; dW is its (n, M) slab of increments.  Each cell l
+    contributes drift_l C[k-l] + vol_l G_{k,l} to every later time k.
+    Rows of V beyond the current cell hold the running sum of these
+    contributions; a row becomes V0 + sum once its last contribution is
+    in.  Contributions to times inside the current block of cells are
+    applied immediately (they feed the next vol coefficient);
+    contributions beyond it are deferred and flushed as thin matrix
+    products per block, which keeps the O(n^2 M) accumulation
     compute-bound instead of rewriting the whole future per cell.
+    Every O(M) scratch array lives in its own memory map (``_mapped``),
+    so the routine can run on a worker thread.
     """
-    n, M = fac.grid.n, V.shape[0]
+    n, M = fac.grid.n, V.shape[1]
     r = fac.rank
-    # noise modes plus one drift "mode" per cell
+    # noise modes plus one drift "mode" per cell; it inherits the
+    # eigenvectors' column-major order, which decides numpy's matmul
+    # route for F_aug[:m] (its own loop for one row) and so the rounding
     F_aug = np.concatenate([fac.factor[:n], fac.c_seg[:, None]], axis=1)  # (n, r+1)
+    z = _mapped((r, M))                       # normals of one cell
+    vol = _mapped((M,))                       # vol coefficient of one cell
+    y_blk = _mapped((_BLOCK, r + 1, M))       # noise and drift of a block's cells
+    near = _mapped((_BLOCK, M))               # in-block product
+    far_rows = range(n - _BLOCK, 0, -_BLOCK)
+    f_big = _mapped((far_rows[0] * _BLOCK * (r + 1) if far_rows else 0,))
+    far = _mapped((max((rows * max(np.diff(_path_bounds(rows, M))) for rows in far_rows),
+                       default=0),))
     f_dw = fac.factor[n]
     mu0, lam = model.mu0[i], model.lam[i]
     nu = model.nu[i]
-    acc = np.zeros((n + 1, M))
-    y_blk = np.empty((_BLOCK, r + 1, M))
-    for lo in range(0, n, _BLOCK):
-        width = min(_BLOCK, n - lo)
-        hi = lo + width                       # block holds cells lo+1 .. hi
-        for b in range(width):
-            ell = lo + 1 + b
-            v_prev = V0 + acc[ell - 1]
-            z = rng.standard_normal((r, M))
-            dW[:, i, ell - 1] = f_dw @ z
-            vol = nu * sig[ell - 1] * np.sqrt(np.maximum(v_prev, 0.0))
-            y = y_blk[b]
-            np.multiply(z, vol[None, :], out=y[:r])
-            np.subtract(mu0, lam * v_prev, out=y[r])
-            m_loc = hi - ell + 1
-            acc[ell : hi + 1] += F_aug[:m_loc] @ y
-            V[:, i, ell] = V0 + acc[ell]
-        if hi < n:
-            rows = n - hi                     # far-field times hi+1 .. n
-            f_big = np.empty((rows, width * (r + 1)))
+    V0 = V[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # errstate is per thread
+        for lo in range(0, n, _BLOCK):
+            width = min(_BLOCK, n - lo)
+            hi = lo + width                   # block holds cells lo+1 .. hi
             for b in range(width):
-                j0 = hi - lo - b              # lag of k = hi+1 seen from cell lo+1+b
-                f_big[:, b * (r + 1) : (b + 1) * (r + 1)] = F_aug[j0 : j0 + rows]
-            acc[hi + 1 :] += f_big @ y_blk[:width].reshape(width * (r + 1), M)
+                ell = lo + 1 + b
+                v_prev = V[ell - 1]
+                rng.standard_normal(out=z)
+                np.matmul(f_dw, z, out=dW[ell - 1])
+                np.maximum(v_prev, 0.0, out=vol)
+                np.sqrt(vol, out=vol)
+                np.multiply(nu * sig[ell - 1], vol, out=vol)
+                y = y_blk[b]
+                np.multiply(z, vol, out=y[:r])
+                np.multiply(lam, v_prev, out=y[r])
+                np.subtract(mu0, y[r], out=y[r])
+                m_loc = hi - ell + 1
+                np.matmul(F_aug[:m_loc], y, out=near[:m_loc])
+                V[ell : hi + 1] += near[:m_loc]
+                V[ell] += V0
+            if hi < n:                        # then width == _BLOCK
+                rows = n - hi                 # far-field times hi+1 .. n
+                f_blk = f_big[: rows * width * (r + 1)].reshape(rows, width * (r + 1))
+                for b in range(width):
+                    j0 = hi - lo - b          # lag of k = hi+1 seen from cell lo+1+b
+                    f_blk[:, b * (r + 1) : (b + 1) * (r + 1)] = F_aug[j0 : j0 + rows]
+                Y = y_blk.reshape(width * (r + 1), M)
+                bounds = _path_bounds(rows, M)
+                for c0, c1 in zip(bounds[:-1], bounds[1:]):
+                    prod = far[: rows * (c1 - c0)].reshape(rows, c1 - c0)
+                    np.matmul(f_blk, Y[:, c0:c1], out=prod)
+                    V[hi + 1 :, c0:c1] += prod
+    require_finite(f"variance paths of asset {i + 1}", V)
 
 
 def correlate_asset_brownian(ensemble: PathEnsemble, model: MarketModel) -> np.ndarray:

@@ -197,15 +197,22 @@ class StabilizerSeries:
 
 
 class ConstantStabilizer:
-    """Constant diffusion multiplier, the exact stabilizer at alpha = 1."""
+    """Constant diffusion multiplier, the exact stabilizer at alpha = 1.
+
+    ``lam`` and ``c`` are the parameters whose functional equation the
+    value solves; ``build_stabilizer`` records them, a bare constant
+    multiplier leaves them None.
+    """
 
     alpha = 1.0
 
-    def __init__(self, value: float):
+    def __init__(self, value: float, lam: float | None = None, c: float | None = None):
         if value < 0.0:
             raise ParameterError("stabilizer value must be >= 0")
         self.value = float(value)
         self.limit = float(value)
+        self.lam = lam
+        self.c = c
 
     def eval(self, t) -> float | np.ndarray:
         if np.isscalar(t):
@@ -232,7 +239,7 @@ def build_stabilizer(alpha: float, lam: float, c: float,
     if not lam > 0.0 or not c > 0.0:
         raise ParameterError("stabilizer requires lam > 0 and c > 0")
     if alpha == 1.0:
-        return ConstantStabilizer(np.sqrt(2.0 * lam * c))
+        return ConstantStabilizer(np.sqrt(2.0 * lam * c), lam, c)
     coeffs, floor = _coeffs_with_floor(alpha, truncation_K)
     clean = np.abs(coeffs) > 20.0 * floor
     k_eff = int(np.argmin(clean)) if not clean.all() else truncation_K
@@ -328,7 +335,9 @@ def functional_equation_residual(stab, lam: float, c: float, T: float, n: int) -
     return np.abs(lhs - rhs) / (c * lam**2)
 
 
-def stabilizer_residual(stab: StabilizerSeries, T: float, n: int) -> float:
+def stabilizer_residual(stab, T: float, n: int) -> float:
     """Max relative functional-equation residual of a built stabilizer."""
+    if stab.lam is None or stab.c is None:
+        raise ParameterError("stabilizer carries no (lam, c) to check the equation for")
     res = functional_equation_residual(stab, stab.lam, stab.c, T, n)
     return float(np.max(res))

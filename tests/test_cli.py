@@ -148,6 +148,38 @@ def test_simulate_reproducible_and_dump(tmp_path):
     assert V.shape == (120 * 1 * 41,)
 
 
+def test_dump_paths_is_path_asset_time_row_major(tmp_path):
+    # V is stored time-major; the dump still writes (path, asset, time)
+    from voltmark.cli import _simulate
+
+    cfg_text = _DEFAULT_CONFIG.replace("M = 5000", "M = 70").replace("n = 600", "n = 30")
+    path = _write(tmp_path, cfg_text)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", path, "--out", str(out), "--dump-paths"]) == 0
+    *_, ens = _simulate(load_config(cfg_text), 70, "stationary")
+    assert ens.V.shape == (70, 2, 31) and not ens.V.flags.c_contiguous
+    body = (out / "paths.bin").read_bytes()[32:]  # after the 3 int64 + 1 float64 header
+    assert body == np.ascontiguousarray(ens.V).tobytes()
+
+
+def test_simulate_computes_each_bootstrap_once(tmp_path, monkeypatch):
+    # the stationarity check reuses the statistics behind the CSVs
+    from voltmark import montecarlo
+
+    calls = []
+    real = montecarlo.ensemble_stats
+
+    def counting(*args, **kwargs):
+        calls.append(args[3] if len(args) > 3 else kwargs.get("seed"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "ensemble_stats", counting)
+    path = _write(tmp_path, _DEFAULT_CONFIG.replace("M = 5000", "M = 60")
+                  .replace("n = 600", "n = 20").replace("n_boot = 1000", "n_boot = 50"))
+    main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
+    assert calls == [7041, 7042]
+
+
 def test_seed_override_changes_output(tmp_path):
     path = _write(tmp_path, TINY)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -184,6 +216,27 @@ def test_print_config_round_trips(capsys):
     assert main(["print-config"]) == 0
     text = capsys.readouterr().out
     assert load_config(text)["m"] == 2.255
+
+
+def test_package_main_entry_point():
+    proc = subprocess.run(
+        [sys.executable, "-m", "voltmark", "print-config"],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == _DEFAULT_CONFIG
+
+
+def test_threads_variable_reaches_blas():
+    # the package applies VOLTMARK_THREADS on import, before numpy loads
+    env = {k: v for k, v in _child_env().items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["VOLTMARK_THREADS"] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import os, voltmark; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == "1", proc.stderr
 
 
 def test_console_entry_point():
@@ -279,3 +332,26 @@ def test_non_finite_parameter_exit_code(tmp_path, capsys, key, old, new):
     assert main(["wealth", "--config", path, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and err.startswith("config error") and key in err
+
+
+@pytest.mark.parametrize("cfg_text", [
+    # nu^2 overflows: the stationary V0 draw is +inf for asset 1
+    _DEFAULT_CONFIG.replace("nu = 0.40, 0.32", "nu = 1e200, 0.32")
+    .replace("M = 5000", "M = 200").replace("n = 600", "n = 50"),
+    # V stays finite, but its square overflows in the bootstrap variance
+    _DEFAULT_CONFIG.replace("nu = 0.40, 0.32", "nu = 1e150, 0.32")
+    .replace("M = 5000", "M = 200").replace("n = 600", "n = 50"),
+], ids=["initial", "statistics"])
+def test_non_finite_variance_exit_code(tmp_path, cfg_text):
+    # a child process, so that numpy RuntimeWarnings would reach stderr
+    path = _write(tmp_path, cfg_text)
+    out = tmp_path / "o"
+    proc = subprocess.run(
+        [sys.executable, "-m", "voltmark.cli", "simulate", "--config", path, "--out", str(out)],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure"), proc.stderr
+    assert "not finite" in lines[0]
+    assert not (out / "variance_stats_asset1.csv").exists()

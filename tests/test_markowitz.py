@@ -22,7 +22,7 @@ from voltmark.markowitz import (
 from voltmark.model import Grid, MarketModel, bundled_model
 from voltmark.montecarlo import frontier_m_grid
 from voltmark.riccati import solve_riccati_adams
-from voltmark.simulate import simulate_variance_paths
+from voltmark.simulate import NonFiniteError, simulate_variance_paths
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +164,22 @@ def test_affine_terminal_riskless_compounding():
     A, B = affine_wealth_terminal(m, ens, sol, stabs)
     assert np.all(B == 0.0)
     assert np.max(np.abs(A - m.x0 * (1.0 + m.r * grid.dt) ** grid.n)) <= 1e-12
+
+
+def test_non_finite_wealth_rejected():
+    # finite but huge variance paths make the wealth overflow in a few steps
+    import dataclasses
+
+    m = small_model()
+    stabs = m.build_stabilizers()
+    grid = Grid(1.0, 50)
+    sol = solve_riccati_adams(m, stabs, grid.n)
+    ens = simulate_variance_paths(m, stabs, grid, 30, seed=1, initial="fixed")
+    huge = dataclasses.replace(ens, V=ens.V * 1e300)
+    with pytest.raises(NonFiniteError, match="terminal wealth"):
+        affine_wealth_terminal(m, huge, sol, stabs)
+    with pytest.raises(NonFiniteError, match="wealth paths"):
+        simulate_wealth(m, huge, sol, stabs, 3.0)
 
 
 def test_affine_terminal_grid_mismatch_rejected(model_t1, stabs_t1, riccati_600):

@@ -16,7 +16,7 @@ from voltmark.montecarlo import (
     stationarity_diagnostics,
     terminal_bootstrap,
 )
-from voltmark.simulate import simulate_variance_paths
+from voltmark.simulate import NonFiniteError, simulate_variance_paths
 from voltmark.stabilizer import ConstantStabilizer
 
 
@@ -76,6 +76,23 @@ def test_stationarity_passes_quickly(model_t1, stabs_t1):
     ens = simulate_variance_paths(model_t1, stabs_t1, Grid(1.0, 120), 1500, seed=31)
     rep = stationarity_diagnostics(ens, model_t1, n_boot=400, seed=5)
     assert rep.passed
+
+
+def test_stationarity_reuses_given_stats(model_t1, stabs_t1):
+    ens = simulate_variance_paths(model_t1, stabs_t1, Grid(1.0, 60), 800, seed=31)
+    stats = [ensemble_stats(ens.V[:, i, :], ens.grid.times, 300, 5 + i) for i in range(2)]
+    given = stationarity_diagnostics(ens, model_t1, stats=stats)
+    own = stationarity_diagnostics(ens, model_t1, n_boot=300, seed=5)
+    assert np.array_equal(given.mean_coverage, own.mean_coverage)
+    assert np.array_equal(given.var_coverage, own.var_coverage)
+    assert given.passed == own.passed
+
+
+def test_overflowing_statistics_rejected():
+    with pytest.raises(NonFiniteError, match="ensemble variance"):
+        ensemble_stats(np.full((5, 3), 1e200) * np.arange(1, 6)[:, None], np.arange(3.0))
+    with pytest.raises(NonFiniteError, match="terminal wealth statistics"):
+        terminal_bootstrap(np.linspace(1e200, 3e200, 40), n_boot=20)
 
 
 def test_stationarity_negative_control(model_t1):

@@ -1,13 +1,17 @@
 """Gaussian block factor and the K-integrated Euler scheme."""
 
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from conftest import small_model
+from voltmark import simulate
 from voltmark.kernels import eval_kernel, fractional_kernel, kernel_mean_segment
 from voltmark.model import Grid, MarketModel, bundled_model
 from voltmark.simulate import (
+    NonFiniteError,
     build_gaussian_factor,
     correlate_asset_brownian,
     sample_initial_variance,
@@ -161,3 +165,109 @@ def test_grid_mismatch_rejected(model_t1, stabs_t1):
     with pytest.raises(ParameterError):
         simulate_variance_paths(model_t1, stabs_t1, Grid(1.0, 30), 5, seed=1,
                                 factors=[fac, fac])
+
+
+def test_time_major_views(model_t1, stabs_t1):
+    ens = simulate_variance_paths(model_t1, stabs_t1, Grid(1.0, 12), 9, seed=4)
+    assert ens.V.shape == (9, 2, 13) and ens.dW.shape == (9, 2, 12)
+    # each asset's time steps are contiguous rows of paths
+    assert ens.V.base is not None and ens.V.transpose(1, 2, 0).flags.c_contiguous
+    assert ens.dW.transpose(1, 2, 0).flags.c_contiguous
+
+
+def test_concurrent_assets_equal_sequential(monkeypatch):
+    # five assets on five threads, more than the cores, with a short
+    # switch interval, give the same bits as advancing them one after
+    # the other on the calling thread
+    m = small_model(d=5, alpha=[0.6, 0.7, 0.8, 0.9, 1.0], nu=[0.3, 0.4, 0.5, 0.6, 0.7])
+    stabs = m.build_stabilizers()
+    g = Grid(1.0, 150)
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: 1)
+    seq = simulate_variance_paths(m, stabs, g, 700, seed=8)
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: 8)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    pool_sizes = []
+    real_pool = simulate.ThreadPoolExecutor
+
+    def recording_pool(max_workers):
+        pool_sizes.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", recording_pool)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        par = simulate_variance_paths(m, stabs, g, 700, seed=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert pool_sizes == [5]
+    assert np.array_equal(seq.V, par.V)
+    assert np.array_equal(seq.dW, par.dW)
+    assert np.array_equal(seq.dWperp, par.dWperp)
+
+
+def test_asset_threads_leave_room_for_blas_threads(monkeypatch):
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: 4)
+    assert simulate._blas_threads() == 4             # BLAS default: every CPU
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    assert simulate._blas_threads() == 2
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert simulate._blas_threads() == 1
+
+
+def test_path_chunks_keep_the_bits(model_t1, stabs_t1, monkeypatch):
+    # splitting a far-field product into chunks that start at multiples
+    # of 64 paths changes no entry of V
+    g = Grid(1.0, 150)
+    whole = simulate_variance_paths(model_t1, stabs_t1, g, 300, seed=6)
+    monkeypatch.setattr(simulate, "_FAR_CELLS", 1 << 12)
+    assert simulate._path_bounds(g.n - 64, 300) == [0, 64, 128, 192, 300]
+    split = simulate_variance_paths(model_t1, stabs_t1, g, 300, seed=6)
+    assert np.array_equal(whole.V, split.V)
+
+
+def test_engine_matches_naive_volterra_sum(model_t1, stabs_t1, monkeypatch):
+    # V(t_k) = V0 + sum_{l<=k} [(mu0 - lam V_{l-1}) C[k-l]
+    #                           + nu sig(t_{l-1}) sqrt(V_{l-1}^+) G_{k,l}],
+    # with G_{k,l} = factor[k-l] . z_l from the same per-asset draws; n > 2
+    # blocks exercises the far-field flush, the small cell budget splits
+    # each flush into several path chunks of uneven width
+    monkeypatch.setattr(simulate, "_FAR_CELLS", 1 << 12)
+    g = Grid(1.0, 150)
+    M, seed = 200, 21
+    ens = simulate_variance_paths(model_t1, stabs_t1, g, M, seed, initial="fixed")
+    n = g.n
+    children = np.random.SeedSequence(seed).spawn(1 + model_t1.d)
+    for i in range(model_t1.d):
+        fac = build_gaussian_factor(fractional_kernel(model_t1.alpha[i]), g)
+        rng = np.random.default_rng(children[1 + i])
+        sig = np.asarray(stabs_t1[i].eval(g.times[:-1]))
+        mu0, lam, nu = model_t1.mu0[i], model_t1.lam[i], model_t1.nu[i]
+        V = np.empty((n + 1, M))
+        V[0] = model_t1.x_inf[i]
+        drift, vol_noise = [], []           # per cell l: drift and vol * z_l
+        for k in range(1, n + 1):
+            z = rng.standard_normal((fac.rank, M))
+            assert np.array_equal(ens.dW[:, i, k - 1], fac.factor[n] @ z)
+            v = V[k - 1]
+            drift.append(mu0 - lam * v)
+            vol_noise.append(nu * sig[k - 1] * np.sqrt(np.maximum(v, 0.0)) * z)
+            total = np.zeros(M)
+            for ell in range(1, k + 1):
+                j = k - ell
+                total += drift[ell - 1] * fac.c_seg[j] + fac.factor[j] @ vol_noise[ell - 1]
+            V[k] = V[0] + total
+        assert np.max(np.abs(ens.V[:, i, :] - V.T)) <= 1e-12 * np.max(np.abs(V))
+
+
+def test_non_finite_paths_rejected(stabs_t1):
+    m = bundled_model(T=1.0)
+    huge = MarketModel(d=2, alpha=m.alpha, lam=m.lam, nu=[1e200, 0.32], rho=m.rho,
+                       theta=m.theta, mu0=m.mu0, c=m.c, r=m.r, x0=m.x0, T=1.0)
+    with pytest.raises(NonFiniteError, match="initial variance"):
+        simulate_variance_paths(huge, stabs_t1, Grid(1.0, 20), 30, seed=1)
+    # a fixed start is finite; the first cells overflow
+    with pytest.raises(NonFiniteError, match="asset 1"):
+        simulate_variance_paths(huge, stabs_t1, Grid(1.0, 20), 30, seed=1, initial="fixed")

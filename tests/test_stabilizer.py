@@ -162,6 +162,16 @@ def test_residual_detects_wrong_sigma(alpha, lam, c):
     assert 1e-2 <= np.max(res) <= 3e-2
 
 
+def test_residual_markovian_edge():
+    # alpha = 1 builds the exact constant sqrt(2 lam c), which records the
+    # (lam, c) its residual is checked against
+    st = build_stabilizer(1.0, 0.7, 0.05)
+    assert (st.lam, st.c) == (0.7, 0.05)
+    assert stabilizer_residual(st, 1.0, 10) <= 1e-12
+    with pytest.raises(ParameterError, match="lam, c"):
+        stabilizer_residual(ConstantStabilizer(0.3), 1.0, 10)
+
+
 def test_constant_stabilizer_interface():
     cs = ConstantStabilizer(0.3)
     assert cs.eval(1.7) == 0.3
