@@ -6,18 +6,25 @@ Modules: kernels (special functions and segment integrals), stabilizer
 Monte Carlo), markowitz (closed forms and the optimal strategy),
 montecarlo (statistics and experiment drivers), cli (entry point).
 
-VOLTMARK_THREADS=k caps the BLAS threads.  It takes effect here, before
-the imports below load numpy, so it must be set before numpy is first
-imported in the process.
+VOLTMARK_THREADS=k caps the BLAS threads at k.  It takes effect here,
+before the imports below load numpy, so it must be set before numpy is
+first imported in the process; it overrides OMP_NUM_THREADS,
+OPENBLAS_NUM_THREADS and MKL_NUM_THREADS.  ``_blas_threads`` records the
+cap (None without one), and the path engine sizes its asset threads
+from it.
 """
 
 import os as _os
 
 __version__ = "0.1.0"
 
-if _os.environ.get("VOLTMARK_THREADS"):
+_blas_threads = None
+_cap = _os.environ.get("VOLTMARK_THREADS", "")
+if _cap:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_var, _os.environ["VOLTMARK_THREADS"])
+        _os.environ[_var] = _cap
+    if _cap.isdigit() and int(_cap) > 0:
+        _blas_threads = int(_cap)
 
 from .kernels import (
     DomainError,

@@ -15,8 +15,8 @@ above 1e-3, a Monte Carlo gate).
 CSV bodies are byte-stable for a fixed config and seed: 12 significant
 digits, comma separated, LF line endings.  VOLTMARK_THREADS caps the
 BLAS thread count (the package applies it on import, before numpy
-loads).  With one BLAS thread the path engine advances the assets on
-one thread each, up to the CPUs the process may use.
+loads).  With VOLTMARK_THREADS=1 the path engine advances the assets
+on one thread each, up to the CPUs the process may use.
 """
 
 import argparse
@@ -132,8 +132,8 @@ def load_config(text: str) -> dict:
     cfg["M"] = c.getint("mc", "M")
     cfg["seed"] = c.getint("mc", "seed")
     cfg["n_boot"] = c.getint("mc", "n_boot")
-    if cfg["n_boot"] < 1:
-        raise ConfigError(f"mc.n_boot: expected >= 1, got {cfg['n_boot']}")
+    if cfg["n_boot"] < 2:
+        raise ConfigError(f"mc.n_boot: expected >= 2, got {cfg['n_boot']}")
     cfg["truncation_K"] = c.getint("riccati", "truncation_K")
     cfg["m"] = c.getfloat("experiment", "m")
     cfg["u"] = _parse_floats(c.get("experiment", "u"), "experiment.u")
@@ -255,18 +255,16 @@ def _simulate(cfg: dict, M: int, initial: str):
 
 def run_simulate(cfg: dict, out_dir: str, dump_paths: bool = False,
                  gate: bool = False) -> int:
-    from .montecarlo import ensemble_stats, stationarity_diagnostics
+    from .montecarlo import stationarity_diagnostics
 
     model, stabs, grid, ens = _simulate(cfg, cfg["M"], "stationary")
-    stats = [ensemble_stats(ens.V[:, i, :], grid.times, cfg["n_boot"], cfg["seed"] + i)
-             for i in range(model.d)]
-    for i, st in enumerate(stats):
+    report = stationarity_diagnostics(ens, model, cfg["n_boot"], cfg["seed"])
+    for i, st in enumerate(report.stats):
         write_csv(
             os.path.join(out_dir, f"variance_stats_asset{i + 1}.csv"),
             ["t", "mean", "variance", "ci_low", "ci_high"],
             zip(st.times, st.mean, st.variance, st.ci_low, st.ci_high),
         )
-    report = stationarity_diagnostics(ens, model, stats=stats)
     print(f"stationarity: mean coverage {report.mean_coverage}, "
           f"variance coverage {report.var_coverage}, passed={report.passed}")
     if dump_paths:

@@ -35,6 +35,12 @@ class EnsembleStats:
     n_boot: int = _DEFAULT_BOOT
 
 
+def _require_resamples(n_boot: int) -> None:
+    # a bootstrap standard error is a spread over resamples: it needs two
+    if n_boot < 2:
+        raise ParameterError(f"bootstrap needs n_boot >= 2 resamples, got {n_boot}")
+
+
 def _bootstrap_weights(M: int, n_boot: int, rng: np.random.Generator) -> np.ndarray:
     return rng.multinomial(M, np.full(M, 1.0 / M), size=n_boot) / M
 
@@ -48,6 +54,7 @@ def ensemble_stats(paths: np.ndarray, times: np.ndarray, n_boot: int = _DEFAULT_
     paths = np.asarray(paths, dtype=float)
     if paths.ndim != 2 or paths.shape[0] < 2:
         raise ParameterError("ensemble_stats needs an (M, n_times) array with M >= 2")
+    _require_resamples(n_boot)
     M = paths.shape[0]
     rng = np.random.default_rng(seed)
     w = _bootstrap_weights(M, n_boot, rng)           # (n_boot, M)
@@ -78,24 +85,22 @@ class StationarityReport:
     mean_coverage: np.ndarray   # per asset
     var_coverage: np.ndarray
     passed: bool
+    stats: tuple[EnsembleStats, ...] = field(repr=False)   # per asset
     mean_threshold: float = 0.99
     var_threshold: float = 0.95
 
 
 def stationarity_diagnostics(ensemble: PathEnsemble, model: MarketModel,
-                             n_boot: int = _DEFAULT_BOOT, seed: int = 0, *,
-                             stats: list[EnsembleStats] | None = None) -> StationarityReport:
+                             n_boot: int = _DEFAULT_BOOT, seed: int = 0) -> StationarityReport:
     """Check that per-time sample moments stay on the stationary constants.
 
     For each asset the sample mean of V must sit within 3 bootstrap SEs
     of x_inf at >= 99% of grid times and the sample variance within 3
-    SEs of v0 at >= 95% of times.  ``stats`` passes per-asset
-    ``ensemble_stats`` that a caller already computed (asset i with
-    seed + i); they are computed here otherwise.
+    SEs of v0 at >= 95% of times.  Asset i's ``ensemble_stats`` (seed
+    + i) are returned with the report.
     """
-    if stats is None:
-        stats = [ensemble_stats(ensemble.V[:, i, :], ensemble.grid.times, n_boot, seed + i)
-                 for i in range(model.d)]
+    stats = tuple(ensemble_stats(ensemble.V[:, i, :], ensemble.grid.times, n_boot, seed + i)
+                  for i in range(model.d))
     mean_cov = np.empty(model.d)
     var_cov = np.empty(model.d)
     for i, st in enumerate(stats):
@@ -104,7 +109,8 @@ def stationarity_diagnostics(ensemble: PathEnsemble, model: MarketModel,
         mean_cov[i] = float(np.mean(z_mean <= 3.0))
         var_cov[i] = float(np.mean(z_var <= 3.0))
     passed = bool(np.all(mean_cov >= 0.99) and np.all(var_cov >= 0.95))
-    return StationarityReport(mean_coverage=mean_cov, var_coverage=var_cov, passed=passed)
+    return StationarityReport(mean_coverage=mean_cov, var_coverage=var_cov, passed=passed,
+                              stats=stats)
 
 
 @dataclass(frozen=True)
@@ -161,6 +167,7 @@ def affine_bootstrap(A: np.ndarray, B: np.ndarray, xi_values, n_boot: int = _DEF
     (A, B); each target's resampled means and variances then follow in
     closed form.  Point estimates come from x itself.
     """
+    _require_resamples(n_boot)
     w = _bootstrap_weights(len(A), n_boot, np.random.default_rng(seed))
     out = []
     with np.errstate(over="ignore", invalid="ignore"):  # checked below

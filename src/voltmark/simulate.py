@@ -20,7 +20,8 @@ engine accumulates the Volterra sums straight into the rows of V.  The
 ensemble exposes both as (M, d, .) transposed views.  The assets share
 nothing but the read-only model, so they advance at the same time on one
 thread each (numpy's random fills, ufuncs and BLAS calls release the
-GIL), on the CPUs of the process that the BLAS threads leave free.
+GIL), on the CPUs of the process that the BLAS threads leave free
+(see ``_run_concurrently``).
 
 Everything is reproducible: a single integer seed spawns one child
 stream for the initial variance and the orthogonal increments plus one
@@ -36,6 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _blas_threads as _BLAS_THREADS
 from .kernels import (
     KernelSpec,
     ParameterError,
@@ -252,28 +254,20 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _blas_threads() -> int:
-    """Threads each BLAS call may start: the first positive cap in the
-    environment the BLAS library read at load, else every CPU."""
-    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(var, "")
-        if value.isdigit() and int(value) > 0:
-            return int(value)
-    return _cpu_count()
-
-
 def _run_concurrently(jobs) -> None:
     """Run independent jobs on threads, re-raising the first error.
 
     Each job's BLAS calls start their own threads, so the jobs get
-    CPUs // BLAS threads workers; with BLAS on every CPU (its default)
-    they run one after the other.  Oversubscribing costs: on two CPUs,
-    two asset threads over two BLAS threads each took 3.0 s where one
-    asset thread took 2.4 s (T = 5, n = 600, M = 10^4).  The jobs write
-    disjoint arrays and each owns its generator, so the result does not
-    depend on the number of threads.
+    CPUs // BLAS threads workers.  The BLAS thread count is known when
+    VOLTMARK_THREADS set it (``_BLAS_THREADS``); otherwise BLAS may take
+    every CPU, its default, and the jobs run one after the other.
+    Oversubscribing costs: on two CPUs, two asset
+    threads over two BLAS threads each took 3.0 s where one asset thread
+    took 2.4 s (T = 5, n = 600, M = 10^4); the rule is measured on a
+    2-CPU machine only.  The jobs write disjoint arrays and each owns its
+    generator, so the result does not depend on the number of threads.
     """
-    workers = min(len(jobs), _cpu_count() // _blas_threads())
+    workers = min(len(jobs), _cpu_count() // _BLAS_THREADS) if _BLAS_THREADS else 1
     if workers <= 1:
         for job in jobs:
             job()
@@ -298,10 +292,12 @@ def require_finite(what: str, arr: np.ndarray) -> None:
 # the environment
 _BLOCK = 64
 # entries per far-field product: a block's flush is split into chunks
-# of paths so that its product buffer stays near 4 MB.  Chunks start at
-# multiples of 64 paths and the last one runs to M, so BLAS computes
-# each entry with the same tile, and the same rounding, as in one
-# product over all paths (test_path_chunks_keep_the_bits)
+# of paths so that its product buffer stays near 4 MB.  The chunk edges
+# depend only on these constants, M and the row count, so the output
+# stays deterministic.  gemm promises no bits across different column
+# splits; the OpenBLAS build this was measured with gave V bit for bit
+# equal to one product over all paths (chunks start at multiples of 64
+# paths and the last one runs to M)
 _FAR_CELLS = 1 << 19
 
 

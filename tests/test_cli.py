@@ -113,6 +113,15 @@ def test_zero_n_boot_exit_code(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "mc.n_boot" in err
 
 
+def test_one_n_boot_exit_code(tmp_path, capsys):
+    # one resample gives no bootstrap standard error: a configuration
+    # error, not a numerical failure
+    path = _write(tmp_path, TINY.replace("n_boot = 150", "n_boot = 1"))
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "mc.n_boot: expected >= 2" in err
+
+
 def test_missing_field_exit_code(tmp_path):
     path = _write(tmp_path, "[model]\nd = 2\n")
     assert main(["riccati", "--config", path]) == 2
@@ -228,15 +237,15 @@ def test_package_main_entry_point():
 
 
 def test_threads_variable_reaches_blas():
-    # the package applies VOLTMARK_THREADS on import, before numpy loads
-    env = {k: v for k, v in _child_env().items()
-           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
-    env["VOLTMARK_THREADS"] = "1"
-    proc = subprocess.run(
-        [sys.executable, "-c", "import os, voltmark; print(os.environ['OPENBLAS_NUM_THREADS'])"],
-        capture_output=True, text=True, env=env,
-    )
-    assert proc.returncode == 0 and proc.stdout.strip() == "1", proc.stderr
+    # the package applies VOLTMARK_THREADS on import, before numpy loads,
+    # over the generic variables, and the path engine reads the cap back
+    code = ("import os, voltmark.simulate as s; "
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'), s._BLAS_THREADS)")
+    env = dict(_child_env(), OPENBLAS_NUM_THREADS="4")
+    for value, expected in (("1", "1 1"), ("3", "3 3"), ("", "4 None")):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(env, VOLTMARK_THREADS=value))
+        assert proc.returncode == 0 and proc.stdout.strip() == expected, proc.stderr
 
 
 def test_console_entry_point():

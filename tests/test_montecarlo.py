@@ -78,14 +78,13 @@ def test_stationarity_passes_quickly(model_t1, stabs_t1):
     assert rep.passed
 
 
-def test_stationarity_reuses_given_stats(model_t1, stabs_t1):
-    ens = simulate_variance_paths(model_t1, stabs_t1, Grid(1.0, 60), 800, seed=31)
-    stats = [ensemble_stats(ens.V[:, i, :], ens.grid.times, 300, 5 + i) for i in range(2)]
-    given = stationarity_diagnostics(ens, model_t1, stats=stats)
-    own = stationarity_diagnostics(ens, model_t1, n_boot=300, seed=5)
-    assert np.array_equal(given.mean_coverage, own.mean_coverage)
-    assert np.array_equal(given.var_coverage, own.var_coverage)
-    assert given.passed == own.passed
+def test_one_resample_rejected():
+    # one resample has no spread, so no standard error
+    x = np.random.default_rng(5).standard_normal((50, 2))
+    with pytest.raises(ParameterError, match="n_boot >= 2"):
+        ensemble_stats(x, np.arange(2.0), n_boot=1)
+    with pytest.raises(ParameterError, match="n_boot >= 2"):
+        terminal_bootstrap(x[:, 0], n_boot=1)
 
 
 def test_overflowing_statistics_rejected():

@@ -182,10 +182,10 @@ def test_concurrent_assets_equal_sequential(monkeypatch):
     m = small_model(d=5, alpha=[0.6, 0.7, 0.8, 0.9, 1.0], nu=[0.3, 0.4, 0.5, 0.6, 0.7])
     stabs = m.build_stabilizers()
     g = Grid(1.0, 150)
+    monkeypatch.setattr(simulate, "_BLAS_THREADS", 1)
     monkeypatch.setattr(simulate, "_cpu_count", lambda: 1)
     seq = simulate_variance_paths(m, stabs, g, 700, seed=8)
     monkeypatch.setattr(simulate, "_cpu_count", lambda: 8)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     pool_sizes = []
     real_pool = simulate.ThreadPoolExecutor
 
@@ -207,25 +207,35 @@ def test_concurrent_assets_equal_sequential(monkeypatch):
 
 
 def test_asset_threads_leave_room_for_blas_threads(monkeypatch):
-    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
+    # CPUs // BLAS threads workers, none while BLAS may take every CPU
+    pool_sizes = []
+    real_pool = simulate.ThreadPoolExecutor
+
+    def recording_pool(max_workers):
+        pool_sizes.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", recording_pool)
     monkeypatch.setattr(simulate, "_cpu_count", lambda: 4)
-    assert simulate._blas_threads() == 4             # BLAS default: every CPU
-    monkeypatch.setenv("OMP_NUM_THREADS", "2")
-    assert simulate._blas_threads() == 2
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    assert simulate._blas_threads() == 1
+    done = []
+    jobs = [lambda i=i: done.append(i) for i in range(3)]
+    for cap in (None, 1, 2, 4):
+        monkeypatch.setattr(simulate, "_BLAS_THREADS", cap)
+        simulate._run_concurrently(jobs)
+    assert pool_sizes == [3, 2]
+    assert sorted(done) == sorted(list(range(3)) * 4)
 
 
-def test_path_chunks_keep_the_bits(model_t1, stabs_t1, monkeypatch):
-    # splitting a far-field product into chunks that start at multiples
-    # of 64 paths changes no entry of V
+def test_path_chunks_change_only_rounding(model_t1, stabs_t1, monkeypatch):
+    # splitting a far-field product into path chunks leaves V equal up to
+    # rounding (gemm promises no bits across column splits; the OpenBLAS
+    # build the engine was measured with gave equal bits)
     g = Grid(1.0, 150)
     whole = simulate_variance_paths(model_t1, stabs_t1, g, 300, seed=6)
     monkeypatch.setattr(simulate, "_FAR_CELLS", 1 << 12)
     assert simulate._path_bounds(g.n - 64, 300) == [0, 64, 128, 192, 300]
     split = simulate_variance_paths(model_t1, stabs_t1, g, 300, seed=6)
-    assert np.array_equal(whole.V, split.V)
+    assert np.max(np.abs(split.V - whole.V)) <= 1e-12 * np.max(np.abs(whole.V))
 
 
 def test_engine_matches_naive_volterra_sum(model_t1, stabs_t1, monkeypatch):
