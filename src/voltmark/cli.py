@@ -12,10 +12,10 @@ configuration is used.  Exit codes: 0 success, 2 configuration error,
 3 numerical failure, 4 acceptance-check failure (a stabilizer residual
 above 1e-3, a Monte Carlo gate).
 
-CSV bodies are byte-stable for a fixed config and seed: 12 significant
-digits, comma separated, LF line endings.  VOLTMARK_THREADS caps the
-BLAS thread count (the package applies it on import, before numpy
-loads).  With VOLTMARK_THREADS=1 the path engine advances the assets
+CSV bodies are byte-stable for a fixed config, seed and VOLTMARK_THREADS:
+12 significant digits, comma separated, LF line endings.
+VOLTMARK_THREADS caps the BLAS thread count (the package applies it on
+import, before numpy loads).  With VOLTMARK_THREADS=1 the path engine advances the assets
 on one thread each, up to the CPUs the process may use.
 """
 
@@ -243,13 +243,15 @@ def run_riccati(cfg: dict, out_dir: str) -> int:
 
 
 def _simulate(cfg: dict, M: int, initial: str):
+    """V-only ensemble: the stationarity statistics and --dump-paths read V alone."""
     from .model import Grid
     from .simulate import simulate_variance_paths
 
     model = _build_model(cfg)
     stabs = model.build_stabilizers(cfg["truncation_K"])
     grid = Grid(model.T, cfg["n"])
-    ens = simulate_variance_paths(model, stabs, grid, M, cfg["seed"], initial=initial)
+    ens = simulate_variance_paths(model, stabs, grid, M, cfg["seed"], initial=initial,
+                                  increments=False)
     return model, stabs, grid, ens
 
 

@@ -32,6 +32,7 @@ from .riccati import RiccatiSolution, solve_laplace_riccati, solve_riccati_adams
 from .simulate import (
     PathEnsemble,
     _asset_increments,
+    _increments,
     correlate_asset_brownian,
     require_finite,
     simulate_variance_paths,
@@ -262,7 +263,8 @@ def simulate_wealth(model: MarketModel, ensemble: PathEnsemble, solution: Riccat
              + sum_i alpha_i (rho_i DW_i - sqrt(1-rho_i^2) DWperp_i),
 
     with alpha evaluated at the left node from the same variance paths.
-    Raises NonFiniteError when a wealth or strategy value is not finite.
+    Raises NonFiniteError when a wealth or strategy value is not finite,
+    and ParameterError on a V-only ensemble.
     Stores every path and strategy; when only X_T is needed, for any
     number of targets, ``affine_wealth_terminal`` is far cheaper.
     """
@@ -308,9 +310,11 @@ def affine_wealth_terminal(model: MarketModel, ensemble: PathEnsemble,
     V and the Brownian increments are read in fixed blocks of time
     steps; neither the increment array, the wealth paths nor the
     strategy are stored.  Returns (A_T, B_T), each of shape (M,);
-    raises NonFiniteError when either is not finite.
+    raises NonFiniteError when either is not finite, and ParameterError
+    on a V-only ensemble.
     """
     grid = _check_wealth_grid(ensemble, solution)
+    dW, dWperp = _increments(ensemble)
     n, dt = grid.n, grid.dt
     coef = control_coefficient(model, solution, stabs, grid.times[:-1])  # (d, n)
     disc = np.exp(-model.r * (model.T - grid.times[:-1]))               # (n,)
@@ -320,7 +324,7 @@ def affine_wealth_terminal(model: MarketModel, ensemble: PathEnsemble,
         for lo in range(0, n, _WEALTH_BLOCK):
             hi = min(lo + _WEALTH_BLOCK, n)
             gain, root_v = _gain(coef[None, :, lo:hi], ensemble.V[:, :, lo:hi])  # (M, d, w)
-            dB = _asset_increments(model, ensemble.dW[:, :, lo:hi], ensemble.dWperp[:, :, lo:hi])
+            dB = _asset_increments(model, dW[:, :, lo:hi], dWperp[:, :, lo:hi])
             s = (np.einsum("mdk,mdk,d->km", gain, root_v, model.theta) * dt
                  + np.einsum("mdk,mdk->km", gain, dB))                         # (w, M)
             for b in range(hi - lo):
@@ -337,6 +341,24 @@ def _check_wealth_grid(ensemble: PathEnsemble, solution: RiccatiSolution) -> Gri
     if solution.grid != ensemble.grid:
         raise ParameterError("wealth scheme requires the psi grid to match the path grid")
     return ensemble.grid
+
+
+def _trapezoid_rows(V: np.ndarray, dt: float) -> np.ndarray:
+    """Per-path trapezoid integral over time of an (M, d, n+1) V, as (d, M).
+
+    Sums (dt (V_k + V_{k+1})) / 2 over k in order, one time row at a
+    time; this is what np.trapezoid(V, dx=dt, axis=2) computes, without
+    its (M, d, n) temporary.
+    """
+    rows = V.transpose(1, 2, 0)                               # (d, n+1, M)
+    total = np.zeros(rows[:, 0].shape)
+    cell = np.empty_like(total)
+    for k in range(rows.shape[1] - 1):
+        np.add(rows[:, k + 1], rows[:, k], out=cell)
+        cell *= dt
+        cell /= 2.0
+        total += cell
+    return total
 
 
 @dataclass(frozen=True)
@@ -376,21 +398,24 @@ def laplace_affine_check(model: MarketModel, stabs, u, grid: Grid, M: int, seed:
                          v0=None, ensemble: PathEnsemble | None = None) -> LaplaceReport:
     """Monte Carlo test of the exponential-affine Laplace formula.
 
-    Simulates M paths started from the deterministic v0 (default x_inf),
-    estimates E[exp(int_0^T V^T u ds)] with a per-path trapezoidal time
-    integral, and compares against the closed form within 3 standard
-    errors.  A degenerate Monte Carlo spread (nu = 0 or u = 0) demands
-    equality to 1e-6 relative instead (the closed form still carries its
-    own discretization error).
+    Simulates M paths started from x_inf (V only, without the Brownian
+    increments) unless an ensemble is given, estimates
+    E[exp(int_0^T V^T u ds)] with a per-path trapezoidal time integral,
+    and compares against the closed form within 3 standard errors.  The
+    integral runs over the time-major rows of V with (d, M) buffers, in
+    the order and rounding of ``np.trapezoid`` along the time axis.  A
+    degenerate Monte Carlo spread (nu = 0 or u = 0) demands equality to
+    1e-6 relative instead (the closed form still carries its own
+    discretization error).
     """
     u = np.broadcast_to(np.asarray(u, dtype=float), (model.d,)).copy()
     if np.any(u > 0.0):
         raise ParameterError("Laplace check requires u <= 0 componentwise")
     closed = laplace_closed_form(model, stabs, u, v0=v0, n_solver=max(grid.n, _GAMMA0_REFINE))
     if ensemble is None:
-        ensemble = simulate_variance_paths(model, stabs, grid, M, seed, initial="fixed")
-    integral = np.trapezoid(ensemble.V, dx=grid.dt, axis=2)   # (M, d)
-    samples = np.exp(integral @ u)
+        ensemble = simulate_variance_paths(model, stabs, grid, M, seed, initial="fixed",
+                                           increments=False)
+    samples = np.exp(_trapezoid_rows(ensemble.V, grid.dt).T @ u)
     mc = float(np.mean(samples))
     se = float(np.std(samples, ddof=1) / np.sqrt(ensemble.M))
     if se == 0.0:

@@ -14,10 +14,11 @@ therefore drives every cell.  Paths are vectorized: each cell draws a
 low-rank standard-normal block and one thin matrix product produces the
 exact joint sample for all paths at once.
 
-Storage is time-major: V is a (d, n+1, M) array and dW a (d, n, M) one,
-so each time step of an asset is one contiguous row of M paths, and the
-engine accumulates the Volterra sums straight into the rows of V.  The
-ensemble exposes both as (M, d, .) transposed views.  The assets share
+Storage is time-major: V is a (d, n+1, M) array and dW, when the
+increments are kept, a (d, n, M) one, so each time step of an asset is
+one contiguous row of M paths, and the engine accumulates the Volterra
+sums straight into the rows of V.  The ensemble exposes both as
+(M, d, .) transposed views.  The assets share
 nothing but the read-only model, so they advance at the same time on one
 thread each (numpy's random fills, ufuncs and BLAS calls release the
 GIL), on the CPUs of the process that the BLAS threads leave free
@@ -65,33 +66,22 @@ class NonFiniteError(ArithmeticError):
 class GaussianBlockFactor:
     """Joint sampler of one cell's kernel integrals and its DW increment.
 
-    ``cov`` is the (n+1) x (n+1) covariance of the vector
-    (G at lags 0..n-1, DW); by time-translation invariance the same
-    matrix serves every cell.  ``factor`` F satisfies F F^T ~ cov to
-    1e-8 relative Frobenius error; its column count is the numerical
-    rank after eigenvalue clipping.  ``c_seg`` are the deterministic
-    cell integrals C[j].
+    ``factor`` F satisfies F F^T ~ cov to 1e-8 relative Frobenius error,
+    where cov is the (n+1) x (n+1) covariance of the vector (G at lags
+    0..n-1, DW) (``_covariance_matrix``); by time-translation invariance
+    the same matrix serves every cell.  F's column count is the
+    numerical rank after eigenvalue clipping.  ``c_seg`` are the
+    deterministic cell integrals C[j].
     """
 
     spec: KernelSpec
     grid: Grid
-    cov: np.ndarray = field(repr=False)
     factor: np.ndarray = field(repr=False)
     c_seg: np.ndarray = field(repr=False)
 
     @property
     def rank(self) -> int:
         return self.factor.shape[1]
-
-    def sample(self, rng: np.random.Generator, m_rows: int, n_paths: int):
-        """Draw (m_rows lag values, DW) jointly for n_paths paths.
-
-        Returns an array of shape (m_rows + 1, n_paths); the final row
-        is the plain Brownian increment.
-        """
-        z = rng.standard_normal((self.rank, n_paths))
-        rows = np.vstack([self.factor[:m_rows], self.factor[-1:]])
-        return rows @ z
 
 
 def _covariance_matrix(spec: KernelSpec, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -139,22 +129,25 @@ def build_gaussian_factor(spec: KernelSpec, grid: Grid) -> GaussianBlockFactor:
     factor since no eigenvalue gets clipped.
     """
     cov, c_seg = _covariance_matrix(spec, grid)
-    norm = float(np.linalg.norm(cov))
     if spec.alpha == 1.0:
         factor = np.full((cov.shape[0], 1), np.sqrt(grid.dt))
-        return GaussianBlockFactor(spec=spec, grid=grid, cov=cov, factor=factor, c_seg=c_seg)
+        return GaussianBlockFactor(spec=spec, grid=grid, factor=factor, c_seg=c_seg)
+    norm = float(np.linalg.norm(cov))
     w, U = np.linalg.eigh(cov)
     w = w[::-1]
-    U = U[:, ::-1]
     keep = w > _EIG_CUT * max(w[0], 0.0)
-    factor = U[:, keep] * np.sqrt(w[keep])[None, :]
-    err = np.linalg.norm(factor @ factor.T - cov)
+    factor = U[:, ::-1][:, keep] * np.sqrt(w[keep])[None, :]
+    del U
+    # reproduction check in place: one (n+1)^2 temporary besides cov
+    err_mat = factor @ factor.T
+    err_mat -= cov
+    err = np.linalg.norm(err_mat)
     if err > _FACTOR_RTOL * norm:
         raise FactorizationError(
             f"spectral factor misses covariance by {err / norm:.2e} relative "
             f"(smallest eigenvalue {w[-1]:.3e})"
         )
-    return GaussianBlockFactor(spec=spec, grid=grid, cov=cov, factor=factor, c_seg=c_seg)
+    return GaussianBlockFactor(spec=spec, grid=grid, factor=factor, c_seg=c_seg)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,7 +159,9 @@ class PathEnsemble:
     per-cell increments of W and the independent W-perp, shape
     (M, d, n).  V and dW are transposed views of time-major (d, n+1, M)
     and (d, n, M) arrays, so V[:, i, k] is contiguous; dWperp is stored
-    path-major, in the order of its draws.
+    path-major, in the order of its draws.  A V-only ensemble
+    (``simulate_variance_paths(..., increments=False)``) has dW and
+    dWperp None; its V equals the full ensemble's bit for bit.
     """
 
     model: MarketModel
@@ -174,8 +169,8 @@ class PathEnsemble:
     M: int
     seed: int
     V: np.ndarray = field(repr=False)
-    dW: np.ndarray = field(repr=False)
-    dWperp: np.ndarray = field(repr=False)
+    dW: np.ndarray | None = field(repr=False)
+    dWperp: np.ndarray | None = field(repr=False)
 
 
 def sample_initial_variance(model: MarketModel, M: int, seed,
@@ -194,15 +189,19 @@ def sample_initial_variance(model: MarketModel, M: int, seed,
 def simulate_variance_paths(model: MarketModel, stabs, grid: Grid, M: int, seed: int, *,
                             initial: str = "stationary",
                             factors: list | None = None,
-                            store_noise: bool = False) -> PathEnsemble:
+                            store_noise: bool = False,
+                            increments: bool = True) -> PathEnsemble:
     """Simulate M joint variance paths with the K-integrated Euler scheme.
 
     initial = "stationary" draws V0 from N(x_inf, v0) (the fake
     stationary configuration); "fixed" starts every path at x_inf.
     Prebuilt per-asset factors may be passed to amortize construction.
     The kernel-weighted noise integrals are not kept; ``store_noise``
-    only accepts False.  Raises NonFiniteError when V0 or a path leaves
-    the finite floats.
+    only accepts False.  ``increments=False`` keeps V alone: dW is never
+    stored and dWperp never drawn (its draw follows V0's on the common
+    stream, so V0 and V do not change), which saves two (M, d, n)
+    arrays for callers that read only V.  Raises NonFiniteError when V0
+    or a path leaves the finite floats.
     """
     if store_noise:
         raise ParameterError("kernel-weighted noise integrals are not stored")
@@ -230,20 +229,20 @@ def simulate_variance_paths(model: MarketModel, stabs, grid: Grid, M: int, seed:
     else:
         V0 = np.tile(model.x_inf, (M, 1))
     require_finite("initial variance", V0)
-    dWperp = np.sqrt(dt) * rng_common.standard_normal((M, d, n))
+    dWperp = np.sqrt(dt) * rng_common.standard_normal((M, d, n)) if increments else None
 
     # time-major storage: each asset's cells are contiguous rows of M paths
     V = _mapped((d, n + 1, M))
     V[:, 0, :] = V0.T
-    dW = _mapped((d, n, M))
+    dW = _mapped((d, n, M)) if increments else None
     sig_grid = np.stack([np.asarray(st.eval(grid.times[:-1])) for st in stabs], axis=0)  # (d, n)
     _run_concurrently([
         functools.partial(_advance_asset, model, i, factors[i], sig_grid[i], rngs_asset[i],
-                          V[i], dW[i])
+                          V[i], dW[i] if increments else None)
         for i in range(d)
     ])
-    return PathEnsemble(model=model, grid=grid, M=M, seed=seed,
-                        V=V.transpose(2, 0, 1), dW=dW.transpose(2, 0, 1), dWperp=dWperp)
+    return PathEnsemble(model=model, grid=grid, M=M, seed=seed, V=V.transpose(2, 0, 1),
+                        dW=dW.transpose(2, 0, 1) if increments else None, dWperp=dWperp)
 
 
 def _cpu_count() -> int:
@@ -322,11 +321,12 @@ def _mapped(shape) -> np.ndarray:
 
 def _advance_asset(model: MarketModel, i: int, fac: GaussianBlockFactor,
                    sig: np.ndarray, rng: np.random.Generator,
-                   V: np.ndarray, dW: np.ndarray) -> None:
+                   V: np.ndarray, dW: np.ndarray | None) -> None:
     """Blocked Volterra accumulation of one asset over all paths, in place.
 
     V is the asset's time-major (n+1, M) slab, holding V0 in row 0 and
-    zeros below; dW is its (n, M) slab of increments.  Each cell l
+    zeros below; dW is its (n, M) slab of increments, or None when the
+    increments are not kept.  Each cell l
     contributes drift_l C[k-l] + vol_l G_{k,l} to every later time k.
     Rows of V beyond the current cell hold the running sum of these
     contributions; a row becomes V0 + sum once its last contribution is
@@ -364,7 +364,8 @@ def _advance_asset(model: MarketModel, i: int, fac: GaussianBlockFactor,
                 ell = lo + 1 + b
                 v_prev = V[ell - 1]
                 rng.standard_normal(out=z)
-                np.matmul(f_dw, z, out=dW[ell - 1])
+                if dW is not None:
+                    np.matmul(f_dw, z, out=dW[ell - 1])
                 np.maximum(v_prev, 0.0, out=vol)
                 np.sqrt(vol, out=vol)
                 np.multiply(nu * sig[ell - 1], vol, out=vol)
@@ -396,9 +397,18 @@ def correlate_asset_brownian(ensemble: PathEnsemble, model: MarketModel) -> np.n
 
     This is the reconstruction B = Sigma^T W - sqrt(I - Sigma^T Sigma)
     W-perp of the model's correlation structure; the joint law of (V, B)
-    is the same as with the forward construction.
+    is the same as with the forward construction.  Raises ParameterError
+    on a V-only ensemble.
     """
-    return _asset_increments(model, ensemble.dW, ensemble.dWperp)
+    return _asset_increments(model, *_increments(ensemble))
+
+
+def _increments(ensemble: PathEnsemble) -> tuple[np.ndarray, np.ndarray]:
+    """(dW, dWperp) of an ensemble; ParameterError when it holds V only."""
+    if ensemble.dW is None or ensemble.dWperp is None:
+        raise ParameterError("ensemble holds V only (simulated with increments=False), "
+                             "not the Brownian increments")
+    return ensemble.dW, ensemble.dWperp
 
 
 def _asset_increments(model: MarketModel, dW: np.ndarray, dWperp: np.ndarray) -> np.ndarray:

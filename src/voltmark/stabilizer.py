@@ -104,15 +104,26 @@ def stabilizer_coeffs(alpha: float, K: int) -> np.ndarray:
 def density_l2_norm(alpha: float, lam: float = 1.0) -> float:
     """||f_{alpha,lam}||_{L2(0,inf)} of the resolvent density.
 
-    Scales as lam^(1/(2 alpha)) times the lam = 1 norm.  The unit-rate
-    integral splits at t = 1: the t^(2 alpha - 2) endpoint singularity is
-    flattened by the substitution t = v^(1/(2 alpha - 1)), the tail is an
-    adaptive quadrature of the spectral-branch evaluation.
+    Scales as lam^(1/(2 alpha)) times the lam = 1 norm, which is cached
+    per alpha (``_unit_density_l2_norm``).
     """
     if not 0.5 < alpha <= 1.0:
         raise ParameterError(f"density_l2_norm requires alpha in (1/2, 1], got {alpha}")
     if alpha == 1.0:
         return float(np.sqrt(lam / 2.0))
+    return float(lam ** (0.5 / alpha) * _unit_density_l2_norm(alpha))
+
+
+@lru_cache(maxsize=64)
+def _unit_density_l2_norm(alpha: float) -> float:
+    """||f_{alpha,1}||_{L2(0,inf)} for 1/2 < alpha < 1.
+
+    The integral splits at t = 1: the t^(2 alpha - 2) endpoint
+    singularity is flattened by the substitution t = v^(1/(2 alpha - 1)),
+    the tail is an adaptive quadrature of the spectral-branch evaluation.
+    Every stabilizer build needs it twice, so it is computed once per
+    alpha.
+    """
     spec = ResolventSpec(fractional_kernel(alpha), 1.0)
     p = 1.0 / (2.0 * alpha - 1.0)
 
@@ -126,7 +137,7 @@ def density_l2_norm(alpha: float, lam: float = 1.0) -> float:
         return resolvent_density(spec, t) ** 2
 
     tail_val, _ = quad(tail, 1.0, np.inf, limit=200)
-    return float(lam ** (0.5 / alpha) * np.sqrt(head_val + tail_val))
+    return float(np.sqrt(head_val + tail_val))
 
 
 @dataclass

@@ -189,6 +189,26 @@ def test_simulate_computes_each_bootstrap_once(tmp_path, monkeypatch):
     assert calls == [7041, 7042]
 
 
+def test_v_only_stages_skip_the_increments(tmp_path, monkeypatch):
+    # the stationarity and Laplace stages read V alone, so they ask the
+    # engine for no Brownian increments; the wealth stage keeps them
+    from voltmark import cli, markowitz, simulate
+
+    requested = []
+    real = simulate.simulate_variance_paths
+
+    def spy(*args, **kwargs):
+        requested.append(kwargs.get("increments", True))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "simulate_variance_paths", spy)
+    monkeypatch.setattr(markowitz, "simulate_variance_paths", spy)
+    cfg = load_config(TINY)
+    for runner in (cli.run_simulate, cli.run_laplace, cli.run_wealth):
+        runner(cfg, str(tmp_path))
+    assert requested == [False, False, True]
+
+
 def test_seed_override_changes_output(tmp_path):
     path = _write(tmp_path, TINY)
     out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -7,6 +7,7 @@ from conftest import small_model
 from voltmark.kernels import ParameterError
 from voltmark.markowitz import (
     ConsistencyError,
+    _trapezoid_rows,
     affine_wealth_terminal,
     efficient_frontier,
     frontier_slope,
@@ -182,6 +183,16 @@ def test_non_finite_wealth_rejected():
         simulate_wealth(m, huge, sol, stabs, 3.0)
 
 
+def test_wealth_schemes_reject_v_only_ensemble(model_t1, stabs_t1):
+    grid = Grid(1.0, 30)
+    sol = solve_riccati_adams(model_t1, stabs_t1, grid.n)
+    ens = simulate_variance_paths(model_t1, stabs_t1, grid, 5, seed=1, increments=False)
+    with pytest.raises(ParameterError, match="V only"):
+        simulate_wealth(model_t1, ens, sol, stabs_t1, 3.0)
+    with pytest.raises(ParameterError, match="V only"):
+        affine_wealth_terminal(model_t1, ens, sol, stabs_t1)
+
+
 def test_affine_terminal_grid_mismatch_rejected(model_t1, stabs_t1, riccati_600):
     ens = simulate_variance_paths(model_t1, stabs_t1, Grid(1.0, 30), 5, seed=1)
     with pytest.raises(ParameterError):
@@ -213,6 +224,29 @@ def test_laplace_deterministic_variance(stabs_t1):
     assert rep.mc_value == pytest.approx(expect, rel=1e-12)
     assert rep.closed_form == pytest.approx(expect, rel=1e-7)
     assert rep.passed
+
+
+def test_laplace_row_integral_is_numpy_trapezoid(model_t1, stabs_t1):
+    # the row-by-row integral over the time-major V repeats the rounding
+    # of np.trapezoid along the time axis of the (M, d, n+1) view
+    ens = simulate_variance_paths(model_t1, stabs_t1, Grid(1.0, 130), 333, seed=2,
+                                  initial="fixed")
+    rows = _trapezoid_rows(ens.V, ens.grid.dt)
+    ref = np.trapezoid(ens.V, dx=ens.grid.dt, axis=2)
+    assert np.array_equal(rows.T, ref)
+    u = np.array([-0.05, -0.05])
+    assert np.array_equal(np.exp(rows.T @ u), np.exp(ref @ u))
+
+
+def test_laplace_own_ensemble_equals_given_one(model_t1, stabs_t1):
+    # the V-only ensemble the check builds itself gives the same estimate
+    # as a full ensemble of the same seed
+    grid = Grid(1.0, 40)
+    ens = simulate_variance_paths(model_t1, stabs_t1, grid, 150, seed=6, initial="fixed")
+    own = laplace_affine_check(model_t1, stabs_t1, [-0.05, -0.05], grid, 150, seed=6)
+    given = laplace_affine_check(model_t1, stabs_t1, [-0.05, -0.05], grid, 150, seed=6,
+                                 ensemble=ens)
+    assert (own.mc_value, own.mc_se) == (given.mc_value, given.mc_se)
 
 
 def test_laplace_closed_form_positive_u_rejected(model_t1, stabs_t1):

@@ -12,6 +12,7 @@ from voltmark.kernels import eval_kernel, fractional_kernel, kernel_mean_segment
 from voltmark.model import Grid, MarketModel, bundled_model
 from voltmark.simulate import (
     NonFiniteError,
+    _covariance_matrix,
     build_gaussian_factor,
     correlate_asset_brownian,
     sample_initial_variance,
@@ -24,7 +25,7 @@ def test_factor_constant_kernel_rank_one():
     g = Grid(1.0, 8)
     fac = build_gaussian_factor(fractional_kernel(1.0), g)
     assert fac.rank == 1
-    assert np.allclose(fac.cov, g.dt)
+    assert np.allclose(_covariance_matrix(fractional_kernel(1.0), g)[0], g.dt)
     assert np.allclose(fac.factor, np.sqrt(g.dt))
     assert np.allclose(fac.c_seg, g.dt)
 
@@ -33,7 +34,8 @@ def test_factor_constant_kernel_rank_one():
 def test_factor_reproduces_covariance(alpha):
     g = Grid(1.0, 600)
     fac = build_gaussian_factor(fractional_kernel(alpha), g)
-    err = np.linalg.norm(fac.factor @ fac.factor.T - fac.cov) / np.linalg.norm(fac.cov)
+    cov, _ = _covariance_matrix(fractional_kernel(alpha), g)
+    err = np.linalg.norm(fac.factor @ fac.factor.T - cov) / np.linalg.norm(cov)
     assert err <= 1e-8
     assert fac.rank <= 12  # the shifted-kernel Gramian is numerically thin
 
@@ -41,7 +43,7 @@ def test_factor_reproduces_covariance(alpha):
 def test_covariance_entries_vs_quadrature():
     g = Grid(1.0, 600)
     spec = fractional_kernel(0.6)
-    fac = build_gaussian_factor(spec, g)
+    cov, _ = _covariance_matrix(spec, g)
     dt = g.dt
     for j, jp in [(0, 0), (3, 0), (5, 2), (400, 17)]:
         tj, tjp = (j + 1) * dt, (jp + 1) * dt
@@ -54,9 +56,9 @@ def test_covariance_entries_vs_quadrature():
         else:
             ref, _ = quad(lambda s: eval_kernel(spec, tj - s) * eval_kernel(spec, tjp - s),
                           0.0, dt, limit=200)
-        assert fac.cov[j, jp] == pytest.approx(ref, rel=1e-6)
+        assert cov[j, jp] == pytest.approx(ref, rel=1e-6)
     # DW row entries are the cell means
-    assert np.allclose(fac.cov[:-1, -1],
+    assert np.allclose(cov[:-1, -1],
                        kernel_mean_segment(spec, (np.arange(600) + 1.0) * dt, 0.0, dt))
 
 
@@ -64,11 +66,12 @@ def test_factor_sample_moments():
     # empirical covariance of the joint draw matches the exact entries
     g = Grid(0.5, 6)
     fac = build_gaussian_factor(fractional_kernel(0.6), g)
+    cov, _ = _covariance_matrix(fractional_kernel(0.6), g)
     rng = np.random.default_rng(1234)
-    sample = fac.sample(rng, 6, 200_000)    # all lags + DW
+    sample = fac.factor @ rng.standard_normal((fac.rank, 200_000))    # all lags + DW
     emp = sample @ sample.T / 200_000
-    se = np.sqrt((np.outer(np.diag(fac.cov), np.diag(fac.cov)) + fac.cov**2) / 200_000)
-    assert np.all(np.abs(emp - fac.cov) <= 3.5 * se)
+    se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / 200_000)
+    assert np.all(np.abs(emp - cov) <= 3.5 * se)
 
 
 def test_sample_initial_variance_moments_and_clip():
@@ -149,6 +152,39 @@ def test_correlate_asset_brownian_limits(model_t1, stabs_t1):
         assert abs(corr - model_t1.rho[i]) <= 3.0 / np.sqrt(len(x))
     # unit variance scaling: Var(dB) = dt
     assert np.var(dB2[:, 0, :]) == pytest.approx(g.dt, rel=0.1)
+
+
+@pytest.mark.parametrize("initial", ["stationary", "fixed"])
+def test_v_only_ensemble_equals_full(model_t1, stabs_t1, monkeypatch, initial):
+    # skipping dW and the dWperp draw leaves V0 and V bit for bit; M is
+    # not a multiple of 64 and the two assets run on two threads
+    pool_sizes = []
+    real_pool = simulate.ThreadPoolExecutor
+
+    def recording_pool(max_workers):
+        pool_sizes.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", recording_pool)
+    monkeypatch.setattr(simulate, "_BLAS_THREADS", 1)
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
+    g = Grid(1.0, 150)
+    full = simulate_variance_paths(model_t1, stabs_t1, g, 203, seed=5, initial=initial)
+    v_only = simulate_variance_paths(model_t1, stabs_t1, g, 203, seed=5, initial=initial,
+                                     increments=False)
+    assert pool_sizes == [2, 2]
+    assert v_only.dW is None and v_only.dWperp is None
+    assert np.array_equal(v_only.V[:, :, 0], full.V[:, :, 0])
+    assert np.array_equal(v_only.V, full.V)
+
+
+def test_v_only_ensemble_has_no_asset_increments(model_t1, stabs_t1):
+    from voltmark.kernels import ParameterError
+
+    ens = simulate_variance_paths(model_t1, stabs_t1, Grid(1.0, 10), 5, seed=1,
+                                  increments=False)
+    with pytest.raises(ParameterError, match="V only"):
+        correlate_asset_brownian(ens, model_t1)
 
 
 def test_store_noise_rejected(model_t1, stabs_t1):
