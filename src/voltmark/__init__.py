@@ -76,6 +76,7 @@ from .simulate import (
     build_gaussian_factor,
     correlate_asset_brownian,
     sample_initial_variance,
+    simulate_variance_chunks,
     simulate_variance_paths,
 )
 from .stabilizer import (

@@ -16,7 +16,10 @@ CSV bodies are byte-stable for a fixed config, seed and VOLTMARK_THREADS:
 12 significant digits, comma separated, LF line endings.
 VOLTMARK_THREADS caps the BLAS thread count (the package applies it on
 import, before numpy loads).  With VOLTMARK_THREADS=1 the path engine advances the assets
-on one thread each, up to the CPUs the process may use.
+on one thread each, up to the CPUs the process may use.  The manifest
+records the cap (``blas_threads``, null without one) and the engine's
+paths per chunk (``chunk_paths``), the two settings besides config and
+seed that the CSV bits depend on.
 """
 
 import argparse
@@ -93,6 +96,12 @@ def _parse_floats(raw: str, path: str):
         raise ConfigError(f"{path}: cannot parse {raw!r} as numbers") from exc
 
 
+def _require_paths(path: str, M: int) -> None:
+    # every Monte Carlo estimate reports a sample spread: two paths at least
+    if M < 2:
+        raise ConfigError(f"{path}: expected >= 2 paths, got {M}")
+
+
 def load_config(text: str) -> dict:
     """Parse and validate the flat INI configuration.
 
@@ -130,6 +139,7 @@ def load_config(text: str) -> dict:
     cfg["T"] = c.getfloat("grid", "T")
     cfg["n"] = c.getint("grid", "n")
     cfg["M"] = c.getint("mc", "M")
+    _require_paths("mc.M", cfg["M"])
     cfg["seed"] = c.getint("mc", "seed")
     cfg["n_boot"] = c.getint("mc", "n_boot")
     if cfg["n_boot"] < 2:
@@ -143,7 +153,9 @@ def load_config(text: str) -> dict:
     cfg["frontier_horizons"] = _parse_floats(
         c.get("experiment", "frontier_horizons"), "experiment.frontier_horizons")
     cfg["laplace_M"] = c.getint("experiment", "laplace_M")
+    _require_paths("experiment.laplace_M", cfg["laplace_M"])
     cfg["stationarity_M"] = c.getint("experiment", "stationarity_M")
+    _require_paths("experiment.stationarity_M", cfg["stationarity_M"])
     cfg["output_dir"] = c.get("experiment", "output_dir")
     return cfg
 
@@ -170,7 +182,8 @@ def write_manifest(out_dir: str, cfg: dict, config_text: str, extra: dict | None
     import numpy
     import scipy
 
-    from . import __version__
+    from . import __version__, _blas_threads
+    from .simulate import _CHUNK_PATHS
 
     manifest = {
         "package": "voltmark",
@@ -180,6 +193,9 @@ def write_manifest(out_dir: str, cfg: dict, config_text: str, extra: dict | None
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
         "parameters": cfg,
+        # the CSV bits depend on these two besides the config and seed
+        "blas_threads": _blas_threads,
+        "chunk_paths": _CHUNK_PATHS,
     }
     if extra:
         manifest.update(extra)

@@ -34,8 +34,9 @@ from .simulate import (
     _asset_increments,
     _increments,
     correlate_asset_brownian,
+    ensemble_chunks,
     require_finite,
-    simulate_variance_paths,
+    simulate_variance_chunks,
 )
 
 _GAMMA0_REFINE = 2400
@@ -361,6 +362,11 @@ def _trapezoid_rows(V: np.ndarray, dt: float) -> np.ndarray:
     return total
 
 
+def _laplace_samples(V: np.ndarray, dt: float, u: np.ndarray) -> np.ndarray:
+    """Per-path exp(int_0^T V^T u ds) of an (M, d, n+1) V, trapezoidal in time."""
+    return np.exp(_trapezoid_rows(V, dt).T @ u)
+
+
 @dataclass(frozen=True)
 class LaplaceReport:
     """Two sides of the exponential-affine transform identity at t = 0."""
@@ -402,8 +408,11 @@ def laplace_affine_check(model: MarketModel, stabs, u, grid: Grid, M: int, seed:
     increments) unless an ensemble is given, estimates
     E[exp(int_0^T V^T u ds)] with a per-path trapezoidal time integral,
     and compares against the closed form within 3 standard errors.  The
-    integral runs over the time-major rows of V with (d, M) buffers, in
-    the order and rounding of ``np.trapezoid`` along the time axis.  A
+    paths are taken one chunk at a time (``simulate_variance_chunks``,
+    or ``ensemble_chunks`` of a given ensemble, with the same samples)
+    and only the per-path samples are kept.  The integral runs over the
+    time-major rows of each chunk's V with (d, chunk) buffers, in the
+    order and rounding of ``np.trapezoid`` along the time axis.  A
     degenerate Monte Carlo spread (nu = 0 or u = 0) demands equality to
     1e-6 relative instead (the closed form still carries its own
     discretization error).
@@ -412,12 +421,14 @@ def laplace_affine_check(model: MarketModel, stabs, u, grid: Grid, M: int, seed:
     if np.any(u > 0.0):
         raise ParameterError("Laplace check requires u <= 0 componentwise")
     closed = laplace_closed_form(model, stabs, u, v0=v0, n_solver=max(grid.n, _GAMMA0_REFINE))
-    if ensemble is None:
-        ensemble = simulate_variance_paths(model, stabs, grid, M, seed, initial="fixed",
-                                           increments=False)
-    samples = np.exp(_trapezoid_rows(ensemble.V, grid.dt).T @ u)
+    chunks = (ensemble_chunks(ensemble) if ensemble is not None
+              else simulate_variance_chunks(model, stabs, grid, M, seed, initial="fixed",
+                                            increments=False))
+    # map drops each chunk before the next one is simulated
+    samples = np.concatenate(list(map(lambda chunk: _laplace_samples(chunk.V, grid.dt, u),
+                                      chunks)))
     mc = float(np.mean(samples))
-    se = float(np.std(samples, ddof=1) / np.sqrt(ensemble.M))
+    se = float(np.std(samples, ddof=1) / np.sqrt(len(samples)))
     if se == 0.0:
         passed = abs(mc - closed) <= 1e-6 * max(1.0, abs(closed))
         z = 0.0 if passed else np.inf

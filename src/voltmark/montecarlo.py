@@ -16,7 +16,12 @@ from .kernels import ParameterError
 from .markowitz import affine_wealth_terminal, gamma0, variance_of_terminal, xi_eta_star
 from .model import Grid, MarketModel
 from .riccati import RiccatiSolution, solve_riccati_adams
-from .simulate import PathEnsemble, require_finite, simulate_variance_paths
+from .simulate import (
+    PathEnsemble,
+    ensemble_chunks,
+    require_finite,
+    simulate_variance_chunks,
+)
 
 _DEFAULT_BOOT = 1000
 
@@ -41,8 +46,24 @@ def _require_resamples(n_boot: int) -> None:
         raise ParameterError(f"bootstrap needs n_boot >= 2 resamples, got {n_boot}")
 
 
+# resamples per multinomial draw of ``_bootstrap_weights``
+_WEIGHT_ROWS = 64
+
+
 def _bootstrap_weights(M: int, n_boot: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.multinomial(M, np.full(M, 1.0 / M), size=n_boot) / M
+    """(n_boot, M) resampling weights, counts / M of n_boot multinomial draws.
+
+    The draws are taken a block of rows at a time, which consumes the
+    generator exactly as one draw of all rows would, so the weights are
+    those of ``rng.multinomial(M, p, size=n_boot) / M`` without its
+    (n_boot, M) integer temporary.
+    """
+    w = np.empty((n_boot, M))
+    p = np.full(M, 1.0 / M)
+    for lo in range(0, n_boot, _WEIGHT_ROWS):
+        hi = min(lo + _WEIGHT_ROWS, n_boot)
+        np.divide(rng.multinomial(M, p, size=hi - lo), M, out=w[lo:hi])
+    return w
 
 
 def ensemble_stats(paths: np.ndarray, times: np.ndarray, n_boot: int = _DEFAULT_BOOT,
@@ -195,17 +216,24 @@ def frontier_experiment(model: MarketModel, m_values, M: int, seed: int, *,
     One variance ensemble (deterministic V0 = x_inf, matching the single
     Gamma0 that prices the frontier) serves all targets.  The terminal
     wealth is affine in xi*, so one recursion gives the pair (A_T, B_T)
-    and each target's X_T = A_T + xi* B_T.  One bootstrap weight draw
-    (seed + 7919) serves every target through ``affine_bootstrap``.
+    and each target's X_T = A_T + xi* B_T.  The recursion runs chunk by
+    chunk (``simulate_variance_chunks``, or ``ensemble_chunks`` of a
+    given ensemble, with the same result) and keeps only (A_T, B_T), so
+    without a given ensemble no path outlives its chunk.  One bootstrap
+    weight draw (seed + 7919) serves every target through
+    ``affine_bootstrap``.
     """
     grid = grid or Grid(model.T, 600)
     stabs = stabs or model.build_stabilizers()
     solution = solution or solve_riccati_adams(model, stabs, grid.n)
-    if ensemble is None:
-        ensemble = simulate_variance_paths(model, stabs, grid, M, seed, initial="fixed")
     g0 = gamma0(model, solution, stabs)  # m-independent, priced once
-    A, B = affine_wealth_terminal(model, ensemble, solution, stabs)
-    del ensemble  # only (A_T, B_T) is read from here on: free the paths before the bootstrap
+    chunks = (ensemble_chunks(ensemble) if ensemble is not None
+              else simulate_variance_chunks(model, stabs, grid, M, seed, initial="fixed"))
+    # map drops each chunk before the next one is simulated
+    terminals = list(map(lambda chunk: affine_wealth_terminal(model, chunk, solution, stabs),
+                         chunks))
+    A = np.concatenate([a for a, _ in terminals])
+    B = np.concatenate([b for _, b in terminals])
     m_values = np.atleast_1d(np.asarray(m_values, dtype=float))
     xis = [xi_eta_star(g0, model, float(m))[0] for m in m_values]
     stats = affine_bootstrap(A, B, xis, n_boot=n_boot, seed=seed + 7919)

@@ -14,27 +14,35 @@ therefore drives every cell.  Paths are vectorized: each cell draws a
 low-rank standard-normal block and one thin matrix product produces the
 exact joint sample for all paths at once.
 
-Storage is time-major: V is a (d, n+1, M) array and dW, when the
-increments are kept, a (d, n, M) one, so each time step of an asset is
-one contiguous row of M paths, and the engine accumulates the Volterra
-sums straight into the rows of V.  The ensemble exposes both as
-(M, d, .) transposed views.  The assets share
-nothing but the read-only model, so they advance at the same time on one
-thread each (numpy's random fills, ufuncs and BLAS calls release the
-GIL), on the CPUs of the process that the BLAS threads leave free
-(see ``_run_concurrently``).
+Paths are simulated in fixed chunks of ``_CHUNK_PATHS`` paths.  Within a
+chunk storage is time-major: V is a (d, n+1, chunk) array and dW, when
+the increments are kept, a (d, n, chunk) one, so each time step of an
+asset is one contiguous row of paths, and the engine accumulates the
+Volterra sums straight into the rows of V.  The ensemble exposes both
+as (paths, d, .) transposed views.  ``simulate_variance_chunks`` yields
+one chunk at a time, so a consumer that keeps only per-path values
+(the frontier's terminal wealth, the Laplace samples) runs in memory
+that does not grow with M; ``simulate_variance_paths`` writes the
+chunks into the columns of whole (d, n+1, M) arrays for the callers
+that read whole paths.  The assets share nothing but the read-only
+model, so within a chunk they advance at the same time on one thread
+each (numpy's random fills, ufuncs and BLAS calls release the GIL), on
+the CPUs of the process that the BLAS threads leave free (see
+``_run_concurrently``).
 
-Everything is reproducible: a single integer seed spawns one child
-stream for the initial variance and the orthogonal increments plus one
-stream per asset, and the draw order is fixed regardless of array sizes
-and of the number of threads.
+Everything is reproducible: chunk c takes the c-th ``spawn(1 + d)``
+group of SeedSequence(seed), one child stream for the initial variance
+and the orthogonal increments plus one stream per asset, and the draw
+order is fixed regardless of the number of threads.  The first group
+is the whole stream of an ensemble of at most one chunk, and the first
+chunk of paths is the same for every M that fills it.
 """
 
 import functools
 import mmap
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -50,6 +58,9 @@ from .kernels import (
 )
 from .model import Grid, MarketModel
 
+# paths per chunk of the engine; fixed, because chunk c draws from the
+# c-th stream group and so the paths depend on it
+_CHUNK_PATHS = 4096
 _EIG_CUT = 1e-13          # relative eigenvalue cut of the spectral factor
 _FACTOR_RTOL = 1e-8       # required relative Frobenius reproduction
 
@@ -158,10 +169,12 @@ class PathEnsemble:
     slightly negative values, consumers clip); dW and dWperp are the
     per-cell increments of W and the independent W-perp, shape
     (M, d, n).  V and dW are transposed views of time-major (d, n+1, M)
-    and (d, n, M) arrays, so V[:, i, k] is contiguous; dWperp is stored
-    path-major, in the order of its draws.  A V-only ensemble
-    (``simulate_variance_paths(..., increments=False)``) has dW and
-    dWperp None; its V equals the full ensemble's bit for bit.
+    and (d, n, M) arrays, so V[:, i, k] is contiguous within each chunk
+    of paths; dWperp is stored path-major, in the order of its draws.
+    A V-only ensemble (``increments=False``) has dW and dWperp None;
+    its V equals the full ensemble's bit for bit.  A chunk of
+    ``simulate_variance_chunks`` is a PathEnsemble of its own, whose M
+    is the chunk's path count.
     """
 
     model: MarketModel
@@ -200,11 +213,60 @@ def simulate_variance_paths(model: MarketModel, stabs, grid: Grid, M: int, seed:
     only accepts False.  ``increments=False`` keeps V alone: dW is never
     stored and dWperp never drawn (its draw follows V0's on the common
     stream, so V0 and V do not change), which saves two (M, d, n)
-    arrays for callers that read only V.  Raises NonFiniteError when V0
-    or a path leaves the finite floats.
+    arrays for callers that read only V.  The paths are those of
+    ``simulate_variance_chunks``, bit for bit: the engine writes each
+    chunk straight into its columns of the whole arrays.  Callers that
+    read each path only through a terminal functional should take the
+    chunks instead.  Raises NonFiniteError when V0 or a path leaves the
+    finite floats, ParameterError when M < 1.
     """
     if store_noise:
         raise ParameterError("kernel-weighted noise integrals are not stored")
+    factors = _checked_factors(model, grid, M, initial, factors)
+    d, n = model.d, grid.n
+    # time-major storage: each asset's cells are contiguous rows of M paths
+    V = _mapped((d, n + 1, M))
+    dW = _mapped((d, n, M)) if increments else None
+    dWperp = np.empty((M, d, n)) if increments else None
+    for _ in _advance_chunks(model, stabs, grid, M, seed, initial, factors, increments,
+                             out=(V, dW, dWperp)):
+        pass
+    return PathEnsemble(model=model, grid=grid, M=M, seed=seed, V=V.transpose(2, 0, 1),
+                        dW=dW.transpose(2, 0, 1) if increments else None, dWperp=dWperp)
+
+
+def simulate_variance_chunks(model: MarketModel, stabs, grid: Grid, M: int, seed: int, *,
+                             initial: str = "stationary",
+                             factors: list | None = None,
+                             increments: bool = True):
+    """The paths of ``simulate_variance_paths``, one chunk at a time.
+
+    Yields a PathEnsemble per block of ``_CHUNK_PATHS`` paths (the last
+    one holds the rest), in path order; its M is the chunk's path count.
+    The engine's scratch and each chunk's arrays scale with the chunk,
+    not with M, so a consumer that keeps only per-path values and drops
+    each chunk before taking the next runs in memory independent of M.
+    The arguments are checked and the factors built before the first
+    chunk is asked for.
+    """
+    factors = _checked_factors(model, grid, M, initial, factors)
+    return _advance_chunks(model, stabs, grid, M, seed, initial, factors, increments)
+
+
+def ensemble_chunks(ensemble: PathEnsemble):
+    """Views of a whole ensemble over the chunks ``simulate_variance_chunks`` yields."""
+    for c0 in range(0, ensemble.M, _CHUNK_PATHS):
+        paths = slice(c0, c0 + _CHUNK_PATHS)
+        yield replace(ensemble, M=len(range(ensemble.M)[paths]), V=ensemble.V[paths],
+                      dW=None if ensemble.dW is None else ensemble.dW[paths],
+                      dWperp=None if ensemble.dWperp is None else ensemble.dWperp[paths])
+
+
+def _checked_factors(model: MarketModel, grid: Grid, M: int, initial: str,
+                     factors: list | None) -> list:
+    """Validate the engine's arguments; the prebuilt factors, or new ones."""
+    if M < 1:
+        raise ParameterError(f"path count M must be >= 1, got {M}")
     if grid.T != model.T:
         raise ParameterError(f"grid horizon  {grid.T} != model horizon {model.T}")
     if initial not in ("stationary", "fixed"):
@@ -217,32 +279,53 @@ def simulate_variance_paths(model: MarketModel, stabs, grid: Grid, M: int, seed:
     for f in factors:
         if f.grid != grid:
             raise ParameterError("prebuilt factor grid does not match the simulation grid")
+    return factors
+
+
+def _advance_chunks(model: MarketModel, stabs, grid: Grid, M: int, seed: int, initial: str,
+                    factors: list, increments: bool, out=None):
+    """Simulate the paths chunk by chunk, yielding each chunk's ensemble.
+
+    Chunk c covers paths c C .. min((c+1) C, M) - 1 with C = _CHUNK_PATHS
+    and draws from the c-th ``spawn(1 + d)`` group of SeedSequence(seed):
+    V0, then dWperp, from child 0 and asset i's normals from child 1 + i.
+    ``out`` = (V, dW, dWperp), whole (d, n+1, M), (d, n, M) and (M, d, n)
+    arrays (dW and dWperp None without increments), makes each chunk
+    write into its columns of them; otherwise every chunk gets arrays of
+    its own.
+    """
     d, n, dt = model.d, grid.n, grid.dt
-    seq = np.random.SeedSequence(seed)
-    children = seq.spawn(1 + d)
-    rng_common = np.random.default_rng(children[0])
-    rngs_asset = [np.random.default_rng(children[1 + i]) for i in range(d)]
-
-    if initial == "stationary":
-        with np.errstate(over="ignore", invalid="ignore"):
-            V0 = sample_initial_variance(model, M, None, rng=rng_common)
-    else:
-        V0 = np.tile(model.x_inf, (M, 1))
-    require_finite("initial variance", V0)
-    dWperp = np.sqrt(dt) * rng_common.standard_normal((M, d, n)) if increments else None
-
-    # time-major storage: each asset's cells are contiguous rows of M paths
-    V = _mapped((d, n + 1, M))
-    V[:, 0, :] = V0.T
-    dW = _mapped((d, n, M)) if increments else None
     sig_grid = np.stack([np.asarray(st.eval(grid.times[:-1])) for st in stabs], axis=0)  # (d, n)
-    _run_concurrently([
-        functools.partial(_advance_asset, model, i, factors[i], sig_grid[i], rngs_asset[i],
-                          V[i], dW[i] if increments else None)
-        for i in range(d)
-    ])
-    return PathEnsemble(model=model, grid=grid, M=M, seed=seed, V=V.transpose(2, 0, 1),
-                        dW=dW.transpose(2, 0, 1) if increments else None, dWperp=dWperp)
+    seq = np.random.SeedSequence(seed)
+    for c0 in range(0, M, _CHUNK_PATHS):
+        c1 = min(c0 + _CHUNK_PATHS, M)
+        m = c1 - c0
+        rng_common, *rngs_asset = (np.random.default_rng(child) for child in seq.spawn(1 + d))
+        if initial == "stationary":
+            with np.errstate(over="ignore", invalid="ignore"):
+                V0 = sample_initial_variance(model, m, None, rng=rng_common)
+        else:
+            V0 = np.tile(model.x_inf, (m, 1))
+        require_finite("initial variance", V0)
+        if out is None:
+            V = _mapped((d, n + 1, m))
+            dW = _mapped((d, n, m)) if increments else None
+            dWperp = np.empty((m, d, n)) if increments else None
+        else:
+            V = out[0][:, :, c0:c1]
+            dW = out[1][:, :, c0:c1] if increments else None
+            dWperp = out[2][c0:c1] if increments else None
+        if increments:
+            rng_common.standard_normal(out=dWperp)
+            dWperp *= np.sqrt(dt)
+        V[:, 0, :] = V0.T
+        _run_concurrently([
+            functools.partial(_advance_asset, model, i, factors[i], sig_grid[i], rngs_asset[i],
+                              V[i], dW[i] if increments else None)
+            for i in range(d)
+        ])
+        yield PathEnsemble(model=model, grid=grid, M=m, seed=seed, V=V.transpose(2, 0, 1),
+                           dW=dW.transpose(2, 0, 1) if increments else None, dWperp=dWperp)
 
 
 def _cpu_count() -> int:
@@ -290,13 +373,14 @@ def require_finite(what: str, arr: np.ndarray) -> None:
 # summation order, and with it the bit-exact output, never depends on
 # the environment
 _BLOCK = 64
-# entries per far-field product: a block's flush is split into chunks
-# of paths so that its product buffer stays near 4 MB.  The chunk edges
-# depend only on these constants, M and the row count, so the output
-# stays deterministic.  gemm promises no bits across different column
-# splits; the OpenBLAS build this was measured with gave V bit for bit
-# equal to one product over all paths (chunks start at multiples of 64
-# paths and the last one runs to M)
+# entries per far-field product: a block's flush is split into column
+# ranges of the chunk's paths so that its product buffer stays near
+# 4 MB.  The range edges depend only on these constants, the chunk's
+# path count and the row count, so the output stays deterministic.
+# gemm promises no bits across different column splits; the OpenBLAS
+# build this was measured with gave V bit for bit equal to one product
+# over all paths (ranges start at multiples of 64 paths and the last
+# one runs to the chunk's end)
 _FAR_CELLS = 1 << 19
 
 
@@ -322,11 +406,12 @@ def _mapped(shape) -> np.ndarray:
 def _advance_asset(model: MarketModel, i: int, fac: GaussianBlockFactor,
                    sig: np.ndarray, rng: np.random.Generator,
                    V: np.ndarray, dW: np.ndarray | None) -> None:
-    """Blocked Volterra accumulation of one asset over all paths, in place.
+    """Blocked Volterra accumulation of one asset over one chunk of paths, in place.
 
-    V is the asset's time-major (n+1, M) slab, holding V0 in row 0 and
-    zeros below; dW is its (n, M) slab of increments, or None when the
-    increments are not kept.  Each cell l
+    V is the asset's time-major (n+1, m) slab of the chunk's m paths (a
+    contiguous array, or m columns of a wider one), holding V0 in row 0
+    and zeros below; dW is its (n, m) slab of increments, or None when
+    the increments are not kept.  Each cell l
     contributes drift_l C[k-l] + vol_l G_{k,l} to every later time k.
     Rows of V beyond the current cell hold the running sum of these
     contributions; a row becomes V0 + sum once its last contribution is

@@ -122,6 +122,25 @@ def test_one_n_boot_exit_code(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "mc.n_boot: expected >= 2" in err
 
 
+@pytest.mark.parametrize("command, old, new", [
+    ("simulate", "M = 120", "M = -5"),
+    ("frontier", "M = 120", "M = -5"),
+    ("frontier", "M = 120", "M = 0"),
+    ("wealth", "M = 120", "M = 1"),
+    ("laplace", "laplace_M = 120", "laplace_M = -3"),
+    ("full", "stationarity_M = 120", "stationarity_M = 1"),
+])
+def test_too_few_paths_exit_code(tmp_path, capsys, command, old, new):
+    # a Monte Carlo spread needs two paths: a configuration error with
+    # one line naming the key, not a traceback
+    path = _write(tmp_path, TINY.replace(old, new))
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.strip()
+    key = new.split(" = ")[0]
+    assert len(err.splitlines()) == 1 and err.startswith("config error")
+    assert f".{key}: expected >= 2 paths" in err
+
+
 def test_missing_field_exit_code(tmp_path):
     path = _write(tmp_path, "[model]\nd = 2\n")
     assert main(["riccati", "--config", path]) == 2
@@ -191,22 +210,42 @@ def test_simulate_computes_each_bootstrap_once(tmp_path, monkeypatch):
 
 def test_v_only_stages_skip_the_increments(tmp_path, monkeypatch):
     # the stationarity and Laplace stages read V alone, so they ask the
-    # engine for no Brownian increments; the wealth stage keeps them
-    from voltmark import cli, markowitz, simulate
+    # engine for no Brownian increments; the wealth and frontier stages
+    # keep them.  Laplace and frontier take the paths chunk by chunk
+    from voltmark import cli, markowitz, montecarlo, simulate
 
     requested = []
-    real = simulate.simulate_variance_paths
 
-    def spy(*args, **kwargs):
-        requested.append(kwargs.get("increments", True))
-        return real(*args, **kwargs)
+    def spy(real):
+        def wrapped(*args, **kwargs):
+            requested.append((real.__name__, kwargs.get("increments", True)))
+            return real(*args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(simulate, "simulate_variance_paths", spy)
-    monkeypatch.setattr(markowitz, "simulate_variance_paths", spy)
+    monkeypatch.setattr(simulate, "simulate_variance_paths",
+                        spy(simulate.simulate_variance_paths))
+    chunks = spy(simulate.simulate_variance_chunks)
+    monkeypatch.setattr(markowitz, "simulate_variance_chunks", chunks)
+    monkeypatch.setattr(montecarlo, "simulate_variance_chunks", chunks)
     cfg = load_config(TINY)
-    for runner in (cli.run_simulate, cli.run_laplace, cli.run_wealth):
+    for runner in (cli.run_simulate, cli.run_laplace, cli.run_wealth, cli.run_frontier):
         runner(cfg, str(tmp_path))
-    assert requested == [False, False, True]
+    assert requested == [("simulate_variance_paths", False), ("simulate_variance_chunks", False),
+                         ("simulate_variance_paths", True), ("simulate_variance_chunks", True)]
+
+
+def test_manifest_records_thread_cap_and_chunk_size(tmp_path, monkeypatch):
+    # the CSV bits depend on the BLAS thread cap and the paths per chunk
+    from voltmark import simulate
+
+    path = _write(tmp_path, TINY)
+    for cap in (None, 3):
+        monkeypatch.setattr(voltmark, "_blas_threads", cap)
+        out = tmp_path / f"cap{cap}"
+        assert main(["riccati", "--config", path, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["blas_threads"] == cap
+        assert manifest["chunk_paths"] == simulate._CHUNK_PATHS == 4096
 
 
 def test_seed_override_changes_output(tmp_path):
@@ -266,6 +305,30 @@ def test_threads_variable_reaches_blas():
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=dict(env, VOLTMARK_THREADS=value))
         assert proc.returncode == 0 and proc.stdout.strip() == expected, proc.stderr
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_frontier_memory_does_not_grow_with_paths(tmp_path):
+    # frontier keeps (A_T, B_T) per path and drops each chunk of paths, so
+    # three more chunks must add far less than holding their paths would:
+    # 3 C d (n+1) doubles for V alone, as much again for dW and for dWperp
+    from voltmark.simulate import _CHUNK_PATHS as C
+
+    n, d = 200, 2
+    peak_mb = []
+    for M in (C, 4 * C):
+        path = _write(tmp_path, _DEFAULT_CONFIG.replace("M = 5000", f"M = {M}")
+                      .replace("n = 600", f"n = {n}").replace("n_boot = 1000", "n_boot = 20")
+                      .replace("m_count = 8", "m_count = 2"), name=f"cfg{M}.ini")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "voltmark", "frontier", "--config", path,
+             "--out", str(tmp_path / f"o{M}")],
+            stdout=subprocess.DEVNULL, env=dict(_child_env(), VOLTMARK_THREADS="1"))
+        _, status, usage = os.wait4(proc.pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        peak_mb.append(usage.ru_maxrss / 1024)
+    extra_v_mb = 3 * C * d * (n + 1) * 8 / 2**20
+    assert peak_mb[1] - peak_mb[0] < extra_v_mb / 2, peak_mb
 
 
 def test_console_entry_point():

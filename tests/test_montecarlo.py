@@ -112,6 +112,17 @@ def test_terminal_bootstrap_consistency():
     assert mean_se == pytest.approx(2.0 / np.sqrt(4000), rel=0.2)
 
 
+@pytest.mark.parametrize("n_boot", [2, 64, 150])
+def test_blocked_weights_equal_one_multinomial_draw(n_boot):
+    # drawn a block of rows at a time into one float array, the weights
+    # are those of a single multinomial draw of every row, bit for bit
+    M = 37
+    w = _bootstrap_weights(M, n_boot, np.random.default_rng(6))
+    one_draw = np.random.default_rng(6).multinomial(M, np.full(M, 1.0 / M), size=n_boot) / M
+    assert w.dtype == np.float64 and w.shape == (n_boot, M)
+    assert np.array_equal(w, one_draw)
+
+
 def test_affine_resamples_match_direct():
     # the closed form from the five moments of (A, B) against w @ x and
     # w @ x^2 for the same weights
