@@ -42,6 +42,9 @@ _ML_SERIES_RADIUS = 5.0
 _ML_MAX_TERMS = 250
 _N_JACOBI = 32
 _N_LEGENDRE = 32
+# Mittag-Leffler terms of the resolvent convolved in closed form by
+# resolvent_equation_residual
+_RESOLVENT_HEAD = 3
 
 
 @dataclass(frozen=True)
@@ -248,41 +251,57 @@ def _legendre_rule(n: int = _N_LEGENDRE):
     return roots_legendre(n)
 
 
-def kernel_cross_segment(spec: KernelSpec, t_k: float, t_k2: float, a: float, b: float) -> float:
+def kernel_cross_segment(spec: KernelSpec, t_k, t_k2, a: float, b: float) -> float | np.ndarray:
     """int_a^b K(t_k - s) K(t_k2 - s) ds for a < b <= min(t_k, t_k2).
 
+    Vectorized in t_k and t_k2, which broadcast against each other.
     Needed for the covariance of kernel-weighted Brownian integrals.  The
     equal-time case has the closed form
-    ((t_k-a)^(2a-1) - (t_k-b)^(2a-1)) / ((2a-1) Gamma(a)^2) and K = 1
-    gives b - a; otherwise a Gauss-Jacobi rule absorbs the
-    (t_min - s)^(alpha-1) endpoint singularity whenever b hits t_min,
-    and plain Gauss-Legendre is used when both factors are regular on
-    the segment.
+    ((t_k-a)^(2a-1) - (t_k-b)^(2a-1)) / ((2a-1) Gamma(a)^2), evaluated
+    per element with scalar ``pow`` (an array power may round the last
+    bit differently), and K = 1 gives b - a; otherwise a Gauss-Jacobi
+    rule absorbs the (t_min - s)^(alpha-1) endpoint singularity whenever
+    b hits t_min, and plain Gauss-Legendre is used when both factors are
+    regular on the segment.  Each element is the same float however the
+    times are batched.
     """
+    scalar = np.isscalar(t_k) and np.isscalar(t_k2)
+    t_k, t_k2 = np.broadcast_arrays(np.atleast_1d(np.asarray(t_k, dtype=float)),
+                                    np.atleast_1d(np.asarray(t_k2, dtype=float)))
     if not a < b:
         raise DomainError(f"segment [{a}, {b}] is empty or reversed")
-    t_lo, t_hi = min(t_k, t_k2), max(t_k, t_k2)
-    if b > t_lo * (1 + 1e-12) + 1e-300:
+    t_lo, t_hi = np.minimum(t_k, t_k2), np.maximum(t_k, t_k2)
+    if np.any(b > t_lo * (1 + 1e-12) + 1e-300):
         raise DomainError("segment must satisfy b <= min(t_k, t_k2)")
     al = spec.alpha
+    out = np.empty(t_k.shape)
     if al == 1.0:
-        return b - a
-    if t_k == t_k2:
+        out[...] = b - a
+        return float(out[0]) if scalar else out
+    equal = t_k == t_k2
+    if np.any(equal):
         p = 2.0 * al - 1.0
-        return ((t_k - a) ** p - (t_k - b) ** p) / (p * gamma_fn(al) ** 2)
-    if np.isclose(b, t_lo, rtol=1e-12, atol=0.0):
+        out[equal] = [(t - a) ** p - (t - b) ** p for t in t_k[equal]]
+        out[equal] /= p * gamma_fn(al) ** 2
+    # the rules' dot products run one element at a time, as a scalar call
+    # does, so their summation order does not depend on the batch
+    h = 0.5 * (b - a)
+    at_lo = ~equal & np.isclose(b, t_lo, rtol=1e-12, atol=0.0)
+    if np.any(at_lo):
         expo = al - 1.0
         nodes, weights = _jacobi_rule(expo)
-        h = 0.5 * (b - a)
         s = a + h * (nodes + 1.0)
         # split off the singular power of (t_lo - s); the rest is smooth
-        smooth = eval_kernel(spec, t_hi - s) * (1.0 / gamma_fn(al))
-        return float(h ** (expo + 1.0) * (weights @ smooth))
-    nodes, weights = _legendre_rule()
-    h = 0.5 * (b - a)
-    s = a + h * (nodes + 1.0)
-    vals = eval_kernel(spec, t_k - s) * eval_kernel(spec, t_k2 - s)
-    return float(h * (weights @ vals))
+        smooth = eval_kernel(spec, t_hi[at_lo][:, None] - s) * (1.0 / gamma_fn(al))
+        out[at_lo] = [h ** (expo + 1.0) * (weights @ row) for row in smooth]
+    regular = ~equal & ~at_lo
+    if np.any(regular):
+        nodes, weights = _legendre_rule()
+        s = a + h * (nodes + 1.0)
+        vals = (eval_kernel(spec, t_k[regular][:, None] - s)
+                * eval_kernel(spec, t_k2[regular][:, None] - s))
+        out[regular] = [h * (weights @ row) for row in vals]
+    return float(out[0]) if scalar else out
 
 
 def _power_moments(r: float, n: int, dt: float):
@@ -325,14 +344,25 @@ def kernel_convolve(spec: KernelSpec, g: np.ndarray, grid: np.ndarray) -> np.nda
 def resolvent_equation_residual(spec: ResolventSpec, T: float, n: int) -> float:
     """max_k |R(t_k) + lam (K*R)(t_k) - 1| on the uniform grid over [0, T].
 
-    The convolution is product integration against the piecewise-linear
-    interpolant of R, so the residual measures how well the evaluated
-    resolvent satisfies its defining Volterra equation.
+    R = E_alpha(-lam t^alpha) has a t^alpha cusp at 0 that a
+    piecewise-linear interpolant misses.  The first _RESOLVENT_HEAD terms
+    of its Mittag-Leffler series, (-lam t^alpha)^k / Gamma(alpha k + 1),
+    are therefore convolved in closed form,
+    K * t^(alpha k) / Gamma(alpha k + 1) = t^(alpha (k+1)) / Gamma(alpha (k+1) + 1),
+    and only the smoother remainder by product integration against its
+    piecewise-linear interpolant.  The residual so measures how well the
+    evaluated resolvent satisfies its defining Volterra equation.
     """
     grid = np.linspace(0.0, T, n + 1)
     R = np.asarray(resolvent(spec, grid))
-    conv = kernel_convolve(spec.kernel, R, grid)
-    return float(np.max(np.abs(R + spec.lam * conv - 1.0)))
+    al, lam = spec.kernel.alpha, spec.lam
+    head = np.zeros_like(grid)
+    head_conv = np.zeros_like(grid)
+    for k in range(_RESOLVENT_HEAD):
+        head += (-lam) ** k * grid ** (al * k) / gamma_fn(al * k + 1.0)
+        head_conv += (-lam) ** k * grid ** (al * (k + 1)) / gamma_fn(al * (k + 1) + 1.0)
+    conv = head_conv + kernel_convolve(spec.kernel, R - head, grid)
+    return float(np.max(np.abs(R + lam * conv - 1.0)))
 
 
 def fractional_integral(r: float, f: np.ndarray, T: float) -> float:

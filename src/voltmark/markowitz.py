@@ -122,7 +122,9 @@ def gamma0(model: MarketModel, solution: RiccatiSolution, stabs, v0=None, *,
     the defining integral; the two routes must agree to ``check_tol``
     relative or ConsistencyError is raised.  The integrals converge like
     a positive power of the step, so the psi grid is refined to at least
-    ``refine_to`` steps internally (pass 0 to disable).
+    ``refine_to`` steps internally (pass 0 to disable).  The refined
+    solve goes through the memo of ``solve_riccati_adams``, so repeated
+    calls on one (model, stabs) pair run it once per process.
 
     v0 defaults to the stationary mean x_inf, matching the convention
     that a single Gamma0 prices the frontier.
@@ -384,7 +386,10 @@ def laplace_closed_form(model: MarketModel, stabs, u, v0=None, n_solver: int = _
 
     exp( int_0^T g0(s)^T u ds + int_0^T F(s, psi(T-s))^T g0(s) ds ) with
     g0_i(s) = V0_i + mu0_i s^alpha_i / Gamma(alpha_i + 1) and F the
-    drift-quadratic functional without risk-premium terms.
+    drift-quadratic functional without risk-premium terms.  psi comes
+    from ``solve_laplace_riccati`` on ``n_solver`` steps, through the
+    memo of ``solve_riccati_adams``: repeated calls with the same
+    (model, stabs, u, n_solver) solve the system once per process.
     """
     u = np.broadcast_to(np.asarray(u, dtype=float), (model.d,))
     v0 = model.x_inf if v0 is None else np.broadcast_to(np.asarray(v0, float), (model.d,))

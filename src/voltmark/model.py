@@ -9,11 +9,13 @@ from .stabilizer import build_stabilizer
 
 
 def _vec(x, d: int, name: str) -> np.ndarray:
-    out = np.atleast_1d(np.asarray(x, dtype=float))
+    """Read-only float copy of x with d components (a scalar is repeated)."""
+    out = np.atleast_1d(np.array(x, dtype=float))
     if out.shape == (1,) and d > 1:
         out = np.repeat(out, d)
     if out.shape != (d,):
         raise ParameterError(f"{name} must have {d} components, got shape {out.shape}")
+    out.flags.writeable = False
     return out
 
 
@@ -51,6 +53,9 @@ class MarketModel:
 
     Derived: x_inf = mu0 / lam is the constant mean of the variance
     process and v0 = c nu^2 x_inf its constant variance.
+
+    Immutable: the per-asset arrays are read-only copies, and models
+    compare by identity, which the Riccati memo keys on.
     """
 
     d: int

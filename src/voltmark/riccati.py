@@ -20,9 +20,15 @@ lam_bar_i = lam_i + 2 nu_i rho_i theta_i ||sig_i||_inf 1{rho_i <= 0} is
 positive; the solver aborts once any psi_i turns NaN/Inf or |psi_i|
 exceeds ten times that bound (or a fixed cap when the bound does not
 apply).
+
+`solve_riccati_adams` keeps its last few distinct solutions, so the
+Gamma0 refinement and the Laplace closed form, which re-solve the same
+system on a fixed fine grid, run each solve once per process.
 """
 
+import threading
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,9 +157,21 @@ def _rhs_tables(model: MarketModel, stabs, grid: Grid, forcing, include_theta):
     return rhs
 
 
-# overflow and NaN are caught by the blow-up guard, which raises with one
-# message; numpy's own warnings would only repeat it on stderr
-@np.errstate(over="ignore", invalid="ignore")
+# solutions kept by solve_riccati_adams, most recently used last; each
+# entry is (model, stabs, solution) and so keeps its key's objects alive
+_MEMO_SIZE = 8
+_memo: OrderedDict = OrderedDict()
+_memo_lock = threading.Lock()
+
+
+def _value_key(x):
+    """Hashable by-value key of None or an array-like of floats."""
+    if x is None:
+        return None
+    a = np.asarray(x, dtype=float)
+    return a.shape, a.tobytes()
+
+
 def solve_riccati_adams(model: MarketModel, stabs, n: int, *,
                         forcing=None, include_theta: bool = True,
                         cap=None) -> RiccatiSolution:
@@ -166,7 +184,37 @@ def solve_riccati_adams(model: MarketModel, stabs, n: int, *,
     with f(t_j, y) = -theta^2 + F(T - t_j, y).  Raises BlowupError when
     any psi_i is not finite or |psi_i| exceeds 10x the resolvent bound
     (or 1e6 without one).
+
+    Solutions are memoized per process: the key is the identity of
+    ``model`` and of each stabilizer (both immutable) together with
+    ``n``, ``forcing``, ``include_theta`` and ``cap`` by value, and the
+    last few distinct solves are kept.  A repeated call returns the same
+    RiccatiSolution, whose ``psi`` is read-only.  A blow-up is never
+    kept, so it raises on every call.
     """
+    stabs = tuple(stabs)
+    key = (id(model), tuple(map(id, stabs)), n, _value_key(forcing), include_theta,
+           _value_key(cap))
+    with _memo_lock:
+        entry = _memo.get(key)
+        if entry is not None:
+            _memo.move_to_end(key)
+            return entry[2]
+    solution = _solve_adams(model, stabs, n, forcing, include_theta, cap)
+    solution.psi.flags.writeable = False
+    with _memo_lock:
+        _memo[key] = (model, stabs, solution)
+        while len(_memo) > _MEMO_SIZE:
+            _memo.popitem(last=False)
+    return solution
+
+
+# overflow and NaN are caught by the blow-up guard, which raises with one
+# message; numpy's own warnings would only repeat it on stderr
+@np.errstate(over="ignore", invalid="ignore")
+def _solve_adams(model: MarketModel, stabs, n: int, forcing, include_theta: bool,
+                 cap) -> RiccatiSolution:
+    """The Adams solve behind ``solve_riccati_adams``, without the memo."""
     if n < 2:
         raise ParameterError("Adams solve needs n >= 2")
     grid = Grid(model.T, n)
@@ -182,6 +230,9 @@ def solve_riccati_adams(model: MarketModel, stabs, n: int, *,
             cap = np.full(d, _FALLBACK_CAP)
     else:
         cap = np.broadcast_to(np.asarray(cap, dtype=float), (d,)).copy()
+    # |y| <= cap is false for NaN, and for +-inf under a finite cap, so
+    # only an infinite cap needs the separate finiteness test
+    cap_finite = bool(np.all(np.isfinite(cap)))
 
     psi = np.zeros((n + 1, d))
     fhist = np.empty((n + 1, d))
@@ -200,7 +251,7 @@ def solve_riccati_adams(model: MarketModel, stabs, n: int, *,
             if k >= 1:
                 acc += fhist[1 : k + 1, i] @ a_inner[:k][::-1]
             y_new[i] = acc + a_diag * f_pred[i]
-        if not np.all(np.isfinite(y_new)) or np.any(np.abs(y_new) > cap):
+        if not (np.abs(y_new) <= cap).all() or not (cap_finite or np.isfinite(y_new).all()):
             raise BlowupError(
                 f"psi not finite or beyond the blow-up guard at t = {grid.times[k + 1]:.6g} "
                 f"(values {y_new}, caps {cap})"
@@ -310,7 +361,8 @@ def solve_laplace_riccati(model: MarketModel, stabs, n: int, u) -> RiccatiSoluti
 
     psi(t) = int_0^t K(t-s) (u + F(T-s, psi(s))) ds with
     F_i = (D^T psi)_i + nu_i^2/2 (sig_i psi_i)^2; u <= 0 guarantees a
-    global non-positive solution.
+    global non-positive solution.  Goes through the memo of
+    ``solve_riccati_adams`` (u is part of its key by value).
     """
     u = np.broadcast_to(np.asarray(u, dtype=float), (model.d,)).copy()
     if np.any(u > 0.0):

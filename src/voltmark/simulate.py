@@ -114,9 +114,8 @@ def _covariance_matrix(spec: KernelSpec, grid: Grid) -> tuple[np.ndarray, np.nda
     core = (B * weights[None, :]) @ B.T * (0.5 * dt)
     cov[:n, :n] = core
     # exact diagonal and singular first row/column
-    for j in range(n):
-        cov[j, j] = kernel_cross_segment(spec, t_up[j], t_up[j], 0.0, dt)
-    row0 = np.array([kernel_cross_segment(spec, t_up[j], t_up[0], 0.0, dt) for j in range(1, n)])
+    cov[lags, lags] = kernel_cross_segment(spec, t_up, t_up, 0.0, dt)
+    row0 = kernel_cross_segment(spec, t_up[1:], t_up[0], 0.0, dt)
     cov[0, 1:n] = row0
     cov[1:n, 0] = row0
     cov[:n, n] = c_seg

@@ -23,6 +23,7 @@ own error is below 1e-15 of c lam^2 for the bundled parameters.
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 from scipy.integrate import quad
@@ -140,9 +141,13 @@ def _unit_density_l2_norm(alpha: float) -> float:
     return float(np.sqrt(head_val + tail_val))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class StabilizerSeries:
     """Evaluator of the stabilizer sigma_{alpha,lam,c} for one asset.
+
+    Immutable (``coeffs`` is a read-only copy) and compared by identity,
+    so the Riccati memo can key on the object (see
+    ``riccati.solve_riccati_adams``).
 
     Attributes
     ----------
@@ -167,6 +172,11 @@ class StabilizerSeries:
     truncation_K: int
     switch_u: float
     limit: float
+
+    def __post_init__(self):
+        coeffs = np.array(self.coeffs, dtype=float)
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def switch_time(self) -> float:
@@ -207,23 +217,29 @@ class StabilizerSeries:
         return float(np.max(self.eval(grid)))
 
 
+@dataclass(frozen=True, eq=False)
 class ConstantStabilizer:
     """Constant diffusion multiplier, the exact stabilizer at alpha = 1.
 
     ``lam`` and ``c`` are the parameters whose functional equation the
     value solves; ``build_stabilizer`` records them, a bare constant
-    multiplier leaves them None.
+    multiplier leaves them None.  Immutable and compared by identity,
+    like ``StabilizerSeries``.
     """
 
-    alpha = 1.0
+    value: float
+    lam: float | None = None
+    c: float | None = None
+    alpha: ClassVar[float] = 1.0
 
-    def __init__(self, value: float, lam: float | None = None, c: float | None = None):
-        if value < 0.0:
+    def __post_init__(self):
+        if self.value < 0.0:
             raise ParameterError("stabilizer value must be >= 0")
-        self.value = float(value)
-        self.limit = float(value)
-        self.lam = lam
-        self.c = c
+        object.__setattr__(self, "value", float(self.value))
+
+    @property
+    def limit(self) -> float:
+        return self.value
 
     def eval(self, t) -> float | np.ndarray:
         if np.isscalar(t):

@@ -120,6 +120,7 @@ def test_resolvent_fractional_is_mittag_leffler():
     (fractional_kernel(0.7), 1.1),
     (fractional_kernel(0.75), 0.9),
     (fractional_kernel(1.0), 0.7),
+    (fractional_kernel(0.55), 0.9),
 ])
 def test_resolvent_defining_equation(spec, lam):
     res = resolvent_equation_residual(ResolventSpec(spec, lam), 2.0, 8000)
@@ -206,6 +207,42 @@ def test_kernel_cross_segment_symmetry_and_sign():
         v2 = kernel_cross_segment(spec, tk2, tk, a, b)
         assert v1 >= 0.0
         assert v1 == pytest.approx(v2, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.55, 0.75, 1.0])
+def test_kernel_cross_segment_arrays_equal_scalar_calls(alpha):
+    # one array call covers every branch: equal times (closed form),
+    # b = min time (Jacobi) and both factors regular (Legendre)
+    spec = fractional_kernel(alpha)
+    a, b = 0.1, 0.3
+    t_k = np.array([0.3, 0.3, 0.45, 0.8, 0.5, 1.7])
+    t_k2 = np.array([0.3, 0.9, 0.3, 0.8, 0.6, 0.35])
+    out = kernel_cross_segment(spec, t_k, t_k2, a, b)
+    ref = [kernel_cross_segment(spec, x, y, a, b) for x, y in zip(t_k, t_k2)]
+    assert out.shape == t_k.shape
+    assert np.array_equal(out, ref)
+    # a scalar second time broadcasts, and scalars still give a float
+    assert np.array_equal(kernel_cross_segment(spec, t_k[2:], 0.3, a, b),
+                          [kernel_cross_segment(spec, x, 0.3, a, b) for x in t_k[2:]])
+    assert isinstance(kernel_cross_segment(spec, 0.8, 0.5, a, b), float)
+
+
+def test_kernel_cross_segment_diagonal_uses_scalar_pow():
+    # an array power may round differently from libm pow; the diagonal
+    # of the covariance must not depend on which one ran
+    al, dt = 0.6, 1.0 / 2400
+    t = (np.arange(2400) + 1.0) * dt
+    p = 2.0 * al - 1.0
+    ref = [(x ** p - (x - dt) ** p) / (p * G(al) ** 2) for x in t.tolist()]
+    assert np.array_equal(kernel_cross_segment(fractional_kernel(al), t, t, 0.0, dt), ref)
+
+
+def test_kernel_cross_segment_array_domain_checks():
+    spec = fractional_kernel(0.6)
+    with pytest.raises(DomainError):
+        kernel_cross_segment(spec, np.array([1.0, 0.2]), 1.0, 0.0, 0.5)
+    with pytest.raises(DomainError):
+        kernel_cross_segment(spec, np.array([1.0, 2.0]), 1.0, 0.5, 0.5)
 
 
 # --- fractional integrals --------------------------------------------------

@@ -1,9 +1,14 @@
 """Riccati-Volterra solver against the Picard oracle and the resolvent bound."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from conftest import small_model
+from voltmark import riccati
+from voltmark.markowitz import gamma0
 from voltmark.model import Grid, MarketModel, bundled_model
 from voltmark.riccati import (
     BlowupError,
@@ -150,10 +155,141 @@ def test_bound_inapplicable_warns():
     assert np.isnan(b[0])
 
 
+def blowup_model():
+    """Strong premium with 1 - 2 rho^2 < 0: psi blows up near t = 0.15."""
+    return small_model(alpha=[0.8], lam=[0.1], nu=[2.0], rho=[-0.75], theta=[5.0], T=5.0)
+
+
 def test_blowup_guard_raises():
-    m = small_model(alpha=[0.8], lam=[0.1], nu=[2.0], rho=[-0.75], theta=[5.0], T=5.0)
     with pytest.raises(BlowupError):
-        solve_riccati_adams(m, [ConstantStabilizer(1.0)], 500)
+        solve_riccati_adams(blowup_model(), [ConstantStabilizer(1.0)], 500)
+
+
+@pytest.mark.parametrize("cap", [1e6, np.inf])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, "beyond"])
+def test_blowup_guard_catches_nan_inf_and_large(monkeypatch, value, cap):
+    # a constant rhs makes psi exactly that value; "beyond" is the genuine
+    # blow-up, which under cap = inf only ends once psi overflows
+    if value != "beyond":
+        monkeypatch.setattr(riccati, "_rhs_tables",
+                            lambda model, *args: lambda j, y: np.full(model.d, value))
+    with pytest.raises(BlowupError):
+        solve_riccati_adams(blowup_model(), [ConstantStabilizer(1.0)], 500, cap=cap)
+
+
+# --- the per-process memo of solve_riccati_adams ----------------------------
+
+@pytest.fixture
+def adams_spy(monkeypatch):
+    """Records the n of every Adams solve that misses the memo."""
+    calls = []
+    solve = riccati._solve_adams
+
+    def spy(model, stabs, n, *args):
+        calls.append(n)
+        return solve(model, stabs, n, *args)
+
+    monkeypatch.setattr(riccati, "_solve_adams", spy)
+    return calls
+
+
+def test_gamma0_refines_once_per_model_and_stabilizers(adams_spy):
+    model = bundled_model(T=5.0)
+    stabs = model.build_stabilizers()
+    sol = solve_riccati_adams(model, stabs, 600)
+    values = [gamma0(model, sol, stabs) for _ in range(3)]
+    assert adams_spy == [600, 12000]
+    assert values[0] == values[1] == values[2]
+
+
+def test_memo_returns_the_fresh_solution_read_only(adams_spy):
+    model = small_model()
+    stabs = model.build_stabilizers()
+    first = solve_riccati_adams(model, stabs, 80)
+    again = solve_riccati_adams(model, list(stabs), 80)  # same objects, new list
+    assert again is first and adams_spy == [80]
+    fresh = riccati._solve_adams(model, stabs, 80, None, True, None)
+    assert np.array_equal(again.psi, fresh.psi)
+    with pytest.raises(ValueError):
+        again.psi[0, 1] = 1.0
+
+
+def test_memo_key_separates_every_argument(adams_spy):
+    model = small_model()
+    stabs = model.build_stabilizers()
+    variants = [
+        dict(),
+        dict(n=81),
+        dict(cap=1e3),
+        dict(forcing=[-0.01]),
+        dict(forcing=[-0.02]),
+        dict(forcing=[-0.01], include_theta=False),
+        dict(stabs=model.build_stabilizers()),
+        dict(model=small_model()),
+    ]
+    for _ in range(2):
+        for v in variants:
+            v = dict(v)
+            solve_riccati_adams(v.pop("model", model), v.pop("stabs", stabs), v.pop("n", 80),
+                                **v)
+    assert len(adams_spy) == len(variants)
+
+
+def test_blowup_is_never_memoized(adams_spy):
+    model = blowup_model()
+    stabs = [ConstantStabilizer(1.0)]
+    for _ in range(2):
+        with pytest.raises(BlowupError):
+            solve_riccati_adams(model, stabs, 500)
+    assert adams_spy == [500, 500]
+
+
+def test_memo_stays_bounded(adams_spy):
+    model = small_model()
+    stabs = model.build_stabilizers()
+    sizes = range(20, 20 + 2 * riccati._MEMO_SIZE)
+    for n in sizes:
+        solve_riccati_adams(model, stabs, n)
+    assert len(riccati._memo) <= riccati._MEMO_SIZE
+    solve_riccati_adams(model, stabs, sizes[-1])   # recent: kept
+    solve_riccati_adams(model, stabs, sizes[0])    # oldest: evicted, solved again
+    assert adams_spy == list(sizes) + [sizes[0]]
+
+
+def test_memo_under_concurrent_callers():
+    # more threads than cores and a short switch interval: a lost update
+    # in the memo would overgrow it, raise or return a wrong solution
+    model = small_model()
+    stabs = model.build_stabilizers()
+    sizes = [10 + k for k in range(riccati._MEMO_SIZE + 4)]
+
+    def work(offset):
+        for k in range(60):
+            n = sizes[(offset + k) % len(sizes)]
+            assert solve_riccati_adams(model, stabs, n).n == n
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(work, i) for i in range(8)]
+            for f in futures:
+                f.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(riccati._memo) <= riccati._MEMO_SIZE
+
+
+def test_memo_inputs_are_immutable():
+    model = small_model()
+    stabs = model.build_stabilizers() + [ConstantStabilizer(0.5)]
+    with pytest.raises(ValueError):
+        model.theta[0] = 1.0
+    with pytest.raises(ValueError):
+        stabs[0].coeffs[0] = 1.0
+    for target, attr in [(model, "T"), (stabs[0], "lam"), (stabs[1], "value")]:
+        with pytest.raises(AttributeError):
+            setattr(target, attr, 2.0)
 
 
 def test_admissibility_constant_examples():

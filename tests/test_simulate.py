@@ -8,7 +8,12 @@ from scipy.integrate import quad
 
 from conftest import small_model
 from voltmark import simulate
-from voltmark.kernels import eval_kernel, fractional_kernel, kernel_mean_segment
+from voltmark.kernels import (
+    eval_kernel,
+    fractional_kernel,
+    kernel_cross_segment,
+    kernel_mean_segment,
+)
 from voltmark.model import Grid, MarketModel, bundled_model
 from voltmark.simulate import (
     NonFiniteError,
@@ -60,6 +65,21 @@ def test_covariance_entries_vs_quadrature():
     # DW row entries are the cell means
     assert np.allclose(cov[:-1, -1],
                        kernel_mean_segment(spec, (np.arange(600) + 1.0) * dt, 0.0, dt))
+
+
+@pytest.mark.parametrize("n", [120, 600])
+@pytest.mark.parametrize("alpha", [0.55, 0.6, 0.9])
+def test_covariance_exact_entries_equal_per_entry_calls(alpha, n):
+    # the diagonal and the singular first row come from two array calls;
+    # they must be the very floats of one call per entry
+    spec, g = fractional_kernel(alpha), Grid(1.0, n)
+    cov, _ = _covariance_matrix(spec, g)
+    t_up = (np.arange(n) + 1.0) * g.dt
+    diag = [kernel_cross_segment(spec, t_up[j], t_up[j], 0.0, g.dt) for j in range(n)]
+    row0 = [kernel_cross_segment(spec, t_up[j], t_up[0], 0.0, g.dt) for j in range(1, n)]
+    assert np.array_equal(np.diag(cov)[:n], diag)
+    assert np.array_equal(cov[0, 1:n], row0)
+    assert np.array_equal(cov[1:n, 0], row0)
 
 
 def test_factor_sample_moments():
