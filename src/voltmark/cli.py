@@ -96,10 +96,9 @@ def _parse_floats(raw: str, path: str):
         raise ConfigError(f"{path}: cannot parse {raw!r} as numbers") from exc
 
 
-def _require_paths(path: str, M: int) -> None:
-    # every Monte Carlo estimate reports a sample spread: two paths at least
-    if M < 2:
-        raise ConfigError(f"{path}: expected >= 2 paths, got {M}")
+def _require_min(path: str, value: int, low: int, unit: str = "") -> None:
+    if value < low:
+        raise ConfigError(f"{path}: expected >= {low}{unit}, got {value}")
 
 
 def load_config(text: str) -> dict:
@@ -138,24 +137,27 @@ def load_config(text: str) -> dict:
     cfg["x0"] = c.getfloat("model", "x0")
     cfg["T"] = c.getfloat("grid", "T")
     cfg["n"] = c.getint("grid", "n")
+    # every Monte Carlo estimate reports a sample spread (two paths, two
+    # resamples at least), and numpy seeds are non-negative
     cfg["M"] = c.getint("mc", "M")
-    _require_paths("mc.M", cfg["M"])
+    _require_min("mc.M", cfg["M"], 2, " paths")
     cfg["seed"] = c.getint("mc", "seed")
+    _require_min("mc.seed", cfg["seed"], 0)
     cfg["n_boot"] = c.getint("mc", "n_boot")
-    if cfg["n_boot"] < 2:
-        raise ConfigError(f"mc.n_boot: expected >= 2, got {cfg['n_boot']}")
+    _require_min("mc.n_boot", cfg["n_boot"], 2)
     cfg["truncation_K"] = c.getint("riccati", "truncation_K")
     cfg["m"] = c.getfloat("experiment", "m")
     cfg["u"] = _parse_floats(c.get("experiment", "u"), "experiment.u")
     if len(cfg["u"]) != cfg["d"]:
         raise ConfigError(f"experiment.u: expected {cfg['d']} values, got {len(cfg['u'])}")
     cfg["m_count"] = c.getint("experiment", "m_count")
+    _require_min("experiment.m_count", cfg["m_count"], 1, " targets")
     cfg["frontier_horizons"] = _parse_floats(
         c.get("experiment", "frontier_horizons"), "experiment.frontier_horizons")
     cfg["laplace_M"] = c.getint("experiment", "laplace_M")
-    _require_paths("experiment.laplace_M", cfg["laplace_M"])
+    _require_min("experiment.laplace_M", cfg["laplace_M"], 2, " paths")
     cfg["stationarity_M"] = c.getint("experiment", "stationarity_M")
-    _require_paths("experiment.stationarity_M", cfg["stationarity_M"])
+    _require_min("experiment.stationarity_M", cfg["stationarity_M"], 2, " paths")
     cfg["output_dir"] = c.get("experiment", "output_dir")
     return cfg
 
@@ -426,15 +428,13 @@ def main(argv=None) -> int:
         else:
             text = _DEFAULT_CONFIG
         cfg = load_config(text)
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ConfigError as exc:
+        if args.seed is not None:
+            _require_min("--seed", args.seed, 0)
+            cfg["seed"] = args.seed
+    except (OSError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    if args.seed is not None:
-        cfg["seed"] = args.seed
     if args.out is not None:
         cfg["output_dir"] = args.out
     out_dir = cfg["output_dir"]

@@ -33,7 +33,6 @@ from .simulate import (
     PathEnsemble,
     _asset_increments,
     _increments,
-    correlate_asset_brownian,
     ensemble_chunks,
     require_finite,
     simulate_variance_chunks,
@@ -58,7 +57,6 @@ class MarkowitzSolution:
     eta_star: float
     slope: float
     v_of_m: float
-    v0_used: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,17 +205,15 @@ def efficient_frontier(gamma0_value: float, model: MarketModel, m_values) -> lis
     ]
 
 
-def solve_markowitz(model: MarketModel, solution: RiccatiSolution, stabs, m: float,
-                    v0=None) -> MarkowitzSolution:
-    """Bundle Gamma0, xi*, eta*, slope and V(m) for one target mean."""
-    v0_used = model.x_inf if v0 is None else np.asarray(v0, dtype=float)
-    g0 = gamma0(model, solution, stabs, v0_used)
+def solve_markowitz(model: MarketModel, solution: RiccatiSolution, stabs,
+                    m: float) -> MarkowitzSolution:
+    """Bundle Gamma0 (at V0 = x_inf), xi*, eta*, slope and V(m) for one target mean."""
+    g0 = gamma0(model, solution, stabs)
     xi, eta = xi_eta_star(g0, model, m)
     return MarkowitzSolution(
         gamma0=g0, m=float(m), xi_star=xi, eta_star=eta,
         slope=frontier_slope(g0, model),
         v_of_m=variance_of_terminal(g0, model, m),
-        v0_used=v0_used,
     )
 
 
@@ -258,6 +254,36 @@ def optimal_control(model: MarketModel, solution: RiccatiSolution, stabs, xi_sta
     return gain * gap
 
 
+# time steps per block of the wealth recursions; fixed so that the
+# output never depends on the environment
+_WEALTH_BLOCK = 64
+
+
+def _step_factors(model: MarketModel, ensemble: PathEnsemble, solution: RiccatiSolution,
+                  stabs):
+    """Gains and per-step wealth factors of the optimal feedback, in blocks of steps.
+
+    With g = -coef sqrt(V^+) at the left node and s_k = (g sqrt(V^+)) . theta dt
+    + g . DB_k, the wealth under alpha = g (X - xi* e^(-r(T-t))) steps as
+    X_{k+1} = X_k (1 + r dt) + (X_k - xi* e^(-r(T-t_k))) s_k.  Yields (first
+    step, g (M, d, w), s (w, M)) per block of ``_WEALTH_BLOCK`` steps.  Raises
+    ParameterError on a V-only ensemble or a psi grid unlike the path grid.
+    """
+    if solution.grid != ensemble.grid:
+        raise ParameterError("wealth scheme requires the psi grid to match the path grid")
+    grid = ensemble.grid
+    dW, dWperp = _increments(ensemble)
+    n, dt = grid.n, grid.dt
+    coef = control_coefficient(model, solution, stabs, grid.times[:-1])  # (d, n)
+    for lo in range(0, n, _WEALTH_BLOCK):
+        hi = min(lo + _WEALTH_BLOCK, n)
+        gain, root_v = _gain(coef[None, :, lo:hi], ensemble.V[:, :, lo:hi])  # (M, d, w)
+        dB = _asset_increments(model, dW[:, :, lo:hi], dWperp[:, :, lo:hi])
+        s = (np.einsum("mdk,mdk,d->km", gain, root_v, model.theta) * dt
+             + np.einsum("mdk,mdk->km", gain, dB))                         # (w, M)
+        yield lo, gain, s
+
+
 def simulate_wealth(model: MarketModel, ensemble: PathEnsemble, solution: RiccatiSolution,
                     stabs, xi_star: float) -> WealthEnsemble:
     """Euler scheme for the wealth under the optimal feedback strategy.
@@ -265,38 +291,30 @@ def simulate_wealth(model: MarketModel, ensemble: PathEnsemble, solution: Riccat
     X(t_k) = X(t_{k-1}) + (r X(t_{k-1}) + sum_i theta_i sqrt(V_i) alpha_i) dt
              + sum_i alpha_i (rho_i DW_i - sqrt(1-rho_i^2) DWperp_i),
 
-    with alpha evaluated at the left node from the same variance paths.
+    with alpha evaluated at the left node from the same variance paths,
+    taken as X_k (1 + r dt) + gap_k s_k and alpha_k = g_k gap_k with
+    gap_k = X_k - xi* e^(-r(T-t_k)) and g, s of ``_step_factors``.
     Raises NonFiniteError when a wealth or strategy value is not finite,
     and ParameterError on a V-only ensemble.
     Stores every path and strategy; when only X_T is needed, for any
     number of targets, ``affine_wealth_terminal`` is far cheaper.
     """
-    grid = _check_wealth_grid(ensemble, solution)
-    n, dt = grid.n, grid.dt
-    M = ensemble.M
-    dB = correlate_asset_brownian(ensemble, model)
-    coef = control_coefficient(model, solution, stabs, grid.times[:-1])  # (d, n)
+    grid = ensemble.grid
+    growth = 1.0 + model.r * grid.dt
     target = xi_star * np.exp(-model.r * (model.T - grid.times[:-1]))    # (n,)
-    X = np.empty((M, n + 1))
+    X = np.empty((ensemble.M, grid.n + 1))
     X[:, 0] = model.x0
-    alpha_paths = np.empty((M, model.d, n))
-    theta = model.theta
+    alpha_paths = np.empty((ensemble.M, model.d, grid.n))
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        for k in range(1, n + 1):
-            x_prev = X[:, k - 1]
-            gain, root_v = _gain(coef[:, k - 1][None, :], ensemble.V[:, :, k - 1])  # (M, d)
-            alpha = gain * (x_prev - target[k - 1])[:, None]
-            alpha_paths[:, :, k - 1] = alpha
-            drift = model.r * x_prev + (alpha * root_v) @ theta
-            X[:, k] = x_prev + drift * dt + np.einsum("md,md->m", alpha, dB[:, :, k - 1])
+        for lo, gain, s in _step_factors(model, ensemble, solution, stabs):
+            for b in range(len(s)):
+                k = lo + b
+                gap = X[:, k] - target[k]
+                np.multiply(gain[:, :, b], gap[:, None], out=alpha_paths[:, :, k])
+                X[:, k + 1] = X[:, k] * growth + gap * s[b]
     require_finite("wealth paths", X)
     require_finite("optimal strategy", alpha_paths)
     return WealthEnsemble(model=model, grid=grid, xi_star=xi_star, X=X, alpha_paths=alpha_paths)
-
-
-# time steps per block of the terminal-only wealth recursion; fixed so
-# that the output never depends on the environment
-_WEALTH_BLOCK = 64
 
 
 def affine_wealth_terminal(model: MarketModel, ensemble: PathEnsemble,
@@ -304,8 +322,8 @@ def affine_wealth_terminal(model: MarketModel, ensemble: PathEnsemble,
     """Terminal wealth of every target at once: X_T = A_T + xi* B_T.
 
     The optimal feedback is affine in xi*, so the Euler scheme of
-    ``simulate_wealth`` is too.  With the per-step factor
-    s_k = (g sqrt(V^+)) . theta dt + g . DB, g = -coef sqrt(V^+),
+    ``simulate_wealth`` is too.  With the per-step factor s_k of
+    ``_step_factors``,
 
         A_k = A_{k-1} (1 + r dt + s_k),                       A_0 = x0,
         B_k = B_{k-1} (1 + r dt + s_k) - e^(-r(T-t_{k-1})) s_k, B_0 = 0.
@@ -316,34 +334,20 @@ def affine_wealth_terminal(model: MarketModel, ensemble: PathEnsemble,
     raises NonFiniteError when either is not finite, and ParameterError
     on a V-only ensemble.
     """
-    grid = _check_wealth_grid(ensemble, solution)
-    dW, dWperp = _increments(ensemble)
-    n, dt = grid.n, grid.dt
-    coef = control_coefficient(model, solution, stabs, grid.times[:-1])  # (d, n)
+    grid = ensemble.grid
     disc = np.exp(-model.r * (model.T - grid.times[:-1]))               # (n,)
     A = np.full(ensemble.M, float(model.x0))
     B = np.zeros(ensemble.M)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        for lo in range(0, n, _WEALTH_BLOCK):
-            hi = min(lo + _WEALTH_BLOCK, n)
-            gain, root_v = _gain(coef[None, :, lo:hi], ensemble.V[:, :, lo:hi])  # (M, d, w)
-            dB = _asset_increments(model, dW[:, :, lo:hi], dWperp[:, :, lo:hi])
-            s = (np.einsum("mdk,mdk,d->km", gain, root_v, model.theta) * dt
-                 + np.einsum("mdk,mdk->km", gain, dB))                         # (w, M)
-            for b in range(hi - lo):
-                growth = 1.0 + model.r * dt + s[b]
+        for lo, _, s in _step_factors(model, ensemble, solution, stabs):
+            for b in range(len(s)):
+                growth = 1.0 + model.r * grid.dt + s[b]
                 A *= growth
                 B *= growth
                 B -= disc[lo + b] * s[b]
     require_finite("terminal wealth A_T", A)
     require_finite("terminal wealth B_T", B)
     return A, B
-
-
-def _check_wealth_grid(ensemble: PathEnsemble, solution: RiccatiSolution) -> Grid:
-    if solution.grid != ensemble.grid:
-        raise ParameterError("wealth scheme requires the psi grid to match the path grid")
-    return ensemble.grid
 
 
 def _trapezoid_rows(V: np.ndarray, dt: float) -> np.ndarray:
@@ -406,7 +410,7 @@ def laplace_closed_form(model: MarketModel, stabs, u, v0=None, n_solver: int = _
 
 
 def laplace_affine_check(model: MarketModel, stabs, u, grid: Grid, M: int, seed: int, *,
-                         v0=None, ensemble: PathEnsemble | None = None) -> LaplaceReport:
+                         ensemble: PathEnsemble | None = None) -> LaplaceReport:
     """Monte Carlo test of the exponential-affine Laplace formula.
 
     Simulates M paths started from x_inf (V only, without the Brownian
@@ -425,7 +429,7 @@ def laplace_affine_check(model: MarketModel, stabs, u, grid: Grid, M: int, seed:
     u = np.broadcast_to(np.asarray(u, dtype=float), (model.d,)).copy()
     if np.any(u > 0.0):
         raise ParameterError("Laplace check requires u <= 0 componentwise")
-    closed = laplace_closed_form(model, stabs, u, v0=v0, n_solver=max(grid.n, _GAMMA0_REFINE))
+    closed = laplace_closed_form(model, stabs, u, n_solver=max(grid.n, _GAMMA0_REFINE))
     chunks = (ensemble_chunks(ensemble) if ensemble is not None
               else simulate_variance_chunks(model, stabs, grid, M, seed, initial="fixed",
                                             increments=False))

@@ -15,7 +15,7 @@ import numpy as np
 from .kernels import ParameterError
 from .markowitz import affine_wealth_terminal, gamma0, variance_of_terminal, xi_eta_star
 from .model import Grid, MarketModel
-from .riccati import RiccatiSolution, solve_riccati_adams
+from .riccati import solve_riccati_adams
 from .simulate import (
     PathEnsemble,
     ensemble_chunks,
@@ -208,7 +208,6 @@ def affine_bootstrap(A: np.ndarray, B: np.ndarray, xi_values, n_boot: int = _DEF
 
 def frontier_experiment(model: MarketModel, m_values, M: int, seed: int, *,
                         grid: Grid | None = None, stabs=None,
-                        solution: RiccatiSolution | None = None,
                         ensemble: PathEnsemble | None = None,
                         n_boot: int = _DEFAULT_BOOT) -> list[FrontierPoint]:
     """Monte Carlo frontier: simulated Var(X_T) against V(m) per target m.
@@ -221,11 +220,12 @@ def frontier_experiment(model: MarketModel, m_values, M: int, seed: int, *,
     given ensemble, with the same result) and keeps only (A_T, B_T), so
     without a given ensemble no path outlives its chunk.  One bootstrap
     weight draw (seed + 7919) serves every target through
-    ``affine_bootstrap``.
+    ``affine_bootstrap``.  psi is solved on the path grid through the
+    memo of ``solve_riccati_adams``, so a caller's own solve is reused.
     """
     grid = grid or Grid(model.T, 600)
     stabs = stabs or model.build_stabilizers()
-    solution = solution or solve_riccati_adams(model, stabs, grid.n)
+    solution = solve_riccati_adams(model, stabs, grid.n)
     g0 = gamma0(model, solution, stabs)  # m-independent, priced once
     chunks = (ensemble_chunks(ensemble) if ensemble is not None
               else simulate_variance_chunks(model, stabs, grid, M, seed, initial="fixed"))

@@ -19,16 +19,14 @@ bounded by theta_i^2 / lam_bar_i (1 - R_{lam_bar_i}(T)) whenever
 lam_bar_i = lam_i + 2 nu_i rho_i theta_i ||sig_i||_inf 1{rho_i <= 0} is
 positive; the solver aborts once any psi_i turns NaN/Inf or |psi_i|
 exceeds ten times that bound (or a fixed cap when the bound does not
-apply).
+apply or ten times it overflows).
 
 `solve_riccati_adams` keeps its last few distinct solutions, so the
 Gamma0 refinement and the Laplace closed form, which re-solve the same
 system on a fixed fine grid, run each solve once per process.
 """
 
-import threading
-import warnings
-from collections import OrderedDict
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,24 +155,12 @@ def _rhs_tables(model: MarketModel, stabs, grid: Grid, forcing, include_theta):
     return rhs
 
 
-# solutions kept by solve_riccati_adams, most recently used last; each
-# entry is (model, stabs, solution) and so keeps its key's objects alive
+# solutions kept by solve_riccati_adams (least recently used dropped)
 _MEMO_SIZE = 8
-_memo: OrderedDict = OrderedDict()
-_memo_lock = threading.Lock()
-
-
-def _value_key(x):
-    """Hashable by-value key of None or an array-like of floats."""
-    if x is None:
-        return None
-    a = np.asarray(x, dtype=float)
-    return a.shape, a.tobytes()
 
 
 def solve_riccati_adams(model: MarketModel, stabs, n: int, *,
-                        forcing=None, include_theta: bool = True,
-                        cap=None) -> RiccatiSolution:
+                        forcing=None, include_theta: bool = True) -> RiccatiSolution:
     """Fractional Adams predictor-corrector solve on t_k = k T / n.
 
     y_{k+1}^P = sum_{j<=k} b_{j,k+1} f(t_j, y_j),
@@ -183,37 +169,36 @@ def solve_riccati_adams(model: MarketModel, stabs, n: int, *,
 
     with f(t_j, y) = -theta^2 + F(T - t_j, y).  Raises BlowupError when
     any psi_i is not finite or |psi_i| exceeds 10x the resolvent bound
-    (or 1e6 without one).
+    (or 1e6 where that bound does not apply or 10x it overflows).
 
-    Solutions are memoized per process: the key is the identity of
-    ``model`` and of each stabilizer (both immutable) together with
-    ``n``, ``forcing``, ``include_theta`` and ``cap`` by value, and the
-    last few distinct solves are kept.  A repeated call returns the same
-    RiccatiSolution, whose ``psi`` is read-only.  A blow-up is never
-    kept, so it raises on every call.
+    Solutions are memoized per process (``_solve_memo``): the key is the
+    identity of ``model`` and of each stabilizer (both immutable)
+    together with ``n``, ``forcing`` and ``include_theta`` by value,
+    and the last few distinct solves are kept.  A repeated call returns
+    the same RiccatiSolution, whose ``psi`` is read-only.  A blow-up is
+    never kept, so it raises on every call.
     """
-    stabs = tuple(stabs)
-    key = (id(model), tuple(map(id, stabs)), n, _value_key(forcing), include_theta,
-           _value_key(cap))
-    with _memo_lock:
-        entry = _memo.get(key)
-        if entry is not None:
-            _memo.move_to_end(key)
-            return entry[2]
-    solution = _solve_adams(model, stabs, n, forcing, include_theta, cap)
+    if forcing is not None:
+        forcing = tuple(np.asarray(forcing, dtype=float).ravel().tolist())
+    return _solve_memo(model, tuple(stabs), n, forcing, include_theta)
+
+
+# lru_cache hashes the model and the stabilizers by identity and holds
+# them in its keys, so an id cannot be reused while its entry lives; it
+# stays consistent under concurrent callers and caches no exception
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _solve_memo(model: MarketModel, stabs: tuple, n: int, forcing: tuple | None,
+                include_theta: bool) -> RiccatiSolution:
+    solution = _solve_adams(model, stabs, n, forcing, include_theta)
     solution.psi.flags.writeable = False
-    with _memo_lock:
-        _memo[key] = (model, stabs, solution)
-        while len(_memo) > _MEMO_SIZE:
-            _memo.popitem(last=False)
     return solution
 
 
 # overflow and NaN are caught by the blow-up guard, which raises with one
 # message; numpy's own warnings would only repeat it on stderr
 @np.errstate(over="ignore", invalid="ignore")
-def _solve_adams(model: MarketModel, stabs, n: int, forcing, include_theta: bool,
-                 cap) -> RiccatiSolution:
+def _solve_adams(model: MarketModel, stabs, n: int, forcing,
+                 include_theta: bool) -> RiccatiSolution:
     """The Adams solve behind ``solve_riccati_adams``, without the memo."""
     if n < 2:
         raise ParameterError("Adams solve needs n >= 2")
@@ -221,18 +206,14 @@ def _solve_adams(model: MarketModel, stabs, n: int, forcing, include_theta: bool
     d = model.d
     rhs = _rhs_tables(model, stabs, grid, forcing, include_theta)
     weights = [_adams_weights(model.alpha[i], n, grid.dt) for i in range(d)]
-    if cap is None:
-        if include_theta and forcing is None:
-            bounds = riccati_bound(model, stabs, model.T, warn=False)
-            cap = np.where(np.isfinite(bounds), _BLOWUP_FACTOR * bounds, _FALLBACK_CAP)
-            cap = np.maximum(cap, 1e-6)  # theta = 0 assets stay at zero anyway
-        else:
-            cap = np.full(d, _FALLBACK_CAP)
+    if include_theta and forcing is None:
+        # the finiteness test goes on the scaled bound: 10x a finite
+        # bound near the float limit overflows to inf
+        cap = _BLOWUP_FACTOR * riccati_bound(model, stabs, model.T)
+        cap = np.where(np.isfinite(cap), cap, _FALLBACK_CAP)
+        cap = np.maximum(cap, 1e-6)  # theta = 0 assets stay at zero anyway
     else:
-        cap = np.broadcast_to(np.asarray(cap, dtype=float), (d,)).copy()
-    # |y| <= cap is false for NaN, and for +-inf under a finite cap, so
-    # only an infinite cap needs the separate finiteness test
-    cap_finite = bool(np.all(np.isfinite(cap)))
+        cap = np.full(d, _FALLBACK_CAP)
 
     psi = np.zeros((n + 1, d))
     fhist = np.empty((n + 1, d))
@@ -251,7 +232,8 @@ def _solve_adams(model: MarketModel, stabs, n: int, forcing, include_theta: bool
             if k >= 1:
                 acc += fhist[1 : k + 1, i] @ a_inner[:k][::-1]
             y_new[i] = acc + a_diag * f_pred[i]
-        if not (np.abs(y_new) <= cap).all() or not (cap_finite or np.isfinite(y_new).all()):
+        # false for NaN and, the cap being finite, for +-inf
+        if not (np.abs(y_new) <= cap).all():
             raise BlowupError(
                 f"psi not finite or beyond the blow-up guard at t = {grid.times[k + 1]:.6g} "
                 f"(values {y_new}, caps {cap})"
@@ -292,12 +274,11 @@ def oracle_volterra_picard(model: MarketModel, stabs, n_fine: int, sweeps: int =
     raise ConvergenceError(f"Picard iteration stalled at delta = {delta:.3e} after {sweeps} sweeps")
 
 
-def riccati_bound(model: MarketModel, stabs, T: float, warn: bool = True) -> np.ndarray:
+def riccati_bound(model: MarketModel, stabs, T: float) -> np.ndarray:
     """Per-asset sup bound theta_i^2 / lam_bar_i (1 - R_{lam_bar_i}(T)).
 
     lam_bar_i = lam_i + 2 nu_i rho_i theta_i ||sig_i||_inf 1{rho_i <= 0};
-    components with lam_bar_i <= 0 get nan (bound inapplicable) and a
-    warning.
+    components with lam_bar_i <= 0 get nan (bound inapplicable).
     """
     out = np.empty(model.d)
     for i in range(model.d):
@@ -306,11 +287,6 @@ def riccati_bound(model: MarketModel, stabs, T: float, warn: bool = True) -> np.
         if model.rho[i] <= 0.0:
             lam_bar += 2.0 * model.nu[i] * model.rho[i] * model.theta[i] * sup_sig
         if lam_bar <= 0.0:
-            if warn:
-                warnings.warn(
-                    f"lam_bar[{i}] = {lam_bar:.4g} <= 0: resolvent bound inapplicable",
-                    RuntimeWarning,
-                )
             out[i] = np.nan
             continue
         spec = ResolventSpec(fractional_kernel(model.alpha[i]), lam_bar)

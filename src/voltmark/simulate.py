@@ -185,29 +185,24 @@ class PathEnsemble:
     dWperp: np.ndarray | None = field(repr=False)
 
 
-def sample_initial_variance(model: MarketModel, M: int, seed,
-                            rng: np.random.Generator | None = None) -> np.ndarray:
-    """Draw V0 ~ N(x_inf, v0) per asset, clipped at zero, shape (M, d).
+def sample_initial_variance(model: MarketModel, M: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw V0 ~ N(x_inf, v0) per asset from ``rng``, clipped at zero, shape (M, d).
 
     Clipping keeps the path count (the Gaussian mass below zero is
     negligible at realistic parameters).
     """
-    if rng is None:
-        rng = np.random.default_rng(seed)
     draws = model.x_inf[None, :] + np.sqrt(model.v0)[None, :] * rng.standard_normal((M, model.d))
     return np.clip(draws, 0.0, None)
 
 
 def simulate_variance_paths(model: MarketModel, stabs, grid: Grid, M: int, seed: int, *,
                             initial: str = "stationary",
-                            factors: list | None = None,
                             store_noise: bool = False,
                             increments: bool = True) -> PathEnsemble:
     """Simulate M joint variance paths with the K-integrated Euler scheme.
 
     initial = "stationary" draws V0 from N(x_inf, v0) (the fake
     stationary configuration); "fixed" starts every path at x_inf.
-    Prebuilt per-asset factors may be passed to amortize construction.
     The kernel-weighted noise integrals are not kept; ``store_noise``
     only accepts False.  ``increments=False`` keeps V alone: dW is never
     stored and dWperp never drawn (its draw follows V0's on the common
@@ -221,7 +216,7 @@ def simulate_variance_paths(model: MarketModel, stabs, grid: Grid, M: int, seed:
     """
     if store_noise:
         raise ParameterError("kernel-weighted noise integrals are not stored")
-    factors = _checked_factors(model, grid, M, initial, factors)
+    factors = _checked_factors(model, grid, M, initial)
     d, n = model.d, grid.n
     # time-major storage: each asset's cells are contiguous rows of M paths
     V = _mapped((d, n + 1, M))
@@ -236,7 +231,6 @@ def simulate_variance_paths(model: MarketModel, stabs, grid: Grid, M: int, seed:
 
 def simulate_variance_chunks(model: MarketModel, stabs, grid: Grid, M: int, seed: int, *,
                              initial: str = "stationary",
-                             factors: list | None = None,
                              increments: bool = True):
     """The paths of ``simulate_variance_paths``, one chunk at a time.
 
@@ -248,7 +242,7 @@ def simulate_variance_chunks(model: MarketModel, stabs, grid: Grid, M: int, seed
     The arguments are checked and the factors built before the first
     chunk is asked for.
     """
-    factors = _checked_factors(model, grid, M, initial, factors)
+    factors = _checked_factors(model, grid, M, initial)
     return _advance_chunks(model, stabs, grid, M, seed, initial, factors, increments)
 
 
@@ -261,24 +255,15 @@ def ensemble_chunks(ensemble: PathEnsemble):
                       dWperp=None if ensemble.dWperp is None else ensemble.dWperp[paths])
 
 
-def _checked_factors(model: MarketModel, grid: Grid, M: int, initial: str,
-                     factors: list | None) -> list:
-    """Validate the engine's arguments; the prebuilt factors, or new ones."""
+def _checked_factors(model: MarketModel, grid: Grid, M: int, initial: str) -> list:
+    """Validate the engine's arguments and build each asset's factor."""
     if M < 1:
         raise ParameterError(f"path count M must be >= 1, got {M}")
     if grid.T != model.T:
         raise ParameterError(f"grid horizon  {grid.T} != model horizon {model.T}")
     if initial not in ("stationary", "fixed"):
         raise ParameterError(f"unknown initial-variance mode {initial!r}")
-    if factors is None:
-        factors = [
-            build_gaussian_factor(fractional_kernel(model.alpha[i]), grid)
-            for i in range(model.d)
-        ]
-    for f in factors:
-        if f.grid != grid:
-            raise ParameterError("prebuilt factor grid does not match the simulation grid")
-    return factors
+    return [build_gaussian_factor(fractional_kernel(a), grid) for a in model.alpha]
 
 
 def _advance_chunks(model: MarketModel, stabs, grid: Grid, M: int, seed: int, initial: str,
@@ -302,7 +287,7 @@ def _advance_chunks(model: MarketModel, stabs, grid: Grid, M: int, seed: int, in
         rng_common, *rngs_asset = (np.random.default_rng(child) for child in seq.spawn(1 + d))
         if initial == "stationary":
             with np.errstate(over="ignore", invalid="ignore"):
-                V0 = sample_initial_variance(model, m, None, rng=rng_common)
+                V0 = sample_initial_variance(model, m, rng_common)
         else:
             V0 = np.tile(model.x_inf, (m, 1))
         require_finite("initial variance", V0)

@@ -183,8 +183,8 @@ class StabilizerSeries:
         return self.switch_u / self.lam ** (1.0 / self.alpha)
 
     def eval(self, t) -> float | np.ndarray:
-        """sigma(t) >= 0 for t >= 0 (vectorized)."""
-        scalar = np.isscalar(t)
+        """sigma(t) >= 0 for t >= 0 (vectorized; a 0-d t gives a float)."""
+        scalar = np.ndim(t) == 0
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if np.any(t < 0.0):
             raise DomainError("stabilizer requires t >= 0")
@@ -211,9 +211,9 @@ class StabilizerSeries:
             acc = acc * (-ua) + ck
         return 2.0 * u ** (1.0 - self.alpha) * acc
 
-    def sup(self, T: float, n: int = 2048) -> float:
-        """sup of sigma over [0, T], evaluated on a dense grid."""
-        grid = np.linspace(0.0, T, n + 1)
+    def sup(self, T: float) -> float:
+        """sup of sigma over [0, T], evaluated on a grid of 2048 steps."""
+        grid = np.linspace(0.0, T, 2049)
         return float(np.max(self.eval(grid)))
 
 
@@ -246,7 +246,7 @@ class ConstantStabilizer:
             return self.value
         return np.full(np.shape(t), self.value)
 
-    def sup(self, T: float, n: int = 0) -> float:
+    def sup(self, T: float) -> float:
         return self.value
 
 

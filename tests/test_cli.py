@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -139,6 +140,25 @@ def test_too_few_paths_exit_code(tmp_path, capsys, command, old, new):
     key = new.split(" = ")[0]
     assert len(err.splitlines()) == 1 and err.startswith("config error")
     assert f".{key}: expected >= 2 paths" in err
+
+
+@pytest.mark.parametrize("command, line, extra, message", [
+    ("simulate", "seed = -5", [], "mc.seed: expected >= 0"),
+    ("frontier", "seed = 11", ["--seed", "-5"], "--seed: expected >= 0"),
+    ("laplace", "seed = 11", ["--seed", "-5"], "--seed: expected >= 0"),
+    ("frontier", "m_count = -1", [], "experiment.m_count: expected >= 1"),
+    ("frontier", "m_count = 0", [], "experiment.m_count: expected >= 1"),
+], ids=["mc.seed", "--seed-frontier", "--seed-laplace", "m_count=-1", "m_count=0"])
+def test_bad_seed_or_target_count_exit_code(tmp_path, capsys, command, line, extra, message):
+    # a negative seed used to end in numpy's traceback, m_count = -1 in
+    # np.linspace's, and m_count = 0 in exit 0 with a header-only CSV
+    key = line.split(" = ")[0]
+    path = _write(tmp_path, re.sub(rf"^{key} = .*$", line, TINY, flags=re.M))
+    out = tmp_path / "o"
+    assert main([command, "--config", path, "--out", str(out)] + extra) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and err.startswith("config error") and message in err
+    assert not out.exists()
 
 
 def test_missing_field_exit_code(tmp_path):

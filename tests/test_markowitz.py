@@ -9,6 +9,7 @@ from voltmark.markowitz import (
     ConsistencyError,
     _trapezoid_rows,
     affine_wealth_terminal,
+    control_coefficient,
     efficient_frontier,
     frontier_slope,
     gamma0,
@@ -23,7 +24,7 @@ from voltmark.markowitz import (
 from voltmark.model import Grid, MarketModel, bundled_model
 from voltmark.montecarlo import frontier_m_grid
 from voltmark.riccati import solve_riccati_adams
-from voltmark.simulate import NonFiniteError, simulate_variance_paths
+from voltmark.simulate import NonFiniteError, correlate_asset_brownian, simulate_variance_paths
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +156,34 @@ def test_affine_terminal_matches_wealth_scheme():
         assert np.max(np.abs(A + xi * B - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def test_wealth_scheme_matches_a_direct_euler_loop(model_t1, stabs_t1):
+    # an Euler loop written from the public optimal_control and
+    # correlate_asset_brownian, sharing no code with the blocked step of
+    # simulate_wealth.  Errors are measured against the ensemble's scale:
+    # max |X| for the wealth, and max |X| times the largest gain
+    # |coef| sqrt(V) for the strategy, whose own size vanishes at m0
+    grid = Grid(1.0, 90)
+    sol = solve_riccati_adams(model_t1, stabs_t1, grid.n)
+    ens = simulate_variance_paths(model_t1, stabs_t1, grid, 150, seed=31, initial="fixed")
+    dB = correlate_asset_brownian(ens, model_t1)
+    coef = control_coefficient(model_t1, sol, stabs_t1, grid.times[:-1])
+    gain_scale = np.max(np.abs(coef)) * np.sqrt(np.max(ens.V))
+    g0 = gamma0(model_t1, sol, stabs_t1)
+    m_grid = frontier_m_grid(model_t1, 8)
+    for target in (model_t1.m0, m_grid[len(m_grid) // 2], m_grid[-1]):
+        xi, _ = xi_eta_star(g0, model_t1, float(target))
+        wealth = simulate_wealth(model_t1, ens, sol, stabs_t1, xi)
+        X = np.full(ens.M, model_t1.x0)
+        for k, t in enumerate(grid.times[:-1]):
+            V = ens.V[:, :, k]
+            alpha = optimal_control(model_t1, sol, stabs_t1, xi, t, X, V)     # (M, d)
+            scale = np.max(np.abs(X))
+            assert np.max(np.abs(wealth.alpha_paths[:, :, k] - alpha)) <= 1e-12 * gain_scale * scale
+            drift = model_t1.r * X + (alpha * np.sqrt(np.maximum(V, 0.0))) @ model_t1.theta
+            X = X + drift * grid.dt + np.sum(alpha * dB[:, :, k], axis=1)
+            assert np.max(np.abs(wealth.X[:, k + 1] - X)) <= 1e-12 * np.max(np.abs(X))
+
+
 def test_affine_terminal_riskless_compounding():
     # theta = 0: no risky position, so B_T = 0 and A_T is the bank account
     m = small_model(theta=[0.0])
@@ -259,4 +288,3 @@ def test_solve_markowitz_bundle(model_t1, riccati_600, stabs_t1):
     assert ms.xi_star == pytest.approx(ms.m - ms.eta_star, rel=1e-14)
     assert ms.v_of_m == pytest.approx(
         variance_of_terminal(ms.gamma0, model_t1, ms.m), rel=1e-14)
-    assert np.allclose(ms.v0_used, model_t1.x_inf)

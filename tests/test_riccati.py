@@ -1,6 +1,8 @@
 """Riccati-Volterra solver against the Picard oracle and the resolvent bound."""
 
+import re
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -149,8 +151,11 @@ def test_bound_dominates_solution(model_t1, stabs_t1, riccati_600):
 
 
 def test_bound_inapplicable_warns():
+    # an inapplicable bound (lam_bar <= 0) reads NaN, and warns no more:
+    # the solver's guard, its one caller, falls back to a fixed cap there
     m = small_model(rho=[-0.9], theta=[4.0], nu=[2.0], lam=[0.1])
-    with pytest.warns(RuntimeWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         b = riccati_bound(m, [ConstantStabilizer(1.0)], 1.0)
     assert np.isnan(b[0])
 
@@ -165,23 +170,45 @@ def test_blowup_guard_raises():
         solve_riccati_adams(blowup_model(), [ConstantStabilizer(1.0)], 500)
 
 
-@pytest.mark.parametrize("cap", [1e6, np.inf])
+def _constant_rhs(monkeypatch, value):
+    """Make every Adams solve see a constant rhs, so psi is exactly that value."""
+    monkeypatch.setattr(riccati, "_rhs_tables",
+                        lambda model, *args: lambda j, y: np.full(model.d, value))
+
+
+# the cap the guard derives for blowup_model: its resolvent bound does not
+# apply (lam_bar < 0), so the fixed fallback
+@pytest.mark.parametrize("cap", [1e6])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, "beyond"])
 def test_blowup_guard_catches_nan_inf_and_large(monkeypatch, value, cap):
-    # a constant rhs makes psi exactly that value; "beyond" is the genuine
-    # blow-up, which under cap = inf only ends once psi overflows
+    # "beyond" is the genuine blow-up
+    model, stabs = blowup_model(), [ConstantStabilizer(1.0)]
+    assert np.isnan(riccati_bound(model, stabs, model.T)).all()
     if value != "beyond":
-        monkeypatch.setattr(riccati, "_rhs_tables",
-                            lambda model, *args: lambda j, y: np.full(model.d, value))
+        _constant_rhs(monkeypatch, value)
+    with pytest.raises(BlowupError, match=re.escape(f"caps {np.array([cap])}")):
+        solve_riccati_adams(model, stabs, 500)
+
+
+def test_blowup_guard_when_ten_times_the_bound_overflows(monkeypatch):
+    # the bound itself is finite, ten times it is not: the guard must fall
+    # back to the fixed cap, or an infinite psi would pass |psi| <= inf
+    model, stabs = small_model(theta=[5e153], rho=[0.3]), [ConstantStabilizer(1.0)]
+    bound = riccati_bound(model, stabs, model.T)[0]
+    assert np.finfo(float).max / 10.0 < bound < np.inf
+    _constant_rhs(monkeypatch, np.inf)
     with pytest.raises(BlowupError):
-        solve_riccati_adams(blowup_model(), [ConstantStabilizer(1.0)], 500, cap=cap)
+        solve_riccati_adams(model, stabs, 50)
 
 
 # --- the per-process memo of solve_riccati_adams ----------------------------
 
+memo = riccati._solve_memo
+
+
 @pytest.fixture
 def adams_spy(monkeypatch):
-    """Records the n of every Adams solve that misses the memo."""
+    """Records the n of every Adams solve that misses the memo, emptied first."""
     calls = []
     solve = riccati._solve_adams
 
@@ -190,7 +217,9 @@ def adams_spy(monkeypatch):
         return solve(model, stabs, n, *args)
 
     monkeypatch.setattr(riccati, "_solve_adams", spy)
-    return calls
+    memo.cache_clear()
+    yield calls
+    memo.cache_clear()
 
 
 def test_gamma0_refines_once_per_model_and_stabilizers(adams_spy):
@@ -199,6 +228,7 @@ def test_gamma0_refines_once_per_model_and_stabilizers(adams_spy):
     sol = solve_riccati_adams(model, stabs, 600)
     values = [gamma0(model, sol, stabs) for _ in range(3)]
     assert adams_spy == [600, 12000]
+    assert (memo.cache_info().misses, memo.cache_info().hits) == (2, 2)
     assert values[0] == values[1] == values[2]
 
 
@@ -207,8 +237,8 @@ def test_memo_returns_the_fresh_solution_read_only(adams_spy):
     stabs = model.build_stabilizers()
     first = solve_riccati_adams(model, stabs, 80)
     again = solve_riccati_adams(model, list(stabs), 80)  # same objects, new list
-    assert again is first and adams_spy == [80]
-    fresh = riccati._solve_adams(model, stabs, 80, None, True, None)
+    assert again is first and adams_spy == [80] and memo.cache_info().hits == 1
+    fresh = riccati._solve_adams(model, stabs, 80, None, True)
     assert np.array_equal(again.psi, fresh.psi)
     with pytest.raises(ValueError):
         again.psi[0, 1] = 1.0
@@ -220,7 +250,6 @@ def test_memo_key_separates_every_argument(adams_spy):
     variants = [
         dict(),
         dict(n=81),
-        dict(cap=1e3),
         dict(forcing=[-0.01]),
         dict(forcing=[-0.02]),
         dict(forcing=[-0.01], include_theta=False),
@@ -232,7 +261,7 @@ def test_memo_key_separates_every_argument(adams_spy):
             v = dict(v)
             solve_riccati_adams(v.pop("model", model), v.pop("stabs", stabs), v.pop("n", 80),
                                 **v)
-    assert len(adams_spy) == len(variants)
+    assert len(adams_spy) == len(variants) == memo.cache_info().hits
 
 
 def test_blowup_is_never_memoized(adams_spy):
@@ -241,7 +270,7 @@ def test_blowup_is_never_memoized(adams_spy):
     for _ in range(2):
         with pytest.raises(BlowupError):
             solve_riccati_adams(model, stabs, 500)
-    assert adams_spy == [500, 500]
+    assert adams_spy == [500, 500] and memo.cache_info().currsize == 0
 
 
 def test_memo_stays_bounded(adams_spy):
@@ -250,13 +279,13 @@ def test_memo_stays_bounded(adams_spy):
     sizes = range(20, 20 + 2 * riccati._MEMO_SIZE)
     for n in sizes:
         solve_riccati_adams(model, stabs, n)
-    assert len(riccati._memo) <= riccati._MEMO_SIZE
+    assert memo.cache_info().currsize == memo.cache_info().maxsize == riccati._MEMO_SIZE
     solve_riccati_adams(model, stabs, sizes[-1])   # recent: kept
     solve_riccati_adams(model, stabs, sizes[0])    # oldest: evicted, solved again
     assert adams_spy == list(sizes) + [sizes[0]]
 
 
-def test_memo_under_concurrent_callers():
+def test_memo_under_concurrent_callers(adams_spy):
     # more threads than cores and a short switch interval: a lost update
     # in the memo would overgrow it, raise or return a wrong solution
     model = small_model()
@@ -277,7 +306,7 @@ def test_memo_under_concurrent_callers():
                 f.result(timeout=60)
     finally:
         sys.setswitchinterval(interval)
-    assert len(riccati._memo) <= riccati._MEMO_SIZE
+    assert memo.cache_info().currsize <= riccati._MEMO_SIZE
 
 
 def test_memo_inputs_are_immutable():

@@ -65,6 +65,14 @@ def test_stabilizer_zero_at_origin_and_limit(alpha, lam, c):
     assert st.eval(1e12) == pytest.approx(np.sqrt(c) * lam / density_l2_norm(alpha, lam), rel=1e-12)
 
 
+def test_stabilizer_zero_dim_time_gives_a_float():
+    # a 0-d array or numpy scalar is a scalar time, as control_coefficient
+    # passes it, not a one-element grid
+    st = build_stabilizer(0.6, 0.2, 0.01)
+    for t in (np.asarray(0.3), np.float64(0.3)):
+        assert isinstance(st.eval(t), float) and st.eval(t) == st.eval(0.3)
+
+
 def test_stabilizer_nonnegative_and_bounded():
     for alpha, lam, c in [(0.6, 0.2, 0.01), (0.9, 0.2, 0.03), (0.55, 1.0, 1.0)]:
         st = build_stabilizer(alpha, lam, c)
