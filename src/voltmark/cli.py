@@ -20,15 +20,30 @@ on one thread each, up to the CPUs the process may use.  The manifest
 records the cap (``blas_threads``, null without one) and the engine's
 paths per chunk (``chunk_paths``), the two settings besides config and
 seed that the CSV bits depend on.
+
+``main`` builds one ``RunContext`` (model, stabilizers, grid) from the
+validated config, and every stage of ``full`` runs on it, so no stage
+rebuilds the stabilizers or re-solves psi; a frontier at another
+horizon takes ``RunContext.at(T)``, which keeps the stabilizers.
 """
 
 import argparse
 import configparser
+import dataclasses
 import hashlib
 import json
 import os
 import sys
 import time
+
+import numpy as np
+import scipy
+
+import voltmark
+
+from . import markowitz, montecarlo, riccati, simulate, stabilizer
+from .kernels import ParameterError
+from .model import Grid, MarketModel
 
 _DEFAULT_CONFIG = """\
 [model]
@@ -162,16 +177,6 @@ def load_config(text: str) -> dict:
     return cfg
 
 
-def _build_model(cfg: dict, T: float | None = None):
-    from .model import MarketModel
-
-    return MarketModel(
-        d=cfg["d"], alpha=cfg["alpha"], lam=cfg["lam"], nu=cfg["nu"], rho=cfg["rho"],
-        theta=cfg["theta"], mu0=cfg["mu0"], c=cfg["c"], r=cfg["r"], x0=cfg["x0"],
-        T=cfg["T"] if T is None else T,
-    )
-
-
 def write_csv(path: str, header: list[str], rows) -> None:
     """12-significant-digit CSV with LF endings."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -181,23 +186,17 @@ def write_csv(path: str, header: list[str], rows) -> None:
 
 
 def write_manifest(out_dir: str, cfg: dict, config_text: str, extra: dict | None = None) -> None:
-    import numpy
-    import scipy
-
-    from . import __version__, _blas_threads
-    from .simulate import _CHUNK_PATHS
-
     manifest = {
         "package": "voltmark",
-        "version": __version__,
-        "numpy": numpy.__version__,
+        "version": voltmark.__version__,
+        "numpy": np.__version__,
         "scipy": scipy.__version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
         "parameters": cfg,
         # the CSV bits depend on these two besides the config and seed
-        "blas_threads": _blas_threads,
-        "chunk_paths": _CHUNK_PATHS,
+        "blas_threads": voltmark._blas_threads,
+        "chunk_paths": simulate._CHUNK_PATHS,
     }
     if extra:
         manifest.update(extra)
@@ -209,37 +208,59 @@ def write_manifest(out_dir: str, cfg: dict, config_text: str, extra: dict | None
 def _dump_paths(path: str, ensemble) -> None:
     """Raw little-endian dump: header M, d, n as int64 and T as float64,
     then the V array row-major (path, asset, time)."""
-    import numpy as np
-
     with open(path, "wb") as fh:
         np.array([ensemble.M, ensemble.model.d, ensemble.grid.n], dtype="<i8").tofile(fh)
         np.array([ensemble.grid.T], dtype="<f8").tofile(fh)
         np.ascontiguousarray(ensemble.V, dtype="<f8").tofile(fh)
 
 
+@dataclasses.dataclass(frozen=True)
+class RunContext:
+    """What every stage of one run shares: the validated config, the
+    model at the config horizon, its stabilizers and the path grid."""
+
+    cfg: dict
+    model: MarketModel
+    stabs: list
+    grid: Grid
+
+    @classmethod
+    def build(cls, cfg: dict) -> "RunContext":
+        model = MarketModel(
+            d=cfg["d"], alpha=cfg["alpha"], lam=cfg["lam"], nu=cfg["nu"], rho=cfg["rho"],
+            theta=cfg["theta"], mu0=cfg["mu0"], c=cfg["c"], r=cfg["r"], x0=cfg["x0"],
+            T=cfg["T"],
+        )
+        return cls(cfg, model, model.build_stabilizers(cfg["truncation_K"]),
+                   Grid(model.T, cfg["n"]))
+
+    def at(self, T: float) -> "RunContext":
+        """The context at horizon T, with the same stabilizers: they depend
+        on (alpha, lam, c, K) alone.  At the run's own horizon this is the
+        context itself, so its psi solves are shared through the memo."""
+        if T == self.model.T:
+            return self
+        return dataclasses.replace(self, model=dataclasses.replace(self.model, T=T),
+                                   grid=Grid(T, self.grid.n))
+
+
 # ---------------------------------------------------------------------------
 # experiment runners
 # ---------------------------------------------------------------------------
 
-def run_stabilizer(cfg: dict, out_dir: str) -> int:
-    import numpy as np
-
-    from .model import Grid
-    from .stabilizer import functional_equation_residual
-
-    model = _build_model(cfg)
-    stabs = model.build_stabilizers(cfg["truncation_K"])
-    n_res = min(cfg["n"], 200)
-    grid = Grid(model.T, n_res)
+def run_stabilizer(run: RunContext, out_dir: str) -> int:
+    model, stabs = run.model, run.stabs
+    n_res = min(run.grid.n, 200)
+    times = Grid(model.T, n_res).times
     ok = True
     for i in range(model.d):
-        res = functional_equation_residual(
+        res = stabilizer.functional_equation_residual(
             stabs[i], model.lam[i], model.c[i], model.T, n_res)
-        sig = np.asarray(stabs[i].eval(grid.times))
+        sig = np.asarray(stabs[i].eval(times))
         write_csv(
             os.path.join(out_dir, f"stabilizer_asset{i + 1}.csv"),
             ["t", "sigma", "residual"],
-            zip(grid.times, sig, res),
+            zip(times, sig, res),
         )
         within = res.max() <= RESIDUAL_TOL
         ok &= within
@@ -247,38 +268,24 @@ def run_stabilizer(cfg: dict, out_dir: str) -> int:
     return 0 if ok else EXIT_ACCEPTANCE
 
 
-def run_riccati(cfg: dict, out_dir: str) -> int:
-    from .riccati import solve_riccati_adams
-
-    model = _build_model(cfg)
-    stabs = model.build_stabilizers(cfg["truncation_K"])
-    sol = solve_riccati_adams(model, stabs, cfg["n"])
-    header = ["t"] + [f"psi{i + 1}" for i in range(model.d)]
+def run_riccati(run: RunContext, out_dir: str) -> int:
+    sol = riccati.solve_riccati_adams(run.model, run.stabs, run.grid.n)
+    header = ["t"] + [f"psi{i + 1}" for i in range(run.model.d)]
     write_csv(os.path.join(out_dir, "riccati_psi.csv"), header,
               zip(sol.grid.times, *sol.psi))
     print(f"psi(T) = {sol.psi[:, -1]}")
     return 0
 
 
-def _simulate(cfg: dict, M: int, initial: str):
-    """V-only ensemble: the stationarity statistics and --dump-paths read V alone."""
-    from .model import Grid
-    from .simulate import simulate_variance_paths
-
-    model = _build_model(cfg)
-    stabs = model.build_stabilizers(cfg["truncation_K"])
-    grid = Grid(model.T, cfg["n"])
-    ens = simulate_variance_paths(model, stabs, grid, M, cfg["seed"], initial=initial,
-                                  increments=False)
-    return model, stabs, grid, ens
-
-
-def run_simulate(cfg: dict, out_dir: str, dump_paths: bool = False,
-                 gate: bool = False) -> int:
-    from .montecarlo import stationarity_diagnostics
-
-    model, stabs, grid, ens = _simulate(cfg, cfg["M"], "stationary")
-    report = stationarity_diagnostics(ens, model, cfg["n_boot"], cfg["seed"])
+def run_simulate(run: RunContext, out_dir: str, M: int | None = None,
+                 dump_paths: bool = False, gate: bool = False) -> int:
+    """Stationary-start statistics on M paths (mc.M by default); they and
+    --dump-paths read V alone, so no Brownian increments are simulated."""
+    cfg = run.cfg
+    ens = simulate.simulate_variance_paths(
+        run.model, run.stabs, run.grid, cfg["M"] if M is None else M, cfg["seed"],
+        initial="stationary", increments=False)
+    report = montecarlo.stationarity_diagnostics(ens, run.model, cfg["n_boot"], cfg["seed"])
     for i, st in enumerate(report.stats):
         write_csv(
             os.path.join(out_dir, f"variance_stats_asset{i + 1}.csv"),
@@ -292,26 +299,19 @@ def run_simulate(cfg: dict, out_dir: str, dump_paths: bool = False,
     return 0 if (report.passed or not gate) else EXIT_ACCEPTANCE
 
 
-def run_wealth(cfg: dict, out_dir: str) -> int:
-    from .markowitz import simulate_wealth, solve_markowitz
-    from .model import Grid
-    from .montecarlo import ensemble_stats
-    from .riccati import solve_riccati_adams
-    from .simulate import simulate_variance_paths
-
-    model = _build_model(cfg)
-    stabs = model.build_stabilizers(cfg["truncation_K"])
-    grid = Grid(model.T, cfg["n"])
-    sol = solve_riccati_adams(model, stabs, cfg["n"])
-    ms = solve_markowitz(model, sol, stabs, cfg["m"])
-    ens = simulate_variance_paths(model, stabs, grid, cfg["M"], cfg["seed"], initial="fixed")
-    wealth = simulate_wealth(model, ens, sol, stabs, ms.xi_star)
-    xstats = ensemble_stats(wealth.X, grid.times, cfg["n_boot"], cfg["seed"])
+def run_wealth(run: RunContext, out_dir: str) -> int:
+    cfg, model, stabs, grid = run.cfg, run.model, run.stabs, run.grid
+    sol = riccati.solve_riccati_adams(model, stabs, grid.n)
+    ms = markowitz.solve_markowitz(model, sol, stabs, cfg["m"])
+    ens = simulate.simulate_variance_paths(model, stabs, grid, cfg["M"], cfg["seed"],
+                                           initial="fixed")
+    wealth = markowitz.simulate_wealth(model, ens, sol, stabs, ms.xi_star)
+    xstats = montecarlo.ensemble_stats(wealth.X, grid.times, cfg["n_boot"], cfg["seed"])
     cols = [grid.times, xstats.mean, xstats.ci_low, xstats.ci_high]
     header = ["t", "X_mean", "X_ci_low", "X_ci_high"]
     for i in range(model.d):
-        astats = ensemble_stats(wealth.alpha_paths[:, i, :], grid.times[:-1],
-                                cfg["n_boot"], cfg["seed"] + 11 * (i + 1))
+        astats = montecarlo.ensemble_stats(wealth.alpha_paths[:, i, :], grid.times[:-1],
+                                           cfg["n_boot"], cfg["seed"] + 11 * (i + 1))
         pad = list(astats.mean) + [astats.mean[-1]]
         lo = list(astats.ci_low) + [astats.ci_low[-1]]
         hi = list(astats.ci_high) + [astats.ci_high[-1]]
@@ -324,19 +324,15 @@ def run_wealth(cfg: dict, out_dir: str) -> int:
     return 0 if z <= 3.0 else EXIT_ACCEPTANCE
 
 
-def run_frontier(cfg: dict, out_dir: str, T: float | None = None,
-                 tolerance: float = 0.05) -> int:
-    import numpy as np
-
-    from .model import Grid
-    from .montecarlo import frontier_experiment, frontier_m_grid
-
-    model = _build_model(cfg, T=T)
-    stabs = model.build_stabilizers(cfg["truncation_K"])
-    grid = Grid(model.T, cfg["n"])
-    points = frontier_experiment(
-        model, frontier_m_grid(model, cfg["m_count"]), cfg["M"], cfg["seed"],
-        grid=grid, stabs=stabs, n_boot=cfg["n_boot"],
+def run_frontier(run: RunContext, out_dir: str, T: float | None = None) -> int:
+    """Frontier at the config horizon, or at T (frontier_T<T>.csv).  A
+    horizon beyond 1 is held to 10% relative instead of 5%: the terminal
+    wealth grows heavy-tailed, and one variance estimate noisier."""
+    here = run if T is None else run.at(T)
+    cfg, model = here.cfg, here.model
+    points = montecarlo.frontier_experiment(
+        model, montecarlo.frontier_m_grid(model, cfg["m_count"]), cfg["M"], cfg["seed"],
+        grid=here.grid, stabs=here.stabs, n_boot=cfg["n_boot"],
     )
     tag = f"_T{model.T:g}" if T is not None else ""
     write_csv(
@@ -345,6 +341,7 @@ def run_frontier(cfg: dict, out_dir: str, T: float | None = None,
         [(p.m, p.sigma_theory, p.sigma_mc, p.v_mc_se, p.v_theory, p.v_mc, p.v_mc_se)
          for p in points],
     )
+    tolerance = 0.10 if model.T > 1.0 else 0.05
     ok = True
     for p in points:
         gap = abs(p.v_mc - p.v_theory)
@@ -355,14 +352,10 @@ def run_frontier(cfg: dict, out_dir: str, T: float | None = None,
     return 0 if ok else EXIT_ACCEPTANCE
 
 
-def run_laplace(cfg: dict, out_dir: str) -> int:
-    from .markowitz import laplace_affine_check
-    from .model import Grid
-
-    model = _build_model(cfg)
-    stabs = model.build_stabilizers(cfg["truncation_K"])
-    grid = Grid(model.T, cfg["n"])
-    rep = laplace_affine_check(model, stabs, cfg["u"], grid, cfg["laplace_M"], cfg["seed"])
+def run_laplace(run: RunContext, out_dir: str) -> int:
+    cfg = run.cfg
+    rep = markowitz.laplace_affine_check(run.model, run.stabs, cfg["u"], run.grid,
+                                         cfg["laplace_M"], cfg["seed"])
     write_csv(
         os.path.join(out_dir, "laplace_check.csv"),
         ["mc_value", "mc_se", "closed_form", "z_score"],
@@ -373,23 +366,21 @@ def run_laplace(cfg: dict, out_dir: str) -> int:
     return 0 if rep.passed else EXIT_ACCEPTANCE
 
 
-def run_full(cfg: dict, out_dir: str) -> int:
+def run_full(run: RunContext, out_dir: str) -> int:
     status = 0
     print("== stabilizer ==")
-    status = max(status, run_stabilizer(cfg, out_dir))
+    status = max(status, run_stabilizer(run, out_dir))
     print("== riccati ==")
-    status = max(status, run_riccati(cfg, out_dir))
+    status = max(status, run_riccati(run, out_dir))
     print("== stationarity ==")
-    cfg_station = dict(cfg, M=cfg["stationarity_M"])
-    status = max(status, run_simulate(cfg_station, out_dir, gate=True))
+    status = max(status, run_simulate(run, out_dir, M=run.cfg["stationarity_M"], gate=True))
     print("== wealth ==")
-    status = max(status, run_wealth(cfg, out_dir))
-    for T in cfg["frontier_horizons"]:
+    status = max(status, run_wealth(run, out_dir))
+    for T in run.cfg["frontier_horizons"]:
         print(f"== frontier T={T:g} ==")
-        tol = 0.10 if T > 1.0 else 0.05
-        status = max(status, run_frontier(cfg, out_dir, T=T, tolerance=tol))
+        status = max(status, run_frontier(run, out_dir, T=T))
     print("== laplace ==")
-    status = max(status, run_laplace(cfg, out_dir))
+    status = max(status, run_laplace(run, out_dir))
     return status
 
 
@@ -431,33 +422,27 @@ def main(argv=None) -> int:
         if args.seed is not None:
             _require_min("--seed", args.seed, 0)
             cfg["seed"] = args.seed
+        if args.out is not None:
+            cfg["output_dir"] = args.out
+        out_dir = cfg["output_dir"]
+        os.makedirs(out_dir, exist_ok=True)
     except (OSError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    if args.out is not None:
-        cfg["output_dir"] = args.out
-    out_dir = cfg["output_dir"]
-    os.makedirs(out_dir, exist_ok=True)
-
-    from .kernels import ParameterError
-
     try:
-        from .markowitz import ConsistencyError
-        from .riccati import BlowupError, ConvergenceError
-        from .simulate import FactorizationError, NonFiniteError
-        from .stabilizer import TruncationError
-
+        run = RunContext.build(cfg)
         if args.command == "simulate":
-            status = run_simulate(cfg, out_dir, dump_paths=args.dump_paths)
+            status = run_simulate(run, out_dir, dump_paths=args.dump_paths)
         else:
-            status = _RUNNERS[args.command](cfg, out_dir)
+            status = _RUNNERS[args.command](run, out_dir)
         write_manifest(out_dir, cfg, text, extra={"command": args.command})
     except ParameterError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (BlowupError, ConvergenceError, FactorizationError,
-            ConsistencyError, TruncationError, NonFiniteError) as exc:
+    except (riccati.BlowupError, riccati.ConvergenceError, simulate.FactorizationError,
+            markowitz.ConsistencyError, stabilizer.TruncationError,
+            simulate.NonFiniteError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     return status

@@ -18,7 +18,6 @@ from .model import Grid, MarketModel
 from .riccati import solve_riccati_adams
 from .simulate import (
     PathEnsemble,
-    ensemble_chunks,
     require_finite,
     simulate_variance_chunks,
 )
@@ -208,7 +207,6 @@ def affine_bootstrap(A: np.ndarray, B: np.ndarray, xi_values, n_boot: int = _DEF
 
 def frontier_experiment(model: MarketModel, m_values, M: int, seed: int, *,
                         grid: Grid | None = None, stabs=None,
-                        ensemble: PathEnsemble | None = None,
                         n_boot: int = _DEFAULT_BOOT) -> list[FrontierPoint]:
     """Monte Carlo frontier: simulated Var(X_T) against V(m) per target m.
 
@@ -216,19 +214,16 @@ def frontier_experiment(model: MarketModel, m_values, M: int, seed: int, *,
     Gamma0 that prices the frontier) serves all targets.  The terminal
     wealth is affine in xi*, so one recursion gives the pair (A_T, B_T)
     and each target's X_T = A_T + xi* B_T.  The recursion runs chunk by
-    chunk (``simulate_variance_chunks``, or ``ensemble_chunks`` of a
-    given ensemble, with the same result) and keeps only (A_T, B_T), so
-    without a given ensemble no path outlives its chunk.  One bootstrap
-    weight draw (seed + 7919) serves every target through
-    ``affine_bootstrap``.  psi is solved on the path grid through the
+    chunk (``simulate_variance_chunks``) and keeps only (A_T, B_T), so
+    no path outlives its chunk.  One bootstrap weight draw (seed + 7919)
+    serves every target through ``affine_bootstrap``.  psi is solved on the path grid through the
     memo of ``solve_riccati_adams``, so a caller's own solve is reused.
     """
     grid = grid or Grid(model.T, 600)
     stabs = stabs or model.build_stabilizers()
     solution = solve_riccati_adams(model, stabs, grid.n)
     g0 = gamma0(model, solution, stabs)  # m-independent, priced once
-    chunks = (ensemble_chunks(ensemble) if ensemble is not None
-              else simulate_variance_chunks(model, stabs, grid, M, seed, initial="fixed"))
+    chunks = simulate_variance_chunks(model, stabs, grid, M, seed, initial="fixed")
     # map drops each chunk before the next one is simulated
     terminals = list(map(lambda chunk: affine_wealth_terminal(model, chunk, solution, stabs),
                          chunks))

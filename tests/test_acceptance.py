@@ -63,7 +63,7 @@ def test_criterion_1_terminal_wealth_mean(model_t1, stabs_t1, riccati_600,
             f"E[X_T] = {mean:.5f} vs m = {TARGET_M} (boot SE {mean_se:.5f}, z = {z:.2f})")
 
 
-def test_criterion_2_frontier_consistency(model_t1, stabs_t1, ensemble_5000_fixed):
+def test_criterion_2_frontier_consistency(stabs_t1, grid_600):
     """MC Var(X_T) vs V(m) within max(3 boot-SE, 5% rel) at M = 5000 per
     point for T in {0.5, 1.0}.
 
@@ -79,9 +79,10 @@ def test_criterion_2_frontier_consistency(model_t1, stabs_t1, ensemble_5000_fixe
     for T, rel_tol in ((0.5, 0.05), (1.0, 0.05)):
         model = bundled_model(T=T)
         if T == 1.0:
+            # the paths of the session's fixed-start ensemble, bit for bit
             points = frontier_experiment(
                 model, frontier_m_grid(model, 8), 5000, seed=20240,
-                grid=ensemble_5000_fixed.grid, stabs=stabs_t1, ensemble=ensemble_5000_fixed)
+                grid=grid_600, stabs=stabs_t1)
         else:
             points = frontier_experiment(
                 model, frontier_m_grid(model, 8), 5000, seed=52 + int(10 * T),

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import voltmark
-from voltmark.cli import ConfigError, _DEFAULT_CONFIG, load_config, main
+from voltmark.cli import ConfigError, RunContext, _DEFAULT_CONFIG, load_config, main
 
 TINY = """\
 [model]
@@ -142,6 +142,20 @@ def test_too_few_paths_exit_code(tmp_path, capsys, command, old, new):
     assert f".{key}: expected >= 2 paths" in err
 
 
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+def test_output_path_through_a_file_exit_code(tmp_path, capsys, below):
+    # --out naming a file, or a path below one, is a configuration error
+    # with one line, not a FileExistsError or NotADirectoryError traceback
+    path = _write(tmp_path, TINY)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker / "o" if below else blocker
+    assert main(["riccati", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and err.startswith("config error")
+    assert blocker.read_text() == ""
+
+
 @pytest.mark.parametrize("command, line, extra, message", [
     ("simulate", "seed = -5", [], "mc.seed: expected >= 0"),
     ("frontier", "seed = 11", ["--seed", "-5"], "--seed: expected >= 0"),
@@ -198,13 +212,15 @@ def test_simulate_reproducible_and_dump(tmp_path):
 
 def test_dump_paths_is_path_asset_time_row_major(tmp_path):
     # V is stored time-major; the dump still writes (path, asset, time)
-    from voltmark.cli import _simulate
+    from voltmark.simulate import simulate_variance_paths
 
     cfg_text = _DEFAULT_CONFIG.replace("M = 5000", "M = 70").replace("n = 600", "n = 30")
     path = _write(tmp_path, cfg_text)
     out = tmp_path / "o"
     assert main(["simulate", "--config", path, "--out", str(out), "--dump-paths"]) == 0
-    *_, ens = _simulate(load_config(cfg_text), 70, "stationary")
+    run = RunContext.build(load_config(cfg_text))
+    ens = simulate_variance_paths(run.model, run.stabs, run.grid, 70, run.cfg["seed"],
+                                  initial="stationary", increments=False)
     assert ens.V.shape == (70, 2, 31) and not ens.V.flags.c_contiguous
     body = (out / "paths.bin").read_bytes()[32:]  # after the 3 int64 + 1 float64 header
     assert body == np.ascontiguousarray(ens.V).tobytes()
@@ -247,9 +263,9 @@ def test_v_only_stages_skip_the_increments(tmp_path, monkeypatch):
     chunks = spy(simulate.simulate_variance_chunks)
     monkeypatch.setattr(markowitz, "simulate_variance_chunks", chunks)
     monkeypatch.setattr(montecarlo, "simulate_variance_chunks", chunks)
-    cfg = load_config(TINY)
+    run = RunContext.build(load_config(TINY))
     for runner in (cli.run_simulate, cli.run_laplace, cli.run_wealth, cli.run_frontier):
-        runner(cfg, str(tmp_path))
+        runner(run, str(tmp_path))
     assert requested == [("simulate_variance_paths", False), ("simulate_variance_chunks", False),
                          ("simulate_variance_paths", True), ("simulate_variance_chunks", True)]
 
@@ -370,6 +386,54 @@ def test_full_mode_smoke(tmp_path):
     for name in ("stabilizer_asset1.csv", "riccati_psi.csv", "wealth_stats.csv",
                  "frontier_T1.csv", "laplace_check.csv", "manifest.json"):
         assert (out / name).exists()
+
+
+def test_full_stages_share_one_context(tmp_path, monkeypatch):
+    # full builds the stabilizers once and solves each Riccati system
+    # once, and every stage writes what the standalone command writes
+    from voltmark import model, riccati
+
+    builds, solves = [], []
+    real_build, real_solve = model.build_stabilizer, riccati._solve_adams
+
+    def build_spy(*args, **kwargs):
+        builds.append(args)
+        return real_build(*args, **kwargs)
+
+    def solve_spy(mdl, stabs, n, forcing, include_theta):
+        solves.append((mdl.T, n, forcing, include_theta))
+        return real_solve(mdl, stabs, n, forcing, include_theta)
+
+    monkeypatch.setattr(model, "build_stabilizer", build_spy)
+    monkeypatch.setattr(riccati, "_solve_adams", solve_spy)
+    riccati._solve_memo.cache_clear()
+    # two assets, a horizon besides the config one, and a stationarity
+    # path count different from mc.M
+    cfg_text = (TINY.replace("frontier_horizons = 1.0", "frontier_horizons = 0.5, 1.0")
+                .replace("stationarity_M = 120", "stationarity_M = 90"))
+    for key, value in (("d", "2"), ("alpha", "0.7, 0.9"), ("lam", "0.3, 0.2"),
+                       ("nu", "0.5, 0.3"), ("rho", "-0.5, -0.6"), ("theta", "0.2, 0.1"),
+                       ("mu0", "1.5, 1.0"), ("c", "0.02, 0.03"), ("u", "-0.05, -0.05")):
+        cfg_text = re.sub(rf"^{key} = .*$", f"{key} = {value}", cfg_text, flags=re.M)
+    path = _write(tmp_path, cfg_text)
+    full = tmp_path / "full"
+    assert main(["full", "--config", path, "--out", str(full)]) in (0, 4)
+    assert len(builds) == 2
+    # psi at T = 1 and 0.5 on the path grid and refined for Gamma0, and
+    # the Laplace system
+    assert len(solves) == len(set(solves)) == 5, solves
+
+    alone = tmp_path / "alone"
+    station = _write(tmp_path, re.sub(r"^M = .*$", "M = 90", cfg_text, flags=re.M),
+                     name="station.ini")
+    for command, config in (("stabilizer", path), ("riccati", path), ("simulate", station),
+                            ("wealth", path), ("frontier", path), ("laplace", path)):
+        assert main([command, "--config", config, "--out", str(alone)]) in (0, 4)
+    names = sorted(p.name for p in alone.glob("*.csv"))
+    assert len(names) == 8
+    for name in names:
+        ref = "frontier_T1.csv" if name == "frontier.csv" else name
+        assert (alone / name).read_bytes() == (full / ref).read_bytes(), name
 
 
 def test_stabilizer_residual_above_tolerance_exit_code(tmp_path, capsys):

@@ -172,9 +172,8 @@ def test_frontier_m_grid_range():
     assert grid[-1] == pytest.approx(2.0 * np.exp(0.52))
 
 
-def test_frontier_mean_within_se(model_t1, stabs_t1, ensemble_5000_fixed):
-    pts = frontier_experiment(
-        model_t1, [2.255], 5000, seed=20240, grid=ensemble_5000_fixed.grid,
-        stabs=stabs_t1, ensemble=ensemble_5000_fixed)
+def test_frontier_mean_within_se(model_t1, stabs_t1, grid_600):
+    pts = frontier_experiment(model_t1, [2.255], 5000, seed=20240, grid=grid_600,
+                              stabs=stabs_t1)
     p = pts[0]
     assert abs(p.mean_terminal - 2.255) <= 3.0 * p.mean_se
