@@ -59,6 +59,7 @@ from .montecarlo import (
     EnsembleStats,
     ensemble_stats,
     frontier_experiment,
+    joint_ensemble_stats,
     stationarity_diagnostics,
 )
 from .riccati import (

@@ -300,22 +300,24 @@ def run_simulate(run: RunContext, out_dir: str, M: int | None = None,
 
 
 def run_wealth(run: RunContext, out_dir: str) -> int:
+    """Wealth under the optimal strategy; X and the strategies share one
+    bootstrap weight draw."""
     cfg, model, stabs, grid = run.cfg, run.model, run.stabs, run.grid
     sol = riccati.solve_riccati_adams(model, stabs, grid.n)
     ms = markowitz.solve_markowitz(model, sol, stabs, cfg["m"])
     ens = simulate.simulate_variance_paths(model, stabs, grid, cfg["M"], cfg["seed"],
                                            initial="fixed")
     wealth = markowitz.simulate_wealth(model, ens, sol, stabs, ms.xi_star)
-    xstats = montecarlo.ensemble_stats(wealth.X, grid.times, cfg["n_boot"], cfg["seed"])
+    del ens  # V, dW and dWperp go before the statistics, the stage's peak
+    xstats, *astats = montecarlo.joint_ensemble_stats(
+        [(wealth.X, grid.times)]
+        + [(wealth.alpha_paths[:, i, :], grid.times[:-1]) for i in range(model.d)],
+        cfg["n_boot"], cfg["seed"])
     cols = [grid.times, xstats.mean, xstats.ci_low, xstats.ci_high]
     header = ["t", "X_mean", "X_ci_low", "X_ci_high"]
-    for i in range(model.d):
-        astats = montecarlo.ensemble_stats(wealth.alpha_paths[:, i, :], grid.times[:-1],
-                                           cfg["n_boot"], cfg["seed"] + 11 * (i + 1))
-        pad = list(astats.mean) + [astats.mean[-1]]
-        lo = list(astats.ci_low) + [astats.ci_low[-1]]
-        hi = list(astats.ci_high) + [astats.ci_high[-1]]
-        cols += [pad, lo, hi]
+    for i, st in enumerate(astats):
+        # the strategy lives on cells: its last value is repeated at T
+        cols += [np.append(col, col[-1]) for col in (st.mean, st.ci_low, st.ci_high)]
         header += [f"alpha{i + 1}_mean", f"alpha{i + 1}_ci_low", f"alpha{i + 1}_ci_high"]
     write_csv(os.path.join(out_dir, "wealth_stats.csv"), header, zip(*cols))
     z = abs(wealth.terminal_mean - cfg["m"]) / (xstats.mean_se[-1] or 1e-300)

@@ -42,9 +42,6 @@ _ML_SERIES_RADIUS = 5.0
 _ML_MAX_TERMS = 250
 _N_JACOBI = 32
 _N_LEGENDRE = 32
-# Mittag-Leffler terms of the resolvent convolved in closed form by
-# resolvent_equation_residual
-_RESOLVENT_HEAD = 3
 
 
 @dataclass(frozen=True)
@@ -318,51 +315,6 @@ def _power_moments(r: float, n: int, dt: float):
     m0 = (hi ** r - lo ** r) / (r * g)
     int_u = (hi ** (r + 1.0) - lo ** (r + 1.0)) / ((r + 1.0) * g)
     return m0, hi * m0 - int_u
-
-
-def kernel_convolve(spec: KernelSpec, g: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """(K * g)(t_k) on a uniform grid, exact for piecewise-linear g."""
-    g = np.asarray(g, dtype=float)
-    grid = np.asarray(grid, dtype=float)
-    n = len(grid) - 1
-    if g.shape != grid.shape:
-        raise DomainError("g must be sampled on the given grid")
-    dt = grid[1] - grid[0]
-    if not np.allclose(np.diff(grid), dt):
-        raise DomainError("kernel_convolve requires a uniform grid")
-    m0, m1 = _power_moments(spec.alpha, n, dt)
-    w_right = m1 / dt          # weight on g(t_l) for cell ending at lag j
-    w_left = m0 - w_right      # weight on g(t_{l-1})
-    out = np.zeros(n + 1)
-    # (K*g)(t_k) = sum_{l=1..k} w_left[k-l] g_{l-1} + w_right[k-l] g_l
-    out[1:] = (
-        np.convolve(w_left, g[:-1])[:n]
-        + np.convolve(w_right, g[1:])[:n]
-    )
-    return out
-
-def resolvent_equation_residual(spec: ResolventSpec, T: float, n: int) -> float:
-    """max_k |R(t_k) + lam (K*R)(t_k) - 1| on the uniform grid over [0, T].
-
-    R = E_alpha(-lam t^alpha) has a t^alpha cusp at 0 that a
-    piecewise-linear interpolant misses.  The first _RESOLVENT_HEAD terms
-    of its Mittag-Leffler series, (-lam t^alpha)^k / Gamma(alpha k + 1),
-    are therefore convolved in closed form,
-    K * t^(alpha k) / Gamma(alpha k + 1) = t^(alpha (k+1)) / Gamma(alpha (k+1) + 1),
-    and only the smoother remainder by product integration against its
-    piecewise-linear interpolant.  The residual so measures how well the
-    evaluated resolvent satisfies its defining Volterra equation.
-    """
-    grid = np.linspace(0.0, T, n + 1)
-    R = np.asarray(resolvent(spec, grid))
-    al, lam = spec.kernel.alpha, spec.lam
-    head = np.zeros_like(grid)
-    head_conv = np.zeros_like(grid)
-    for k in range(_RESOLVENT_HEAD):
-        head += (-lam) ** k * grid ** (al * k) / gamma_fn(al * k + 1.0)
-        head_conv += (-lam) ** k * grid ** (al * (k + 1)) / gamma_fn(al * (k + 1) + 1.0)
-    conv = head_conv + kernel_convolve(spec.kernel, R - head, grid)
-    return float(np.max(np.abs(R + lam * conv - 1.0)))
 
 
 def fractional_integral(r: float, f: np.ndarray, T: float) -> float:

@@ -1,11 +1,15 @@
 """Ensemble statistics, bootstrap bands, and the experiment drivers.
 
 Bootstrap resampling is over whole paths (per-time resampling would
-understate path-level variance) and implemented as multinomial weight
-matrices hitting the path array in a single matrix product, so 1000
-resamples of 10^4 paths stay cheap.  Standard errors for variances come
-from the same bootstrap distribution rather than asymptotic formulas;
-terminal wealth is heavy-tailed for ambitious targets.
+understate path-level variance).  A resample is a row of weights, the
+counts of M paths drawn with replacement over M; one product of the
+(n_boot, M) weights with the centred columns, and one with their
+squares, give every resample's means and variances.  Columns of the same
+paths (the assets of an ensemble, the wealth and its strategies) share
+one weight draw, so each resample picks whole joint paths.  Standard
+errors for variances come from the same bootstrap distribution rather
+than asymptotic formulas; terminal wealth is heavy-tailed for ambitious
+targets.
 """
 
 from dataclasses import dataclass, field
@@ -39,63 +43,76 @@ class EnsembleStats:
     n_boot: int = _DEFAULT_BOOT
 
 
-def _require_resamples(n_boot: int) -> None:
-    # a bootstrap standard error is a spread over resamples: it needs two
-    if n_boot < 2:
-        raise ParameterError(f"bootstrap needs n_boot >= 2 resamples, got {n_boot}")
-
-
-# resamples per multinomial draw of ``_bootstrap_weights``
+# resamples per block of path indices drawn by ``_bootstrap_weights``
 _WEIGHT_ROWS = 64
 
 
-def _bootstrap_weights(M: int, n_boot: int, rng: np.random.Generator) -> np.ndarray:
-    """(n_boot, M) resampling weights, counts / M of n_boot multinomial draws.
+def _bootstrap_weights(M: int, n_boot: int, seed: int) -> np.ndarray:
+    """(n_boot, M) resampling weights from ``default_rng(seed)``.
 
-    The draws are taken a block of rows at a time, which consumes the
-    generator exactly as one draw of all rows would, so the weights are
-    those of ``rng.multinomial(M, p, size=n_boot) / M`` without its
-    (n_boot, M) integer temporary.
+    Each row is the counts of M path indices drawn uniformly, over M:
+    the multinomial(M, 1/M) law, drawn faster than numpy's multinomial
+    sampler (0.22 s against 0.64 s at M = 10^4, n_boot = 1000).  The
+    indices come ``_WEIGHT_ROWS`` rows at a time, so their array stays small.
     """
+    if n_boot < 2:
+        # a bootstrap standard error is a spread over resamples: it needs two
+        raise ParameterError(f"bootstrap needs n_boot >= 2 resamples, got {n_boot}")
+    rng = np.random.default_rng(seed)
     w = np.empty((n_boot, M))
-    p = np.full(M, 1.0 / M)
     for lo in range(0, n_boot, _WEIGHT_ROWS):
-        hi = min(lo + _WEIGHT_ROWS, n_boot)
-        np.divide(rng.multinomial(M, p, size=hi - lo), M, out=w[lo:hi])
+        rows = rng.integers(0, M, size=(min(_WEIGHT_ROWS, n_boot - lo), M))
+        for out, row in zip(w[lo:], rows):
+            np.divide(np.bincount(row, minlength=M), M, out=out)
     return w
+
+
+def _resampled_stats(w: np.ndarray, paths: np.ndarray, times) -> EnsembleStats:
+    """Statistics of the columns of paths (M, k) over the resamples w.
+
+    Centring the columns leaves every resampled variance unchanged and
+    keeps it free of cancellation; point estimates come from the paths.
+    """
+    M = paths.shape[0]
+    mean = paths.mean(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked by the callers
+        centred = paths - mean
+        boot_mean = w @ centred                      # (n_boot, k)
+        boot_var = w @ np.square(centred, out=centred)
+        del centred
+        boot_var = (boot_var - boot_mean**2) * (M / (M - 1.0))
+        boot_mean += mean
+        lo, hi = np.percentile(boot_mean, [2.5, 97.5], axis=0)
+        return EnsembleStats(times=np.asarray(times, dtype=float), mean=mean,
+                             variance=paths.var(axis=0, ddof=1), ci_low=lo, ci_high=hi,
+                             mean_se=boot_mean.std(axis=0, ddof=1),
+                             var_se=boot_var.std(axis=0, ddof=1), n_boot=len(w))
+
+
+def joint_ensemble_stats(columns, n_boot: int = _DEFAULT_BOOT,
+                         seed: int = 0) -> list[EnsembleStats]:
+    """``ensemble_stats`` of each (paths, times) pair, from one weight draw.
+
+    Row j of every paths array is a part of the same joint path j, so
+    each resample picks whole joint paths.  The weights go on return.
+    """
+    columns = [(np.asarray(paths, dtype=float), times) for paths, times in columns]
+    M = len(columns[0][0])
+    if any(paths.ndim != 2 or len(paths) != M for paths, _ in columns) or M < 2:
+        raise ParameterError("ensemble_stats needs (M, n_times) arrays of the same M >= 2")
+    w = _bootstrap_weights(M, n_boot, seed)
+    out = [_resampled_stats(w, paths, times) for paths, times in columns]
+    for stats in out:
+        for name in ("mean", "variance", "mean_se", "var_se"):
+            require_finite(f"ensemble {name.replace('_', ' ')}", getattr(stats, name))
+    return out
 
 
 def ensemble_stats(paths: np.ndarray, times: np.ndarray, n_boot: int = _DEFAULT_BOOT,
                    seed: int = 0) -> EnsembleStats:
-    """Sample mean/variance over paths with percentile-bootstrap CIs.
-
-    paths has shape (M, len(times)); whole paths are resampled.
-    """
-    paths = np.asarray(paths, dtype=float)
-    if paths.ndim != 2 or paths.shape[0] < 2:
-        raise ParameterError("ensemble_stats needs an (M, n_times) array with M >= 2")
-    _require_resamples(n_boot)
-    M = paths.shape[0]
-    rng = np.random.default_rng(seed)
-    w = _bootstrap_weights(M, n_boot, rng)           # (n_boot, M)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        boot_mean = w @ paths                        # (n_boot, n_times)
-        boot_sq = w @ (paths * paths)
-        boot_var = (boot_sq - boot_mean**2) * M / (M - 1.0)
-        lo, hi = np.percentile(boot_mean, [2.5, 97.5], axis=0)
-        stats = EnsembleStats(
-            times=np.asarray(times, dtype=float),
-            mean=paths.mean(axis=0),
-            variance=paths.var(axis=0, ddof=1),
-            ci_low=lo,
-            ci_high=hi,
-            mean_se=boot_mean.std(axis=0, ddof=1),
-            var_se=boot_var.std(axis=0, ddof=1),
-            n_boot=n_boot,
-        )
-    for name in ("mean", "variance", "mean_se", "var_se"):
-        require_finite(f"ensemble {name.replace('_', ' ')}", getattr(stats, name))
-    return stats
+    """Sample mean/variance over paths (M, len(times)) with percentile-bootstrap
+    CIs; whole paths are resampled."""
+    return joint_ensemble_stats([(paths, times)], n_boot, seed)[0]
 
 
 @dataclass(frozen=True)
@@ -116,11 +133,12 @@ def stationarity_diagnostics(ensemble: PathEnsemble, model: MarketModel,
 
     For each asset the sample mean of V must sit within 3 bootstrap SEs
     of x_inf at >= 99% of grid times and the sample variance within 3
-    SEs of v0 at >= 95% of times.  Asset i's ``ensemble_stats`` (seed
-    + i) are returned with the report.
+    SEs of v0 at >= 95% of times.  Each asset's statistics are returned
+    with the report; the assets share one weight draw (seed).
     """
-    stats = tuple(ensemble_stats(ensemble.V[:, i, :], ensemble.grid.times, n_boot, seed + i)
-                  for i in range(model.d))
+    times = ensemble.grid.times
+    stats = tuple(joint_ensemble_stats([(ensemble.V[:, i, :], times) for i in range(model.d)],
+                                       n_boot, seed))
     mean_cov = np.empty(model.d)
     var_cov = np.empty(model.d)
     for i, st in enumerate(stats):
@@ -159,50 +177,22 @@ def terminal_bootstrap(terminal: np.ndarray, n_boot: int = _DEFAULT_BOOT,
     return affine_bootstrap(terminal, np.zeros_like(terminal), [0.0], n_boot, seed)[0]
 
 
-def _resample_moments(A: np.ndarray, B: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Per-resample E_w of (a, b, a^2, ab, b^2), with a, b = A, B minus their means.
-
-    Centring leaves every bootstrap variance unchanged and keeps the
-    closed-form variances below free of cancellation.
-    """
-    a = A - A.mean()
-    b = B - B.mean()
-    return w @ np.column_stack([a, b, a * a, a * b, b * b])      # (n_boot, 5)
-
-
-def _resample_mean_var(moments: np.ndarray, A: np.ndarray, B: np.ndarray,
-                       xi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-resample mean and unbiased variance of x = A + xi B from the moments."""
-    M = len(A)
-    mean_c = moments[:, 0] + xi * moments[:, 1]
-    sq_c = moments[:, 2] + 2.0 * xi * moments[:, 3] + xi * xi * moments[:, 4]
-    return A.mean() + xi * B.mean() + mean_c, (sq_c - mean_c**2) * M / (M - 1.0)
-
-
 def affine_bootstrap(A: np.ndarray, B: np.ndarray, xi_values, n_boot: int = _DEFAULT_BOOT,
                      seed: int = 0) -> list[tuple[float, float, float, float]]:
     """``terminal_bootstrap`` of x = A + xi B for every xi, from one weight draw.
 
-    One (n_boot, M) x (M, 5) product gives each resample's moments of
-    (A, B); each target's resampled means and variances then follow in
-    closed form.  Point estimates come from x itself.
+    The targets' x are the columns of one (M, targets) array, resampled
+    like the columns of an ensemble.
     """
-    _require_resamples(n_boot)
-    w = _bootstrap_weights(len(A), n_boot, np.random.default_rng(seed))
-    out = []
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        moments = _resample_moments(A, B, w)
-        for xi in xi_values:
-            x = A + xi * B
-            bm, bv = _resample_mean_var(moments, A, B, xi)
-            out.append((
-                float(np.mean(x)),
-                float(np.std(bm, ddof=1)),
-                float(np.var(x, ddof=1)),
-                float(np.std(bv, ddof=1)),
-            ))
-    require_finite("terminal wealth statistics", np.array(out))
-    return out
+    w = _bootstrap_weights(len(A), n_boot, seed)
+    # column-major, so each target's point estimates reduce one contiguous x
+    x = np.empty((len(A), len(xi_values)), order="F")
+    for j, xi in enumerate(xi_values):
+        x[:, j] = A + xi * B
+    st = _resampled_stats(w, x, xi_values)
+    out = np.column_stack([st.mean, st.mean_se, st.variance, st.var_se])
+    require_finite("terminal wealth statistics", out)
+    return [tuple(map(float, row)) for row in out]
 
 
 def frontier_experiment(model: MarketModel, m_values, M: int, seed: int, *,

@@ -160,6 +160,17 @@ def build_gaussian_factor(spec: KernelSpec, grid: Grid) -> GaussianBlockFactor:
     return GaussianBlockFactor(spec=spec, grid=grid, factor=factor, c_seg=c_seg)
 
 
+# KernelSpec and Grid are frozen and hash by value, so the stages of a
+# run that share a horizon share its factors; the builder is looked up
+# at call time, so a caller that replaces it sees every miss
+@functools.lru_cache(maxsize=16)
+def _factor_memo(spec: KernelSpec, grid: Grid) -> GaussianBlockFactor:
+    fac = build_gaussian_factor(spec, grid)
+    fac.factor.flags.writeable = False
+    fac.c_seg.flags.writeable = False
+    return fac
+
+
 @dataclass(frozen=True, eq=False)
 class PathEnsemble:
     """Simulated variance paths with their driving increments.
@@ -256,14 +267,15 @@ def ensemble_chunks(ensemble: PathEnsemble):
 
 
 def _checked_factors(model: MarketModel, grid: Grid, M: int, initial: str) -> list:
-    """Validate the engine's arguments and build each asset's factor."""
+    """Validate the engine's arguments and take each asset's factor from the
+    per-process memo (read-only arrays)."""
     if M < 1:
         raise ParameterError(f"path count M must be >= 1, got {M}")
     if grid.T != model.T:
         raise ParameterError(f"grid horizon  {grid.T} != model horizon {model.T}")
     if initial not in ("stationary", "fixed"):
         raise ParameterError(f"unknown initial-variance mode {initial!r}")
-    return [build_gaussian_factor(fractional_kernel(a), grid) for a in model.alpha]
+    return [_factor_memo(fractional_kernel(a), grid) for a in model.alpha]
 
 
 def _advance_chunks(model: MarketModel, stabs, grid: Grid, M: int, seed: int, initial: str,
@@ -275,11 +287,16 @@ def _advance_chunks(model: MarketModel, stabs, grid: Grid, M: int, seed: int, in
     V0, then dWperp, from child 0 and asset i's normals from child 1 + i.
     ``out`` = (V, dW, dWperp), whole (d, n+1, M), (d, n, M) and (M, d, n)
     arrays (dW and dWperp None without increments), makes each chunk
-    write into its columns of them; otherwise every chunk gets arrays of
-    its own.
+    write into its columns of them, and each asset's scratch serves
+    every chunk; otherwise every chunk gets arrays of its own, and each
+    asset's job maps and frees its own scratch, so that the consumer's
+    arrays never stack on it.
     """
     d, n, dt = model.d, grid.n, grid.dt
     sig_grid = np.stack([np.asarray(st.eval(grid.times[:-1])) for st in stabs], axis=0)  # (d, n)
+    sizes = {min(M, _CHUNK_PATHS), (M - 1) % _CHUNK_PATHS + 1}    # chunk path counts
+    scratch = ([_asset_scratch(n, fac.rank, sizes) for fac in factors] if out is not None
+               else [None] * d)
     seq = np.random.SeedSequence(seed)
     for c0 in range(0, M, _CHUNK_PATHS):
         c1 = min(c0 + _CHUNK_PATHS, M)
@@ -305,7 +322,7 @@ def _advance_chunks(model: MarketModel, stabs, grid: Grid, M: int, seed: int, in
         V[:, 0, :] = V0.T
         _run_concurrently([
             functools.partial(_advance_asset, model, i, factors[i], sig_grid[i], rngs_asset[i],
-                              V[i], dW[i] if increments else None)
+                              V[i], dW[i] if increments else None, scratch[i])
             for i in range(d)
         ])
         yield PathEnsemble(model=model, grid=grid, M=m, seed=seed, V=V.transpose(2, 0, 1),
@@ -387,9 +404,24 @@ def _mapped(shape) -> np.ndarray:
     return np.frombuffer(pages, count=size).reshape(shape)
 
 
+def _asset_scratch(n: int, r: int, sizes) -> tuple:
+    """Flat scratch of ``_advance_asset`` for a rank-r factor and chunks of
+    each path count in ``sizes``: the normals and vol of one cell, the
+    noise and drift of a block's cells, the in-block product, and the
+    far-field factor block and product.  A chunk views the leading
+    entries in its own shapes, so every view is contiguous."""
+    far_rows = range(n - _BLOCK, 0, -_BLOCK)
+    far = max((rows * max(np.diff(_path_bounds(rows, m))) for rows in far_rows for m in sizes),
+              default=0)
+    m = max(sizes)
+    return tuple(_mapped((size,)) for size in (
+        r * m, m, _BLOCK * (r + 1) * m, _BLOCK * m,
+        far_rows[0] * _BLOCK * (r + 1) if far_rows else 0, far))
+
+
 def _advance_asset(model: MarketModel, i: int, fac: GaussianBlockFactor,
                    sig: np.ndarray, rng: np.random.Generator,
-                   V: np.ndarray, dW: np.ndarray | None) -> None:
+                   V: np.ndarray, dW: np.ndarray | None, scratch: tuple | None) -> None:
     """Blocked Volterra accumulation of one asset over one chunk of paths, in place.
 
     V is the asset's time-major (n+1, m) slab of the chunk's m paths (a
@@ -404,8 +436,9 @@ def _advance_asset(model: MarketModel, i: int, fac: GaussianBlockFactor,
     contributions beyond it are deferred and flushed as thin matrix
     products per block, which keeps the O(n^2 M) accumulation
     compute-bound instead of rewriting the whole future per cell.
-    Every O(M) scratch array lives in its own memory map (``_mapped``),
-    so the routine can run on a worker thread.
+    ``scratch`` is the asset's ``_asset_scratch``, or None to map one
+    for this chunk alone; its arrays are memory maps of their own
+    (``_mapped``), so the routine can run on a worker thread.
     """
     n, M = fac.grid.n, V.shape[1]
     r = fac.rank
@@ -413,14 +446,11 @@ def _advance_asset(model: MarketModel, i: int, fac: GaussianBlockFactor,
     # eigenvectors' column-major order, which decides numpy's matmul
     # route for F_aug[:m] (its own loop for one row) and so the rounding
     F_aug = np.concatenate([fac.factor[:n], fac.c_seg[:, None]], axis=1)  # (n, r+1)
-    z = _mapped((r, M))                       # normals of one cell
-    vol = _mapped((M,))                       # vol coefficient of one cell
-    y_blk = _mapped((_BLOCK, r + 1, M))       # noise and drift of a block's cells
-    near = _mapped((_BLOCK, M))               # in-block product
-    far_rows = range(n - _BLOCK, 0, -_BLOCK)
-    f_big = _mapped((far_rows[0] * _BLOCK * (r + 1) if far_rows else 0,))
-    far = _mapped((max((rows * max(np.diff(_path_bounds(rows, M))) for rows in far_rows),
-                       default=0),))
+    z_buf, vol_buf, y_buf, near_buf, f_big, far = scratch or _asset_scratch(n, r, {M})
+    z = z_buf[: r * M].reshape(r, M)
+    vol = vol_buf[:M]
+    y_blk = y_buf[: _BLOCK * (r + 1) * M].reshape(_BLOCK, r + 1, M)
+    near = near_buf[: _BLOCK * M].reshape(_BLOCK, M)
     f_dw = fac.factor[n]
     mu0, lam = model.mu0[i], model.lam[i]
     nu = model.nu[i]

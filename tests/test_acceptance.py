@@ -12,11 +12,11 @@ on two cores.
 import numpy as np
 import pytest
 
+from oracles import resolvent_equation_residual
 from voltmark.kernels import (
     ResolventSpec,
     fractional_kernel,
     mittag_leffler,
-    resolvent_equation_residual,
 )
 from voltmark.markowitz import (
     affine_wealth_terminal,

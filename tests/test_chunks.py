@@ -5,6 +5,8 @@ one over, and two chunks plus a remainder.  The grid is small, but has
 more than one block of cells, so the far-field flush runs in every chunk.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -127,3 +129,39 @@ def test_engine_rejects_empty_path_count(model_t1, stabs_t1, M):
         simulate_variance_paths(model_t1, stabs_t1, GRID, M, SEED)
     with pytest.raises(ParameterError, match="M must be >= 1"):
         simulate_variance_chunks(model_t1, stabs_t1, GRID, M, SEED)   # before the first chunk
+
+
+def test_short_last_chunk_fits_the_scratch(model_t1, stabs_t1, monkeypatch):
+    # with a small far-field budget a full chunk splits each flush into
+    # 640-path ranges, while a last chunk of 1279 paths runs as one
+    # range, wider than any of a full chunk's; the scratch that every
+    # chunk shares must hold it
+    unsplit = _paths(model_t1, stabs_t1, C + 1279)
+    monkeypatch.setattr(simulate, "_FAR_CELLS", 1 << 12)
+    assert simulate._path_bounds(GRID.n - 64, C)[:2] == [0, 640]
+    assert simulate._path_bounds(GRID.n - 64, 1279) == [0, 1279]
+    split = _paths(model_t1, stabs_t1, C + 1279)
+    last = _chunks(model_t1, stabs_t1, C + 1279)[-1]
+    assert np.array_equal(last.V, split.V[C:])
+    assert np.max(np.abs(split.V - unsplit.V)) <= 1e-12 * np.max(np.abs(unsplit.V))
+
+
+def test_scratch_serves_every_chunk_and_leaves_before_a_consumer(model_t1, stabs_t1,
+                                                                   monkeypatch):
+    # the whole ensemble maps each asset's scratch once for all chunks;
+    # a chunk handed to a consumer no longer holds any scratch
+    made = []
+    real = simulate._asset_scratch
+
+    def spy(*args):
+        buffers = real(*args)
+        made.append([weakref.ref(buf) for buf in buffers])
+        return buffers
+
+    monkeypatch.setattr(simulate, "_asset_scratch", spy)
+    _paths(model_t1, stabs_t1, 2 * C + 3)
+    assert len(made) == model_t1.d
+    made.clear()
+    for _ in simulate_variance_chunks(model_t1, stabs_t1, GRID, 2 * C + 3, SEED):
+        assert made and all(ref() is None for refs in made for ref in refs)
+    assert len(made) == 3 * model_t1.d

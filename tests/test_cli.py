@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -226,22 +227,65 @@ def test_dump_paths_is_path_asset_time_row_major(tmp_path):
     assert body == np.ascontiguousarray(ens.V).tobytes()
 
 
+def _two_assets(cfg_text: str) -> str:
+    """A config with TINY's sizes and two assets."""
+    for key, value in (("d", "2"), ("alpha", "0.7, 0.9"), ("lam", "0.3, 0.2"),
+                       ("nu", "0.5, 0.3"), ("rho", "-0.5, -0.6"), ("theta", "0.2, 0.1"),
+                       ("mu0", "1.5, 1.0"), ("c", "0.02, 0.03"), ("u", "-0.05, -0.05")):
+        cfg_text = re.sub(rf"^{key} = .*$", f"{key} = {value}", cfg_text, flags=re.M)
+    return cfg_text
+
+
 def test_simulate_computes_each_bootstrap_once(tmp_path, monkeypatch):
-    # the stationarity check reuses the statistics behind the CSVs
+    # one weight draw per ensemble: the assets of the stationarity
+    # ensemble share one, so do the wealth and its strategies, and the
+    # frontier draws one per horizon for all of its targets
     from voltmark import montecarlo
 
-    calls = []
-    real = montecarlo.ensemble_stats
+    draws = []
+    real = montecarlo._bootstrap_weights
 
-    def counting(*args, **kwargs):
-        calls.append(args[3] if len(args) > 3 else kwargs.get("seed"))
-        return real(*args, **kwargs)
+    def spy(M, n_boot, seed):
+        draws.append((M, n_boot, seed))
+        return real(M, n_boot, seed)
 
-    monkeypatch.setattr(montecarlo, "ensemble_stats", counting)
+    monkeypatch.setattr(montecarlo, "_bootstrap_weights", spy)
     path = _write(tmp_path, _DEFAULT_CONFIG.replace("M = 5000", "M = 60")
                   .replace("n = 600", "n = 20").replace("n_boot = 1000", "n_boot = 50"))
     main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
-    assert calls == [7041, 7042]
+    assert draws == [(60, 50, 7041)]
+
+    draws.clear()
+    cfg_text = _two_assets(TINY.replace("frontier_horizons = 1.0",
+                                        "frontier_horizons = 0.5, 1.0, 5.0")
+                           .replace("stationarity_M = 120", "stationarity_M = 90"))
+    path = _write(tmp_path, cfg_text)
+    assert main(["full", "--config", path, "--out", str(tmp_path / "full")]) in (0, 4)
+    assert draws == [(90, 150, 11), (120, 150, 11)] + [(120, 150, 11 + 7919)] * 3
+
+
+def test_wealth_drops_its_paths_before_the_statistics(tmp_path, monkeypatch):
+    # V, dW and dWperp are the largest arrays of the wealth stage; they
+    # are gone by the time its bootstrap weights are drawn
+    from voltmark import montecarlo, simulate
+
+    refs, alive = [], []
+    real_paths, real_stats = simulate.simulate_variance_paths, montecarlo.joint_ensemble_stats
+
+    def paths_spy(*args, **kwargs):
+        ens = real_paths(*args, **kwargs)
+        refs.extend(weakref.ref(obj) for obj in (ens, ens.V, ens.dW, ens.dWperp))
+        return ens
+
+    def stats_spy(*args, **kwargs):
+        alive.append([ref() is not None for ref in refs])
+        return real_stats(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "simulate_variance_paths", paths_spy)
+    monkeypatch.setattr(montecarlo, "joint_ensemble_stats", stats_spy)
+    path = _write(tmp_path, _two_assets(TINY))
+    assert main(["wealth", "--config", path, "--out", str(tmp_path / "o")]) in (0, 4)
+    assert alive == [[False] * 4]
 
 
 def test_v_only_stages_skip_the_increments(tmp_path, monkeypatch):
@@ -389,12 +433,14 @@ def test_full_mode_smoke(tmp_path):
 
 
 def test_full_stages_share_one_context(tmp_path, monkeypatch):
-    # full builds the stabilizers once and solves each Riccati system
-    # once, and every stage writes what the standalone command writes
-    from voltmark import model, riccati
+    # full builds the stabilizers once, solves each Riccati system once
+    # and builds each Gaussian factor once, and every stage writes what
+    # the standalone command writes
+    from voltmark import model, riccati, simulate
 
-    builds, solves = [], []
+    builds, solves, factors = [], [], []
     real_build, real_solve = model.build_stabilizer, riccati._solve_adams
+    real_factor = simulate.build_gaussian_factor
 
     def build_spy(*args, **kwargs):
         builds.append(args)
@@ -404,17 +450,19 @@ def test_full_stages_share_one_context(tmp_path, monkeypatch):
         solves.append((mdl.T, n, forcing, include_theta))
         return real_solve(mdl, stabs, n, forcing, include_theta)
 
+    def factor_spy(spec, grid):
+        factors.append((spec.alpha, grid))
+        return real_factor(spec, grid)
+
     monkeypatch.setattr(model, "build_stabilizer", build_spy)
     monkeypatch.setattr(riccati, "_solve_adams", solve_spy)
+    monkeypatch.setattr(simulate, "build_gaussian_factor", factor_spy)
     riccati._solve_memo.cache_clear()
+    simulate._factor_memo.cache_clear()
     # two assets, a horizon besides the config one, and a stationarity
     # path count different from mc.M
-    cfg_text = (TINY.replace("frontier_horizons = 1.0", "frontier_horizons = 0.5, 1.0")
-                .replace("stationarity_M = 120", "stationarity_M = 90"))
-    for key, value in (("d", "2"), ("alpha", "0.7, 0.9"), ("lam", "0.3, 0.2"),
-                       ("nu", "0.5, 0.3"), ("rho", "-0.5, -0.6"), ("theta", "0.2, 0.1"),
-                       ("mu0", "1.5, 1.0"), ("c", "0.02, 0.03"), ("u", "-0.05, -0.05")):
-        cfg_text = re.sub(rf"^{key} = .*$", f"{key} = {value}", cfg_text, flags=re.M)
+    cfg_text = _two_assets(TINY.replace("frontier_horizons = 1.0", "frontier_horizons = 0.5, 1.0")
+                           .replace("stationarity_M = 120", "stationarity_M = 90"))
     path = _write(tmp_path, cfg_text)
     full = tmp_path / "full"
     assert main(["full", "--config", path, "--out", str(full)]) in (0, 4)
@@ -422,6 +470,13 @@ def test_full_stages_share_one_context(tmp_path, monkeypatch):
     # psi at T = 1 and 0.5 on the path grid and refined for Gamma0, and
     # the Laplace system
     assert len(solves) == len(set(solves)) == 5, solves
+    # both kernels on the T = 1 grid (stationarity, wealth, frontier,
+    # Laplace) and on the T = 0.5 one; the memo hands out read-only arrays
+    assert len(factors) == len(set(factors)) == 4, factors
+    for alpha, grid in factors:
+        fac = simulate._factor_memo(simulate.fractional_kernel(alpha), grid)
+        assert not fac.factor.flags.writeable and not fac.c_seg.flags.writeable
+    assert len(factors) == 4
 
     alone = tmp_path / "alone"
     station = _write(tmp_path, re.sub(r"^M = .*$", "M = 90", cfg_text, flags=re.M),

@@ -9,6 +9,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gamma as G
 
+from oracles import kernel_convolve, resolvent_equation_residual
 from voltmark.kernels import (
     DomainError,
     KernelSpec,
@@ -17,13 +18,11 @@ from voltmark.kernels import (
     eval_kernel,
     fractional_integral,
     fractional_kernel,
-    kernel_convolve,
     kernel_cross_segment,
     kernel_mean_segment,
     mittag_leffler,
     resolvent,
     resolvent_density,
-    resolvent_equation_residual,
 )
 
 # alpha = 1 is the constant kernel K = 1, the Markovian edge

@@ -1,5 +1,7 @@
 """Bootstrap statistics, stationarity diagnostics, frontier driver."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,11 @@ from voltmark.kernels import ParameterError
 from voltmark.model import Grid, bundled_model
 from voltmark.montecarlo import (
     _bootstrap_weights,
-    _resample_mean_var,
-    _resample_moments,
+    affine_bootstrap,
     ensemble_stats,
     frontier_experiment,
     frontier_m_grid,
+    joint_ensemble_stats,
     stationarity_diagnostics,
     terminal_bootstrap,
 )
@@ -113,32 +115,59 @@ def test_terminal_bootstrap_consistency():
 
 
 @pytest.mark.parametrize("n_boot", [2, 64, 150])
-def test_blocked_weights_equal_one_multinomial_draw(n_boot):
-    # drawn a block of rows at a time into one float array, the weights
-    # are those of a single multinomial draw of every row, bit for bit
+def test_bootstrap_weights_are_resampled_counts(n_boot):
+    # each row counts M paths drawn with replacement, over M, whether or
+    # not the rows fill whole blocks of index draws; a seed fixes them
     M = 37
-    w = _bootstrap_weights(M, n_boot, np.random.default_rng(6))
-    one_draw = np.random.default_rng(6).multinomial(M, np.full(M, 1.0 / M), size=n_boot) / M
+    w = _bootstrap_weights(M, n_boot, 6)
     assert w.dtype == np.float64 and w.shape == (n_boot, M)
-    assert np.array_equal(w, one_draw)
+    counts = w * M
+    assert np.array_equal(counts, np.round(counts)) and counts.min() >= 0.0
+    assert np.all(counts.sum(axis=1) == M)
+    assert np.array_equal(w, _bootstrap_weights(M, n_boot, 6))
+    assert not np.array_equal(w, _bootstrap_weights(M, n_boot, 7))
+
+
+def test_bootstrap_weights_have_the_multinomial_law():
+    # multinomial(M, 1/M) counts: mean 1, variance (M-1)/M, and a path is
+    # left out of a resample with probability (1-1/M)^M; 3e5 counts give
+    # standard errors of 3e-3 (variance) and 1e-3 (zero fraction)
+    M, n_boot = 1000, 300
+    counts = _bootstrap_weights(M, n_boot, 12) * M
+    assert counts.mean() == pytest.approx(1.0, abs=1e-12)
+    assert counts.var() == pytest.approx((M - 1) / M, abs=0.02)
+    assert np.mean(counts == 0.0) == pytest.approx((1 - 1 / M) ** M, abs=0.006)
+
+
+def test_columns_of_one_ensemble_share_a_resample(model_t1, stabs_t1):
+    # a copy of a column, as another asset of the ensemble or another
+    # column set of the same paths, gets the same resamples and so the
+    # same bootstrap columns
+    ens = simulate_variance_paths(model_t1, stabs_t1, Grid(1.0, 30), 200, seed=8,
+                                  increments=False)
+    twin = replace(ens, V=np.repeat(ens.V[:, :1, :], 2, axis=1))
+    first, second = stationarity_diagnostics(twin, model_t1, n_boot=100, seed=5).stats
+    x = twin.V[:, 0, :]
+    joint = joint_ensemble_stats([(x, ens.grid.times), (x.copy(), ens.grid.times)],
+                                 n_boot=100, seed=5)
+    for st in (second, *joint, ensemble_stats(x, ens.grid.times, n_boot=100, seed=5)):
+        for name in ("mean", "variance", "ci_low", "ci_high", "mean_se", "var_se"):
+            assert np.array_equal(getattr(st, name), getattr(first, name)), name
 
 
 def test_affine_resamples_match_direct():
-    # the closed form from the five moments of (A, B) against w @ x and
-    # w @ x^2 for the same weights
+    # every target's bootstrap of x = A + xi B against ensemble_stats of
+    # x alone, from the same weights
     rng = np.random.default_rng(21)
     M = 500
     A = 2.0 + 0.3 * rng.standard_normal(M)
     B = -0.4 + 0.1 * rng.standard_normal(M) + 0.2 * (A - 2.0)
-    w = _bootstrap_weights(M, 300, np.random.default_rng(4))
-    moments = _resample_moments(A, B, w)
-    for xi in (0.0, 2.5, 11.0):
-        x = A + xi * B
-        bm, bv = _resample_mean_var(moments, A, B, xi)
-        direct_mean = w @ x
-        direct_var = (w @ (x * x) - direct_mean**2) * M / (M - 1.0)
-        assert np.max(np.abs(bm - direct_mean)) <= 1e-12 * np.max(np.abs(direct_mean))
-        assert np.max(np.abs(bv - direct_var)) <= 1e-12 * np.max(np.abs(direct_var))
+    xis = (0.0, 2.5, 11.0)
+    for xi, got in zip(xis, affine_bootstrap(A, B, xis, n_boot=300, seed=4)):
+        st = ensemble_stats((A + xi * B)[:, None], np.zeros(1), n_boot=300, seed=4)
+        want = (st.mean[0], st.mean_se[0], st.variance[0], st.var_se[0])
+        assert got[0] == want[0] and got[2] == want[2]
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_frontier_experiment_reproducible():
