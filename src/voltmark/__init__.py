@@ -2,7 +2,7 @@
 
 Modules: kernels (special functions and segment integrals), stabilizer
 (fake-stationarity diffusion multiplier), model (parameters), riccati
-(fractional Adams solver and oracles), simulate (K-integrated Euler
+(fractional Adams solver and bounds), simulate (K-integrated Euler
 Monte Carlo), markowitz (closed forms and the optimal strategy),
 montecarlo (statistics and experiment drivers), cli (entry point).
 
@@ -66,7 +66,6 @@ from .riccati import (
     BlowupError,
     RiccatiSolution,
     check_admissibility,
-    oracle_volterra_picard,
     riccati_bound,
     solve_laplace_riccati,
     solve_riccati_adams,

@@ -442,7 +442,7 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (riccati.BlowupError, riccati.ConvergenceError, simulate.FactorizationError,
+    except (riccati.BlowupError, simulate.FactorizationError,
             markowitz.ConsistencyError, stabilizer.TruncationError,
             simulate.NonFiniteError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -20,6 +20,7 @@ With psi solved, everything the Markowitz problem needs is explicit:
   functional of the paths against the closed form.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +34,9 @@ from .simulate import (
     PathEnsemble,
     _asset_increments,
     _increments,
+    _mapped,
+    _pool_size,
+    _run_concurrently,
     ensemble_chunks,
     require_finite,
     simulate_variance_chunks,
@@ -228,13 +232,14 @@ def control_coefficient(model: MarketModel, solution: RiccatiSolution, stabs, t)
     )
 
 
-def _gain(coef, V):
+def _gain(coef, V, out=(None, None)):
     """Per-asset gain -coef sqrt(V^+) of the optimal feedback, and sqrt(V^+).
 
     alpha*_i = gain_i (X - xi* e^(-r(T-t))); coef broadcasts against V.
+    ``out`` = (gain, root), arrays of V's shape, take the results if given.
     """
-    root = np.sqrt(np.maximum(V, 0.0))
-    return -coef * root, root
+    root = np.sqrt(np.maximum(V, 0.0, out=out[1]), out=out[1])
+    return np.multiply(-coef, root, out=out[0]), root
 
 
 def optimal_control(model: MarketModel, solution: RiccatiSolution, stabs, xi_star: float,
@@ -259,29 +264,47 @@ def optimal_control(model: MarketModel, solution: RiccatiSolution, stabs, xi_sta
 _WEALTH_BLOCK = 64
 
 
-def _step_factors(model: MarketModel, ensemble: PathEnsemble, solution: RiccatiSolution,
-                  stabs):
+def _step_factors(model: MarketModel, ensemble: PathEnsemble, coef: np.ndarray, paths: slice):
     """Gains and per-step wealth factors of the optimal feedback, in blocks of steps.
 
     With g = -coef sqrt(V^+) at the left node and s_k = (g sqrt(V^+)) . theta dt
     + g . DB_k, the wealth under alpha = g (X - xi* e^(-r(T-t))) steps as
-    X_{k+1} = X_k (1 + r dt) + (X_k - xi* e^(-r(T-t_k))) s_k.  Yields (first
-    step, g (M, d, w), s (w, M)) per block of ``_WEALTH_BLOCK`` steps.  Raises
-    ParameterError on a V-only ensemble or a psi grid unlike the path grid.
+    X_{k+1} = X_k (1 + r dt) + (X_k - xi* e^(-r(T-t_k))) s_k.  coef is the
+    (d, n) ``control_coefficient`` at the left nodes.  Yields (first step,
+    g (m, d, w), s (w, m)) for the m paths in ``paths`` per block of
+    ``_WEALTH_BLOCK`` steps, in one memory map of the call's own (``_mapped``,
+    so that a worker thread leaves nothing in its malloc arena) that each
+    block overwrites.
     """
-    if solution.grid != ensemble.grid:
-        raise ParameterError("wealth scheme requires the psi grid to match the path grid")
-    grid = ensemble.grid
-    dW, dWperp = _increments(ensemble)
-    n, dt = grid.n, grid.dt
-    coef = control_coefficient(model, solution, stabs, grid.times[:-1])  # (d, n)
+    V, dW, dWperp = (a[paths] for a in (ensemble.V, *_increments(ensemble)))
+    (m, d, n), dt = dW.shape, ensemble.grid.dt
+    flat = _mapped(((3 * d + 2) * m * _WEALTH_BLOCK,))
     for lo in range(0, n, _WEALTH_BLOCK):
         hi = min(lo + _WEALTH_BLOCK, n)
-        gain, root_v = _gain(coef[None, :, lo:hi], ensemble.V[:, :, lo:hi])  # (M, d, w)
-        dB = _asset_increments(model, dW[:, :, lo:hi], dWperp[:, :, lo:hi])
-        s = (np.einsum("mdk,mdk,d->km", gain, root_v, model.theta) * dt
-             + np.einsum("mdk,mdk->km", gain, dB))                         # (w, M)
+        w = hi - lo
+        gain, root_v, dB = flat[: 3 * m * d * w].reshape(3, m, d, w)
+        s, s_dB = flat[3 * m * d * w : (3 * d + 2) * m * w].reshape(2, w, m)
+        _asset_increments(model, dW[:, :, lo:hi], dWperp[:, :, lo:hi], out=(dB, gain))
+        _gain(coef[None, :, lo:hi], V[:, :, lo:hi], out=(gain, root_v))
+        np.multiply(np.einsum("mdk,mdk,d->km", gain, root_v, model.theta, out=s), dt, out=s)
+        s += np.einsum("mdk,mdk->km", gain, dB, out=s_dB)
         yield lo, gain, s
+
+
+def _over_path_ranges(model: MarketModel, ensemble: PathEnsemble, solution: RiccatiSolution,
+                      stabs, recursion) -> None:
+    """Run ``recursion(paths, steps of those paths)`` on the pool, one range of
+    whole 64-path blocks per worker; each path's arithmetic is elementwise,
+    so the split keeps the bits.  ParameterError on a V-only ensemble or a
+    psi grid unlike the path grid."""
+    if solution.grid != ensemble.grid:
+        raise ParameterError("wealth scheme requires the psi grid to match the path grid")
+    coef = control_coefficient(model, solution, stabs, ensemble.grid.times[:-1])  # (d, n)
+    width = -(-ensemble.M // (64 * _pool_size())) * 64
+    _run_concurrently([
+        functools.partial(recursion, paths, _step_factors(model, ensemble, coef, paths))
+        for paths in (slice(c0, c0 + width) for c0 in range(0, ensemble.M, width))
+    ])
 
 
 def simulate_wealth(model: MarketModel, ensemble: PathEnsemble, solution: RiccatiSolution,
@@ -293,7 +316,8 @@ def simulate_wealth(model: MarketModel, ensemble: PathEnsemble, solution: Riccat
 
     with alpha evaluated at the left node from the same variance paths,
     taken as X_k (1 + r dt) + gap_k s_k and alpha_k = g_k gap_k with
-    gap_k = X_k - xi* e^(-r(T-t_k)) and g, s of ``_step_factors``.
+    gap_k = X_k - xi* e^(-r(T-t_k)) and g, s of ``_step_factors``, run
+    over path ranges on the pool (``_over_path_ranges``).
     Raises NonFiniteError when a wealth or strategy value is not finite,
     and ParameterError on a V-only ensemble.
     Stores every path and strategy; when only X_T is needed, for any
@@ -305,13 +329,18 @@ def simulate_wealth(model: MarketModel, ensemble: PathEnsemble, solution: Riccat
     X = np.empty((ensemble.M, grid.n + 1))
     X[:, 0] = model.x0
     alpha_paths = np.empty((ensemble.M, model.d, grid.n))
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        for lo, gain, s in _step_factors(model, ensemble, solution, stabs):
-            for b in range(len(s)):
-                k = lo + b
-                gap = X[:, k] - target[k]
-                np.multiply(gain[:, :, b], gap[:, None], out=alpha_paths[:, :, k])
-                X[:, k + 1] = X[:, k] * growth + gap * s[b]
+
+    def recursion(paths, steps):
+        x, alpha = X[paths], alpha_paths[paths]
+        with np.errstate(over="ignore", invalid="ignore"):  # per thread; checked below
+            for lo, gain, s in steps:
+                for b in range(len(s)):
+                    k = lo + b
+                    gap = x[:, k] - target[k]
+                    np.multiply(gain[:, :, b], gap[:, None], out=alpha[:, :, k])
+                    x[:, k + 1] = x[:, k] * growth + gap * s[b]
+
+    _over_path_ranges(model, ensemble, solution, stabs, recursion)
     require_finite("wealth paths", X)
     require_finite("optimal strategy", alpha_paths)
     return WealthEnsemble(model=model, grid=grid, xi_star=xi_star, X=X, alpha_paths=alpha_paths)
@@ -330,21 +359,26 @@ def affine_wealth_terminal(model: MarketModel, ensemble: PathEnsemble,
 
     V and the Brownian increments are read in fixed blocks of time
     steps; neither the increment array, the wealth paths nor the
-    strategy are stored.  Returns (A_T, B_T), each of shape (M,);
-    raises NonFiniteError when either is not finite, and ParameterError
-    on a V-only ensemble.
+    strategy are stored; path ranges run on the pool (``_over_path_ranges``).
+    Returns (A_T, B_T), each of shape (M,); raises NonFiniteError when
+    either is not finite, and ParameterError on a V-only ensemble.
     """
     grid = ensemble.grid
     disc = np.exp(-model.r * (model.T - grid.times[:-1]))               # (n,)
     A = np.full(ensemble.M, float(model.x0))
     B = np.zeros(ensemble.M)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        for lo, _, s in _step_factors(model, ensemble, solution, stabs):
-            for b in range(len(s)):
-                growth = 1.0 + model.r * grid.dt + s[b]
-                A *= growth
-                B *= growth
-                B -= disc[lo + b] * s[b]
+
+    def recursion(paths, steps):
+        a, b_ = A[paths], B[paths]
+        with np.errstate(over="ignore", invalid="ignore"):  # per thread; checked below
+            for lo, _, s in steps:
+                for b in range(len(s)):
+                    growth = 1.0 + model.r * grid.dt + s[b]
+                    a *= growth
+                    b_ *= growth
+                    b_ -= disc[lo + b] * s[b]
+
+    _over_path_ranges(model, ensemble, solution, stabs, recursion)
     require_finite("terminal wealth A_T", A)
     require_finite("terminal wealth B_T", B)
     return A, B

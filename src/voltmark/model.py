@@ -108,11 +108,6 @@ class MarketModel:
         return self.c * self.nu**2 * self.x_inf
 
     @property
-    def D(self) -> np.ndarray:
-        """Drift matrix -diag(lam)."""
-        return -np.diag(self.lam)
-
-    @property
     def sigma_norm(self) -> float:
         """Correlation matrix norm tr(Sigma^T Sigma) = sum rho_i^2."""
         return float(np.sum(self.rho**2))

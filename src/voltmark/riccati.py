@@ -8,9 +8,12 @@ Solves, per asset i on [0, T],
 
 with the fractional kernel K_i of order alpha_i and D = -diag(lam).  The
 workhorse is the generalized Adams-Bashforth-Moulton predictor-corrector
-with the classical product-trapezoidal corrector weights; a Picard
-fixed-point iteration on a finer grid acts as an independent oracle.
-The same machinery solves the measure-extended equation used by the
+with the classical product-trapezoidal corrector weights (Diethelm, Ford
+& Freed, Nonlinear Dyn. 29, 2002).  It steps in scalars: the d-vectors
+of a step are Python floats, and numpy does only the two history sums
+per asset and step, each one dot of the asset's contiguous row of past
+rhs values with a weight row reversed once per solve.  The same
+machinery solves the measure-extended equation used by the
 Laplace-transform check (forcing u, no risk-premium terms, quadratic
 coefficient nu_i^2/2).
 
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
-from .kernels import ParameterError, ResolventSpec, _power_moments, fractional_kernel, resolvent
+from .kernels import ParameterError, ResolventSpec, fractional_kernel, resolvent
 from .model import Grid, MarketModel
 
 _FALLBACK_CAP = 1e6
@@ -41,10 +44,6 @@ _BLOWUP_FACTOR = 10.0
 
 class BlowupError(RuntimeError):
     """Riccati solution left the admissible region (likely finite-time blow-up)."""
-
-
-class ConvergenceError(RuntimeError):
-    """Picard iteration failed to reach the requested tolerance."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,22 +100,23 @@ def _second_diff_weights(alpha: float, n: int) -> np.ndarray:
 
 
 def _adams_weights(alpha: float, n: int, dt: float):
-    """Predictor/corrector weight tables for one asset.
+    """Predictor/corrector weights for one asset, as the scalar solver reads them.
 
-    Returns (b_block, a_first, a_inner, a_diag):
-    b_block[m] = dt^a/G(a+1) (m^a - (m-1)^a) for m = 1..n (lag-indexed),
-    a_first[k] = weight of j=0 in the corrector for step k+1,
-    a_inner[m] = dt^a/G(a+2) d[m] for the 1 <= j <= k terms (lag k-j),
-    a_diag     = dt^a/G(a+2).
+    Returns (b_rev, a_first, a_rev, a_diag):
+    b_rev[n-m]   = dt^a/G(a+1) (m^a - (m-1)^a) for lags m = 1..n,
+    a_first[k]   = weight of j=0 in the corrector for step k+1 (a list),
+    a_rev[n-1-m] = dt^a/G(a+2) d[m] for the 1 <= j <= k terms (lag m = k-j),
+    a_diag       = dt^a/G(a+2) (a float).
+    The lag rows are contiguous and reversed, so each history sum of step
+    k is one dot with a tail of its row.
     """
     m = np.arange(1, n + 1, dtype=float)
-    blk = np.empty(n + 1)
-    blk[0] = 0.0  # unused
+    blk = np.empty(n)
     small = m < 2
-    blk[1:][small] = m[small] ** alpha - (m[small] - 1.0) ** alpha
+    blk[small] = m[small] ** alpha - (m[small] - 1.0) ** alpha
     ms = m[~small]
-    blk[1:][~small] = (ms - 1.0) ** alpha * np.expm1(alpha * np.log1p(1.0 / (ms - 1.0)))
-    b_block = dt**alpha / gamma_fn(alpha + 1.0) * blk
+    blk[~small] = (ms - 1.0) ** alpha * np.expm1(alpha * np.log1p(1.0 / (ms - 1.0)))
+    b_rev = dt**alpha / gamma_fn(alpha + 1.0) * blk[::-1]
 
     k = np.arange(n, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -124,16 +124,16 @@ def _adams_weights(alpha: float, n: int, dt: float):
     bracket[0] = alpha  # k = 0 term is exactly alpha
     a_first = dt**alpha / gamma_fn(alpha + 2.0) * (k + 1.0) ** alpha * bracket
 
-    a_inner = dt**alpha / gamma_fn(alpha + 2.0) * _second_diff_weights(alpha, n)
-    a_diag = dt**alpha / gamma_fn(alpha + 2.0)
-    return b_block, a_first, a_inner, a_diag
+    a_rev = dt**alpha / gamma_fn(alpha + 2.0) * _second_diff_weights(alpha, n)[::-1]
+    return b_rev, a_first.tolist(), a_rev, float(dt**alpha / gamma_fn(alpha + 2.0))
 
 
 def _rhs_tables(model: MarketModel, stabs, grid: Grid, forcing, include_theta):
     """Per-grid-node coefficient tables of the quadratic rhs.
 
     rhs(j, y) = forcing + lin_sig[j] * y + D^T y + quad_sig[j] * y^2 with
-    all stabilizer factors evaluated at the reversed times T - t_j.
+    all stabilizer factors evaluated at the reversed times T - t_j.  It maps
+    d floats to a list of d, reading row j as floats per call; (D^T y)_i = -lam_i y_i.
     """
     t_rev = grid.T - grid.times
     sig_rev = np.stack([np.asarray(st.eval(t_rev)) for st in stabs], axis=1)  # (n+1, d)
@@ -147,10 +147,13 @@ def _rhs_tables(model: MarketModel, stabs, grid: Grid, forcing, include_theta):
         force = np.asarray(forcing, dtype=float)
         lin_sig = np.zeros_like(sig_rev)
         quad_sig = 0.5 * model.nu**2 * sig_rev**2
-    DT = model.D.T
+    force = np.broadcast_to(force, (model.d,)).tolist()
+    neg_lam = (-model.lam).tolist()
 
-    def rhs(j: int, y: np.ndarray) -> np.ndarray:
-        return force + lin_sig[j] * y + DT @ y + quad_sig[j] * y * y
+    def rhs(j: int, y) -> list:
+        return [f + lin * x + dl * x + q * x * x
+                for f, lin, dl, q, x in zip(force, lin_sig[j].tolist(), neg_lam,
+                                            quad_sig[j].tolist(), y)]
 
     return rhs
 
@@ -205,73 +208,32 @@ def _solve_adams(model: MarketModel, stabs, n: int, forcing,
     grid = Grid(model.T, n)
     d = model.d
     rhs = _rhs_tables(model, stabs, grid, forcing, include_theta)
-    weights = [_adams_weights(model.alpha[i], n, grid.dt) for i in range(d)]
+    b_rev, a_first, a_rev, a_diag = zip(*(_adams_weights(a, n, grid.dt) for a in model.alpha))
     if include_theta and forcing is None:
         # the finiteness test goes on the scaled bound: 10x a finite
         # bound near the float limit overflows to inf
         cap = _BLOWUP_FACTOR * riccati_bound(model, stabs, model.T)
         cap = np.where(np.isfinite(cap), cap, _FALLBACK_CAP)
-        cap = np.maximum(cap, 1e-6)  # theta = 0 assets stay at zero anyway
+        cap = np.maximum(cap, 1e-6).tolist()  # theta = 0 assets stay at zero anyway
     else:
-        cap = np.full(d, _FALLBACK_CAP)
-
-    psi = np.zeros((n + 1, d))
-    fhist = np.empty((n + 1, d))
-    fhist[0] = rhs(0, psi[0])
+        cap = [_FALLBACK_CAP] * d
+    psi = np.zeros((d, n + 1))
+    fh = np.empty((d, n + 1))
+    fh[:, 0] = f0 = rhs(0, [0.0] * d)
     for k in range(n):
-        y_pred = np.empty(d)
-        for i in range(d):
-            b_block = weights[i][0]
-            # lags k+1-j for j = 0..k  ->  b_block[k+1], ..., b_block[1]
-            y_pred[i] = fhist[: k + 1, i] @ b_block[1 : k + 2][::-1]
+        y_pred = [float(fi[: k + 1].dot(bi[n - k - 1 :])) for fi, bi in zip(fh, b_rev)]
         f_pred = rhs(k + 1, y_pred)
-        y_new = np.empty(d)
-        for i in range(d):
-            _, a_first, a_inner, a_diag = weights[i]
-            acc = a_first[k] * fhist[0, i]
-            if k >= 1:
-                acc += fhist[1 : k + 1, i] @ a_inner[:k][::-1]
-            y_new[i] = acc + a_diag * f_pred[i]
+        y_new = [af[k] * f0_i + float(fi[1 : k + 1].dot(ai[n - k :])) + ad * fp
+                 for af, f0_i, fi, ai, ad, fp in zip(a_first, f0, fh, a_rev, a_diag, f_pred)]
         # false for NaN and, the cap being finite, for +-inf
-        if not (np.abs(y_new) <= cap).all():
+        if not all(abs(y) <= c for y, c in zip(y_new, cap)):
             raise BlowupError(
                 f"psi not finite or beyond the blow-up guard at t = {grid.times[k + 1]:.6g} "
-                f"(values {y_new}, caps {cap})"
+                f"(values {np.array(y_new)}, caps {np.array(cap)})"
             )
-        psi[k + 1] = y_new
-        fhist[k + 1] = rhs(k + 1, y_new)
-    return RiccatiSolution(grid=grid, psi=psi.T.copy(), model=model)
-
-
-def oracle_volterra_picard(model: MarketModel, stabs, n_fine: int, sweeps: int = 80, *,
-                           forcing=None, include_theta: bool = True,
-                           tol: float = 1e-10) -> RiccatiSolution:
-    """Brute-force fixed-point oracle psi <- K * (f + F(psi)).
-
-    Product-rectangle quadrature (left endpoints, exact kernel cell
-    integrals) on a fine grid, iterated until successive sweeps differ
-    by less than ``tol`` in sup norm.  Entirely independent of the Adams
-    weights, which it serves to validate.
-    """
-    if sweeps < 1:
-        raise ParameterError("need at least one Picard sweep")
-    grid = Grid(model.T, n_fine)
-    d = model.d
-    rhs = _rhs_tables(model, stabs, grid, forcing, include_theta)
-    c_seg = [_power_moments(model.alpha[i], n_fine, grid.dt)[0] for i in range(d)]
-    psi = np.zeros((n_fine + 1, d))
-    for _ in range(sweeps):
-        g = np.empty((n_fine, d))
-        for j in range(n_fine):
-            g[j] = rhs(j, psi[j])
-        new = np.zeros_like(psi)
-        for i in range(d):
-            new[1:, i] = np.convolve(c_seg[i], g[:, i])[:n_fine]
-        delta = float(np.max(np.abs(new - psi)))
-        psi = new
-        if delta < tol:
-            return RiccatiSolution(grid=grid, psi=psi.T.copy(), model=model)
-    raise ConvergenceError(f"Picard iteration stalled at delta = {delta:.3e} after {sweeps} sweeps")
+        psi[:, k + 1] = y_new
+        fh[:, k + 1] = rhs(k + 1, y_new)
+    return RiccatiSolution(grid=grid, psi=psi, model=model)
 
 
 def riccati_bound(model: MarketModel, stabs, T: float) -> np.ndarray:

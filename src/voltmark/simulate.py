@@ -28,7 +28,7 @@ that read whole paths.  The assets share nothing but the read-only
 model, so within a chunk they advance at the same time on one thread
 each (numpy's random fills, ufuncs and BLAS calls release the GIL), on
 the CPUs of the process that the BLAS threads leave free (see
-``_run_concurrently``).
+``_run_concurrently``), and the chunk's dWperp draw is one more job.
 
 Everything is reproducible: chunk c takes the c-th ``spawn(1 + d)``
 group of SeedSequence(seed), one child stream for the initial variance
@@ -284,7 +284,8 @@ def _advance_chunks(model: MarketModel, stabs, grid: Grid, M: int, seed: int, in
 
     Chunk c covers paths c C .. min((c+1) C, M) - 1 with C = _CHUNK_PATHS
     and draws from the c-th ``spawn(1 + d)`` group of SeedSequence(seed):
-    V0, then dWperp, from child 0 and asset i's normals from child 1 + i.
+    V0 (before the jobs start), then dWperp (a job beside the assets'),
+    from child 0 and asset i's normals from child 1 + i.
     ``out`` = (V, dW, dWperp), whole (d, n+1, M), (d, n, M) and (M, d, n)
     arrays (dW and dWperp None without increments), makes each chunk
     write into its columns of them, and each asset's scratch serves
@@ -316,15 +317,15 @@ def _advance_chunks(model: MarketModel, stabs, grid: Grid, M: int, seed: int, in
             V = out[0][:, :, c0:c1]
             dW = out[1][:, :, c0:c1] if increments else None
             dWperp = out[2][c0:c1] if increments else None
-        if increments:
-            rng_common.standard_normal(out=dWperp)
-            dWperp *= np.sqrt(dt)
         V[:, 0, :] = V0.T
-        _run_concurrently([
-            functools.partial(_advance_asset, model, i, factors[i], sig_grid[i], rngs_asset[i],
-                              V[i], dW[i] if increments else None, scratch[i])
-            for i in range(d)
-        ])
+        jobs = [functools.partial(_advance_asset, model, i, factors[i], sig_grid[i], rngs_asset[i],
+                                  V[i], dW[i] if increments else None, scratch[i])
+                for i in range(d)]
+        if increments:
+            # last, so that it fills the worker that finishes its asset first
+            jobs.append(lambda: np.multiply(rng_common.standard_normal(out=dWperp), np.sqrt(dt),
+                                            out=dWperp))
+        _run_concurrently(jobs)
         yield PathEnsemble(model=model, grid=grid, M=m, seed=seed, V=V.transpose(2, 0, 1),
                            dW=dW.transpose(2, 0, 1) if increments else None, dWperp=dWperp)
 
@@ -337,20 +338,26 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _pool_size() -> int:
+    """Workers ``_run_concurrently`` may start: CPUs // BLAS threads, 1 without a cap."""
+    return max(1, _cpu_count() // _BLAS_THREADS) if _BLAS_THREADS else 1
+
+
 def _run_concurrently(jobs) -> None:
     """Run independent jobs on threads, re-raising the first error.
 
-    Each job's BLAS calls start their own threads, so the jobs get
-    CPUs // BLAS threads workers.  The BLAS thread count is known when
-    VOLTMARK_THREADS set it (``_BLAS_THREADS``); otherwise BLAS may take
-    every CPU, its default, and the jobs run one after the other.
-    Oversubscribing costs: on two CPUs, two asset
-    threads over two BLAS threads each took 3.0 s where one asset thread
-    took 2.4 s (T = 5, n = 600, M = 10^4); the rule is measured on a
-    2-CPU machine only.  The jobs write disjoint arrays and each owns its
-    generator, so the result does not depend on the number of threads.
+    Jobs: an engine chunk's assets and its dWperp draw, or the path ranges
+    of a wealth recursion.  Each job's BLAS calls start their own threads,
+    so the jobs get CPUs // BLAS threads workers (``_pool_size``).  The
+    BLAS thread count is known when VOLTMARK_THREADS set it
+    (``_BLAS_THREADS``); otherwise BLAS may take every CPU, its default,
+    and the jobs run one after the other.  Oversubscribing costs: on two
+    CPUs, two asset threads over two BLAS threads each took 3.0 s where
+    one asset thread took 2.4 s (T = 5, n = 600, M = 10^4); the rule is
+    measured on a 2-CPU machine only.  The jobs write disjoint arrays and
+    each owns its generator, so the output does not depend on the thread count.
     """
-    workers = min(len(jobs), _cpu_count() // _BLAS_THREADS) if _BLAS_THREADS else 1
+    workers = min(len(jobs), _pool_size())
     if workers <= 1:
         for job in jobs:
             job()
@@ -510,10 +517,13 @@ def _increments(ensemble: PathEnsemble) -> tuple[np.ndarray, np.ndarray]:
     return ensemble.dW, ensemble.dWperp
 
 
-def _asset_increments(model: MarketModel, dW: np.ndarray, dWperp: np.ndarray) -> np.ndarray:
-    """DB from (M, d, k) slices of DW and DWperp, for any run of cells k."""
+def _asset_increments(model: MarketModel, dW: np.ndarray, dWperp: np.ndarray,
+                      out=(None, None)) -> np.ndarray:
+    """DB from (M, d, k) slices of DW and DWperp, for any run of cells k, into
+    out[0] if given, with out[1] as scratch of the same shape."""
     rho = model.rho
     if np.any(np.abs(rho) > 1.0):
         raise ParameterError("correlations must lie in [-1, 1]")
     comp = np.sqrt(1.0 - rho**2)
-    return rho[None, :, None] * dW - comp[None, :, None] * dWperp
+    return np.subtract(np.multiply(rho[None, :, None], dW, out=out[1]),
+                       np.multiply(comp[None, :, None], dWperp, out=out[0]), out=out[0])

@@ -6,8 +6,9 @@ session-scoped so the acceptance module and the unit tests reuse them.
 
 import pytest
 
+from oracles import oracle_volterra_picard
 from voltmark.model import Grid, MarketModel, bundled_model
-from voltmark.riccati import oracle_volterra_picard, solve_riccati_adams
+from voltmark.riccati import solve_riccati_adams
 from voltmark.simulate import simulate_variance_paths
 
 

@@ -1,10 +1,23 @@
 """Independent checks that only the tests use: the fractional kernel's
-convolution with a grid function and the resolvent's defining equation."""
+convolution with a grid function, the resolvent's defining equation, a
+Picard fixed-point solve of the Riccati-Volterra system and the exact
+second moments of the path scheme."""
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.special import gamma as gamma_fn
 
-from voltmark.kernels import KernelSpec, ResolventSpec, _power_moments, resolvent
+from voltmark.kernels import (
+    KernelSpec,
+    ParameterError,
+    ResolventSpec,
+    _power_moments,
+    fractional_kernel,
+    resolvent,
+)
+from voltmark.model import Grid
+from voltmark.riccati import RiccatiSolution, _rhs_tables
+from voltmark.simulate import _covariance_matrix
 
 # Mittag-Leffler terms of the resolvent convolved in closed form by
 # resolvent_equation_residual
@@ -49,3 +62,63 @@ def resolvent_equation_residual(spec: ResolventSpec, T: float, n: int) -> float:
         head_conv += (-lam) ** k * grid ** (al * (k + 1)) / gamma_fn(al * (k + 1) + 1.0)
     conv = head_conv + kernel_convolve(spec.kernel, R - head, grid)
     return float(np.max(np.abs(R + lam * conv - 1.0)))
+
+
+class ConvergenceError(RuntimeError):
+    """Picard iteration failed to reach the requested tolerance."""
+
+
+def oracle_volterra_picard(model, stabs, n_fine: int, sweeps: int = 80, *,
+                           forcing=None, include_theta: bool = True,
+                           tol: float = 1e-10) -> RiccatiSolution:
+    """Brute-force fixed-point oracle psi <- K * (f + F(psi)).
+
+    Product-rectangle quadrature (left endpoints, exact kernel cell
+    integrals) on a fine grid, iterated until successive sweeps differ
+    by less than ``tol`` in sup norm.  Entirely independent of the Adams
+    weights, which it serves to validate; it shares only the solver's
+    rhs, ``_rhs_tables``.
+    """
+    if sweeps < 1:
+        raise ParameterError("need at least one Picard sweep")
+    grid = Grid(model.T, n_fine)
+    d = model.d
+    rhs = _rhs_tables(model, stabs, grid, forcing, include_theta)
+    c_seg = [_power_moments(model.alpha[i], n_fine, grid.dt)[0] for i in range(d)]
+    psi = np.zeros((n_fine + 1, d))
+    for _ in range(sweeps):
+        g = np.array([rhs(j, psi[j].tolist()) for j in range(n_fine)])
+        new = np.zeros_like(psi)
+        for i in range(d):
+            new[1:, i] = np.convolve(c_seg[i], g[:, i])[:n_fine]
+        delta = float(np.max(np.abs(new - psi)))
+        psi = new
+        if delta < tol:
+            return RiccatiSolution(grid=grid, psi=psi.T.copy(), model=model)
+    raise ConvergenceError(f"Picard iteration stalled at delta = {delta:.3e} after {sweeps} sweeps")
+
+
+def scheme_covariance(model, stabs, grid: Grid, i: int) -> np.ndarray:
+    """Exact covariance of asset i's simulated V over the grid times, stationary start.
+
+    With e = V - x_inf the scheme reads A e = e_0 1 + eta: A is the
+    lower-triangular Toeplitz matrix of I + lam C[k-1-m] (C the kernel
+    cell integrals), e_0 ~ N(0, v0) and eta_k = sum_{l<=k} nu sig(t_{l-1})
+    sqrt(V_{l-1}^+) G_{k,l} a sum of martingale increments, so
+    Cov(eta) = Q with Q[k, k'] = sum_{l<=min(k,k')} nu^2 sig(t_{l-1})^2 x_inf
+    cov[k-l, k'-l] (cov the lag covariance of one cell's G).  Hence
+    Cov(V) = A^-1 (v0 11^T + Q) A^-T, exact while E[V^+] = E[V] = x_inf.
+    """
+    n = grid.n
+    cov, c_seg = _covariance_matrix(fractional_kernel(model.alpha[i]), grid)
+    lag = cov[:n, :n]
+    A = np.eye(n + 1)
+    for k in range(1, n + 1):
+        A[k, :k] = model.lam[i] * c_seg[k - 1 :: -1]
+    sig = np.asarray(stabs[i].eval(grid.times[:-1]))
+    scale = model.nu[i] ** 2 * sig**2 * model.x_inf[i]
+    second = np.full((n + 1, n + 1), model.v0[i])          # v0 11^T + Q
+    for ell in range(1, n + 1):
+        second[ell:, ell:] += scale[ell - 1] * lag[: n + 1 - ell, : n + 1 - ell]
+    half = solve_triangular(A, second, lower=True)
+    return solve_triangular(A, half.T, lower=True)

@@ -36,11 +36,7 @@ from voltmark.montecarlo import (
     stationarity_diagnostics,
     terminal_bootstrap,
 )
-from voltmark.riccati import (
-    oracle_volterra_picard,
-    riccati_bound,
-    solve_riccati_adams,
-)
+from voltmark.riccati import riccati_bound, solve_riccati_adams
 from voltmark.stabilizer import build_stabilizer, stabilizer_residual
 
 TARGET_M = 2.255

@@ -1,9 +1,12 @@
 """Closed-form Markowitz quantities, the wealth scheme, and the Laplace check."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from conftest import small_model
+from voltmark import simulate
 from voltmark.kernels import ParameterError
 from voltmark.markowitz import (
     ConsistencyError,
@@ -154,6 +157,40 @@ def test_affine_terminal_matches_wealth_scheme():
         xi, _ = xi_eta_star(g0, m, float(target))
         ref = simulate_wealth(m, ens, sol, stabs, xi).terminal
         assert np.max(np.abs(A + xi * B - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("M, pools", [(203, [4, 4]), (40, [])])
+def test_wealth_path_ranges_do_not_change_the_bits(model_t1, stabs_t1, monkeypatch, M, pools):
+    # both recursions split the paths into ranges of whole 64-path
+    # blocks, one per pool worker: four ranges on eight CPUs for M = 203,
+    # one for M < 64.  With a short switch interval the split gives the
+    # bits of one pass on one CPU
+    grid = Grid(1.0, 90)
+    sol = solve_riccati_adams(model_t1, stabs_t1, grid.n)
+    ens = simulate_variance_paths(model_t1, stabs_t1, grid, M, seed=17, initial="fixed")
+    pool_sizes = []
+    real_pool = simulate.ThreadPoolExecutor
+
+    def recording_pool(max_workers):
+        pool_sizes.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", recording_pool)
+    monkeypatch.setattr(simulate, "_BLAS_THREADS", 1)
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (1, 8):
+            monkeypatch.setattr(simulate, "_cpu_count", lambda cpus=cpus: cpus)
+            wealth = simulate_wealth(model_t1, ens, sol, stabs_t1, 3.0)
+            A, B = affine_wealth_terminal(model_t1, ens, sol, stabs_t1)
+            runs.append((A, B, wealth.X, wealth.alpha_paths))
+    finally:
+        sys.setswitchinterval(interval)
+    assert pool_sizes == pools
+    for one, split in zip(*runs):
+        assert np.array_equal(one, split)
 
 
 def test_wealth_scheme_matches_a_direct_euler_loop(model_t1, stabs_t1):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import small_model
+from oracles import oracle_volterra_picard
 from voltmark import riccati
 from voltmark.markowitz import gamma0
 from voltmark.model import Grid, MarketModel, bundled_model
@@ -17,7 +18,6 @@ from voltmark.riccati import (
     _rhs_tables,
     admissibility_constant,
     check_admissibility,
-    oracle_volterra_picard,
     riccati_bound,
     solve_laplace_riccati,
     solve_riccati_adams,

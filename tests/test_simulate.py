@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import small_model
+from oracles import scheme_covariance
 from voltmark import simulate
 from voltmark.kernels import (
     eval_kernel,
@@ -223,9 +224,9 @@ def test_time_major_views(model_t1, stabs_t1):
 
 
 def test_concurrent_assets_equal_sequential(monkeypatch):
-    # five assets on five threads, more than the cores, with a short
-    # switch interval, give the same bits as advancing them one after
-    # the other on the calling thread
+    # five assets and the dWperp draw on six threads, more than the
+    # cores, with a short switch interval, give the same bits as running
+    # them one after the other on the calling thread
     m = small_model(d=5, alpha=[0.6, 0.7, 0.8, 0.9, 1.0], nu=[0.3, 0.4, 0.5, 0.6, 0.7])
     stabs = m.build_stabilizers()
     g = Grid(1.0, 150)
@@ -247,7 +248,7 @@ def test_concurrent_assets_equal_sequential(monkeypatch):
         par = simulate_variance_paths(m, stabs, g, 700, seed=8)
     finally:
         sys.setswitchinterval(interval)
-    assert pool_sizes == [5]
+    assert pool_sizes == [6]                 # d asset jobs and the dWperp draw
     assert np.array_equal(seq.V, par.V)
     assert np.array_equal(seq.dW, par.dW)
     assert np.array_equal(seq.dWperp, par.dWperp)
@@ -328,3 +329,19 @@ def test_non_finite_paths_rejected(stabs_t1):
     # a fixed start is finite; the first cells overflow
     with pytest.raises(NonFiniteError, match="asset 1"):
         simulate_variance_paths(huge, stabs_t1, Grid(1.0, 20), 30, seed=1, initial="fixed")
+
+
+def test_variance_matches_the_scheme_oracle(model_t1, stabs_t1):
+    # the per-time variance of stationary-start paths against the scheme's
+    # exact second moments (``scheme_covariance``), which include the
+    # first cells' deficit below v0 (sigma(0) = 0 puts no noise in the
+    # first cell); z uses the sample variance's own standard error
+    g = Grid(1.0, 40)
+    M = 100_000
+    V = simulate_variance_paths(model_t1, stabs_t1, g, M, seed=2026, increments=False).V
+    for i in range(model_t1.d):
+        exact = np.diag(scheme_covariance(model_t1, stabs_t1, g, i))
+        dev2 = (V[:, i, :] - V[:, i, :].mean(axis=0)) ** 2
+        se = dev2.std(axis=0, ddof=1) / np.sqrt(M)
+        z = (dev2.sum(axis=0) / (M - 1) - exact) / se
+        assert np.max(np.abs(z)) <= 4.0, (i, z)
