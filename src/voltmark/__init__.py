@@ -57,7 +57,6 @@ from .markowitz import (
 from .model import Grid, MarketModel, bundled_model
 from .montecarlo import (
     EnsembleStats,
-    ensemble_stats,
     frontier_experiment,
     joint_ensemble_stats,
     stationarity_diagnostics,

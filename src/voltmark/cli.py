@@ -104,11 +104,16 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_floats(raw: str, path: str):
+def _parse(parser, path: str, kind):
+    """Config field ``path`` ("section.key") as ``kind``: int, float or list of floats."""
+    raw = parser.get(*path.split("."))
     try:
-        return [float(tok) for tok in raw.replace(",", " ").split()]
+        if kind is list:
+            return [float(tok) for tok in raw.replace(",", " ").split()]
+        return kind(raw)
     except ValueError as exc:
-        raise ConfigError(f"{path}: cannot parse {raw!r} as numbers") from exc
+        what = {int: "an integer", float: "a number", list: "numbers"}[kind]
+        raise ConfigError(f"{path}: cannot parse {raw!r} as {what}") from exc
 
 
 def _require_min(path: str, value: int, low: int, unit: str = "") -> None:
@@ -141,39 +146,37 @@ def load_config(text: str) -> dict:
         for key in sorted(keys):
             if key not in parser[section]:
                 raise ConfigError(f"missing config field {section}.{key}")
-    c = parser
-    cfg["d"] = c.getint("model", "d")
+    cfg["d"] = _parse(parser, "model.d", int)
     for key in ("alpha", "lam", "nu", "rho", "theta", "mu0", "c"):
-        vals = _parse_floats(c.get("model", key), f"model.{key}")
+        vals = _parse(parser, f"model.{key}", list)
         if len(vals) != cfg["d"]:
             raise ConfigError(f"model.{key}: expected {cfg['d']} values, got {len(vals)}")
         cfg[key] = vals
-    cfg["r"] = c.getfloat("model", "r")
-    cfg["x0"] = c.getfloat("model", "x0")
-    cfg["T"] = c.getfloat("grid", "T")
-    cfg["n"] = c.getint("grid", "n")
+    cfg["r"] = _parse(parser, "model.r", float)
+    cfg["x0"] = _parse(parser, "model.x0", float)
+    cfg["T"] = _parse(parser, "grid.T", float)
+    cfg["n"] = _parse(parser, "grid.n", int)
     # every Monte Carlo estimate reports a sample spread (two paths, two
     # resamples at least), and numpy seeds are non-negative
-    cfg["M"] = c.getint("mc", "M")
+    cfg["M"] = _parse(parser, "mc.M", int)
     _require_min("mc.M", cfg["M"], 2, " paths")
-    cfg["seed"] = c.getint("mc", "seed")
+    cfg["seed"] = _parse(parser, "mc.seed", int)
     _require_min("mc.seed", cfg["seed"], 0)
-    cfg["n_boot"] = c.getint("mc", "n_boot")
+    cfg["n_boot"] = _parse(parser, "mc.n_boot", int)
     _require_min("mc.n_boot", cfg["n_boot"], 2)
-    cfg["truncation_K"] = c.getint("riccati", "truncation_K")
-    cfg["m"] = c.getfloat("experiment", "m")
-    cfg["u"] = _parse_floats(c.get("experiment", "u"), "experiment.u")
+    cfg["truncation_K"] = _parse(parser, "riccati.truncation_K", int)
+    cfg["m"] = _parse(parser, "experiment.m", float)
+    cfg["u"] = _parse(parser, "experiment.u", list)
     if len(cfg["u"]) != cfg["d"]:
         raise ConfigError(f"experiment.u: expected {cfg['d']} values, got {len(cfg['u'])}")
-    cfg["m_count"] = c.getint("experiment", "m_count")
+    cfg["m_count"] = _parse(parser, "experiment.m_count", int)
     _require_min("experiment.m_count", cfg["m_count"], 1, " targets")
-    cfg["frontier_horizons"] = _parse_floats(
-        c.get("experiment", "frontier_horizons"), "experiment.frontier_horizons")
-    cfg["laplace_M"] = c.getint("experiment", "laplace_M")
+    cfg["frontier_horizons"] = _parse(parser, "experiment.frontier_horizons", list)
+    cfg["laplace_M"] = _parse(parser, "experiment.laplace_M", int)
     _require_min("experiment.laplace_M", cfg["laplace_M"], 2, " paths")
-    cfg["stationarity_M"] = c.getint("experiment", "stationarity_M")
+    cfg["stationarity_M"] = _parse(parser, "experiment.stationarity_M", int)
     _require_min("experiment.stationarity_M", cfg["stationarity_M"], 2, " paths")
-    cfg["output_dir"] = c.get("experiment", "output_dir")
+    cfg["output_dir"] = parser.get("experiment", "output_dir")
     return cfg
 
 

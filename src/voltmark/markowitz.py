@@ -4,10 +4,11 @@ With psi solved, everything the Markowitz problem needs is explicit:
 
 * Gamma0 = exp(2 r T + sum_i V0_i I^(1-alpha_i) psi_i(T)
                       + sum_i mu0_i I^1 psi_i(T)),
-  the initial value of the Riccati-BSDE factor.  It is computed through
-  fractional integrals and cross-checked against the direct quadrature
-  of the defining integral formula; disagreement beyond 1e-6 relative
-  raises (it would indicate an inconsistent discretization).
+  the initial value of the Riccati-BSDE factor at V0 = x_inf.  It is
+  computed through fractional integrals and cross-checked against the
+  direct quadrature of the defining integral formula, which like the
+  Laplace closed form integrates the solver's own F (``_rhs_along``);
+  disagreement beyond 1e-6 relative raises.
 * the optimal target split xi* = m - eta*, the feedback strategy
   alpha*_i = -(theta_i + rho_i nu_i sig_i(t) psi_i(T-t)) sqrt(V_i)
              (X - xi* e^(-r(T-t))),
@@ -29,7 +30,7 @@ from scipy.special import roots_legendre
 
 from .kernels import ParameterError, fractional_integral
 from .model import Grid, MarketModel
-from .riccati import RiccatiSolution, solve_laplace_riccati, solve_riccati_adams
+from .riccati import RiccatiSolution, _rhs_along, solve_laplace_riccati, solve_riccati_adams
 from .simulate import (
     PathEnsemble,
     _asset_increments,
@@ -81,10 +82,6 @@ class WealthEnsemble:
     def terminal_mean(self) -> float:
         return float(np.mean(self.X[:, -1]))
 
-    @property
-    def terminal_var(self) -> float:
-        return float(np.var(self.X[:, -1], ddof=1))
-
 
 def _cell_quadrature(n: int, T: float):
     nodes, weights = roots_legendre(_GL_CELL)
@@ -95,53 +92,28 @@ def _cell_quadrature(n: int, T: float):
     return s.ravel(), w.ravel()
 
 
-def _direct_gamma_integral(model: MarketModel, solution: RiccatiSolution, stabs, i: int) -> float:
-    """int_0^T (-theta_i^2 + F_i(s, psi(T-s))) ds by per-cell Legendre.
-
-    The stabilizer is evaluated analytically at the quadrature nodes and
-    psi(T-s) by linear interpolation on the solver grid, so the rule
-    integrates exactly what the discrete solution represents.
-    """
-    grid = solution.grid
-    s, w = _cell_quadrature(grid.n, grid.T)
-    sig = np.asarray(stabs[i].eval(s))
-    psi_rev = np.interp(grid.T - s, grid.times, solution.psi[i])
-    th, rho, nu, lam = model.theta[i], model.rho[i], model.nu[i], model.lam[i]
-    q = (
-        -th**2
-        - 2.0 * th * rho * nu * sig * psi_rev
-        - lam * psi_rev
-        + 0.5 * nu**2 * (1.0 - 2.0 * rho**2) * (sig * psi_rev) ** 2
-    )
-    return float(w @ q)
-
-
-def gamma0(model: MarketModel, solution: RiccatiSolution, stabs, v0=None, *,
-           refine_to: int = _GAMMA0_REFINE, check_tol: float = _GAMMA0_TOL) -> float:
-    """Initial Riccati-BSDE factor Gamma0 for initial variance v0.
+def gamma0(model: MarketModel, solution: RiccatiSolution, stabs) -> float:
+    """Initial Riccati-BSDE factor Gamma0 at the stationary mean V0 = x_inf.
 
     Computes the fractional-integral form and the direct quadrature of
-    the defining integral; the two routes must agree to ``check_tol``
-    relative or ConsistencyError is raised.  The integrals converge like
-    a positive power of the step, so the psi grid is refined to at least
-    ``refine_to`` steps internally (pass 0 to disable).  The refined
+    the defining integral, int_0^T (-theta^2 + F(s, psi(T-s))) ds by
+    per-cell Legendre over ``_rhs_along``; the two routes must agree to
+    ``_GAMMA0_TOL`` relative or ConsistencyError is raised.  The
+    integrals converge like a positive power of the step, so the psi
+    grid is refined to at least ``_GAMMA0_REFINE`` max(T, 1) steps
+    internally (0 disables it); both are read at call time.  The refined
     solve goes through the memo of ``solve_riccati_adams``, so repeated
     calls on one (model, stabs) pair run it once per process.
-
-    v0 defaults to the stationary mean x_inf, matching the convention
-    that a single Gamma0 prices the frontier.
     """
-    v0 = model.x_inf if v0 is None else np.broadcast_to(np.asarray(v0, float), (model.d,))
-    if np.any(v0 < 0.0):
-        raise ParameterError("initial variance v0 must be >= 0 componentwise")
     # the agreement of the two forms is limited by the step size, so the
     # refinement target scales with the horizon
-    n_target = int(np.ceil(refine_to * max(model.T, 1.0)))
+    n_target = int(np.ceil(_GAMMA0_REFINE * max(model.T, 1.0)))
     if solution.n < n_target:
         solution = solve_riccati_adams(model, stabs, n_target)
-    two_rT = 2.0 * model.r * model.T
-    expo_const = two_rT
-    expo_direct = two_rT
+    s, w = _cell_quadrature(solution.n, model.T)
+    direct = _rhs_along(solution, stabs, s)
+    v0 = model.x_inf
+    expo_const = expo_direct = 2.0 * model.r * model.T
     for i in range(model.d):
         r_ord = 1.0 - model.alpha[i]
         if r_ord == 0.0:
@@ -150,13 +122,21 @@ def gamma0(model: MarketModel, solution: RiccatiSolution, stabs, v0=None, *,
             frac = fractional_integral(r_ord, solution.psi[i], model.T)
         mu_term = model.mu0[i] * fractional_integral(1.0, solution.psi[i], model.T)
         expo_const += v0[i] * frac + mu_term
-        expo_direct += v0[i] * _direct_gamma_integral(model, solution, stabs, i) + mu_term
-    if abs(expo_const - expo_direct) > check_tol * max(1.0, abs(expo_const)):
+        expo_direct += v0[i] * float(w @ direct[i]) + mu_term
+    if abs(expo_const - expo_direct) > _GAMMA0_TOL * max(1.0, abs(expo_const)):
         raise ConsistencyError(
-            f"Gamma0 exponent mismatch: fractional-integral form {expo_const!r} vs "
-            f"direct quadrature {expo_direct!r}"
+            f"Gamma0 exponent mismatch: fractional-integral form {float(expo_const)!r} vs "
+            f"direct quadrature {float(expo_direct)!r}"
         )
     return float(np.exp(expo_const))
+
+
+def _riskless(model: MarketModel, m: float) -> bool:
+    """Whether m is the riskless level m0 = x0 e^(rT); ParameterError below it."""
+    m0 = model.m0
+    if m < m0 * (1.0 - 1e-12) - 1e-12:
+        raise ParameterError(f"target mean m = {m} below the riskless level m0 = {m0}")
+    return abs(m - m0) <= 1e-12 * max(1.0, abs(m0))
 
 
 def xi_eta_star(gamma0_value: float, model: MarketModel, m: float) -> tuple[float, float]:
@@ -165,11 +145,8 @@ def xi_eta_star(gamma0_value: float, model: MarketModel, m: float) -> tuple[floa
     Feasibility requires m >= m0 = x0 e^(rT); at m = m0 the riskless
     portfolio is optimal and eta* = 0 exactly.
     """
-    m0 = model.m0
-    if m < m0 * (1.0 - 1e-12) - 1e-12:
-        raise ParameterError(f"target mean m = {m} below the riskless level m0 = {m0}")
-    if abs(m - m0) <= 1e-12 * max(1.0, abs(m0)):
-        return m0, 0.0
+    if _riskless(model, m):
+        return model.m0, 0.0
     disc1 = model.discount(model.T)
     disc2 = disc1 * disc1
     denom = 1.0 - gamma0_value * disc2
@@ -184,10 +161,7 @@ def xi_eta_star(gamma0_value: float, model: MarketModel, m: float) -> tuple[floa
 
 def variance_of_terminal(gamma0_value: float, model: MarketModel, m: float) -> float:
     """Optimal terminal-wealth variance V(m) = G0 |x0 - m e^-rT|^2 / (1 - G0 e^-2rT)."""
-    m0 = model.m0
-    if m < m0 * (1.0 - 1e-12) - 1e-12:
-        raise ParameterError(f"target mean m = {m} below the riskless level m0 = {m0}")
-    if abs(m - m0) <= 1e-12 * max(1.0, abs(m0)):
+    if _riskless(model, m):
         return 0.0
     disc1 = model.discount(model.T)
     denom = 1.0 - gamma0_value * disc1**2
@@ -419,27 +393,24 @@ class LaplaceReport:
     u: np.ndarray
 
 
-def laplace_closed_form(model: MarketModel, stabs, u, v0=None, n_solver: int = _GAMMA0_REFINE) -> float:
+def laplace_closed_form(model: MarketModel, stabs, u, n_solver: int = _GAMMA0_REFINE) -> float:
     """Right side of the affine transform formula at t = 0.
 
-    exp( int_0^T g0(s)^T u ds + int_0^T F(s, psi(T-s))^T g0(s) ds ) with
-    g0_i(s) = V0_i + mu0_i s^alpha_i / Gamma(alpha_i + 1) and F the
-    drift-quadratic functional without risk-premium terms.  psi comes
-    from ``solve_laplace_riccati`` on ``n_solver`` steps, through the
-    memo of ``solve_riccati_adams``: repeated calls with the same
-    (model, stabs, u, n_solver) solve the system once per process.
+    exp( int_0^T (u + F(s, psi(T-s)))^T g0(s) ds ) with
+    g0_i(s) = x_inf_i + mu0_i s^alpha_i / Gamma(alpha_i + 1) and F the
+    drift-quadratic functional without risk-premium terms, by per-cell
+    Legendre over ``_rhs_along``.  psi comes from ``solve_laplace_riccati``
+    on ``n_solver`` steps, through the memo of ``solve_riccati_adams``:
+    repeated calls with the same (model, stabs, u, n_solver) solve the
+    system once per process.
     """
-    u = np.broadcast_to(np.asarray(u, dtype=float), (model.d,))
-    v0 = model.x_inf if v0 is None else np.broadcast_to(np.asarray(v0, float), (model.d,))
     sol = solve_laplace_riccati(model, stabs, n_solver, u)
     s, w = _cell_quadrature(sol.grid.n, model.T)
+    rhs = _rhs_along(sol, stabs, s, forcing=u)
     expo = 0.0
     for i in range(model.d):
-        g0_i = v0[i] + model.mu0[i] * s ** model.alpha[i] / gamma_fn(model.alpha[i] + 1.0)
-        psi_rev = np.interp(model.T - s, sol.grid.times, sol.psi[i])
-        sig = np.asarray(stabs[i].eval(s))
-        F_i = -model.lam[i] * psi_rev + 0.5 * model.nu[i] ** 2 * (sig * psi_rev) ** 2
-        expo += float(w @ ((u[i] + F_i) * g0_i))
+        g0_i = model.x_inf[i] + model.mu0[i] * s ** model.alpha[i] / gamma_fn(model.alpha[i] + 1.0)
+        expo += float(w @ (rhs[i] * g0_i))
     return float(np.exp(expo))
 
 
@@ -461,8 +432,7 @@ def laplace_affine_check(model: MarketModel, stabs, u, grid: Grid, M: int, seed:
     discretization error).
     """
     u = np.broadcast_to(np.asarray(u, dtype=float), (model.d,)).copy()
-    if np.any(u > 0.0):
-        raise ParameterError("Laplace check requires u <= 0 componentwise")
+    # solve_laplace_riccati rejects u > 0 before any path is drawn
     closed = laplace_closed_form(model, stabs, u, n_solver=max(grid.n, _GAMMA0_REFINE))
     chunks = (ensemble_chunks(ensemble) if ensemble is not None
               else simulate_variance_chunks(model, stabs, grid, M, seed, initial="fixed",

@@ -91,7 +91,7 @@ def _resampled_stats(w: np.ndarray, paths: np.ndarray, times) -> EnsembleStats:
 
 def joint_ensemble_stats(columns, n_boot: int = _DEFAULT_BOOT,
                          seed: int = 0) -> list[EnsembleStats]:
-    """``ensemble_stats`` of each (paths, times) pair, from one weight draw.
+    """Mean/variance over paths (M, len(times)) with bootstrap CIs per pair, one weight draw.
 
     Row j of every paths array is a part of the same joint path j, so
     each resample picks whole joint paths.  The weights go on return.
@@ -99,20 +99,13 @@ def joint_ensemble_stats(columns, n_boot: int = _DEFAULT_BOOT,
     columns = [(np.asarray(paths, dtype=float), times) for paths, times in columns]
     M = len(columns[0][0])
     if any(paths.ndim != 2 or len(paths) != M for paths, _ in columns) or M < 2:
-        raise ParameterError("ensemble_stats needs (M, n_times) arrays of the same M >= 2")
+        raise ParameterError("joint_ensemble_stats needs (M, n_times) arrays of the same M >= 2")
     w = _bootstrap_weights(M, n_boot, seed)
     out = [_resampled_stats(w, paths, times) for paths, times in columns]
     for stats in out:
         for name in ("mean", "variance", "mean_se", "var_se"):
             require_finite(f"ensemble {name.replace('_', ' ')}", getattr(stats, name))
     return out
-
-
-def ensemble_stats(paths: np.ndarray, times: np.ndarray, n_boot: int = _DEFAULT_BOOT,
-                   seed: int = 0) -> EnsembleStats:
-    """Sample mean/variance over paths (M, len(times)) with percentile-bootstrap
-    CIs; whole paths are resampled."""
-    return joint_ensemble_stats([(paths, times)], n_boot, seed)[0]
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,9 @@ per asset and step, each one dot of the asset's contiguous row of past
 rhs values with a weight row reversed once per solve.  The same
 machinery solves the measure-extended equation used by the
 Laplace-transform check (forcing u, no risk-premium terms, quadratic
-coefficient nu_i^2/2).
+coefficient nu_i^2/2).  ``_system`` states F once for both systems:
+the solver's tables and ``_rhs_along``, which the Gamma0 direct form
+and the Laplace closed form integrate, read its constants.
 
 Runtime guards: solutions are non-positive in exact arithmetic and
 bounded by theta_i^2 / lam_bar_i (1 - R_{lam_bar_i}(T)) whenever
@@ -60,11 +62,7 @@ class RiccatiSolution:
 
     def psi_at(self, t) -> np.ndarray:
         """Linear interpolation of each component at times t."""
-        t = np.asarray(t, dtype=float)
-        out = np.empty((self.model.d,) + t.shape)
-        for i in range(self.model.d):
-            out[i] = np.interp(t, self.grid.times, self.psi[i])
-        return out
+        return np.stack([np.interp(t, self.grid.times, row) for row in self.psi])
 
 
 def _second_diff_weights(alpha: float, n: int) -> np.ndarray:
@@ -128,27 +126,32 @@ def _adams_weights(alpha: float, n: int, dt: float):
     return b_rev, a_first.tolist(), a_rev, float(dt**alpha / gamma_fn(alpha + 2.0))
 
 
-def _rhs_tables(model: MarketModel, stabs, grid: Grid, forcing, include_theta):
-    """Per-grid-node coefficient tables of the quadratic rhs.
+def _system(model: MarketModel, forcing):
+    """Per-asset constants (force, lin, quad) of the rhs force + F, the only
+    statement of F_i(s, psi) = lin_i sig_i(s) psi_i - lam_i psi_i + quad_i (sig_i(s) psi_i)^2.
 
-    rhs(j, y) = forcing + lin_sig[j] * y + D^T y + quad_sig[j] * y^2 with
+    ``forcing`` None selects the mean-variance system (force -theta^2), a
+    vector u the measure-extended Laplace system (no risk-premium terms).
+    """
+    if forcing is None:
+        return (-model.theta**2, -2.0 * model.theta * model.rho * model.nu,
+                0.5 * model.nu**2 * (1.0 - 2.0 * model.rho**2))
+    return (np.broadcast_to(np.asarray(forcing, dtype=float), (model.d,)),
+            np.zeros(model.d), 0.5 * model.nu**2)
+
+
+def _rhs_tables(model: MarketModel, stabs, grid: Grid, forcing):
+    """Per-grid-node coefficient tables of the quadratic rhs of ``_system``.
+
+    rhs(j, y) = force + lin_sig[j] * y + D^T y + quad_sig[j] * y^2 with
     all stabilizer factors evaluated at the reversed times T - t_j.  It maps
     d floats to a list of d, reading row j as floats per call; (D^T y)_i = -lam_i y_i.
     """
     t_rev = grid.T - grid.times
     sig_rev = np.stack([np.asarray(st.eval(t_rev)) for st in stabs], axis=1)  # (n+1, d)
-    if include_theta:
-        force = -model.theta**2 if forcing is None else np.asarray(forcing, dtype=float)
-        lin_sig = -2.0 * model.theta * model.rho * model.nu * sig_rev
-        quad_sig = 0.5 * model.nu**2 * (1.0 - 2.0 * model.rho**2) * sig_rev**2
-    else:
-        if forcing is None:
-            raise ParameterError("forcing vector required for the measure-extended system")
-        force = np.asarray(forcing, dtype=float)
-        lin_sig = np.zeros_like(sig_rev)
-        quad_sig = 0.5 * model.nu**2 * sig_rev**2
-    force = np.broadcast_to(force, (model.d,)).tolist()
-    neg_lam = (-model.lam).tolist()
+    force, lin, quad = _system(model, forcing)
+    lin_sig, quad_sig = lin * sig_rev, quad * sig_rev**2
+    force, neg_lam = force.tolist(), (-model.lam).tolist()
 
     def rhs(j: int, y) -> list:
         return [f + lin * x + dl * x + q * x * x
@@ -158,41 +161,54 @@ def _rhs_tables(model: MarketModel, stabs, grid: Grid, forcing, include_theta):
     return rhs
 
 
+def _rhs_along(solution: RiccatiSolution, stabs, s, forcing=None) -> np.ndarray:
+    """force + F(s, psi(T - s)) of the system ``forcing`` selects at the times s, (d, len(s)).
+
+    sig is evaluated analytically at s and psi(T - s) by linear interpolation
+    on the solver grid (``psi_at``), so a quadrature over s integrates
+    exactly what the discrete solution represents.
+    """
+    model = solution.model
+    force, lin, quad, lam = (np.asarray(c)[:, None] for c in (*_system(model, forcing), model.lam))
+    psi = solution.psi_at(model.T - np.asarray(s, dtype=float))
+    sig = np.stack([np.asarray(st.eval(s)) for st in stabs])
+    return force + (lin * sig * psi - lam * psi + quad * (sig * psi) ** 2)
+
+
 # solutions kept by solve_riccati_adams (least recently used dropped)
 _MEMO_SIZE = 8
 
 
-def solve_riccati_adams(model: MarketModel, stabs, n: int, *,
-                        forcing=None, include_theta: bool = True) -> RiccatiSolution:
+def solve_riccati_adams(model: MarketModel, stabs, n: int, *, forcing=None) -> RiccatiSolution:
     """Fractional Adams predictor-corrector solve on t_k = k T / n.
 
     y_{k+1}^P = sum_{j<=k} b_{j,k+1} f(t_j, y_j),
     y_{k+1}   = sum_{j<=k} a_{j,k+1} f(t_j, y_j)
                 + a_{k+1,k+1} f(t_{k+1}, y_{k+1}^P),    y_0 = 0,
 
-    with f(t_j, y) = -theta^2 + F(T - t_j, y).  Raises BlowupError when
-    any psi_i is not finite or |psi_i| exceeds 10x the resolvent bound
-    (or 1e6 where that bound does not apply or 10x it overflows).
+    with f(t_j, y) = force + F(T - t_j, y) of ``_system``.  Raises
+    BlowupError when any psi_i is not finite or |psi_i| exceeds 10x the
+    resolvent bound (or 1e6 for the Laplace system, or where that bound
+    does not apply or 10x it overflows).
 
     Solutions are memoized per process (``_solve_memo``): the key is the
     identity of ``model`` and of each stabilizer (both immutable)
-    together with ``n``, ``forcing`` and ``include_theta`` by value,
-    and the last few distinct solves are kept.  A repeated call returns
+    together with ``n`` and ``forcing`` by value, and the last few
+    distinct solves are kept.  A repeated call returns
     the same RiccatiSolution, whose ``psi`` is read-only.  A blow-up is
     never kept, so it raises on every call.
     """
     if forcing is not None:
         forcing = tuple(np.asarray(forcing, dtype=float).ravel().tolist())
-    return _solve_memo(model, tuple(stabs), n, forcing, include_theta)
+    return _solve_memo(model, tuple(stabs), n, forcing)
 
 
 # lru_cache hashes the model and the stabilizers by identity and holds
 # them in its keys, so an id cannot be reused while its entry lives; it
 # stays consistent under concurrent callers and caches no exception
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _solve_memo(model: MarketModel, stabs: tuple, n: int, forcing: tuple | None,
-                include_theta: bool) -> RiccatiSolution:
-    solution = _solve_adams(model, stabs, n, forcing, include_theta)
+def _solve_memo(model: MarketModel, stabs: tuple, n: int, forcing: tuple | None) -> RiccatiSolution:
+    solution = _solve_adams(model, stabs, n, forcing)
     solution.psi.flags.writeable = False
     return solution
 
@@ -200,16 +216,15 @@ def _solve_memo(model: MarketModel, stabs: tuple, n: int, forcing: tuple | None,
 # overflow and NaN are caught by the blow-up guard, which raises with one
 # message; numpy's own warnings would only repeat it on stderr
 @np.errstate(over="ignore", invalid="ignore")
-def _solve_adams(model: MarketModel, stabs, n: int, forcing,
-                 include_theta: bool) -> RiccatiSolution:
+def _solve_adams(model: MarketModel, stabs, n: int, forcing) -> RiccatiSolution:
     """The Adams solve behind ``solve_riccati_adams``, without the memo."""
     if n < 2:
         raise ParameterError("Adams solve needs n >= 2")
     grid = Grid(model.T, n)
     d = model.d
-    rhs = _rhs_tables(model, stabs, grid, forcing, include_theta)
+    rhs = _rhs_tables(model, stabs, grid, forcing)
     b_rev, a_first, a_rev, a_diag = zip(*(_adams_weights(a, n, grid.dt) for a in model.alpha))
-    if include_theta and forcing is None:
+    if forcing is None:
         # the finiteness test goes on the scaled bound: 10x a finite
         # bound near the float limit overflows to inf
         cap = _BLOWUP_FACTOR * riccati_bound(model, stabs, model.T)
@@ -305,4 +320,4 @@ def solve_laplace_riccati(model: MarketModel, stabs, n: int, u) -> RiccatiSoluti
     u = np.broadcast_to(np.asarray(u, dtype=float), (model.d,)).copy()
     if np.any(u > 0.0):
         raise ParameterError("Laplace forcing u must be <= 0 componentwise")
-    return solve_riccati_adams(model, stabs, n, forcing=u, include_theta=False)
+    return solve_riccati_adams(model, stabs, n, forcing=u)

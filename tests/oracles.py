@@ -69,8 +69,7 @@ class ConvergenceError(RuntimeError):
 
 
 def oracle_volterra_picard(model, stabs, n_fine: int, sweeps: int = 80, *,
-                           forcing=None, include_theta: bool = True,
-                           tol: float = 1e-10) -> RiccatiSolution:
+                           forcing=None, tol: float = 1e-10) -> RiccatiSolution:
     """Brute-force fixed-point oracle psi <- K * (f + F(psi)).
 
     Product-rectangle quadrature (left endpoints, exact kernel cell
@@ -83,7 +82,7 @@ def oracle_volterra_picard(model, stabs, n_fine: int, sweeps: int = 80, *,
         raise ParameterError("need at least one Picard sweep")
     grid = Grid(model.T, n_fine)
     d = model.d
-    rhs = _rhs_tables(model, stabs, grid, forcing, include_theta)
+    rhs = _rhs_tables(model, stabs, grid, forcing)
     c_seg = [_power_moments(model.alpha[i], n_fine, grid.dt)[0] for i in range(d)]
     psi = np.zeros((n_fine + 1, d))
     for _ in range(sweeps):

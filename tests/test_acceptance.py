@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from oracles import resolvent_equation_residual
+from voltmark import markowitz
 from voltmark.kernels import (
     ResolventSpec,
     fractional_kernel,
@@ -190,17 +191,19 @@ def test_criterion_6_stabilizer(model_t1, stabs_t1):
             f"scaling-law err {scale_err:.1e} <= 1e-10; sigma(0) = 0: {zero_ok}")
 
 
-def test_criterion_7_gamma0_sanity(model_t1, stabs_t1, riccati_600):
+def test_criterion_7_gamma0_sanity(model_t1, stabs_t1, riccati_600, monkeypatch):
     """0 < Gamma0 < e^(2rT); the two integral forms agree to 1e-6 relative;
     theta = 0 gives exactly e^(2rT)."""
-    val = gamma0(model_t1, riccati_600, stabs_t1, check_tol=1e-6)
+    monkeypatch.setattr(markowitz, "_GAMMA0_TOL", 1e-6)
+    val = gamma0(model_t1, riccati_600, stabs_t1)
     in_range = 0.0 < val < np.exp(2 * model_t1.r * model_t1.T)
-    raw = gamma0(model_t1, riccati_600, stabs_t1, refine_to=0, check_tol=1e-6)
+    monkeypatch.setattr(markowitz, "_GAMMA0_REFINE", 0)
+    raw = gamma0(model_t1, riccati_600, stabs_t1)
     zero = MarketModel(d=2, alpha=model_t1.alpha, lam=model_t1.lam, nu=model_t1.nu,
                        rho=model_t1.rho, theta=[0.0, 0.0], mu0=model_t1.mu0,
                        c=model_t1.c, r=model_t1.r, x0=model_t1.x0, T=1.0)
     sol0 = solve_riccati_adams(zero, stabs_t1, 64)
-    exact = gamma0(zero, sol0, stabs_t1, refine_to=0) == np.exp(0.04)
+    exact = gamma0(zero, sol0, stabs_t1) == np.exp(0.04)
     _report(7, "Gamma0 sanity", in_range and exact,
             f"Gamma0 = {val:.8f} in (0, {np.exp(0.04):.6f}); forms agree at n=600 "
             f"({raw:.8f}) and refined; theta=0 exact: {exact}")

@@ -176,6 +176,30 @@ def test_bad_seed_or_target_count_exit_code(tmp_path, capsys, command, line, ext
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line, message", [
+    ("M = abc", "mc.M: cannot parse 'abc' as an integer"),
+    ("T = x", "grid.T: cannot parse 'x' as a number"),
+    ("d = 2.5", "model.d: cannot parse '2.5' as an integer"),
+], ids=["M", "T", "d"])
+def test_malformed_scalar_exit_code(tmp_path, capsys, line, message):
+    # configparser's getint/getfloat used to end these in a ValueError traceback
+    key = line.split(" = ")[0]
+    path = _write(tmp_path, re.sub(rf"^{key} = .*$", line, TINY, flags=re.M))
+    assert main(["riccati", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.strip() == f"config error: {message}"
+
+
+def test_laplace_positive_u_exit_code(tmp_path, capsys):
+    # solve_laplace_riccati alone checks u <= 0, and the closed form is
+    # computed before any path is drawn
+    cfg_text = re.sub(r"^u = .*$", "u = 0.01, -0.05", _two_assets(TINY), flags=re.M)
+    out = tmp_path / "o"
+    assert main(["laplace", "--config", _write(tmp_path, cfg_text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and err.startswith("config error") and "u must be <= 0" in err
+    assert not (out / "laplace_check.csv").exists()
+
+
 def test_missing_field_exit_code(tmp_path):
     path = _write(tmp_path, "[model]\nd = 2\n")
     assert main(["riccati", "--config", path]) == 2
@@ -446,9 +470,9 @@ def test_full_stages_share_one_context(tmp_path, monkeypatch):
         builds.append(args)
         return real_build(*args, **kwargs)
 
-    def solve_spy(mdl, stabs, n, forcing, include_theta):
-        solves.append((mdl.T, n, forcing, include_theta))
-        return real_solve(mdl, stabs, n, forcing, include_theta)
+    def solve_spy(mdl, stabs, n, forcing):
+        solves.append((mdl.T, n, forcing))
+        return real_solve(mdl, stabs, n, forcing)
 
     def factor_spy(spec, grid):
         factors.append((spec.alpha, grid))

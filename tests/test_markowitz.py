@@ -1,12 +1,13 @@
 """Closed-form Markowitz quantities, the wealth scheme, and the Laplace check."""
 
+import re
 import sys
 
 import numpy as np
 import pytest
 
 from conftest import small_model
-from voltmark import simulate
+from voltmark import markowitz, simulate
 from voltmark.kernels import ParameterError
 from voltmark.markowitz import (
     ConsistencyError,
@@ -41,26 +42,34 @@ def zero_theta_model():
                        theta=[0.0, 0.0], mu0=m.mu0, c=m.c, r=m.r, x0=m.x0, T=1.0)
 
 
-def test_gamma0_theta_zero_exact(stabs_t1):
+def test_gamma0_theta_zero_exact(stabs_t1, monkeypatch):
     m = zero_theta_model()
     sol = solve_riccati_adams(m, stabs_t1, 64)
-    assert gamma0(m, sol, stabs_t1, refine_to=0) == np.exp(2 * m.r * m.T)
+    monkeypatch.setattr(markowitz, "_GAMMA0_REFINE", 0)
+    assert gamma0(m, sol, stabs_t1) == np.exp(2 * m.r * m.T)
 
 
 def test_gamma0_bounds_bundled(gamma0_bundled, model_t1):
     assert 0.0 < gamma0_bundled < np.exp(2 * model_t1.r * model_t1.T)
 
 
-def test_gamma0_two_forms_agree_at_600(model_t1, riccati_600, stabs_t1):
+def test_gamma0_two_forms_agree_at_600(model_t1, riccati_600, stabs_t1, monkeypatch):
     # no internal refinement: the raw n = 600 solution already puts the
     # fractional-integral and direct-quadrature forms within 1e-6
-    val = gamma0(model_t1, riccati_600, stabs_t1, refine_to=0, check_tol=1e-6)
+    monkeypatch.setattr(markowitz, "_GAMMA0_REFINE", 0)
+    monkeypatch.setattr(markowitz, "_GAMMA0_TOL", 1e-6)
+    val = gamma0(model_t1, riccati_600, stabs_t1)
     assert 0.0 < val < np.exp(0.04)
 
 
-def test_gamma0_inconsistency_detectable(model_t1, riccati_600, stabs_t1):
-    with pytest.raises(ConsistencyError):
-        gamma0(model_t1, riccati_600, stabs_t1, refine_to=0, check_tol=1e-12)
+def test_gamma0_inconsistency_detectable(model_t1, riccati_600, stabs_t1, monkeypatch):
+    monkeypatch.setattr(markowitz, "_GAMMA0_REFINE", 0)
+    monkeypatch.setattr(markowitz, "_GAMMA0_TOL", 1e-12)
+    with pytest.raises(ConsistencyError) as err:
+        gamma0(model_t1, riccati_600, stabs_t1)
+    # the one-line stderr shows both exponents as plain floats
+    assert "np.float64" not in str(err.value)
+    assert re.search(r"form -?\d\.\d+ vs direct quadrature -?\d\.\d+$", str(err.value))
 
 
 def test_xi_eta_identities(gamma0_bundled, model_t1):
@@ -124,7 +133,7 @@ def test_optimal_control_terminal_time(model_t1, riccati_600, stabs_t1, gamma0_b
     assert np.allclose(a, expect, rtol=1e-12)
 
 
-def test_wealth_riskless_compounding():
+def test_wealth_riskless_compounding(monkeypatch):
     # theta = 0, m = m0: the strategy is identically zero and wealth
     # compounds at the riskless rate
     m = small_model(theta=[0.0])
@@ -132,13 +141,14 @@ def test_wealth_riskless_compounding():
     sol = solve_riccati_adams(m, stabs, 50)
     grid = Grid(1.0, 50)
     ens = simulate_variance_paths(m, stabs, grid, 30, seed=1)
-    g0 = gamma0(m, sol, stabs, refine_to=0)
+    monkeypatch.setattr(markowitz, "_GAMMA0_REFINE", 0)
+    g0 = gamma0(m, sol, stabs)
     xi, eta = xi_eta_star(g0, m, m.m0)
     wealth = simulate_wealth(m, ens, sol, stabs, xi)
     assert np.max(np.abs(wealth.alpha_paths)) == 0.0
     expected = m.x0 * (1.0 + m.r * grid.dt) ** grid.n
     assert np.max(np.abs(wealth.terminal - expected)) <= 1e-12
-    assert wealth.terminal_var <= 1e-25
+    assert np.var(wealth.terminal, ddof=1) <= 1e-25
 
 
 def test_affine_terminal_matches_wealth_scheme():

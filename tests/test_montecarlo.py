@@ -11,7 +11,6 @@ from voltmark.model import Grid, bundled_model
 from voltmark.montecarlo import (
     _bootstrap_weights,
     affine_bootstrap,
-    ensemble_stats,
     frontier_experiment,
     frontier_m_grid,
     joint_ensemble_stats,
@@ -23,13 +22,14 @@ from voltmark.stabilizer import ConstantStabilizer
 
 
 def test_two_path_moments():
-    stats = ensemble_stats(np.array([[0.0], [2.0]]), np.array([0.0]), n_boot=200, seed=1)
+    stats = joint_ensemble_stats([(np.array([[0.0], [2.0]]), np.array([0.0]))],
+                                 n_boot=200, seed=1)[0]
     assert stats.mean[0] == 1.0
     assert stats.variance[0] == 2.0  # unbiased
 
 
 def test_constant_paths_collapse():
-    stats = ensemble_stats(np.full((12, 4), 3.5), np.arange(4.0), seed=2)
+    stats = joint_ensemble_stats([(np.full((12, 4), 3.5), np.arange(4.0))], seed=2)[0]
     assert np.all(stats.variance == 0.0)
     assert np.allclose(stats.ci_low, 3.5, rtol=1e-12)
     assert np.allclose(stats.ci_high, 3.5, rtol=1e-12)
@@ -38,7 +38,7 @@ def test_constant_paths_collapse():
 
 def test_rejects_single_path():
     with pytest.raises(ParameterError):
-        ensemble_stats(np.ones((1, 3)), np.arange(3.0))
+        joint_ensemble_stats([(np.ones((1, 3)), np.arange(3.0))])
 
 
 def test_bootstrap_coverage():
@@ -48,7 +48,7 @@ def test_bootstrap_coverage():
     reps = 200
     for k in range(reps):
         x = rng.standard_normal((400, 1))
-        s = ensemble_stats(x, np.array([0.0]), n_boot=400, seed=k)
+        s = joint_ensemble_stats([(x, np.array([0.0]))], n_boot=400, seed=k)[0]
         hits += s.ci_low[0] <= 0.0 <= s.ci_high[0]
     cover = hits / reps
     # binomial 3-SE band around 0.95 at 200 replications
@@ -60,7 +60,7 @@ def test_ci_width_shrinks_like_sqrt_M():
     widths = []
     for M in (1000, 4000, 16000):
         x = rng.standard_normal((M, 1))
-        s = ensemble_stats(x, np.array([0.0]), seed=3)
+        s = joint_ensemble_stats([(x, np.array([0.0]))], seed=3)[0]
         widths.append(float(s.ci_high[0] - s.ci_low[0]))
     for w1, w2 in zip(widths, widths[1:]):
         assert 0.4 <= w2 / w1 <= 0.6
@@ -68,8 +68,8 @@ def test_ci_width_shrinks_like_sqrt_M():
 
 def test_deterministic_given_seed():
     x = np.random.default_rng(5).standard_normal((100, 3))
-    s1 = ensemble_stats(x, np.arange(3.0), seed=11)
-    s2 = ensemble_stats(x, np.arange(3.0), seed=11)
+    s1 = joint_ensemble_stats([(x, np.arange(3.0))], seed=11)[0]
+    s2 = joint_ensemble_stats([(x, np.arange(3.0))], seed=11)[0]
     assert np.array_equal(s1.ci_low, s2.ci_low)
     assert np.array_equal(s1.var_se, s2.var_se)
 
@@ -84,14 +84,15 @@ def test_one_resample_rejected():
     # one resample has no spread, so no standard error
     x = np.random.default_rng(5).standard_normal((50, 2))
     with pytest.raises(ParameterError, match="n_boot >= 2"):
-        ensemble_stats(x, np.arange(2.0), n_boot=1)
+        joint_ensemble_stats([(x, np.arange(2.0))], n_boot=1)
     with pytest.raises(ParameterError, match="n_boot >= 2"):
         terminal_bootstrap(x[:, 0], n_boot=1)
 
 
 def test_overflowing_statistics_rejected():
     with pytest.raises(NonFiniteError, match="ensemble variance"):
-        ensemble_stats(np.full((5, 3), 1e200) * np.arange(1, 6)[:, None], np.arange(3.0))
+        joint_ensemble_stats([(np.full((5, 3), 1e200) * np.arange(1, 6)[:, None],
+                               np.arange(3.0))])
     with pytest.raises(NonFiniteError, match="terminal wealth statistics"):
         terminal_bootstrap(np.linspace(1e200, 3e200, 40), n_boot=20)
 
@@ -150,13 +151,14 @@ def test_columns_of_one_ensemble_share_a_resample(model_t1, stabs_t1):
     x = twin.V[:, 0, :]
     joint = joint_ensemble_stats([(x, ens.grid.times), (x.copy(), ens.grid.times)],
                                  n_boot=100, seed=5)
-    for st in (second, *joint, ensemble_stats(x, ens.grid.times, n_boot=100, seed=5)):
+    alone = joint_ensemble_stats([(x, ens.grid.times)], n_boot=100, seed=5)[0]
+    for st in (second, *joint, alone):
         for name in ("mean", "variance", "ci_low", "ci_high", "mean_se", "var_se"):
             assert np.array_equal(getattr(st, name), getattr(first, name)), name
 
 
 def test_affine_resamples_match_direct():
-    # every target's bootstrap of x = A + xi B against ensemble_stats of
+    # every target's bootstrap of x = A + xi B against joint_ensemble_stats of
     # x alone, from the same weights
     rng = np.random.default_rng(21)
     M = 500
@@ -164,7 +166,7 @@ def test_affine_resamples_match_direct():
     B = -0.4 + 0.1 * rng.standard_normal(M) + 0.2 * (A - 2.0)
     xis = (0.0, 2.5, 11.0)
     for xi, got in zip(xis, affine_bootstrap(A, B, xis, n_boot=300, seed=4)):
-        st = ensemble_stats((A + xi * B)[:, None], np.zeros(1), n_boot=300, seed=4)
+        st = joint_ensemble_stats([((A + xi * B)[:, None], np.zeros(1))], n_boot=300, seed=4)[0]
         want = (st.mean[0], st.mean_se[0], st.variance[0], st.var_se[0])
         assert got[0] == want[0] and got[2] == want[2]
         assert got == pytest.approx(want, rel=1e-12)

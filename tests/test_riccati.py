@@ -15,6 +15,7 @@ from voltmark.markowitz import gamma0
 from voltmark.model import Grid, MarketModel, bundled_model
 from voltmark.riccati import (
     BlowupError,
+    _rhs_along,
     _rhs_tables,
     admissibility_constant,
     check_admissibility,
@@ -37,12 +38,12 @@ def regime_a_model():
 def test_rhs_at_zero_psi(model_t1, stabs_t1):
     # node j = 7 of n = 10 sits at the reversed time T - t_j = 0.3
     grid = Grid(1.0, 10)
-    rhs = _rhs_tables(model_t1, stabs_t1, grid, None, True)
+    rhs = _rhs_tables(model_t1, stabs_t1, grid, None)
     assert np.allclose(rhs(7, np.zeros(2)), -model_t1.theta**2)
     m0 = bundled_model(T=1.0)
     zero = MarketModel(d=2, alpha=m0.alpha, lam=m0.lam, nu=m0.nu, rho=m0.rho,
                        theta=[0.0, 0.0], mu0=m0.mu0, c=m0.c, r=m0.r, x0=m0.x0, T=1.0)
-    rhs_zero = _rhs_tables(zero, stabs_t1, grid, None, True)
+    rhs_zero = _rhs_tables(zero, stabs_t1, grid, None)
     assert np.allclose(rhs_zero(7, np.zeros(2)), 0.0)
 
 
@@ -51,9 +52,21 @@ def test_rhs_scalar_reduction():
     m = small_model(rho=[0.0])
     st = [ConstantStabilizer(1.0)]
     psi = np.array([-0.7])
-    val = _rhs_tables(m, st, Grid(1.0, 4), None, True)(2, psi)
+    val = _rhs_tables(m, st, Grid(1.0, 4), None)(2, psi)
     expect = -m.theta[0] ** 2 - m.lam[0] * psi[0] + 0.5 * m.nu[0] ** 2 * psi[0] ** 2
     assert val[0] == pytest.approx(expect, rel=1e-14)
+
+
+@pytest.mark.parametrize("forcing", [None, (-0.05, -0.05)], ids=["mean-variance", "laplace"])
+def test_rhs_along_is_the_solver_rhs(model_t1, stabs_t1, forcing):
+    # the closed forms integrate the solver's own F: at the grid nodes the
+    # vectorised rhs equals the solver's rhs(j, psi_j)
+    sol = solve_riccati_adams(model_t1, stabs_t1, 40, forcing=forcing)
+    grid = sol.grid
+    rhs = _rhs_tables(model_t1, stabs_t1, grid, forcing)
+    solver = np.array([rhs(j, sol.psi[:, j].tolist()) for j in range(grid.n + 1)]).T
+    along = _rhs_along(sol, stabs_t1, grid.T - grid.times, forcing)
+    np.testing.assert_allclose(along, solver, rtol=1e-13, atol=0.0)
 
 
 def test_theta_zero_gives_identically_zero(stabs_t1):
@@ -238,7 +251,7 @@ def test_memo_returns_the_fresh_solution_read_only(adams_spy):
     first = solve_riccati_adams(model, stabs, 80)
     again = solve_riccati_adams(model, list(stabs), 80)  # same objects, new list
     assert again is first and adams_spy == [80] and memo.cache_info().hits == 1
-    fresh = riccati._solve_adams(model, stabs, 80, None, True)
+    fresh = riccati._solve_adams(model, stabs, 80, None)
     assert np.array_equal(again.psi, fresh.psi)
     with pytest.raises(ValueError):
         again.psi[0, 1] = 1.0
@@ -252,7 +265,6 @@ def test_memo_key_separates_every_argument(adams_spy):
         dict(n=81),
         dict(forcing=[-0.01]),
         dict(forcing=[-0.02]),
-        dict(forcing=[-0.01], include_theta=False),
         dict(stabs=model.build_stabilizers()),
         dict(model=small_model()),
     ]
