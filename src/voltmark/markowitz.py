@@ -78,10 +78,6 @@ class WealthEnsemble:
     def terminal(self) -> np.ndarray:
         return self.X[:, -1]
 
-    @property
-    def terminal_mean(self) -> float:
-        return float(np.mean(self.X[:, -1]))
-
 
 def _cell_quadrature(n: int, T: float):
     nodes, weights = roots_legendre(_GL_CELL)
@@ -160,14 +156,22 @@ def xi_eta_star(gamma0_value: float, model: MarketModel, m: float) -> tuple[floa
 
 
 def variance_of_terminal(gamma0_value: float, model: MarketModel, m: float) -> float:
-    """Optimal terminal-wealth variance V(m) = G0 |x0 - m e^-rT|^2 / (1 - G0 e^-2rT)."""
+    """Optimal terminal-wealth variance V(m) = G0 |x0 - m e^-rT|^2 / (1 - G0 e^-2rT);
+    ParameterError when it is not finite (m = 1e300, inf or nan)."""
     if _riskless(model, m):
         return 0.0
     disc1 = model.discount(model.T)
     denom = 1.0 - gamma0_value * disc1**2
     if denom <= 1e-12:
         raise ParameterError("Gamma0 >= e^(2rT): variance formula degenerate")
-    return float(gamma0_value * (model.x0 - m * disc1) ** 2 / denom)
+    try:
+        v = gamma0_value * (model.x0 - m * disc1) ** 2 / denom
+    except OverflowError:  # a Python float's square raises where a product gives inf
+        v = np.inf
+    if not np.isfinite(v):
+        raise ParameterError(f"target mean m = {m} gives a terminal variance V(m) "
+                             "beyond the floats")
+    return float(v)
 
 
 def frontier_slope(gamma0_value: float, model: MarketModel) -> float:
@@ -426,11 +430,15 @@ def laplace_affine_check(model: MarketModel, stabs, u, grid: Grid, M: int, seed:
     or ``ensemble_chunks`` of a given ensemble, with the same samples)
     and only the per-path samples are kept.  The integral runs over the
     time-major rows of each chunk's V with (d, chunk) buffers, in the
-    order and rounding of ``np.trapezoid`` along the time axis.  A
-    degenerate Monte Carlo spread (nu = 0 or u = 0) demands equality to
-    1e-6 relative instead (the closed form still carries its own
-    discretization error).
+    order and rounding of ``np.trapezoid`` along the time axis.  Equality
+    to 1e-6 relative passes too: a degenerate Monte Carlo spread (nu = 0
+    or u = 0) leaves an SE of 0, or of rounding size when the mean of
+    equal samples rounds, while the closed form still carries its own
+    discretization error.  ParameterError when a given ensemble lies on
+    another grid.
     """
+    if ensemble is not None and ensemble.grid != grid:
+        raise ParameterError("Laplace check requires the ensemble's grid to match the given grid")
     u = np.broadcast_to(np.asarray(u, dtype=float), (model.d,)).copy()
     # solve_laplace_riccati rejects u > 0 before any path is drawn
     closed = laplace_closed_form(model, stabs, u, n_solver=max(grid.n, _GAMMA0_REFINE))
@@ -442,11 +450,9 @@ def laplace_affine_check(model: MarketModel, stabs, u, grid: Grid, M: int, seed:
                                       chunks)))
     mc = float(np.mean(samples))
     se = float(np.std(samples, ddof=1) / np.sqrt(len(samples)))
-    if se == 0.0:
-        passed = abs(mc - closed) <= 1e-6 * max(1.0, abs(closed))
-        z = 0.0 if passed else np.inf
-    else:
-        z = abs(mc - closed) / se
-        passed = z <= 3.0
+    gap = abs(mc - closed)
+    equal = gap <= 1e-6 * max(1.0, abs(closed))
+    z = gap / se if se > 0.0 else (0.0 if equal else np.inf)
+    passed = z <= 3.0 or equal
     return LaplaceReport(mc_value=mc, mc_se=se, closed_form=closed, z_score=float(z),
                          passed=passed, u=u)

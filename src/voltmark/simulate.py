@@ -14,21 +14,22 @@ therefore drives every cell.  Paths are vectorized: each cell draws a
 low-rank standard-normal block and one thin matrix product produces the
 exact joint sample for all paths at once.
 
-Paths are simulated in fixed chunks of ``_CHUNK_PATHS`` paths.  Within a
-chunk storage is time-major: V is a (d, n+1, chunk) array and dW, when
-the increments are kept, a (d, n, chunk) one, so each time step of an
-asset is one contiguous row of paths, and the engine accumulates the
-Volterra sums straight into the rows of V.  The ensemble exposes both
-as (paths, d, .) transposed views.  ``simulate_variance_chunks`` yields
-one chunk at a time, so a consumer that keeps only per-path values
-(the frontier's terminal wealth, the Laplace samples) runs in memory
-that does not grow with M; ``simulate_variance_paths`` writes the
-chunks into the columns of whole (d, n+1, M) arrays for the callers
-that read whole paths.  The assets share nothing but the read-only
-model, so within a chunk they advance at the same time on one thread
-each (numpy's random fills, ufuncs and BLAS calls release the GIL), on
-the CPUs of the process that the BLAS threads leave free (see
-``_run_concurrently``), and the chunk's dWperp draw is one more job.
+Paths are simulated in fixed chunks of ``_CHUNK_PATHS`` paths, each in
+arrays of its own.  Within a chunk storage is time-major: V is a
+(d, n+1, chunk) array and dW, when the increments are kept, a
+(d, n, chunk) one, so each time step of an asset is one contiguous row
+of paths, and the engine accumulates the Volterra sums straight into
+the rows of V.  The ensemble exposes both as (paths, d, .) transposed
+views.  ``simulate_variance_chunks`` yields one chunk at a time, so a
+consumer that keeps only per-path values (the frontier's terminal
+wealth, the Laplace samples) runs in memory that does not grow with M;
+``simulate_variance_paths`` copies the chunks into the columns of whole
+(d, n+1, M) arrays for the callers that read whole ensembles.  The
+assets share nothing but the read-only model, so within a chunk they
+advance at the same time on one thread each (numpy's random fills,
+ufuncs and BLAS calls release the GIL), on the CPUs of the process that
+the BLAS threads leave free (see ``_run_concurrently``), and the
+chunk's dWperp draw is one more job.
 
 Everything is reproducible: chunk c takes the c-th ``spawn(1 + d)``
 group of SeedSequence(seed), one child stream for the initial variance
@@ -218,24 +219,33 @@ def simulate_variance_paths(model: MarketModel, stabs, grid: Grid, M: int, seed:
     only accepts False.  ``increments=False`` keeps V alone: dW is never
     stored and dWperp never drawn (its draw follows V0's on the common
     stream, so V0 and V do not change), which saves two (M, d, n)
-    arrays for callers that read only V.  The paths are those of
-    ``simulate_variance_chunks``, bit for bit: the engine writes each
-    chunk straight into its columns of the whole arrays.  Callers that
-    read each path only through a terminal functional should take the
-    chunks instead.  Raises NonFiniteError when V0 or a path leaves the
-    finite floats, ParameterError when M < 1.
+    arrays for callers that read only V.  The paths are the chunks of
+    ``simulate_variance_chunks``, copied side by side into whole arrays
+    (a lone chunk is the ensemble itself); callers that read each path
+    only through a per-path functional should take the chunks instead.
+    Raises NonFiniteError when V0 or a path leaves the finite floats,
+    ParameterError when M < 1 (before anything is allocated).
     """
     if store_noise:
         raise ParameterError("kernel-weighted noise integrals are not stored")
-    factors = _checked_factors(model, grid, M, initial)
+    chunks = simulate_variance_chunks(model, stabs, grid, M, seed, initial=initial,
+                                      increments=increments)
+    if M <= _CHUNK_PATHS:  # the one chunk is the ensemble: nothing to copy
+        return next(chunks)
     d, n = model.d, grid.n
     # time-major storage: each asset's cells are contiguous rows of M paths
     V = _mapped((d, n + 1, M))
     dW = _mapped((d, n, M)) if increments else None
     dWperp = np.empty((M, d, n)) if increments else None
-    for _ in _advance_chunks(model, stabs, grid, M, seed, initial, factors, increments,
-                             out=(V, dW, dWperp)):
-        pass
+    c0 = 0
+    for chunk in chunks:
+        paths = slice(c0, c0 + chunk.M)
+        V[:, :, paths] = chunk.V.transpose(1, 2, 0)
+        if increments:
+            dW[:, :, paths] = chunk.dW.transpose(1, 2, 0)
+            dWperp[paths] = chunk.dWperp
+        c0 += chunk.M
+        del chunk  # before the next chunk is simulated
     return PathEnsemble(model=model, grid=grid, M=M, seed=seed, V=V.transpose(2, 0, 1),
                         dW=dW.transpose(2, 0, 1) if increments else None, dWperp=dWperp)
 
@@ -247,9 +257,10 @@ def simulate_variance_chunks(model: MarketModel, stabs, grid: Grid, M: int, seed
 
     Yields a PathEnsemble per block of ``_CHUNK_PATHS`` paths (the last
     one holds the rest), in path order; its M is the chunk's path count.
-    The engine's scratch and each chunk's arrays scale with the chunk,
-    not with M, so a consumer that keeps only per-path values and drops
-    each chunk before taking the next runs in memory independent of M.
+    Each chunk has arrays of its own, and the engine's scratch and each
+    chunk's arrays scale with the chunk, not with M, so a consumer that
+    keeps only per-path values and drops each chunk before taking the
+    next runs in memory independent of M.
     The arguments are checked and the factors built before the first
     chunk is asked for.
     """
@@ -272,36 +283,28 @@ def _checked_factors(model: MarketModel, grid: Grid, M: int, initial: str) -> li
     if M < 1:
         raise ParameterError(f"path count M must be >= 1, got {M}")
     if grid.T != model.T:
-        raise ParameterError(f"grid horizon  {grid.T} != model horizon {model.T}")
+        raise ParameterError(f"grid horizon {grid.T} != model horizon {model.T}")
     if initial not in ("stationary", "fixed"):
         raise ParameterError(f"unknown initial-variance mode {initial!r}")
     return [_factor_memo(fractional_kernel(a), grid) for a in model.alpha]
 
 
 def _advance_chunks(model: MarketModel, stabs, grid: Grid, M: int, seed: int, initial: str,
-                    factors: list, increments: bool, out=None):
+                    factors: list, increments: bool):
     """Simulate the paths chunk by chunk, yielding each chunk's ensemble.
 
     Chunk c covers paths c C .. min((c+1) C, M) - 1 with C = _CHUNK_PATHS
     and draws from the c-th ``spawn(1 + d)`` group of SeedSequence(seed):
     V0 (before the jobs start), then dWperp (a job beside the assets'),
-    from child 0 and asset i's normals from child 1 + i.
-    ``out`` = (V, dW, dWperp), whole (d, n+1, M), (d, n, M) and (M, d, n)
-    arrays (dW and dWperp None without increments), makes each chunk
-    write into its columns of them, and each asset's scratch serves
-    every chunk; otherwise every chunk gets arrays of its own, and each
-    asset's job maps and frees its own scratch, so that the consumer's
-    arrays never stack on it.
+    from child 0 and asset i's normals from child 1 + i.  Every chunk
+    gets arrays of its own, and each asset's job maps and frees its own
+    scratch, so that the consumer's arrays never stack on it.
     """
     d, n, dt = model.d, grid.n, grid.dt
     sig_grid = np.stack([np.asarray(st.eval(grid.times[:-1])) for st in stabs], axis=0)  # (d, n)
-    sizes = {min(M, _CHUNK_PATHS), (M - 1) % _CHUNK_PATHS + 1}    # chunk path counts
-    scratch = ([_asset_scratch(n, fac.rank, sizes) for fac in factors] if out is not None
-               else [None] * d)
     seq = np.random.SeedSequence(seed)
     for c0 in range(0, M, _CHUNK_PATHS):
-        c1 = min(c0 + _CHUNK_PATHS, M)
-        m = c1 - c0
+        m = min(_CHUNK_PATHS, M - c0)
         rng_common, *rngs_asset = (np.random.default_rng(child) for child in seq.spawn(1 + d))
         if initial == "stationary":
             with np.errstate(over="ignore", invalid="ignore"):
@@ -309,17 +312,12 @@ def _advance_chunks(model: MarketModel, stabs, grid: Grid, M: int, seed: int, in
         else:
             V0 = np.tile(model.x_inf, (m, 1))
         require_finite("initial variance", V0)
-        if out is None:
-            V = _mapped((d, n + 1, m))
-            dW = _mapped((d, n, m)) if increments else None
-            dWperp = np.empty((m, d, n)) if increments else None
-        else:
-            V = out[0][:, :, c0:c1]
-            dW = out[1][:, :, c0:c1] if increments else None
-            dWperp = out[2][c0:c1] if increments else None
+        V = _mapped((d, n + 1, m))
+        dW = _mapped((d, n, m)) if increments else None
+        dWperp = np.empty((m, d, n)) if increments else None
         V[:, 0, :] = V0.T
         jobs = [functools.partial(_advance_asset, model, i, factors[i], sig_grid[i], rngs_asset[i],
-                                  V[i], dW[i] if increments else None, scratch[i])
+                                  V[i], dW[i] if increments else None)
                 for i in range(d)]
         if increments:
             # last, so that it fills the worker that finishes its asset first
@@ -411,30 +409,26 @@ def _mapped(shape) -> np.ndarray:
     return np.frombuffer(pages, count=size).reshape(shape)
 
 
-def _asset_scratch(n: int, r: int, sizes) -> tuple:
-    """Flat scratch of ``_advance_asset`` for a rank-r factor and chunks of
-    each path count in ``sizes``: the normals and vol of one cell, the
-    noise and drift of a block's cells, the in-block product, and the
-    far-field factor block and product.  A chunk views the leading
-    entries in its own shapes, so every view is contiguous."""
+def _asset_scratch(n: int, r: int, m: int) -> tuple:
+    """Scratch of ``_advance_asset`` for a rank-r factor and a chunk of m
+    paths: the normals (r, m) and vol (m,) of one cell, the noise and
+    drift (_BLOCK, r+1, m) and the in-block product (_BLOCK, m) of a
+    block's cells, and the flat far-field factor block and product,
+    whose leading entries each flush views in its own shape."""
     far_rows = range(n - _BLOCK, 0, -_BLOCK)
-    far = max((rows * max(np.diff(_path_bounds(rows, m))) for rows in far_rows for m in sizes),
-              default=0)
-    m = max(sizes)
-    return tuple(_mapped((size,)) for size in (
-        r * m, m, _BLOCK * (r + 1) * m, _BLOCK * m,
-        far_rows[0] * _BLOCK * (r + 1) if far_rows else 0, far))
+    far = max((rows * max(np.diff(_path_bounds(rows, m))) for rows in far_rows), default=0)
+    return (_mapped((r, m)), _mapped((m,)), _mapped((_BLOCK, r + 1, m)), _mapped((_BLOCK, m)),
+            _mapped((far_rows[0] * _BLOCK * (r + 1) if far_rows else 0,)), _mapped((far,)))
 
 
 def _advance_asset(model: MarketModel, i: int, fac: GaussianBlockFactor,
                    sig: np.ndarray, rng: np.random.Generator,
-                   V: np.ndarray, dW: np.ndarray | None, scratch: tuple | None) -> None:
+                   V: np.ndarray, dW: np.ndarray | None) -> None:
     """Blocked Volterra accumulation of one asset over one chunk of paths, in place.
 
-    V is the asset's time-major (n+1, m) slab of the chunk's m paths (a
-    contiguous array, or m columns of a wider one), holding V0 in row 0
-    and zeros below; dW is its (n, m) slab of increments, or None when
-    the increments are not kept.  Each cell l
+    V is the asset's contiguous time-major (n+1, m) slab of the chunk's
+    m paths, holding V0 in row 0 and zeros below; dW is its (n, m) slab
+    of increments, or None when the increments are not kept.  Each cell l
     contributes drift_l C[k-l] + vol_l G_{k,l} to every later time k.
     Rows of V beyond the current cell hold the running sum of these
     contributions; a row becomes V0 + sum once its last contribution is
@@ -443,9 +437,9 @@ def _advance_asset(model: MarketModel, i: int, fac: GaussianBlockFactor,
     contributions beyond it are deferred and flushed as thin matrix
     products per block, which keeps the O(n^2 M) accumulation
     compute-bound instead of rewriting the whole future per cell.
-    ``scratch`` is the asset's ``_asset_scratch``, or None to map one
-    for this chunk alone; its arrays are memory maps of their own
-    (``_mapped``), so the routine can run on a worker thread.
+    The routine maps its own ``_asset_scratch`` for the chunk, memory
+    maps that go back to the system on return (``_mapped``), so it can
+    run on a worker thread.
     """
     n, M = fac.grid.n, V.shape[1]
     r = fac.rank
@@ -453,11 +447,7 @@ def _advance_asset(model: MarketModel, i: int, fac: GaussianBlockFactor,
     # eigenvectors' column-major order, which decides numpy's matmul
     # route for F_aug[:m] (its own loop for one row) and so the rounding
     F_aug = np.concatenate([fac.factor[:n], fac.c_seg[:, None]], axis=1)  # (n, r+1)
-    z_buf, vol_buf, y_buf, near_buf, f_big, far = scratch or _asset_scratch(n, r, {M})
-    z = z_buf[: r * M].reshape(r, M)
-    vol = vol_buf[:M]
-    y_blk = y_buf[: _BLOCK * (r + 1) * M].reshape(_BLOCK, r + 1, M)
-    near = near_buf[: _BLOCK * M].reshape(_BLOCK, M)
+    z, vol, y_blk, near, f_big, far = _asset_scratch(n, r, M)
     f_dw = fac.factor[n]
     mu0, lam = model.mu0[i], model.lam[i]
     nu = model.nu[i]

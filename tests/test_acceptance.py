@@ -93,15 +93,19 @@ def test_criterion_2_frontier_consistency(stabs_t1, grid_600):
                 worst = max(worst, gap / p.v_theory)
         lines.append(f"T={T:g} worst rel gap {worst:.1%}")
 
-    from voltmark.simulate import simulate_variance_paths
+    from voltmark.simulate import simulate_variance_chunks
 
     model5 = bundled_model(T=5.0)
     stabs5 = model5.build_stabilizers()
     grid5 = Grid(5.0, 600)
     sol5 = solve_riccati_adams(model5, stabs5, 600)
-    ens5 = simulate_variance_paths(model5, stabs5, grid5, 50000, seed=502, initial="fixed")
     g0_5 = gamma0(model5, sol5, stabs5)
-    A5, B5 = affine_wealth_terminal(model5, ens5, sol5, stabs5)  # X_T = A + xi* B
+    # X_T = A + xi* B, chunk by chunk: map drops each chunk before the next
+    parts = list(map(lambda chunk: affine_wealth_terminal(model5, chunk, sol5, stabs5),
+                     simulate_variance_chunks(model5, stabs5, grid5, 50000, seed=502,
+                                              initial="fixed")))
+    A5 = np.concatenate([a for a, _ in parts])
+    B5 = np.concatenate([b for _, b in parts])
     worst5 = 0.0
     for m in frontier_m_grid(model5, 8):
         xi, _ = xi_eta_star(g0_5, model5, float(m))

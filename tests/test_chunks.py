@@ -134,8 +134,7 @@ def test_engine_rejects_empty_path_count(model_t1, stabs_t1, M):
 def test_short_last_chunk_fits_the_scratch(model_t1, stabs_t1, monkeypatch):
     # with a small far-field budget a full chunk splits each flush into
     # 640-path ranges, while a last chunk of 1279 paths runs as one
-    # range, wider than any of a full chunk's; the scratch that every
-    # chunk shares must hold it
+    # range, wider than any of a full chunk's; its scratch must hold it
     unsplit = _paths(model_t1, stabs_t1, C + 1279)
     monkeypatch.setattr(simulate, "_FAR_CELLS", 1 << 12)
     assert simulate._path_bounds(GRID.n - 64, C)[:2] == [0, 640]
@@ -146,10 +145,9 @@ def test_short_last_chunk_fits_the_scratch(model_t1, stabs_t1, monkeypatch):
     assert np.max(np.abs(split.V - unsplit.V)) <= 1e-12 * np.max(np.abs(unsplit.V))
 
 
-def test_scratch_serves_every_chunk_and_leaves_before_a_consumer(model_t1, stabs_t1,
-                                                                   monkeypatch):
-    # the whole ensemble maps each asset's scratch once for all chunks;
-    # a chunk handed to a consumer no longer holds any scratch
+def test_scratch_leaves_before_a_consumer(model_t1, stabs_t1, monkeypatch):
+    # each asset's job maps the scratch of its chunk, and a chunk handed
+    # to a consumer no longer holds any of it
     made = []
     real = simulate._asset_scratch
 
@@ -159,9 +157,6 @@ def test_scratch_serves_every_chunk_and_leaves_before_a_consumer(model_t1, stabs
         return buffers
 
     monkeypatch.setattr(simulate, "_asset_scratch", spy)
-    _paths(model_t1, stabs_t1, 2 * C + 3)
-    assert len(made) == model_t1.d
-    made.clear()
     for _ in simulate_variance_chunks(model_t1, stabs_t1, GRID, 2 * C + 3, SEED):
         assert made and all(ref() is None for refs in made for ref in refs)
     assert len(made) == 3 * model_t1.d

@@ -289,33 +289,38 @@ def test_simulate_computes_each_bootstrap_once(tmp_path, monkeypatch):
 
 
 def test_wealth_drops_its_paths_before_the_statistics(tmp_path, monkeypatch):
-    # V, dW and dWperp are the largest arrays of the wealth stage; they
-    # are gone by the time its bootstrap weights are drawn
+    # the wealth stage takes the paths chunk by chunk, never as a whole
+    # ensemble; V, dW and dWperp are its largest arrays, and no chunk's
+    # are alive by the time its bootstrap weights are drawn
     from voltmark import montecarlo, simulate
 
-    refs, alive = [], []
-    real_paths, real_stats = simulate.simulate_variance_paths, montecarlo.joint_ensemble_stats
+    refs, alive, whole = [], [], []
+    real_chunks, real_stats = simulate.simulate_variance_chunks, montecarlo.joint_ensemble_stats
 
-    def paths_spy(*args, **kwargs):
-        ens = real_paths(*args, **kwargs)
-        refs.extend(weakref.ref(obj) for obj in (ens, ens.V, ens.dW, ens.dWperp))
-        return ens
+    def chunks_spy(*args, **kwargs):
+        for chunk in real_chunks(*args, **kwargs):
+            refs.extend(weakref.ref(obj) for obj in (chunk, chunk.V.base, chunk.dW.base,
+                                                     chunk.dWperp))
+            yield chunk
 
     def stats_spy(*args, **kwargs):
         alive.append([ref() is not None for ref in refs])
         return real_stats(*args, **kwargs)
 
-    monkeypatch.setattr(simulate, "simulate_variance_paths", paths_spy)
+    monkeypatch.setattr(simulate, "simulate_variance_chunks", chunks_spy)
+    monkeypatch.setattr(simulate, "simulate_variance_paths", lambda *a, **k: whole.append(a))
     monkeypatch.setattr(montecarlo, "joint_ensemble_stats", stats_spy)
-    path = _write(tmp_path, _two_assets(TINY))
+    two_chunks = f"M = {simulate._CHUNK_PATHS + 5}"
+    path = _write(tmp_path, _two_assets(TINY).replace("M = 120", two_chunks))
     assert main(["wealth", "--config", path, "--out", str(tmp_path / "o")]) in (0, 4)
-    assert alive == [[False] * 4]
+    assert whole == [] and alive == [[False] * 8]
 
 
 def test_v_only_stages_skip_the_increments(tmp_path, monkeypatch):
     # the stationarity and Laplace stages read V alone, so they ask the
     # engine for no Brownian increments; the wealth and frontier stages
-    # keep them.  Laplace and frontier take the paths chunk by chunk
+    # keep them.  All but the stationarity stage take the paths chunk by
+    # chunk
     from voltmark import cli, markowitz, montecarlo, simulate
 
     requested = []
@@ -329,13 +334,15 @@ def test_v_only_stages_skip_the_increments(tmp_path, monkeypatch):
     monkeypatch.setattr(simulate, "simulate_variance_paths",
                         spy(simulate.simulate_variance_paths))
     chunks = spy(simulate.simulate_variance_chunks)
-    monkeypatch.setattr(markowitz, "simulate_variance_chunks", chunks)
-    monkeypatch.setattr(montecarlo, "simulate_variance_chunks", chunks)
+    for module in (simulate, markowitz, montecarlo):
+        monkeypatch.setattr(module, "simulate_variance_chunks", chunks)
     run = RunContext.build(load_config(TINY))
     for runner in (cli.run_simulate, cli.run_laplace, cli.run_wealth, cli.run_frontier):
         runner(run, str(tmp_path))
+    # the whole ensemble of the stationarity stage collects the chunks
     assert requested == [("simulate_variance_paths", False), ("simulate_variance_chunks", False),
-                         ("simulate_variance_paths", True), ("simulate_variance_chunks", True)]
+                         ("simulate_variance_chunks", False), ("simulate_variance_chunks", True),
+                         ("simulate_variance_chunks", True)]
 
 
 def test_manifest_records_thread_cap_and_chunk_size(tmp_path, monkeypatch):
@@ -587,6 +594,33 @@ def test_non_finite_parameter_exit_code(tmp_path, capsys, key, old, new):
     assert main(["wealth", "--config", path, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and err.startswith("config error") and key in err
+
+
+@pytest.mark.parametrize("command", ["wealth", "full"])
+def test_huge_target_exit_code(tmp_path, capsys, command):
+    # V(m) at m = 1e300 overflows the floats; its Python-float square used
+    # to end in an OverflowError traceback
+    path = _write(tmp_path, TINY.replace("m = 2.1", "m = 1e300"))
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and err.startswith("config error")
+    assert "target mean m = 1e+300" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "full"])
+def test_zero_vol_of_vol_passes_quietly(tmp_path, command):
+    # with nu = 0 every path is V = x_inf, so every Monte Carlo SE is 0
+    # or of rounding size; the gates then ask for equality, without a
+    # division by zero.  A child process, so that numpy RuntimeWarnings
+    # would reach stderr
+    path = _write(tmp_path, TINY.replace("nu = 0.5", "nu = 0"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "voltmark.cli", command, "--config", path,
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert "passed=True" in proc.stdout and "passed=False" not in proc.stdout
 
 
 @pytest.mark.parametrize("cfg_text", [

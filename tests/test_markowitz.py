@@ -275,11 +275,20 @@ def test_affine_terminal_grid_mismatch_rejected(model_t1, stabs_t1, riccati_600)
         affine_wealth_terminal(model_t1, ens, riccati_600, stabs_t1)
 
 
+def test_laplace_ensemble_grid_mismatch_rejected(model_t1, stabs_t1):
+    # the Monte Carlo side integrates the given paths with grid.dt
+    ens = simulate_variance_paths(model_t1, stabs_t1, Grid(1.0, 30), 5, seed=1,
+                                  increments=False)
+    with pytest.raises(ParameterError, match="grid"):
+        laplace_affine_check(model_t1, stabs_t1, [-0.05, -0.05], Grid(1.0, 60), 5, seed=1,
+                             ensemble=ens)
+
+
 def test_wealth_mean_tracks_target(model_t1, stabs_t1, riccati_600, ensemble_5000_fixed):
     ms = solve_markowitz(model_t1, riccati_600, stabs_t1, 2.255)
     wealth = simulate_wealth(model_t1, ensemble_5000_fixed, riccati_600, stabs_t1, ms.xi_star)
     se = wealth.X[:, -1].std(ddof=1) / np.sqrt(wealth.X.shape[0])
-    assert abs(wealth.terminal_mean - 2.255) <= 3.0 * se
+    assert abs(np.mean(wealth.terminal) - 2.255) <= 3.0 * se
 
 
 def test_laplace_u_zero_exact(model_t1, stabs_t1):
