@@ -24,7 +24,11 @@ seed that the CSV bits depend on.
 ``main`` builds one ``RunContext`` (model, stabilizers, grid) from the
 validated config, and every stage of ``full`` runs on it, so no stage
 rebuilds the stabilizers or re-solves psi; a frontier at another
-horizon takes ``RunContext.at(T)``, which keeps the stabilizers.
+horizon takes ``RunContext.at(T)``, which keeps the stabilizers.  One
+fixed-start pass serves three stages of ``full``: each chunk of the
+wealth stage's paths also gives the frontier at the config horizon its
+(A_T, B_T), and the Laplace check the samples of a chunk it shares
+(``simulate.common_chunks``), so ``full`` simulates no chunk twice.
 """
 
 import argparse
@@ -302,18 +306,24 @@ def run_simulate(run: RunContext, out_dir: str, M: int | None = None,
     return 0 if (report.passed or not gate) else EXIT_ACCEPTANCE
 
 
-def run_wealth(run: RunContext, out_dir: str) -> int:
+def run_wealth(run: RunContext, out_dir: str, tap=lambda chunk: None) -> int:
     """Wealth under the optimal strategy, simulated chunk by chunk of
     variance paths, so that no whole ensemble is held; X and the
-    strategies share one bootstrap weight draw."""
+    strategies share one bootstrap weight draw.  tap(chunk) reads each
+    chunk too before it goes (``run_full``)."""
     cfg, model, stabs, grid = run.cfg, run.model, run.stabs, run.grid
     sol = riccati.solve_riccati_adams(model, stabs, grid.n)
     ms = markowitz.solve_markowitz(model, sol, stabs, cfg["m"])
     chunks = simulate.simulate_variance_chunks(model, stabs, grid, cfg["M"], cfg["seed"],
                                                initial="fixed")
+
+    def consume(chunk):
+        part = markowitz.simulate_wealth(model, chunk, sol, stabs, ms.xi_star)
+        tap(chunk)
+        return part
+
     # map drops each chunk before the next one is simulated
-    parts = list(map(lambda chunk: markowitz.simulate_wealth(model, chunk, sol, stabs,
-                                                             ms.xi_star), chunks))
+    parts = list(map(consume, chunks))
     X = np.concatenate([part.X for part in parts])
     alpha = np.concatenate([part.alpha_paths for part in parts])
     del parts
@@ -334,15 +344,16 @@ def run_wealth(run: RunContext, out_dir: str) -> int:
     return 0 if z <= 3.0 else EXIT_ACCEPTANCE
 
 
-def run_frontier(run: RunContext, out_dir: str, T: float | None = None) -> int:
-    """Frontier at the config horizon, or at T (frontier_T<T>.csv).  A
+def run_frontier(run: RunContext, out_dir: str, T: float | None = None, terminal=None) -> int:
+    """Frontier at the config horizon, or at T (frontier_T<T>.csv), from
+    the pair (A_T, B_T) ``terminal`` if given.  A
     horizon beyond 1 is held to 10% relative instead of 5%: the terminal
     wealth grows heavy-tailed, and one variance estimate noisier."""
     here = run if T is None else run.at(T)
     cfg, model = here.cfg, here.model
     points = montecarlo.frontier_experiment(
         model, montecarlo.frontier_m_grid(model, cfg["m_count"]), cfg["M"], cfg["seed"],
-        grid=here.grid, stabs=here.stabs, n_boot=cfg["n_boot"],
+        grid=here.grid, stabs=here.stabs, n_boot=cfg["n_boot"], terminal=terminal,
     )
     tag = f"_T{model.T:g}" if T is not None else ""
     write_csv(
@@ -362,10 +373,10 @@ def run_frontier(run: RunContext, out_dir: str, T: float | None = None) -> int:
     return 0 if ok else EXIT_ACCEPTANCE
 
 
-def run_laplace(run: RunContext, out_dir: str) -> int:
+def run_laplace(run: RunContext, out_dir: str, head=()) -> int:
     cfg = run.cfg
     rep = markowitz.laplace_affine_check(run.model, run.stabs, cfg["u"], run.grid,
-                                         cfg["laplace_M"], cfg["seed"])
+                                         cfg["laplace_M"], cfg["seed"], head=head)
     write_csv(
         os.path.join(out_dir, "laplace_check.csv"),
         ["mc_value", "mc_se", "closed_form", "z_score"],
@@ -377,20 +388,34 @@ def run_laplace(run: RunContext, out_dir: str) -> int:
 
 
 def run_full(run: RunContext, out_dir: str) -> int:
+    cfg, model, stabs, grid = run.cfg, run.model, run.stabs, run.grid
     status = 0
     print("== stabilizer ==")
     status = max(status, run_stabilizer(run, out_dir))
     print("== riccati ==")
     status = max(status, run_riccati(run, out_dir))
     print("== stationarity ==")
-    status = max(status, run_simulate(run, out_dir, M=run.cfg["stationarity_M"], gate=True))
+    status = max(status, run_simulate(run, out_dir, M=cfg["stationarity_M"], gate=True))
     print("== wealth ==")
-    status = max(status, run_wealth(run, out_dir))
-    for T in run.cfg["frontier_horizons"]:
+    # the wealth stage's chunks also give the frontier at the config horizon
+    # its (A_T, B_T) and the Laplace check the samples of the chunks it shares
+    sol = riccati.solve_riccati_adams(model, stabs, grid.n)
+    shared = simulate.common_chunks(cfg["M"], cfg["laplace_M"])
+    pairs, head = [], []
+
+    def tap(chunk):
+        if grid.T in cfg["frontier_horizons"]:
+            pairs.append(markowitz.affine_wealth_terminal(model, chunk, sol, stabs))
+        if len(head) < shared:  # head holds one array per chunk so far
+            head.append(markowitz._laplace_samples(chunk.V, grid.dt, np.asarray(cfg["u"])))
+
+    status = max(status, run_wealth(run, out_dir, tap))
+    for T in cfg["frontier_horizons"]:
         print(f"== frontier T={T:g} ==")
-        status = max(status, run_frontier(run, out_dir, T=T))
+        terminal = tuple(map(np.concatenate, zip(*pairs))) if T == grid.T else None
+        status = max(status, run_frontier(run, out_dir, T=T, terminal=terminal))
     print("== laplace ==")
-    status = max(status, run_laplace(run, out_dir))
+    status = max(status, run_laplace(run, out_dir, head))
     return status
 
 

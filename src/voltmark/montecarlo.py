@@ -198,7 +198,7 @@ def affine_bootstrap(A: np.ndarray, B: np.ndarray, xi_values, n_boot: int = _DEF
 
 def frontier_experiment(model: MarketModel, m_values, M: int, seed: int, *,
                         grid: Grid | None = None, stabs=None,
-                        n_boot: int = _DEFAULT_BOOT) -> list[FrontierPoint]:
+                        n_boot: int = _DEFAULT_BOOT, terminal=None) -> list[FrontierPoint]:
     """Monte Carlo frontier: simulated Var(X_T) against V(m) per target m.
 
     One variance ensemble (deterministic V0 = x_inf, matching the single
@@ -206,7 +206,9 @@ def frontier_experiment(model: MarketModel, m_values, M: int, seed: int, *,
     wealth is affine in xi*, so one recursion gives the pair (A_T, B_T)
     and each target's X_T = A_T + xi* B_T.  The recursion runs chunk by
     chunk (``simulate_variance_chunks``) and keeps only (A_T, B_T), so
-    no path outlives its chunk.  One bootstrap weight draw (seed + 7919)
+    no path outlives its chunk.  A caller that ran it over the same paths
+    (``voltmark full``, in its wealth stage) passes the pair as
+    ``terminal``, and none is simulated.  One bootstrap weight draw (seed + 7919)
     serves every target through ``affine_bootstrap``.  psi is solved on the path grid through the
     memo of ``solve_riccati_adams``, so a caller's own solve is reused.
     """
@@ -214,12 +216,12 @@ def frontier_experiment(model: MarketModel, m_values, M: int, seed: int, *,
     stabs = stabs or model.build_stabilizers()
     solution = solve_riccati_adams(model, stabs, grid.n)
     g0 = gamma0(model, solution, stabs)  # m-independent, priced once
-    chunks = simulate_variance_chunks(model, stabs, grid, M, seed, initial="fixed")
-    # map drops each chunk before the next one is simulated
-    terminals = list(map(lambda chunk: affine_wealth_terminal(model, chunk, solution, stabs),
-                         chunks))
-    A = np.concatenate([a for a, _ in terminals])
-    B = np.concatenate([b for _, b in terminals])
+    if terminal is None:
+        chunks = simulate_variance_chunks(model, stabs, grid, M, seed, initial="fixed")
+        # map drops each chunk before the next one is simulated
+        terminal = map(np.concatenate, zip(*map(
+            lambda chunk: affine_wealth_terminal(model, chunk, solution, stabs), chunks)))
+    A, B = terminal
     m_values = np.atleast_1d(np.asarray(m_values, dtype=float))
     xis = [xi_eta_star(g0, model, float(m))[0] for m in m_values]
     stats = affine_bootstrap(A, B, xis, n_boot=n_boot, seed=seed + 7919)

@@ -35,8 +35,8 @@ Everything is reproducible: chunk c takes the c-th ``spawn(1 + d)``
 group of SeedSequence(seed), one child stream for the initial variance
 and the orthogonal increments plus one stream per asset, and the draw
 order is fixed regardless of the number of threads.  The first group
-is the whole stream of an ensemble of at most one chunk, and the first
-chunk of paths is the same for every M that fills it.
+is the whole stream of an ensemble of at most one chunk, and chunk c of
+paths is the same for every M that gives it one size (``common_chunks``).
 """
 
 import functools
@@ -252,11 +252,12 @@ def simulate_variance_paths(model: MarketModel, stabs, grid: Grid, M: int, seed:
 
 def simulate_variance_chunks(model: MarketModel, stabs, grid: Grid, M: int, seed: int, *,
                              initial: str = "stationary",
-                             increments: bool = True):
+                             increments: bool = True, start: int = 0):
     """The paths of ``simulate_variance_paths``, one chunk at a time.
 
     Yields a PathEnsemble per block of ``_CHUNK_PATHS`` paths (the last
-    one holds the rest), in path order; its M is the chunk's path count.
+    one holds the rest), in path order from chunk ``start`` on, the tail
+    of the whole generator; its M is the chunk's path count.
     Each chunk has arrays of its own, and the engine's scratch and each
     chunk's arrays scale with the chunk, not with M, so a consumer that
     keeps only per-path values and drops each chunk before taking the
@@ -265,7 +266,13 @@ def simulate_variance_chunks(model: MarketModel, stabs, grid: Grid, M: int, seed
     chunk is asked for.
     """
     factors = _checked_factors(model, grid, M, initial)
-    return _advance_chunks(model, stabs, grid, M, seed, initial, factors, increments)
+    return _advance_chunks(model, stabs, grid, M, seed, initial, factors, increments, start)
+
+
+def common_chunks(M: int, other: int) -> int:
+    """Leading chunks, those of one size, that ensembles of M and ``other``
+    paths on one grid, seed and initial mode share bit for bit."""
+    return min(M, other) // _CHUNK_PATHS + int(M == other and M % _CHUNK_PATHS > 0)
 
 
 def ensemble_chunks(ensemble: PathEnsemble):
@@ -290,8 +297,8 @@ def _checked_factors(model: MarketModel, grid: Grid, M: int, initial: str) -> li
 
 
 def _advance_chunks(model: MarketModel, stabs, grid: Grid, M: int, seed: int, initial: str,
-                    factors: list, increments: bool):
-    """Simulate the paths chunk by chunk, yielding each chunk's ensemble.
+                    factors: list, increments: bool, start: int):
+    """Simulate the paths chunk by chunk from chunk ``start``, yielding each chunk's ensemble.
 
     Chunk c covers paths c C .. min((c+1) C, M) - 1 with C = _CHUNK_PATHS
     and draws from the c-th ``spawn(1 + d)`` group of SeedSequence(seed):
@@ -303,7 +310,8 @@ def _advance_chunks(model: MarketModel, stabs, grid: Grid, M: int, seed: int, in
     d, n, dt = model.d, grid.n, grid.dt
     sig_grid = np.stack([np.asarray(st.eval(grid.times[:-1])) for st in stabs], axis=0)  # (d, n)
     seq = np.random.SeedSequence(seed)
-    for c0 in range(0, M, _CHUNK_PATHS):
+    seq.spawn(start * (1 + d))  # the stream groups of the chunks before start
+    for c0 in range(start * _CHUNK_PATHS, M, _CHUNK_PATHS):
         m = min(_CHUNK_PATHS, M - c0)
         rng_common, *rngs_asset = (np.random.default_rng(child) for child in seq.spawn(1 + d))
         if initial == "stationary":

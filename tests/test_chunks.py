@@ -123,6 +123,81 @@ def test_chunk_streams_are_successive_spawn_groups(model_t1, stabs_t1):
                               np.sqrt(GRID.dt) * rng.standard_normal((m, 2, GRID.n)))
 
 
+@pytest.mark.parametrize("initial", ["stationary", "fixed"])
+@pytest.mark.parametrize("increments", [True, False])
+def test_chunks_from_an_index_are_the_tail(model_t1, stabs_t1, initial, increments):
+    # a generator started at chunk c skips the stream groups before it,
+    # so it yields the whole generator's chunks c, c + 1, ...
+    M = 2 * C + 3
+    whole = _chunks(model_t1, stabs_t1, M, initial=initial, increments=increments)
+    for start in (1, 2, 3):
+        tail = _chunks(model_t1, stabs_t1, M, initial=initial, increments=increments,
+                       start=start)
+        assert [ch.M for ch in tail] == [ch.M for ch in whole[start:]]
+        for ch, ref in zip(tail, whole[start:]):
+            assert np.array_equal(ch.V, ref.V)
+            if increments:
+                assert np.array_equal(ch.dW, ref.dW)
+                assert np.array_equal(ch.dWperp, ref.dWperp)
+
+
+@pytest.mark.parametrize("M, other, shared", [
+    (5000, 20000, 1), (120, 120, 1), (120, 130, 0), (C + 5, 2 * C + 3, 1),
+    (C, 2 * C, 1), (2 * C, 2 * C, 2), (C + 5, C + 5, 2), (C + 5, C + 6, 1),
+])
+def test_common_chunks_are_those_of_equal_size(M, other, shared):
+    def sizes(n):
+        return [min(C, n - c0) for c0 in range(0, n, C)]
+
+    assert simulate.common_chunks(M, other) == simulate.common_chunks(other, M) == shared
+    assert sizes(M)[:shared] == sizes(other)[:shared]
+    assert shared == min(len(sizes(M)), len(sizes(other))) or \
+        sizes(M)[shared] != sizes(other)[shared]
+
+
+def test_shared_pass_leaves_before_the_frontier_and_laplace(tmp_path, monkeypatch):
+    # full's wealth stage hands the T = 1 frontier its (A_T, B_T) and the
+    # Laplace check the samples of its shared chunk, but none of its
+    # chunks: they are gone when those stages start
+    from voltmark import cli, montecarlo
+
+    refs, seen = [], []
+    real_chunks = simulate.simulate_variance_chunks
+
+    def chunks_spy(*args, **kwargs):
+        for chunk in real_chunks(*args, **kwargs):
+            if chunk.dW is not None:
+                refs.extend(weakref.ref(obj) for obj in (chunk, chunk.V.base, chunk.dW.base,
+                                                         chunk.dWperp))
+            yield chunk
+            del chunk
+
+    def stage_spy(real, shared_kw):
+        def wrapped(*args, **kwargs):
+            seen.append((real.__name__, kwargs[shared_kw] is not None and len(kwargs[shared_kw]),
+                         len(refs), [ref() is not None for ref in refs]))
+            return real(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(simulate, "simulate_variance_chunks", chunks_spy)
+    monkeypatch.setattr(montecarlo, "frontier_experiment",
+                        stage_spy(montecarlo.frontier_experiment, "terminal"))
+    monkeypatch.setattr(markowitz, "laplace_affine_check",
+                        stage_spy(markowitz.laplace_affine_check, "head"))
+    cfg_text = (cli._DEFAULT_CONFIG.replace("M = 5000", f"M = {C + 5}")
+                .replace("n = 600", "n = 20").replace("n_boot = 1000", "n_boot = 20")
+                .replace("frontier_horizons = 0.5, 1.0, 5.0", "frontier_horizons = 1.0")
+                .replace("laplace_M = 20000", f"laplace_M = {2 * C + 3}")
+                .replace("stationarity_M = 10000", "stationarity_M = 100"))
+    path = tmp_path / "cfg.ini"
+    path.write_text(cfg_text)
+    assert cli.main(["full", "--config", str(path), "--out", str(tmp_path / "o")]) in (0, 4)
+    # the wealth stage's two chunks (M = C + 5); the frontier gets (A_T, B_T),
+    # the Laplace check one chunk's samples
+    assert seen == [("frontier_experiment", 2, 8, [False] * 8),
+                    ("laplace_affine_check", 1, 8, [False] * 8)]
+
+
 @pytest.mark.parametrize("M", [0, -5])
 def test_engine_rejects_empty_path_count(model_t1, stabs_t1, M):
     with pytest.raises(ParameterError, match="M must be >= 1"):

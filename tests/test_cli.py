@@ -522,6 +522,56 @@ def test_full_stages_share_one_context(tmp_path, monkeypatch):
         assert (alone / name).read_bytes() == (full / ref).read_bytes(), name
 
 
+_C = 4096  # simulate._CHUNK_PATHS, asserted in the test
+
+
+@pytest.mark.parametrize("sizes, horizons, fixed_chunks", [
+    # wealth chunks {C, 5}, Laplace chunks {C, C, 3}: chunk 0 is shared,
+    # and the T = 1 frontier reads the wealth stage's (A_T, B_T)
+    ((_C + 5, 2 * _C + 3), "0.5, 1.0", [(0, _C), (1, 5), (1, _C), (2, 3)]),
+    # one short chunk each, of different sizes: the Laplace stage shares nothing
+    ((120, 130), "0.5, 1.0", [(0, 120), (0, 130)]),
+    # no frontier at the config horizon, and no Laplace chunk shared
+    ((_C + 5, 130), "0.5", [(0, _C), (1, 5), (0, 130)]),
+], ids=["shared", "laplace-apart", "no-config-horizon"])
+def test_full_simulates_no_chunk_twice(tmp_path, monkeypatch, sizes, horizons, fixed_chunks):
+    # full's wealth chunks feed the T = 1 frontier and the Laplace chunks
+    # of the same size; every stage still writes the standalone command's bytes
+    from voltmark import simulate
+
+    assert simulate._CHUNK_PATHS == _C
+    simulated = []
+    real = simulate._advance_chunks
+
+    def spy(model, stabs, grid, M, seed, initial, factors, increments, start):
+        for c, chunk in enumerate(real(model, stabs, grid, M, seed, initial, factors,
+                                       increments, start), start):
+            simulated.append((grid, initial, c, chunk.M))
+            yield chunk
+            del chunk
+
+    M, laplace_M = sizes
+    cfg_text = _two_assets(re.sub(r"^M = 120$", f"M = {M}", TINY, flags=re.M)
+                           .replace("n = 40", "n = 20")
+                           .replace("laplace_M = 120", f"laplace_M = {laplace_M}")
+                           .replace("frontier_horizons = 1.0", f"frontier_horizons = {horizons}"))
+    path = _write(tmp_path, cfg_text)
+    full, alone = tmp_path / "full", tmp_path / "alone"
+    monkeypatch.setattr(simulate, "_advance_chunks", spy)
+    assert main(["full", "--config", path, "--out", str(full)]) in (0, 4)
+    assert len(simulated) == len(set(simulated)), simulated
+    grid = RunContext.build(load_config(cfg_text)).grid
+    assert [(c, m) for g, initial, c, m in simulated
+            if g == grid and initial == "fixed"] == fixed_chunks
+    for command in ("wealth", "frontier", "laplace"):
+        assert main([command, "--config", path, "--out", str(alone)]) in (0, 4)
+    pairs = [("wealth_stats.csv", "wealth_stats.csv"), ("laplace_check.csv", "laplace_check.csv")]
+    if "1.0" in horizons:
+        pairs.append(("frontier.csv", "frontier_T1.csv"))
+    for name, ref in pairs:
+        assert (alone / name).read_bytes() == (full / ref).read_bytes(), name
+
+
 def test_stabilizer_residual_above_tolerance_exit_code(tmp_path, capsys):
     # lam = 5 moves the series/limit switch to t = 0.83 < T = 1, where the
     # jump to the limit leaves a residual of about 1e-2
@@ -621,6 +671,11 @@ def test_zero_vol_of_vol_passes_quietly(tmp_path, command):
     )
     assert proc.returncode == 0 and proc.stderr == ""
     assert "passed=True" in proc.stdout and "passed=False" not in proc.stdout
+    if command == "full":
+        # the Laplace check passes on equality alone: its z reads 0, not
+        # the gap over a rounding-size SE
+        z = np.loadtxt(tmp_path / "o" / "laplace_check.csv", delimiter=",", skiprows=1)[3]
+        assert z == 0.0 and "z=0.00 passed=True" in proc.stdout
 
 
 @pytest.mark.parametrize("cfg_text", [
