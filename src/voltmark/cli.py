@@ -84,15 +84,19 @@ stationarity_M = 10000
 output_dir = voltmark-out
 """
 
+# every config key by section, in INI order, as (kind, least accepted
+# value, unit): kind is int, float, str, list (of numbers) or "d" (a list
+# of d numbers).  Every Monte Carlo estimate reports a sample spread (two
+# paths, two resamples at least), and numpy seeds are non-negative.
 _SCHEMA = {
-    "model": {"d", "alpha", "lam", "nu", "rho", "theta", "mu0", "c", "r", "x0"},
-    "grid": {"T", "n"},
-    "mc": {"M", "seed", "n_boot"},
-    "riccati": {"truncation_K"},
-    "experiment": {
-        "m", "u", "m_count", "frontier_horizons", "laplace_M",
-        "stationarity_M", "output_dir",
-    },
+    "model": {"d": (int,), "alpha": ("d",), "lam": ("d",), "nu": ("d",), "rho": ("d",),
+              "theta": ("d",), "mu0": ("d",), "c": ("d",), "r": (float,), "x0": (float,)},
+    "grid": {"T": (float,), "n": (int,)},
+    "mc": {"M": (int, 2, " paths"), "seed": (int, 0), "n_boot": (int, 2)},
+    "riccati": {"truncation_K": (int,)},
+    "experiment": {"m": (float,), "u": ("d",), "m_count": (int, 1, " targets"),
+                   "frontier_horizons": (list,), "laplace_M": (int, 2, " paths"),
+                   "stationarity_M": (int, 2, " paths"), "output_dir": (str,)},
 }
 
 EXIT_CONFIG = 2
@@ -109,7 +113,7 @@ class ConfigError(ValueError):
 
 
 def _parse(parser, path: str, kind):
-    """Config field ``path`` ("section.key") as ``kind``: int, float or list of floats."""
+    """Config field ``path`` ("section.key") as ``kind``: int, float, str or list of floats."""
     raw = parser.get(*path.split("."))
     try:
         if kind is list:
@@ -126,9 +130,9 @@ def _require_min(path: str, value: int, low: int, unit: str = "") -> None:
 
 
 def load_config(text: str) -> dict:
-    """Parse and validate the flat INI configuration.
+    """Parse and validate the flat INI configuration into {key: value}.
 
-    Every key of the schema is required; unknown sections or keys are
+    Every key of ``_SCHEMA`` is required; unknown sections or keys are
     rejected so typos fail loudly.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -143,44 +147,21 @@ def load_config(text: str) -> dict:
         for key in parser[section]:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown config key {section}.{key}")
-    cfg = {}
     for section, keys in _SCHEMA.items():
         if section not in parser:
             raise ConfigError(f"missing config section [{section}]")
         for key in sorted(keys):
             if key not in parser[section]:
                 raise ConfigError(f"missing config field {section}.{key}")
-    cfg["d"] = _parse(parser, "model.d", int)
-    for key in ("alpha", "lam", "nu", "rho", "theta", "mu0", "c"):
-        vals = _parse(parser, f"model.{key}", list)
-        if len(vals) != cfg["d"]:
-            raise ConfigError(f"model.{key}: expected {cfg['d']} values, got {len(vals)}")
-        cfg[key] = vals
-    cfg["r"] = _parse(parser, "model.r", float)
-    cfg["x0"] = _parse(parser, "model.x0", float)
-    cfg["T"] = _parse(parser, "grid.T", float)
-    cfg["n"] = _parse(parser, "grid.n", int)
-    # every Monte Carlo estimate reports a sample spread (two paths, two
-    # resamples at least), and numpy seeds are non-negative
-    cfg["M"] = _parse(parser, "mc.M", int)
-    _require_min("mc.M", cfg["M"], 2, " paths")
-    cfg["seed"] = _parse(parser, "mc.seed", int)
-    _require_min("mc.seed", cfg["seed"], 0)
-    cfg["n_boot"] = _parse(parser, "mc.n_boot", int)
-    _require_min("mc.n_boot", cfg["n_boot"], 2)
-    cfg["truncation_K"] = _parse(parser, "riccati.truncation_K", int)
-    cfg["m"] = _parse(parser, "experiment.m", float)
-    cfg["u"] = _parse(parser, "experiment.u", list)
-    if len(cfg["u"]) != cfg["d"]:
-        raise ConfigError(f"experiment.u: expected {cfg['d']} values, got {len(cfg['u'])}")
-    cfg["m_count"] = _parse(parser, "experiment.m_count", int)
-    _require_min("experiment.m_count", cfg["m_count"], 1, " targets")
-    cfg["frontier_horizons"] = _parse(parser, "experiment.frontier_horizons", list)
-    cfg["laplace_M"] = _parse(parser, "experiment.laplace_M", int)
-    _require_min("experiment.laplace_M", cfg["laplace_M"], 2, " paths")
-    cfg["stationarity_M"] = _parse(parser, "experiment.stationarity_M", int)
-    _require_min("experiment.stationarity_M", cfg["stationarity_M"], 2, " paths")
-    cfg["output_dir"] = parser.get("experiment", "output_dir")
+    cfg = {}
+    for section, keys in _SCHEMA.items():
+        for key, (kind, *least) in keys.items():
+            path = f"{section}.{key}"
+            cfg[key] = value = _parse(parser, path, list if kind == "d" else kind)
+            if kind == "d" and len(value) != cfg["d"]:
+                raise ConfigError(f"{path}: expected {cfg['d']} values, got {len(value)}")
+            if least:
+                _require_min(path, value, *least)
     return cfg
 
 
@@ -233,11 +214,7 @@ class RunContext:
 
     @classmethod
     def build(cls, cfg: dict) -> "RunContext":
-        model = MarketModel(
-            d=cfg["d"], alpha=cfg["alpha"], lam=cfg["lam"], nu=cfg["nu"], rho=cfg["rho"],
-            theta=cfg["theta"], mu0=cfg["mu0"], c=cfg["c"], r=cfg["r"], x0=cfg["x0"],
-            T=cfg["T"],
-        )
+        model = MarketModel(**{key: cfg[key] for key in _SCHEMA["model"]}, T=cfg["T"])
         return cls(cfg, model, model.build_stabilizers(cfg["truncation_K"]),
                    Grid(model.T, cfg["n"]))
 
@@ -338,7 +315,7 @@ def run_wealth(run: RunContext, out_dir: str, tap=lambda chunk: None) -> int:
         header += [f"alpha{i + 1}_mean", f"alpha{i + 1}_ci_low", f"alpha{i + 1}_ci_high"]
     write_csv(os.path.join(out_dir, "wealth_stats.csv"), header, zip(*cols))
     terminal_mean = float(np.mean(X[:, -1]))
-    z = abs(terminal_mean - cfg["m"]) / (xstats.mean_se[-1] or 1e-300)
+    z = markowitz.z_score(terminal_mean, cfg["m"], xstats.mean_se[-1])
     print(f"Gamma0={ms.gamma0:.8f} xi*={ms.xi_star:.8f} "
           f"E[X_T]={terminal_mean:.6f} target m={cfg['m']} (z={z:.2f})")
     return 0 if z <= 3.0 else EXIT_ACCEPTANCE
@@ -365,8 +342,8 @@ def run_frontier(run: RunContext, out_dir: str, T: float | None = None, terminal
     tolerance = 0.10 if model.T > 1.0 else 0.05
     ok = True
     for p in points:
-        gap = abs(p.v_mc - p.v_theory)
-        within = gap <= max(3.0 * p.v_mc_se, tolerance * p.v_theory)
+        within = (markowitz.z_score(p.v_mc, p.v_theory, p.v_mc_se) <= 3.0
+                  or abs(p.v_mc - p.v_theory) <= tolerance * p.v_theory)
         ok &= within
         print(f"T={model.T:g} m={p.m:.4f}: V_mc={p.v_mc:.5f}±{p.v_mc_se:.5f} "
               f"V={p.v_theory:.5f} {'ok' if within else 'OFF'}")

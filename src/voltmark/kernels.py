@@ -96,16 +96,16 @@ class ResolventSpec:
 # Mittag-Leffler machinery
 # ---------------------------------------------------------------------------
 
-def _ml_series(alpha: float, offset: float, z: np.ndarray) -> np.ndarray:
-    """Power series sum_k z^k / Gamma(alpha k + offset), vectorized in z."""
+def _ml_series(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
+    """Power series sum_k z^k / Gamma(alpha k + beta), vectorized in z."""
     z = np.asarray(z, dtype=float)
     out = np.zeros_like(z)
-    term = np.full_like(z, 1.0 / gamma_fn(offset))
+    term = np.full_like(z, 1.0 / gamma_fn(beta))
     out += term
     zk = np.ones_like(z)
     for k in range(1, _ML_MAX_TERMS):
         zk = zk * z
-        term = zk / gamma_fn(alpha * k + offset)
+        term = zk / gamma_fn(alpha * k + beta)
         out += term
         if np.all(np.abs(term) <= 1e-16 * np.maximum(np.abs(out), 1e-300)):
             break
@@ -123,43 +123,42 @@ def _parabola_nodes(M: int = 64, U: float = 4.0):
     return p, np.exp(p) * dp * h / (2.0j * np.pi)
 
 
-def _ml_contour(alpha: float, x: np.ndarray, power_alpha: bool = True) -> np.ndarray:
+def _ml_contour(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
     """Laplace inversion on a parabolic contour, accurate for large x.
 
-    Evaluates (2 pi i)^-1 int_C e^p p^q / (p^alpha + x) dp with q =
-    alpha-1 (giving E_alpha(-x)) or q = 0 (giving the kernel of the
-    resolvent density).  For alpha in (0, 1) the principal branch of
+    Evaluates E_{alpha,beta}(-x) = (2 pi i)^-1 int_C e^p p^(alpha-beta) /
+    (p^alpha + x) dp.  For alpha in (0, 1) the principal branch of
     p^alpha keeps the denominator zero-free off the negative axis, so
     deforming the Hankel contour to the parabola is exact; the midpoint
     trapezoid then converges geometrically and is uniform in x.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     p, w = _parabola_nodes()
-    num = p ** (alpha - 1.0) if power_alpha else np.ones_like(p)
-    vals = (w * num)[None, :] / (p[None, :] ** alpha + x[:, None])
+    vals = (w * p ** (alpha - beta))[None, :] / (p[None, :] ** alpha + x[:, None])
     return vals.sum(axis=1).real
 
 
-def mittag_leffler(alpha: float, z) -> float | np.ndarray:
-    """Standard Mittag-Leffler function E_alpha(z) for real z.
+def _ml(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
+    """E_{alpha,beta}(-x) of a 1-d x: the power series for x <= 5, where
+    (positive arguments included) it loses no precision, and the contour
+    integral beyond."""
+    out = np.empty_like(x)
+    small = x <= _ML_SERIES_RADIUS
+    if np.any(small):
+        out[small] = _ml_series(alpha, beta, -x[small])
+    if np.any(~small):
+        out[~small] = _ml_contour(alpha, beta, x[~small])
+    return out
 
-    Uses the power series for |z| <= 5 and the parabolic-contour Laplace
-    inversion for large negative arguments.  E_1(z) = exp(z) exactly.
-    """
+
+def mittag_leffler(alpha: float, z) -> float | np.ndarray:
+    """Standard Mittag-Leffler function E_alpha(z) = E_{alpha,1}(z) for real
+    z, by ``_ml``; E_1(z) = exp(z) exactly."""
     if not 0.0 < alpha <= 1.0:
         raise ParameterError(f"mittag_leffler requires alpha in (0, 1], got {alpha}")
     scalar = np.isscalar(z)
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    if alpha == 1.0:
-        out = np.exp(z)
-        return float(out[0]) if scalar else out
-    out = np.empty_like(z)
-    small = z >= -_ML_SERIES_RADIUS
-    if np.any(small):
-        # positive arguments have no cancellation, the series is safe there
-        out[small] = _ml_series(alpha, 1.0, z[small])
-    if np.any(~small):
-        out[~small] = _ml_contour(alpha, -z[~small])
+    out = np.exp(z) if alpha == 1.0 else _ml(alpha, 1.0, -z)
     return float(out[0]) if scalar else out
 
 
@@ -191,8 +190,7 @@ def resolvent(spec: ResolventSpec, t) -> float | np.ndarray:
 def resolvent_density(spec: ResolventSpec, t) -> float | np.ndarray:
     """f_lam(t) = -R'_lam(t) = lam t^(alpha-1) E_{alpha,alpha}(-lam t^alpha), t > 0.
 
-    Evaluated by series for lam t^alpha <= 5 and by the contour
-    integral beyond; alpha = 1 gives lam e^(-lam t).
+    E_{alpha,alpha} comes from ``_ml``; alpha = 1 gives lam e^(-lam t).
     """
     scalar = np.isscalar(t)
     t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -202,17 +200,7 @@ def resolvent_density(spec: ResolventSpec, t) -> float | np.ndarray:
     if alpha == 1.0:
         out = lam * np.exp(-lam * t)
     else:
-        x = lam * t ** alpha
-        out = np.empty_like(t)
-        small = x <= _ML_SERIES_RADIUS
-        if np.any(small):
-            out[small] = lam * t[small] ** (alpha - 1.0) * _ml_series(alpha, alpha, -x[small])
-        if np.any(~small):
-            # f_lam(t) = lam t^(alpha-1) E_{a,a}(-x) with the E_{a,a}
-            # factor recovered from the q = 0 contour integral
-            out[~small] = (
-                lam * t[~small] ** (alpha - 1.0) * _ml_contour(alpha, x[~small], power_alpha=False)
-            )
+        out = lam * t ** (alpha - 1.0) * _ml(alpha, alpha, lam * t ** alpha)
     return float(out[0]) if scalar else out
 
 

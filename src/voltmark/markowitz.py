@@ -18,7 +18,8 @@ With psi solved, everything the Markowitz problem needs is explicit:
   ensemble, its terminal-only affine form X_T = A_T + xi* B_T that
   serves every frontier target from one recursion, and the
   exponential-affine Laplace-transform check that pits a Monte Carlo
-  functional of the paths against the closed form.
+  functional of the paths against the closed form, by the 3-SE gate
+  that every Monte Carlo check reads (``z_score``).
 """
 
 import functools
@@ -38,7 +39,6 @@ from .simulate import (
     _mapped,
     _pool_size,
     _run_concurrently,
-    ensemble_chunks,
     require_finite,
     simulate_variance_chunks,
 )
@@ -387,6 +387,19 @@ def _laplace_samples(V: np.ndarray, dt: float, u: np.ndarray) -> np.ndarray:
         return np.exp(_trapezoid_rows(V, dt).T @ u)
 
 
+def z_score(value, target, se):
+    """|value - target| / se, the statistic of every 3-SE gate (pass at z <= 3).
+
+    inf where se = 0, and 0 where z > 3 but value equals target to 1e-6
+    relative: a degenerate Monte Carlo spread (nu = 0, u = 0, a riskless
+    target) leaves an SE of 0, or of rounding size, while the closed form
+    carries its own discretization error.  Elementwise over arrays.
+    """
+    gap = np.abs(np.asarray(value, dtype=float) - target)
+    z = np.divide(gap, se, out=np.full_like(gap, np.inf), where=se > 0.0)
+    return np.where((z > 3.0) & (gap <= 1e-6 * max(1.0, abs(target))), 0.0, z)[()]
+
+
 @dataclass(frozen=True)
 class LaplaceReport:
     """Two sides of the exponential-affine transform identity at t = 0."""
@@ -427,19 +440,15 @@ def laplace_affine_check(model: MarketModel, stabs, u, grid: Grid, M: int, seed:
     Simulates M paths started from x_inf (V only, without the Brownian
     increments) unless an ensemble is given, estimates
     E[exp(int_0^T V^T u ds)] with a per-path trapezoidal time integral,
-    and compares against the closed form within 3 standard errors.  The
-    paths are taken one chunk at a time (``simulate_variance_chunks``,
-    or ``ensemble_chunks`` of a given ensemble, with the same samples)
-    and only the per-path samples are kept.  ``head`` holds the samples
-    of the leading chunks, one array each, when a caller already had
-    those paths (``voltmark full``, from the wealth stage's chunks); the
-    simulation starts after them.  The integral runs over the time-major
-    rows of each chunk's V with (d, chunk) buffers, in the order and
-    rounding of ``np.trapezoid`` along the time axis.  Equality to 1e-6
-    relative passes too, with z = 0 where it alone passes: a degenerate
-    Monte Carlo spread (nu = 0 or u = 0) leaves an SE of 0, or of
-    rounding size when the mean of equal samples rounds, while the
-    closed form still carries its own discretization error.
+    and compares against the closed form by ``z_score``.  The paths are
+    taken one chunk at a time (``simulate_variance_chunks``; a given
+    ensemble is the one chunk) and only the per-path samples are kept.
+    ``head`` holds the samples of the leading chunks, one array each,
+    when a caller already had those paths (``voltmark full``, from the
+    wealth stage's chunks); the simulation starts after them.  The
+    integral runs over the time-major rows of each chunk's V with
+    (d, chunk) buffers, in the order and rounding of ``np.trapezoid``
+    along the time axis.
     ParameterError when a given ensemble lies on another grid.
     """
     if ensemble is not None and ensemble.grid != grid:
@@ -447,7 +456,7 @@ def laplace_affine_check(model: MarketModel, stabs, u, grid: Grid, M: int, seed:
     u = np.broadcast_to(np.asarray(u, dtype=float), (model.d,)).copy()
     # solve_laplace_riccati rejects u > 0 before any path is drawn
     closed = laplace_closed_form(model, stabs, u, n_solver=max(grid.n, _GAMMA0_REFINE))
-    chunks = (ensemble_chunks(ensemble) if ensemble is not None
+    chunks = ([ensemble] if ensemble is not None
               else simulate_variance_chunks(model, stabs, grid, M, seed, initial="fixed",
                                             increments=False, start=len(head)))
     # map drops each chunk before the next one is simulated
@@ -455,9 +464,6 @@ def laplace_affine_check(model: MarketModel, stabs, u, grid: Grid, M: int, seed:
         lambda chunk: _laplace_samples(chunk.V, grid.dt, u), chunks)))
     mc = float(np.mean(samples))
     se = float(np.std(samples, ddof=1) / np.sqrt(len(samples)))
-    gap = abs(mc - closed)
-    z = gap / se if se > 0.0 else np.inf
-    if z > 3.0 and gap <= 1e-6 * max(1.0, abs(closed)):
-        z = 0.0
-    return LaplaceReport(mc_value=mc, mc_se=se, closed_form=closed, z_score=float(z),
+    z = float(z_score(mc, closed, se))
+    return LaplaceReport(mc_value=mc, mc_se=se, closed_form=closed, z_score=z,
                          passed=z <= 3.0, u=u)

@@ -5,11 +5,12 @@ understate path-level variance).  A resample is a row of weights, the
 counts of M paths drawn with replacement over M; one product of the
 (n_boot, M) weights with the centred columns, and one with their
 squares, give every resample's means and variances.  Columns of the same
-paths (the assets of an ensemble, the wealth and its strategies) share
-one weight draw, so each resample picks whole joint paths.  Standard
-errors for variances come from the same bootstrap distribution rather
-than asymptotic formulas; terminal wealth is heavy-tailed for ambitious
-targets.
+paths (the assets of an ensemble, the wealth and its strategies, the
+terminal wealth of each frontier target) share one weight draw in
+``joint_ensemble_stats``, so each resample picks whole joint paths.
+Standard errors for variances come from the same bootstrap distribution
+rather than asymptotic formulas; terminal wealth is heavy-tailed for
+ambitious targets.
 """
 
 from dataclasses import dataclass, field
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import ParameterError
-from .markowitz import affine_wealth_terminal, gamma0, variance_of_terminal, xi_eta_star
+from .markowitz import affine_wealth_terminal, gamma0, variance_of_terminal, xi_eta_star, z_score
 from .model import Grid, MarketModel
 from .riccati import solve_riccati_adams
 from .simulate import (
@@ -116,8 +117,6 @@ class StationarityReport:
     var_coverage: np.ndarray
     passed: bool
     stats: tuple[EnsembleStats, ...] = field(repr=False)   # per asset
-    mean_threshold: float = 0.99
-    var_threshold: float = 0.95
 
 
 def stationarity_diagnostics(ensemble: PathEnsemble, model: MarketModel,
@@ -126,9 +125,9 @@ def stationarity_diagnostics(ensemble: PathEnsemble, model: MarketModel,
 
     For each asset the sample mean of V must sit within 3 bootstrap SEs
     of x_inf at >= 99% of grid times and the sample variance within 3
-    SEs of v0 at >= 95% of times, or equal it to 1e-6 relative
-    (``_coverage``).  Each asset's statistics are returned with the
-    report; the assets share one weight draw (seed).
+    SEs of v0 at >= 95% of times, by ``z_score``.  Each asset's
+    statistics are returned with the report; the assets share one weight
+    draw (seed).
     """
     times = ensemble.grid.times
     stats = tuple(joint_ensemble_stats([(ensemble.V[:, i, :], times) for i in range(model.d)],
@@ -136,20 +135,11 @@ def stationarity_diagnostics(ensemble: PathEnsemble, model: MarketModel,
     mean_cov = np.empty(model.d)
     var_cov = np.empty(model.d)
     for i, st in enumerate(stats):
-        mean_cov[i] = _coverage(st.mean, model.x_inf[i], st.mean_se)
-        var_cov[i] = _coverage(st.variance, model.v0[i], st.var_se)
+        mean_cov[i] = np.mean(z_score(st.mean, model.x_inf[i], st.mean_se) <= 3.0)
+        var_cov[i] = np.mean(z_score(st.variance, model.v0[i], st.var_se) <= 3.0)
     passed = bool(np.all(mean_cov >= 0.99) and np.all(var_cov >= 0.95))
     return StationarityReport(mean_coverage=mean_cov, var_coverage=var_cov, passed=passed,
                               stats=stats)
-
-
-def _coverage(value: np.ndarray, target: float, se: np.ndarray) -> float:
-    """Share of times where value lies within 3 SEs of target or equals it
-    to 1e-6 relative: a degenerate spread (nu = 0) leaves an SE of 0, or
-    of rounding size, as in the Laplace check."""
-    gap = np.abs(value - target)
-    z = np.divide(gap, se, out=np.full_like(gap, np.inf), where=se > 0.0)
-    return float(np.mean((z <= 3.0) | (gap <= 1e-6 * max(1.0, abs(target)))))
 
 
 @dataclass(frozen=True)
@@ -174,26 +164,8 @@ class FrontierPoint:
 def terminal_bootstrap(terminal: np.ndarray, n_boot: int = _DEFAULT_BOOT,
                        seed: int = 0) -> tuple[float, float, float, float]:
     """(mean, mean SE, variance, variance SE) of terminal wealth."""
-    terminal = np.asarray(terminal, dtype=float)
-    return affine_bootstrap(terminal, np.zeros_like(terminal), [0.0], n_boot, seed)[0]
-
-
-def affine_bootstrap(A: np.ndarray, B: np.ndarray, xi_values, n_boot: int = _DEFAULT_BOOT,
-                     seed: int = 0) -> list[tuple[float, float, float, float]]:
-    """``terminal_bootstrap`` of x = A + xi B for every xi, from one weight draw.
-
-    The targets' x are the columns of one (M, targets) array, resampled
-    like the columns of an ensemble.
-    """
-    w = _bootstrap_weights(len(A), n_boot, seed)
-    # column-major, so each target's point estimates reduce one contiguous x
-    x = np.empty((len(A), len(xi_values)), order="F")
-    for j, xi in enumerate(xi_values):
-        x[:, j] = A + xi * B
-    st = _resampled_stats(w, x, xi_values)
-    out = np.column_stack([st.mean, st.mean_se, st.variance, st.var_se])
-    require_finite("terminal wealth statistics", out)
-    return [tuple(map(float, row)) for row in out]
+    st, = joint_ensemble_stats([(np.asarray(terminal, dtype=float)[:, None], [0.0])], n_boot, seed)
+    return float(st.mean[0]), float(st.mean_se[0]), float(st.variance[0]), float(st.var_se[0])
 
 
 def frontier_experiment(model: MarketModel, m_values, M: int, seed: int, *,
@@ -208,9 +180,11 @@ def frontier_experiment(model: MarketModel, m_values, M: int, seed: int, *,
     chunk (``simulate_variance_chunks``) and keeps only (A_T, B_T), so
     no path outlives its chunk.  A caller that ran it over the same paths
     (``voltmark full``, in its wealth stage) passes the pair as
-    ``terminal``, and none is simulated.  One bootstrap weight draw (seed + 7919)
-    serves every target through ``affine_bootstrap``.  psi is solved on the path grid through the
-    memo of ``solve_riccati_adams``, so a caller's own solve is reused.
+    ``terminal``, and none is simulated.  The targets' X_T are the
+    columns of one (M, targets) array, so one bootstrap weight draw
+    (seed + 7919) of ``joint_ensemble_stats`` serves them all.  psi is
+    solved on the path grid through the memo of ``solve_riccati_adams``,
+    so a caller's own solve is reused.
     """
     grid = grid or Grid(model.T, 600)
     stabs = stabs or model.build_stabilizers()
@@ -224,14 +198,19 @@ def frontier_experiment(model: MarketModel, m_values, M: int, seed: int, *,
     A, B = terminal
     m_values = np.atleast_1d(np.asarray(m_values, dtype=float))
     xis = [xi_eta_star(g0, model, float(m))[0] for m in m_values]
-    stats = affine_bootstrap(A, B, xis, n_boot=n_boot, seed=seed + 7919)
+    # column-major, so each target's point estimates reduce one contiguous x
+    x = np.empty((len(A), len(xis)), order="F")
+    for j, xi in enumerate(xis):
+        x[:, j] = A + xi * B
+    st, = joint_ensemble_stats([(x, xis)], n_boot, seed + 7919)
     return [
         FrontierPoint(
             m=float(m), xi_star=xi,
             v_theory=variance_of_terminal(g0, model, float(m)),
-            v_mc=var, v_mc_se=var_se, mean_terminal=mean, mean_se=mean_se,
+            v_mc=float(st.variance[j]), v_mc_se=float(st.var_se[j]),
+            mean_terminal=float(st.mean[j]), mean_se=float(st.mean_se[j]),
         )
-        for m, xi, (mean, mean_se, var, var_se) in zip(m_values, xis, stats)
+        for j, (m, xi) in enumerate(zip(m_values, xis))
     ]
 
 

@@ -43,7 +43,7 @@ import functools
 import mmap
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -273,15 +273,6 @@ def common_chunks(M: int, other: int) -> int:
     """Leading chunks, those of one size, that ensembles of M and ``other``
     paths on one grid, seed and initial mode share bit for bit."""
     return min(M, other) // _CHUNK_PATHS + int(M == other and M % _CHUNK_PATHS > 0)
-
-
-def ensemble_chunks(ensemble: PathEnsemble):
-    """Views of a whole ensemble over the chunks ``simulate_variance_chunks`` yields."""
-    for c0 in range(0, ensemble.M, _CHUNK_PATHS):
-        paths = slice(c0, c0 + _CHUNK_PATHS)
-        yield replace(ensemble, M=len(range(ensemble.M)[paths]), V=ensemble.V[paths],
-                      dW=None if ensemble.dW is None else ensemble.dW[paths],
-                      dWperp=None if ensemble.dWperp is None else ensemble.dWperp[paths])
 
 
 def _checked_factors(model: MarketModel, grid: Grid, M: int, initial: str) -> list:

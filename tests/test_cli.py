@@ -1,5 +1,6 @@
 """CLI configuration validation, artifacts, and reproducibility."""
 
+import dataclasses
 import json
 import os
 import re
@@ -12,6 +13,7 @@ import pytest
 
 import voltmark
 from voltmark.cli import ConfigError, RunContext, _DEFAULT_CONFIG, load_config, main
+from voltmark.model import bundled_model
 
 TINY = """\
 [model]
@@ -62,17 +64,11 @@ def _child_env():
 
 
 def test_default_config_matches_bundled_table():
+    # the bundled config and bundled_model state one model
     cfg = load_config(_DEFAULT_CONFIG)
-    assert cfg["d"] == 2
-    assert cfg["alpha"] == [0.6, 0.9]
-    assert cfg["c"] == [0.01, 0.03]
-    assert cfg["mu0"] == [2.0, 1.0]
-    assert cfg["lam"] == [0.2, 0.2]
-    assert cfg["rho"] == [-0.7, -0.55]
-    assert cfg["theta"] == [0.1, 0.12]
-    assert cfg["nu"] == [0.40, 0.32]
-    assert cfg["r"] == 0.02
-    assert cfg["x0"] == 2.0
+    model, bundled = RunContext.build(cfg).model, bundled_model(T=1.0)
+    for f in dataclasses.fields(bundled):
+        assert np.array_equal(getattr(model, f.name), getattr(bundled, f.name)), f.name
     assert cfg["m"] == 2.255
     assert cfg["n"] == 600
 
@@ -381,6 +377,18 @@ def test_wealth_and_frontier_smoke(tmp_path):
     rows = (out / "frontier.csv").read_text().splitlines()
     assert rows[0].startswith("m,sigma_theoretical,sigma_mc,mc_se")
     assert len(rows) == 3  # m_count = 2
+
+
+def test_wealth_riskless_target_passes(tmp_path, capsys):
+    # at m = m0 = x0 e^(rT) the optimal wealth is riskless: every path
+    # ends where the Euler compounding (1 + r dt)^n does, 6.7e-7 below m0,
+    # and the SE of E[X_T] collapses to rounding size.  The gate takes
+    # equality to 1e-6 relative for a pass, with z = 0
+    m0 = float(bundled_model(T=1.0).m0)
+    path = _write(tmp_path, _DEFAULT_CONFIG.replace("m = 2.255", f"m = {m0!r}")
+                  .replace("M = 5000", "M = 300"))
+    assert main(["wealth", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    assert "(z=0.00)" in capsys.readouterr().out
 
 
 def test_laplace_smoke(tmp_path):

@@ -7,10 +7,10 @@ import pytest
 
 from conftest import small_model
 from voltmark.kernels import ParameterError
+from voltmark.markowitz import z_score
 from voltmark.model import Grid, bundled_model
 from voltmark.montecarlo import (
     _bootstrap_weights,
-    affine_bootstrap,
     frontier_experiment,
     frontier_m_grid,
     joint_ensemble_stats,
@@ -93,7 +93,7 @@ def test_overflowing_statistics_rejected():
     with pytest.raises(NonFiniteError, match="ensemble variance"):
         joint_ensemble_stats([(np.full((5, 3), 1e200) * np.arange(1, 6)[:, None],
                                np.arange(3.0))])
-    with pytest.raises(NonFiniteError, match="terminal wealth statistics"):
+    with pytest.raises(NonFiniteError, match="ensemble variance is not finite"):
         terminal_bootstrap(np.linspace(1e200, 3e200, 40), n_boot=20)
 
 
@@ -158,18 +158,35 @@ def test_columns_of_one_ensemble_share_a_resample(model_t1, stabs_t1):
 
 
 def test_affine_resamples_match_direct():
-    # every target's bootstrap of x = A + xi B against joint_ensemble_stats of
-    # x alone, from the same weights
+    # every target's column of the frontier's column-major x = A + xi B
+    # block against joint_ensemble_stats of x alone, from the same weights
     rng = np.random.default_rng(21)
     M = 500
     A = 2.0 + 0.3 * rng.standard_normal(M)
     B = -0.4 + 0.1 * rng.standard_normal(M) + 0.2 * (A - 2.0)
     xis = (0.0, 2.5, 11.0)
-    for xi, got in zip(xis, affine_bootstrap(A, B, xis, n_boot=300, seed=4)):
+    x = np.empty((M, len(xis)), order="F")
+    for j, xi in enumerate(xis):
+        x[:, j] = A + xi * B
+    block, = joint_ensemble_stats([(x, xis)], n_boot=300, seed=4)
+    for j, xi in enumerate(xis):
+        got = (block.mean[j], block.mean_se[j], block.variance[j], block.var_se[j])
         st = joint_ensemble_stats([((A + xi * B)[:, None], np.zeros(1))], n_boot=300, seed=4)[0]
         want = (st.mean[0], st.mean_se[0], st.variance[0], st.var_se[0])
         assert got[0] == want[0] and got[2] == want[2]
         assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("value, target, se, z", [
+    (2.0, 2.0, 0.0, 0.0),                  # no spread, equal: passes
+    (2.0, 2.1, 0.0, np.inf),               # no spread, unequal: fails
+    (2.0, 2.0 + 1e-7, 1e-16, 0.0),         # rounding-size spread, equal: passes
+    (2.0, 2.0 + 1e-7, 5e-8, 2.0),          # z <= 3 keeps gap / SE, equal or not
+    (2.0, 2.5, 0.1, 5.0),                  # z > 3, unequal: fails
+])
+def test_z_score_gate(value, target, se, z):
+    assert z_score(value, target, se) == pytest.approx(z, rel=1e-8)
+    assert (z_score(value, target, se) <= 3.0) == (z <= 3.0)
 
 
 def test_frontier_experiment_reproducible():
