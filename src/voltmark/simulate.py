@@ -46,6 +46,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from . import _blas_threads as _BLAS_THREADS
 from .kernels import (
@@ -96,13 +97,23 @@ class GaussianBlockFactor:
         return self.factor.shape[1]
 
 
+def _cell_means(spec: KernelSpec, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Upper lag ends t_j = (j+1) dt and the cell integrals C[j], j < n."""
+    t_up = (np.arange(grid.n) + 1.0) * grid.dt
+    return t_up, np.asarray(kernel_mean_segment(spec, t_up, 0.0, grid.dt))
+
+
 def _covariance_matrix(spec: KernelSpec, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Lag covariance of (G_j)_{j<n} and DW over one cell, plus C[j]."""
+    """Lag covariance of (G_j)_{j<n} and DW over one cell, plus C[j].
+
+    The matrix is column-major, in a memory map of its own (``_mapped``),
+    so that LAPACK can factor it in place and it goes back to the system
+    whole when freed.
+    """
     n, dt = grid.n, grid.dt
     lags = np.arange(n)
-    t_up = (lags + 1.0) * dt
-    c_seg = np.asarray(kernel_mean_segment(spec, t_up, 0.0, dt))
-    cov = np.empty((n + 1, n + 1))
+    t_up, c_seg = _cell_means(spec, grid)
+    cov = _mapped((n + 1, n + 1)).T
     if spec.alpha == 1.0:
         # K = 1: every lag integral equals DW itself
         cov[:, :] = dt
@@ -125,35 +136,53 @@ def _covariance_matrix(spec: KernelSpec, grid: Grid) -> tuple[np.ndarray, np.nda
     return cov, c_seg
 
 
+# rows per block of the reproduction check's F F^T, which is never whole
+_CHECK_ROWS = 256
+
+
 def build_gaussian_factor(spec: KernelSpec, grid: Grid) -> GaussianBlockFactor:
     """Assemble and factor the joint cell covariance for one asset.
 
     The constant kernel (alpha = 1) uses the exact rank-one factor
-    sqrt(dt) 1.  For singular kernels the matrix is a Gramian of shifted
-    kernel slices whose spectrum collapses after a handful of modes, so a plain
-    Cholesky is numerically hopeless at realistic n; the stabilized
-    route is the symmetric eigendecomposition with negative and
-    below-cut eigenvalues clipped to zero, keeping a thin factor.  The
-    factor must reproduce the covariance to 1e-8 relative Frobenius
-    error or construction fails; small problems that happen to be well
+    sqrt(dt) 1 and builds no covariance.  For singular kernels the
+    matrix is a Gramian of shifted kernel slices whose spectrum collapses
+    after a handful of modes, so a plain Cholesky is numerically hopeless
+    at realistic n; the stabilized route is the symmetric
+    eigendecomposition with negative and below-cut eigenvalues clipped
+    to zero, keeping a thin factor.  The factor must reproduce the
+    covariance to 1e-8 relative Frobenius error or construction fails
+    with FactorizationError, as it does when LAPACK fails or the
+    covariance is not finite; small problems that happen to be well
     conditioned still end up with the full-rank (Cholesky-equivalent)
     factor since no eigenvalue gets clipped.
+
+    LAPACK's dsyevd, the routine behind np.linalg.eigh, runs in place:
+    it overwrites the column-major covariance map with the eigenvectors,
+    so the build holds one (n+1)^2 map plus dsyevd's 2 (n+1)^2
+    workspace, where np.linalg.eigh adds a copy and separate
+    eigenvectors.  The check then compares against the covariance built
+    afresh, by row blocks of F F^T.
     """
-    cov, c_seg = _covariance_matrix(spec, grid)
     if spec.alpha == 1.0:
-        factor = np.full((cov.shape[0], 1), np.sqrt(grid.dt))
-        return GaussianBlockFactor(spec=spec, grid=grid, factor=factor, c_seg=c_seg)
+        factor = np.full((grid.n + 1, 1), np.sqrt(grid.dt))
+        return GaussianBlockFactor(spec=spec, grid=grid, factor=factor,
+                                   c_seg=_cell_means(spec, grid)[1])
+    cov, c_seg = _covariance_matrix(spec, grid)
     norm = float(np.linalg.norm(cov))
-    w, U = np.linalg.eigh(cov)
+    try:
+        w, U = scipy.linalg.eigh(cov, overwrite_a=True, check_finite=False, driver="evd")
+    except np.linalg.LinAlgError as exc:
+        raise FactorizationError(f"covariance eigendecomposition failed: {exc}") from None
     w = w[::-1]
     keep = w > _EIG_CUT * max(w[0], 0.0)
     factor = U[:, ::-1][:, keep] * np.sqrt(w[keep])[None, :]
-    del U
-    # reproduction check in place: one (n+1)^2 temporary besides cov
-    err_mat = factor @ factor.T
-    err_mat -= cov
-    err = np.linalg.norm(err_mat)
-    if err > _FACTOR_RTOL * norm:
+    del cov, U
+    cov, _ = _covariance_matrix(spec, grid)
+    for lo in range(0, grid.n + 1, _CHECK_ROWS):
+        rows = slice(lo, lo + _CHECK_ROWS)
+        cov[rows] -= factor[rows] @ factor.T
+    err = np.linalg.norm(cov)
+    if not err <= _FACTOR_RTOL * norm:  # NaN fails too
         raise FactorizationError(
             f"spectral factor misses covariance by {err / norm:.2e} relative "
             f"(smallest eigenvalue {w[-1]:.3e})"

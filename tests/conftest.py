@@ -4,9 +4,14 @@ Heavy artifacts (stabilizers, Riccati solutions, path ensembles) are
 session-scoped so the acceptance module and the unit tests reuse them.
 """
 
+import os
+
+import numpy as np
 import pytest
 
+import voltmark
 from oracles import oracle_volterra_picard
+from voltmark import simulate
 from voltmark.model import Grid, MarketModel, bundled_model
 from voltmark.riccati import solve_riccati_adams
 from voltmark.simulate import simulate_variance_paths
@@ -58,3 +63,26 @@ def small_model(**overrides):
     )
     params.update(overrides)
     return MarketModel(**params)
+
+
+def child_env():
+    """Environment for a child interpreter that imports this voltmark."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(voltmark.__file__)), os.environ.get("PYTHONPATH", "")]))
+
+
+@pytest.fixture
+def nan_covariance(monkeypatch):
+    """Cell covariances with one NaN entry below the diagonal, and no
+    memoized factor to hide them."""
+    real = simulate._covariance_matrix
+
+    def nan_cov(spec, grid):
+        cov, c_seg = real(spec, grid)
+        cov[5, 3] = np.nan
+        return cov, c_seg
+
+    monkeypatch.setattr(simulate, "_covariance_matrix", nan_cov)
+    simulate._factor_memo.cache_clear()
+    yield
+    simulate._factor_memo.cache_clear()

@@ -1,7 +1,8 @@
 """Independent checks that only the tests use: the fractional kernel's
 convolution with a grid function, the resolvent's defining equation, a
-Picard fixed-point solve of the Riccati-Volterra system and the exact
-second moments of the path scheme."""
+Picard fixed-point solve of the Riccati-Volterra system, the exact
+second moments of the path scheme, the Gaussian factor by
+np.linalg.eigh and the wealth step factors by np.einsum."""
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -17,7 +18,7 @@ from voltmark.kernels import (
 )
 from voltmark.model import Grid
 from voltmark.riccati import RiccatiSolution, _rhs_tables
-from voltmark.simulate import _covariance_matrix
+from voltmark.simulate import _EIG_CUT, _asset_increments, _covariance_matrix
 
 # Mittag-Leffler terms of the resolvent convolved in closed form by
 # resolvent_equation_residual
@@ -121,3 +122,26 @@ def scheme_covariance(model, stabs, grid: Grid, i: int) -> np.ndarray:
         second[ell:, ell:] += scale[ell - 1] * lag[: n + 1 - ell, : n + 1 - ell]
     half = solve_triangular(A, second, lower=True)
     return solve_triangular(A, half.T, lower=True)
+
+
+def eigh_factor(spec, grid: Grid) -> np.ndarray:
+    """The clipped spectral factor of the cell covariance by np.linalg.eigh,
+    which copies the matrix and returns separate eigenvectors; the library
+    runs the same LAPACK routine (dsyevd) in place."""
+    cov, _ = _covariance_matrix(spec, grid)
+    w, U = np.linalg.eigh(cov)
+    w = w[::-1]
+    keep = w > _EIG_CUT * max(w[0], 0.0)
+    return U[:, ::-1][:, keep] * np.sqrt(w[keep])[None, :]
+
+
+def einsum_step_factors(model, ensemble, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gains g = -coef sqrt(V^+) (M, d, n) and wealth step factors
+    s_k = (g sqrt(V^+)) . theta dt + g . DB_k (n, M) over the whole grid,
+    the d-sums taken by np.einsum."""
+    V = ensemble.V[:, :, :-1]
+    root = np.sqrt(np.maximum(V, 0.0))
+    gain = -coef[None] * root
+    dB = _asset_increments(model, ensemble.dW, ensemble.dWperp)
+    s = np.einsum("mdk,mdk,d->km", gain, root, model.theta) * ensemble.grid.dt
+    return gain, s + np.einsum("mdk,mdk->km", gain, dB)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import voltmark
+from conftest import child_env
 from voltmark.cli import ConfigError, RunContext, _DEFAULT_CONFIG, load_config, main
 from voltmark.model import bundled_model
 
@@ -55,12 +56,6 @@ def _write(tmp_path, text, name="cfg.ini"):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
-
-
-def _child_env():
-    """Environment for a child interpreter that imports this voltmark."""
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [os.path.dirname(os.path.dirname(voltmark.__file__)), os.environ.get("PYTHONPATH", "")]))
 
 
 def test_default_config_matches_bundled_table():
@@ -408,7 +403,7 @@ def test_print_config_round_trips(capsys):
 def test_package_main_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "voltmark", "print-config"],
-        capture_output=True, text=True, env=_child_env(),
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout == _DEFAULT_CONFIG
@@ -419,7 +414,7 @@ def test_threads_variable_reaches_blas():
     # over the generic variables, and the path engine reads the cap back
     code = ("import os, voltmark.simulate as s; "
             "print(os.environ.get('OPENBLAS_NUM_THREADS'), s._BLAS_THREADS)")
-    env = dict(_child_env(), OPENBLAS_NUM_THREADS="4")
+    env = dict(child_env(), OPENBLAS_NUM_THREADS="4")
     for value, expected in (("1", "1 1"), ("3", "3 3"), ("", "4 None")):
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=dict(env, VOLTMARK_THREADS=value))
@@ -442,7 +437,7 @@ def test_frontier_memory_does_not_grow_with_paths(tmp_path):
         proc = subprocess.Popen(
             [sys.executable, "-m", "voltmark", "frontier", "--config", path,
              "--out", str(tmp_path / f"o{M}")],
-            stdout=subprocess.DEVNULL, env=dict(_child_env(), VOLTMARK_THREADS="1"))
+            stdout=subprocess.DEVNULL, env=dict(child_env(), VOLTMARK_THREADS="1"))
         _, status, usage = os.wait4(proc.pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
         peak_mb.append(usage.ru_maxrss / 1024)
@@ -453,7 +448,7 @@ def test_frontier_memory_does_not_grow_with_paths(tmp_path):
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "voltmark.cli", "print-config"],
-        capture_output=True, text=True, env=_child_env(),
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0
     assert "[model]" in proc.stdout
@@ -633,7 +628,7 @@ def test_blowup_stderr_is_one_line(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "voltmark.cli", "riccati", "--config", path,
          "--out", str(tmp_path / "o")],
-        capture_output=True, text=True, env=_child_env(),
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 3
     lines = proc.stderr.splitlines()
@@ -675,7 +670,7 @@ def test_zero_vol_of_vol_passes_quietly(tmp_path, command):
     proc = subprocess.run(
         [sys.executable, "-m", "voltmark.cli", command, "--config", path,
          "--out", str(tmp_path / "o")],
-        capture_output=True, text=True, env=_child_env(),
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0 and proc.stderr == ""
     assert "passed=True" in proc.stdout and "passed=False" not in proc.stdout
@@ -684,6 +679,15 @@ def test_zero_vol_of_vol_passes_quietly(tmp_path, command):
         # the gap over a rounding-size SE
         z = np.loadtxt(tmp_path / "o" / "laplace_check.csv", delimiter=",", skiprows=1)[3]
         assert z == 0.0 and "z=0.00 passed=True" in proc.stdout
+
+
+def test_non_finite_covariance_exit_code(tmp_path, capsys, nan_covariance):
+    # LAPACK factors a NaN covariance without an error; the factor's check
+    # fails, and the CLI reports it as a numerical failure in one line
+    path = _write(tmp_path, TINY)
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure: spectral factor"), lines
 
 
 @pytest.mark.parametrize("cfg_text", [
@@ -700,7 +704,7 @@ def test_non_finite_variance_exit_code(tmp_path, cfg_text):
     out = tmp_path / "o"
     proc = subprocess.run(
         [sys.executable, "-m", "voltmark.cli", "simulate", "--config", path, "--out", str(out)],
-        capture_output=True, text=True, env=_child_env(),
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 3
     lines = proc.stderr.splitlines()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import small_model
+from oracles import einsum_step_factors
 from voltmark import markowitz, simulate
 from voltmark.kernels import ParameterError
 from voltmark.markowitz import (
@@ -344,3 +345,29 @@ def test_solve_markowitz_bundle(model_t1, riccati_600, stabs_t1):
     assert ms.xi_star == pytest.approx(ms.m - ms.eta_star, rel=1e-14)
     assert ms.v_of_m == pytest.approx(
         variance_of_terminal(ms.gamma0, model_t1, ms.m), rel=1e-14)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_step_factors_equal_the_einsum_sums(d):
+    # the per-asset d-sums of _step_factors against np.einsum's, bit for bit
+    # (signed zeros too) over three blocks of steps; einsum sums a one-step
+    # block (n = 1 mod 64) of d >= 3 assets in its own unrolled order, so n
+    # leaves none here
+    assets = dict(alpha=[0.6, 0.7, 0.9], lam=[0.2, 0.3, 0.4], nu=[0.4, 0.3, 0.5],
+                  rho=[-0.5, 0.2, -0.7], theta=[0.3, 0.1, 0.25], mu0=[1.0, 1.5, 2.0],
+                  c=[0.02, 0.03, 0.04])
+    model = MarketModel(d=d, **{k: v[:d] for k, v in assets.items()}, r=0.02, x0=1.0, T=1.0)
+    grid, M = Grid(1.0, 130), 203
+    rng = np.random.default_rng(17)
+    V = rng.standard_normal((M, d, grid.n + 1))         # negative entries give zero roots
+    dW, dWperp = rng.standard_normal((2, M, d, grid.n)) * np.sqrt(grid.dt)
+    ens = simulate.PathEnsemble(model=model, grid=grid, M=M, seed=0, V=V, dW=dW, dWperp=dWperp)
+    coef = rng.standard_normal((d, grid.n))
+    gain_ref, s_ref = einsum_step_factors(model, ens, coef)
+    steps = 0
+    for lo, gain, s in markowitz._step_factors(model, ens, coef, slice(0, M)):
+        w = len(s)
+        assert np.array_equal(gain.view(np.int64), gain_ref[:, :, lo:lo + w].view(np.int64))
+        assert np.array_equal(s.view(np.int64), s_ref[lo:lo + w].view(np.int64))
+        steps += w
+    assert steps == grid.n

@@ -1,13 +1,16 @@
 """Gaussian block factor and the K-integrated Euler scheme."""
 
+import os
+import subprocess
 import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import quad
 
-from conftest import small_model
-from oracles import scheme_covariance
+from conftest import child_env, small_model
+from oracles import eigh_factor, scheme_covariance
 from voltmark import simulate
 from voltmark.kernels import (
     eval_kernel,
@@ -17,6 +20,7 @@ from voltmark.kernels import (
 )
 from voltmark.model import Grid, MarketModel, bundled_model
 from voltmark.simulate import (
+    FactorizationError,
     NonFiniteError,
     _covariance_matrix,
     build_gaussian_factor,
@@ -81,6 +85,84 @@ def test_covariance_exact_entries_equal_per_entry_calls(alpha, n):
     assert np.array_equal(np.diag(cov)[:n], diag)
     assert np.array_equal(cov[0, 1:n], row0)
     assert np.array_equal(cov[1:n, 0], row0)
+
+
+def test_factor_equals_numpy_eigh():
+    # dsyevd in place (scipy's LAPACK) gives np.linalg.eigh's factor bit for
+    # bit, column-major as well: that layout decides numpy's matmul route in
+    # the engine (see ``_advance_asset``) and so the rounding of every path.
+    # The bits follow the BLAS thread count, so both run in a child that
+    # imports voltmark before numpy: there a VOLTMARK_THREADS cap reaches
+    # numpy's BLAS as it reaches scipy's, while pytest has loaded numpy first
+    cases = [(T, n, alpha) for T, n in ((1.0, 40), (1.0, 150), (5.0, 600)) for alpha in (0.6, 0.9)]
+    code = (
+        "import voltmark\n"
+        "import numpy as np\n"
+        "from oracles import eigh_factor\n"
+        "from voltmark.kernels import fractional_kernel\n"
+        "from voltmark.model import Grid\n"
+        "from voltmark.simulate import build_gaussian_factor\n"
+        f"for T, n, alpha in {cases!r}:\n"
+        "    spec, g = fractional_kernel(alpha), Grid(T, n)\n"
+        "    fac, ref = build_gaussian_factor(spec, g).factor, eigh_factor(spec, g)\n"
+        "    print(T, n, alpha, np.array_equal(fac, ref),\n"
+        "          fac.flags.f_contiguous == ref.flags.f_contiguous)\n"
+    )
+    env = child_env()
+    env["PYTHONPATH"] += os.pathsep + os.path.dirname(__file__)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(cases)
+    assert all(line.endswith("True True") for line in lines), lines
+
+
+def test_non_finite_covariance_fails_the_check(nan_covariance):
+    # LAPACK returns NaN eigenvalues without an error; the check must still fail
+    with pytest.raises(FactorizationError, match="misses covariance by nan"):
+        build_gaussian_factor(fractional_kernel(0.7), Grid(1.0, 40))
+
+
+def test_zero_tolerance_fails_the_check(monkeypatch):
+    monkeypatch.setattr(simulate, "_FACTOR_RTOL", 0.0)
+    with pytest.raises(FactorizationError, match="misses covariance"):
+        build_gaussian_factor(fractional_kernel(0.7), Grid(1.0, 40))
+
+
+def test_lapack_failure_is_a_factorization_error(monkeypatch):
+    def failing_eigh(*args, **kwargs):
+        raise np.linalg.LinAlgError("The algorithm failed to compute an eigenvalue")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", failing_eigh)
+    with pytest.raises(FactorizationError, match="eigendecomposition failed"):
+        build_gaussian_factor(fractional_kernel(0.7), Grid(1.0, 40))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads the peak RSS from /proc")
+def test_factor_build_memory():
+    # a fresh interpreter, so that no earlier peak hides the build's; the
+    # small build first loads the LAPACK code and its thread buffers.  The
+    # peak is VmHWM, the peak of the interpreter's own memory: Linux keeps
+    # ru_maxrss across exec, so there it would start at pytest's peak.  The
+    # build holds the covariance map and dsyevd's workspace, 3 (n+1)^2
+    # doubles; np.linalg.eigh's copy and separate eigenvectors made it 5.3
+    n = 800
+    code = (
+        "from voltmark.kernels import fractional_kernel\n"
+        "from voltmark.model import Grid\n"
+        "from voltmark.simulate import build_gaussian_factor\n"
+        "def peak_kib():\n"
+        "    with open('/proc/self/status') as status:\n"
+        "        return next(int(line.split()[1]) for line in status if line.startswith('VmHWM'))\n"
+        "build_gaussian_factor(fractional_kernel(0.6), Grid(5.0, 100))\n"
+        "before = peak_kib()\n"
+        f"build_gaussian_factor(fractional_kernel(0.6), Grid(5.0, {n}))\n"
+        "print(peak_kib() - before)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env(), check=True)
+    growth = int(proc.stdout) * 1024 / (8 * (n + 1) ** 2)
+    assert growth <= 4.0, f"the build grew the peak by {growth:.2f} covariance matrices"
 
 
 def test_factor_sample_moments():
