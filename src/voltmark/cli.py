@@ -71,9 +71,6 @@ M = 5000
 seed = 7041
 n_boot = 1000
 
-[riccati]
-truncation_K = 120
-
 [experiment]
 m = 2.255
 u = -0.05, -0.05
@@ -93,7 +90,6 @@ _SCHEMA = {
               "theta": ("d",), "mu0": ("d",), "c": ("d",), "r": (float,), "x0": (float,)},
     "grid": {"T": (float,), "n": (int,)},
     "mc": {"M": (int, 2, " paths"), "seed": (int, 0), "n_boot": (int, 2)},
-    "riccati": {"truncation_K": (int,)},
     "experiment": {"m": (float,), "u": ("d",), "m_count": (int, 1, " targets"),
                    "frontier_horizons": (list,), "laplace_M": (int, 2, " paths"),
                    "stationarity_M": (int, 2, " paths"), "output_dir": (str,)},
@@ -215,12 +211,11 @@ class RunContext:
     @classmethod
     def build(cls, cfg: dict) -> "RunContext":
         model = MarketModel(**{key: cfg[key] for key in _SCHEMA["model"]}, T=cfg["T"])
-        return cls(cfg, model, model.build_stabilizers(cfg["truncation_K"]),
-                   Grid(model.T, cfg["n"]))
+        return cls(cfg, model, model.build_stabilizers(), Grid(model.T, cfg["n"]))
 
     def at(self, T: float) -> "RunContext":
         """The context at horizon T, with the same stabilizers: they depend
-        on (alpha, lam, c, K) alone.  At the run's own horizon this is the
+        on (alpha, lam, c) alone.  At the run's own horizon this is the
         context itself, so its psi solves are shared through the memo."""
         if T == self.model.T:
             return self

@@ -21,6 +21,7 @@ immutable specs, so they can be shared freely across threads.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
@@ -49,21 +50,16 @@ class KernelSpec:
     """The fractional kernel K(t) = t^(alpha-1)/Gamma(alpha).
 
     ``alpha`` lies in (1/2, 1]; alpha = 1 is the constant kernel K = 1.
-    ``family`` is always ``"fractional"`` and ``beta`` always None; both
-    are kept as readable attributes for code that keys on them.
+    ``family`` and ``beta`` are class constants, readable for code that
+    keys on them.
     """
 
-    family: str
-    alpha: float | None = None
-    beta: float | None = None
+    alpha: float
+    family: ClassVar[str] = "fractional"
+    beta: ClassVar[None] = None
 
     def __post_init__(self):
-        if self.family != "fractional" or self.beta is not None:
-            raise ParameterError(
-                f"only the fractional kernel is supported, got family {self.family!r}, "
-                f"beta {self.beta}"
-            )
-        if self.alpha is None or not 0.5 < self.alpha <= 1.0:
+        if not 0.5 < self.alpha <= 1.0:
             raise ParameterError(f"fractional kernel requires alpha in (1/2, 1], got {self.alpha}")
 
     @property
@@ -73,7 +69,7 @@ class KernelSpec:
 
 
 def fractional_kernel(alpha: float) -> KernelSpec:
-    return KernelSpec("fractional", alpha=alpha)
+    return KernelSpec(alpha)
 
 
 @dataclass(frozen=True)

@@ -121,13 +121,9 @@ class MarketModel:
         """e^(-r s) for the constant short rate."""
         return float(np.exp(-self.r * s))
 
-    def build_stabilizers(self, truncation_K: int | None = None) -> list:
+    def build_stabilizers(self) -> list:
         """Per-asset stabilizer evaluators (constant where alpha = 1)."""
-        kwargs = {} if truncation_K is None else {"truncation_K": truncation_K}
-        return [
-            build_stabilizer(self.alpha[i], self.lam[i], self.c[i], **kwargs)
-            for i in range(self.d)
-        ]
+        return [build_stabilizer(self.alpha[i], self.lam[i], self.c[i]) for i in range(self.d)]
 
 
 def bundled_model(T: float = 1.0) -> MarketModel:

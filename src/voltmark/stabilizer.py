@@ -10,8 +10,9 @@ For the fractional kernel of order alpha and mean reversion lam it is
 with coefficients c_k built from a Gamma/Beta recurrence.  The series
 has infinite radius of convergence but loses floating-point accuracy for
 large arguments, so beyond a computed switch point the evaluation jumps
-to the exact limit value sqrt(c) lam / ||f_{alpha,lam}||_L2.  At the
-Markovian edge alpha = 1 that limit, sqrt(2 c lam), holds for all t.
+to the exact limit value sqrt(c) lam / ||f_{alpha,lam}||_L2, with the
+norm in closed form (``density_l2_norm``).  At the Markovian edge
+alpha = 1 that limit, sqrt(2 c lam), holds for all t.
 
 The construction is validated a posteriori: `functional_equation_residual`
 measures how well the evaluated stabilizer satisfies the defining
@@ -26,7 +27,6 @@ from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import betaln, gammaln, roots_legendre
 from scipy.special import gamma as gamma_fn
 
@@ -39,7 +39,7 @@ from .kernels import (
     resolvent_density,
 )
 
-_DEFAULT_TRUNCATION = 120
+_MAX_TERMS = 120
 _NEGATIVE_TOL = 1e-10
 # error budget (relative to the squared limit) accepted from series
 # truncation and cancellation at the series/asymptote switch point
@@ -103,42 +103,28 @@ def stabilizer_coeffs(alpha: float, K: int) -> np.ndarray:
 
 
 def density_l2_norm(alpha: float, lam: float = 1.0) -> float:
-    """||f_{alpha,lam}||_{L2(0,inf)} of the resolvent density.
+    """||f_{alpha,lam}||_{L2(0,inf)} of the resolvent density, in closed form.
 
-    Scales as lam^(1/(2 alpha)) times the lam = 1 norm, which is cached
-    per alpha (``_unit_density_l2_norm``).
+    By Parseval with the Laplace transform f^(s) = lam / (s^alpha + lam),
+    ||f||^2 = (1/pi) int_0^inf lam^2 / |(i w)^alpha + lam|^2 dw.  With
+    y = w^alpha / lam this is lam^(1/alpha) / (pi alpha) times
+    int_0^inf y^(mu-1) / (y^2 + 2 y cos(phi) + 1) dy
+    = pi sin((1-mu) phi) / (sin(mu pi) sin(phi)) at mu = 1/alpha,
+    phi = alpha pi / 2, so that
+
+        ||f||^2 = lam^(1/alpha) sin((1-alpha) pi/2)
+                  / (alpha sin(pi (1-alpha)/alpha) sin(alpha pi/2)),
+
+    and lam/2 at alpha = 1.  sin(pi (1-alpha)/alpha) equals
+    -sin(pi/alpha) but keeps full precision as alpha -> 1.
     """
     if not 0.5 < alpha <= 1.0:
         raise ParameterError(f"density_l2_norm requires alpha in (1/2, 1], got {alpha}")
     if alpha == 1.0:
         return float(np.sqrt(lam / 2.0))
-    return float(lam ** (0.5 / alpha) * _unit_density_l2_norm(alpha))
-
-
-@lru_cache(maxsize=64)
-def _unit_density_l2_norm(alpha: float) -> float:
-    """||f_{alpha,1}||_{L2(0,inf)} for 1/2 < alpha < 1.
-
-    The integral splits at t = 1: the t^(2 alpha - 2) endpoint
-    singularity is flattened by the substitution t = v^(1/(2 alpha - 1)),
-    the tail is an adaptive quadrature of the spectral-branch evaluation.
-    Every stabilizer build needs it twice, so it is computed once per
-    alpha.
-    """
-    spec = ResolventSpec(fractional_kernel(alpha), 1.0)
-    p = 1.0 / (2.0 * alpha - 1.0)
-
-    def head(v):
-        t = v ** p
-        return p * (resolvent_density(spec, t) * t ** (1.0 - alpha)) ** 2
-
-    head_val, _ = quad(head, 0.0, 1.0, limit=200)
-
-    def tail(t):
-        return resolvent_density(spec, t) ** 2
-
-    tail_val, _ = quad(tail, 1.0, np.inf, limit=200)
-    return float(np.sqrt(head_val + tail_val))
+    ratio = np.sin((1.0 - alpha) * np.pi / 2.0) / (
+        alpha * np.sin(np.pi * (1.0 - alpha) / alpha) * np.sin(alpha * np.pi / 2.0))
+    return float(np.sqrt(lam ** (1.0 / alpha) * ratio))
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,7 +146,8 @@ class StabilizerSeries:
         Number of retained terms.
     switch_u : float
         Scaled time beyond which the asymptotic constant replaces the
-        series (largest u with successive-term ratio below 1/2).
+        series (largest u whose tail and rounding errors stay below
+        _SWITCH_TOL of the squared limit).
     limit : float
         sqrt(c) lam / ||f_{alpha,lam}||_L2, the t -> inf value.
     """
@@ -197,7 +184,7 @@ class StabilizerSeries:
             if np.any(bad):
                 raise TruncationError(
                     f"stabilizer series negative ({s2.min():.3e}) before the switch "
-                    f"point; increase truncation_K (currently {self.truncation_K})"
+                    f"point with {self.truncation_K} terms"
                 )
             scale = self.c * self.lam ** (2.0 - 1.0 / self.alpha)
             out[inside] = np.sqrt(np.clip(scale * s2, 0.0, None))
@@ -250,27 +237,25 @@ class ConstantStabilizer:
         return self.value
 
 
-def build_stabilizer(alpha: float, lam: float, c: float,
-                     truncation_K: int = _DEFAULT_TRUNCATION):
+def build_stabilizer(alpha: float, lam: float, c: float):
     """Construct the stabilizer evaluator for one asset.
 
     At alpha = 1 (K = 1, f_lam = lam e^(-lam t)) the constant
     sqrt(2 lam c) solves the functional equation exactly.  For alpha < 1
-    coefficients are kept only while they stand clear of the rounding
-    noise of the recurrence.  The switch point is the largest scaled
-    time u at which (a) the terms are decaying at the truncation order
-    with margin, (b) the geometric tail bound and (c) the cancellation
-    error both stay below 1e-10 of the squared limit; past it the exact
-    asymptotic value takes over.
+    coefficients are kept, up to _MAX_TERMS of them, only while they
+    stand clear of the rounding noise of the recurrence.  The switch
+    point is the largest scaled time u at which (a) the terms are
+    decaying at the truncation order with margin, (b) the geometric tail
+    bound and (c) the cancellation error both stay below 1e-10 of the
+    squared limit; past it the exact asymptotic value takes over.
     """
     if not lam > 0.0 or not c > 0.0:
         raise ParameterError("stabilizer requires lam > 0 and c > 0")
     if alpha == 1.0:
         return ConstantStabilizer(np.sqrt(2.0 * lam * c), lam, c)
-    coeffs, floor = _coeffs_with_floor(alpha, truncation_K)
+    coeffs, floor = _coeffs_with_floor(alpha, _MAX_TERMS)
     clean = np.abs(coeffs) > 20.0 * floor
-    k_eff = int(np.argmin(clean)) if not clean.all() else truncation_K
-    k_eff = max(k_eff, min(truncation_K, 8))
+    k_eff = max(int(np.argmin(clean)) if not clean.all() else _MAX_TERMS, 8)
     coeffs = coeffs[:k_eff]
     limit_sq_unit = (1.0 / density_l2_norm(alpha, 1.0)) ** 2
 

@@ -2,9 +2,11 @@
 convolution with a grid function, the resolvent's defining equation, a
 Picard fixed-point solve of the Riccati-Volterra system, the exact
 second moments of the path scheme, the Gaussian factor by
-np.linalg.eigh and the wealth step factors by np.einsum."""
+np.linalg.eigh, the wealth step factors by np.einsum and the resolvent
+density's L2 norm by adaptive quadrature."""
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.linalg import solve_triangular
 from scipy.special import gamma as gamma_fn
 
@@ -15,6 +17,7 @@ from voltmark.kernels import (
     _power_moments,
     fractional_kernel,
     resolvent,
+    resolvent_density,
 )
 from voltmark.model import Grid
 from voltmark.riccati import RiccatiSolution, _rhs_tables
@@ -145,3 +148,21 @@ def einsum_step_factors(model, ensemble, coef: np.ndarray) -> tuple[np.ndarray, 
     dB = _asset_increments(model, ensemble.dW, ensemble.dWperp)
     s = np.einsum("mdk,mdk,d->km", gain, root, model.theta) * ensemble.grid.dt
     return gain, s + np.einsum("mdk,mdk->km", gain, dB)
+
+
+def quad_density_l2_norm(alpha: float, lam: float) -> float:
+    """||f_{alpha,lam}||_{L2(0,inf)} for 1/2 < alpha < 1 by two adaptive
+    quadratures of the Mittag-Leffler density at lam = 1, scaled by
+    lam^(1/(2 alpha)).  The integral splits at t = 1: the t^(2 alpha - 2)
+    endpoint singularity is flattened by the substitution
+    t = v^(1/(2 alpha - 1)), and the tail is integrated as it stands."""
+    spec = ResolventSpec(fractional_kernel(alpha), 1.0)
+    p = 1.0 / (2.0 * alpha - 1.0)
+
+    def head(v):
+        t = v ** p
+        return p * (resolvent_density(spec, t) * t ** (1.0 - alpha)) ** 2
+
+    head_val, _ = quad(head, 0.0, 1.0, limit=200)
+    tail_val, _ = quad(lambda t: resolvent_density(spec, t) ** 2, 1.0, np.inf, limit=200)
+    return float(lam ** (0.5 / alpha) * np.sqrt(head_val + tail_val))

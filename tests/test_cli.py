@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import os
 import re
 import subprocess
 import sys
@@ -37,9 +36,6 @@ n = 40
 M = 120
 seed = 11
 n_boot = 150
-
-[riccati]
-truncation_K = 120
 
 [experiment]
 m = 2.1
@@ -76,9 +72,17 @@ def test_missing_field_reports_path():
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="model.bogus"):
         load_config(TINY.replace("d = 1", "d = 1\nbogus = 1"))
-    # nothing read riccati.oracle_refinement, so it left the schema
-    with pytest.raises(ConfigError, match="unknown config key riccati.oracle_refinement"):
-        load_config(TINY.replace("truncation_K = 120", "truncation_K = 120\noracle_refinement = 8"))
+    # the series term cap is no model input, so [riccati] left the schema
+    with pytest.raises(ConfigError, match=r"unknown config section \[riccati\]"):
+        load_config(TINY + "\n[riccati]\ntruncation_K = 120\n")
+
+
+def test_saved_riccati_section_exit_code(tmp_path, capsys):
+    # a config saved by an earlier print-config fails with one line
+    path = _write(tmp_path, TINY + "\n[riccati]\ntruncation_K = 120\n")
+    assert main(["stabilizer", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err == "config error: unknown config section [riccati]"
 
 
 def test_unknown_section_rejected():
@@ -421,11 +425,13 @@ def test_threads_variable_reaches_blas():
         assert proc.returncode == 0 and proc.stdout.strip() == expected, proc.stderr
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+@pytest.mark.skipif(sys.platform != "linux", reason="reads the peak RSS from /proc")
 def test_frontier_memory_does_not_grow_with_paths(tmp_path):
     # frontier keeps (A_T, B_T) per path and drops each chunk of paths, so
     # three more chunks must add far less than holding their paths would:
-    # 3 C d (n+1) doubles for V alone, as much again for dW and for dWperp
+    # 3 C d (n+1) doubles for V alone, as much again for dW and for dWperp.
+    # The peak is each child's own VmHWM: Linux keeps ru_maxrss across
+    # exec, so there a child of pytest would start at pytest's peak
     from voltmark.simulate import _CHUNK_PATHS as C
 
     n, d = 200, 2
@@ -434,13 +440,18 @@ def test_frontier_memory_does_not_grow_with_paths(tmp_path):
         path = _write(tmp_path, _DEFAULT_CONFIG.replace("M = 5000", f"M = {M}")
                       .replace("n = 600", f"n = {n}").replace("n_boot = 1000", "n_boot = 20")
                       .replace("m_count = 8", "m_count = 2"), name=f"cfg{M}.ini")
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "voltmark", "frontier", "--config", path,
-             "--out", str(tmp_path / f"o{M}")],
-            stdout=subprocess.DEVNULL, env=dict(child_env(), VOLTMARK_THREADS="1"))
-        _, status, usage = os.wait4(proc.pid, 0)
-        assert os.waitstatus_to_exitcode(status) == 0
-        peak_mb.append(usage.ru_maxrss / 1024)
+        argv = ["frontier", "--config", path, "--out", str(tmp_path / f"o{M}")]
+        code = (
+            "import contextlib, io\n"
+            "from voltmark.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0\n"
+            "with open('/proc/self/status') as status:\n"
+            "    print(next(int(line.split()[1]) for line in status if line.startswith('VmHWM')))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(child_env(), VOLTMARK_THREADS="1"), check=True)
+        peak_mb.append(int(proc.stdout) / 1024)
     extra_v_mb = 3 * C * d * (n + 1) * 8 / 2**20
     assert peak_mb[1] - peak_mb[0] < extra_v_mb / 2, peak_mb
 
@@ -452,6 +463,15 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "[model]" in proc.stdout
+
+
+def test_import_loads_no_quadrature():
+    # the stabilizer's limit is in closed form, so importing the command
+    # line loads no scipy.integrate
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, voltmark.cli; print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True, env=child_env(), check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_full_mode_smoke(tmp_path):

@@ -1,9 +1,11 @@
 """Stabilizer series, limit, scaling law, and functional-equation residual."""
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gamma as G
 
+from oracles import quad_density_l2_norm
 from voltmark.kernels import (
     ParameterError,
     ResolventSpec,
@@ -56,6 +58,25 @@ def test_density_l2_norm_markovian_limit():
     # lam scaling: ||f_{a,lam}|| = lam^(1/(2a)) ||f_{a,1}||
     n1 = density_l2_norm(0.6, 1.0)
     assert density_l2_norm(0.6, 0.2) == pytest.approx(0.2 ** (1 / 1.2) * n1, rel=1e-10)
+
+
+@pytest.mark.parametrize("lam", [0.2, 1.0])
+@pytest.mark.parametrize("alpha", [0.55, 0.6, 0.7, 0.75, 0.8, 0.9, 0.95, 0.99])
+def test_density_l2_norm_vs_quadrature(alpha, lam):
+    # the closed form against adaptive quadrature of the density itself
+    assert density_l2_norm(alpha, lam) == pytest.approx(quad_density_l2_norm(alpha, lam), rel=1e-9)
+
+
+@pytest.mark.parametrize("alpha", [0.51, 0.6, 0.9, 0.9999, 1.0 - 1e-7])
+def test_density_l2_norm_full_precision(alpha):
+    # the same formula at 40 digits: sin(pi (1-a)/a), not -sin(pi/a),
+    # keeps the double evaluation exact to rounding as alpha -> 1
+    with mpmath.workdps(40):
+        a, lam = mpmath.mpf(alpha), mpmath.mpf(0.2)
+        sq = lam ** (1 / a) * mpmath.sin((1 - a) * mpmath.pi / 2) / (
+            a * mpmath.sin(mpmath.pi * (1 - a) / a) * mpmath.sin(a * mpmath.pi / 2))
+        ref = float(mpmath.sqrt(sq))
+    assert density_l2_norm(alpha, 0.2) == pytest.approx(ref, rel=1e-14)
 
 
 @pytest.mark.parametrize("alpha,lam,c", [(0.6, 0.2, 0.01), (0.9, 0.2, 0.03)])
