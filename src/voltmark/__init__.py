@@ -56,9 +56,9 @@ from .markowitz import (
 )
 from .model import Grid, MarketModel, bundled_model
 from .montecarlo import (
+    ColumnMoments,
     EnsembleStats,
     frontier_experiment,
-    joint_ensemble_stats,
     stationarity_diagnostics,
 )
 from .riccati import (

@@ -69,7 +69,6 @@ n = 600
 [mc]
 M = 5000
 seed = 7041
-n_boot = 1000
 
 [experiment]
 m = 2.255
@@ -84,12 +83,12 @@ output_dir = voltmark-out
 # every config key by section, in INI order, as (kind, least accepted
 # value, unit): kind is int, float, str, list (of numbers) or "d" (a list
 # of d numbers).  Every Monte Carlo estimate reports a sample spread (two
-# paths, two resamples at least), and numpy seeds are non-negative.
+# paths at least), and numpy seeds are non-negative.
 _SCHEMA = {
     "model": {"d": (int,), "alpha": ("d",), "lam": ("d",), "nu": ("d",), "rho": ("d",),
               "theta": ("d",), "mu0": ("d",), "c": ("d",), "r": (float,), "x0": (float,)},
     "grid": {"T": (float,), "n": (int,)},
-    "mc": {"M": (int, 2, " paths"), "seed": (int, 0), "n_boot": (int, 2)},
+    "mc": {"M": (int, 2, " paths"), "seed": (int, 0)},
     "experiment": {"m": (float,), "u": ("d",), "m_count": (int, 1, " targets"),
                    "frontier_horizons": (list,), "laplace_M": (int, 2, " paths"),
                    "stationarity_M": (int, 2, " paths"), "output_dir": (str,)},
@@ -189,13 +188,15 @@ def write_manifest(out_dir: str, cfg: dict, config_text: str, extra: dict | None
         fh.write("\n")
 
 
-def _dump_paths(path: str, ensemble) -> None:
-    """Raw little-endian dump: header M, d, n as int64 and T as float64,
-    then the V array row-major (path, asset, time)."""
+def _dumped(path: str, chunks, M: int, d: int, grid: Grid):
+    """Pass the chunks on, writing the raw little-endian dump as they go: header
+    M, d, n as int64 and T as float64, then V row-major (path, asset, time)."""
     with open(path, "wb") as fh:
-        np.array([ensemble.M, ensemble.model.d, ensemble.grid.n], dtype="<i8").tofile(fh)
-        np.array([ensemble.grid.T], dtype="<f8").tofile(fh)
-        np.ascontiguousarray(ensemble.V, dtype="<f8").tofile(fh)
+        np.array([M, d, grid.n], dtype="<i8").tofile(fh)
+        np.array([grid.T], dtype="<f8").tofile(fh)
+        for chunk in chunks:
+            np.ascontiguousarray(chunk.V, dtype="<f8").tofile(fh)
+            yield chunk
 
 
 @dataclasses.dataclass(frozen=True)
@@ -258,50 +259,46 @@ def run_riccati(run: RunContext, out_dir: str) -> int:
 
 def run_simulate(run: RunContext, out_dir: str, M: int | None = None,
                  dump_paths: bool = False, gate: bool = False) -> int:
-    """Stationary-start statistics on M paths (mc.M by default); they and
-    --dump-paths read V alone, so no Brownian increments are simulated."""
+    """Stationary-start statistics on M paths (mc.M by default), chunk by chunk;
+    they and --dump-paths read V alone, so no Brownian increments are simulated."""
     cfg = run.cfg
-    ens = simulate.simulate_variance_paths(
-        run.model, run.stabs, run.grid, cfg["M"] if M is None else M, cfg["seed"],
-        initial="stationary", increments=False)
-    report = montecarlo.stationarity_diagnostics(ens, run.model, cfg["n_boot"], cfg["seed"])
+    M = cfg["M"] if M is None else M
+    chunks = simulate.simulate_variance_chunks(run.model, run.stabs, run.grid, M, cfg["seed"],
+                                               initial="stationary", increments=False)
+    if dump_paths:
+        chunks = _dumped(os.path.join(out_dir, "paths.bin"), chunks, M, run.model.d, run.grid)
+    report = montecarlo.stationarity_diagnostics(chunks, run.model)
     for i, st in enumerate(report.stats):
         write_csv(
             os.path.join(out_dir, f"variance_stats_asset{i + 1}.csv"),
             ["t", "mean", "variance", "ci_low", "ci_high"],
-            zip(st.times, st.mean, st.variance, st.ci_low, st.ci_high),
+            zip(run.grid.times, st.mean, st.variance, st.ci_low, st.ci_high),
         )
     print(f"stationarity: mean coverage {report.mean_coverage}, "
           f"variance coverage {report.var_coverage}, passed={report.passed}")
-    if dump_paths:
-        _dump_paths(os.path.join(out_dir, "paths.bin"), ens)
     return 0 if (report.passed or not gate) else EXIT_ACCEPTANCE
 
 
 def run_wealth(run: RunContext, out_dir: str, tap=lambda chunk: None) -> int:
     """Wealth under the optimal strategy, simulated chunk by chunk of
-    variance paths, so that no whole ensemble is held; X and the
-    strategies share one bootstrap weight draw.  tap(chunk) reads each
-    chunk too before it goes (``run_full``)."""
+    variance paths, so that no whole ensemble is held; X and the strategies
+    fold chunk by chunk.  tap(chunk) reads each chunk too before it goes."""
     cfg, model, stabs, grid = run.cfg, run.model, run.stabs, run.grid
     sol = riccati.solve_riccati_adams(model, stabs, grid.n)
     ms = markowitz.solve_markowitz(model, sol, stabs, cfg["m"])
     chunks = simulate.simulate_variance_chunks(model, stabs, grid, cfg["M"], cfg["seed"],
                                                initial="fixed")
-
-    def consume(chunk):
+    wealth = montecarlo.ColumnMoments()
+    strategies = [montecarlo.ColumnMoments() for _ in range(model.d)]
+    for chunk in chunks:
         part = markowitz.simulate_wealth(model, chunk, sol, stabs, ms.xi_star)
         tap(chunk)
-        return part
-
-    # map drops each chunk before the next one is simulated
-    parts = list(map(consume, chunks))
-    X = np.concatenate([part.X for part in parts])
-    alpha = np.concatenate([part.alpha_paths for part in parts])
-    del parts
-    xstats, *astats = montecarlo.joint_ensemble_stats(
-        [(X, grid.times)] + [(alpha[:, i, :], grid.times[:-1]) for i in range(model.d)],
-        cfg["n_boot"], cfg["seed"])
+        del chunk  # its X and strategies fold without it
+        wealth.add(part.X)
+        for i, acc in enumerate(strategies):
+            acc.add(part.alpha_paths[:, i, :])
+        del part  # before the next chunk's wealth is simulated
+    xstats, astats = wealth.stats(), [acc.stats() for acc in strategies]
     cols = [grid.times, xstats.mean, xstats.ci_low, xstats.ci_high]
     header = ["t", "X_mean", "X_ci_low", "X_ci_high"]
     for i, st in enumerate(astats):
@@ -309,7 +306,7 @@ def run_wealth(run: RunContext, out_dir: str, tap=lambda chunk: None) -> int:
         cols += [np.append(col, col[-1]) for col in (st.mean, st.ci_low, st.ci_high)]
         header += [f"alpha{i + 1}_mean", f"alpha{i + 1}_ci_low", f"alpha{i + 1}_ci_high"]
     write_csv(os.path.join(out_dir, "wealth_stats.csv"), header, zip(*cols))
-    terminal_mean = float(np.mean(X[:, -1]))
+    terminal_mean = float(xstats.mean[-1])
     z = markowitz.z_score(terminal_mean, cfg["m"], xstats.mean_se[-1])
     print(f"Gamma0={ms.gamma0:.8f} xi*={ms.xi_star:.8f} "
           f"E[X_T]={terminal_mean:.6f} target m={cfg['m']} (z={z:.2f})")
@@ -318,20 +315,20 @@ def run_wealth(run: RunContext, out_dir: str, tap=lambda chunk: None) -> int:
 
 def run_frontier(run: RunContext, out_dir: str, T: float | None = None, terminal=None) -> int:
     """Frontier at the config horizon, or at T (frontier_T<T>.csv), from
-    the pair (A_T, B_T) ``terminal`` if given.  A
+    the per-chunk pairs (A_T, B_T) ``terminal`` if given.  A
     horizon beyond 1 is held to 10% relative instead of 5%: the terminal
     wealth grows heavy-tailed, and one variance estimate noisier."""
     here = run if T is None else run.at(T)
     cfg, model = here.cfg, here.model
     points = montecarlo.frontier_experiment(
         model, montecarlo.frontier_m_grid(model, cfg["m_count"]), cfg["M"], cfg["seed"],
-        grid=here.grid, stabs=here.stabs, n_boot=cfg["n_boot"], terminal=terminal,
+        grid=here.grid, stabs=here.stabs, terminal=terminal,
     )
     tag = f"_T{model.T:g}" if T is not None else ""
     write_csv(
         os.path.join(out_dir, f"frontier{tag}.csv"),
         ["m", "sigma_theoretical", "sigma_mc", "mc_se", "v_theory", "v_mc", "v_mc_se"],
-        [(p.m, p.sigma_theory, p.sigma_mc, p.v_mc_se, p.v_theory, p.v_mc, p.v_mc_se)
+        [(p.m, p.sigma_theory, p.sigma_mc, p.sigma_mc_se, p.v_theory, p.v_mc, p.v_mc_se)
          for p in points],
     )
     tolerance = 0.10 if model.T > 1.0 else 0.05
@@ -384,7 +381,7 @@ def run_full(run: RunContext, out_dir: str) -> int:
     status = max(status, run_wealth(run, out_dir, tap))
     for T in cfg["frontier_horizons"]:
         print(f"== frontier T={T:g} ==")
-        terminal = tuple(map(np.concatenate, zip(*pairs))) if T == grid.T else None
+        terminal = pairs if T == grid.T else None
         status = max(status, run_frontier(run, out_dir, T=T, terminal=terminal))
     print("== laplace ==")
     status = max(status, run_laplace(run, out_dir, head))

@@ -66,7 +66,8 @@ class MarkowitzSolution:
 
 @dataclass(frozen=True, eq=False)
 class WealthEnsemble:
-    """Wealth paths under the optimal strategy, X[-, 0] = x0."""
+    """Wealth paths under the optimal strategy, X[-, 0] = x0 (``terminal``
+    serves the benchmark's refine_t5 workload)."""
 
     model: MarketModel
     grid: Grid

@@ -1,16 +1,8 @@
-"""Ensemble statistics, bootstrap bands, and the experiment drivers.
+"""Ensemble statistics, stationarity diagnostics, and the experiment drivers.
 
-Bootstrap resampling is over whole paths (per-time resampling would
-understate path-level variance).  A resample is a row of weights, the
-counts of M paths drawn with replacement over M; one product of the
-(n_boot, M) weights with the centred columns, and one with their
-squares, give every resample's means and variances.  Columns of the same
-paths (the assets of an ensemble, the wealth and its strategies, the
-terminal wealth of each frontier target) share one weight draw in
-``joint_ensemble_stats``, so each resample picks whole joint paths.
-Standard errors for variances come from the same bootstrap distribution
-rather than asymptotic formulas; terminal wealth is heavy-tailed for
-ambitious targets.
+Every Monte Carlo statistic is a plug-in moment estimate over whole
+paths, folded chunk by chunk (``ColumnMoments``), so no stage holds more
+than one chunk of paths.
 """
 
 from dataclasses import dataclass, field
@@ -21,92 +13,87 @@ from .kernels import ParameterError
 from .markowitz import affine_wealth_terminal, gamma0, variance_of_terminal, xi_eta_star, z_score
 from .model import Grid, MarketModel
 from .riccati import solve_riccati_adams
-from .simulate import (
-    PathEnsemble,
-    require_finite,
-    simulate_variance_chunks,
-)
+from .simulate import require_finite, simulate_variance_chunks
 
-_DEFAULT_BOOT = 1000
+# columns per block of a chunk's moment pass, so that its temporaries
+# hold (paths, 64) entries whatever the number of columns
+_BLOCK_COLUMNS = 64
 
 
 @dataclass(frozen=True, eq=False)
 class EnsembleStats:
-    """Per-time mean/variance with 95% bootstrap bands of the mean."""
+    """Per-column mean/variance with their standard errors and the 95% band of the mean."""
 
-    times: np.ndarray
     mean: np.ndarray
     variance: np.ndarray
     ci_low: np.ndarray
     ci_high: np.ndarray
     mean_se: np.ndarray = field(repr=False)
     var_se: np.ndarray = field(repr=False)
-    n_boot: int = _DEFAULT_BOOT
 
 
-# resamples per block of path indices drawn by ``_bootstrap_weights``
-_WEIGHT_ROWS = 64
+class ColumnMoments:
+    """Count, mean and central sums M2, M3, M4 of each column, folded chunk by chunk.
 
-
-def _bootstrap_weights(M: int, n_boot: int, seed: int) -> np.ndarray:
-    """(n_boot, M) resampling weights from ``default_rng(seed)``.
-
-    Each row is the counts of M path indices drawn uniformly, over M:
-    the multinomial(M, 1/M) law, drawn faster than numpy's multinomial
-    sampler (0.22 s against 0.64 s at M = 10^4, n_boot = 1000).  The
-    indices come ``_WEIGHT_ROWS`` rows at a time, so their array stays small.
+    ``add(x)`` folds the rows (paths) of an (m, k) array in, by the
+    pairwise merges of Chan, Golub & LeVeque (Am. Stat. 37, 1983) for M2
+    and of Pebay (Sandia report SAND2008-6212, 2008) for M3 and M4; a
+    whole ensemble is one chunk.  With m_k = M_k / M, ``stats`` gives the
+    variance M2 / (M - 1), the SEs sqrt(m2 / M) of the mean and
+    sqrt((m4 - m2^2) / M) M / (M - 1) of the variance, and the 95% band
+    mean -/+ 1.96 SE.  Overflowing sums are left to ``stats``.
     """
-    if n_boot < 2:
-        # a bootstrap standard error is a spread over resamples: it needs two
-        raise ParameterError(f"bootstrap needs n_boot >= 2 resamples, got {n_boot}")
-    rng = np.random.default_rng(seed)
-    w = np.empty((n_boot, M))
-    for lo in range(0, n_boot, _WEIGHT_ROWS):
-        rows = rng.integers(0, M, size=(min(_WEIGHT_ROWS, n_boot - lo), M))
-        for out, row in zip(w[lo:], rows):
-            np.divide(np.bincount(row, minlength=M), M, out=out)
-    return w
 
+    count = 0
+    mean = m2 = m3 = m4 = None
 
-def _resampled_stats(w: np.ndarray, paths: np.ndarray, times) -> EnsembleStats:
-    """Statistics of the columns of paths (M, k) over the resamples w.
+    def add(self, x) -> None:
+        x = np.asarray(x, dtype=float)
+        nb = len(x)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked by ``stats``
+            mean_b = x.mean(axis=0)
+            m2b, m3b, m4b = (np.empty_like(mean_b) for _ in range(3))
+            for lo in range(0, len(mean_b), _BLOCK_COLUMNS):
+                cols = slice(lo, lo + _BLOCK_COLUMNS)
+                c = x[:, cols] - mean_b[cols]
+                c2 = np.square(c)
+                m2b[cols] = c2.sum(axis=0)
+                m3b[cols] = np.multiply(c2, c, out=c).sum(axis=0)
+                m4b[cols] = np.square(c2, out=c2).sum(axis=0)
+            if not self.count:
+                self.count, self.mean, self.m2, self.m3, self.m4 = nb, mean_b, m2b, m3b, m4b
+                return
+            na, n = self.count, self.count + nb
+            wa, wb, d = na / n, nb / n, mean_b - self.mean
+            # in this order, each update reads the previous lower sums
+            self.m4 += (m4b + d**4 * (na * wb * (wa * wa - wa * wb + wb * wb))
+                        + 6.0 * d**2 * (wa * wa * m2b + wb * wb * self.m2)
+                        + 4.0 * d * (wa * m3b - wb * self.m3))
+            self.m3 += m3b + d**3 * (na * wb * (wa - wb)) + 3.0 * d * (wa * m2b - wb * self.m2)
+            self.m2 += m2b + d**2 * (na * wb)
+            self.mean = self.mean + d * wb
+            self.count = n
 
-    Centring the columns leaves every resampled variance unchanged and
-    keeps it free of cancellation; point estimates come from the paths.
-    """
-    M = paths.shape[0]
-    mean = paths.mean(axis=0)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked by the callers
-        centred = paths - mean
-        boot_mean = w @ centred                      # (n_boot, k)
-        boot_var = w @ np.square(centred, out=centred)
-        del centred
-        boot_var = (boot_var - boot_mean**2) * (M / (M - 1.0))
-        boot_mean += mean
-        lo, hi = np.percentile(boot_mean, [2.5, 97.5], axis=0)
-        return EnsembleStats(times=np.asarray(times, dtype=float), mean=mean,
-                             variance=paths.var(axis=0, ddof=1), ci_low=lo, ci_high=hi,
-                             mean_se=boot_mean.std(axis=0, ddof=1),
-                             var_se=boot_var.std(axis=0, ddof=1), n_boot=len(w))
+    def stats(self) -> EnsembleStats:
+        """The plug-in statistics of the columns folded so far.
 
-
-def joint_ensemble_stats(columns, n_boot: int = _DEFAULT_BOOT,
-                         seed: int = 0) -> list[EnsembleStats]:
-    """Mean/variance over paths (M, len(times)) with bootstrap CIs per pair, one weight draw.
-
-    Row j of every paths array is a part of the same joint path j, so
-    each resample picks whole joint paths.  The weights go on return.
-    """
-    columns = [(np.asarray(paths, dtype=float), times) for paths, times in columns]
-    M = len(columns[0][0])
-    if any(paths.ndim != 2 or len(paths) != M for paths, _ in columns) or M < 2:
-        raise ParameterError("joint_ensemble_stats needs (M, n_times) arrays of the same M >= 2")
-    w = _bootstrap_weights(M, n_boot, seed)
-    out = [_resampled_stats(w, paths, times) for paths, times in columns]
-    for stats in out:
+        Raises ParameterError below two paths and NonFiniteError when a
+        statistic left the finite floats (|x - mean| near 1e77 overflows m4).
+        """
+        M = self.count
+        if M < 2:
+            raise ParameterError(f"ensemble statistics need M >= 2 paths, got {M}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            m2, m4 = self.m2 / M, self.m4 / M
+            mean_se = np.sqrt(m2 / M)
+            # m4 >= m2^2 holds exactly; the clip only drops rounding below it
+            var_se = np.sqrt(np.maximum(m4 - m2 * m2, 0.0) / M) * (M / (M - 1.0))
+            out = EnsembleStats(mean=self.mean, variance=self.m2 / (M - 1.0),
+                                ci_low=self.mean - 1.96 * mean_se,
+                                ci_high=self.mean + 1.96 * mean_se, mean_se=mean_se, var_se=var_se)
         for name in ("mean", "variance", "mean_se", "var_se"):
-            require_finite(f"ensemble {name.replace('_', ' ')}", getattr(stats, name))
-    return out
+            require_finite(f"ensemble {name.replace('_', ' ')}", getattr(out, name))
+        return out
 
 
 @dataclass(frozen=True)
@@ -119,19 +106,21 @@ class StationarityReport:
     stats: tuple[EnsembleStats, ...] = field(repr=False)   # per asset
 
 
-def stationarity_diagnostics(ensemble: PathEnsemble, model: MarketModel,
-                             n_boot: int = _DEFAULT_BOOT, seed: int = 0) -> StationarityReport:
+def stationarity_diagnostics(chunks, model: MarketModel) -> StationarityReport:
     """Check that per-time sample moments stay on the stationary constants.
 
-    For each asset the sample mean of V must sit within 3 bootstrap SEs
-    of x_inf at >= 99% of grid times and the sample variance within 3
-    SEs of v0 at >= 95% of times, by ``z_score``.  Each asset's
-    statistics are returned with the report; the assets share one weight
-    draw (seed).
+    chunks is an iterable of PathEnsembles (a whole ensemble is one
+    chunk), each folded per asset.  The sample mean of V must sit within
+    3 SEs of x_inf at >= 99% of grid times and the sample variance within
+    3 SEs of v0 at >= 95% of times, by ``z_score``.  Each asset's
+    statistics (a column per grid time) are returned with the report.
     """
-    times = ensemble.grid.times
-    stats = tuple(joint_ensemble_stats([(ensemble.V[:, i, :], times) for i in range(model.d)],
-                                       n_boot, seed))
+    moments = [ColumnMoments() for _ in range(model.d)]
+    for chunk in chunks:
+        for i, acc in enumerate(moments):
+            acc.add(chunk.V[:, i, :])
+        del chunk  # before the engine simulates the next one
+    stats = tuple(acc.stats() for acc in moments)
     mean_cov = np.empty(model.d)
     var_cov = np.empty(model.d)
     for i, st in enumerate(stats):
@@ -160,31 +149,39 @@ class FrontierPoint:
     def sigma_mc(self) -> float:
         return float(np.sqrt(max(self.v_mc, 0.0)))
 
+    @property
+    def sigma_mc_se(self) -> float:
+        """Delta-method SE of sigma_mc, v_mc_se / (2 sigma_mc); 0 where sigma_mc is 0."""
+        sigma = self.sigma_mc
+        return self.v_mc_se / (2.0 * sigma) if sigma > 0.0 else 0.0
 
-def terminal_bootstrap(terminal: np.ndarray, n_boot: int = _DEFAULT_BOOT,
-                       seed: int = 0) -> tuple[float, float, float, float]:
-    """(mean, mean SE, variance, variance SE) of terminal wealth."""
-    st, = joint_ensemble_stats([(np.asarray(terminal, dtype=float)[:, None], [0.0])], n_boot, seed)
+
+def terminal_bootstrap(terminal: np.ndarray, n_boot=None,
+                       seed=None) -> tuple[float, float, float, float]:
+    """(mean, mean SE, variance, variance SE) of terminal wealth; n_boot and seed
+    are unused, kept because the benchmark's workloads and tracer use them."""
+    acc = ColumnMoments()
+    acc.add(np.asarray(terminal, dtype=float)[:, None])
+    st = acc.stats()
     return float(st.mean[0]), float(st.mean_se[0]), float(st.variance[0]), float(st.var_se[0])
 
 
 def frontier_experiment(model: MarketModel, m_values, M: int, seed: int, *,
                         grid: Grid | None = None, stabs=None,
-                        n_boot: int = _DEFAULT_BOOT, terminal=None) -> list[FrontierPoint]:
+                        n_boot=None, terminal=None) -> list[FrontierPoint]:
     """Monte Carlo frontier: simulated Var(X_T) against V(m) per target m.
 
     One variance ensemble (deterministic V0 = x_inf, matching the single
     Gamma0 that prices the frontier) serves all targets.  The terminal
     wealth is affine in xi*, so one recursion gives the pair (A_T, B_T)
     and each target's X_T = A_T + xi* B_T.  The recursion runs chunk by
-    chunk (``simulate_variance_chunks``) and keeps only (A_T, B_T), so
-    no path outlives its chunk.  A caller that ran it over the same paths
-    (``voltmark full``, in its wealth stage) passes the pair as
-    ``terminal``, and none is simulated.  The targets' X_T are the
-    columns of one (M, targets) array, so one bootstrap weight draw
-    (seed + 7919) of ``joint_ensemble_stats`` serves them all.  psi is
-    solved on the path grid through the memo of ``solve_riccati_adams``,
-    so a caller's own solve is reused.
+    chunk (``simulate_variance_chunks``), and each chunk's targets fold
+    into one ``ColumnMoments`` as the chunk goes.  A caller that ran the
+    recursion over the same paths (``voltmark full``, in its wealth
+    stage) passes its per-chunk (A_T, B_T) pairs as ``terminal``, and
+    none is simulated.  psi is solved through the memo of
+    ``solve_riccati_adams``, so a caller's own solve is reused.  n_boot
+    is unused, kept because the benchmark's workloads pass it.
     """
     grid = grid or Grid(model.T, 600)
     stabs = stabs or model.build_stabilizers()
@@ -193,16 +190,17 @@ def frontier_experiment(model: MarketModel, m_values, M: int, seed: int, *,
     if terminal is None:
         chunks = simulate_variance_chunks(model, stabs, grid, M, seed, initial="fixed")
         # map drops each chunk before the next one is simulated
-        terminal = map(np.concatenate, zip(*map(
-            lambda chunk: affine_wealth_terminal(model, chunk, solution, stabs), chunks)))
-    A, B = terminal
+        terminal = map(lambda chunk: affine_wealth_terminal(model, chunk, solution, stabs), chunks)
     m_values = np.atleast_1d(np.asarray(m_values, dtype=float))
     xis = [xi_eta_star(g0, model, float(m))[0] for m in m_values]
-    # column-major, so each target's point estimates reduce one contiguous x
-    x = np.empty((len(A), len(xis)), order="F")
-    for j, xi in enumerate(xis):
-        x[:, j] = A + xi * B
-    st, = joint_ensemble_stats([(x, xis)], n_boot, seed + 7919)
+    moments = ColumnMoments()
+    for A, B in terminal:
+        # column-major, so each target's moments reduce one contiguous column
+        x = np.empty((len(A), len(xis)), order="F")
+        for j, xi in enumerate(xis):
+            x[:, j] = A + xi * B
+        moments.add(x)
+    st = moments.stats()
     return [
         FrontierPoint(
             m=float(m), xi_star=xi,

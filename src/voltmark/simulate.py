@@ -24,7 +24,8 @@ views.  ``simulate_variance_chunks`` yields one chunk at a time, so a
 consumer that keeps only per-path values (the frontier's terminal
 wealth, the Laplace samples) runs in memory that does not grow with M;
 ``simulate_variance_paths`` copies the chunks into the columns of whole
-(d, n+1, M) arrays for the callers that read whole ensembles.  The
+(d, n+1, M) arrays for the tests and the benchmark, which read whole
+ensembles.  The
 assets share nothing but the read-only model, so within a chunk they
 advance at the same time on one thread each (numpy's random fills,
 ufuncs and BLAS calls release the GIL), on the CPUs of the process that
@@ -251,7 +252,8 @@ def simulate_variance_paths(model: MarketModel, stabs, grid: Grid, M: int, seed:
     arrays for callers that read only V.  The paths are the chunks of
     ``simulate_variance_chunks``, copied side by side into whole arrays
     (a lone chunk is the ensemble itself); callers that read each path
-    only through a per-path functional should take the chunks instead.
+    only through a per-path functional (every command-line stage) take
+    the chunks instead; the benchmark's refine_t5 passes ``store_noise``.
     Raises NonFiniteError when V0 or a path leaves the finite floats,
     ParameterError when M < 1 (before anything is allocated).
     """

@@ -2,8 +2,9 @@
 convolution with a grid function, the resolvent's defining equation, a
 Picard fixed-point solve of the Riccati-Volterra system, the exact
 second moments of the path scheme, the Gaussian factor by
-np.linalg.eigh, the wealth step factors by np.einsum and the resolvent
-density's L2 norm by adaptive quadrature."""
+np.linalg.eigh, the wealth step factors by np.einsum, the resolvent
+density's L2 norm by adaptive quadrature and the standard errors of
+per-column means and variances by a multinomial bootstrap over paths."""
 
 import numpy as np
 from scipy.integrate import quad
@@ -166,3 +167,38 @@ def quad_density_l2_norm(alpha: float, lam: float) -> float:
     head_val, _ = quad(head, 0.0, 1.0, limit=200)
     tail_val, _ = quad(lambda t: resolvent_density(spec, t) ** 2, 1.0, np.inf, limit=200)
     return float(lam ** (0.5 / alpha) * np.sqrt(head_val + tail_val))
+
+
+# resamples per block of path indices drawn by bootstrap_weights
+_WEIGHT_ROWS = 64
+
+
+def bootstrap_weights(M: int, n_boot: int, seed: int) -> np.ndarray:
+    """(n_boot, M) resampling weights from ``default_rng(seed)``.
+
+    Each row is the counts of M path indices drawn uniformly, over M:
+    the multinomial(M, 1/M) law.  The indices come ``_WEIGHT_ROWS`` rows
+    at a time, so their array stays small.
+    """
+    rng = np.random.default_rng(seed)
+    w = np.empty((n_boot, M))
+    for lo in range(0, n_boot, _WEIGHT_ROWS):
+        rows = rng.integers(0, M, size=(min(_WEIGHT_ROWS, n_boot - lo), M))
+        for out, row in zip(w[lo:], rows):
+            np.divide(np.bincount(row, minlength=M), M, out=out)
+    return w
+
+
+def bootstrap_se(paths: np.ndarray, n_boot: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bootstrap SEs (mean, unbiased variance) of the columns of paths (M, k).
+
+    Each resample picks whole paths (a row of ``bootstrap_weights``);
+    one product of the weights with the centred columns, and one with
+    their squares, give every resample's means and variances.
+    """
+    M = len(paths)
+    w = bootstrap_weights(M, n_boot, seed)
+    centred = paths - paths.mean(axis=0)
+    boot_mean = w @ centred
+    boot_var = (w @ np.square(centred) - boot_mean**2) * (M / (M - 1.0))
+    return boot_mean.std(axis=0, ddof=1), boot_var.std(axis=0, ddof=1)

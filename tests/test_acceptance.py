@@ -50,25 +50,25 @@ def _report(num: int, name: str, passed: bool, detail: str) -> None:
 
 def test_criterion_1_terminal_wealth_mean(model_t1, stabs_t1, riccati_600,
                                           ensemble_5000_fixed):
-    """MC mean of X_T within 3 bootstrap-SE of m = 2.255 (M=5000, n=600, T=1)."""
+    """MC mean of X_T within 3 SE of m = 2.255 (M=5000, n=600, T=1)."""
     g0 = gamma0(model_t1, riccati_600, stabs_t1)
     xi, _ = xi_eta_star(g0, model_t1, TARGET_M)
     wealth = simulate_wealth(model_t1, ensemble_5000_fixed, riccati_600, stabs_t1, xi)
-    mean, mean_se, _, _ = terminal_bootstrap(wealth.terminal, seed=1)
+    mean, mean_se, _, _ = terminal_bootstrap(wealth.terminal)
     z = abs(mean - TARGET_M) / mean_se
     _report(1, "terminal-wealth mean", z <= 3.0,
-            f"E[X_T] = {mean:.5f} vs m = {TARGET_M} (boot SE {mean_se:.5f}, z = {z:.2f})")
+            f"E[X_T] = {mean:.5f} vs m = {TARGET_M} (SE {mean_se:.5f}, z = {z:.2f})")
 
 
 def test_criterion_2_frontier_consistency(stabs_t1, grid_600):
-    """MC Var(X_T) vs V(m) within max(3 boot-SE, 5% rel) at M = 5000 per
+    """MC Var(X_T) vs V(m) within max(3 SE, 5% rel) at M = 5000 per
     point for T in {0.5, 1.0}.
 
     The reported long horizon T = 5 is held to 10% relative.  There the
     terminal wealth is so heavy-tailed (lognormal-type, excess kurtosis
     ~70) that a single M = 5000 variance estimate carries ~14% noise, so
     the T = 5 row pools M = 50000 paths and allows the batch-means SE
-    (10 batches of 5000) next to the 10% floor; per-path bootstrap SEs
+    (10 batches of 5000) next to the 10% floor; per-path plug-in SEs
     are badly undersized at this kurtosis.
     """
     lines = []
@@ -124,7 +124,7 @@ def test_criterion_2_frontier_consistency(stabs_t1, grid_600):
 def test_criterion_3_fake_stationarity(model_t1, ensemble_10000_stationary):
     """Sample mean of V within 3 SE of x_inf at >= 99% of times and sample
     variance within 3 SE of v0 at >= 95% (M = 10000)."""
-    rep = stationarity_diagnostics(ensemble_10000_stationary, model_t1, seed=2)
+    rep = stationarity_diagnostics([ensemble_10000_stationary], model_t1)
     detail = (f"mean coverage {tuple(float(x) for x in rep.mean_coverage)} (need >= 0.99), "
               f"variance coverage {tuple(float(x) for x in rep.var_coverage)} (need >= 0.95); "
               f"targets x_inf = (10, 5), v0 = (0.016, 0.01536)")

@@ -185,15 +185,15 @@ def test_shared_pass_leaves_before_the_frontier_and_laplace(tmp_path, monkeypatc
     monkeypatch.setattr(markowitz, "laplace_affine_check",
                         stage_spy(markowitz.laplace_affine_check, "head"))
     cfg_text = (cli._DEFAULT_CONFIG.replace("M = 5000", f"M = {C + 5}")
-                .replace("n = 600", "n = 20").replace("n_boot = 1000", "n_boot = 20")
+                .replace("n = 600", "n = 20")
                 .replace("frontier_horizons = 0.5, 1.0, 5.0", "frontier_horizons = 1.0")
                 .replace("laplace_M = 20000", f"laplace_M = {2 * C + 3}")
                 .replace("stationarity_M = 10000", "stationarity_M = 100"))
     path = tmp_path / "cfg.ini"
     path.write_text(cfg_text)
     assert cli.main(["full", "--config", str(path), "--out", str(tmp_path / "o")]) in (0, 4)
-    # the wealth stage's two chunks (M = C + 5); the frontier gets (A_T, B_T),
-    # the Laplace check one chunk's samples
+    # the wealth stage's two chunks (M = C + 5); the frontier gets their
+    # (A_T, B_T) pairs, the Laplace check one chunk's samples
     assert seen == [("frontier_experiment", 2, 8, [False] * 8),
                     ("laplace_affine_check", 1, 8, [False] * 8)]
 

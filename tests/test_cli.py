@@ -35,7 +35,6 @@ n = 40
 [mc]
 M = 120
 seed = 11
-n_boot = 150
 
 [experiment]
 m = 2.1
@@ -103,20 +102,13 @@ def test_wrong_u_length_exit_code(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "experiment.u" in err
 
 
-def test_zero_n_boot_exit_code(tmp_path, capsys):
-    path = _write(tmp_path, TINY.replace("n_boot = 150", "n_boot = 0"))
+def test_saved_n_boot_exit_code(tmp_path, capsys):
+    # a config saved by an earlier print-config sets the bootstrap's
+    # resample count, which no statistic reads any more
+    path = _write(tmp_path, TINY.replace("seed = 11\n", "seed = 11\nn_boot = 1000\n"))
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err.strip()
-    assert len(err.splitlines()) == 1 and "mc.n_boot" in err
-
-
-def test_one_n_boot_exit_code(tmp_path, capsys):
-    # one resample gives no bootstrap standard error: a configuration
-    # error, not a numerical failure
-    path = _write(tmp_path, TINY.replace("n_boot = 150", "n_boot = 1"))
-    assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err.strip()
-    assert len(err.splitlines()) == 1 and "mc.n_boot: expected >= 2" in err
+    assert err == "config error: unknown config key mc.n_boot"
 
 
 @pytest.mark.parametrize("command, old, new", [
@@ -231,17 +223,19 @@ def test_simulate_reproducible_and_dump(tmp_path):
 
 
 def test_dump_paths_is_path_asset_time_row_major(tmp_path):
-    # V is stored time-major; the dump still writes (path, asset, time)
-    from voltmark.simulate import simulate_variance_paths
+    # V is stored time-major; the dump, written chunk by chunk, still
+    # holds the whole ensemble's (path, asset, time)
+    from voltmark.simulate import _CHUNK_PATHS, simulate_variance_paths
 
-    cfg_text = _DEFAULT_CONFIG.replace("M = 5000", "M = 70").replace("n = 600", "n = 30")
+    M = _CHUNK_PATHS + 5
+    cfg_text = _DEFAULT_CONFIG.replace("M = 5000", f"M = {M}").replace("n = 600", "n = 30")
     path = _write(tmp_path, cfg_text)
     out = tmp_path / "o"
     assert main(["simulate", "--config", path, "--out", str(out), "--dump-paths"]) == 0
     run = RunContext.build(load_config(cfg_text))
-    ens = simulate_variance_paths(run.model, run.stabs, run.grid, 70, run.cfg["seed"],
+    ens = simulate_variance_paths(run.model, run.stabs, run.grid, M, run.cfg["seed"],
                                   initial="stationary", increments=False)
-    assert ens.V.shape == (70, 2, 31) and not ens.V.flags.c_contiguous
+    assert ens.V.shape == (M, 2, 31) and not ens.V.flags.c_contiguous
     body = (out / "paths.bin").read_bytes()[32:]  # after the 3 int64 + 1 float64 header
     assert body == np.ascontiguousarray(ens.V).tobytes()
 
@@ -255,67 +249,78 @@ def _two_assets(cfg_text: str) -> str:
     return cfg_text
 
 
-def test_simulate_computes_each_bootstrap_once(tmp_path, monkeypatch):
-    # one weight draw per ensemble: the assets of the stationarity
-    # ensemble share one, so do the wealth and its strategies, and the
-    # frontier draws one per horizon for all of its targets
+def test_each_statistic_folds_each_chunk_once(tmp_path, monkeypatch):
+    # every statistic folds each of its chunks once: the stationarity
+    # stage one per asset, the wealth stage X and each strategy, and the
+    # frontier one per horizon for all of its targets
     from voltmark import montecarlo
 
-    draws = []
-    real = montecarlo._bootstrap_weights
+    folds = []
+    real = montecarlo.ColumnMoments.add
 
-    def spy(M, n_boot, seed):
-        draws.append((M, n_boot, seed))
-        return real(M, n_boot, seed)
+    def spy(self, x):
+        folds.append(np.shape(x))
+        return real(self, x)
 
-    monkeypatch.setattr(montecarlo, "_bootstrap_weights", spy)
+    monkeypatch.setattr(montecarlo.ColumnMoments, "add", spy)
     path = _write(tmp_path, _DEFAULT_CONFIG.replace("M = 5000", "M = 60")
-                  .replace("n = 600", "n = 20").replace("n_boot = 1000", "n_boot = 50"))
+                  .replace("n = 600", "n = 20"))
     main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
-    assert draws == [(60, 50, 7041)]
+    assert folds == [(60, 21)] * 2
 
-    draws.clear()
+    folds.clear()
     cfg_text = _two_assets(TINY.replace("frontier_horizons = 1.0",
                                         "frontier_horizons = 0.5, 1.0, 5.0")
                            .replace("stationarity_M = 120", "stationarity_M = 90"))
     path = _write(tmp_path, cfg_text)
     assert main(["full", "--config", path, "--out", str(tmp_path / "full")]) in (0, 4)
-    assert draws == [(90, 150, 11), (120, 150, 11)] + [(120, 150, 11 + 7919)] * 3
+    assert folds == [(90, 41)] * 2 + [(120, 41), (120, 40), (120, 40)] + [(120, 2)] * 3
 
 
 def test_wealth_drops_its_paths_before_the_statistics(tmp_path, monkeypatch):
     # the wealth stage takes the paths chunk by chunk, never as a whole
-    # ensemble; V, dW and dWperp are its largest arrays, and no chunk's
-    # are alive by the time its bootstrap weights are drawn
+    # ensemble, and lets each chunk go before it folds that chunk's
+    # wealth and strategies; V, dW and dWperp are its largest arrays, and
+    # none is alive by the time the statistics are taken
     from voltmark import montecarlo, simulate
 
-    refs, alive, whole = [], [], []
-    real_chunks, real_stats = simulate.simulate_variance_chunks, montecarlo.joint_ensemble_stats
+    chunks, refs, alive, whole = [], [], [], []
+    real_chunks = simulate.simulate_variance_chunks
+    real_add, real_stats = montecarlo.ColumnMoments.add, montecarlo.ColumnMoments.stats
+
+    def record(chunk):
+        chunks.append(weakref.ref(chunk))
+        refs.extend(weakref.ref(obj) for obj in (chunk.V.base, chunk.dW.base, chunk.dWperp))
+        return chunk
 
     def chunks_spy(*args, **kwargs):
-        for chunk in real_chunks(*args, **kwargs):
-            refs.extend(weakref.ref(obj) for obj in (chunk, chunk.V.base, chunk.dW.base,
-                                                     chunk.dWperp))
-            yield chunk
+        # map, unlike a generator suspended at its yield, keeps no chunk
+        return map(record, real_chunks(*args, **kwargs))
 
-    def stats_spy(*args, **kwargs):
-        alive.append([ref() is not None for ref in refs])
-        return real_stats(*args, **kwargs)
+    def add_spy(self, x):
+        alive.append(("add", [ref() is not None for ref in chunks]))
+        return real_add(self, x)
+
+    def stats_spy(self):
+        alive.append(("stats", [ref() is not None for ref in chunks + refs]))
+        return real_stats(self)
 
     monkeypatch.setattr(simulate, "simulate_variance_chunks", chunks_spy)
     monkeypatch.setattr(simulate, "simulate_variance_paths", lambda *a, **k: whole.append(a))
-    monkeypatch.setattr(montecarlo, "joint_ensemble_stats", stats_spy)
+    monkeypatch.setattr(montecarlo.ColumnMoments, "add", add_spy)
+    monkeypatch.setattr(montecarlo.ColumnMoments, "stats", stats_spy)
     two_chunks = f"M = {simulate._CHUNK_PATHS + 5}"
     path = _write(tmp_path, _two_assets(TINY).replace("M = 120", two_chunks))
     assert main(["wealth", "--config", path, "--out", str(tmp_path / "o")]) in (0, 4)
-    assert whole == [] and alive == [[False] * 8]
+    # X and two strategies per chunk, then their three statistics
+    assert whole == [] and alive == ([("add", [False])] * 3 + [("add", [False, False])] * 3
+                                     + [("stats", [False] * 8)] * 3)
 
 
 def test_v_only_stages_skip_the_increments(tmp_path, monkeypatch):
     # the stationarity and Laplace stages read V alone, so they ask the
     # engine for no Brownian increments; the wealth and frontier stages
-    # keep them.  All but the stationarity stage take the paths chunk by
-    # chunk
+    # keep them
     from voltmark import cli, markowitz, montecarlo, simulate
 
     requested = []
@@ -334,10 +339,9 @@ def test_v_only_stages_skip_the_increments(tmp_path, monkeypatch):
     run = RunContext.build(load_config(TINY))
     for runner in (cli.run_simulate, cli.run_laplace, cli.run_wealth, cli.run_frontier):
         runner(run, str(tmp_path))
-    # the whole ensemble of the stationarity stage collects the chunks
-    assert requested == [("simulate_variance_paths", False), ("simulate_variance_chunks", False),
-                         ("simulate_variance_chunks", False), ("simulate_variance_chunks", True),
-                         ("simulate_variance_chunks", True)]
+    # every stage takes the paths chunk by chunk
+    assert requested == [("simulate_variance_chunks", False)] * 2 + [
+        ("simulate_variance_chunks", True)] * 2
 
 
 def test_manifest_records_thread_cap_and_chunk_size(tmp_path, monkeypatch):
@@ -376,6 +380,9 @@ def test_wealth_and_frontier_smoke(tmp_path):
     rows = (out / "frontier.csv").read_text().splitlines()
     assert rows[0].startswith("m,sigma_theoretical,sigma_mc,mc_se")
     assert len(rows) == 3  # m_count = 2
+    # mc_se is the delta-method SE of sigma_mc beside it, not v_mc_se
+    tab = np.loadtxt(out / "frontier.csv", delimiter=",", skiprows=1)
+    np.testing.assert_allclose(tab[:, 3], tab[:, 6] / (2.0 * tab[:, 2]), rtol=1e-10)
 
 
 def test_wealth_riskless_target_passes(tmp_path, capsys):
@@ -425,35 +432,58 @@ def test_threads_variable_reaches_blas():
         assert proc.returncode == 0 and proc.stdout.strip() == expected, proc.stderr
 
 
+def _peak_mb(argv) -> float:
+    """VmHWM of a child interpreter that runs ``main(argv)`` to exit 0, in MB.
+
+    Each child reads its own VmHWM: Linux keeps ru_maxrss across exec,
+    so there a child of pytest would start at pytest's peak."""
+    code = (
+        "import contextlib, io\n"
+        "from voltmark.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+        "with open('/proc/self/status') as status:\n"
+        "    print(next(int(line.split()[1]) for line in status if line.startswith('VmHWM')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(child_env(), VOLTMARK_THREADS="1"), check=True)
+    return int(proc.stdout) / 1024
+
+
+def _growth_from_one_to_four_chunks(tmp_path, command: str, n: int, extra=()) -> tuple:
+    """Peaks of ``command`` on the bundled config at M = C and 4 C paths
+    (C = ``_CHUNK_PATHS``) and n steps, with the budget the test holds
+    their difference to: half of 3 C d (n+1) doubles, the V of the three
+    chunks more."""
+    from voltmark.simulate import _CHUNK_PATHS as C
+
+    d = 2
+    peak_mb = []
+    for M in (C, 4 * C):
+        cfg_text = _DEFAULT_CONFIG.replace("M = 5000", f"M = {M}").replace("n = 600", f"n = {n}")
+        for old, new in extra:
+            cfg_text = cfg_text.replace(old, new)
+        path = _write(tmp_path, cfg_text, name=f"cfg{M}.ini")
+        peak_mb.append(_peak_mb([command, "--config", path, "--out", str(tmp_path / f"o{M}")]))
+    return peak_mb, 3 * C * d * (n + 1) * 8 / 2**20 / 2
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="reads the peak RSS from /proc")
 def test_frontier_memory_does_not_grow_with_paths(tmp_path):
     # frontier keeps (A_T, B_T) per path and drops each chunk of paths, so
     # three more chunks must add far less than holding their paths would:
-    # 3 C d (n+1) doubles for V alone, as much again for dW and for dWperp.
-    # The peak is each child's own VmHWM: Linux keeps ru_maxrss across
-    # exec, so there a child of pytest would start at pytest's peak
-    from voltmark.simulate import _CHUNK_PATHS as C
+    # 3 C d (n+1) doubles for V alone, as much again for dW and for dWperp
+    peak_mb, budget_mb = _growth_from_one_to_four_chunks(
+        tmp_path, "frontier", 200, [("m_count = 8", "m_count = 2")])
+    assert peak_mb[1] - peak_mb[0] < budget_mb, peak_mb
 
-    n, d = 200, 2
-    peak_mb = []
-    for M in (C, 4 * C):
-        path = _write(tmp_path, _DEFAULT_CONFIG.replace("M = 5000", f"M = {M}")
-                      .replace("n = 600", f"n = {n}").replace("n_boot = 1000", "n_boot = 20")
-                      .replace("m_count = 8", "m_count = 2"), name=f"cfg{M}.ini")
-        argv = ["frontier", "--config", path, "--out", str(tmp_path / f"o{M}")]
-        code = (
-            "import contextlib, io\n"
-            "from voltmark.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert main({argv!r}) == 0\n"
-            "with open('/proc/self/status') as status:\n"
-            "    print(next(int(line.split()[1]) for line in status if line.startswith('VmHWM')))\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=dict(child_env(), VOLTMARK_THREADS="1"), check=True)
-        peak_mb.append(int(proc.stdout) / 1024)
-    extra_v_mb = 3 * C * d * (n + 1) * 8 / 2**20
-    assert peak_mb[1] - peak_mb[0] < extra_v_mb / 2, peak_mb
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads the peak RSS from /proc")
+def test_stationarity_memory_does_not_grow_with_paths(tmp_path):
+    # simulate folds each chunk's V into per-time moments and drops it,
+    # so three more chunks must add far less than their V
+    peak_mb, budget_mb = _growth_from_one_to_four_chunks(tmp_path, "simulate", 100)
+    assert peak_mb[1] - peak_mb[0] < budget_mb, peak_mb
 
 
 def test_console_entry_point():
@@ -714,7 +744,7 @@ def test_non_finite_covariance_exit_code(tmp_path, capsys, nan_covariance):
     # nu^2 overflows: the stationary V0 draw is +inf for asset 1
     _DEFAULT_CONFIG.replace("nu = 0.40, 0.32", "nu = 1e200, 0.32")
     .replace("M = 5000", "M = 200").replace("n = 600", "n = 50"),
-    # V stays finite, but its square overflows in the bootstrap variance
+    # V stays finite, but its square overflows in the sample variance
     _DEFAULT_CONFIG.replace("nu = 0.40, 0.32", "nu = 1e150, 0.32")
     .replace("M = 5000", "M = 200").replace("n = 600", "n = 50"),
 ], ids=["initial", "statistics"])
