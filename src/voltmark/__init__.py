@@ -83,5 +83,4 @@ from .stabilizer import (
     StabilizerSeries,
     build_stabilizer,
     stabilizer_coeffs,
-    stabilizer_residual,
 )

@@ -26,10 +26,8 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
-from scipy.special import roots_legendre
 
-from .kernels import ParameterError, fractional_integral
+from .kernels import ParameterError, _gamma, _legendre_rule, fractional_integral
 from .model import Grid, MarketModel
 from .riccati import RiccatiSolution, _rhs_along, solve_laplace_riccati, solve_riccati_adams
 from .simulate import (
@@ -60,7 +58,6 @@ class MarkowitzSolution:
     m: float
     xi_star: float
     eta_star: float
-    slope: float
     v_of_m: float
 
 
@@ -81,7 +78,7 @@ class WealthEnsemble:
 
 
 def _cell_quadrature(n: int, T: float):
-    nodes, weights = roots_legendre(_GL_CELL)
+    nodes, weights = _legendre_rule(_GL_CELL)
     dt = T / n
     edges = np.arange(n) * dt
     s = edges[:, None] + 0.5 * dt * (nodes[None, :] + 1.0)
@@ -190,12 +187,11 @@ def efficient_frontier(gamma0_value: float, model: MarketModel, m_values) -> lis
 
 def solve_markowitz(model: MarketModel, solution: RiccatiSolution, stabs,
                     m: float) -> MarkowitzSolution:
-    """Bundle Gamma0 (at V0 = x_inf), xi*, eta*, slope and V(m) for one target mean."""
+    """Bundle Gamma0 (at V0 = x_inf), xi*, eta* and V(m) for one target mean."""
     g0 = gamma0(model, solution, stabs)
     xi, eta = xi_eta_star(g0, model, m)
     return MarkowitzSolution(
         gamma0=g0, m=float(m), xi_star=xi, eta_star=eta,
-        slope=frontier_slope(g0, model),
         v_of_m=variance_of_terminal(g0, model, m),
     )
 
@@ -446,7 +442,7 @@ def laplace_closed_form(model: MarketModel, stabs, u, n_solver: int = _GAMMA0_RE
     rhs = _rhs_along(sol, stabs, s, forcing=u)
     expo = 0.0
     for i in range(model.d):
-        g0_i = model.x_inf[i] + model.mu0[i] * s ** model.alpha[i] / gamma_fn(model.alpha[i] + 1.0)
+        g0_i = model.x_inf[i] + model.mu0[i] * s ** model.alpha[i] / _gamma(model.alpha[i] + 1.0)
         expo += float(w @ (rhs[i] * g0_i))
     return float(np.exp(expo))
 

@@ -1,8 +1,10 @@
 """Ensemble statistics, stationarity diagnostics, and the experiment drivers.
 
-Every Monte Carlo statistic is a plug-in moment estimate over whole
-paths, folded chunk by chunk (``ColumnMoments``), so no stage holds more
-than one chunk of paths.
+Every statistic of the stationarity, wealth and frontier stages is a
+plug-in moment estimate over whole paths, folded chunk by chunk
+(``ColumnMoments``), so no such stage holds more than one chunk of
+paths.  The Laplace check (``markowitz.laplace_affine_check``) keeps one
+sample per path instead, and its SE is their ddof = 1 sample SE.
 """
 
 from dataclasses import dataclass, field

@@ -35,9 +35,8 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
-from .kernels import ParameterError, ResolventSpec, fractional_kernel, resolvent
+from .kernels import ParameterError, ResolventSpec, _gamma, fractional_kernel, resolvent
 from .model import Grid, MarketModel
 
 _FALLBACK_CAP = 1e6
@@ -114,16 +113,16 @@ def _adams_weights(alpha: float, n: int, dt: float):
     blk[small] = m[small] ** alpha - (m[small] - 1.0) ** alpha
     ms = m[~small]
     blk[~small] = (ms - 1.0) ** alpha * np.expm1(alpha * np.log1p(1.0 / (ms - 1.0)))
-    b_rev = dt**alpha / gamma_fn(alpha + 1.0) * blk[::-1]
+    b_rev = dt**alpha / _gamma(alpha + 1.0) * blk[::-1]
 
     k = np.arange(n, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         bracket = k * np.expm1(-alpha * np.log1p(1.0 / k)) + alpha
     bracket[0] = alpha  # k = 0 term is exactly alpha
-    a_first = dt**alpha / gamma_fn(alpha + 2.0) * (k + 1.0) ** alpha * bracket
+    a_first = dt**alpha / _gamma(alpha + 2.0) * (k + 1.0) ** alpha * bracket
 
-    a_rev = dt**alpha / gamma_fn(alpha + 2.0) * _second_diff_weights(alpha, n)[::-1]
-    return b_rev, a_first.tolist(), a_rev, float(dt**alpha / gamma_fn(alpha + 2.0))
+    a_rev = dt**alpha / _gamma(alpha + 2.0) * _second_diff_weights(alpha, n)[::-1]
+    return b_rev, a_first.tolist(), a_rev, float(dt**alpha / _gamma(alpha + 2.0))
 
 
 def _system(model: MarketModel, forcing):

@@ -88,7 +88,6 @@ class GaussianBlockFactor:
     deterministic cell integrals C[j].
     """
 
-    spec: KernelSpec
     grid: Grid
     factor: np.ndarray = field(repr=False)
     c_seg: np.ndarray = field(repr=False)
@@ -115,10 +114,6 @@ def _covariance_matrix(spec: KernelSpec, grid: Grid) -> tuple[np.ndarray, np.nda
     lags = np.arange(n)
     t_up, c_seg = _cell_means(spec, grid)
     cov = _mapped((n + 1, n + 1)).T
-    if spec.alpha == 1.0:
-        # K = 1: every lag integral equals DW itself
-        cov[:, :] = dt
-        return cov, c_seg
     # interior block by a fixed Legendre rule on the shared cell; rows
     # involving the singular lag 0 and the diagonal get exact treatment
     nodes, weights = _legendre_rule()
@@ -166,8 +161,7 @@ def build_gaussian_factor(spec: KernelSpec, grid: Grid) -> GaussianBlockFactor:
     """
     if spec.alpha == 1.0:
         factor = np.full((grid.n + 1, 1), np.sqrt(grid.dt))
-        return GaussianBlockFactor(spec=spec, grid=grid, factor=factor,
-                                   c_seg=_cell_means(spec, grid)[1])
+        return GaussianBlockFactor(grid=grid, factor=factor, c_seg=_cell_means(spec, grid)[1])
     cov, c_seg = _covariance_matrix(spec, grid)
     norm = float(np.linalg.norm(cov))
     try:
@@ -188,7 +182,7 @@ def build_gaussian_factor(spec: KernelSpec, grid: Grid) -> GaussianBlockFactor:
             f"spectral factor misses covariance by {err / norm:.2e} relative "
             f"(smallest eigenvalue {w[-1]:.3e})"
         )
-    return GaussianBlockFactor(spec=spec, grid=grid, factor=factor, c_seg=c_seg)
+    return GaussianBlockFactor(grid=grid, factor=factor, c_seg=c_seg)
 
 
 # KernelSpec and Grid are frozen and hash by value, so the stages of a
@@ -221,7 +215,6 @@ class PathEnsemble:
     model: MarketModel
     grid: Grid
     M: int
-    seed: int
     V: np.ndarray = field(repr=False)
     dW: np.ndarray | None = field(repr=False)
     dWperp: np.ndarray | None = field(repr=False)
@@ -277,7 +270,7 @@ def simulate_variance_paths(model: MarketModel, stabs, grid: Grid, M: int, seed:
             dWperp[paths] = chunk.dWperp
         c0 += chunk.M
         del chunk  # before the next chunk is simulated
-    return PathEnsemble(model=model, grid=grid, M=M, seed=seed, V=V.transpose(2, 0, 1),
+    return PathEnsemble(model=model, grid=grid, M=M, V=V.transpose(2, 0, 1),
                         dW=dW.transpose(2, 0, 1) if increments else None, dWperp=dWperp)
 
 
@@ -320,42 +313,49 @@ def _checked_factors(model: MarketModel, grid: Grid, M: int, initial: str) -> li
 
 def _advance_chunks(model: MarketModel, stabs, grid: Grid, M: int, seed: int, initial: str,
                     factors: list, increments: bool, start: int):
-    """Simulate the paths chunk by chunk from chunk ``start``, yielding each chunk's ensemble.
-
-    Chunk c covers paths c C .. min((c+1) C, M) - 1 with C = _CHUNK_PATHS
-    and draws from the c-th ``spawn(1 + d)`` group of SeedSequence(seed):
-    V0 (before the jobs start), then dWperp (a job beside the assets'),
-    from child 0 and asset i's normals from child 1 + i.  Every chunk
-    gets arrays of its own, and each asset's job maps and frees its own
-    scratch, so that the consumer's arrays never stack on it.
-    """
-    d, n, dt = model.d, grid.n, grid.dt
+    """Yield the chunks from chunk ``start`` on: chunk c covers paths
+    c C .. min((c+1) C, M) - 1 with C = _CHUNK_PATHS and draws from the
+    c-th ``spawn(1 + d)`` group of SeedSequence(seed).  ``_simulate_chunk``
+    builds and returns each one, so that the generator, suspended at its
+    yield, holds none of a chunk's arrays."""
+    d = model.d
     sig_grid = np.stack([np.asarray(st.eval(grid.times[:-1])) for st in stabs], axis=0)  # (d, n)
     seq = np.random.SeedSequence(seed)
     seq.spawn(start * (1 + d))  # the stream groups of the chunks before start
     for c0 in range(start * _CHUNK_PATHS, M, _CHUNK_PATHS):
-        m = min(_CHUNK_PATHS, M - c0)
-        rng_common, *rngs_asset = (np.random.default_rng(child) for child in seq.spawn(1 + d))
-        if initial == "stationary":
-            with np.errstate(over="ignore", invalid="ignore"):
-                V0 = sample_initial_variance(model, m, rng_common)
-        else:
-            V0 = np.tile(model.x_inf, (m, 1))
-        require_finite("initial variance", V0)
-        V = _mapped((d, n + 1, m))
-        dW = _mapped((d, n, m)) if increments else None
-        dWperp = np.empty((m, d, n)) if increments else None
-        V[:, 0, :] = V0.T
-        jobs = [functools.partial(_advance_asset, model, i, factors[i], sig_grid[i], rngs_asset[i],
-                                  V[i], dW[i] if increments else None)
-                for i in range(d)]
-        if increments:
-            # last, so that it fills the worker that finishes its asset first
-            jobs.append(lambda: np.multiply(rng_common.standard_normal(out=dWperp), np.sqrt(dt),
-                                            out=dWperp))
-        _run_concurrently(jobs)
-        yield PathEnsemble(model=model, grid=grid, M=m, seed=seed, V=V.transpose(2, 0, 1),
-                           dW=dW.transpose(2, 0, 1) if increments else None, dWperp=dWperp)
+        yield _simulate_chunk(model, grid, min(_CHUNK_PATHS, M - c0), initial, factors,
+                              increments, sig_grid, seq.spawn(1 + d))
+
+
+def _simulate_chunk(model: MarketModel, grid: Grid, m: int, initial: str, factors: list,
+                    increments: bool, sig_grid: np.ndarray, children: list) -> PathEnsemble:
+    """One chunk of m paths from its stream group ``children``: V0 (before
+    the jobs start), then dWperp (a job beside the assets'), from child 0
+    and asset i's normals from child 1 + i.  The chunk gets arrays of its
+    own, and each asset's job maps and frees its own scratch, so that the
+    consumer's arrays never stack on it."""
+    d, n, dt = model.d, grid.n, grid.dt
+    rng_common, *rngs_asset = (np.random.default_rng(child) for child in children)
+    if initial == "stationary":
+        with np.errstate(over="ignore", invalid="ignore"):
+            V0 = sample_initial_variance(model, m, rng_common)
+    else:
+        V0 = np.tile(model.x_inf, (m, 1))
+    require_finite("initial variance", V0)
+    V = _mapped((d, n + 1, m))
+    dW = _mapped((d, n, m)) if increments else None
+    dWperp = np.empty((m, d, n)) if increments else None
+    V[:, 0, :] = V0.T
+    jobs = [functools.partial(_advance_asset, model, i, factors[i], sig_grid[i], rngs_asset[i],
+                              V[i], dW[i] if increments else None)
+            for i in range(d)]
+    if increments:
+        # last, so that it fills the worker that finishes its asset first
+        jobs.append(lambda: np.multiply(rng_common.standard_normal(out=dWperp), np.sqrt(dt),
+                                        out=dWperp))
+    _run_concurrently(jobs)
+    return PathEnsemble(model=model, grid=grid, M=m, V=V.transpose(2, 0, 1),
+                        dW=dW.transpose(2, 0, 1) if increments else None, dWperp=dWperp)
 
 
 def _cpu_count() -> int:
@@ -542,8 +542,6 @@ def _asset_increments(model: MarketModel, dW: np.ndarray, dWperp: np.ndarray,
     """DB from (M, d, k) slices of DW and DWperp, for any run of cells k, into
     out[0] if given, with out[1] as scratch of the same shape."""
     rho = model.rho
-    if np.any(np.abs(rho) > 1.0):
-        raise ParameterError("correlations must lie in [-1, 1]")
     comp = np.sqrt(1.0 - rho**2)
     return np.subtract(np.multiply(rho[None, :, None], dW, out=out[1]),
                        np.multiply(comp[None, :, None], dWperp, out=out[0]), out=out[0])

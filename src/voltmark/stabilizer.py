@@ -27,13 +27,15 @@ from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
-from scipy.special import betaln, gammaln, roots_legendre
-from scipy.special import gamma as gamma_fn
 
 from .kernels import (
     DomainError,
     ParameterError,
     ResolventSpec,
+    _betaln,
+    _gamma,
+    _gammaln,
+    _legendre_rule,
     fractional_kernel,
     resolvent,
     resolvent_density,
@@ -63,23 +65,23 @@ def _coeffs_with_floor(alpha: float, K: int):
     if K < 1:
         raise ParameterError("truncation order K must be >= 1")
     ks = np.arange(K + 1, dtype=float)
-    a_seq = 1.0 / gamma_fn(alpha * ks + 1.0)
-    b_seq = 1.0 / gamma_fn(alpha * (ks + 1.0))
+    a_seq = 1.0 / _gamma(alpha * ks + 1.0)
+    b_seq = 1.0 / _gamma(alpha * (ks + 1.0))
     ab = np.array([np.dot(a_seq[: k + 1], b_seq[k::-1]) for k in range(K)])
     bb = np.array([np.dot(b_seq[: k + 1], b_seq[k::-1]) for k in range(K)])
-    lg = 2.0 * gammaln(alpha) - gammaln(2.0 * alpha - 1.0)
+    lg = 2.0 * _gammaln(alpha) - _gammaln(2.0 * alpha - 1.0)
     c = np.empty(K)
-    c[0] = np.exp(lg - gammaln(2.0 - alpha))
+    c[0] = np.exp(lg - _gammaln(2.0 - alpha))
     for k in range(1, K):
         ls = np.arange(1, k + 1, dtype=float)
-        bweights = np.exp(betaln(alpha * (ls + 2.0) - 1.0, alpha * (k - ls - 1.0) + 2.0))
+        bweights = np.exp(_betaln(alpha * (ls + 2.0) - 1.0, alpha * (k - ls - 1.0) + 2.0))
         conv = np.dot(bweights * bb[1 : k + 1], c[k - 1 :: -1][: k])
-        pref = np.exp(lg + gammaln(alpha * (k + 1.0)) - gammaln(alpha * k + 2.0 - alpha))
+        pref = np.exp(lg + _gammaln(alpha * (k + 1.0)) - _gammaln(alpha * k + 2.0 - alpha))
         c[k] = pref * (ab[k] - alpha * (k + 1.0) * conv)
     # rounding noise of the bracket subtraction, the recurrence loses all
     # relative accuracy once c_k sinks to this level
     pref_all = np.exp(
-        lg + gammaln(alpha * (np.arange(K) + 1.0)) - gammaln(alpha * np.arange(K) + 2.0 - alpha)
+        lg + _gammaln(alpha * (np.arange(K) + 1.0)) - _gammaln(alpha * np.arange(K) + 2.0 - alpha)
     )
     floor = 1e-16 * pref_all * ab
     return c, floor
@@ -208,15 +210,10 @@ class StabilizerSeries:
 class ConstantStabilizer:
     """Constant diffusion multiplier, the exact stabilizer at alpha = 1.
 
-    ``lam`` and ``c`` are the parameters whose functional equation the
-    value solves; ``build_stabilizer`` records them, a bare constant
-    multiplier leaves them None.  Immutable and compared by identity,
-    like ``StabilizerSeries``.
+    Immutable and compared by identity, like ``StabilizerSeries``.
     """
 
     value: float
-    lam: float | None = None
-    c: float | None = None
     alpha: ClassVar[float] = 1.0
 
     def __post_init__(self):
@@ -252,7 +249,7 @@ def build_stabilizer(alpha: float, lam: float, c: float):
     if not lam > 0.0 or not c > 0.0:
         raise ParameterError("stabilizer requires lam > 0 and c > 0")
     if alpha == 1.0:
-        return ConstantStabilizer(np.sqrt(2.0 * lam * c), lam, c)
+        return ConstantStabilizer(np.sqrt(2.0 * lam * c))
     coeffs, floor = _coeffs_with_floor(alpha, _MAX_TERMS)
     clean = np.abs(coeffs) > 20.0 * floor
     k_eff = max(int(np.argmin(clean)) if not clean.all() else _MAX_TERMS, 8)
@@ -293,7 +290,7 @@ def build_stabilizer(alpha: float, lam: float, c: float):
 @lru_cache(maxsize=1)
 def _graded_rule():
     """Nodes and weights of the composite Gauss-Legendre rule on [0, 1]."""
-    x, w = roots_legendre(_RULE_ORDER)
+    x, w = _legendre_rule(_RULE_ORDER)
     edges = np.concatenate(([0.0], 0.5 ** np.arange(_RULE_PANELS, 0, -1)))
     half = 0.5 * np.diff(edges)
     nodes = (edges[:-1, None] + half[:, None] * (x + 1.0)).ravel()
@@ -345,11 +342,3 @@ def functional_equation_residual(stab, lam: float, c: float, T: float, n: int) -
     rhs = np.zeros_like(grid)
     rhs[1:] = _sigma_sq_convolution(stab, spec, grid[1:])
     return np.abs(lhs - rhs) / (c * lam**2)
-
-
-def stabilizer_residual(stab, T: float, n: int) -> float:
-    """Max relative functional-equation residual of a built stabilizer."""
-    if stab.lam is None or stab.c is None:
-        raise ParameterError("stabilizer carries no (lam, c) to check the equation for")
-    res = functional_equation_residual(stab, stab.lam, stab.c, T, n)
-    return float(np.max(res))

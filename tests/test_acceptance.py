@@ -38,7 +38,7 @@ from voltmark.montecarlo import (
     terminal_bootstrap,
 )
 from voltmark.riccati import riccati_bound, solve_riccati_adams
-from voltmark.stabilizer import build_stabilizer, stabilizer_residual
+from voltmark.stabilizer import build_stabilizer, functional_equation_residual
 
 TARGET_M = 2.255
 
@@ -180,7 +180,8 @@ def test_criterion_5_special_functions(model_t1):
 def test_criterion_6_stabilizer(model_t1, stabs_t1):
     """Functional-equation residual <= 1e-3 on [0,1] for both assets;
     scaling-law identity to 1e-10; sigma(0) = 0."""
-    residuals = [stabilizer_residual(stabs_t1[i], 1.0, 50) for i in range(2)]
+    residuals = [float(functional_equation_residual(
+        stabs_t1[i], model_t1.lam[i], model_t1.c[i], 1.0, 50).max()) for i in range(2)]
     zero_ok = all(st.eval(0.0) == 0.0 for st in stabs_t1)
     scale_err = 0.0
     t = np.linspace(0.0, 1.0, 21)

@@ -235,3 +235,15 @@ def test_scratch_leaves_before_a_consumer(model_t1, stabs_t1, monkeypatch):
     for _ in simulate_variance_chunks(model_t1, stabs_t1, GRID, 2 * C + 3, SEED):
         assert made and all(ref() is None for refs in made for ref in refs)
     assert len(made) == 3 * model_t1.d
+
+
+def test_dropped_chunk_frees_its_arrays(model_t1, stabs_t1):
+    # the generator, suspended at its yield, holds none of a chunk's
+    # arrays, so a consumer that drops the chunk frees them before the
+    # next chunk is asked for
+    chunks = simulate_variance_chunks(model_t1, stabs_t1, GRID, 10, SEED)
+    chunk = next(chunks)
+    refs = [weakref.ref(a) for a in (chunk.V.base, chunk.dW.base, chunk.dWperp)]
+    del chunk
+    assert all(ref() is None for ref in refs)
+    chunks.close()

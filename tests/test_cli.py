@@ -1,11 +1,13 @@
 """CLI configuration validation, artifacts, and reproducibility."""
 
+import ast
 import dataclasses
 import json
 import re
 import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -502,6 +504,23 @@ def test_import_loads_no_quadrature():
         [sys.executable, "-c", "import sys, voltmark.cli; print('scipy.integrate' in sys.modules)"],
         capture_output=True, text=True, env=child_env(), check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_only_kernels_imports_scipy_special():
+    # kernels owns the special functions and the Gauss rules, so a package
+    # without scipy.special is a change to that one module
+    importers = set()
+    for path in Path(voltmark.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(name == "scipy.special" or name.startswith("scipy.special.") for name in names):
+                importers.add(path.name)
+    assert importers == {"kernels.py"}
 
 
 def test_full_mode_smoke(tmp_path):

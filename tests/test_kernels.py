@@ -4,12 +4,14 @@ Frozen reference values were computed with mpmath at 40+ digits; grid
 properties use adaptive scipy quadrature as the second opinion.
 """
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import gamma as G
 
 from oracles import kernel_convolve, resolvent_equation_residual
+from voltmark import kernels
 from voltmark.kernels import (
     DomainError,
     KernelSpec,
@@ -82,11 +84,50 @@ def test_mittag_leffler_large_arguments(alpha, z, ref):
 
 
 def test_mittag_leffler_series_contour_seam():
-    # the seam mismatch is dominated by series cancellation (~6 digits
-    # lost at |z| = 5); the contour side is exact to 1e-12
-    for alpha in (0.55, 0.75, 0.95):
-        lo, hi = mittag_leffler(alpha, -4.999999), mittag_leffler(alpha, -5.000001)
-        assert abs(lo - hi) <= 5e-6 * lo
+    # the series serves |z| <= 1 and the contour the next float beyond;
+    # both sides of the seam are exact to about 1e-12
+    for alpha in (0.501, 0.55, 0.75, 0.95):
+        lo = mittag_leffler(alpha, -1.0)
+        hi = mittag_leffler(alpha, -np.nextafter(1.0, 2.0))
+        assert abs(lo - hi) <= 1e-12 * lo
+
+
+def _ml_reference(alpha, beta, xs):
+    """E_{alpha,beta}(-x) at each x of xs by the power series in mpmath,
+    carrying enough digits for the cancellation: the terms peak near
+    e^(x^(1/alpha))."""
+    x_max = float(np.max(xs))
+    peak = x_max ** (1.0 / alpha)
+    with mpmath.workdps(40 + int(peak / 2.3)):
+        a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+        tiny = mpmath.mpf(10) ** -45
+        coeffs, k = [], 0   # 1 / Gamma(alpha k + beta), up to the last term that counts
+        while True:
+            coeffs.append(mpmath.rgamma(a * k + b))
+            if k > peak / alpha and abs(coeffs[-1]) * mpmath.mpf(x_max) ** k < tiny:
+                break
+            k += 1
+        out = []
+        for x in xs:
+            z, total = -mpmath.mpf(x), mpmath.mpf(0)
+            for ck in reversed(coeffs):
+                total = total * z + ck
+            out.append(float(total))
+    return np.array(out)
+
+
+ML_ALPHAS = (0.501, 0.55, 0.6, 0.75, 0.9, 0.99)
+
+
+@pytest.mark.parametrize("alpha,beta", [(a, b) for a in ML_ALPHAS for b in (1.0, a)])
+def test_ml_matches_mpmath(alpha, beta):
+    # E_{alpha,beta}(-x) over the series range, the seam and the contour
+    # range, against 40-digit mpmath; a wider series range loses up to
+    # 1.7e-2 (alpha = beta = 0.501) to cancellation
+    xs = np.unique(np.concatenate([np.linspace(0.0, 5.0, 51), np.linspace(5.0, 20.0, 16)]))
+    got = kernels._ml(alpha, beta, xs)
+    ref = _ml_reference(alpha, beta, xs)
+    assert np.max(np.abs(got - ref) / ref) <= 1e-11
 
 
 # --- resolvents ------------------------------------------------------------

@@ -361,7 +361,7 @@ def test_step_factors_equal_the_einsum_sums(d):
     rng = np.random.default_rng(17)
     V = rng.standard_normal((M, d, grid.n + 1))         # negative entries give zero roots
     dW, dWperp = rng.standard_normal((2, M, d, grid.n)) * np.sqrt(grid.dt)
-    ens = simulate.PathEnsemble(model=model, grid=grid, M=M, seed=0, V=V, dW=dW, dWperp=dWperp)
+    ens = simulate.PathEnsemble(model=model, grid=grid, M=M, V=V, dW=dW, dWperp=dWperp)
     coef = rng.standard_normal((d, grid.n))
     gain_ref, s_ref = einsum_step_factors(model, ens, coef)
     steps = 0

@@ -20,7 +20,6 @@ from voltmark.stabilizer import (
     density_l2_norm,
     functional_equation_residual,
     stabilizer_coeffs,
-    stabilizer_residual,
 )
 
 
@@ -138,7 +137,7 @@ def test_residual_bundled_parameters():
     # on the CLI's grid (T = 1, n = 200) the residual is at rounding level
     for alpha, lam, c in BUNDLED:
         st = build_stabilizer(alpha, lam, c)
-        assert stabilizer_residual(st, 1.0, 200) <= 1e-12
+        assert functional_equation_residual(st, lam, c, 1.0, 200).max() <= 1e-12
 
 
 @pytest.mark.parametrize("alpha,lam,c", BUNDLED)
@@ -164,7 +163,7 @@ def test_convolution_matches_tanh_sinh(alpha, lam, c):
 def test_residual_alpha_near_half():
     # p = 1/(2 alpha - 1) = 50: the innermost nodes underflow to s = 0
     st = build_stabilizer(0.51, 0.5, 1.0)
-    assert stabilizer_residual(st, 2.0, 20) <= 1e-12
+    assert functional_equation_residual(st, 0.5, 1.0, 2.0, 20).max() <= 1e-12
 
 
 class _ScaledStabilizer:
@@ -192,13 +191,14 @@ def test_residual_detects_wrong_sigma(alpha, lam, c):
 
 
 def test_residual_markovian_edge():
-    # alpha = 1 builds the exact constant sqrt(2 lam c), which records the
-    # (lam, c) its residual is checked against
-    st = build_stabilizer(1.0, 0.7, 0.05)
-    assert (st.lam, st.c) == (0.7, 0.05)
-    assert stabilizer_residual(st, 1.0, 10) <= 1e-12
-    with pytest.raises(ParameterError, match="lam, c"):
-        stabilizer_residual(ConstantStabilizer(0.3), 1.0, 10)
+    # alpha = 1 builds the exact constant sqrt(2 lam c); a bare constant
+    # of another value misses the equation by (0.3^2 / (2 lam c) - 1)(1 - R^2)
+    lam, c = 0.7, 0.05
+    st = build_stabilizer(1.0, lam, c)
+    assert functional_equation_residual(st, lam, c, 1.0, 10).max() <= 1e-12
+    res = functional_equation_residual(ConstantStabilizer(0.3), lam, c, 1.0, 10)
+    R = np.exp(-lam * np.linspace(0.0, 1.0, 11))
+    assert np.max(np.abs(res - (0.3**2 / (2.0 * lam * c) - 1.0) * (1.0 - R**2))) <= 1e-12
 
 
 def test_constant_stabilizer_interface():
