@@ -25,10 +25,10 @@ seed that the CSV bits depend on.
 validated config, and every stage of ``full`` runs on it, so no stage
 rebuilds the stabilizers or re-solves psi; a frontier at another
 horizon takes ``RunContext.at(T)``, which keeps the stabilizers.  One
-fixed-start pass serves three stages of ``full``: each chunk of the
-wealth stage's paths also gives the frontier at the config horizon its
-(A_T, B_T), and the Laplace check the samples of a chunk it shares
-(``simulate.common_chunks``), so ``full`` simulates no chunk twice.
+fixed-start pass serves three stages of ``full``: each chunk's wealth
+recursion also gives the frontier at the config horizon its (A_T, B_T),
+and the Laplace check the samples of a chunk it shares
+(``simulate.common_chunks``), so ``full`` simulates and steps no chunk twice.
 """
 
 import argparse
@@ -279,10 +279,11 @@ def run_simulate(run: RunContext, out_dir: str, M: int | None = None,
     return 0 if (report.passed or not gate) else EXIT_ACCEPTANCE
 
 
-def run_wealth(run: RunContext, out_dir: str, tap=lambda chunk: None) -> int:
+def run_wealth(run: RunContext, out_dir: str, tap=lambda chunk, part: None) -> int:
     """Wealth under the optimal strategy, simulated chunk by chunk of
     variance paths, so that no whole ensemble is held; X and the strategies
-    fold chunk by chunk.  tap(chunk) reads each chunk too before it goes."""
+    fold chunk by chunk.  tap(chunk, part) reads each chunk and its wealth
+    (``simulate_wealth``, with its (A_T, B_T)) too before they go."""
     cfg, model, stabs, grid = run.cfg, run.model, run.stabs, run.grid
     sol = riccati.solve_riccati_adams(model, stabs, grid.n)
     ms = markowitz.solve_markowitz(model, sol, stabs, cfg["m"])
@@ -292,7 +293,7 @@ def run_wealth(run: RunContext, out_dir: str, tap=lambda chunk: None) -> int:
     strategies = [montecarlo.ColumnMoments() for _ in range(model.d)]
     for chunk in chunks:
         part = markowitz.simulate_wealth(model, chunk, sol, stabs, ms.xi_star)
-        tap(chunk)
+        tap(chunk, part)
         del chunk  # its X and strategies fold without it
         wealth.add(part.X)
         for i, acc in enumerate(strategies):
@@ -357,7 +358,7 @@ def run_laplace(run: RunContext, out_dir: str, head=()) -> int:
 
 
 def run_full(run: RunContext, out_dir: str) -> int:
-    cfg, model, stabs, grid = run.cfg, run.model, run.stabs, run.grid
+    cfg, grid = run.cfg, run.grid
     status = 0
     print("== stabilizer ==")
     status = max(status, run_stabilizer(run, out_dir))
@@ -366,15 +367,14 @@ def run_full(run: RunContext, out_dir: str) -> int:
     print("== stationarity ==")
     status = max(status, run_simulate(run, out_dir, M=cfg["stationarity_M"], gate=True))
     print("== wealth ==")
-    # the wealth stage's chunks also give the frontier at the config horizon
-    # its (A_T, B_T) and the Laplace check the samples of the chunks it shares
-    sol = riccati.solve_riccati_adams(model, stabs, grid.n)
+    # the wealth stage's recursions also give the frontier at the config horizon
+    # its (A_T, B_T), and its chunks the Laplace check the samples of those it shares
     shared = simulate.common_chunks(cfg["M"], cfg["laplace_M"])
     pairs, head = [], []
 
-    def tap(chunk):
+    def tap(chunk, part):
         if grid.T in cfg["frontier_horizons"]:
-            pairs.append(markowitz.affine_wealth_terminal(model, chunk, sol, stabs))
+            pairs.append((part.A_T, part.B_T))
         if len(head) < shared:  # head holds one array per chunk so far
             head.append(markowitz._laplace_samples(chunk.V, grid.dt, np.asarray(cfg["u"])))
 

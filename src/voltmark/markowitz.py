@@ -15,11 +15,11 @@ With psi solved, everything the Markowitz problem needs is explicit:
   the efficient frontier m = x0 e^(rT) + sigma sqrt(e^(2rT)/Gamma0 - 1)
   and the optimal terminal variance V(m).
 * a wealth Euler scheme driven by the same increments as the variance
-  ensemble, its terminal-only affine form X_T = A_T + xi* B_T that
-  serves every frontier target from one recursion, and the
-  exponential-affine Laplace-transform check that pits a Monte Carlo
-  functional of the paths against the closed form, by the 3-SE gate
-  that every Monte Carlo check reads (``z_score``).
+  ensemble, run in one recursion of its affine form X = A + xi* B, which
+  gives the wealth paths of one target or the X_T of every frontier
+  target, and the exponential-affine Laplace-transform check that pits
+  a Monte Carlo functional of the paths against the closed form, by the
+  3-SE gate that every Monte Carlo check reads (``z_score``).
 """
 
 import functools
@@ -71,6 +71,8 @@ class WealthEnsemble:
     xi_star: float
     X: np.ndarray = field(repr=False)            # (M, n+1)
     alpha_paths: np.ndarray = field(repr=False)  # (M, d, n)
+    A_T: np.ndarray = field(repr=False)          # (M,); X_T = A_T + xi B_T
+    B_T: np.ndarray = field(repr=False)          # (M,)   for every target xi
 
     @property
     def terminal(self) -> np.ndarray:
@@ -234,7 +236,7 @@ def optimal_control(model: MarketModel, solution: RiccatiSolution, stabs, xi_sta
     return gain * gap
 
 
-# time steps per block of the wealth recursions; fixed so that the
+# time steps per block of the wealth recursion; fixed so that the
 # output never depends on the environment
 _WEALTH_BLOCK = 64
 
@@ -283,20 +285,47 @@ def _step_factors(model: MarketModel, ensemble: PathEnsemble, coef: np.ndarray, 
         yield lo, gain, s
 
 
-def _over_path_ranges(model: MarketModel, ensemble: PathEnsemble, solution: RiccatiSolution,
-                      stabs, recursion) -> None:
-    """Run ``recursion(paths, steps of those paths)`` on the pool, one range of
-    whole 64-path blocks per worker; each path's arithmetic is elementwise,
-    so the split keeps the bits.  ParameterError on a V-only ensemble or a
-    psi grid unlike the path grid."""
+def _wealth_recursion(model: MarketModel, ensemble: PathEnsemble, solution: RiccatiSolution,
+                      stabs, reader=None) -> tuple[np.ndarray, np.ndarray]:
+    """The Euler wealth of the optimal feedback in its affine form X_k = A_k + xi* B_k.
+
+    The feedback is affine in xi*, so the Euler scheme is too.  With the
+    per-step factor s_k of ``_step_factors``,
+
+        A_{k+1} = A_k (1 + r dt + s_k),                       A_0 = x0,
+        B_{k+1} = B_k (1 + r dt + s_k) - e^(-r(T-t_k)) s_k,   B_0 = 0.
+
+    The paths run on the pool in ranges of whole 64-path blocks, one per
+    worker; each path's arithmetic is elementwise, so the split keeps the
+    bits.  After step k, reader(paths, k, g_k, A_{k+1}, B_{k+1}), if given,
+    reads the worker's paths: the (m, d) gain g_k and A, B in place.
+    Returns (A_T, B_T) unchecked; ParameterError on a V-only ensemble or a
+    psi grid unlike the path grid.
+    """
     if solution.grid != ensemble.grid:
         raise ParameterError("wealth scheme requires the psi grid to match the path grid")
-    coef = control_coefficient(model, solution, stabs, ensemble.grid.times[:-1])  # (d, n)
+    grid = ensemble.grid
+    coef = control_coefficient(model, solution, stabs, grid.times[:-1])  # (d, n)
+    disc = np.exp(-model.r * (model.T - grid.times[:-1]))               # (n,)
+    A = np.full(ensemble.M, float(model.x0))
+    B = np.zeros(ensemble.M)
+
+    def recursion(paths):
+        a, b_ = A[paths], B[paths]
+        with np.errstate(over="ignore", invalid="ignore"):  # per thread; the callers check
+            for lo, gain, s in _step_factors(model, ensemble, coef, paths):
+                for b in range(len(s)):
+                    growth = 1.0 + model.r * grid.dt + s[b]
+                    a *= growth
+                    b_ *= growth
+                    b_ -= disc[lo + b] * s[b]
+                    if reader is not None:
+                        reader(paths, lo + b, gain[:, :, b], a, b_)
+
     width = -(-ensemble.M // (64 * _pool_size())) * 64
-    _run_concurrently([
-        functools.partial(recursion, paths, _step_factors(model, ensemble, coef, paths))
-        for paths in (slice(c0, c0 + width) for c0 in range(0, ensemble.M, width))
-    ])
+    _run_concurrently([functools.partial(recursion, slice(c0, c0 + width))
+                       for c0 in range(0, ensemble.M, width)])
+    return A, B
 
 
 def simulate_wealth(model: MarketModel, ensemble: PathEnsemble, solution: RiccatiSolution,
@@ -306,71 +335,40 @@ def simulate_wealth(model: MarketModel, ensemble: PathEnsemble, solution: Riccat
     X(t_k) = X(t_{k-1}) + (r X(t_{k-1}) + sum_i theta_i sqrt(V_i) alpha_i) dt
              + sum_i alpha_i (rho_i DW_i - sqrt(1-rho_i^2) DWperp_i),
 
-    with alpha evaluated at the left node from the same variance paths,
-    taken as X_k (1 + r dt) + gap_k s_k and alpha_k = g_k gap_k with
-    gap_k = X_k - xi* e^(-r(T-t_k)) and g, s of ``_step_factors``, run
-    over path ranges on the pool (``_over_path_ranges``).
-    Raises NonFiniteError when a wealth or strategy value is not finite,
-    and ParameterError on a V-only ensemble.
-    Stores every path and strategy; when only X_T is needed, for any
-    number of targets, ``affine_wealth_terminal`` is far cheaper.
+    with alpha evaluated at the left node from the same variance paths.
+    Each step of ``_wealth_recursion`` gives alpha_k = g_k (X_k - xi*
+    e^(-r(T-t_k))) and X_{k+1} = A_{k+1} + xi* B_{k+1}, and its (A_T, B_T)
+    come along for every other target.  Raises NonFiniteError when a
+    wealth or strategy value is not finite (a finite X_T = A_T + xi* B_T
+    has finite A_T and B_T), and ParameterError on a V-only ensemble.
     """
     grid = ensemble.grid
-    growth = 1.0 + model.r * grid.dt
     target = xi_star * np.exp(-model.r * (model.T - grid.times[:-1]))    # (n,)
     X = np.empty((ensemble.M, grid.n + 1))
     X[:, 0] = model.x0
     alpha_paths = np.empty((ensemble.M, model.d, grid.n))
 
-    def recursion(paths, steps):
-        x, alpha = X[paths], alpha_paths[paths]
-        with np.errstate(over="ignore", invalid="ignore"):  # per thread; checked below
-            for lo, gain, s in steps:
-                for b in range(len(s)):
-                    k = lo + b
-                    gap = x[:, k] - target[k]
-                    np.multiply(gain[:, :, b], gap[:, None], out=alpha[:, :, k])
-                    x[:, k + 1] = x[:, k] * growth + gap * s[b]
+    def reader(paths, k, gain, a, b):
+        np.multiply(gain, (X[paths, k] - target[k])[:, None], out=alpha_paths[paths, :, k])
+        X[paths, k + 1] = a + xi_star * b
 
-    _over_path_ranges(model, ensemble, solution, stabs, recursion)
+    A, B = _wealth_recursion(model, ensemble, solution, stabs, reader)
     require_finite("wealth paths", X)
     require_finite("optimal strategy", alpha_paths)
-    return WealthEnsemble(model=model, grid=grid, xi_star=xi_star, X=X, alpha_paths=alpha_paths)
+    return WealthEnsemble(model=model, grid=grid, xi_star=xi_star, X=X, alpha_paths=alpha_paths,
+                          A_T=A, B_T=B)
 
 
 def affine_wealth_terminal(model: MarketModel, ensemble: PathEnsemble,
                            solution: RiccatiSolution, stabs) -> tuple[np.ndarray, np.ndarray]:
     """Terminal wealth of every target at once: X_T = A_T + xi* B_T.
 
-    The optimal feedback is affine in xi*, so the Euler scheme of
-    ``simulate_wealth`` is too.  With the per-step factor s_k of
-    ``_step_factors``,
-
-        A_k = A_{k-1} (1 + r dt + s_k),                       A_0 = x0,
-        B_k = B_{k-1} (1 + r dt + s_k) - e^(-r(T-t_{k-1})) s_k, B_0 = 0.
-
-    V and the Brownian increments are read in fixed blocks of time
-    steps; neither the increment array, the wealth paths nor the
-    strategy are stored; path ranges run on the pool (``_over_path_ranges``).
-    Returns (A_T, B_T), each of shape (M,); raises NonFiniteError when
-    either is not finite, and ParameterError on a V-only ensemble.
+    ``_wealth_recursion`` without a reader: neither the increment array,
+    the wealth paths nor the strategy are stored.  Returns (A_T, B_T),
+    each of shape (M,); raises NonFiniteError when either is not finite,
+    and ParameterError on a V-only ensemble.
     """
-    grid = ensemble.grid
-    disc = np.exp(-model.r * (model.T - grid.times[:-1]))               # (n,)
-    A = np.full(ensemble.M, float(model.x0))
-    B = np.zeros(ensemble.M)
-
-    def recursion(paths, steps):
-        a, b_ = A[paths], B[paths]
-        with np.errstate(over="ignore", invalid="ignore"):  # per thread; checked below
-            for lo, _, s in steps:
-                for b in range(len(s)):
-                    growth = 1.0 + model.r * grid.dt + s[b]
-                    a *= growth
-                    b_ *= growth
-                    b_ -= disc[lo + b] * s[b]
-
-    _over_path_ranges(model, ensemble, solution, stabs, recursion)
+    A, B = _wealth_recursion(model, ensemble, solution, stabs)
     require_finite("terminal wealth A_T", A)
     require_finite("terminal wealth B_T", B)
     return A, B
@@ -411,7 +409,7 @@ def z_score(value, target, se):
     """
     gap = np.abs(np.asarray(value, dtype=float) - target)
     z = np.divide(gap, se, out=np.full_like(gap, np.inf), where=se > 0.0)
-    return np.where((z > 3.0) & (gap <= 1e-6 * max(1.0, abs(target))), 0.0, z)[()]
+    return np.where((z > 3.0) & (gap <= 1e-6 * np.maximum(1.0, np.abs(target))), 0.0, z)[()]
 
 
 @dataclass(frozen=True)

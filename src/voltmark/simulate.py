@@ -375,7 +375,7 @@ def _run_concurrently(jobs) -> None:
     """Run independent jobs on threads, re-raising the first error.
 
     Jobs: an engine chunk's assets and its dWperp draw, or the path ranges
-    of a wealth recursion.  Each job's BLAS calls start their own threads,
+    of the wealth recursion.  Each job's BLAS calls start their own threads,
     so the jobs get CPUs // BLAS threads workers (``_pool_size``).  The
     BLAS thread count is known when VOLTMARK_THREADS set it
     (``_BLAS_THREADS``); otherwise BLAS may take every CPU, its default,

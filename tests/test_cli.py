@@ -644,6 +644,40 @@ def test_full_simulates_no_chunk_twice(tmp_path, monkeypatch, sizes, horizons, f
         assert (alone / name).read_bytes() == (full / ref).read_bytes(), name
 
 
+def test_full_steps_each_wealth_chunk_once(tmp_path, monkeypatch):
+    # the wealth stage's recursion gives the T = 1 frontier its (A_T, B_T):
+    # one _step_factors pass per path range of each wealth chunk, and no
+    # terminal-only recursion.  Two workers split the C-path chunk in two
+    # ranges; the 5-path chunk is one range of one 64-path block
+    from voltmark import markowitz, montecarlo, simulate
+
+    passes, terminal_calls = [], []
+    real_steps = markowitz._step_factors
+
+    def steps_spy(model, ensemble, coef, paths):
+        passes.append((ensemble.M, paths.start, paths.stop))
+        return real_steps(model, ensemble, coef, paths)
+
+    def terminal_spy(real):
+        def wrapped(*args):
+            terminal_calls.append(real.__module__)
+            return real(*args)
+        return wrapped
+
+    monkeypatch.setattr(markowitz, "_step_factors", steps_spy)
+    for module in (markowitz, montecarlo):
+        monkeypatch.setattr(module, "affine_wealth_terminal",
+                            terminal_spy(module.affine_wealth_terminal))
+    monkeypatch.setattr(simulate, "_BLAS_THREADS", 1)
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
+    C = simulate._CHUNK_PATHS
+    cfg_text = re.sub(r"^M = 120$", f"M = {C + 5}", TINY, flags=re.M).replace("n = 40", "n = 20")
+    path = _write(tmp_path, cfg_text)
+    assert main(["full", "--config", path, "--out", str(tmp_path / "o")]) in (0, 4)
+    assert sorted(passes) == [(5, 0, 64), (C, 0, C // 2), (C, C // 2, C)]
+    assert terminal_calls == []
+
+
 def test_stabilizer_residual_above_tolerance_exit_code(tmp_path, capsys):
     # lam = 5 moves the series/limit switch to t = 0.83 < T = 1, where the
     # jump to the limit leaves a residual of about 1e-2

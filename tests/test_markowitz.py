@@ -153,9 +153,10 @@ def test_wealth_riskless_compounding(monkeypatch):
 
 
 def test_affine_terminal_matches_wealth_scheme():
-    # X_T = A_T + xi* B_T reproduces the full Euler scheme for any target;
-    # the error is measured against the ensemble's scale because X_T
-    # itself can pass through zero
+    # X_T = A_T + xi* B_T reproduces the full Euler scheme for any target,
+    # and the scheme hands out the same (A_T, B_T) bit for bit; the error
+    # is measured against the ensemble's scale because X_T itself can
+    # pass through zero
     m = small_model()
     stabs = m.build_stabilizers()
     grid = Grid(1.0, 100)
@@ -166,13 +167,15 @@ def test_affine_terminal_matches_wealth_scheme():
     m_grid = frontier_m_grid(m, 8)
     for target in (m.m0, m_grid[len(m_grid) // 2], m_grid[-1]):
         xi, _ = xi_eta_star(g0, m, float(target))
-        ref = simulate_wealth(m, ens, sol, stabs, xi).terminal
+        wealth = simulate_wealth(m, ens, sol, stabs, xi)
+        assert np.array_equal(wealth.A_T, A) and np.array_equal(wealth.B_T, B)
+        ref = wealth.terminal
         assert np.max(np.abs(A + xi * B - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("M, pools", [(203, [4, 4]), (40, [])])
 def test_wealth_path_ranges_do_not_change_the_bits(model_t1, stabs_t1, monkeypatch, M, pools):
-    # both recursions split the paths into ranges of whole 64-path
+    # the recursion splits the paths into ranges of whole 64-path
     # blocks, one per pool worker: four ranges on eight CPUs for M = 203,
     # one for M < 64.  With a short switch interval the split gives the
     # bits of one pass on one CPU
@@ -196,7 +199,7 @@ def test_wealth_path_ranges_do_not_change_the_bits(model_t1, stabs_t1, monkeypat
             monkeypatch.setattr(simulate, "_cpu_count", lambda cpus=cpus: cpus)
             wealth = simulate_wealth(model_t1, ens, sol, stabs_t1, 3.0)
             A, B = affine_wealth_terminal(model_t1, ens, sol, stabs_t1)
-            runs.append((A, B, wealth.X, wealth.alpha_paths))
+            runs.append((A, B, wealth.X, wealth.alpha_paths, wealth.A_T, wealth.B_T))
     finally:
         sys.setswitchinterval(interval)
     assert pool_sizes == pools

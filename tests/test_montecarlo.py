@@ -215,6 +215,9 @@ def test_affine_resamples_match_direct():
 def test_z_score_gate(value, target, se, z):
     assert z_score(value, target, se) == pytest.approx(z, rel=1e-8)
     assert (z_score(value, target, se) <= 3.0) == (z <= 3.0)
+    # elementwise over arrays, the target's too: each entry scores as alone
+    both = z_score(np.array([value, 1.0]), np.array([target, 1.0]), np.array([se, 0.1]))
+    assert both.tolist() == [z_score(value, target, se), 0.0]
 
 
 def test_frontier_experiment_reproducible():
