@@ -29,6 +29,8 @@ fixed-start pass serves three stages of ``full``: each chunk's wealth
 recursion also gives the frontier at the config horizon its (A_T, B_T),
 and the Laplace check the samples of a chunk it shares
 (``simulate.common_chunks``), so ``full`` simulates and steps no chunk twice.
+The wealth stage folds X and the strategies per block of 64 steps as the
+recursion steps them, so it holds no chunk's wealth or strategy paths.
 """
 
 import argparse
@@ -279,27 +281,33 @@ def run_simulate(run: RunContext, out_dir: str, M: int | None = None,
     return 0 if (report.passed or not gate) else EXIT_ACCEPTANCE
 
 
-def run_wealth(run: RunContext, out_dir: str, tap=lambda chunk, part: None) -> int:
+def run_wealth(run: RunContext, out_dir: str, tap=lambda chunk, A_T, B_T: None) -> int:
     """Wealth under the optimal strategy, simulated chunk by chunk of
     variance paths, so that no whole ensemble is held; X and the strategies
-    fold chunk by chunk.  tap(chunk, part) reads each chunk and its wealth
-    (``simulate_wealth``, with its (A_T, B_T)) too before they go."""
+    fold per block of 64 steps as the recursion steps them
+    (``markowitz._wealth_recursion``), so no chunk's paths of them are held
+    either.  tap(chunk, A_T, B_T) reads each chunk and its (A_T, B_T) too
+    before they go."""
     cfg, model, stabs, grid = run.cfg, run.model, run.stabs, run.grid
     sol = riccati.solve_riccati_adams(model, stabs, grid.n)
     ms = markowitz.solve_markowitz(model, sol, stabs, cfg["m"])
     chunks = simulate.simulate_variance_chunks(model, stabs, grid, cfg["M"], cfg["seed"],
                                                initial="fixed")
-    wealth = montecarlo.ColumnMoments()
-    strategies = [montecarlo.ColumnMoments() for _ in range(model.d)]
-    for chunk in chunks:
-        part = markowitz.simulate_wealth(model, chunk, sol, stabs, ms.xi_star)
-        tap(chunk, part)
-        del chunk  # its X and strategies fold without it
-        wealth.add(part.X)
+    # one accumulator per block of steps [lo, hi), by lo: X_lo .. X_{hi-1}
+    # (X_n too in the last block) and each asset's alpha_lo .. alpha_{hi-1}
+    wealth, strategies = {}, [{} for _ in range(model.d)]
+
+    def fold(lo, x, alpha):
+        last = lo + alpha.shape[2] == grid.n
+        wealth.setdefault(lo, montecarlo.ColumnMoments()).add(x if last else x[:, :-1])
         for i, acc in enumerate(strategies):
-            acc.add(part.alpha_paths[:, i, :])
-        del part  # before the next chunk's wealth is simulated
-    xstats, astats = wealth.stats(), [acc.stats() for acc in strategies]
+            acc.setdefault(lo, montecarlo.ColumnMoments()).add(alpha[:, i])
+
+    for chunk in chunks:
+        tap(chunk, *markowitz._wealth_recursion(model, chunk, sol, stabs, ms.xi_star, fold))
+        del chunk  # before the engine simulates the next one
+    xstats = montecarlo.joined_stats(wealth.values())
+    astats = [montecarlo.joined_stats(acc.values()) for acc in strategies]
     cols = [grid.times, xstats.mean, xstats.ci_low, xstats.ci_high]
     header = ["t", "X_mean", "X_ci_low", "X_ci_high"]
     for i, st in enumerate(astats):
@@ -372,9 +380,9 @@ def run_full(run: RunContext, out_dir: str) -> int:
     shared = simulate.common_chunks(cfg["M"], cfg["laplace_M"])
     pairs, head = [], []
 
-    def tap(chunk, part):
+    def tap(chunk, A_T, B_T):
         if grid.T in cfg["frontier_horizons"]:
-            pairs.append((part.A_T, part.B_T))
+            pairs.append((A_T, B_T))
         if len(head) < shared:  # head holds one array per chunk so far
             head.append(markowitz._laplace_samples(chunk.V, grid.dt, np.asarray(cfg["u"])))
 

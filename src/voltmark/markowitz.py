@@ -16,13 +16,14 @@ With psi solved, everything the Markowitz problem needs is explicit:
   and the optimal terminal variance V(m).
 * a wealth Euler scheme driven by the same increments as the variance
   ensemble, run in one recursion of its affine form X = A + xi* B, which
-  gives the wealth paths of one target or the X_T of every frontier
-  target, and the exponential-affine Laplace-transform check that pits
+  gives the wealth and strategy of one target block by block of steps, or
+  the X_T of every frontier target, and the exponential-affine Laplace-transform check that pits
   a Monte Carlo functional of the paths against the closed form, by the
   3-SE gate that every Monte Carlo check reads (``z_score``).
 """
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +37,7 @@ from .simulate import (
     _increments,
     _mapped,
     _pool_size,
-    _run_concurrently,
+    _workers,
     require_finite,
     simulate_variance_chunks,
 )
@@ -63,8 +64,9 @@ class MarkowitzSolution:
 
 @dataclass(frozen=True, eq=False)
 class WealthEnsemble:
-    """Wealth paths under the optimal strategy, X[-, 0] = x0 (``terminal``
-    serves the benchmark's refine_t5 workload)."""
+    """Whole wealth paths under the optimal strategy, X[-, 0] = x0, for the
+    readers of whole paths: the tests, and the benchmark's refine_t5
+    workload through ``terminal``."""
 
     model: MarketModel
     grid: Grid
@@ -286,21 +288,30 @@ def _step_factors(model: MarketModel, ensemble: PathEnsemble, coef: np.ndarray, 
 
 
 def _wealth_recursion(model: MarketModel, ensemble: PathEnsemble, solution: RiccatiSolution,
-                      stabs, reader=None) -> tuple[np.ndarray, np.ndarray]:
+                      stabs, xi_star=None, fold=None) -> tuple[np.ndarray, np.ndarray]:
     """The Euler wealth of the optimal feedback in its affine form X_k = A_k + xi* B_k.
 
-    The feedback is affine in xi*, so the Euler scheme is too.  With the
-    per-step factor s_k of ``_step_factors``,
+    X(t_k) = X(t_{k-1}) + (r X(t_{k-1}) + sum_i theta_i sqrt(V_i) alpha_i) dt
+             + sum_i alpha_i (rho_i DW_i - sqrt(1-rho_i^2) DWperp_i),
+
+    with alpha = g (X - xi* e^(-r(T-t))) at the left node from the same
+    variance paths.  The scheme is affine in xi*: with the per-step factor
+    s_k of ``_step_factors``,
 
         A_{k+1} = A_k (1 + r dt + s_k),                       A_0 = x0,
         B_{k+1} = B_k (1 + r dt + s_k) - e^(-r(T-t_k)) s_k,   B_0 = 0.
 
     The paths run on the pool in ranges of whole 64-path blocks, one per
     worker; each path's arithmetic is elementwise, so the split keeps the
-    bits.  After step k, reader(paths, k, g_k, A_{k+1}, B_{k+1}), if given,
-    reads the worker's paths: the (m, d) gain g_k and A, B in place.
-    Returns (A_T, B_T) unchecked; ParameterError on a V-only ensemble or a
-    psi grid unlike the path grid.
+    bits.  Without fold, each range runs to T on its own.  With fold, each
+    step also writes alpha_k and X_{k+1} = A_{k+1} + xi* B_{k+1} into
+    path-major buffers of one block of ``_WEALTH_BLOCK`` steps [lo, hi);
+    the ranges meet after each block, and fold(lo, X, alpha) takes
+    X_lo .. X_hi (M, hi - lo + 1) and alpha_lo .. alpha_{hi-1}
+    (M, d, hi - lo), views that the next block overwrites, after
+    NonFiniteError has been raised unless both are finite.  Returns
+    (A_T, B_T) unchecked (a finite X_T has finite A_T and B_T);
+    ParameterError on a V-only ensemble or a psi grid unlike the path grid.
     """
     if solution.grid != ensemble.grid:
         raise ParameterError("wealth scheme requires the psi grid to match the path grid")
@@ -309,54 +320,63 @@ def _wealth_recursion(model: MarketModel, ensemble: PathEnsemble, solution: Ricc
     disc = np.exp(-model.r * (model.T - grid.times[:-1]))               # (n,)
     A = np.full(ensemble.M, float(model.x0))
     B = np.zeros(ensemble.M)
+    if fold is not None:  # the block buffers, X_lo .. X_hi and alpha_lo .. alpha_{hi-1}
+        X = np.full((ensemble.M, _WEALTH_BLOCK + 1), float(model.x0))
+        alpha = np.empty((ensemble.M, model.d, _WEALTH_BLOCK))
+    width = -(-ensemble.M // (64 * _pool_size())) * 64
+    ranges = [slice(c0, c0 + width) for c0 in range(0, ensemble.M, width)]
+    factors = [_step_factors(model, ensemble, coef, paths) for paths in ranges]
 
-    def recursion(paths):
+    def advance(paths, blocks, count):
         a, b_ = A[paths], B[paths]
         with np.errstate(over="ignore", invalid="ignore"):  # per thread; the callers check
-            for lo, gain, s in _step_factors(model, ensemble, coef, paths):
+            for lo, gain, s in itertools.islice(blocks, count):
                 for b in range(len(s)):
                     growth = 1.0 + model.r * grid.dt + s[b]
                     a *= growth
                     b_ *= growth
                     b_ -= disc[lo + b] * s[b]
-                    if reader is not None:
-                        reader(paths, lo + b, gain[:, :, b], a, b_)
+                    if fold is not None:
+                        gap = X[paths, b] - xi_star * disc[lo + b]
+                        np.multiply(gain[:, :, b], gap[:, None], out=alpha[paths, :, b])
+                        X[paths, b + 1] = a + xi_star * b_
 
-    width = -(-ensemble.M // (64 * _pool_size())) * 64
-    _run_concurrently([functools.partial(recursion, slice(c0, c0 + width))
-                       for c0 in range(0, ensemble.M, width)])
+    def jobs(count):  # count blocks of each range, or all of them for None
+        return [functools.partial(advance, paths, blocks, count)
+                for paths, blocks in zip(ranges, factors)]
+
+    with _workers(len(ranges)) as run:
+        if fold is None:
+            run(jobs(None))
+            return A, B
+        for lo in range(0, grid.n, _WEALTH_BLOCK):
+            run(jobs(1))
+            w = min(_WEALTH_BLOCK, grid.n - lo)
+            require_finite("wealth paths", X[:, : w + 1])
+            require_finite("optimal strategy", alpha[:, :, :w])
+            fold(lo, X[:, : w + 1], alpha[:, :, :w])
+            X[:, 0] = X[:, w]
     return A, B
 
 
 def simulate_wealth(model: MarketModel, ensemble: PathEnsemble, solution: RiccatiSolution,
                     stabs, xi_star: float) -> WealthEnsemble:
-    """Euler scheme for the wealth under the optimal feedback strategy.
-
-    X(t_k) = X(t_{k-1}) + (r X(t_{k-1}) + sum_i theta_i sqrt(V_i) alpha_i) dt
-             + sum_i alpha_i (rho_i DW_i - sqrt(1-rho_i^2) DWperp_i),
-
-    with alpha evaluated at the left node from the same variance paths.
-    Each step of ``_wealth_recursion`` gives alpha_k = g_k (X_k - xi*
-    e^(-r(T-t_k))) and X_{k+1} = A_{k+1} + xi* B_{k+1}, and its (A_T, B_T)
-    come along for every other target.  Raises NonFiniteError when a
-    wealth or strategy value is not finite (a finite X_T = A_T + xi* B_T
-    has finite A_T and B_T), and ParameterError on a V-only ensemble.
+    """Whole wealth and strategy paths of ``_wealth_recursion`` at target
+    xi*, for readers of whole paths (the tests, the benchmark's refine_t5
+    workload); ``voltmark wealth`` folds its blocks instead.  Raises
+    NonFiniteError when a wealth or strategy value is not finite, and
+    ParameterError on a V-only ensemble.
     """
-    grid = ensemble.grid
-    target = xi_star * np.exp(-model.r * (model.T - grid.times[:-1]))    # (n,)
-    X = np.empty((ensemble.M, grid.n + 1))
-    X[:, 0] = model.x0
-    alpha_paths = np.empty((ensemble.M, model.d, grid.n))
+    X = np.empty((ensemble.M, ensemble.grid.n + 1))
+    alpha_paths = np.empty((ensemble.M, model.d, ensemble.grid.n))
 
-    def reader(paths, k, gain, a, b):
-        np.multiply(gain, (X[paths, k] - target[k])[:, None], out=alpha_paths[paths, :, k])
-        X[paths, k + 1] = a + xi_star * b
+    def store(lo, x, alpha):
+        X[:, lo : lo + x.shape[1]] = x
+        alpha_paths[:, :, lo : lo + alpha.shape[2]] = alpha
 
-    A, B = _wealth_recursion(model, ensemble, solution, stabs, reader)
-    require_finite("wealth paths", X)
-    require_finite("optimal strategy", alpha_paths)
-    return WealthEnsemble(model=model, grid=grid, xi_star=xi_star, X=X, alpha_paths=alpha_paths,
-                          A_T=A, B_T=B)
+    A, B = _wealth_recursion(model, ensemble, solution, stabs, xi_star, store)
+    return WealthEnsemble(model=model, grid=ensemble.grid, xi_star=xi_star, X=X,
+                          alpha_paths=alpha_paths, A_T=A, B_T=B)
 
 
 def affine_wealth_terminal(model: MarketModel, ensemble: PathEnsemble,

@@ -7,7 +7,7 @@ paths.  The Laplace check (``markowitz.laplace_affine_check``) keeps one
 sample per path instead, and its SE is their ddof = 1 sample SE.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -96,6 +96,17 @@ class ColumnMoments:
         for name in ("mean", "variance", "mean_se", "var_se"):
             require_finite(f"ensemble {name.replace('_', ' ')}", getattr(out, name))
         return out
+
+
+def joined_stats(blocks) -> EnsembleStats:
+    """The ``stats`` of ColumnMoments over consecutive column blocks of the
+    same rows, as one EnsembleStats.  Each column's arithmetic is its own,
+    so blocks of two or more columns give the bits of one accumulator over
+    whole rows; numpy sums a lone column's mean pairwise instead of in
+    row order, which can move its last bit."""
+    parts = [acc.stats() for acc in blocks]
+    return EnsembleStats(*(np.concatenate([getattr(st, f.name) for st in parts])
+                           for f in fields(EnsembleStats)))
 
 
 @dataclass(frozen=True)

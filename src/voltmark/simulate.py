@@ -29,7 +29,7 @@ ensembles.  The
 assets share nothing but the read-only model, so within a chunk they
 advance at the same time on one thread each (numpy's random fills,
 ufuncs and BLAS calls release the GIL), on the CPUs of the process that
-the BLAS threads leave free (see ``_run_concurrently``), and the
+the BLAS threads leave free (see ``_workers``), and the
 chunk's dWperp draw is one more job.
 
 Everything is reproducible: chunk c takes the c-th ``spawn(1 + d)``
@@ -40,6 +40,7 @@ is the whole stream of an ensemble of at most one chunk, and chunk c of
 paths is the same for every M that gives it one size (``common_chunks``).
 """
 
+import contextlib
 import functools
 import mmap
 import os
@@ -353,7 +354,8 @@ def _simulate_chunk(model: MarketModel, grid: Grid, m: int, initial: str, factor
         # last, so that it fills the worker that finishes its asset first
         jobs.append(lambda: np.multiply(rng_common.standard_normal(out=dWperp), np.sqrt(dt),
                                         out=dWperp))
-    _run_concurrently(jobs)
+    with _workers(len(jobs)) as run:
+        run(jobs)
     return PathEnsemble(model=model, grid=grid, M=m, V=V.transpose(2, 0, 1),
                         dW=dW.transpose(2, 0, 1) if increments else None, dWperp=dWperp)
 
@@ -367,32 +369,33 @@ def _cpu_count() -> int:
 
 
 def _pool_size() -> int:
-    """Workers ``_run_concurrently`` may start: CPUs // BLAS threads, 1 without a cap."""
+    """Workers ``_workers`` may start: CPUs // BLAS threads, 1 without a cap."""
     return max(1, _cpu_count() // _BLAS_THREADS) if _BLAS_THREADS else 1
 
 
-def _run_concurrently(jobs) -> None:
-    """Run independent jobs on threads, re-raising the first error.
+@contextlib.contextmanager
+def _workers(count: int):
+    """run(jobs): rounds of at most ``count`` independent jobs on threads
+    that the rounds share, re-raising the first error.
 
     Jobs: an engine chunk's assets and its dWperp draw, or the path ranges
-    of the wealth recursion.  Each job's BLAS calls start their own threads,
-    so the jobs get CPUs // BLAS threads workers (``_pool_size``).  The
-    BLAS thread count is known when VOLTMARK_THREADS set it
-    (``_BLAS_THREADS``); otherwise BLAS may take every CPU, its default,
-    and the jobs run one after the other.  Oversubscribing costs: on two
-    CPUs, two asset threads over two BLAS threads each took 3.0 s where
-    one asset thread took 2.4 s (T = 5, n = 600, M = 10^4); the rule is
-    measured on a 2-CPU machine only.  The jobs write disjoint arrays and
-    each owns its generator, so the output does not depend on the thread count.
+    of the wealth recursion, one round per block of steps when the ranges
+    meet.  Each job's BLAS calls start their own threads, so the jobs get
+    CPUs // BLAS threads workers (``_pool_size``).  The BLAS thread count
+    is known when VOLTMARK_THREADS set it (``_BLAS_THREADS``); otherwise
+    BLAS may take every CPU, its default, and the jobs run one after the
+    other.  Oversubscribing costs: on two CPUs, two asset threads over two
+    BLAS threads each took 3.0 s where one asset thread took 2.4 s (T = 5,
+    n = 600, M = 10^4); the rule is measured on a 2-CPU machine only.  The
+    jobs write disjoint arrays and each owns its generator, so the output
+    does not depend on the thread count.
     """
-    workers = min(len(jobs), _pool_size())
+    workers = min(count, _pool_size())
     if workers <= 1:
-        for job in jobs:
-            job()
+        yield lambda jobs: [job() for job in jobs]
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for future in [pool.submit(job) for job in jobs]:
-            future.result()
+        yield lambda jobs: [future.result() for future in [pool.submit(job) for job in jobs]]
 
 
 def require_finite(what: str, arr: np.ndarray) -> None:

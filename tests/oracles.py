@@ -2,7 +2,8 @@
 convolution with a grid function, the resolvent's defining equation, a
 Picard fixed-point solve of the Riccati-Volterra system, the exact
 second moments of the path scheme, the Gaussian factor by
-np.linalg.eigh, the wealth step factors by np.einsum, the resolvent
+np.linalg.eigh, the wealth step factors by np.einsum, the wealth
+statistics from whole wealth and strategy paths, the resolvent
 density's L2 norm by adaptive quadrature and the standard errors of
 per-column means and variances by a multinomial bootstrap over paths."""
 
@@ -20,9 +21,16 @@ from voltmark.kernels import (
     resolvent,
     resolvent_density,
 )
+from voltmark.markowitz import simulate_wealth, solve_markowitz
 from voltmark.model import Grid
-from voltmark.riccati import RiccatiSolution, _rhs_tables
-from voltmark.simulate import _EIG_CUT, _asset_increments, _covariance_matrix
+from voltmark.montecarlo import ColumnMoments
+from voltmark.riccati import RiccatiSolution, _rhs_tables, solve_riccati_adams
+from voltmark.simulate import (
+    _EIG_CUT,
+    _asset_increments,
+    _covariance_matrix,
+    simulate_variance_chunks,
+)
 
 # Mittag-Leffler terms of the resolvent convolved in closed form by
 # resolvent_equation_residual
@@ -149,6 +157,21 @@ def einsum_step_factors(model, ensemble, coef: np.ndarray) -> tuple[np.ndarray, 
     dB = _asset_increments(model, ensemble.dW, ensemble.dWperp)
     s = np.einsum("mdk,mdk,d->km", gain, root, model.theta) * ensemble.grid.dt
     return gain, s + np.einsum("mdk,mdk->km", gain, dB)
+
+
+def whole_path_wealth_stats(model, stabs, grid: Grid, M: int, seed: int, m: float) -> tuple:
+    """Statistics (X, [alpha_i]) of the wealth stage from whole paths: each
+    chunk's (chunk, n+1) X and (chunk, d, n) strategy from simulate_wealth,
+    each folded into one ColumnMoments per chunk, rows whole."""
+    sol = solve_riccati_adams(model, stabs, grid.n)
+    xi = solve_markowitz(model, sol, stabs, m).xi_star
+    wealth, strategies = ColumnMoments(), [ColumnMoments() for _ in range(model.d)]
+    for chunk in simulate_variance_chunks(model, stabs, grid, M, seed, initial="fixed"):
+        part = simulate_wealth(model, chunk, sol, stabs, xi)
+        wealth.add(part.X)
+        for i, acc in enumerate(strategies):
+            acc.add(part.alpha_paths[:, i, :])
+    return wealth.stats(), [acc.stats() for acc in strategies]
 
 
 def quad_density_l2_norm(alpha: float, lam: float) -> float:

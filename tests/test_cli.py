@@ -281,9 +281,10 @@ def test_each_statistic_folds_each_chunk_once(tmp_path, monkeypatch):
 
 def test_wealth_drops_its_paths_before_the_statistics(tmp_path, monkeypatch):
     # the wealth stage takes the paths chunk by chunk, never as a whole
-    # ensemble, and lets each chunk go before it folds that chunk's
-    # wealth and strategies; V, dW and dWperp are its largest arrays, and
-    # none is alive by the time the statistics are taken
+    # ensemble: it folds each chunk's wealth and strategies per block of
+    # steps while it steps that chunk, and lets the chunk go before the
+    # next one; V, dW and dWperp are its largest arrays, and none is
+    # alive by the time the statistics are taken
     from voltmark import montecarlo, simulate
 
     chunks, refs, alive, whole = [], [], [], []
@@ -314,8 +315,9 @@ def test_wealth_drops_its_paths_before_the_statistics(tmp_path, monkeypatch):
     two_chunks = f"M = {simulate._CHUNK_PATHS + 5}"
     path = _write(tmp_path, _two_assets(TINY).replace("M = 120", two_chunks))
     assert main(["wealth", "--config", path, "--out", str(tmp_path / "o")]) in (0, 4)
-    # X and two strategies per chunk, then their three statistics
-    assert whole == [] and alive == ([("add", [False])] * 3 + [("add", [False, False])] * 3
+    # X and two strategies per chunk (one block of steps), then their
+    # three statistics
+    assert whole == [] and alive == ([("add", [True])] * 3 + [("add", [False, True])] * 3
                                      + [("stats", [False] * 8)] * 3)
 
 
@@ -478,6 +480,47 @@ def test_frontier_memory_does_not_grow_with_paths(tmp_path):
     peak_mb, budget_mb = _growth_from_one_to_four_chunks(
         tmp_path, "frontier", 200, [("m_count = 8", "m_count = 2")])
     assert peak_mb[1] - peak_mb[0] < budget_mb, peak_mb
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads the peak RSS from /proc")
+def test_wealth_holds_no_chunk_of_wealth_paths(tmp_path):
+    # wealth folds X and the strategies per block of steps, so on one
+    # chunk it may peak above frontier, which keeps only (A_T, B_T), by
+    # far less than that chunk's X and alpha: C (n+1) + C d n doubles
+    from voltmark.simulate import _CHUNK_PATHS as C
+
+    d, n = 2, 600
+    path = _write(tmp_path, _DEFAULT_CONFIG.replace("M = 5000", f"M = {C}")
+                  .replace("m_count = 8", "m_count = 2"))
+    wealth, frontier = (_peak_mb([command, "--config", path, "--out", str(tmp_path / command)])
+                        for command in ("wealth", "frontier"))
+    assert wealth - frontier < (C * (n + 1) + C * d * n) * 8 / 2**20 / 2, (wealth, frontier)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_wealth_stats_keep_the_bits_of_whole_paths(tmp_path, monkeypatch, cpus):
+    # the block fold writes the bytes of whole-path arrays folded chunk by
+    # chunk, on one worker or two: n = 150 leaves a last block of 22 steps,
+    # and M = C + 5 a second chunk
+    from oracles import whole_path_wealth_stats
+    from voltmark import cli, simulate
+
+    monkeypatch.setattr(simulate, "_BLAS_THREADS", 1)
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: cpus)
+    M = simulate._CHUNK_PATHS + 5
+    cfg_text = _DEFAULT_CONFIG.replace("M = 5000", f"M = {M}").replace("n = 600", "n = 150")
+    out = tmp_path / "o"
+    assert main(["wealth", "--config", _write(tmp_path, cfg_text), "--out", str(out)]) in (0, 4)
+    run = RunContext.build(load_config(cfg_text))
+    xstats, astats = whole_path_wealth_stats(run.model, run.stabs, run.grid, M,
+                                             run.cfg["seed"], run.cfg["m"])
+    cols = [run.grid.times, xstats.mean, xstats.ci_low, xstats.ci_high]
+    header = ["t", "X_mean", "X_ci_low", "X_ci_high"]
+    for i, st in enumerate(astats):
+        cols += [np.append(col, col[-1]) for col in (st.mean, st.ci_low, st.ci_high)]
+        header += [f"alpha{i + 1}_mean", f"alpha{i + 1}_ci_low", f"alpha{i + 1}_ci_high"]
+    cli.write_csv(str(tmp_path / "oracle.csv"), header, zip(*cols))
+    assert (out / "wealth_stats.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads the peak RSS from /proc")
@@ -647,11 +690,12 @@ def test_full_simulates_no_chunk_twice(tmp_path, monkeypatch, sizes, horizons, f
 def test_full_steps_each_wealth_chunk_once(tmp_path, monkeypatch):
     # the wealth stage's recursion gives the T = 1 frontier its (A_T, B_T):
     # one _step_factors pass per path range of each wealth chunk, and no
-    # terminal-only recursion.  Two workers split the C-path chunk in two
+    # terminal-only recursion; its block fold adds no pass, and no whole
+    # paths are simulated.  Two workers split the C-path chunk in two
     # ranges; the 5-path chunk is one range of one 64-path block
     from voltmark import markowitz, montecarlo, simulate
 
-    passes, terminal_calls = [], []
+    passes, terminal_calls, whole = [], [], []
     real_steps = markowitz._step_factors
 
     def steps_spy(model, ensemble, coef, paths):
@@ -665,6 +709,7 @@ def test_full_steps_each_wealth_chunk_once(tmp_path, monkeypatch):
         return wrapped
 
     monkeypatch.setattr(markowitz, "_step_factors", steps_spy)
+    monkeypatch.setattr(markowitz, "simulate_wealth", lambda *args: whole.append(args))
     for module in (markowitz, montecarlo):
         monkeypatch.setattr(module, "affine_wealth_terminal",
                             terminal_spy(module.affine_wealth_terminal))
@@ -675,7 +720,7 @@ def test_full_steps_each_wealth_chunk_once(tmp_path, monkeypatch):
     path = _write(tmp_path, cfg_text)
     assert main(["full", "--config", path, "--out", str(tmp_path / "o")]) in (0, 4)
     assert sorted(passes) == [(5, 0, 64), (C, 0, C // 2), (C, C // 2, C)]
-    assert terminal_calls == []
+    assert terminal_calls == [] and whole == []
 
 
 def test_stabilizer_residual_above_tolerance_exit_code(tmp_path, capsys):

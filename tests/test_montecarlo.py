@@ -1,5 +1,7 @@
 """Plug-in moment statistics, stationarity diagnostics, frontier driver."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,11 @@ from voltmark.markowitz import z_score
 from voltmark.model import Grid, bundled_model
 from voltmark.montecarlo import (
     ColumnMoments,
+    EnsembleStats,
     FrontierPoint,
     frontier_experiment,
     frontier_m_grid,
+    joined_stats,
     stationarity_diagnostics,
     terminal_bootstrap,
 )
@@ -69,6 +73,31 @@ def test_merged_moments_equal_one_pass():
         assert acc.count == len(x)
         for got, ref in zip((st.mean, st.variance, acc.m4 / acc.count), want):
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("edges", [
+    # the wealth stage's blocks of X: 64 steps each, and X_n with the last
+    [0, *range(64, 601, 64), 601],
+    # a first block of two columns, and a last one of 23
+    [0, 2, *range(66, 601, 64), 601],
+], ids=["wealth", "shifted"])
+def test_block_fold_gives_the_bits_of_whole_rows(edges):
+    # moments folded by column blocks, one accumulator per block, are those
+    # of whole rows bit for bit: every statistic is computed per column.
+    # A block of one column is left out: numpy sums a lone column pairwise
+    rng = np.random.default_rng(23)
+    x = 1.0 + rng.gamma(2.0, 0.5, size=(_CHUNK_PATHS + 5, 601)).cumsum(axis=1) / 30.0
+    whole, blocks = ColumnMoments(), [ColumnMoments() for _ in edges[1:]]
+    for chunk in (x[:_CHUNK_PATHS], x[_CHUNK_PATHS:]):
+        whole.add(chunk)
+        for acc, lo, hi in zip(blocks, edges, edges[1:]):
+            acc.add(chunk[:, lo:hi])
+    for name in ("mean", "m2", "m3", "m4"):
+        assert np.array_equal(np.concatenate([getattr(acc, name) for acc in blocks]),
+                              getattr(whole, name)), name
+    joined, st = joined_stats(blocks), whole.stats()
+    for f in fields(EnsembleStats):
+        assert np.array_equal(getattr(joined, f.name), getattr(st, f.name)), f.name
 
 
 def test_plug_in_se_matches_bootstrap(model_t1, stabs_t1):

@@ -351,7 +351,8 @@ def test_asset_threads_leave_room_for_blas_threads(monkeypatch):
     jobs = [lambda i=i: done.append(i) for i in range(3)]
     for cap in (None, 1, 2, 4):
         monkeypatch.setattr(simulate, "_BLAS_THREADS", cap)
-        simulate._run_concurrently(jobs)
+        with simulate._workers(len(jobs)) as run:
+            run(jobs)
     assert pool_sizes == [3, 2]
     assert sorted(done) == sorted(list(range(3)) * 4)
 
