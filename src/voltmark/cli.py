@@ -27,8 +27,10 @@ rebuilds the stabilizers or re-solves psi; a frontier at another
 horizon takes ``RunContext.at(T)``, which keeps the stabilizers.  One
 fixed-start pass serves three stages of ``full``: each chunk's wealth
 recursion also gives the frontier at the config horizon its (A_T, B_T),
-and the Laplace check the samples of a chunk it shares
+and the Laplace check the exponents of a chunk it shares
 (``simulate.common_chunks``), so ``full`` simulates and steps no chunk twice.
+The bundled laplace_M equals mc.M, so the Laplace stage shares every
+chunk and simulates none: bundled ``full`` runs 9 engine chunks.
 The wealth stage folds X and the strategies per block of 64 steps as the
 recursion steps them, so it holds no chunk's wealth or strategy paths.
 """
@@ -77,7 +79,7 @@ m = 2.255
 u = -0.05, -0.05
 m_count = 8
 frontier_horizons = 0.5, 1.0, 5.0
-laplace_M = 20000
+laplace_M = 5000
 stationarity_M = 10000
 output_dir = voltmark-out
 """
@@ -357,8 +359,8 @@ def run_laplace(run: RunContext, out_dir: str, head=()) -> int:
                                          cfg["laplace_M"], cfg["seed"], head=head)
     write_csv(
         os.path.join(out_dir, "laplace_check.csv"),
-        ["mc_value", "mc_se", "closed_form", "z_score"],
-        [(rep.mc_value, rep.mc_se, rep.closed_form, rep.z_score)],
+        ["mc_value", "mc_se", "closed_form", "z_score", "beta"],
+        [(rep.mc_value, rep.mc_se, rep.closed_form, rep.z_score, rep.beta)],
     )
     print(f"laplace: mc={rep.mc_value:.8f}±{rep.mc_se:.2e} closed={rep.closed_form:.8f} "
           f"z={rep.z_score:.2f} passed={rep.passed}")
@@ -376,7 +378,7 @@ def run_full(run: RunContext, out_dir: str) -> int:
     status = max(status, run_simulate(run, out_dir, M=cfg["stationarity_M"], gate=True))
     print("== wealth ==")
     # the wealth stage's recursions also give the frontier at the config horizon
-    # its (A_T, B_T), and its chunks the Laplace check the samples of those it shares
+    # its (A_T, B_T), and its chunks the Laplace check the exponents of those it shares
     shared = simulate.common_chunks(cfg["M"], cfg["laplace_M"])
     pairs, head = [], []
 
@@ -384,7 +386,7 @@ def run_full(run: RunContext, out_dir: str) -> int:
         if grid.T in cfg["frontier_horizons"]:
             pairs.append((A_T, B_T))
         if len(head) < shared:  # head holds one array per chunk so far
-            head.append(markowitz._laplace_samples(chunk.V, grid.dt, np.asarray(cfg["u"])))
+            head.append(markowitz._laplace_exponents(chunk.V, grid.dt, np.asarray(cfg["u"])))
 
     status = max(status, run_wealth(run, out_dir, tap))
     for T in cfg["frontier_horizons"]:

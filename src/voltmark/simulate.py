@@ -133,8 +133,8 @@ def _covariance_matrix(spec: KernelSpec, grid: Grid) -> tuple[np.ndarray, np.nda
     return cov, c_seg
 
 
-# rows per block of the reproduction check's F F^T, which is never whole
-_CHECK_ROWS = 256
+# columns per block of the reproduction check's F F^T, which is never whole
+_CHECK_COLS = 256
 
 
 def build_gaussian_factor(spec: KernelSpec, grid: Grid) -> GaussianBlockFactor:
@@ -158,7 +158,8 @@ def build_gaussian_factor(spec: KernelSpec, grid: Grid) -> GaussianBlockFactor:
     so the build holds one (n+1)^2 map plus dsyevd's 2 (n+1)^2
     workspace, where np.linalg.eigh adds a copy and separate
     eigenvectors.  The check then compares against the covariance built
-    afresh, by row blocks of F F^T.
+    afresh, by column blocks of F F^T, each contiguous in the column-major
+    map.
     """
     if spec.alpha == 1.0:
         factor = np.full((grid.n + 1, 1), np.sqrt(grid.dt))
@@ -174,9 +175,9 @@ def build_gaussian_factor(spec: KernelSpec, grid: Grid) -> GaussianBlockFactor:
     factor = U[:, ::-1][:, keep] * np.sqrt(w[keep])[None, :]
     del cov, U
     cov, _ = _covariance_matrix(spec, grid)
-    for lo in range(0, grid.n + 1, _CHECK_ROWS):
-        rows = slice(lo, lo + _CHECK_ROWS)
-        cov[rows] -= factor[rows] @ factor.T
+    for lo in range(0, grid.n + 1, _CHECK_COLS):
+        cols = slice(lo, lo + _CHECK_COLS)
+        cov[:, cols] -= factor @ factor[cols].T
     err = np.linalg.norm(cov)
     if not err <= _FACTOR_RTOL * norm:  # NaN fails too
         raise FactorizationError(

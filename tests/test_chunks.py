@@ -68,12 +68,12 @@ def test_fused_laplace_equals_materialized(model_t1, stabs_t1, M):
     whole = _paths(model_t1, stabs_t1, M, initial="fixed", increments=False)
     given = laplace_affine_check(model_t1, stabs_t1, u, GRID, M, SEED, ensemble=whole)
     assert fused.mc_value == given.mc_value and fused.mc_se == given.mc_se
-    # the samples themselves, against one pass over the whole V
-    samples = np.concatenate([markowitz._laplace_samples(ch.V, GRID.dt, np.array(u))
-                              for ch in _chunks(model_t1, stabs_t1, M,
-                                                initial="fixed", increments=False)])
-    direct = markowitz._laplace_samples(whole.V, GRID.dt, np.array(u))
-    assert np.max(np.abs(samples - direct)) <= 1e-15 * np.max(direct)
+    # the exponents themselves, against one pass over the whole V
+    exponents = np.concatenate([markowitz._laplace_exponents(ch.V, GRID.dt, np.array(u))
+                                for ch in _chunks(model_t1, stabs_t1, M,
+                                                  initial="fixed", increments=False)])
+    direct = markowitz._laplace_exponents(whole.V, GRID.dt, np.array(u))
+    assert np.max(np.abs(exponents - direct)) <= 1e-15 * np.max(np.abs(direct))
 
 
 @pytest.mark.parametrize("M", EDGES)
@@ -157,7 +157,7 @@ def test_common_chunks_are_those_of_equal_size(M, other, shared):
 
 def test_shared_pass_leaves_before_the_frontier_and_laplace(tmp_path, monkeypatch):
     # full's wealth stage hands the T = 1 frontier its (A_T, B_T) and the
-    # Laplace check the samples of its shared chunk, but none of its
+    # Laplace check the exponents of its shared chunk, but none of its
     # chunks: they are gone when those stages start
     from voltmark import cli, montecarlo
 
@@ -184,16 +184,17 @@ def test_shared_pass_leaves_before_the_frontier_and_laplace(tmp_path, monkeypatc
                         stage_spy(montecarlo.frontier_experiment, "terminal"))
     monkeypatch.setattr(markowitz, "laplace_affine_check",
                         stage_spy(markowitz.laplace_affine_check, "head"))
-    cfg_text = (cli._DEFAULT_CONFIG.replace("M = 5000", f"M = {C + 5}")
+    # laplace_M first: the bundled laplace_M = 5000 ends in "M = 5000"
+    cfg_text = (cli._DEFAULT_CONFIG.replace("laplace_M = 5000", f"laplace_M = {2 * C + 3}")
+                .replace("M = 5000", f"M = {C + 5}")
                 .replace("n = 600", "n = 20")
                 .replace("frontier_horizons = 0.5, 1.0, 5.0", "frontier_horizons = 1.0")
-                .replace("laplace_M = 20000", f"laplace_M = {2 * C + 3}")
                 .replace("stationarity_M = 10000", "stationarity_M = 100"))
     path = tmp_path / "cfg.ini"
     path.write_text(cfg_text)
     assert cli.main(["full", "--config", str(path), "--out", str(tmp_path / "o")]) in (0, 4)
     # the wealth stage's two chunks (M = C + 5); the frontier gets their
-    # (A_T, B_T) pairs, the Laplace check one chunk's samples
+    # (A_T, B_T) pairs, the Laplace check one chunk's exponents
     assert seen == [("frontier_experiment", 2, 8, [False] * 8),
                     ("laplace_affine_check", 1, 8, [False] * 8)]
 

@@ -406,7 +406,7 @@ def test_laplace_smoke(tmp_path):
     out = tmp_path / "out"
     assert main(["laplace", "--config", path, "--out", str(out)]) == 0
     body = (out / "laplace_check.csv").read_text().splitlines()
-    assert body[0] == "mc_value,mc_se,closed_form,z_score"
+    assert body[0] == "mc_value,mc_se,closed_form,z_score,beta"
 
 
 def test_print_config_round_trips(capsys):
@@ -687,6 +687,36 @@ def test_full_simulates_no_chunk_twice(tmp_path, monkeypatch, sizes, horizons, f
         assert (alone / name).read_bytes() == (full / ref).read_bytes(), name
 
 
+def test_bundled_full_simulates_no_laplace_chunk(tmp_path, monkeypatch):
+    # the bundled laplace_M equals mc.M, so the Laplace stage takes the
+    # exponents of every chunk from the wealth stage and asks the engine
+    # for none: 3 stationarity chunks, 2 wealth chunks and 2 for each of
+    # the frontiers at T = 0.5 and 5.  The path counts alone decide the
+    # chunks, so the bundled config runs on a coarse grid here
+    from voltmark import simulate
+
+    calls = []
+    real = simulate._advance_chunks
+
+    def spy(model, stabs, grid, M, seed, initial, factors, increments, start):
+        sizes = []
+        calls.append((model.T, initial, increments, sizes))
+        for chunk in real(model, stabs, grid, M, seed, initial, factors, increments, start):
+            sizes.append(chunk.M)
+            yield chunk
+            del chunk
+
+    monkeypatch.setattr(simulate, "_advance_chunks", spy)
+    path = _write(tmp_path, _DEFAULT_CONFIG.replace("n = 600", "n = 20"))
+    assert main(["full", "--config", path, "--out", str(tmp_path / "o")]) in (0, 4)
+    assert calls == [(1.0, "stationary", False, [4096, 4096, 1808]),
+                     (1.0, "fixed", True, [4096, 904]),
+                     (0.5, "fixed", True, [4096, 904]),
+                     (5.0, "fixed", True, [4096, 904]),
+                     (1.0, "fixed", False, [])]
+    assert sum(len(sizes) for *_, sizes in calls) == 9
+
+
 def test_full_steps_each_wealth_chunk_once(tmp_path, monkeypatch):
     # the wealth stage's recursion gives the T = 1 frontier its (A_T, B_T):
     # one _step_factors pass per path range of each wealth chunk, and no
@@ -827,6 +857,26 @@ def test_zero_vol_of_vol_passes_quietly(tmp_path, command):
         # the gap over a rounding-size SE
         z = np.loadtxt(tmp_path / "o" / "laplace_check.csv", delimiter=",", skiprows=1)[3]
         assert z == 0.0 and "z=0.00 passed=True" in proc.stdout
+
+
+def test_non_finite_laplace_sample_exit_code(tmp_path, capsys, monkeypatch):
+    # one infinite exponent ends the Laplace check as a numerical failure
+    # in one line, with no CSV, instead of a NaN row and exit 4
+    from voltmark import markowitz
+
+    real = markowitz._laplace_exponents
+
+    def one_infinite(V, dt, u):
+        X = real(V, dt, u)
+        X[7] = np.inf
+        return X
+
+    monkeypatch.setattr(markowitz, "_laplace_exponents", one_infinite)
+    out = tmp_path / "o"
+    assert main(["laplace", "--config", _write(tmp_path, TINY), "--out", str(out)]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["numerical failure: Laplace samples is not finite"]
+    assert not (out / "laplace_check.csv").exists()
 
 
 def test_non_finite_covariance_exit_code(tmp_path, capsys, nan_covariance):

@@ -297,9 +297,55 @@ def test_wealth_mean_tracks_target(model_t1, stabs_t1, riccati_600, ensemble_500
 
 def test_laplace_u_zero_exact(model_t1, stabs_t1):
     rep = laplace_affine_check(model_t1, stabs_t1, [0.0, 0.0], Grid(1.0, 30), 50, seed=3)
-    assert rep.mc_value == 1.0
+    assert rep.mc_value == 1.0 and rep.beta == 0.0 and rep.mc_se == 0.0
     assert rep.closed_form == pytest.approx(1.0, abs=1e-12)
     assert rep.passed
+
+
+@pytest.fixture(scope="module")
+def laplace_exponents(model_t1, stabs_t1):
+    """Per-path exponents u^T int V of 1000 fixed-start paths on a T = 1 grid."""
+    grid, u = Grid(1.0, 50), np.array([-0.05, -0.05])
+    ens = simulate_variance_paths(model_t1, stabs_t1, grid, 1000, seed=5, initial="fixed",
+                                  increments=False)
+    return grid, u, markowitz._laplace_exponents(ens.V, grid.dt, u)
+
+
+def test_laplace_control_has_its_exact_mean(model_t1, laplace_exponents):
+    # from V0 = x_inf the scheme's drift is linear and its noise has mean
+    # 0, so the exponent has mean u^T x_inf T in the discrete scheme too
+    grid, u, X = laplace_exponents
+    C = X - u @ model_t1.x_inf * grid.T
+    assert abs(np.mean(C)) <= 3.0 * np.std(C, ddof=1) / np.sqrt(len(C))
+
+
+def test_laplace_control_shrinks_the_se(model_t1, stabs_t1, laplace_exponents):
+    # the check's estimate is the mean of Y - beta C with beta the
+    # regression slope of Y = exp(X) on the control C, and its SE is at
+    # least 50 times the plain one's smaller (about 550 times here)
+    grid, u, X = laplace_exponents
+    rep = laplace_affine_check(model_t1, stabs_t1, u, grid, len(X), seed=5)
+    Y, C = np.exp(X), X - u @ model_t1.x_inf * grid.T
+    assert rep.beta == pytest.approx(np.cov(Y, C)[0, 1] / np.var(C, ddof=1), rel=1e-9)
+    R = Y - rep.beta * C
+    assert rep.mc_value == pytest.approx(np.mean(R), rel=1e-14)
+    assert rep.mc_se == pytest.approx(np.std(R, ddof=1) / np.sqrt(len(R)), rel=1e-9)
+    assert 50.0 * rep.mc_se <= np.std(Y, ddof=1) / np.sqrt(len(Y))
+    assert rep.passed
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_laplace_non_finite_sample_rejected(model_t1, stabs_t1, monkeypatch, bad):
+    real = markowitz._laplace_exponents
+
+    def one_bad(V, dt, u):
+        X = real(V, dt, u)
+        X[7] = bad
+        return X
+
+    monkeypatch.setattr(markowitz, "_laplace_exponents", one_bad)
+    with pytest.raises(NonFiniteError, match="Laplace samples is not finite"):
+        laplace_affine_check(model_t1, stabs_t1, [-0.05, -0.05], Grid(1.0, 30), 50, seed=3)
 
 
 def test_laplace_deterministic_variance(stabs_t1):
