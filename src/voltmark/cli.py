@@ -17,9 +17,10 @@ CSV bodies are byte-stable for a fixed config, seed and VOLTMARK_THREADS:
 VOLTMARK_THREADS caps the BLAS thread count (the package applies it on
 import, before numpy loads).  With VOLTMARK_THREADS=1 the path engine advances the assets
 on one thread each, up to the CPUs the process may use.  The manifest
-records the cap (``blas_threads``, null without one) and the engine's
-paths per chunk (``chunk_paths``), the two settings besides config and
-seed that the CSV bits depend on.
+records the cap (``blas_threads``, null without one), the engine's
+paths per chunk (``chunk_paths``) and its bit generator
+(``bit_generator``), the settings besides config and seed that the CSV
+bits depend on.
 
 ``main`` builds one ``RunContext`` (model, stabilizers, grid) from the
 validated config, and every stage of ``full`` runs on it, so no stage
@@ -181,9 +182,10 @@ def write_manifest(out_dir: str, cfg: dict, config_text: str, extra: dict | None
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
         "parameters": cfg,
-        # the CSV bits depend on these two besides the config and seed
+        # the CSV bits depend on these three besides the config and seed
         "blas_threads": voltmark._blas_threads,
         "chunk_paths": simulate._CHUNK_PATHS,
+        "bit_generator": simulate._BIT_GENERATOR.__name__,
     }
     if extra:
         manifest.update(extra)

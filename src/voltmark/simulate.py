@@ -10,9 +10,10 @@ G_{k,l} = int_{t_{l-1}}^{t_l} K(t_k - s) dW_s are kernel-weighted
 Brownian integrals.  Within one cell the vector of all lags plus the
 plain increment DW is jointly Gaussian with lag-stationary covariance
 built from exact kernel product integrals; one spectral factor per asset
-therefore drives every cell.  Paths are vectorized: each cell draws a
-low-rank standard-normal block and one thin matrix product produces the
-exact joint sample for all paths at once.
+therefore drives every cell, and it comes from the covariance's rank-36
+thin form.  Paths are vectorized: each cell draws a low-rank
+standard-normal block and one thin matrix product produces the exact
+joint sample for all paths at once.
 
 Paths are simulated in fixed chunks of ``_CHUNK_PATHS`` paths, each in
 arrays of its own.  Within a chunk storage is time-major: V is a
@@ -34,10 +35,11 @@ chunk's dWperp draw is one more job.
 
 Everything is reproducible: chunk c takes the c-th ``spawn(1 + d)``
 group of SeedSequence(seed), one child stream for the initial variance
-and the orthogonal increments plus one stream per asset, and the draw
-order is fixed regardless of the number of threads.  The first group
-is the whole stream of an ensemble of at most one chunk, and chunk c of
-paths is the same for every M that gives it one size (``common_chunks``).
+and the orthogonal increments plus one stream per asset, each through
+``_BIT_GENERATOR``, and the draw order is fixed regardless of the
+number of threads.  The first group is the whole stream of an ensemble
+of at most one chunk, and chunk c of paths is the same for every M that
+gives it one size (``common_chunks``).
 """
 
 import contextlib
@@ -48,7 +50,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import _blas_threads as _BLAS_THREADS
 from .kernels import (
@@ -67,6 +68,9 @@ from .model import Grid, MarketModel
 _CHUNK_PATHS = 4096
 _EIG_CUT = 1e-13          # relative eigenvalue cut of the spectral factor
 _FACTOR_RTOL = 1e-8       # required relative Frobenius reproduction
+# bit generator of every engine stream, whose bits depend on it: a normal
+# took 9.9 ns against PCG64's 12.3 ns (numpy 2.4, one Xeon core)
+_BIT_GENERATOR = np.random.SFC64
 
 
 class FactorizationError(RuntimeError):
@@ -83,7 +87,7 @@ class GaussianBlockFactor:
 
     ``factor`` F satisfies F F^T ~ cov to 1e-8 relative Frobenius error,
     where cov is the (n+1) x (n+1) covariance of the vector (G at lags
-    0..n-1, DW) (``_covariance_matrix``); by time-translation invariance
+    0..n-1, DW) (``_thin_form``); by time-translation invariance
     the same matrix serves every cell.  F's column count is the
     numerical rank after eigenvalue clipping.  ``c_seg`` are the
     deterministic cell integrals C[j].
@@ -98,87 +102,78 @@ class GaussianBlockFactor:
         return self.factor.shape[1]
 
 
-def _cell_means(spec: KernelSpec, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Upper lag ends t_j = (j+1) dt and the cell integrals C[j], j < n."""
-    t_up = (np.arange(grid.n) + 1.0) * grid.dt
-    return t_up, np.asarray(kernel_mean_segment(spec, t_up, 0.0, grid.dt))
+def _thin_form(spec: KernelSpec, grid: Grid) -> tuple:
+    """(G, H, exact lag diagonal, C[j]): cov = G H G^T is the covariance of
+    (G_j)_{j<n} and DW over one cell but for the lag diagonal.
 
-
-def _covariance_matrix(spec: KernelSpec, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Lag covariance of (G_j)_{j<n} and DW over one cell, plus C[j].
-
-    The matrix is column-major, in a memory map of its own (``_mapped``),
-    so that LAPACK can factor it in place and it goes back to the system
-    whole when freed.
+    The lags' interior is B W B^T by the 32-point Legendre rule on the
+    cell, B[j, q] = K(t_j - s_q) and W = diag(w_q dt/2).  The row-0
+    correction u (exact minus rule, half the lag-0 diagonal's in u[0])
+    pairs with e_0 and (C[j], dt/2) with e_n, each through a block
+    [[0, 1], [1, 0]] of H, so G is (n+1) x 36.  Elsewhere the rule's
+    diagonal misses the exact one by about 1e-14 of ||cov||_F.
     """
     n, dt = grid.n, grid.dt
-    lags = np.arange(n)
-    t_up, c_seg = _cell_means(spec, grid)
-    cov = _mapped((n + 1, n + 1)).T
-    # interior block by a fixed Legendre rule on the shared cell; rows
-    # involving the singular lag 0 and the diagonal get exact treatment
+    t_up = (np.arange(n) + 1.0) * dt                         # upper lag ends
+    c_seg = np.asarray(kernel_mean_segment(spec, t_up, 0.0, dt))
     nodes, weights = _legendre_rule()
-    s = 0.5 * dt * (nodes + 1.0)
-    B = eval_kernel(spec, t_up[:, None] - s[None, :])       # (n, 32)
-    core = (B * weights[None, :]) @ B.T * (0.5 * dt)
-    cov[:n, :n] = core
-    # exact diagonal and singular first row/column
-    cov[lags, lags] = kernel_cross_segment(spec, t_up, t_up, 0.0, dt)
-    row0 = kernel_cross_segment(spec, t_up[1:], t_up[0], 0.0, dt)
-    cov[0, 1:n] = row0
-    cov[1:n, 0] = row0
-    cov[:n, n] = c_seg
-    cov[n, :n] = c_seg
-    cov[n, n] = dt
-    return cov, c_seg
+    B = eval_kernel(spec, t_up[:, None] - 0.5 * dt * (nodes[None, :] + 1.0))   # (n, 32)
+    q = B.shape[1]
+    w = weights * (0.5 * dt)
+    G, H = np.zeros((n + 1, q + 4)), np.zeros((q + 4, q + 4))
+    G[:n, :q], H[:q, :q] = B, np.diag(w)
+    diag = kernel_cross_segment(spec, t_up, t_up, 0.0, dt)
+    core0 = B @ (w * B[0])                                   # the rule's row 0
+    G[0, q] = G[n, q + 1] = 1.0
+    G[0, q + 2] = 0.5 * (diag[0] - core0[0])
+    G[1:n, q + 2] = kernel_cross_segment(spec, t_up[1:], t_up[0], 0.0, dt) - core0[1:]
+    G[:n, q + 3], G[n, q + 3] = c_seg, 0.5 * dt
+    H[q, q + 2] = H[q + 2, q] = H[q + 1, q + 3] = H[q + 3, q + 1] = 1.0
+    return G, H, diag, c_seg
 
 
-# columns per block of the reproduction check's F F^T, which is never whole
+# columns per block of the reproduction check, which is never whole
 _CHECK_COLS = 256
 
 
 def build_gaussian_factor(spec: KernelSpec, grid: Grid) -> GaussianBlockFactor:
-    """Assemble and factor the joint cell covariance for one asset.
+    """Factor the joint cell covariance for one asset from its thin form.
 
-    The constant kernel (alpha = 1) uses the exact rank-one factor
-    sqrt(dt) 1 and builds no covariance.  For singular kernels the
-    matrix is a Gramian of shifted kernel slices whose spectrum collapses
-    after a handful of modes, so a plain Cholesky is numerically hopeless
-    at realistic n; the stabilized route is the symmetric
-    eigendecomposition with negative and below-cut eigenvalues clipped
-    to zero, keeping a thin factor.  The factor must reproduce the
-    covariance to 1e-8 relative Frobenius error or construction fails
-    with FactorizationError, as it does when LAPACK fails or the
-    covariance is not finite; small problems that happen to be well
-    conditioned still end up with the full-rank (Cholesky-equivalent)
-    factor since no eigenvalue gets clipped.
+    The covariance's spectrum collapses after a handful of modes (to one
+    for the constant kernel, alpha = 1), and the build never forms the
+    (n+1)^2 matrix: with cov = G H G^T (``_thin_form``) and the thin QR
+    G = Q R, the eigendecomposition R H R^T = U diag(w) U^T gives the
+    factor Q U sqrt(w), with eigenvalues below ``_EIG_CUT`` of the
+    largest dropped.  Each column's sign makes its DW entry (row n) positive, and
+    the factor is column-major, as the engine's products expect.
 
-    LAPACK's dsyevd, the routine behind np.linalg.eigh, runs in place:
-    it overwrites the column-major covariance map with the eigenvectors,
-    so the build holds one (n+1)^2 map plus dsyevd's 2 (n+1)^2
-    workspace, where np.linalg.eigh adds a copy and separate
-    eigenvectors.  The check then compares against the covariance built
-    afresh, by column blocks of F F^T, each contiguous in the column-major
-    map.
+    The factor must reproduce the exact covariance, the thin form with
+    the exact lag diagonal put back, to ``_FACTOR_RTOL`` relative
+    Frobenius error, or construction fails with FactorizationError, as
+    it does when the eigendecomposition fails.  The squared error is
+    summed over blocks of ``_CHECK_COLS`` columns, not taken from Gram
+    traces, which resolve only about the size of the bound.
     """
-    if spec.alpha == 1.0:
-        factor = np.full((grid.n + 1, 1), np.sqrt(grid.dt))
-        return GaussianBlockFactor(grid=grid, factor=factor, c_seg=_cell_means(spec, grid)[1])
-    cov, c_seg = _covariance_matrix(spec, grid)
-    norm = float(np.linalg.norm(cov))
+    G, H, diag, c_seg = _thin_form(spec, grid)
+    Q, R = np.linalg.qr(G)
     try:
-        w, U = scipy.linalg.eigh(cov, overwrite_a=True, check_finite=False, driver="evd")
+        w, U = np.linalg.eigh(R @ H @ R.T)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"covariance eigendecomposition failed: {exc}") from None
-    w = w[::-1]
+    w, U = w[::-1], U[:, ::-1]
     keep = w > _EIG_CUT * max(w[0], 0.0)
-    factor = U[:, ::-1][:, keep] * np.sqrt(w[keep])[None, :]
-    del cov, U
-    cov, _ = _covariance_matrix(spec, grid)
+    factor = Q @ (U[:, keep] * np.sqrt(w[keep]))
+    factor = np.asfortranarray(factor * np.where(factor[-1] < 0.0, -1.0, 1.0))
+    err2 = norm2 = 0.0
     for lo in range(0, grid.n + 1, _CHECK_COLS):
         cols = slice(lo, lo + _CHECK_COLS)
-        cov[:, cols] -= factor @ factor[cols].T
-    err = np.linalg.norm(cov)
+        block = G @ (H @ G[cols].T)
+        lags = np.arange(lo, min(lo + _CHECK_COLS, grid.n))
+        block[lags, lags - lo] = diag[lags]
+        norm2 += np.vdot(block, block)
+        block -= factor @ factor[cols].T
+        err2 += np.vdot(block, block)
+    err, norm = np.sqrt(err2), np.sqrt(norm2)
     if not err <= _FACTOR_RTOL * norm:  # NaN fails too
         raise FactorizationError(
             f"spectral factor misses covariance by {err / norm:.2e} relative "
@@ -337,7 +332,7 @@ def _simulate_chunk(model: MarketModel, grid: Grid, m: int, initial: str, factor
     own, and each asset's job maps and frees its own scratch, so that the
     consumer's arrays never stack on it."""
     d, n, dt = model.d, grid.n, grid.dt
-    rng_common, *rngs_asset = (np.random.default_rng(child) for child in children)
+    rng_common, *rngs_asset = (np.random.Generator(_BIT_GENERATOR(child)) for child in children)
     if initial == "stationary":
         with np.errstate(over="ignore", invalid="ignore"):
             V0 = sample_initial_variance(model, m, rng_common)
@@ -478,7 +473,7 @@ def _advance_asset(model: MarketModel, i: int, fac: GaussianBlockFactor,
     n, M = fac.grid.n, V.shape[1]
     r = fac.rank
     # noise modes plus one drift "mode" per cell; it inherits the
-    # eigenvectors' column-major order, which decides numpy's matmul
+    # factor's column-major order, which decides numpy's matmul
     # route for F_aug[:m] (its own loop for one row) and so the rounding
     F_aug = np.concatenate([fac.factor[:n], fac.c_seg[:, None]], axis=1)  # (n, r+1)
     z, vol, y_blk, near, f_big, far = _asset_scratch(n, r, M)

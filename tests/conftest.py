@@ -73,16 +73,16 @@ def child_env():
 
 @pytest.fixture
 def nan_covariance(monkeypatch):
-    """Cell covariances with one NaN entry below the diagonal, and no
-    memoized factor to hide them."""
-    real = simulate._covariance_matrix
+    """Cell covariances with one NaN in the thin terms, at lag 5 of the exact
+    diagonal, and no memoized factor to hide them."""
+    real = simulate._thin_form
 
-    def nan_cov(spec, grid):
-        cov, c_seg = real(spec, grid)
-        cov[5, 3] = np.nan
-        return cov, c_seg
+    def nan_terms(spec, grid):
+        G, H, diag, c_seg = real(spec, grid)
+        diag[5] = np.nan
+        return G, H, diag, c_seg
 
-    monkeypatch.setattr(simulate, "_covariance_matrix", nan_cov)
+    monkeypatch.setattr(simulate, "_thin_form", nan_terms)
     simulate._factor_memo.cache_clear()
     yield
     simulate._factor_memo.cache_clear()

@@ -1,11 +1,12 @@
 """Independent checks that only the tests use: the fractional kernel's
 convolution with a grid function, the resolvent's defining equation, a
 Picard fixed-point solve of the Riccati-Volterra system, the exact
-second moments of the path scheme, the Gaussian factor by
-np.linalg.eigh, the wealth step factors by np.einsum, the wealth
-statistics from whole wealth and strategy paths, the resolvent
-density's L2 norm by adaptive quadrature and the standard errors of
-per-column means and variances by a multinomial bootstrap over paths."""
+second moments of the path scheme, the dense cell covariance and its
+Gaussian factor by np.linalg.eigh, the wealth step factors by
+np.einsum, the wealth statistics from whole wealth and strategy paths,
+the resolvent density's L2 norm by adaptive quadrature and the standard
+errors of per-column means and variances by a multinomial bootstrap
+over paths."""
 
 import numpy as np
 from scipy.integrate import quad
@@ -16,8 +17,12 @@ from voltmark.kernels import (
     KernelSpec,
     ParameterError,
     ResolventSpec,
+    _legendre_rule,
     _power_moments,
+    eval_kernel,
     fractional_kernel,
+    kernel_cross_segment,
+    kernel_mean_segment,
     resolvent,
     resolvent_density,
 )
@@ -28,7 +33,6 @@ from voltmark.riccati import RiccatiSolution, _rhs_tables, solve_riccati_adams
 from voltmark.simulate import (
     _EIG_CUT,
     _asset_increments,
-    _covariance_matrix,
     simulate_variance_chunks,
 )
 
@@ -136,10 +140,33 @@ def scheme_covariance(model, stabs, grid: Grid, i: int) -> np.ndarray:
     return solve_triangular(A, half.T, lower=True)
 
 
+def _covariance_matrix(spec: KernelSpec, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """The dense (n+1) x (n+1) lag covariance of (G_j)_{j<n} and DW over one
+    cell, plus C[j], entry by entry: the interior by the fixed 32-point
+    Legendre rule on the shared cell, the diagonal and the singular row
+    and column 0 exact, the DW row and column the cell means."""
+    n, dt = grid.n, grid.dt
+    lags = np.arange(n)
+    t_up = (lags + 1.0) * dt
+    c_seg = np.asarray(kernel_mean_segment(spec, t_up, 0.0, dt))
+    cov = np.empty((n + 1, n + 1))
+    nodes, weights = _legendre_rule()
+    s = 0.5 * dt * (nodes + 1.0)
+    B = eval_kernel(spec, t_up[:, None] - s[None, :])       # (n, 32)
+    cov[:n, :n] = (B * weights[None, :]) @ B.T * (0.5 * dt)
+    cov[lags, lags] = kernel_cross_segment(spec, t_up, t_up, 0.0, dt)
+    row0 = kernel_cross_segment(spec, t_up[1:], t_up[0], 0.0, dt)
+    cov[0, 1:n] = row0
+    cov[1:n, 0] = row0
+    cov[:n, n] = c_seg
+    cov[n, :n] = c_seg
+    cov[n, n] = dt
+    return cov, c_seg
+
+
 def eigh_factor(spec, grid: Grid) -> np.ndarray:
-    """The clipped spectral factor of the cell covariance by np.linalg.eigh,
-    which copies the matrix and returns separate eigenvectors; the library
-    runs the same LAPACK routine (dsyevd) in place."""
+    """The clipped spectral factor of the dense cell covariance
+    (``_covariance_matrix``) by np.linalg.eigh."""
     cov, _ = _covariance_matrix(spec, grid)
     w, U = np.linalg.eigh(cov)
     w = w[::-1]

@@ -110,13 +110,14 @@ def test_chunks_do_not_depend_on_the_thread_count(model_t1, stabs_t1, monkeypatc
 
 def test_chunk_streams_are_successive_spawn_groups(model_t1, stabs_t1):
     # chunk c draws V0 and then, in place, dWperp = sqrt(dt) N(0, 1) from
-    # child 0 of the c-th spawn(1 + d) group of SeedSequence(seed)
+    # child 0 of the c-th spawn(1 + d) group of SeedSequence(seed), through
+    # the engine's bit generator
     M = C + 300
     ens = _paths(model_t1, stabs_t1, M)
     seq = np.random.SeedSequence(SEED)
     for c0 in (0, C):
         m = min(C, M - c0)
-        rng = np.random.default_rng(seq.spawn(3)[0])
+        rng = np.random.Generator(simulate._BIT_GENERATOR(seq.spawn(3)[0]))
         V0 = simulate.sample_initial_variance(model_t1, m, rng)
         assert np.array_equal(ens.V[c0:c0 + m, :, 0], V0)
         assert np.array_equal(ens.dWperp[c0:c0 + m],

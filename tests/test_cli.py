@@ -349,7 +349,8 @@ def test_v_only_stages_skip_the_increments(tmp_path, monkeypatch):
 
 
 def test_manifest_records_thread_cap_and_chunk_size(tmp_path, monkeypatch):
-    # the CSV bits depend on the BLAS thread cap and the paths per chunk
+    # the CSV bits depend on the BLAS thread cap, the paths per chunk and
+    # the engine's bit generator
     from voltmark import simulate
 
     path = _write(tmp_path, TINY)
@@ -360,6 +361,7 @@ def test_manifest_records_thread_cap_and_chunk_size(tmp_path, monkeypatch):
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["blas_threads"] == cap
         assert manifest["chunk_paths"] == simulate._CHUNK_PATHS == 4096
+        assert manifest["bit_generator"] == simulate._BIT_GENERATOR.__name__ == "SFC64"
 
 
 def test_seed_override_changes_output(tmp_path):
@@ -541,18 +543,22 @@ def test_console_entry_point():
 
 
 def test_import_loads_no_quadrature():
-    # the stabilizer's limit is in closed form, so importing the command
-    # line loads no scipy.integrate
+    # the stabilizer's limit is in closed form and the Gaussian factor
+    # takes numpy's linear algebra, so importing the command line loads
+    # neither scipy.integrate nor scipy.linalg
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, voltmark.cli; print('scipy.integrate' in sys.modules)"],
+        [sys.executable, "-c",
+         "import sys, voltmark.cli; print('scipy.integrate' in sys.modules, "
+         "'scipy.linalg' in sys.modules)"],
         capture_output=True, text=True, env=child_env(), check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
 
 
 def test_only_kernels_imports_scipy_special():
     # kernels owns the special functions and the Gauss rules, so a package
-    # without scipy.special is a change to that one module
-    importers = set()
+    # without scipy.special is a change to that one module; no module
+    # imports scipy.linalg
+    importers = {"scipy.special": set(), "scipy.linalg": set()}
     for path in Path(voltmark.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
@@ -561,9 +567,10 @@ def test_only_kernels_imports_scipy_special():
                 names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
             else:
                 continue
-            if any(name == "scipy.special" or name.startswith("scipy.special.") for name in names):
-                importers.add(path.name)
-    assert importers == {"kernels.py"}
+            for package, found in importers.items():
+                if any(name == package or name.startswith(package + ".") for name in names):
+                    found.add(path.name)
+    assert importers == {"scipy.special": {"kernels.py"}, "scipy.linalg": set()}
 
 
 def test_full_mode_smoke(tmp_path):
@@ -880,8 +887,8 @@ def test_non_finite_laplace_sample_exit_code(tmp_path, capsys, monkeypatch):
 
 
 def test_non_finite_covariance_exit_code(tmp_path, capsys, nan_covariance):
-    # LAPACK factors a NaN covariance without an error; the factor's check
-    # fails, and the CLI reports it as a numerical failure in one line
+    # the factor's check fails on a NaN in the covariance, and the CLI
+    # reports it as a numerical failure in one line
     path = _write(tmp_path, TINY)
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 3
     lines = capsys.readouterr().err.splitlines()

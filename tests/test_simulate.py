@@ -1,16 +1,14 @@
 """Gaussian block factor and the K-integrated Euler scheme."""
 
-import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-import scipy.linalg
 from scipy.integrate import quad
 
 from conftest import child_env, small_model
-from oracles import eigh_factor, scheme_covariance
+from oracles import _covariance_matrix, eigh_factor, scheme_covariance
 from voltmark import simulate
 from voltmark.kernels import (
     eval_kernel,
@@ -22,7 +20,6 @@ from voltmark.model import Grid, MarketModel, bundled_model
 from voltmark.simulate import (
     FactorizationError,
     NonFiniteError,
-    _covariance_matrix,
     build_gaussian_factor,
     correlate_asset_brownian,
     sample_initial_variance,
@@ -87,38 +84,25 @@ def test_covariance_exact_entries_equal_per_entry_calls(alpha, n):
     assert np.array_equal(cov[1:n, 0], row0)
 
 
-def test_factor_equals_numpy_eigh():
-    # dsyevd in place (scipy's LAPACK) gives np.linalg.eigh's factor bit for
-    # bit, column-major as well: that layout decides numpy's matmul route in
-    # the engine (see ``_advance_asset``) and so the rounding of every path.
-    # The bits follow the BLAS thread count, so both run in a child that
-    # imports voltmark before numpy: there a VOLTMARK_THREADS cap reaches
-    # numpy's BLAS as it reaches scipy's, while pytest has loaded numpy first
-    cases = [(T, n, alpha) for T, n in ((1.0, 40), (1.0, 150), (5.0, 600)) for alpha in (0.6, 0.9)]
-    code = (
-        "import voltmark\n"
-        "import numpy as np\n"
-        "from oracles import eigh_factor\n"
-        "from voltmark.kernels import fractional_kernel\n"
-        "from voltmark.model import Grid\n"
-        "from voltmark.simulate import build_gaussian_factor\n"
-        f"for T, n, alpha in {cases!r}:\n"
-        "    spec, g = fractional_kernel(alpha), Grid(T, n)\n"
-        "    fac, ref = build_gaussian_factor(spec, g).factor, eigh_factor(spec, g)\n"
-        "    print(T, n, alpha, np.array_equal(fac, ref),\n"
-        "          fac.flags.f_contiguous == ref.flags.f_contiguous)\n"
-    )
-    env = child_env()
-    env["PYTHONPATH"] += os.pathsep + os.path.dirname(__file__)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
-    lines = proc.stdout.splitlines()
-    assert len(lines) == len(cases)
-    assert all(line.endswith("True True") for line in lines), lines
+def test_thin_factor_matches_dense_oracle():
+    # the thin build against the dense covariance and its np.linalg.eigh
+    # factor: the same clipped rank, the covariance to rounding, every
+    # column's DW entry positive, and column-major storage, which decides
+    # numpy's matmul route in the engine (see ``_advance_asset``)
+    for T, n in ((1.0, 40), (1.0, 150), (5.0, 600), (5.0, 2400)):
+        for alpha in (0.6, 0.9):
+            spec, g = fractional_kernel(alpha), Grid(T, n)
+            fac = build_gaussian_factor(spec, g).factor
+            cov, _ = _covariance_matrix(spec, g)
+            assert fac.shape[1] == eigh_factor(spec, g).shape[1], (T, n, alpha)
+            err = np.linalg.norm(fac @ fac.T - cov)
+            assert err <= 1e-13 * np.linalg.norm(cov), (T, n, alpha, err)
+            assert np.all(fac[n] > 0.0) and fac.flags.f_contiguous, (T, n, alpha)
 
 
 def test_non_finite_covariance_fails_the_check(nan_covariance):
-    # LAPACK returns NaN eigenvalues without an error; the check must still fail
+    # a NaN in the exact diagonal leaves the thin form finite, so only the
+    # check sees it
     with pytest.raises(FactorizationError, match="misses covariance by nan"):
         build_gaussian_factor(fractional_kernel(0.7), Grid(1.0, 40))
 
@@ -131,10 +115,25 @@ def test_zero_tolerance_fails_the_check(monkeypatch):
 
 def test_lapack_failure_is_a_factorization_error(monkeypatch):
     def failing_eigh(*args, **kwargs):
-        raise np.linalg.LinAlgError("The algorithm failed to compute an eigenvalue")
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(scipy.linalg, "eigh", failing_eigh)
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
     with pytest.raises(FactorizationError, match="eigendecomposition failed"):
+        build_gaussian_factor(fractional_kernel(0.7), Grid(1.0, 40))
+
+
+def test_thin_form_without_row0_correction_fails_the_check(monkeypatch):
+    # the check is real: a thin form that lacks the row-0 correction column
+    # (G's column 34, paired with e_0) misses lag 0's exact diagonal
+    real = simulate._thin_form
+
+    def dropped(spec, grid):
+        G, H, diag, c_seg = real(spec, grid)
+        keep = np.arange(G.shape[1]) != 34
+        return G[:, keep], H[np.ix_(keep, keep)], diag, c_seg
+
+    monkeypatch.setattr(simulate, "_thin_form", dropped)
+    with pytest.raises(FactorizationError, match="misses covariance"):
         build_gaussian_factor(fractional_kernel(0.7), Grid(1.0, 40))
 
 
@@ -144,9 +143,8 @@ def test_factor_build_memory():
     # small build first loads the LAPACK code and its thread buffers.  The
     # peak is VmHWM, the peak of the interpreter's own memory: Linux keeps
     # ru_maxrss across exec, so there it would start at pytest's peak.  The
-    # build holds the covariance map and dsyevd's workspace, 3 (n+1)^2
-    # doubles; np.linalg.eigh's copy and separate eigenvectors made it 5.3
-    n = 800
+    # build holds no (n+1)^2 array: any whole one would read >= 1
+    n = 2400
     code = (
         "from voltmark.kernels import fractional_kernel\n"
         "from voltmark.model import Grid\n"
@@ -162,7 +160,7 @@ def test_factor_build_memory():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=child_env(), check=True)
     growth = int(proc.stdout) * 1024 / (8 * (n + 1) ** 2)
-    assert growth <= 4.0, f"the build grew the peak by {growth:.2f} covariance matrices"
+    assert growth <= 0.5, f"the build grew the peak by {growth:.2f} covariance matrices"
 
 
 def test_factor_sample_moments():
@@ -383,7 +381,7 @@ def test_engine_matches_naive_volterra_sum(model_t1, stabs_t1, monkeypatch):
     children = np.random.SeedSequence(seed).spawn(1 + model_t1.d)
     for i in range(model_t1.d):
         fac = build_gaussian_factor(fractional_kernel(model_t1.alpha[i]), g)
-        rng = np.random.default_rng(children[1 + i])
+        rng = np.random.Generator(simulate._BIT_GENERATOR(children[1 + i]))
         sig = np.asarray(stabs_t1[i].eval(g.times[:-1]))
         mu0, lam, nu = model_t1.mu0[i], model_t1.lam[i], model_t1.nu[i]
         V = np.empty((n + 1, M))
