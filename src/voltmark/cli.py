@@ -25,13 +25,16 @@ bits depend on.
 ``main`` builds one ``RunContext`` (model, stabilizers, grid) from the
 validated config, and every stage of ``full`` runs on it, so no stage
 rebuilds the stabilizers or re-solves psi; a frontier at another
-horizon takes ``RunContext.at(T)``, which keeps the stabilizers.  One
-fixed-start pass serves three stages of ``full``: each chunk's wealth
+horizon takes ``RunContext.at(T)``, which keeps the stabilizers.
+``full`` first applies its late stages' own rules (the frontier
+horizons, the target m, the Laplace forcing u), so a config that one of
+them would refuse fails before the first stage writes anything.
+One fixed-start pass serves three stages of ``full``: each chunk's wealth
 recursion also gives the frontier at the config horizon its (A_T, B_T),
-and the Laplace check the exponents of a chunk it shares
-(``simulate.common_chunks``), so ``full`` simulates and steps no chunk twice.
-The bundled laplace_M equals mc.M, so the Laplace stage shares every
-chunk and simulates none: bundled ``full`` runs 9 engine chunks.
+and, when laplace_M equals mc.M (same seed, grid and start, so the same
+paths), the Laplace check its exponents; otherwise the Laplace stage
+simulates its own stream, as ``voltmark laplace`` does.  The bundled
+laplace_M equals mc.M, so bundled ``full`` runs 9 engine chunks.
 The wealth stage folds X and the strategies per block of 64 steps as the
 recursion steps them, so it holds no chunk's wealth or strategy paths.
 """
@@ -355,10 +358,12 @@ def run_frontier(run: RunContext, out_dir: str, T: float | None = None, terminal
     return 0 if ok else EXIT_ACCEPTANCE
 
 
-def run_laplace(run: RunContext, out_dir: str, head=()) -> int:
+def run_laplace(run: RunContext, out_dir: str, exponents=None) -> int:
+    """The Laplace check on its own stream, or on the per-chunk ``exponents``
+    of all laplace_M paths if given."""
     cfg = run.cfg
     rep = markowitz.laplace_affine_check(run.model, run.stabs, cfg["u"], run.grid,
-                                         cfg["laplace_M"], cfg["seed"], head=head)
+                                         cfg["laplace_M"], cfg["seed"], exponents=exponents)
     write_csv(
         os.path.join(out_dir, "laplace_check.csv"),
         ["mc_value", "mc_se", "closed_form", "z_score", "beta"],
@@ -371,6 +376,11 @@ def run_laplace(run: RunContext, out_dir: str, head=()) -> int:
 
 def run_full(run: RunContext, out_dir: str) -> int:
     cfg, grid = run.cfg, run.grid
+    # the late stages' own rules, so that a config they refuse writes nothing
+    for T in cfg["frontier_horizons"]:
+        run.at(T)
+    markowitz._riskless(run.model, cfg["m"])
+    riccati._laplace_forcing(run.model, cfg["u"])
     status = 0
     print("== stabilizer ==")
     status = max(status, run_stabilizer(run, out_dir))
@@ -380,15 +390,16 @@ def run_full(run: RunContext, out_dir: str) -> int:
     status = max(status, run_simulate(run, out_dir, M=cfg["stationarity_M"], gate=True))
     print("== wealth ==")
     # the wealth stage's recursions also give the frontier at the config horizon
-    # its (A_T, B_T), and its chunks the Laplace check the exponents of those it shares
-    shared = simulate.common_chunks(cfg["M"], cfg["laplace_M"])
-    pairs, head = [], []
+    # its (A_T, B_T), and its chunks the Laplace check its exponents when the
+    # Laplace ensemble is the wealth stage's: same seed, grid, start and size
+    pairs = []
+    exponents = [] if cfg["laplace_M"] == cfg["M"] else None
 
     def tap(chunk, A_T, B_T):
         if grid.T in cfg["frontier_horizons"]:
             pairs.append((A_T, B_T))
-        if len(head) < shared:  # head holds one array per chunk so far
-            head.append(markowitz._laplace_exponents(chunk.V, grid.dt, np.asarray(cfg["u"])))
+        if exponents is not None:
+            exponents.append(markowitz._laplace_exponents(chunk.V, grid.dt, np.asarray(cfg["u"])))
 
     status = max(status, run_wealth(run, out_dir, tap))
     for T in cfg["frontier_horizons"]:
@@ -396,7 +407,7 @@ def run_full(run: RunContext, out_dir: str) -> int:
         terminal = pairs if T == grid.T else None
         status = max(status, run_frontier(run, out_dir, T=T, terminal=terminal))
     print("== laplace ==")
-    status = max(status, run_laplace(run, out_dir, head))
+    status = max(status, run_laplace(run, out_dir, exponents))
     return status
 
 

@@ -31,7 +31,13 @@ import numpy as np
 
 from .kernels import ParameterError, _gamma, _legendre_rule, fractional_integral
 from .model import Grid, MarketModel
-from .riccati import RiccatiSolution, _rhs_along, solve_laplace_riccati, solve_riccati_adams
+from .riccati import (
+    RiccatiSolution,
+    _laplace_forcing,
+    _rhs_along,
+    solve_laplace_riccati,
+    solve_riccati_adams,
+)
 from .simulate import (
     PathEnsemble,
     _asset_increments,
@@ -69,9 +75,6 @@ class WealthEnsemble:
     readers of whole paths: the tests, and the benchmark's refine_t5
     workload through ``terminal``."""
 
-    model: MarketModel
-    grid: Grid
-    xi_star: float
     X: np.ndarray = field(repr=False)            # (M, n+1)
     alpha_paths: np.ndarray = field(repr=False)  # (M, d, n)
     A_T: np.ndarray = field(repr=False)          # (M,); X_T = A_T + xi B_T
@@ -376,8 +379,7 @@ def simulate_wealth(model: MarketModel, ensemble: PathEnsemble, solution: Riccat
         alpha_paths[:, :, lo : lo + alpha.shape[2]] = alpha
 
     A, B = _wealth_recursion(model, ensemble, solution, stabs, xi_star, store)
-    return WealthEnsemble(model=model, grid=ensemble.grid, xi_star=xi_star, X=X,
-                          alpha_paths=alpha_paths, A_T=A, B_T=B)
+    return WealthEnsemble(X=X, alpha_paths=alpha_paths, A_T=A, B_T=B)
 
 
 def affine_wealth_terminal(model: MarketModel, ensemble: PathEnsemble,
@@ -461,7 +463,6 @@ class LaplaceReport:
     closed_form: float
     z_score: float
     passed: bool
-    u: np.ndarray
     beta: float
 
 
@@ -487,21 +488,22 @@ def laplace_closed_form(model: MarketModel, stabs, u, n_solver: int = _GAMMA0_RE
 
 
 def laplace_affine_check(model: MarketModel, stabs, u, grid: Grid, M: int, seed: int, *,
-                         ensemble: PathEnsemble | None = None, head=()) -> LaplaceReport:
+                         ensemble: PathEnsemble | None = None,
+                         exponents=None) -> LaplaceReport:
     """Monte Carlo test of the exponential-affine Laplace formula.
 
     Simulates M paths started from x_inf (V only, without the Brownian
-    increments) unless an ensemble is given, estimates
+    increments) unless an ensemble or the exponents are given, estimates
     E[exp(int_0^T V^T u ds)] with a per-path trapezoidal time integral,
     and compares against the closed form by ``z_score``.  The paths are
     taken one chunk at a time (``simulate_variance_chunks``; a given
     ensemble is the one chunk) and only the per-path exponents are kept.
-    ``head`` holds the exponents of the leading chunks, one array each,
-    when a caller already had those paths (``voltmark full``, from the
-    wealth stage's chunks); the simulation starts after them.  The
-    integral runs over the time-major rows of each chunk's V with
-    (d, chunk) buffers, in the order and rounding of ``np.trapezoid``
-    along the time axis.
+    ``exponents`` holds those of all M paths, one array per chunk
+    (``_laplace_exponents``), when a caller already had the paths
+    (``voltmark full``, from the wealth stage's chunks); the engine is
+    then not called.  The integral runs over the time-major rows of each
+    chunk's V with (d, chunk) buffers, in the order and rounding of
+    ``np.trapezoid`` along the time axis.
 
     The estimator is controlled (Glasserman, Monte Carlo Methods in
     Financial Engineering, 2003, sec. 4.1).  From V_0 = x_inf the scheme's
@@ -524,20 +526,21 @@ def laplace_affine_check(model: MarketModel, stabs, u, grid: Grid, M: int, seed:
     1e-8 at T = 1.
 
     NonFiniteError when a sample, beta or the SE is not finite;
-    ParameterError when a given ensemble lies on another grid.
+    ParameterError when u > 0 (before any path is drawn) or a given
+    ensemble lies on another grid.
     """
     if ensemble is not None and ensemble.grid != grid:
         raise ParameterError("Laplace check requires the ensemble's grid to match the given grid")
-    u = np.broadcast_to(np.asarray(u, dtype=float), (model.d,)).copy()
-    # solve_laplace_riccati rejects u > 0 before any path is drawn
+    u = _laplace_forcing(model, u)
     closed = laplace_closed_form(model, stabs, u, n_solver=max(grid.n, _GAMMA0_REFINE))
-    chunks = ([ensemble] if ensemble is not None
-              else simulate_variance_chunks(model, stabs, grid, M, seed, initial="fixed",
-                                            increments=False, start=len(head)))
-    # map drops each chunk before the next one is simulated
-    X = np.concatenate(list(head) + list(map(
-        lambda chunk: _laplace_exponents(chunk.V, grid.dt, u), chunks)))
+    if exponents is None:
+        chunks = ([ensemble] if ensemble is not None
+                  else simulate_variance_chunks(model, stabs, grid, M, seed, initial="fixed",
+                                                increments=False))
+        # map drops each chunk before the next one is simulated
+        exponents = map(lambda chunk: _laplace_exponents(chunk.V, grid.dt, u), chunks)
+    X = np.concatenate(list(exponents))
     mc, se, beta = _controlled_mean(X, float(u @ model.x_inf) * model.T)
     z = float(z_score(mc, closed, se))
     return LaplaceReport(mc_value=mc, mc_se=se, closed_form=closed, z_score=z,
-                         passed=z <= 3.0, u=u, beta=beta)
+                         passed=z <= 3.0, beta=beta)

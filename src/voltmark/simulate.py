@@ -39,7 +39,8 @@ and the orthogonal increments plus one stream per asset, each through
 ``_BIT_GENERATOR``, and the draw order is fixed regardless of the
 number of threads.  The first group is the whole stream of an ensemble
 of at most one chunk, and chunk c of paths is the same for every M that
-gives it one size (``common_chunks``).
+gives it one size.  The engine keeps no state between calls: every
+stream starts at chunk 0 and builds its own factors.
 """
 
 import contextlib
@@ -182,17 +183,6 @@ def build_gaussian_factor(spec: KernelSpec, grid: Grid) -> GaussianBlockFactor:
     return GaussianBlockFactor(grid=grid, factor=factor, c_seg=c_seg)
 
 
-# KernelSpec and Grid are frozen and hash by value, so the stages of a
-# run that share a horizon share its factors; the builder is looked up
-# at call time, so a caller that replaces it sees every miss
-@functools.lru_cache(maxsize=16)
-def _factor_memo(spec: KernelSpec, grid: Grid) -> GaussianBlockFactor:
-    fac = build_gaussian_factor(spec, grid)
-    fac.factor.flags.writeable = False
-    fac.c_seg.flags.writeable = False
-    return fac
-
-
 @dataclass(frozen=True, eq=False)
 class PathEnsemble:
     """Simulated variance paths with their driving increments.
@@ -272,13 +262,11 @@ def simulate_variance_paths(model: MarketModel, stabs, grid: Grid, M: int, seed:
 
 
 def simulate_variance_chunks(model: MarketModel, stabs, grid: Grid, M: int, seed: int, *,
-                             initial: str = "stationary",
-                             increments: bool = True, start: int = 0):
+                             initial: str = "stationary", increments: bool = True):
     """The paths of ``simulate_variance_paths``, one chunk at a time.
 
     Yields a PathEnsemble per block of ``_CHUNK_PATHS`` paths (the last
-    one holds the rest), in path order from chunk ``start`` on, the tail
-    of the whole generator; its M is the chunk's path count.
+    one holds the rest), in path order; its M is the chunk's path count.
     Each chunk has arrays of its own, and the engine's scratch and each
     chunk's arrays scale with the chunk, not with M, so a consumer that
     keeps only per-path values and drops each chunk before taking the
@@ -287,39 +275,31 @@ def simulate_variance_chunks(model: MarketModel, stabs, grid: Grid, M: int, seed
     chunk is asked for.
     """
     factors = _checked_factors(model, grid, M, initial)
-    return _advance_chunks(model, stabs, grid, M, seed, initial, factors, increments, start)
-
-
-def common_chunks(M: int, other: int) -> int:
-    """Leading chunks, those of one size, that ensembles of M and ``other``
-    paths on one grid, seed and initial mode share bit for bit."""
-    return min(M, other) // _CHUNK_PATHS + int(M == other and M % _CHUNK_PATHS > 0)
+    return _advance_chunks(model, stabs, grid, M, seed, initial, factors, increments)
 
 
 def _checked_factors(model: MarketModel, grid: Grid, M: int, initial: str) -> list:
-    """Validate the engine's arguments and take each asset's factor from the
-    per-process memo (read-only arrays)."""
+    """Validate the engine's arguments, then build each asset's factor."""
     if M < 1:
         raise ParameterError(f"path count M must be >= 1, got {M}")
     if grid.T != model.T:
         raise ParameterError(f"grid horizon {grid.T} != model horizon {model.T}")
     if initial not in ("stationary", "fixed"):
         raise ParameterError(f"unknown initial-variance mode {initial!r}")
-    return [_factor_memo(fractional_kernel(a), grid) for a in model.alpha]
+    return [build_gaussian_factor(fractional_kernel(a), grid) for a in model.alpha]
 
 
 def _advance_chunks(model: MarketModel, stabs, grid: Grid, M: int, seed: int, initial: str,
-                    factors: list, increments: bool, start: int):
-    """Yield the chunks from chunk ``start`` on: chunk c covers paths
-    c C .. min((c+1) C, M) - 1 with C = _CHUNK_PATHS and draws from the
-    c-th ``spawn(1 + d)`` group of SeedSequence(seed).  ``_simulate_chunk``
-    builds and returns each one, so that the generator, suspended at its
-    yield, holds none of a chunk's arrays."""
+                    factors: list, increments: bool):
+    """Yield the chunks: chunk c covers paths c C .. min((c+1) C, M) - 1
+    with C = _CHUNK_PATHS and draws from the c-th ``spawn(1 + d)`` group
+    of SeedSequence(seed).  ``_simulate_chunk`` builds and returns each
+    one, so that the generator, suspended at its yield, holds none of a
+    chunk's arrays."""
     d = model.d
     sig_grid = np.stack([np.asarray(st.eval(grid.times[:-1])) for st in stabs], axis=0)  # (d, n)
     seq = np.random.SeedSequence(seed)
-    seq.spawn(start * (1 + d))  # the stream groups of the chunks before start
-    for c0 in range(start * _CHUNK_PATHS, M, _CHUNK_PATHS):
+    for c0 in range(0, M, _CHUNK_PATHS):
         yield _simulate_chunk(model, grid, min(_CHUNK_PATHS, M - c0), initial, factors,
                               increments, sig_grid, seq.spawn(1 + d))
 

@@ -143,9 +143,7 @@ class StabilizerSeries:
         Kernel order, mean-reversion rate and normalized variance
         c = v0 / (nu^2 x_inf).
     coeffs : ndarray
-        Truncated series coefficients c_k.
-    truncation_K : int
-        Number of retained terms.
+        Truncated series coefficients c_k, one per retained term.
     switch_u : float
         Scaled time beyond which the asymptotic constant replaces the
         series (largest u whose tail and rounding errors stay below
@@ -158,7 +156,6 @@ class StabilizerSeries:
     lam: float
     c: float
     coeffs: np.ndarray = field(repr=False)
-    truncation_K: int
     switch_u: float
     limit: float
 
@@ -186,7 +183,7 @@ class StabilizerSeries:
             if np.any(bad):
                 raise TruncationError(
                     f"stabilizer series negative ({s2.min():.3e}) before the switch "
-                    f"point with {self.truncation_K} terms"
+                    f"point with {len(self.coeffs)} terms"
                 )
             scale = self.c * self.lam ** (2.0 - 1.0 / self.alpha)
             out[inside] = np.sqrt(np.clip(scale * s2, 0.0, None))
@@ -282,8 +279,7 @@ def build_stabilizer(alpha: float, lam: float, c: float):
         switch_u = lo
     limit = float(np.sqrt(c) * lam / density_l2_norm(alpha, lam))
     return StabilizerSeries(
-        alpha=alpha, lam=lam, c=c, coeffs=coeffs,
-        truncation_K=k_eff, switch_u=switch_u, limit=limit,
+        alpha=alpha, lam=lam, c=c, coeffs=coeffs, switch_u=switch_u, limit=limit,
     )
 
 

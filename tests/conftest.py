@@ -74,7 +74,7 @@ def child_env():
 @pytest.fixture
 def nan_covariance(monkeypatch):
     """Cell covariances with one NaN in the thin terms, at lag 5 of the exact
-    diagonal, and no memoized factor to hide them."""
+    diagonal."""
     real = simulate._thin_form
 
     def nan_terms(spec, grid):
@@ -83,6 +83,3 @@ def nan_covariance(monkeypatch):
         return G, H, diag, c_seg
 
     monkeypatch.setattr(simulate, "_thin_form", nan_terms)
-    simulate._factor_memo.cache_clear()
-    yield
-    simulate._factor_memo.cache_clear()

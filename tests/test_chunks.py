@@ -5,6 +5,7 @@ one over, and two chunks plus a remainder.  The grid is small, but has
 more than one block of cells, so the far-field flush runs in every chunk.
 """
 
+import itertools
 import weakref
 
 import numpy as np
@@ -124,42 +125,30 @@ def test_chunk_streams_are_successive_spawn_groups(model_t1, stabs_t1):
                               np.sqrt(GRID.dt) * rng.standard_normal((m, 2, GRID.n)))
 
 
-@pytest.mark.parametrize("initial", ["stationary", "fixed"])
-@pytest.mark.parametrize("increments", [True, False])
-def test_chunks_from_an_index_are_the_tail(model_t1, stabs_t1, initial, increments):
-    # a generator started at chunk c skips the stream groups before it,
-    # so it yields the whole generator's chunks c, c + 1, ...
-    M = 2 * C + 3
-    whole = _chunks(model_t1, stabs_t1, M, initial=initial, increments=increments)
-    for start in (1, 2, 3):
-        tail = _chunks(model_t1, stabs_t1, M, initial=initial, increments=increments,
-                       start=start)
-        assert [ch.M for ch in tail] == [ch.M for ch in whole[start:]]
-        for ch, ref in zip(tail, whole[start:]):
-            assert np.array_equal(ch.V, ref.V)
-            if increments:
-                assert np.array_equal(ch.dW, ref.dW)
-                assert np.array_equal(ch.dWperp, ref.dWperp)
-
-
 @pytest.mark.parametrize("M, other, shared", [
     (5000, 20000, 1), (120, 120, 1), (120, 130, 0), (C + 5, 2 * C + 3, 1),
     (C, 2 * C, 1), (2 * C, 2 * C, 2), (C + 5, C + 5, 2), (C + 5, C + 6, 1),
 ])
-def test_common_chunks_are_those_of_equal_size(M, other, shared):
-    def sizes(n):
-        return [min(C, n - c0) for c0 in range(0, n, C)]
+def test_common_chunks_are_those_of_equal_size(model_t1, stabs_t1, M, other, shared):
+    # chunk c of two fixed-start streams on one grid and seed holds the
+    # same paths when it has the same size in both, so the leading chunks
+    # of one size agree bit for bit; the V-only stream (full's Laplace
+    # ensemble) against the one with increments (its wealth ensemble)
+    def leading(n, increments):
+        return list(itertools.islice(simulate_variance_chunks(
+            model_t1, stabs_t1, GRID, n, SEED, initial="fixed", increments=increments),
+            shared + 1))
 
-    assert simulate.common_chunks(M, other) == simulate.common_chunks(other, M) == shared
-    assert sizes(M)[:shared] == sizes(other)[:shared]
-    assert shared == min(len(sizes(M)), len(sizes(other))) or \
-        sizes(M)[shared] != sizes(other)[shared]
+    mine, theirs = leading(M, False), leading(other, True)
+    for a, b in zip(mine[:shared], theirs[:shared]):
+        assert a.M == b.M and np.array_equal(a.V, b.V)
+    assert shared in (len(mine), len(theirs)) or mine[shared].M != theirs[shared].M
 
 
 def test_shared_pass_leaves_before_the_frontier_and_laplace(tmp_path, monkeypatch):
     # full's wealth stage hands the T = 1 frontier its (A_T, B_T) and the
-    # Laplace check the exponents of its shared chunk, but none of its
-    # chunks: they are gone when those stages start
+    # Laplace check (laplace_M = M) the exponents of its chunks, but none of
+    # its chunks: they are gone when those stages start
     from voltmark import cli, montecarlo
 
     refs, seen = [], []
@@ -184,10 +173,9 @@ def test_shared_pass_leaves_before_the_frontier_and_laplace(tmp_path, monkeypatc
     monkeypatch.setattr(montecarlo, "frontier_experiment",
                         stage_spy(montecarlo.frontier_experiment, "terminal"))
     monkeypatch.setattr(markowitz, "laplace_affine_check",
-                        stage_spy(markowitz.laplace_affine_check, "head"))
-    # laplace_M first: the bundled laplace_M = 5000 ends in "M = 5000"
-    cfg_text = (cli._DEFAULT_CONFIG.replace("laplace_M = 5000", f"laplace_M = {2 * C + 3}")
-                .replace("M = 5000", f"M = {C + 5}")
+                        stage_spy(markowitz.laplace_affine_check, "exponents"))
+    # mc.M and laplace_M, both 5000 in the bundled config
+    cfg_text = (cli._DEFAULT_CONFIG.replace("M = 5000", f"M = {C + 5}")
                 .replace("n = 600", "n = 20")
                 .replace("frontier_horizons = 0.5, 1.0, 5.0", "frontier_horizons = 1.0")
                 .replace("stationarity_M = 10000", "stationarity_M = 100"))
@@ -195,9 +183,9 @@ def test_shared_pass_leaves_before_the_frontier_and_laplace(tmp_path, monkeypatc
     path.write_text(cfg_text)
     assert cli.main(["full", "--config", str(path), "--out", str(tmp_path / "o")]) in (0, 4)
     # the wealth stage's two chunks (M = C + 5); the frontier gets their
-    # (A_T, B_T) pairs, the Laplace check one chunk's exponents
+    # (A_T, B_T) pairs, the Laplace check their exponents
     assert seen == [("frontier_experiment", 2, 8, [False] * 8),
-                    ("laplace_affine_check", 1, 8, [False] * 8)]
+                    ("laplace_affine_check", 2, 8, [False] * 8)]
 
 
 @pytest.mark.parametrize("M", [0, -5])

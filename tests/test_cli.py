@@ -15,7 +15,7 @@ import pytest
 import voltmark
 from conftest import child_env
 from voltmark.cli import ConfigError, RunContext, _DEFAULT_CONFIG, load_config, main
-from voltmark.model import bundled_model
+from voltmark.model import Grid, bundled_model
 
 TINY = """\
 [model]
@@ -187,6 +187,26 @@ def test_laplace_positive_u_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and err.startswith("config error") and "u must be <= 0" in err
     assert not (out / "laplace_check.csv").exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("u = 0.05, -0.05", "u must be <= 0"),
+    ("u = nan, -0.05", "u must be <= 0"),
+    ("m = 1.5", "below the riskless level"),
+    ("frontier_horizons = 0.5, 1.0, -5", "horizon T must be > 0"),
+], ids=["u", "u-nan", "m", "horizon"])
+def test_late_stage_config_error_writes_nothing(tmp_path, capsys, line, message):
+    # full used to run every stage before the Laplace one refused u (or
+    # blew up on a NaN in it, exit 3), the stages before the wealth one
+    # before it refused m < m0, and the frontiers before the one at a
+    # negative horizon, writing their CSVs
+    key = line.split(" = ")[0]
+    cfg_text = re.sub(rf"^{key} = .*$", line, _two_assets(TINY), flags=re.M)
+    out = tmp_path / "o"
+    assert main(["full", "--config", _write(tmp_path, cfg_text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and err.startswith("config error") and message in err
+    assert list(out.iterdir()) == []
 
 
 def test_missing_field_exit_code(tmp_path):
@@ -573,6 +593,27 @@ def test_only_kernels_imports_scipy_special():
     assert importers == {"scipy.special": {"kernels.py"}, "scipy.linalg": set()}
 
 
+def test_src_keeps_only_the_listed_caches():
+    # a per-process cache keeps state between calls, so src/ holds only
+    # those whose traffic was measured: riccati's solve memo (see its
+    # comment) and the rules that depend on constants alone.  A cache
+    # added anywhere, as a decorator or a call, must be listed here
+    names = {"lru_cache", "cache", "cached_property"}
+    decorated, uses = set(), 0
+    for path in Path(voltmark.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            uses += (isinstance(node, ast.Name) and node.id in names) or \
+                (isinstance(node, ast.Attribute) and node.attr in names)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in node.decorator_list:
+                    dec = dec.func if isinstance(dec, ast.Call) else dec
+                    if getattr(dec, "id", getattr(dec, "attr", None)) in names:
+                        decorated.add(f"{path.stem}.{node.name}")
+    assert decorated == {"riccati._solve_memo", "kernels._legendre_rule", "kernels._jacobi_rule",
+                         "kernels._parabola_nodes", "stabilizer._graded_rule"}
+    assert uses == len(decorated)
+
+
 def test_full_mode_smoke(tmp_path):
     # wiring check at toy sizes; the statistical gates may legitimately
     # trip at M = 120, so only exit codes 0/4 are acceptable
@@ -586,9 +627,9 @@ def test_full_mode_smoke(tmp_path):
 
 
 def test_full_stages_share_one_context(tmp_path, monkeypatch):
-    # full builds the stabilizers once, solves each Riccati system once
-    # and builds each Gaussian factor once, and every stage writes what
-    # the standalone command writes
+    # full builds the stabilizers once and solves each Riccati system
+    # once, each simulated stream builds its own d factors, and every
+    # stage writes what the standalone command writes
     from voltmark import model, riccati, simulate
 
     builds, solves, factors = [], [], []
@@ -611,7 +652,6 @@ def test_full_stages_share_one_context(tmp_path, monkeypatch):
     monkeypatch.setattr(riccati, "_solve_adams", solve_spy)
     monkeypatch.setattr(simulate, "build_gaussian_factor", factor_spy)
     riccati._solve_memo.cache_clear()
-    simulate._factor_memo.cache_clear()
     # two assets, a horizon besides the config one, and a stationarity
     # path count different from mc.M
     cfg_text = _two_assets(TINY.replace("frontier_horizons = 1.0", "frontier_horizons = 0.5, 1.0")
@@ -623,13 +663,11 @@ def test_full_stages_share_one_context(tmp_path, monkeypatch):
     # psi at T = 1 and 0.5 on the path grid and refined for Gamma0, and
     # the Laplace system
     assert len(solves) == len(set(solves)) == 5, solves
-    # both kernels on the T = 1 grid (stationarity, wealth, frontier,
-    # Laplace) and on the T = 0.5 one; the memo hands out read-only arrays
-    assert len(factors) == len(set(factors)) == 4, factors
-    for alpha, grid in factors:
-        fac = simulate._factor_memo(simulate.fractional_kernel(alpha), grid)
-        assert not fac.factor.flags.writeable and not fac.c_seg.flags.writeable
-    assert len(factors) == 4
+    # both kernels for each stream: stationarity and wealth on the T = 1
+    # grid, the frontier on the T = 0.5 one; the T = 1 frontier and the
+    # Laplace check (laplace_M = M) read the wealth stage's chunks
+    one, half = Grid(1.0, 40), Grid(0.5, 40)
+    assert factors == [(0.7, one), (0.9, one)] * 2 + [(0.7, half), (0.9, half)], factors
 
     alone = tmp_path / "alone"
     station = _write(tmp_path, re.sub(r"^M = .*$", "M = 90", cfg_text, flags=re.M),
@@ -648,27 +686,29 @@ _C = 4096  # simulate._CHUNK_PATHS, asserted in the test
 
 
 @pytest.mark.parametrize("sizes, horizons, fixed_chunks", [
-    # wealth chunks {C, 5}, Laplace chunks {C, C, 3}: chunk 0 is shared,
-    # and the T = 1 frontier reads the wealth stage's (A_T, B_T)
-    ((_C + 5, 2 * _C + 3), "0.5, 1.0", [(0, _C), (1, 5), (1, _C), (2, 3)]),
-    # one short chunk each, of different sizes: the Laplace stage shares nothing
-    ((120, 130), "0.5, 1.0", [(0, 120), (0, 130)]),
-    # no frontier at the config horizon, and no Laplace chunk shared
-    ((_C + 5, 130), "0.5", [(0, _C), (1, 5), (0, 130)]),
+    # wealth chunks {C, 5} with increments, and laplace_M != M, so the
+    # Laplace stage draws its own V-only stream {C, C, 3} from chunk 0;
+    # the T = 1 frontier reads the wealth stage's (A_T, B_T)
+    ((_C + 5, 2 * _C + 3), "0.5, 1.0",
+     [(True, 0, _C), (True, 1, 5), (False, 0, _C), (False, 1, _C), (False, 2, 3)]),
+    # one short chunk each, of different sizes
+    ((120, 130), "0.5, 1.0", [(True, 0, 120), (False, 0, 130)]),
+    # no frontier at the config horizon
+    ((_C + 5, 130), "0.5", [(True, 0, _C), (True, 1, 5), (False, 0, 130)]),
 ], ids=["shared", "laplace-apart", "no-config-horizon"])
 def test_full_simulates_no_chunk_twice(tmp_path, monkeypatch, sizes, horizons, fixed_chunks):
-    # full's wealth chunks feed the T = 1 frontier and the Laplace chunks
-    # of the same size; every stage still writes the standalone command's bytes
+    # full's wealth chunks feed the T = 1 frontier, and no stream simulates
+    # a chunk twice; every stage still writes the standalone command's bytes
     from voltmark import simulate
 
     assert simulate._CHUNK_PATHS == _C
     simulated = []
     real = simulate._advance_chunks
 
-    def spy(model, stabs, grid, M, seed, initial, factors, increments, start):
+    def spy(model, stabs, grid, M, seed, initial, factors, increments):
         for c, chunk in enumerate(real(model, stabs, grid, M, seed, initial, factors,
-                                       increments, start), start):
-            simulated.append((grid, initial, c, chunk.M))
+                                       increments)):
+            simulated.append((grid, initial, increments, c, chunk.M))
             yield chunk
             del chunk
 
@@ -683,7 +723,7 @@ def test_full_simulates_no_chunk_twice(tmp_path, monkeypatch, sizes, horizons, f
     assert main(["full", "--config", path, "--out", str(full)]) in (0, 4)
     assert len(simulated) == len(set(simulated)), simulated
     grid = RunContext.build(load_config(cfg_text)).grid
-    assert [(c, m) for g, initial, c, m in simulated
+    assert [(inc, c, m) for g, initial, inc, c, m in simulated
             if g == grid and initial == "fixed"] == fixed_chunks
     for command in ("wealth", "frontier", "laplace"):
         assert main([command, "--config", path, "--out", str(alone)]) in (0, 4)
@@ -696,19 +736,19 @@ def test_full_simulates_no_chunk_twice(tmp_path, monkeypatch, sizes, horizons, f
 
 def test_bundled_full_simulates_no_laplace_chunk(tmp_path, monkeypatch):
     # the bundled laplace_M equals mc.M, so the Laplace stage takes the
-    # exponents of every chunk from the wealth stage and asks the engine
-    # for none: 3 stationarity chunks, 2 wealth chunks and 2 for each of
-    # the frontiers at T = 0.5 and 5.  The path counts alone decide the
+    # exponents of every chunk from the wealth stage and starts no stream:
+    # 3 stationarity chunks, 2 wealth chunks and 2 for each of the
+    # frontiers at T = 0.5 and 5.  The path counts alone decide the
     # chunks, so the bundled config runs on a coarse grid here
     from voltmark import simulate
 
     calls = []
     real = simulate._advance_chunks
 
-    def spy(model, stabs, grid, M, seed, initial, factors, increments, start):
+    def spy(model, stabs, grid, M, seed, initial, factors, increments):
         sizes = []
         calls.append((model.T, initial, increments, sizes))
-        for chunk in real(model, stabs, grid, M, seed, initial, factors, increments, start):
+        for chunk in real(model, stabs, grid, M, seed, initial, factors, increments):
             sizes.append(chunk.M)
             yield chunk
             del chunk
@@ -719,9 +759,42 @@ def test_bundled_full_simulates_no_laplace_chunk(tmp_path, monkeypatch):
     assert calls == [(1.0, "stationary", False, [4096, 4096, 1808]),
                      (1.0, "fixed", True, [4096, 904]),
                      (0.5, "fixed", True, [4096, 904]),
-                     (5.0, "fixed", True, [4096, 904]),
-                     (1.0, "fixed", False, [])]
+                     (5.0, "fixed", True, [4096, 904])]
     assert sum(len(sizes) for *_, sizes in calls) == 9
+
+
+def test_bundled_full_laplace_stage_asks_the_engine_nothing(tmp_path, monkeypatch):
+    # with the bundled laplace_M = mc.M the Laplace stage neither opens a
+    # stream of chunks nor builds a Gaussian factor
+    from voltmark import cli, markowitz, montecarlo, simulate
+
+    calls, stages = [], []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append((name, stages[-1] if stages else None))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapped)
+
+    real_laplace = cli.run_laplace
+
+    def laplace_stage(*args, **kwargs):
+        stages.append("laplace")
+        return real_laplace(*args, **kwargs)
+
+    for module in (simulate, markowitz, montecarlo):
+        spy(module, "simulate_variance_chunks")
+    spy(simulate, "build_gaussian_factor")
+    monkeypatch.setattr(cli, "run_laplace", laplace_stage)
+    path = _write(tmp_path, _DEFAULT_CONFIG.replace("n = 600", "n = 20"))
+    assert main(["full", "--config", path, "--out", str(tmp_path / "o")]) in (0, 4)
+    assert stages == ["laplace"]
+    assert [name for name, stage in calls if stage == "laplace"] == []
+    # the earlier stages' 4 streams, each with a factor per asset
+    assert sorted(calls) == [("build_gaussian_factor", None)] * 8 + \
+        [("simulate_variance_chunks", None)] * 4, calls
 
 
 def test_full_steps_each_wealth_chunk_once(tmp_path, monkeypatch):
