@@ -15,12 +15,10 @@ above 1e-3, a Monte Carlo gate).
 CSV bodies are byte-stable for a fixed config, seed and VOLTMARK_THREADS:
 12 significant digits, comma separated, LF line endings.
 VOLTMARK_THREADS caps the BLAS thread count (the package applies it on
-import, before numpy loads).  With VOLTMARK_THREADS=1 the path engine advances the assets
-on one thread each, up to the CPUs the process may use.  The manifest
-records the cap (``blas_threads``, null without one), the engine's
-paths per chunk (``chunk_paths``) and its bit generator
-(``bit_generator``), the settings besides config and seed that the CSV
-bits depend on.
+import, before numpy loads).  The manifest records the cap
+(``blas_threads``, null without one), the engine's paths per chunk
+(``chunk_paths``) and its bit generator (``bit_generator``), the
+settings besides config and seed that the CSV bits depend on.
 
 ``main`` builds one ``RunContext`` (model, stabilizers, grid) from the
 validated config, and every stage of ``full`` runs on it, so no stage
@@ -33,8 +31,7 @@ One fixed-start pass serves three stages of ``full``: each chunk's wealth
 recursion also gives the frontier at the config horizon its (A_T, B_T),
 and, when laplace_M equals mc.M (same seed, grid and start, so the same
 paths), the Laplace check its exponents; otherwise the Laplace stage
-simulates its own stream, as ``voltmark laplace`` does.  The bundled
-laplace_M equals mc.M, so bundled ``full`` runs 9 engine chunks.
+simulates its own stream, as ``voltmark laplace`` does.
 The wealth stage folds X and the strategies per block of 64 steps as the
 recursion steps them, so it holds no chunk's wealth or strategy paths.
 """
@@ -380,6 +377,7 @@ def run_full(run: RunContext, out_dir: str) -> int:
     for T in cfg["frontier_horizons"]:
         run.at(T)
     markowitz._riskless(run.model, cfg["m"])
+    markowitz._finite_variance(run.model, cfg["m"])
     riccati._laplace_forcing(run.model, cfg["u"])
     status = 0
     print("== stabilizer ==")

@@ -166,12 +166,17 @@ def variance_of_terminal(gamma0_value: float, model: MarketModel, m: float) -> f
     ParameterError when it is not finite (m = 1e300, inf or nan)."""
     if _riskless(model, m):
         return 0.0
-    disc1 = model.discount(model.T)
-    denom = 1.0 - gamma0_value * disc1**2
+    denom = 1.0 - gamma0_value * model.discount(model.T) ** 2
     if denom <= 1e-12:
         raise ParameterError("Gamma0 >= e^(2rT): variance formula degenerate")
+    return _finite_variance(model, m, gamma0_value, denom)
+
+
+def _finite_variance(model: MarketModel, m: float, g0: float = 1.0, denom: float = 1.0) -> float:
+    """g0 |x0 - m e^-rT|^2 / denom; ParameterError when it is not finite
+    (m = 1e300, inf or nan), a rule that with the defaults needs no Gamma0."""
     try:
-        v = gamma0_value * (model.x0 - m * disc1) ** 2 / denom
+        v = g0 * (model.x0 - m * model.discount(model.T)) ** 2 / denom
     except OverflowError:  # a Python float's square raises where a product gives inf
         v = np.inf
     if not np.isfinite(v):
@@ -514,16 +519,12 @@ def laplace_affine_check(model: MarketModel, stabs, u, grid: Grid, M: int, seed:
     or 0 when that denominator is 0 (u = 0, nu = 0), and
     R = Y - beta C, ``mc_value`` is the mean of R and ``mc_se`` its
     ddof = 1 sample standard deviation over sqrt(M).  X and Y are nearly
-    collinear, so the SE is 70 to 560 times the plain estimator's smaller
-    (3.0e-8 against 1.7e-5 on the bundled check at M = 5000).
+    collinear, so the SE is 70 to 560 times the plain estimator's smaller.
 
     The gate's resolution is coarser than that SE: ``z_score`` passes any
-    gap up to 1e-6 relative to the closed form, about 33 SE here, whatever
-    z it has.  On the bundled check at M = 20000, seed 7041, the raw z is
-    3.82 and reads 0; on an n = 20 grid at M = 8195 the scheme's gap of
-    -1.25e-7, at an SE of 2.1e-8 (raw z 5.9), also reads 0.  The closed
-    form on at least 2400 Adams steps itself misses its limit by a few
-    1e-8 at T = 1.
+    gap up to 1e-6 relative to the closed form, tens of SE on the bundled
+    check, whatever z it has.  The closed form on at least 2400 Adams
+    steps itself misses its limit by a few 1e-8 at T = 1.
 
     NonFiniteError when a sample, beta or the SE is not finite;
     ParameterError when u > 0 (before any path is drawn) or a given

@@ -204,10 +204,7 @@ def solve_riccati_adams(model: MarketModel, stabs, n: int, *, forcing=None) -> R
 
 # lru_cache hashes the model and the stabilizers by identity and holds
 # them in its keys, so an id cannot be reused while its entry lives; it
-# stays consistent under concurrent callers and caches no exception.
-# Measured traffic: the benchmark's refine_t5 makes 4 hits and 5 misses,
-# and two of the hits re-use the 12 000-step Gamma0 solve (0.34 s on one
-# core of a 2-CPU host)
+# stays consistent under concurrent callers and caches no exception
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _solve_memo(model: MarketModel, stabs: tuple, n: int, forcing: tuple | None) -> RiccatiSolution:
     solution = _solve_adams(model, stabs, n, forcing)

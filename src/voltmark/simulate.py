@@ -9,29 +9,27 @@ where C[j] = int_cell K(u) du are exact kernel cell integrals and
 G_{k,l} = int_{t_{l-1}}^{t_l} K(t_k - s) dW_s are kernel-weighted
 Brownian integrals.  Within one cell the vector of all lags plus the
 plain increment DW is jointly Gaussian with lag-stationary covariance
-built from exact kernel product integrals; one spectral factor per asset
-therefore drives every cell, and it comes from the covariance's rank-36
-thin form.  Paths are vectorized: each cell draws a low-rank
-standard-normal block and one thin matrix product produces the exact
-joint sample for all paths at once.
+built from exact kernel product integrals, so one spectral factor per
+asset drives every cell.  It comes from the covariance's rank-36 thin
+form, truncated to the fewest modes that its reproduction check allows
+(PCA sampling, Glasserman 2003, Section 2.3).  Each cell draws one
+low-rank standard-normal block for all paths; thin matrix products add
+its contributions to the cells of its 8-cell sub-block at once, and to
+later cells once per sub-block and once per 64-cell block.
 
 Paths are simulated in fixed chunks of ``_CHUNK_PATHS`` paths, each in
-arrays of its own.  Within a chunk storage is time-major: V is a
-(d, n+1, chunk) array and dW, when the increments are kept, a
-(d, n, chunk) one, so each time step of an asset is one contiguous row
-of paths, and the engine accumulates the Volterra sums straight into
-the rows of V.  The ensemble exposes both as (paths, d, .) transposed
-views.  ``simulate_variance_chunks`` yields one chunk at a time, so a
-consumer that keeps only per-path values (the frontier's terminal
-wealth, the Laplace samples) runs in memory that does not grow with M;
-``simulate_variance_paths`` copies the chunks into the columns of whole
-(d, n+1, M) arrays for the tests and the benchmark, which read whole
-ensembles.  The
-assets share nothing but the read-only model, so within a chunk they
-advance at the same time on one thread each (numpy's random fills,
-ufuncs and BLAS calls release the GIL), on the CPUs of the process that
-the BLAS threads leave free (see ``_workers``), and the
-chunk's dWperp draw is one more job.
+arrays of its own and time-major: V is a (d, n+1, chunk) array and dW,
+when the increments are kept, a (d, n, chunk) one, so each time step of
+an asset is one contiguous row of paths, which the engine accumulates
+in place; the ensemble exposes both as (paths, d, .) transposed views.
+``simulate_variance_chunks`` yields one chunk at a time, so a consumer
+that keeps only per-path values runs in memory that does not grow with
+M; ``simulate_variance_paths`` copies the chunks into whole (d, n+1, M)
+arrays for the tests and the benchmark.  Within a chunk the assets,
+which share only the read-only model, advance on one thread each
+(numpy's random fills, ufuncs and BLAS calls release the GIL), beside
+the chunk's dWperp draw, on the CPUs that the BLAS threads leave free
+(``_workers``).
 
 Everything is reproducible: chunk c takes the c-th ``spawn(1 + d)``
 group of SeedSequence(seed), one child stream for the initial variance
@@ -67,10 +65,8 @@ from .model import Grid, MarketModel
 # paths per chunk of the engine; fixed, because chunk c draws from the
 # c-th stream group and so the paths depend on it
 _CHUNK_PATHS = 4096
-_EIG_CUT = 1e-13          # relative eigenvalue cut of the spectral factor
-_FACTOR_RTOL = 1e-8       # required relative Frobenius reproduction
-# bit generator of every engine stream, whose bits depend on it: a normal
-# took 9.9 ns against PCG64's 12.3 ns (numpy 2.4, one Xeon core)
+_FACTOR_RTOL = 1e-8  # required relative Frobenius reproduction; a tenth bounds the dropped tail
+# bit generator of every engine stream, whose bits depend on it
 _BIT_GENERATOR = np.random.SFC64
 
 
@@ -89,8 +85,8 @@ class GaussianBlockFactor:
     ``factor`` F satisfies F F^T ~ cov to 1e-8 relative Frobenius error,
     where cov is the (n+1) x (n+1) covariance of the vector (G at lags
     0..n-1, DW) (``_thin_form``); by time-translation invariance
-    the same matrix serves every cell.  F's column count is the
-    numerical rank after eigenvalue clipping.  ``c_seg`` are the
+    the same matrix serves every cell.  F's rank is its column count, set
+    by ``build_gaussian_factor``'s tail rule.  ``c_seg`` are the
     deterministic cell integrals C[j].
     """
 
@@ -144,9 +140,11 @@ def build_gaussian_factor(spec: KernelSpec, grid: Grid) -> GaussianBlockFactor:
     for the constant kernel, alpha = 1), and the build never forms the
     (n+1)^2 matrix: with cov = G H G^T (``_thin_form``) and the thin QR
     G = Q R, the eigendecomposition R H R^T = U diag(w) U^T gives the
-    factor Q U sqrt(w), with eigenvalues below ``_EIG_CUT`` of the
-    largest dropped.  Each column's sign makes its DW entry (row n) positive, and
-    the factor is column-major, as the engine's products expect.
+    factor Q U sqrt(w) of the leading r modes, r the smallest with
+    ||w[r:]|| <= ||w|| _FACTOR_RTOL / 10 (and no mode with w <= 0), so
+    that the rank and the check below follow one tolerance.  Each
+    column's sign makes its DW entry (row n) positive, and the factor is
+    column-major, as the engine's products expect.
 
     The factor must reproduce the exact covariance, the thin form with
     the exact lag diagonal put back, to ``_FACTOR_RTOL`` relative
@@ -162,8 +160,9 @@ def build_gaussian_factor(spec: KernelSpec, grid: Grid) -> GaussianBlockFactor:
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"covariance eigendecomposition failed: {exc}") from None
     w, U = w[::-1], U[:, ::-1]
-    keep = w > _EIG_CUT * max(w[0], 0.0)
-    factor = Q @ (U[:, keep] * np.sqrt(w[keep]))
+    tail = np.sqrt(np.cumsum(w[::-1] ** 2)[::-1])                   # tail[k] = ||w[k:]||
+    r = np.count_nonzero((tail > 0.1 * _FACTOR_RTOL * tail[0]) & (w > 0.0))
+    factor = Q @ (U[:, :r] * np.sqrt(w[:r]))
     factor = np.asfortranarray(factor * np.where(factor[-1] < 0.0, -1.0, 1.0))
     err2 = norm2 = 0.0
     for lo in range(0, grid.n + 1, _CHECK_COLS):
@@ -228,14 +227,11 @@ def simulate_variance_paths(model: MarketModel, stabs, grid: Grid, M: int, seed:
     The kernel-weighted noise integrals are not kept; ``store_noise``
     only accepts False.  ``increments=False`` keeps V alone: dW is never
     stored and dWperp never drawn (its draw follows V0's on the common
-    stream, so V0 and V do not change), which saves two (M, d, n)
-    arrays for callers that read only V.  The paths are the chunks of
+    stream, so V0 and V do not change).  The paths are the chunks of
     ``simulate_variance_chunks``, copied side by side into whole arrays
-    (a lone chunk is the ensemble itself); callers that read each path
-    only through a per-path functional (every command-line stage) take
-    the chunks instead; the benchmark's refine_t5 passes ``store_noise``.
-    Raises NonFiniteError when V0 or a path leaves the finite floats,
-    ParameterError when M < 1 (before anything is allocated).
+    (a lone chunk is the ensemble itself).  Raises NonFiniteError when
+    V0 or a path leaves the finite floats, ParameterError when M < 1
+    (before anything is allocated).
     """
     if store_noise:
         raise ParameterError("kernel-weighted noise integrals are not stored")
@@ -267,12 +263,9 @@ def simulate_variance_chunks(model: MarketModel, stabs, grid: Grid, M: int, seed
 
     Yields a PathEnsemble per block of ``_CHUNK_PATHS`` paths (the last
     one holds the rest), in path order; its M is the chunk's path count.
-    Each chunk has arrays of its own, and the engine's scratch and each
-    chunk's arrays scale with the chunk, not with M, so a consumer that
-    keeps only per-path values and drops each chunk before taking the
-    next runs in memory independent of M.
-    The arguments are checked and the factors built before the first
-    chunk is asked for.
+    The engine's scratch and each chunk's arrays scale with the chunk,
+    not with M.  The arguments are checked and the factors built before
+    the first chunk is asked for.
     """
     factors = _checked_factors(model, grid, M, initial)
     return _advance_chunks(model, stabs, grid, M, seed, initial, factors, increments)
@@ -360,9 +353,7 @@ def _workers(count: int):
     CPUs // BLAS threads workers (``_pool_size``).  The BLAS thread count
     is known when VOLTMARK_THREADS set it (``_BLAS_THREADS``); otherwise
     BLAS may take every CPU, its default, and the jobs run one after the
-    other.  Oversubscribing costs: on two CPUs, two asset threads over two
-    BLAS threads each took 3.0 s where one asset thread took 2.4 s (T = 5,
-    n = 600, M = 10^4); the rule is measured on a 2-CPU machine only.  The
+    other, since oversubscribed threads cost more than they give.  The
     jobs write disjoint arrays and each owns its generator, so the output
     does not depend on the thread count.
     """
@@ -384,18 +375,15 @@ def require_finite(what: str, arr: np.ndarray) -> None:
         raise NonFiniteError(f"{what} is not finite")
 
 
-# cells per far-field block of the Volterra accumulation; fixed so that
-# summation order, and with it the bit-exact output, never depends on
-# the environment
+# cells per far-field block and per sub-block of the Volterra
+# accumulation; fixed so that summation order, and with it the bit-exact
+# output, never depends on the environment
 _BLOCK = 64
-# entries per far-field product: a block's flush is split into column
-# ranges of the chunk's paths so that its product buffer stays near
-# 4 MB.  The range edges depend only on these constants, the chunk's
-# path count and the row count, so the output stays deterministic.
-# gemm promises no bits across different column splits; the OpenBLAS
-# build this was measured with gave V bit for bit equal to one product
-# over all paths (ranges start at multiples of 64 paths and the last
-# one runs to the chunk's end)
+_SUB = 8
+# entries per far-field product: a block's flush is split into ranges
+# of the chunk's paths, starting at multiples of 64, so that its product
+# buffer stays near 4 MB.  The edges depend only on these constants, the
+# path count and the row count, so the output stays deterministic
 _FAR_CELLS = 1 << 19
 
 
@@ -420,14 +408,25 @@ def _mapped(shape) -> np.ndarray:
 
 def _asset_scratch(n: int, r: int, m: int) -> tuple:
     """Scratch of ``_advance_asset`` for a rank-r factor and a chunk of m
-    paths: the normals (r, m) and vol (m,) of one cell, the noise and
-    drift (_BLOCK, r+1, m) and the in-block product (_BLOCK, m) of a
-    block's cells, and the flat far-field factor block and product,
+    paths: a cell's normals (r, m) and vol (m,), a block's noise and
+    drift (_BLOCK, r+1, m), the product of a cell or a sub-block, in the
+    leading rows of (_BLOCK - _SUB, m), the lag factors of the sub-block
+    and block flushes (``_lag_blocks``), and the flat far-field product,
     whose leading entries each flush views in its own shape."""
     far_rows = range(n - _BLOCK, 0, -_BLOCK)
     far = max((rows * max(np.diff(_path_bounds(rows, m))) for rows in far_rows), default=0)
-    return (_mapped((r, m)), _mapped((m,)), _mapped((_BLOCK, r + 1, m)), _mapped((_BLOCK, m)),
-            _mapped((far_rows[0] * _BLOCK * (r + 1) if far_rows else 0,)), _mapped((far,)))
+    return (_mapped((r, m)), _mapped((m,)), _mapped((_BLOCK, r + 1, m)),
+            _mapped((_BLOCK - _SUB, m)),
+            _mapped((max(0, min(_BLOCK, n) - _SUB), _SUB * (r + 1))),
+            _mapped((max(0, n - _BLOCK), _BLOCK * (r + 1))), _mapped((far,)))
+
+
+def _lag_blocks(F_aug: np.ndarray, width: int, out: np.ndarray) -> None:
+    """Fill out's row q, column block b with F_aug[width + q - b]: cell lo+1+b's
+    row at time lo+width+1+q for every lo, so one fill serves each flush."""
+    r1 = F_aug.shape[1]
+    for b in range(width):
+        out[:, b * r1 : (b + 1) * r1] = F_aug[width - b : width - b + out.shape[0]]
 
 
 def _advance_asset(model: MarketModel, i: int, fac: GaussianBlockFactor,
@@ -437,18 +436,18 @@ def _advance_asset(model: MarketModel, i: int, fac: GaussianBlockFactor,
 
     V is the asset's contiguous time-major (n+1, m) slab of the chunk's
     m paths, holding V0 in row 0 and zeros below; dW is its (n, m) slab
-    of increments, or None when the increments are not kept.  Each cell l
-    contributes drift_l C[k-l] + vol_l G_{k,l} to every later time k.
-    Rows of V beyond the current cell hold the running sum of these
-    contributions; a row becomes V0 + sum once its last contribution is
-    in.  Contributions to times inside the current block of cells are
-    applied immediately (they feed the next vol coefficient);
-    contributions beyond it are deferred and flushed as thin matrix
-    products per block, which keeps the O(n^2 M) accumulation
-    compute-bound instead of rewriting the whole future per cell.
-    The routine maps its own ``_asset_scratch`` for the chunk, memory
-    maps that go back to the system on return (``_mapped``), so it can
-    run on a worker thread.
+    of increments, or None when they are not kept.  Each cell l adds
+    drift_l C[k-l] + vol_l G_{k,l} to every later time k; a row of V
+    becomes V0 + sum once its last contribution is in.  Contributions to
+    the times of the cell's own sub-block of ``_SUB`` cells are added at
+    once (they feed the next vol coefficient); at the end of a sub-block
+    one product adds its cells' to the rest of the ``_BLOCK``-cell block,
+    and at the end of a block one more, split into path ranges
+    (``_path_bounds``), adds the block's to every later time.  Each cell
+    thus rewrites at most ``_SUB`` rows, and the rest is gemm work.  The
+    scratch (``_asset_scratch``) is mapped per call and goes back to the
+    system on return (``_mapped``), so the routine can run on a worker
+    thread.
     """
     n, M = fac.grid.n, V.shape[1]
     r = fac.rank
@@ -456,43 +455,46 @@ def _advance_asset(model: MarketModel, i: int, fac: GaussianBlockFactor,
     # factor's column-major order, which decides numpy's matmul
     # route for F_aug[:m] (its own loop for one row) and so the rounding
     F_aug = np.concatenate([fac.factor[:n], fac.c_seg[:, None]], axis=1)  # (n, r+1)
-    z, vol, y_blk, near, f_big, far = _asset_scratch(n, r, M)
+    z, vol, y_blk, near, f_sub, f_far, far = _asset_scratch(n, r, M)
+    _lag_blocks(F_aug, _SUB, f_sub)
+    _lag_blocks(F_aug, _BLOCK, f_far)
     f_dw = fac.factor[n]
     mu0, lam = model.mu0[i], model.lam[i]
     nu = model.nu[i]
     V0 = V[0]
     with np.errstate(over="ignore", invalid="ignore"):  # errstate is per thread
         for lo in range(0, n, _BLOCK):
-            width = min(_BLOCK, n - lo)
-            hi = lo + width                   # block holds cells lo+1 .. hi
-            for b in range(width):
-                ell = lo + 1 + b
-                v_prev = V[ell - 1]
-                rng.standard_normal(out=z)
-                if dW is not None:
-                    np.matmul(f_dw, z, out=dW[ell - 1])
-                np.maximum(v_prev, 0.0, out=vol)
-                np.sqrt(vol, out=vol)
-                np.multiply(nu * sig[ell - 1], vol, out=vol)
-                y = y_blk[b]
-                np.multiply(z, vol, out=y[:r])
-                np.multiply(lam, v_prev, out=y[r])
-                np.subtract(mu0, y[r], out=y[r])
-                m_loc = hi - ell + 1
-                np.matmul(F_aug[:m_loc], y, out=near[:m_loc])
-                V[ell : hi + 1] += near[:m_loc]
-                V[ell] += V0
-            if hi < n:                        # then width == _BLOCK
+            hi = min(lo + _BLOCK, n)          # block holds cells lo+1 .. hi
+            for s_lo in range(lo, hi, _SUB):
+                s_hi = min(s_lo + _SUB, hi)   # sub-block holds cells s_lo+1 .. s_hi
+                for ell in range(s_lo + 1, s_hi + 1):
+                    v_prev = V[ell - 1]
+                    rng.standard_normal(out=z)
+                    if dW is not None:
+                        np.matmul(f_dw, z, out=dW[ell - 1])
+                    np.maximum(v_prev, 0.0, out=vol)
+                    np.sqrt(vol, out=vol)
+                    np.multiply(nu * sig[ell - 1], vol, out=vol)
+                    y = y_blk[ell - lo - 1]
+                    np.multiply(z, vol, out=y[:r])
+                    np.multiply(lam, v_prev, out=y[r])
+                    np.subtract(mu0, y[r], out=y[r])
+                    m_loc = s_hi - ell + 1
+                    np.matmul(F_aug[:m_loc], y, out=near[:m_loc])
+                    V[ell : s_hi + 1] += near[:m_loc]
+                    V[ell] += V0
+                if s_hi < hi:                 # then the sub-block has _SUB cells
+                    rows = hi - s_hi          # block times s_hi+1 .. hi
+                    Y = y_blk[s_lo - lo : s_hi - lo].reshape(_SUB * (r + 1), M)
+                    np.matmul(f_sub[:rows], Y, out=near[:rows])
+                    V[s_hi + 1 : hi + 1] += near[:rows]
+            if hi < n:                        # then the block has _BLOCK cells
                 rows = n - hi                 # far-field times hi+1 .. n
-                f_blk = f_big[: rows * width * (r + 1)].reshape(rows, width * (r + 1))
-                for b in range(width):
-                    j0 = hi - lo - b          # lag of k = hi+1 seen from cell lo+1+b
-                    f_blk[:, b * (r + 1) : (b + 1) * (r + 1)] = F_aug[j0 : j0 + rows]
-                Y = y_blk.reshape(width * (r + 1), M)
+                Y = y_blk.reshape(_BLOCK * (r + 1), M)
                 bounds = _path_bounds(rows, M)
                 for c0, c1 in zip(bounds[:-1], bounds[1:]):
                     prod = far[: rows * (c1 - c0)].reshape(rows, c1 - c0)
-                    np.matmul(f_blk, Y[:, c0:c1], out=prod)
+                    np.matmul(f_far[:rows], Y[:, c0:c1], out=prod)
                     V[hi + 1 :, c0:c1] += prod
     require_finite(f"variance paths of asset {i + 1}", V)
 

@@ -31,7 +31,7 @@ from voltmark.model import Grid
 from voltmark.montecarlo import ColumnMoments
 from voltmark.riccati import RiccatiSolution, _rhs_tables, solve_riccati_adams
 from voltmark.simulate import (
-    _EIG_CUT,
+    _FACTOR_RTOL,
     _asset_increments,
     simulate_variance_chunks,
 )
@@ -165,13 +165,15 @@ def _covariance_matrix(spec: KernelSpec, grid: Grid) -> tuple[np.ndarray, np.nda
 
 
 def eigh_factor(spec, grid: Grid) -> np.ndarray:
-    """The clipped spectral factor of the dense cell covariance
-    (``_covariance_matrix``) by np.linalg.eigh."""
+    """The truncated spectral factor of the dense cell covariance
+    (``_covariance_matrix``) by np.linalg.eigh: its fewest leading modes
+    whose dropped eigenvalues have a norm of at most 1e-9 of all of them."""
     cov, _ = _covariance_matrix(spec, grid)
     w, U = np.linalg.eigh(cov)
     w = w[::-1]
-    keep = w > _EIG_CUT * max(w[0], 0.0)
-    return U[:, ::-1][:, keep] * np.sqrt(w[keep])[None, :]
+    bound = _FACTOR_RTOL / 10 * np.linalg.norm(w)
+    r = next(k for k in range(w.size + 1) if np.linalg.norm(w[k:]) <= bound)
+    return U[:, ::-1][:, :r] * np.sqrt(w[:r])[None, :]
 
 
 def einsum_step_factors(model, ensemble, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -910,12 +910,17 @@ def test_non_finite_parameter_exit_code(tmp_path, capsys, key, old, new):
 @pytest.mark.parametrize("command", ["wealth", "full"])
 def test_huge_target_exit_code(tmp_path, capsys, command):
     # V(m) at m = 1e300 overflows the floats; its Python-float square used
-    # to end in an OverflowError traceback
-    path = _write(tmp_path, TINY.replace("m = 2.1", "m = 1e300"))
-    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err.strip()
-    assert len(err.splitlines()) == 1 and err.startswith("config error")
-    assert "target mean m = 1e+300" in err
+    # to end in an OverflowError traceback.  At m = inf and nan too, the
+    # rule needs no Gamma0, so full refuses them before its first stage
+    # writes a CSV
+    for m in ("1e300", "inf", "nan"):
+        path = _write(tmp_path, TINY.replace("m = 2.1", f"m = {m}"))
+        out = tmp_path / f"o_{m}"
+        assert main([command, "--config", path, "--out", str(out)]) == 2, m
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and err.startswith("config error"), m
+        assert f"target mean m = {float(m)}" in err
+        assert not list(out.glob("*.csv")), m
 
 
 @pytest.mark.parametrize("command", ["simulate", "full"])

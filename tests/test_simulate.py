@@ -86,18 +86,40 @@ def test_covariance_exact_entries_equal_per_entry_calls(alpha, n):
 
 def test_thin_factor_matches_dense_oracle():
     # the thin build against the dense covariance and its np.linalg.eigh
-    # factor: the same clipped rank, the covariance to rounding, every
-    # column's DW entry positive, and column-major storage, which decides
-    # numpy's matmul route in the engine (see ``_advance_asset``)
+    # factor truncated by the same tail rule: the same rank, the dense
+    # truncation's product to rounding, the covariance to the 1e-9 tail,
+    # every column's DW entry positive, and column-major storage, which
+    # decides numpy's matmul route in the engine (see ``_advance_asset``)
     for T, n in ((1.0, 40), (1.0, 150), (5.0, 600), (5.0, 2400)):
         for alpha in (0.6, 0.9):
             spec, g = fractional_kernel(alpha), Grid(T, n)
             fac = build_gaussian_factor(spec, g).factor
             cov, _ = _covariance_matrix(spec, g)
-            assert fac.shape[1] == eigh_factor(spec, g).shape[1], (T, n, alpha)
-            err = np.linalg.norm(fac @ fac.T - cov)
+            dense = eigh_factor(spec, g)
+            assert fac.shape[1] == dense.shape[1], (T, n, alpha)
+            err = np.linalg.norm(fac @ fac.T - dense @ dense.T)
             assert err <= 1e-13 * np.linalg.norm(cov), (T, n, alpha, err)
+            err = np.linalg.norm(fac @ fac.T - cov)
+            assert err <= 1e-9 * np.linalg.norm(cov), (T, n, alpha, err)
             assert np.all(fac[n] > 0.0) and fac.flags.f_contiguous, (T, n, alpha)
+
+
+def test_bundled_rank_is_the_smallest_the_tail_allows(model_t1):
+    # at the bundled alphas and n = 600 the factor keeps 4 modes, passes
+    # the 1e-8 check, and its last kept mode alone (the squared norm of
+    # its column is its eigenvalue) exceeds the 1e-9 tail bound, so 3
+    # modes would not do
+    g = Grid(1.0, 600)
+    ranks = []
+    for alpha in model_t1.alpha:
+        spec = fractional_kernel(alpha)
+        fac = build_gaussian_factor(spec, g).factor
+        cov, _ = _covariance_matrix(spec, g)
+        norm = np.linalg.norm(cov)
+        assert np.linalg.norm(fac @ fac.T - cov) <= simulate._FACTOR_RTOL * norm, alpha
+        assert np.linalg.norm(fac[:, -1]) ** 2 > 1e-9 * norm, alpha
+        ranks.append(fac.shape[1])
+    assert ranks == [4, 4]
 
 
 def test_non_finite_covariance_fails_the_check(nan_covariance):
@@ -367,17 +389,19 @@ def test_path_chunks_change_only_rounding(model_t1, stabs_t1, monkeypatch):
     assert np.max(np.abs(split.V - whole.V)) <= 1e-12 * np.max(np.abs(whole.V))
 
 
-def test_engine_matches_naive_volterra_sum(model_t1, stabs_t1, monkeypatch):
+@pytest.mark.parametrize("n", [150, 67])
+def test_engine_matches_naive_volterra_sum(model_t1, stabs_t1, monkeypatch, n):
     # V(t_k) = V0 + sum_{l<=k} [(mu0 - lam V_{l-1}) C[k-l]
     #                           + nu sig(t_{l-1}) sqrt(V_{l-1}^+) G_{k,l}],
-    # with G_{k,l} = factor[k-l] . z_l from the same per-asset draws; n > 2
-    # blocks exercises the far-field flush, the small cell budget splits
-    # each flush into several path chunks of uneven width
+    # with G_{k,l} = factor[k-l] . z_l from the same per-asset draws.
+    # n = 150 is blocks of 64 + 64 + 22 cells, the last one's last
+    # sub-block 6 cells; n = 67 a last block of 3.  Both flush to the far
+    # field, and the small cell budget splits each flush into several
+    # path chunks of uneven width
     monkeypatch.setattr(simulate, "_FAR_CELLS", 1 << 12)
-    g = Grid(1.0, 150)
+    g = Grid(1.0, n)
     M, seed = 200, 21
     ens = simulate_variance_paths(model_t1, stabs_t1, g, M, seed, initial="fixed")
-    n = g.n
     children = np.random.SeedSequence(seed).spawn(1 + model_t1.d)
     for i in range(model_t1.d):
         fac = build_gaussian_factor(fractional_kernel(model_t1.alpha[i]), g)
