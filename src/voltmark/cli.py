@@ -46,7 +46,6 @@ import sys
 import time
 
 import numpy as np
-import scipy
 
 import voltmark
 
@@ -178,7 +177,6 @@ def write_manifest(out_dir: str, cfg: dict, config_text: str, extra: dict | None
         "package": "voltmark",
         "version": voltmark.__version__,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
         "parameters": cfg,

@@ -18,19 +18,16 @@ module provides
 All evaluators accept scalars or numpy arrays and are pure functions of
 immutable specs, so they can be shared freely across threads.
 
-This is the one module that imports ``scipy.special``: the other layers
-take Gamma, log Gamma, log Beta and the cached Gauss-Legendre rules from it.
+The other layers take the package's Gamma function and its cached Gauss
+rules from this module, which computes them with numpy and ``math`` alone.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
-from scipy.special import betaln as _betaln
-from scipy.special import gamma as _gamma
-from scipy.special import gammaln as _gammaln
-from scipy.special import roots_jacobi, roots_legendre
 
 
 class ParameterError(ValueError):
@@ -92,6 +89,13 @@ class ResolventSpec:
     def __post_init__(self):
         if not self.lam > 0.0:
             raise ParameterError(f"resolvent requires lambda > 0, got {self.lam}")
+
+
+def _gamma(x):
+    """Gamma by ``math.gamma``, once per element; a 0-d x gives a float."""
+    if np.ndim(x) == 0:
+        return math.gamma(x)
+    return np.array([math.gamma(v) for v in np.ravel(x).tolist()]).reshape(np.shape(x))
 
 
 # ---------------------------------------------------------------------------
@@ -229,16 +233,25 @@ def kernel_mean_segment(spec: KernelSpec, t_k, a, b) -> float | np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _jacobi_rule(exponent: float):
-    # weight (1 - x)^exponent on [-1, 1]
-    x, w = roots_jacobi(_N_JACOBI, exponent, 0.0)
+def _jacobi_rule(e: float):
+    """Gauss-Jacobi rule for the weight (1 - x)^e on [-1, 1], read-only, by
+    Golub-Welsch: the nodes are the Jacobi matrix's eigenvalues (``eigh``
+    reads its lower triangle), the weights 2^(e+1)/(e+1) v_0^2 of each
+    eigenvector v."""
+    k = np.arange(1.0, _N_JACOBI)
+    s = 2.0 * k + e
+    diag = np.concatenate(([-e / (e + 2.0)], -e * e / (s * (s + 2.0))))
+    off = 2.0 * k * (k + e) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, -1))
+    w = 2.0 ** (e + 1.0) / (e + 1.0) * v[0] ** 2
+    x.flags.writeable = w.flags.writeable = False
     return x, w
 
 
 @lru_cache(maxsize=8)
 def _legendre_rule(n: int = _N_LEGENDRE):
     """Gauss-Legendre nodes and weights on [-1, 1], read-only (shared by every caller)."""
-    x, w = roots_legendre(n)
+    x, w = np.polynomial.legendre.leggauss(n)
     x.flags.writeable = w.flags.writeable = False
     return x, w
 

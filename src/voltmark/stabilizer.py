@@ -32,9 +32,7 @@ from .kernels import (
     DomainError,
     ParameterError,
     ResolventSpec,
-    _betaln,
     _gamma,
-    _gammaln,
     _legendre_rule,
     fractional_kernel,
     resolvent,
@@ -62,28 +60,29 @@ class TruncationError(RuntimeError):
 def _coeffs_with_floor(alpha: float, K: int):
     if not 0.5 < alpha < 1.0:
         raise ParameterError(f"stabilizer requires alpha in (1/2, 1), got {alpha}")
-    if K < 1:
-        raise ParameterError("truncation order K must be >= 1")
-    ks = np.arange(K + 1, dtype=float)
+    if not 1 <= K <= _MAX_TERMS:
+        raise ParameterError(f"truncation order K must be in [1, {_MAX_TERMS}], got {K}")
+    ks = np.arange(K, dtype=float)
     a_seq = 1.0 / _gamma(alpha * ks + 1.0)
     b_seq = 1.0 / _gamma(alpha * (ks + 1.0))
     ab = np.array([np.dot(a_seq[: k + 1], b_seq[k::-1]) for k in range(K)])
     bb = np.array([np.dot(b_seq[: k + 1], b_seq[k::-1]) for k in range(K)])
-    lg = 2.0 * _gammaln(alpha) - _gammaln(2.0 * alpha - 1.0)
+    # plain Gamma ratios (log Gamma differences cancel): every argument
+    # stays below 123 for K <= _MAX_TERMS = 120
+    pref = (_gamma(alpha) ** 2 / _gamma(2.0 * alpha - 1.0)
+            * _gamma(alpha * (ks + 1.0)) / _gamma(alpha * ks + 2.0 - alpha))
+    # B(x_l, y_(k-l)), x_l = a(l+2)-1, y_j = a(j-1)+2, over the Gamma of the
+    # rounded x + y (Gamma(a(k+1)+1) costs c_k a decade of accuracy)
+    x, y = alpha * (ks + 2.0) - 1.0, alpha * (ks - 1.0) + 2.0
+    g_x, g_y = _gamma(x), _gamma(y)
     c = np.empty(K)
-    c[0] = np.exp(lg - _gammaln(2.0 - alpha))
-    for k in range(1, K):
-        ls = np.arange(1, k + 1, dtype=float)
-        bweights = np.exp(_betaln(alpha * (ls + 2.0) - 1.0, alpha * (k - ls - 1.0) + 2.0))
-        conv = np.dot(bweights * bb[1 : k + 1], c[k - 1 :: -1][: k])
-        pref = np.exp(lg + _gammaln(alpha * (k + 1.0)) - _gammaln(alpha * k + 2.0 - alpha))
-        c[k] = pref * (ab[k] - alpha * (k + 1.0) * conv)
+    for k in range(K):
+        bweights = g_x[1 : k + 1] * g_y[:k][::-1] / _gamma(x[1 : k + 1] + y[:k][::-1])
+        conv = np.dot(bweights * bb[1 : k + 1], c[:k][::-1])
+        c[k] = pref[k] * (ab[k] - alpha * (k + 1.0) * conv)
     # rounding noise of the bracket subtraction, the recurrence loses all
     # relative accuracy once c_k sinks to this level
-    pref_all = np.exp(
-        lg + _gammaln(alpha * (np.arange(K) + 1.0)) - _gammaln(alpha * np.arange(K) + 2.0 - alpha)
-    )
-    floor = 1e-16 * pref_all * ab
+    floor = 1e-16 * pref * ab
     return c, floor
 
 
@@ -97,8 +96,8 @@ def stabilizer_coeffs(alpha: float, K: int) -> np.ndarray:
                                               (b*b)_l c_{k-l} ],
 
     with a_k = 1/Gamma(ak+1), b_k = 1/Gamma(a(k+1)), Cauchy products
-    (a*b) and (b*b), and B the Beta function.  Gamma ratios are computed
-    through gammaln so large k stays in range.
+    (a*b) and (b*b), and B the Beta function; k = 0 is the same formula
+    with an empty sum.
     """
     c, _ = _coeffs_with_floor(alpha, K)
     return c

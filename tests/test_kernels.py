@@ -4,11 +4,14 @@ Frozen reference values were computed with mpmath at 40+ digits; grid
 properties use adaptive scipy quadrature as the second opinion.
 """
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import gamma as G
+from scipy.special import roots_legendre
 
 from oracles import kernel_convolve, resolvent_equation_residual
 from voltmark import kernels
@@ -52,6 +55,38 @@ def test_eval_kernel_domain_and_validation():
         eval_kernel(fractional_kernel(0.6), 0.0)
     with pytest.raises(ParameterError):
         KernelSpec(0.4)
+
+
+# --- Gamma and the Gauss rules ---------------------------------------------
+
+def test_gamma_is_math_gamma_per_element():
+    x = np.linspace(0.05, 170.0, 4001)
+    got = kernels._gamma(x.reshape(-1, 1))
+    assert got.shape == (4001, 1)
+    assert np.array_equal(got.ravel(), [math.gamma(v) for v in x.tolist()])
+    assert np.max(np.abs(got.ravel() / G(x) - 1.0)) <= 2e-15
+    for zero_d in (0.6, np.float64(0.6), np.array(0.6)):
+        assert type(kernels._gamma(zero_d)) is float
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_legendre_rule_matches_scipy(n):
+    x, w = kernels._legendre_rule(n)
+    xs, ws = roots_legendre(n)
+    np.testing.assert_allclose(x, xs, rtol=0.0, atol=5e-16)
+    np.testing.assert_allclose(w, ws, rtol=0.0, atol=1e-14)
+    assert not x.flags.writeable and not w.flags.writeable
+
+
+@pytest.mark.parametrize("alpha", [0.55, 0.6, 0.9, 0.95])
+def test_jacobi_rule_moments_vs_mpmath(alpha):
+    # 32 nodes integrate (1 - x)^(alpha-1) x^k exactly for k <= 63
+    e = alpha - 1.0
+    x, w = kernels._jacobi_rule(e)
+    with mpmath.workdps(30):
+        for k in range(64):
+            ref = mpmath.quad(lambda t: (1 - t) ** e * t**k, [-1, 0, 1])
+            assert abs(float((w @ x**k - ref) / ref)) <= 1e-13, k
 
 
 # --- Mittag-Leffler --------------------------------------------------------
@@ -267,7 +302,7 @@ def test_kernel_cross_segment_diagonal_uses_scalar_pow():
     al, dt = 0.6, 1.0 / 2400
     t = (np.arange(2400) + 1.0) * dt
     p = 2.0 * al - 1.0
-    ref = [(x ** p - (x - dt) ** p) / (p * G(al) ** 2) for x in t.tolist()]
+    ref = [(x ** p - (x - dt) ** p) / (p * math.gamma(al) ** 2) for x in t.tolist()]
     assert np.array_equal(kernel_cross_segment(fractional_kernel(al), t, t, 0.0, dt), ref)
 
 

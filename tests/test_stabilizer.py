@@ -49,6 +49,8 @@ def test_coeffs_validation():
         stabilizer_coeffs(1.0, 10)
     with pytest.raises(ParameterError):
         stabilizer_coeffs(0.7, 0)
+    with pytest.raises(ParameterError):
+        stabilizer_coeffs(0.7, 121)
 
 
 def test_density_l2_norm_markovian_limit():
