@@ -35,7 +35,6 @@ from .kernels import (
     fractional_integral,
     fractional_kernel,
     kernel_cross_segment,
-    kernel_mean_segment,
     mittag_leffler,
     resolvent,
     resolvent_density,

@@ -10,10 +10,15 @@ module provides
 * one- and two-parameter Mittag-Leffler evaluation that stays accurate
   for large negative arguments (power series for |z| <= 1, Laplace
   inversion on a parabolic contour beyond),
-* exact segment integrals of the kernel and of kernel products, the
-  building blocks of the simulation covariance matrices,
-* Riemann-Liouville fractional integrals of grid functions by product
-  integration (exact for piecewise-linear data).
+* the kernel's product-integration weights on a uniform grid, the one
+  place they are computed, without cancellation (``_product_weights``):
+  the cell integrals C[j], which are the product-rectangle weights, and
+  the product-trapezoid weights.  The Adams solver, the path engine and
+  Gamma0 read them here,
+* exact segment integrals of kernel products, the building blocks of
+  the simulation covariance matrices,
+* Riemann-Liouville fractional integrals of grid functions by the
+  product-trapezoid weights (exact for piecewise-linear data).
 
 All evaluators accept scalars or numpy arrays and are pure functions of
 immutable specs, so they can be shared freely across threads.
@@ -102,8 +107,10 @@ def _gamma(x):
 # Mittag-Leffler machinery
 # ---------------------------------------------------------------------------
 
+@np.errstate(over="ignore")  # z^k overflows for a large positive z
 def _ml_series(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
-    """Power series sum_k z^k / Gamma(alpha k + beta), vectorized in z."""
+    """Power series sum_k z^k / Gamma(alpha k + beta), vectorized in z;
+    DomainError when the sum leaves the floats."""
     z = np.asarray(z, dtype=float)
     out = np.zeros_like(z)
     term = np.full_like(z, 1.0 / _gamma(beta))
@@ -115,6 +122,8 @@ def _ml_series(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
         out += term
         if np.all(np.abs(term) <= 1e-16 * np.maximum(np.abs(out), 1e-300)):
             break
+    if not np.all(np.isfinite(out)):
+        raise DomainError(f"Mittag-Leffler series beyond the floats at z = {np.max(z):g}")
     return out
 
 
@@ -216,22 +225,6 @@ def resolvent_density(spec: ResolventSpec, t) -> float | np.ndarray:
 # Segment integrals
 # ---------------------------------------------------------------------------
 
-def kernel_mean_segment(spec: KernelSpec, t_k, a, b) -> float | np.ndarray:
-    """int_a^b K(t_k - s) ds for a < b <= t_k (vectorized in t_k).
-
-    Closed form ((t_k-a)^alpha - (t_k-b)^alpha)/Gamma(alpha+1).
-    """
-    scalar = np.isscalar(t_k)
-    t_k = np.atleast_1d(np.asarray(t_k, dtype=float))
-    if not a < b:
-        raise DomainError(f"segment [{a}, {b}] is empty or reversed")
-    if np.any(b > t_k * (1 + 1e-12) + 1e-300):
-        raise DomainError("segment must satisfy b <= t_k")
-    al = spec.alpha
-    out = ((t_k - a) ** al - np.maximum(t_k - b, 0.0) ** al) / _gamma(al + 1.0)
-    return float(out[0]) if scalar else out
-
-
 @lru_cache(maxsize=64)
 def _jacobi_rule(e: float):
     """Gauss-Jacobi rule for the weight (1 - x)^e on [-1, 1], read-only, by
@@ -254,6 +247,52 @@ def _legendre_rule(n: int = _N_LEGENDRE):
     x, w = np.polynomial.legendre.leggauss(n)
     x.flags.writeable = w.flags.writeable = False
     return x, w
+
+
+def _product_weights(alpha: float, n: int, dt: float, steps=None):
+    """Product-integration weights of K(u) = u^(a-1)/G(a), a in (0, 1], on
+    t_j = j dt (Diethelm, Ford & Freed, Nonlinear Dyn. 29, 2002).
+
+    Without ``steps``, the product-rectangle weights: the cell integrals
+    C[m] = int_{m dt}^{(m+1) dt} K(u) du = dt^a/G(a+1) ((m+1)^a - m^a),
+    m = 0..n-1, in lag order.  With ``steps`` (an array of k < n), the
+    product-trapezoid weights of the rows t_{k+1}, which integrate
+    K(t_{k+1} - s) against the piecewise-linear interpolant of t_0..t_{k+1},
+    as (first, inner, diag) with c = dt^a/G(a+2):
+    first[i] = c (k^(a+1) - (k-a) (k+1)^a) weighs t_0 in row k = steps[i],
+    inner[m] = c ((m+2)^(a+1) + m^(a+1) - 2 (m+1)^(a+1)), m = 0..n-2,
+               weighs t_j at lag m = k - j for 1 <= j <= k,
+    diag     = c (a float) weighs t_{k+1}.
+    The differences of powers go through expm1/log1p, and beyond m = 16
+    the second difference, which cancels there, is summed as its series
+    m^(a+1) sum_{i>=2} binom(a+1, i) (2^i - 2) m^-i.
+    """
+    if steps is None:
+        j = np.arange(1.0, n)
+        cells = np.concatenate(([1.0], j**alpha * np.expm1(alpha * np.log1p(1.0 / j))))
+        return dt**alpha / _gamma(alpha + 1.0) * cells
+    c = dt**alpha / _gamma(alpha + 2.0)
+    k = np.asarray(steps, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bracket = k * np.expm1(-alpha * np.log1p(1.0 / k)) + alpha
+    bracket[k == 0.0] = alpha  # the k = 0 term is exactly alpha
+    b = alpha + 1.0
+    m = np.arange(n - 1, dtype=float)
+    second = np.empty(n - 1)
+    near, far = m[:16], m[16:]
+    second[:16] = (near + 2.0) ** b + near**b - 2.0 * (near + 1.0) ** b
+    if len(far):
+        h = 1.0 / far
+        acc, hk, coef = np.zeros_like(far), h, b
+        for i in range(2, 60):
+            coef *= (b - i + 1.0) / i  # binom(b, i)
+            hk = hk * h
+            term = coef * (2.0**i - 2.0) * hk
+            acc += term
+            if np.all(np.abs(term) <= 1e-18 * np.abs(acc)):
+                break
+        second[16:] = far**b * acc
+    return c * (k + 1.0) ** alpha * bracket, c * second, float(c)
 
 
 def kernel_cross_segment(spec: KernelSpec, t_k, t_k2, a: float, b: float) -> float | np.ndarray:
@@ -309,28 +348,13 @@ def kernel_cross_segment(spec: KernelSpec, t_k, t_k2, a: float, b: float) -> flo
     return float(out[0]) if scalar else out
 
 
-def _power_moments(r: float, n: int, dt: float):
-    """Cell moments of the power kernel u^(r-1)/Gamma(r), any r in (0, 1].
-
-    For the cells [j dt, (j+1) dt], j = 0..n-1, returns
-    m0[j] = int K(u) du and m1[j] = int K(u) ((j+1) dt - u) du, the
-    weights of product integration that is exact for piecewise-linear
-    integrands.
-    """
-    lags = np.arange(n, dtype=float)
-    lo, hi = lags * dt, (lags + 1.0) * dt
-    g = _gamma(r)
-    m0 = (hi ** r - lo ** r) / (r * g)
-    int_u = (hi ** (r + 1.0) - lo ** (r + 1.0)) / ((r + 1.0) * g)
-    return m0, hi * m0 - int_u
-
-
 def fractional_integral(r: float, f: np.ndarray, T: float) -> float:
     """Riemann-Liouville fractional integral I^r f(T) of a grid function.
 
-    f is sampled on the uniform grid over [0, T]; the product-integration
-    rule integrates (T-s)^(r-1) against the piecewise-linear interpolant
-    exactly, so I^1 reduces to the trapezoidal rule.
+    f is sampled on the uniform grid over [0, T]; the last row of the
+    product-trapezoid weights (``_product_weights``) integrates (T-s)^(r-1)
+    against the piecewise-linear interpolant exactly, so I^1 reduces to
+    the trapezoidal rule.
     """
     if not 0.0 < r <= 1.0:
         raise ParameterError(f"fractional order r must be in (0, 1], got {r}")
@@ -338,11 +362,5 @@ def fractional_integral(r: float, f: np.ndarray, T: float) -> float:
     if f.ndim != 1 or len(f) < 2:
         raise DomainError("f must be a 1-d grid function with at least 2 samples")
     n = len(f) - 1
-    dt = T / n
-    m0, m1 = _power_moments(r, n, dt)
-    w_right = m1 / dt
-    w_left = m0 - w_right
-    # lag j = n - l pairs cell l with weights at distance from T
-    fl = f[:-1][::-1]   # g_{l-1} ordered by lag
-    fr = f[1:][::-1]    # g_l ordered by lag
-    return float(w_left @ fl + w_right @ fr)
+    first, inner, diag = _product_weights(r, n, T / n, steps=[n - 1])
+    return float(first[0] * f[0] + f[1:n] @ inner[::-1] + diag * f[n])

@@ -141,6 +141,18 @@ def _riskless(model: MarketModel, m: float) -> bool:
     return abs(m - m0) <= 1e-12 * max(1.0, abs(m0))
 
 
+def _market_denominator(gamma0_value: float, model: MarketModel) -> float:
+    """1 - Gamma0 e^(-2rT), the denominator of xi*, eta* and V(m) for m > m0;
+    ParameterError, the market being degenerate, unless Gamma0 > 0 and it exceeds 1e-12."""
+    disc = model.discount(model.T)
+    denom = 1.0 - gamma0_value * (disc * disc)
+    if not (gamma0_value > 0.0 and denom > 1e-12):
+        raise ParameterError(
+            f"Gamma0 = {gamma0_value} outside (0, e^(2rT)); market degenerate for m > m0"
+        )
+    return denom
+
+
 def xi_eta_star(gamma0_value: float, model: MarketModel, m: float) -> tuple[float, float]:
     """Optimal shift xi* and Lagrange multiplier eta* = m - xi*.
 
@@ -149,13 +161,8 @@ def xi_eta_star(gamma0_value: float, model: MarketModel, m: float) -> tuple[floa
     """
     if _riskless(model, m):
         return model.m0, 0.0
+    denom = _market_denominator(gamma0_value, model)
     disc1 = model.discount(model.T)
-    disc2 = disc1 * disc1
-    denom = 1.0 - gamma0_value * disc2
-    if gamma0_value <= 0.0 or denom <= 1e-12:
-        raise ParameterError(
-            f"Gamma0 = {gamma0_value} outside (0, e^(2rT)); market degenerate for m > m0"
-        )
     xi = (m - gamma0_value * disc1 * model.x0) / denom
     eta = gamma0_value * disc1 * (model.x0 - m * disc1) / denom
     return float(xi), float(eta)
@@ -163,13 +170,11 @@ def xi_eta_star(gamma0_value: float, model: MarketModel, m: float) -> tuple[floa
 
 def variance_of_terminal(gamma0_value: float, model: MarketModel, m: float) -> float:
     """Optimal terminal-wealth variance V(m) = G0 |x0 - m e^-rT|^2 / (1 - G0 e^-2rT);
-    ParameterError when it is not finite (m = 1e300, inf or nan)."""
+    ParameterError in a degenerate market (``_market_denominator``) or when
+    V(m) is not finite (m = 1e300, inf or nan)."""
     if _riskless(model, m):
         return 0.0
-    denom = 1.0 - gamma0_value * model.discount(model.T) ** 2
-    if denom <= 1e-12:
-        raise ParameterError("Gamma0 >= e^(2rT): variance formula degenerate")
-    return _finite_variance(model, m, gamma0_value, denom)
+    return _finite_variance(model, m, gamma0_value, _market_denominator(gamma0_value, model))
 
 
 def _finite_variance(model: MarketModel, m: float, g0: float = 1.0, denom: float = 1.0) -> float:

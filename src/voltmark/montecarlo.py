@@ -180,7 +180,7 @@ def terminal_bootstrap(terminal: np.ndarray, n_boot=None,
 
 
 def frontier_experiment(model: MarketModel, m_values, M: int, seed: int, *,
-                        grid: Grid | None = None, stabs=None,
+                        grid: Grid, stabs=None,
                         n_boot=None, terminal=None) -> list[FrontierPoint]:
     """Monte Carlo frontier: simulated Var(X_T) against V(m) per target m.
 
@@ -196,7 +196,6 @@ def frontier_experiment(model: MarketModel, m_values, M: int, seed: int, *,
     ``solve_riccati_adams``, so a caller's own solve is reused.  n_boot
     is unused, kept because the benchmark's workloads pass it.
     """
-    grid = grid or Grid(model.T, 600)
     stabs = stabs or model.build_stabilizers()
     solution = solve_riccati_adams(model, stabs, grid.n)
     g0 = gamma0(model, solution, stabs)  # m-independent, priced once

@@ -9,7 +9,8 @@ Solves, per asset i on [0, T],
 with the fractional kernel K_i of order alpha_i and D = -diag(lam).  The
 workhorse is the generalized Adams-Bashforth-Moulton predictor-corrector
 with the classical product-trapezoidal corrector weights (Diethelm, Ford
-& Freed, Nonlinear Dyn. 29, 2002).  It steps in scalars: the d-vectors
+& Freed, Nonlinear Dyn. 29, 2002); its predictor and corrector weights
+come from ``kernels._product_weights``.  It steps in scalars: the d-vectors
 of a step are Python floats, and numpy does only the two history sums
 per asset and step, each one dot of the asset's contiguous row of past
 rhs values with a weight row reversed once per solve.  The same
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import ParameterError, ResolventSpec, _gamma, fractional_kernel, resolvent
+from .kernels import ParameterError, ResolventSpec, _product_weights, fractional_kernel, resolvent
 from .model import Grid, MarketModel
 
 _FALLBACK_CAP = 1e6
@@ -62,67 +63,6 @@ class RiccatiSolution:
     def psi_at(self, t) -> np.ndarray:
         """Linear interpolation of each component at times t."""
         return np.stack([np.interp(t, self.grid.times, row) for row in self.psi])
-
-
-def _second_diff_weights(alpha: float, n: int) -> np.ndarray:
-    """d[m] = (m+2)^(a+1) + m^(a+1) - 2 (m+1)^(a+1), m = 0..n-1.
-
-    Large m suffers cancellation (the result is a second difference of a
-    smooth power), so beyond m = 16 the expansion
-    d[m] = m^(a+1) sum_{k>=2} binom(a+1, k) (2^k - 2) m^-k is summed
-    instead of the raw differences.
-    """
-    b = alpha + 1.0
-    m = np.arange(n, dtype=float)
-    out = np.empty(n)
-    direct = m < 16
-    md = m[direct]
-    out[direct] = (md + 2.0) ** b + md**b - 2.0 * (md + 1.0) ** b
-    ms = m[~direct]
-    if len(ms):
-        h = 1.0 / ms
-        acc = np.zeros_like(ms)
-        coef = 1.0  # binom(b, k) via recurrence
-        hk = np.ones_like(ms)
-        for k in range(1, 60):
-            coef *= (b - k + 1.0) / k
-            hk = hk * h
-            if k >= 2:
-                term = coef * (2.0**k - 2.0) * hk
-                acc += term
-                if np.all(np.abs(term) <= 1e-18 * np.abs(acc)):
-                    break
-        out[~direct] = ms**b * acc
-    return out
-
-
-def _adams_weights(alpha: float, n: int, dt: float):
-    """Predictor/corrector weights for one asset, as the scalar solver reads them.
-
-    Returns (b_rev, a_first, a_rev, a_diag):
-    b_rev[n-m]   = dt^a/G(a+1) (m^a - (m-1)^a) for lags m = 1..n,
-    a_first[k]   = weight of j=0 in the corrector for step k+1 (a list),
-    a_rev[n-1-m] = dt^a/G(a+2) d[m] for the 1 <= j <= k terms (lag m = k-j),
-    a_diag       = dt^a/G(a+2) (a float).
-    The lag rows are contiguous and reversed, so each history sum of step
-    k is one dot with a tail of its row.
-    """
-    m = np.arange(1, n + 1, dtype=float)
-    blk = np.empty(n)
-    small = m < 2
-    blk[small] = m[small] ** alpha - (m[small] - 1.0) ** alpha
-    ms = m[~small]
-    blk[~small] = (ms - 1.0) ** alpha * np.expm1(alpha * np.log1p(1.0 / (ms - 1.0)))
-    b_rev = dt**alpha / _gamma(alpha + 1.0) * blk[::-1]
-
-    k = np.arange(n, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bracket = k * np.expm1(-alpha * np.log1p(1.0 / k)) + alpha
-    bracket[0] = alpha  # k = 0 term is exactly alpha
-    a_first = dt**alpha / _gamma(alpha + 2.0) * (k + 1.0) ** alpha * bracket
-
-    a_rev = dt**alpha / _gamma(alpha + 2.0) * _second_diff_weights(alpha, n)[::-1]
-    return b_rev, a_first.tolist(), a_rev, float(dt**alpha / _gamma(alpha + 2.0))
 
 
 def _system(model: MarketModel, forcing):
@@ -222,7 +162,10 @@ def _solve_adams(model: MarketModel, stabs, n: int, forcing) -> RiccatiSolution:
     grid = Grid(model.T, n)
     d = model.d
     rhs = _rhs_tables(model, stabs, grid, forcing)
-    b_rev, a_first, a_rev, a_diag = zip(*(_adams_weights(a, n, grid.dt) for a in model.alpha))
+    b_rev = [_product_weights(a, n, grid.dt)[::-1].copy() for a in model.alpha]
+    a_first, a_rev, a_diag = zip(*(_product_weights(a, n, grid.dt, steps=np.arange(n))
+                                   for a in model.alpha))
+    a_first, a_rev = [af.tolist() for af in a_first], [ar[::-1].copy() for ar in a_rev]
     if forcing is None:
         # the finiteness test goes on the scaled bound: 10x a finite
         # bound near the float limit overflows to inf
@@ -237,7 +180,7 @@ def _solve_adams(model: MarketModel, stabs, n: int, forcing) -> RiccatiSolution:
     for k in range(n):
         y_pred = [float(fi[: k + 1].dot(bi[n - k - 1 :])) for fi, bi in zip(fh, b_rev)]
         f_pred = rhs(k + 1, y_pred)
-        y_new = [af[k] * f0_i + float(fi[1 : k + 1].dot(ai[n - k :])) + ad * fp
+        y_new = [af[k] * f0_i + float(fi[1 : k + 1].dot(ai[n - 1 - k :])) + ad * fp
                  for af, f0_i, fi, ai, ad, fp in zip(a_first, f0, fh, a_rev, a_diag, f_pred)]
         # false for NaN and, the cap being finite, for +-inf
         if not all(abs(y) <= c for y, c in zip(y_new, cap)):

@@ -5,7 +5,9 @@ The K-integrated Euler-Maruyama scheme advances, per asset,
     V(t_k) = V(0) + sum_{l<=k} [ (mu0 - lam V(t_{l-1})) C[k-l]
              + nu sig(t_{l-1}) sqrt(V(t_{l-1})^+) G_{k,l} ],
 
-where C[j] = int_cell K(u) du are exact kernel cell integrals and
+where C[j] = int_cell K(u) du are the kernel's cell integrals (the
+product-rectangle weights of ``kernels._product_weights``, which the
+Adams solver reads as its predictor weights) and
 G_{k,l} = int_{t_{l-1}}^{t_l} K(t_k - s) dW_s are kernel-weighted
 Brownian integrals.  Within one cell the vector of all lags plus the
 plain increment DW is jointly Gaussian with lag-stationary covariance
@@ -55,10 +57,10 @@ from .kernels import (
     KernelSpec,
     ParameterError,
     _legendre_rule,
+    _product_weights,
     eval_kernel,
     fractional_kernel,
     kernel_cross_segment,
-    kernel_mean_segment,
 )
 from .model import Grid, MarketModel
 
@@ -112,7 +114,7 @@ def _thin_form(spec: KernelSpec, grid: Grid) -> tuple:
     """
     n, dt = grid.n, grid.dt
     t_up = (np.arange(n) + 1.0) * dt                         # upper lag ends
-    c_seg = np.asarray(kernel_mean_segment(spec, t_up, 0.0, dt))
+    c_seg = _product_weights(spec.alpha, n, dt)
     nodes, weights = _legendre_rule()
     B = eval_kernel(spec, t_up[:, None] - 0.5 * dt * (nodes[None, :] + 1.0))   # (n, 32)
     q = B.shape[1]

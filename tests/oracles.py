@@ -1,5 +1,6 @@
 """Independent checks that only the tests use: the fractional kernel's
-convolution with a grid function, the resolvent's defining equation, a
+cell integrals and product-integration moments by direct differences,
+its convolution with a grid function, the resolvent's defining equation, a
 Picard fixed-point solve of the Riccati-Volterra system, the exact
 second moments of the path scheme, the dense cell covariance and its
 Gaussian factor by np.linalg.eigh, the wealth step factors by
@@ -18,11 +19,9 @@ from voltmark.kernels import (
     ParameterError,
     ResolventSpec,
     _legendre_rule,
-    _power_moments,
     eval_kernel,
     fractional_kernel,
     kernel_cross_segment,
-    kernel_mean_segment,
     resolvent,
     resolvent_density,
 )
@@ -39,6 +38,33 @@ from voltmark.simulate import (
 # Mittag-Leffler terms of the resolvent convolved in closed form by
 # resolvent_equation_residual
 _RESOLVENT_HEAD = 3
+
+
+def kernel_mean_segment(spec: KernelSpec, t_k, a, b) -> float | np.ndarray:
+    """int_a^b K(t_k - s) ds for a < b <= t_k (vectorized in t_k), by the
+    direct difference ((t_k-a)^alpha - (t_k-b)^alpha)/Gamma(alpha+1)."""
+    scalar = np.isscalar(t_k)
+    t_k = np.atleast_1d(np.asarray(t_k, dtype=float))
+    al = spec.alpha
+    out = ((t_k - a) ** al - np.maximum(t_k - b, 0.0) ** al) / gamma_fn(al + 1.0)
+    return float(out[0]) if scalar else out
+
+
+def _power_moments(r: float, n: int, dt: float):
+    """Cell moments of the power kernel u^(r-1)/Gamma(r), any r in (0, 1],
+    by direct differences.
+
+    For the cells [j dt, (j+1) dt], j = 0..n-1, returns
+    m0[j] = int K(u) du and m1[j] = int K(u) ((j+1) dt - u) du, the
+    weights of product integration that is exact for piecewise-linear
+    integrands.
+    """
+    lags = np.arange(n, dtype=float)
+    lo, hi = lags * dt, (lags + 1.0) * dt
+    g = gamma_fn(r)
+    m0 = (hi ** r - lo ** r) / (r * g)
+    int_u = (hi ** (r + 1.0) - lo ** (r + 1.0)) / ((r + 1.0) * g)
+    return m0, hi * m0 - int_u
 
 
 def kernel_convolve(spec: KernelSpec, g: np.ndarray, grid: np.ndarray) -> np.ndarray:

@@ -24,7 +24,6 @@ from voltmark.kernels import (
     fractional_integral,
     fractional_kernel,
     kernel_cross_segment,
-    kernel_mean_segment,
     mittag_leffler,
     resolvent,
     resolvent_density,
@@ -116,6 +115,14 @@ def test_mittag_leffler_half_erfc_identity():
 ])
 def test_mittag_leffler_large_arguments(alpha, z, ref):
     assert mittag_leffler(alpha, z) == pytest.approx(ref, rel=1e-10)
+
+
+def test_mittag_leffler_refuses_what_the_floats_cannot_hold():
+    # E_0.9(30) by the series, against its mpmath sum at 40 digits; E_0.9(100)
+    # = 3.09e72 overflows z^k before the terms decay, and is refused
+    assert mittag_leffler(0.9, 30.0) == pytest.approx(1.142510275482452609186e19, rel=1e-14)
+    with pytest.raises(DomainError):
+        mittag_leffler(0.9, 100.0)
 
 
 def test_mittag_leffler_series_contour_seam():
@@ -233,24 +240,19 @@ def test_resolvent_density_nonnegative_and_mass(spec, lam):
 # --- segment integrals -----------------------------------------------------
 
 def test_kernel_mean_segment_closed_forms():
-    assert kernel_mean_segment(fractional_kernel(1.0), 2.0, 0.3, 1.1) == pytest.approx(0.8)
-    # (1 - 0.5^0.6)/Gamma(1.6), mpmath frozen
-    assert kernel_mean_segment(fractional_kernel(0.6), 1.0, 0.0, 0.5) == pytest.approx(
+    # the cell integrals C[m] of the constant kernel are the cell width
+    assert kernels._product_weights(1.0, 3, 0.8) == pytest.approx([0.8] * 3)
+    # C[1] at dt = 0.5 is (1 - 0.5^0.6)/Gamma(1.6), mpmath frozen
+    assert kernels._product_weights(0.6, 2, 0.5)[1] == pytest.approx(
         0.38079485135291380425, abs=1e-15)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS)
 def test_kernel_mean_segment_vs_quadrature(spec):
-    val = kernel_mean_segment(spec, 1.3, 0.2, 0.9)
-    ref, _ = quad(lambda s: eval_kernel(spec, 1.3 - s), 0.2, 0.9, limit=200)
+    # C[1] at dt = 0.7 is the integral over the cell [0.7, 1.4]
+    val = kernels._product_weights(spec.alpha, 2, 0.7)[1]
+    ref, _ = quad(lambda u: eval_kernel(spec, u), 0.7, 1.4, limit=200)
     assert val == pytest.approx(ref, rel=1e-10)
-
-
-def test_kernel_mean_segment_ordering():
-    with pytest.raises(DomainError):
-        kernel_mean_segment(fractional_kernel(0.6), 1.0, 0.9, 0.2)
-    with pytest.raises(DomainError):
-        kernel_mean_segment(fractional_kernel(0.6), 0.5, 0.2, 0.9)
 
 
 def test_kernel_cross_segment_closed_forms():
@@ -340,6 +342,31 @@ def test_fractional_integral_linearity_and_monotonicity():
         rel=1e-12, abs=1e-12)
     pos = np.abs(f)
     assert fractional_integral(0.6, pos, 1.0) >= 0.0
+
+
+@pytest.mark.parametrize("r", [0.1, 0.4, 1.0])
+def test_fractional_integral_weights_vs_mpmath(r):
+    # I^r of the unit vector e_j is the product-trapezoid weight of node j:
+    # c (k^(r+1) - (k-r)(k+1)^r) at j = 0, c d[n-1-j] with the second
+    # difference d[m] = (m+2)^(r+1) + m^(r+1) - 2 (m+1)^(r+1) inside and
+    # c at j = n, where c = dt^r/Gamma(r+2) and k = n - 1
+    n, T = 2400, 5.0
+    e = np.zeros(n + 1)
+    got = []
+    for j in range(n + 1):
+        e[j] = 1.0
+        got.append(fractional_integral(r, e, T))
+        e[j] = 0.0
+    with mpmath.workdps(40):
+        a, k = mpmath.mpf(r), n - 1
+        c = (mpmath.mpf(T) / n) ** a / mpmath.gamma(a + 2)
+        b = a + 1
+        ref = [c * (k**b - (k - a) * (k + 1) ** a)]
+        ref += [c * ((m + 2) ** b + mpmath.mpf(m) ** b - 2 * (m + 1) ** b)
+                for m in range(n - 2, -1, -1)]
+        ref.append(c)
+        rel = max(abs((g - x) / x) for g, x in zip(got, ref))
+    assert rel <= 2e-12
 
 
 def test_fractional_integral_rejects_bad_order():

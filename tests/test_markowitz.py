@@ -95,6 +95,8 @@ def test_infeasible_target_rejected(gamma0_bundled, model_t1):
     # degenerate riskless market: Gamma0 at its upper bound
     with pytest.raises(ParameterError):
         xi_eta_star(np.exp(2 * model_t1.r * model_t1.T), model_t1, 2.255)
+    with pytest.raises(ParameterError):
+        variance_of_terminal(np.exp(2 * model_t1.r * model_t1.T), model_t1, 2.255)
 
 
 def test_variance_of_terminal_cases(gamma0_bundled, model_t1):

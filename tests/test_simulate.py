@@ -3,19 +3,15 @@
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from conftest import child_env, small_model
-from oracles import _covariance_matrix, eigh_factor, scheme_covariance
-from voltmark import simulate
-from voltmark.kernels import (
-    eval_kernel,
-    fractional_kernel,
-    kernel_cross_segment,
-    kernel_mean_segment,
-)
+from oracles import _covariance_matrix, eigh_factor, kernel_mean_segment, scheme_covariance
+from voltmark import kernels, simulate
+from voltmark.kernels import eval_kernel, fractional_kernel, kernel_cross_segment
 from voltmark.model import Grid, MarketModel, bundled_model
 from voltmark.simulate import (
     FactorizationError,
@@ -45,6 +41,26 @@ def test_factor_reproduces_covariance(alpha):
     err = np.linalg.norm(fac.factor @ fac.factor.T - cov) / np.linalg.norm(cov)
     assert err <= 1e-8
     assert fac.rank <= 12  # the shifted-kernel Gramian is numerically thin
+
+
+@pytest.mark.parametrize("T, n", [(1.0, 600), (5.0, 2400)])
+@pytest.mark.parametrize("alpha", [0.6, 0.9])
+def test_cell_integrals_vs_mpmath(alpha, T, n):
+    # C[j] = (((j+1) dt)^alpha - (j dt)^alpha) / Gamma(alpha+1) at 40 digits
+    grid = Grid(T, n)
+    c_seg = build_gaussian_factor(fractional_kernel(alpha), grid).c_seg
+    with mpmath.workdps(40):
+        a, dt = mpmath.mpf(alpha), mpmath.mpf(grid.dt)
+        ref = [(((j + 1) * dt) ** a - (j * dt) ** a) / mpmath.gamma(a + 1) for j in range(n)]
+        rel = max(abs((c - x) / x) for c, x in zip(c_seg.tolist(), ref))
+    assert rel <= 2e-15
+
+
+def test_cell_integrals_are_the_predictor_weights():
+    # the engine's C[j] are the Adams predictor weights in lag order, bit for bit
+    grid = Grid(5.0, 2400)
+    c_seg = build_gaussian_factor(fractional_kernel(0.6), grid).c_seg
+    assert np.array_equal(c_seg, kernels._product_weights(0.6, grid.n, grid.dt))
 
 
 def test_covariance_entries_vs_quadrature():
