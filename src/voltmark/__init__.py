@@ -1,6 +1,6 @@
 """Mean-variance portfolio selection under stabilized Volterra volatility.
 
-Modules: kernels (special functions and segment integrals), stabilizer
+Modules: kernels (special functions and quadrature weights), stabilizer
 (fake-stationarity diffusion multiplier), model (parameters), riccati
 (fractional Adams solver and bounds), simulate (K-integrated Euler
 Monte Carlo), markowitz (closed forms and the optimal strategy),
@@ -34,7 +34,6 @@ from .kernels import (
     eval_kernel,
     fractional_integral,
     fractional_kernel,
-    kernel_cross_segment,
     mittag_leffler,
     resolvent,
     resolvent_density,

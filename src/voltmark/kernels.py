@@ -15,8 +15,8 @@ module provides
   the cell integrals C[j], which are the product-rectangle weights, and
   the product-trapezoid weights.  The Adams solver, the path engine and
   Gamma0 read them here,
-* exact segment integrals of kernel products, the building blocks of
-  the simulation covariance matrices,
+* the exact entries of the path engine's cell covariance
+  (``_kernel_products``): its lag diagonal and its first row,
 * Riemann-Liouville fractional integrals of grid functions by the
   product-trapezoid weights (exact for piecewise-linear data).
 
@@ -170,12 +170,16 @@ def _ml(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
 
 def mittag_leffler(alpha: float, z) -> float | np.ndarray:
     """Standard Mittag-Leffler function E_alpha(z) = E_{alpha,1}(z) for real
-    z, by ``_ml``; E_1(z) = exp(z) exactly."""
+    z, by ``_ml``; E_1(z) = exp(z) exactly.  DomainError where the value
+    leaves the floats."""
     if not 0.0 < alpha <= 1.0:
         raise ParameterError(f"mittag_leffler requires alpha in (0, 1], got {alpha}")
     scalar = np.isscalar(z)
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    out = np.exp(z) if alpha == 1.0 else _ml(alpha, 1.0, -z)
+    with np.errstate(over="ignore"):
+        out = np.exp(z) if alpha == 1.0 else _ml(alpha, 1.0, -z)
+    if np.any(np.isinf(out)):
+        raise DomainError(f"Mittag-Leffler function beyond the floats at z = {np.max(z):g}")
     return float(out[0]) if scalar else out
 
 
@@ -222,7 +226,7 @@ def resolvent_density(spec: ResolventSpec, t) -> float | np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Segment integrals
+# Quadrature rules and cell integrals
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=64)
@@ -295,57 +299,27 @@ def _product_weights(alpha: float, n: int, dt: float, steps=None):
     return c * (k + 1.0) ** alpha * bracket, c * second, float(c)
 
 
-def kernel_cross_segment(spec: KernelSpec, t_k, t_k2, a: float, b: float) -> float | np.ndarray:
-    """int_a^b K(t_k - s) K(t_k2 - s) ds for a < b <= min(t_k, t_k2).
+def _kernel_products(alpha: float, n: int, dt: float):
+    """(diag, row0), the exact entries of the cell covariance that the thin
+    factor reads, at the lags t_j = (j+1) dt, j < n; K = 1 gives dt for both.
 
-    Vectorized in t_k and t_k2, which broadcast against each other.
-    Needed for the covariance of kernel-weighted Brownian integrals.  The
-    equal-time case has the closed form
-    ((t_k-a)^(2a-1) - (t_k-b)^(2a-1)) / ((2a-1) Gamma(a)^2), evaluated
-    per element with scalar ``pow`` (an array power may round the last
-    bit differently), and K = 1 gives b - a; otherwise a Gauss-Jacobi
-    rule absorbs the (t_min - s)^(alpha-1) endpoint singularity whenever
-    b hits t_min, and plain Gauss-Legendre is used when both factors are
-    regular on the segment.  Each element is the same float however the
-    times are batched.
+    diag[j] = int_0^dt K(t_j - s)^2 ds, the cell integral of u^(2a-2)/G(a)^2:
+    ``_product_weights`` at order 2a - 1 times G(2a)/((2a-1) G(a)^2), and
+    diag[0] = dt^(2a-1)/((2a-1) G(a)^2).  row0[j] = int_0^dt K(t_j - s)
+    K(dt - s) ds by the Gauss-Jacobi rule that absorbs the (dt - s)^(a-1)
+    endpoint singularity, one dot per element.
     """
-    scalar = np.isscalar(t_k) and np.isscalar(t_k2)
-    t_k, t_k2 = np.broadcast_arrays(np.atleast_1d(np.asarray(t_k, dtype=float)),
-                                    np.atleast_1d(np.asarray(t_k2, dtype=float)))
-    if not a < b:
-        raise DomainError(f"segment [{a}, {b}] is empty or reversed")
-    t_lo, t_hi = np.minimum(t_k, t_k2), np.maximum(t_k, t_k2)
-    if np.any(b > t_lo * (1 + 1e-12) + 1e-300):
-        raise DomainError("segment must satisfy b <= min(t_k, t_k2)")
-    al = spec.alpha
-    out = np.empty(t_k.shape)
-    if al == 1.0:
-        out[...] = b - a
-        return float(out[0]) if scalar else out
-    equal = t_k == t_k2
-    if np.any(equal):
-        p = 2.0 * al - 1.0
-        out[equal] = [(t - a) ** p - (t - b) ** p for t in t_k[equal]]
-        out[equal] /= p * _gamma(al) ** 2
-    # the rules' dot products run one element at a time, as a scalar call
-    # does, so their summation order does not depend on the batch
-    h = 0.5 * (b - a)
-    at_lo = ~equal & np.isclose(b, t_lo, rtol=1e-12, atol=0.0)
-    if np.any(at_lo):
-        expo = al - 1.0
-        nodes, weights = _jacobi_rule(expo)
-        s = a + h * (nodes + 1.0)
-        # split off the singular power of (t_lo - s); the rest is smooth
-        smooth = eval_kernel(spec, t_hi[at_lo][:, None] - s) * (1.0 / _gamma(al))
-        out[at_lo] = [h ** (expo + 1.0) * (weights @ row) for row in smooth]
-    regular = ~equal & ~at_lo
-    if np.any(regular):
-        nodes, weights = _legendre_rule()
-        s = a + h * (nodes + 1.0)
-        vals = (eval_kernel(spec, t_k[regular][:, None] - s)
-                * eval_kernel(spec, t_k2[regular][:, None] - s))
-        out[regular] = [h * (weights @ row) for row in vals]
-    return float(out[0]) if scalar else out
+    if alpha == 1.0:
+        return np.full(n, dt), np.full(n, dt)
+    p, g = 2.0 * alpha - 1.0, _gamma(alpha)
+    diag = _product_weights(p, n, dt) * (_gamma(2.0 * alpha) / (p * g**2))
+    diag[0] = dt**p / (p * g**2)
+    h = 0.5 * dt
+    nodes, weights = _jacobi_rule(alpha - 1.0)
+    # the regular factor K(t_j - s) over the rule's nodes, j >= 1
+    u = np.arange(2.0, n + 1.0)[:, None] * dt - h * (nodes + 1.0)
+    smooth = u ** (alpha - 1.0) / g * (1.0 / g)
+    return diag, np.concatenate(([diag[0]], [h**alpha * (weights @ row) for row in smooth]))
 
 
 def fractional_integral(r: float, f: np.ndarray, T: float) -> float:

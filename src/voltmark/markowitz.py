@@ -191,7 +191,9 @@ def _finite_variance(model: MarketModel, m: float, g0: float = 1.0, denom: float
 
 
 def frontier_slope(gamma0_value: float, model: MarketModel) -> float:
-    """Capital-market-line slope sqrt(e^(2rT)/Gamma0 - 1)."""
+    """Capital-market-line slope sqrt(e^(2rT)/Gamma0 - 1); ParameterError in
+    a degenerate market (``_market_denominator``)."""
+    _market_denominator(gamma0_value, model)
     return float(np.sqrt(np.exp(2.0 * model.r * model.T) / gamma0_value - 1.0))
 
 
@@ -257,21 +259,6 @@ def optimal_control(model: MarketModel, solution: RiccatiSolution, stabs, xi_sta
 _WEALTH_BLOCK = 64
 
 
-def _asset_sum(a, b, weights, out, term):
-    """sum_i a[:, i] b[:, i] weights_i over the assets of (m, d, w) a and b,
-    into (m, w) out; weights None stands for ones and term is (m, w)
-    scratch.  The terms are formed and added from zero in asset order,
-    which gives np.einsum's bits except in a one-step block of three or
-    more assets, where einsum unrolls the sum."""
-    out.fill(0.0)
-    for i in range(a.shape[1]):
-        np.multiply(a[:, i], b[:, i], out=term)
-        if weights is not None:
-            term *= weights[i]
-        out += term
-    return out
-
-
 def _step_factors(model: MarketModel, ensemble: PathEnsemble, coef: np.ndarray, paths: slice):
     """Gains and per-step wealth factors of the optimal feedback, in blocks of steps.
 
@@ -282,22 +269,21 @@ def _step_factors(model: MarketModel, ensemble: PathEnsemble, coef: np.ndarray, 
     g (m, d, w), s (w, m)) for the m paths in ``paths`` per block of
     ``_WEALTH_BLOCK`` steps, in one memory map of the call's own (``_mapped``,
     so that a worker thread leaves nothing in its malloc arena) that each
-    block overwrites; the d-sums (``_asset_sum``) run in two (m, w) slots
-    of it.
+    block overwrites; the d-sums (np.einsum) run in one (m, w) slot of it.
     """
     V, dW, dWperp = (a[paths] for a in (ensemble.V, *_increments(ensemble)))
     (m, d, n), dt = dW.shape, ensemble.grid.dt
-    flat = _mapped(((3 * d + 3) * m * _WEALTH_BLOCK,))
+    flat = _mapped(((3 * d + 2) * m * _WEALTH_BLOCK,))
     for lo in range(0, n, _WEALTH_BLOCK):
         hi = min(lo + _WEALTH_BLOCK, n)
         w = hi - lo
         gain, root_v, dB = flat[: 3 * m * d * w].reshape(3, m, d, w)
         s = flat[3 * m * d * w : (3 * d + 1) * m * w].reshape(w, m)
-        acc, term = flat[(3 * d + 1) * m * w : (3 * d + 3) * m * w].reshape(2, m, w)
+        acc = flat[(3 * d + 1) * m * w : (3 * d + 2) * m * w].reshape(m, w)
         _asset_increments(model, dW[:, :, lo:hi], dWperp[:, :, lo:hi], out=(dB, gain))
         _gain(coef[None, :, lo:hi], V[:, :, lo:hi], out=(gain, root_v))
-        np.multiply(_asset_sum(gain, root_v, model.theta, acc, term).T, dt, out=s)
-        s += _asset_sum(gain, dB, None, acc, term).T
+        np.multiply(np.einsum("mdw,mdw,d->mw", gain, root_v, model.theta, out=acc).T, dt, out=s)
+        s += np.einsum("mdw,mdw->mw", gain, dB, out=acc).T
         yield lo, gain, s
 
 

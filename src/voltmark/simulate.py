@@ -10,9 +10,9 @@ product-rectangle weights of ``kernels._product_weights``, which the
 Adams solver reads as its predictor weights) and
 G_{k,l} = int_{t_{l-1}}^{t_l} K(t_k - s) dW_s are kernel-weighted
 Brownian integrals.  Within one cell the vector of all lags plus the
-plain increment DW is jointly Gaussian with lag-stationary covariance
-built from exact kernel product integrals, so one spectral factor per
-asset drives every cell.  It comes from the covariance's rank-36 thin
+plain increment DW is jointly Gaussian with lag-stationary covariance,
+whose exact diagonal and first row are ``kernels._kernel_products``,
+so one spectral factor per asset drives every cell.  It comes from the covariance's rank-36 thin
 form, truncated to the fewest modes that its reproduction check allows
 (PCA sampling, Glasserman 2003, Section 2.3).  Each cell draws one
 low-rank standard-normal block for all paths; thin matrix products add
@@ -56,11 +56,11 @@ from . import _blas_threads as _BLAS_THREADS
 from .kernels import (
     KernelSpec,
     ParameterError,
+    _kernel_products,
     _legendre_rule,
     _product_weights,
     eval_kernel,
     fractional_kernel,
-    kernel_cross_segment,
 )
 from .model import Grid, MarketModel
 
@@ -106,7 +106,8 @@ def _thin_form(spec: KernelSpec, grid: Grid) -> tuple:
     (G_j)_{j<n} and DW over one cell but for the lag diagonal.
 
     The lags' interior is B W B^T by the 32-point Legendre rule on the
-    cell, B[j, q] = K(t_j - s_q) and W = diag(w_q dt/2).  The row-0
+    cell, B[j, q] = K(t_j - s_q) and W = diag(w_q dt/2).  The exact lag
+    diagonal and row 0 come from ``kernels._kernel_products``.  The row-0
     correction u (exact minus rule, half the lag-0 diagonal's in u[0])
     pairs with e_0 and (C[j], dt/2) with e_n, each through a block
     [[0, 1], [1, 0]] of H, so G is (n+1) x 36.  Elsewhere the rule's
@@ -121,11 +122,10 @@ def _thin_form(spec: KernelSpec, grid: Grid) -> tuple:
     w = weights * (0.5 * dt)
     G, H = np.zeros((n + 1, q + 4)), np.zeros((q + 4, q + 4))
     G[:n, :q], H[:q, :q] = B, np.diag(w)
-    diag = kernel_cross_segment(spec, t_up, t_up, 0.0, dt)
-    core0 = B @ (w * B[0])                                   # the rule's row 0
+    diag, row0 = _kernel_products(spec.alpha, n, dt)
     G[0, q] = G[n, q + 1] = 1.0
-    G[0, q + 2] = 0.5 * (diag[0] - core0[0])
-    G[1:n, q + 2] = kernel_cross_segment(spec, t_up[1:], t_up[0], 0.0, dt) - core0[1:]
+    G[:n, q + 2] = row0 - B @ (w * B[0])                      # exact minus the rule's row 0
+    G[0, q + 2] *= 0.5
     G[:n, q + 3], G[n, q + 3] = c_seg, 0.5 * dt
     H[q, q + 2] = H[q + 2, q] = H[q + 1, q + 3] = H[q + 3, q + 1] = 1.0
     return G, H, diag, c_seg

@@ -1,5 +1,6 @@
 """Independent checks that only the tests use: the fractional kernel's
 cell integrals and product-integration moments by direct differences,
+the segment integrals of kernel products behind the cell covariance,
 its convolution with a grid function, the resolvent's defining equation, a
 Picard fixed-point solve of the Riccati-Volterra system, the exact
 second moments of the path scheme, the dense cell covariance and its
@@ -8,6 +9,8 @@ np.einsum, the wealth statistics from whole wealth and strategy paths,
 the resolvent density's L2 norm by adaptive quadrature and the standard
 errors of per-column means and variances by a multinomial bootstrap
 over paths."""
+
+import math
 
 import numpy as np
 from scipy.integrate import quad
@@ -18,10 +21,10 @@ from voltmark.kernels import (
     KernelSpec,
     ParameterError,
     ResolventSpec,
+    _jacobi_rule,
     _legendre_rule,
     eval_kernel,
     fractional_kernel,
-    kernel_cross_segment,
     resolvent,
     resolvent_density,
 )
@@ -48,6 +51,40 @@ def kernel_mean_segment(spec: KernelSpec, t_k, a, b) -> float | np.ndarray:
     al = spec.alpha
     out = ((t_k - a) ** al - np.maximum(t_k - b, 0.0) ** al) / gamma_fn(al + 1.0)
     return float(out[0]) if scalar else out
+
+
+def kernel_cross_segment(spec: KernelSpec, t_k, t_k2, a: float, b: float) -> np.ndarray:
+    """int_a^b K(t_k - s) K(t_k2 - s) ds, elementwise over t_k and t_k2
+    (which broadcast), where each pair is equal, with b <= t_k, or has
+    b = min(t_k, t_k2).
+
+    Equal times have the closed form
+    ((t-a)^p - (t-b)^p) / (p Gamma(alpha)^2), p = 2 alpha - 1, per element
+    with the difference taken as (t-b)^p expm1(p log1p((b-a)/(t-b))),
+    which does not cancel.  Otherwise a 32-point Gauss-Jacobi rule
+    absorbs the (b - s)^(alpha-1) endpoint singularity, one dot per
+    element.  K = 1 gives b - a.
+    """
+    t_k, t_k2 = np.broadcast_arrays(np.atleast_1d(np.asarray(t_k, dtype=float)),
+                                    np.atleast_1d(np.asarray(t_k2, dtype=float)))
+    al = spec.alpha
+    if al == 1.0:
+        return np.full(t_k.shape, b - a)
+    out = np.empty(t_k.shape)
+    equal = t_k == t_k2
+    p = 2.0 * al - 1.0
+    out[equal] = [(t - b) ** p * math.expm1(p * math.log1p((b - a) / (t - b))) if t > b
+                  else (t - a) ** p for t in t_k[equal].tolist()]
+    out[equal] /= p * math.gamma(al) ** 2
+    t_lo, t_hi = np.minimum(t_k, t_k2)[~equal], np.maximum(t_k, t_k2)[~equal]
+    assert np.all(t_lo == b), "unequal times need b = min(t_k, t_k2)"
+    h, expo = 0.5 * (b - a), al - 1.0
+    nodes, weights = _jacobi_rule(expo)
+    s = a + h * (nodes + 1.0)
+    # split off the singular power of (b - s); the rest is smooth
+    smooth = eval_kernel(spec, t_hi[:, None] - s) * (1.0 / math.gamma(al))
+    out[~equal] = [h ** (expo + 1.0) * (weights @ row) for row in smooth]
+    return out
 
 
 def _power_moments(r: float, n: int, dt: float):
@@ -170,7 +207,8 @@ def _covariance_matrix(spec: KernelSpec, grid: Grid) -> tuple[np.ndarray, np.nda
     """The dense (n+1) x (n+1) lag covariance of (G_j)_{j<n} and DW over one
     cell, plus C[j], entry by entry: the interior by the fixed 32-point
     Legendre rule on the shared cell, the diagonal and the singular row
-    and column 0 exact, the DW row and column the cell means."""
+    and column 0 exact (``kernel_cross_segment``), the DW row and column
+    the cell means."""
     n, dt = grid.n, grid.dt
     lags = np.arange(n)
     t_up = (lags + 1.0) * dt

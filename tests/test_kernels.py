@@ -13,7 +13,7 @@ from scipy.integrate import quad
 from scipy.special import gamma as G
 from scipy.special import roots_legendre
 
-from oracles import kernel_convolve, resolvent_equation_residual
+from oracles import kernel_convolve, kernel_cross_segment, resolvent_equation_residual
 from voltmark import kernels
 from voltmark.kernels import (
     DomainError,
@@ -23,7 +23,6 @@ from voltmark.kernels import (
     eval_kernel,
     fractional_integral,
     fractional_kernel,
-    kernel_cross_segment,
     mittag_leffler,
     resolvent,
     resolvent_density,
@@ -123,6 +122,12 @@ def test_mittag_leffler_refuses_what_the_floats_cannot_hold():
     assert mittag_leffler(0.9, 30.0) == pytest.approx(1.142510275482452609186e19, rel=1e-14)
     with pytest.raises(DomainError):
         mittag_leffler(0.9, 100.0)
+    # E_1 = exp: exp(709) is a float, exp(1000) is not
+    assert mittag_leffler(1.0, 709.0) == math.exp(709.0)
+    with pytest.raises(DomainError):
+        mittag_leffler(1.0, 1000.0)
+    with pytest.raises(DomainError):
+        mittag_leffler(1.0, np.array([0.0, 1000.0]))
 
 
 def test_mittag_leffler_series_contour_seam():
@@ -256,64 +261,55 @@ def test_kernel_mean_segment_vs_quadrature(spec):
 
 
 def test_kernel_cross_segment_closed_forms():
-    assert kernel_cross_segment(fractional_kernel(1.0), 2.0, 1.5, 0.2, 1.0) == pytest.approx(0.8)
+    # the engine's exact entries: K = 1 gives the cell width dt for both
+    assert all(np.array_equal(x, [0.8] * 3) for x in kernels._kernel_products(1.0, 3, 0.8))
     d = 1.0 / 600
     al = 0.6
+    diag, row0 = kernels._kernel_products(al, 2, d)
     exact = d ** (2 * al - 1) / ((2 * al - 1) * G(al) ** 2)
-    assert kernel_cross_segment(fractional_kernel(al), d, d, 0.0, d) == pytest.approx(exact, rel=1e-14)
+    assert diag[0] == pytest.approx(exact, rel=1e-14)
+    assert row0[0] == diag[0]
     # off-diagonal singular case, mpmath frozen (t_k = 2D, t_k' = D, [0, D])
-    assert kernel_cross_segment(fractional_kernel(0.6), 2 * d, d, 0.0, d) == pytest.approx(
-        0.18647088884385605394, rel=1e-8)
-
-
-def test_kernel_cross_segment_symmetry_and_sign():
-    spec = fractional_kernel(0.75)
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        a = rng.uniform(0.0, 0.5)
-        b = a + rng.uniform(0.01, 0.5)
-        tk = b + rng.uniform(0.0, 1.0)
-        tk2 = b + rng.uniform(0.0, 1.0)
-        v1 = kernel_cross_segment(spec, tk, tk2, a, b)
-        v2 = kernel_cross_segment(spec, tk2, tk, a, b)
-        assert v1 >= 0.0
-        assert v1 == pytest.approx(v2, rel=1e-12)
+    assert row0[1] == pytest.approx(0.18647088884385605394, rel=1e-8)
 
 
 @pytest.mark.parametrize("alpha", [0.55, 0.75, 1.0])
 def test_kernel_cross_segment_arrays_equal_scalar_calls(alpha):
-    # one array call covers every branch: equal times (closed form),
-    # b = min time (Jacobi) and both factors regular (Legendre)
-    spec = fractional_kernel(alpha)
-    a, b = 0.1, 0.3
-    t_k = np.array([0.3, 0.3, 0.45, 0.8, 0.5, 1.7])
-    t_k2 = np.array([0.3, 0.9, 0.3, 0.8, 0.6, 0.35])
-    out = kernel_cross_segment(spec, t_k, t_k2, a, b)
-    ref = [kernel_cross_segment(spec, x, y, a, b) for x, y in zip(t_k, t_k2)]
-    assert out.shape == t_k.shape
-    assert np.array_equal(out, ref)
-    # a scalar second time broadcasts, and scalars still give a float
-    assert np.array_equal(kernel_cross_segment(spec, t_k[2:], 0.3, a, b),
-                          [kernel_cross_segment(spec, x, 0.3, a, b) for x in t_k[2:]])
-    assert isinstance(kernel_cross_segment(spec, 0.8, 0.5, a, b), float)
+    # row 0 on the benchmark grid (T = 5, n = 2400) is the very floats of
+    # one general segment integral per element
+    n, dt = 2400, 5.0 / 2400
+    row0 = kernels._kernel_products(alpha, n, dt)[1]
+    t_up = (np.arange(n) + 1.0) * dt
+    ref = [kernel_cross_segment(fractional_kernel(alpha), t, dt, 0.0, dt)[0] for t in t_up]
+    assert np.array_equal(row0, ref)
 
 
-def test_kernel_cross_segment_diagonal_uses_scalar_pow():
-    # an array power may round differently from libm pow; the diagonal
-    # of the covariance must not depend on which one ran
-    al, dt = 0.6, 1.0 / 2400
-    t = (np.arange(2400) + 1.0) * dt
-    p = 2.0 * al - 1.0
-    ref = [(x ** p - (x - dt) ** p) / (p * math.gamma(al) ** 2) for x in t.tolist()]
-    assert np.array_equal(kernel_cross_segment(fractional_kernel(al), t, t, 0.0, dt), ref)
+@pytest.mark.parametrize("T, n", [(1.0, 600), (5.0, 2400)])
+@pytest.mark.parametrize("alpha", [0.55, 0.6, 0.9])
+def test_kernel_products_vs_mpmath(alpha, T, n):
+    # at 40 digits, with c = j dt and G = Gamma(alpha)^2:
+    # diag[j] = (((j+1) dt)^p - c^p) / (p G), p = 2 alpha - 1, and
+    # row0[j] = int_0^dt (c + v)^(alpha-1) v^(alpha-1) dv / G
+    #         = c^(alpha-1) dt^alpha 2F1(1-alpha, alpha; alpha+1; -1/j) / (alpha G);
+    # the dense oracle's diagonal is as accurate as the engine's
+    dt = T / n
+    diag, row0 = kernels._kernel_products(alpha, n, dt)
+    t_up = (np.arange(n) + 1.0) * dt
+    oracle = kernel_cross_segment(fractional_kernel(alpha), t_up, t_up, 0.0, dt)
+    with mpmath.workdps(40):
+        a, h = mpmath.mpf(alpha), mpmath.mpf(dt)
+        p, g2 = 2 * a - 1, mpmath.gamma(a) ** 2
+        ref_diag = [(((j + 1) * h) ** p - (j * h) ** p) / (p * g2) for j in range(n)]
+        ref_row0 = ref_diag[:1] + [
+            (j * h) ** (a - 1) * h**a * mpmath.hyp2f1(1 - a, a, a + 1, -mpmath.mpf(1) / j) / (a * g2)
+            for j in range(1, n)]
 
+        def rel(got, ref):
+            return max(abs((x - y) / y) for x, y in zip(got.tolist(), ref))
 
-def test_kernel_cross_segment_array_domain_checks():
-    spec = fractional_kernel(0.6)
-    with pytest.raises(DomainError):
-        kernel_cross_segment(spec, np.array([1.0, 0.2]), 1.0, 0.0, 0.5)
-    with pytest.raises(DomainError):
-        kernel_cross_segment(spec, np.array([1.0, 2.0]), 1.0, 0.5, 0.5)
+        assert rel(diag, ref_diag) <= 2e-15
+        assert rel(oracle, ref_diag) <= 2e-15
+        assert rel(row0, ref_row0) <= 3e-15
 
 
 # --- fractional integrals --------------------------------------------------

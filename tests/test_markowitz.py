@@ -97,6 +97,12 @@ def test_infeasible_target_rejected(gamma0_bundled, model_t1):
         xi_eta_star(np.exp(2 * model_t1.r * model_t1.T), model_t1, 2.255)
     with pytest.raises(ParameterError):
         variance_of_terminal(np.exp(2 * model_t1.r * model_t1.T), model_t1, 2.255)
+    # the frontier slope follows the same degenerate-market rule
+    for g0 in (0.0, -1.0, 2.0 * np.exp(2 * model_t1.r * model_t1.T), np.nan):
+        with pytest.raises(ParameterError):
+            variance_of_terminal(g0, model_t1, 2.255)
+        with pytest.raises(ParameterError):
+            frontier_slope(g0, model_t1)
 
 
 def test_variance_of_terminal_cases(gamma0_bundled, model_t1):

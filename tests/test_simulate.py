@@ -9,9 +9,15 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import child_env, small_model
-from oracles import _covariance_matrix, eigh_factor, kernel_mean_segment, scheme_covariance
+from oracles import (
+    _covariance_matrix,
+    eigh_factor,
+    kernel_cross_segment,
+    kernel_mean_segment,
+    scheme_covariance,
+)
 from voltmark import kernels, simulate
-from voltmark.kernels import eval_kernel, fractional_kernel, kernel_cross_segment
+from voltmark.kernels import eval_kernel, fractional_kernel
 from voltmark.model import Grid, MarketModel, bundled_model
 from voltmark.simulate import (
     FactorizationError,
@@ -88,16 +94,22 @@ def test_covariance_entries_vs_quadrature():
 @pytest.mark.parametrize("n", [120, 600])
 @pytest.mark.parametrize("alpha", [0.55, 0.6, 0.9])
 def test_covariance_exact_entries_equal_per_entry_calls(alpha, n):
-    # the diagonal and the singular first row come from two array calls;
-    # they must be the very floats of one call per entry
+    # the engine's exact entries against the general segment integral, one
+    # call per entry: row 0 (Gauss-Jacobi) is its very floats, lag 0 of
+    # the diagonal too, and the rest of the diagonal (the cell integrals
+    # at order 2 alpha - 1) its cancellation-free closed form to rounding;
+    # the dense oracle holds that integral's entries
     spec, g = fractional_kernel(alpha), Grid(1.0, n)
-    cov, _ = _covariance_matrix(spec, g)
+    diag, row0 = kernels._kernel_products(alpha, n, g.dt)
     t_up = (np.arange(n) + 1.0) * g.dt
-    diag = [kernel_cross_segment(spec, t_up[j], t_up[j], 0.0, g.dt) for j in range(n)]
-    row0 = [kernel_cross_segment(spec, t_up[j], t_up[0], 0.0, g.dt) for j in range(1, n)]
-    assert np.array_equal(np.diag(cov)[:n], diag)
-    assert np.array_equal(cov[0, 1:n], row0)
-    assert np.array_equal(cov[1:n, 0], row0)
+    ref_diag = [kernel_cross_segment(spec, t_up[j], t_up[j], 0.0, g.dt)[0] for j in range(n)]
+    ref_row0 = [kernel_cross_segment(spec, t_up[j], t_up[0], 0.0, g.dt)[0] for j in range(n)]
+    assert np.array_equal(row0, ref_row0)
+    assert diag[0] == ref_diag[0]
+    assert np.allclose(diag, ref_diag, rtol=2e-15, atol=0.0)
+    cov, _ = _covariance_matrix(spec, g)
+    assert np.array_equal(np.diag(cov)[:n], ref_diag)
+    assert np.array_equal(cov[0, :n], ref_row0) and np.array_equal(cov[:n, 0], ref_row0)
 
 
 def test_thin_factor_matches_dense_oracle():
