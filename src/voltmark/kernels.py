@@ -170,12 +170,14 @@ def _ml(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
 
 def mittag_leffler(alpha: float, z) -> float | np.ndarray:
     """Standard Mittag-Leffler function E_alpha(z) = E_{alpha,1}(z) for real
-    z, by ``_ml``; E_1(z) = exp(z) exactly.  DomainError where the value
-    leaves the floats."""
+    z, by ``_ml``; E_1(z) = exp(z) exactly.  DomainError at a NaN z and
+    where the value leaves the floats."""
     if not 0.0 < alpha <= 1.0:
         raise ParameterError(f"mittag_leffler requires alpha in (0, 1], got {alpha}")
     scalar = np.isscalar(z)
     z = np.atleast_1d(np.asarray(z, dtype=float))
+    if np.any(np.isnan(z)):
+        raise DomainError("Mittag-Leffler function at z = nan")
     with np.errstate(over="ignore"):
         out = np.exp(z) if alpha == 1.0 else _ml(alpha, 1.0, -z)
     if np.any(np.isinf(out)):
@@ -188,9 +190,11 @@ def mittag_leffler(alpha: float, z) -> float | np.ndarray:
 # ---------------------------------------------------------------------------
 
 def eval_kernel(spec: KernelSpec, t) -> float | np.ndarray:
-    """Evaluate K(t) for t > 0 (a singular kernel rejects t <= 0)."""
+    """Evaluate K(t) for t > 0 (a singular kernel rejects t <= 0, every kernel t = NaN)."""
     scalar = np.isscalar(t)
     t = np.atleast_1d(np.asarray(t, dtype=float))
+    if np.any(np.isnan(t)):
+        raise DomainError("fractional kernel at t = nan")
     if spec.singular and np.any(t <= 0.0):
         raise DomainError("fractional kernel is singular at t <= 0")
     out = t ** (spec.alpha - 1.0) / _gamma(spec.alpha)
@@ -201,7 +205,7 @@ def resolvent(spec: ResolventSpec, t) -> float | np.ndarray:
     """R_lam(t) = E_alpha(-lam t^alpha) for t >= 0 (exp(-lam t) at alpha = 1)."""
     scalar = np.isscalar(t)
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t < 0.0):
+    if not np.all(t >= 0.0):  # NaN fails too
         raise DomainError("resolvent requires t >= 0")
     alpha, lam = spec.kernel.alpha, spec.lam
     out = np.asarray(mittag_leffler(alpha, -lam * t ** alpha))
@@ -215,7 +219,7 @@ def resolvent_density(spec: ResolventSpec, t) -> float | np.ndarray:
     """
     scalar = np.isscalar(t)
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t <= 0.0):
+    if not np.all(t > 0.0):  # NaN fails too
         raise DomainError("resolvent_density requires t > 0")
     alpha, lam = spec.kernel.alpha, spec.lam
     if alpha == 1.0:

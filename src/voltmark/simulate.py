@@ -17,7 +17,10 @@ form, truncated to the fewest modes that its reproduction check allows
 (PCA sampling, Glasserman 2003, Section 2.3).  Each cell draws one
 low-rank standard-normal block for all paths; thin matrix products add
 its contributions to the cells of its 8-cell sub-block at once, and to
-later cells once per sub-block and once per 64-cell block.
+the rest of its 64-cell block once per sub-block.  Later blocks read it
+through a low-rank pair U W of the far-field lag rows, built and checked
+with the factor: each finished block is compressed once to W Y, and
+each new block pulls its far field from all of them in one product.
 
 Paths are simulated in fixed chunks of ``_CHUNK_PATHS`` paths, each in
 arrays of its own and time-major: V is a (d, n+1, chunk) array and dW,
@@ -89,16 +92,23 @@ class GaussianBlockFactor:
     0..n-1, DW) (``_thin_form``); by time-translation invariance
     the same matrix serves every cell.  F's rank is its column count, set
     by ``build_gaussian_factor``'s tail rule.  ``c_seg`` are the
-    deterministic cell integrals C[j].
+    deterministic cell integrals C[j].  ``u_far`` and ``w_far`` are the
+    far-field pair of ``_far_field``, of rank ``far_rank``.
     """
 
     grid: Grid
     factor: np.ndarray = field(repr=False)
     c_seg: np.ndarray = field(repr=False)
+    u_far: np.ndarray = field(repr=False)
+    w_far: np.ndarray = field(repr=False)
 
     @property
     def rank(self) -> int:
         return self.factor.shape[1]
+
+    @property
+    def far_rank(self) -> int:
+        return self.w_far.shape[0]
 
 
 def _thin_form(spec: KernelSpec, grid: Grid) -> tuple:
@@ -133,10 +143,28 @@ def _thin_form(spec: KernelSpec, grid: Grid) -> tuple:
 
 # columns per block of the reproduction check, which is never whole
 _CHECK_COLS = 256
+# the far field's compression: required relative Frobenius reproduction
+# (a tenth bounds the dropped tail), the first sketch width and its seed
+_FAR_RTOL = 1e-13
+_SKETCH = 48
+_SKETCH_SEED = 20110
 
 
 def build_gaussian_factor(spec: KernelSpec, grid: Grid) -> GaussianBlockFactor:
-    """Factor the joint cell covariance for one asset from its thin form.
+    """Factor the joint cell covariance for one asset, and compress its far field.
+
+    The factor comes from ``_spectral_factor`` and the low-rank pair of
+    its far-field matrix from ``_far_field``, once the factor's
+    temporaries are freed.
+    """
+    factor, c_seg = _spectral_factor(spec, grid)
+    F_aug = np.concatenate([factor[: grid.n], c_seg[:, None]], axis=1)
+    u_far, w_far = _far_field(F_aug)
+    return GaussianBlockFactor(grid=grid, factor=factor, c_seg=c_seg, u_far=u_far, w_far=w_far)
+
+
+def _spectral_factor(spec: KernelSpec, grid: Grid) -> tuple:
+    """(factor, C[j]): the factor of the joint cell covariance from its thin form.
 
     The covariance's spectrum collapses after a handful of modes (to one
     for the constant kernel, alpha = 1), and the build never forms the
@@ -181,7 +209,50 @@ def build_gaussian_factor(spec: KernelSpec, grid: Grid) -> GaussianBlockFactor:
             f"spectral factor misses covariance by {err / norm:.2e} relative "
             f"(smallest eigenvalue {w[-1]:.3e})"
         )
-    return GaussianBlockFactor(grid=grid, factor=factor, c_seg=c_seg)
+    return factor, c_seg
+
+
+def _far_field(F_aug: np.ndarray) -> tuple:
+    """(U, W), U W ~ the far-field matrix f of the lag rows F_aug.
+
+    f is the (n - _BLOCK) x _BLOCK (r+1) matrix that ``_lag_blocks`` fills
+    at width _BLOCK; its singular values fall to 1e-14 of the largest
+    within about 20.  A fixed-seed Gaussian sketch of ``_SKETCH`` columns
+    spans it (Halko, Martinsson & Tropp, SIAM Rev. 53, 2011): with the
+    thin QR f Omega = Q R and the SVD Q^T f = A diag(s) B^T, U = Q A[:, :k]
+    and W = diag(s[:k]) B[:, :k]^T, k the smallest with
+    ||s[k:]|| <= ||s|| _FAR_RTOL / 10.  The pair must reproduce f to
+    ``_FAR_RTOL`` relative Frobenius error, summed over blocks of
+    ``_CHECK_COLS`` rows; a sketch that misses is widened once to all of
+    f's columns, and a miss there raises FactorizationError.  n <= _BLOCK
+    has no far field: k = 0.
+    """
+    rows, cols = F_aug.shape[0] - _BLOCK, _BLOCK * F_aug.shape[1]
+    if rows <= 0:
+        return np.zeros((0, 0)), np.zeros((0, cols))
+    # mapped, like the engine's scratch, so that the heap keeps none of it
+    f, part = _mapped((rows, cols)), _mapped((_CHECK_COLS, cols))
+    _lag_blocks(F_aug, _BLOCK, f)
+    blocks = [slice(lo, lo + _CHECK_COLS) for lo in range(0, rows, _CHECK_COLS)]
+    norm, rng = np.linalg.norm(f), np.random.default_rng(_SKETCH_SEED)
+    for width in (min(_SKETCH, cols), cols):
+        omega, sketch = rng.standard_normal((cols, width)), _mapped((rows, width))
+        for rs in blocks:
+            np.matmul(f[rs], omega, out=sketch[rs])
+        Q, _ = np.linalg.qr(sketch)
+        A, s, Bt = np.linalg.svd(sum(Q[rs].T @ f[rs] for rs in blocks), full_matrices=False)
+        tail = np.sqrt(np.cumsum(s[::-1] ** 2)[::-1])               # tail[k] = ||s[k:]||
+        k = np.count_nonzero(tail > 0.1 * _FAR_RTOL * tail[0])
+        U, W = Q @ A[:, :k], s[:k, None] * Bt[:k]
+        err2 = 0.0
+        for rs in blocks:
+            block = np.matmul(U[rs], W, out=part[: len(f[rs])])
+            block -= f[rs]
+            err2 += np.vdot(block, block)
+        err = np.sqrt(err2)
+        if err <= _FAR_RTOL * norm:  # NaN fails
+            return U, W
+    raise FactorizationError(f"far-field pair misses its matrix by {err / norm:.2e} relative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -382,17 +453,6 @@ def require_finite(what: str, arr: np.ndarray) -> None:
 # output, never depends on the environment
 _BLOCK = 64
 _SUB = 8
-# entries per far-field product: a block's flush is split into ranges
-# of the chunk's paths, starting at multiples of 64, so that its product
-# buffer stays near 4 MB.  The edges depend only on these constants, the
-# path count and the row count, so the output stays deterministic
-_FAR_CELLS = 1 << 19
-
-
-def _path_bounds(rows: int, M: int) -> list[int]:
-    """Chunk edges over M paths for a far-field product with ``rows`` rows."""
-    cols = max(64, _FAR_CELLS // rows // 64 * 64)
-    return [j * cols for j in range(max(1, M // cols))] + [M]
 
 
 def _mapped(shape) -> np.ndarray:
@@ -408,19 +468,18 @@ def _mapped(shape) -> np.ndarray:
     return np.frombuffer(pages, count=size).reshape(shape)
 
 
-def _asset_scratch(n: int, r: int, m: int) -> tuple:
-    """Scratch of ``_advance_asset`` for a rank-r factor and a chunk of m
-    paths: a cell's normals (r, m) and vol (m,), a block's noise and
-    drift (_BLOCK, r+1, m), the product of a cell or a sub-block, in the
-    leading rows of (_BLOCK - _SUB, m), the lag factors of the sub-block
-    and block flushes (``_lag_blocks``), and the flat far-field product,
-    whose leading entries each flush views in its own shape."""
-    far_rows = range(n - _BLOCK, 0, -_BLOCK)
-    far = max((rows * max(np.diff(_path_bounds(rows, m))) for rows in far_rows), default=0)
+def _asset_scratch(n: int, r: int, k: int, m: int) -> tuple:
+    """Scratch of ``_advance_asset`` for a rank-r factor with a rank-k far
+    field and a chunk of m paths: a cell's normals (r, m) and vol (m,), a
+    block's noise and drift (_BLOCK, r+1, m), the product of a cell or a
+    sub-block, in the leading rows of (_BLOCK - _SUB, m), the sub-block
+    flush's lag factor (``_lag_blocks``), the far-field slabs and the
+    history of compressed blocks, k rows for each block but the last."""
+    blocks = (n - 1) // _BLOCK
     return (_mapped((r, m)), _mapped((m,)), _mapped((_BLOCK, r + 1, m)),
             _mapped((_BLOCK - _SUB, m)),
             _mapped((max(0, min(_BLOCK, n) - _SUB), _SUB * (r + 1))),
-            _mapped((max(0, n - _BLOCK), _BLOCK * (r + 1))), _mapped((far,)))
+            _mapped((_BLOCK, blocks * k)), _mapped((blocks * k, m)))
 
 
 def _lag_blocks(F_aug: np.ndarray, width: int, out: np.ndarray) -> None:
@@ -442,31 +501,40 @@ def _advance_asset(model: MarketModel, i: int, fac: GaussianBlockFactor,
     drift_l C[k-l] + vol_l G_{k,l} to every later time k; a row of V
     becomes V0 + sum once its last contribution is in.  Contributions to
     the times of the cell's own sub-block of ``_SUB`` cells are added at
-    once (they feed the next vol coefficient); at the end of a sub-block
-    one product adds its cells' to the rest of the ``_BLOCK``-cell block,
-    and at the end of a block one more, split into path ranges
-    (``_path_bounds``), adds the block's to every later time.  Each cell
-    thus rewrites at most ``_SUB`` rows, and the rest is gemm work.  The
-    scratch (``_asset_scratch``) is mapped per call and goes back to the
-    system on return (``_mapped``), so the routine can run on a worker
-    thread.
+    once (they feed the next vol coefficient), and at the end of a
+    sub-block one product adds its cells' to the rest of the
+    ``_BLOCK``-cell block.  Earlier blocks reach a block through the
+    far-field pair U W (``_far_field``): at the end of each block one
+    product compresses it to Z = W Y, k rows per path, kept newest first,
+    and at the start of the next block one product of U's 64-row slabs,
+    side by side, with that history writes the block's far-field rows,
+    still zero, into V.  Each cell thus rewrites at most ``_SUB`` rows,
+    and the rest is gemm work.  The scratch (``_asset_scratch``) is
+    mapped per call and goes back to the system on return (``_mapped``),
+    so the routine can run on a worker thread.
     """
     n, M = fac.grid.n, V.shape[1]
-    r = fac.rank
+    r, k = fac.rank, fac.far_rank
     # noise modes plus one drift "mode" per cell; it inherits the
     # factor's column-major order, which decides numpy's matmul
     # route for F_aug[:m] (its own loop for one row) and so the rounding
     F_aug = np.concatenate([fac.factor[:n], fac.c_seg[:, None]], axis=1)  # (n, r+1)
-    z, vol, y_blk, near, f_sub, f_far, far = _asset_scratch(n, r, M)
+    z, vol, y_blk, near, f_sub, u_slabs, history = _asset_scratch(n, r, k, M)
     _lag_blocks(F_aug, _SUB, f_sub)
-    _lag_blocks(F_aug, _BLOCK, f_far)
+    blocks = (n - 1) // _BLOCK          # blocks with a far field
+    for s in range(blocks):  # slab s: U's rows for the s-th block back
+        slab = fac.u_far[s * _BLOCK : (s + 1) * _BLOCK]
+        u_slabs[: len(slab), s * k : (s + 1) * k] = slab
     f_dw = fac.factor[n]
     mu0, lam = model.mu0[i], model.lam[i]
     nu = model.nu[i]
     V0 = V[0]
     with np.errstate(over="ignore", invalid="ignore"):  # errstate is per thread
-        for lo in range(0, n, _BLOCK):
+        for b, lo in enumerate(range(0, n, _BLOCK)):
             hi = min(lo + _BLOCK, n)          # block holds cells lo+1 .. hi
+            if b:                             # the far field of blocks b-1 .. 0
+                np.matmul(u_slabs[: hi - lo, : b * k], history[(blocks - b) * k :],
+                          out=V[lo + 1 : hi + 1])
             for s_lo in range(lo, hi, _SUB):
                 s_hi = min(s_lo + _SUB, hi)   # sub-block holds cells s_lo+1 .. s_hi
                 for ell in range(s_lo + 1, s_hi + 1):
@@ -490,14 +558,9 @@ def _advance_asset(model: MarketModel, i: int, fac: GaussianBlockFactor,
                     Y = y_blk[s_lo - lo : s_hi - lo].reshape(_SUB * (r + 1), M)
                     np.matmul(f_sub[:rows], Y, out=near[:rows])
                     V[s_hi + 1 : hi + 1] += near[:rows]
-            if hi < n:                        # then the block has _BLOCK cells
-                rows = n - hi                 # far-field times hi+1 .. n
-                Y = y_blk.reshape(_BLOCK * (r + 1), M)
-                bounds = _path_bounds(rows, M)
-                for c0, c1 in zip(bounds[:-1], bounds[1:]):
-                    prod = far[: rows * (c1 - c0)].reshape(rows, c1 - c0)
-                    np.matmul(f_far[:rows], Y[:, c0:c1], out=prod)
-                    V[hi + 1 :, c0:c1] += prod
+            if b < blocks:                    # then the block has _BLOCK cells
+                np.matmul(fac.w_far, y_blk.reshape(_BLOCK * (r + 1), M),
+                          out=history[(blocks - 1 - b) * k : (blocks - b) * k])
     require_finite(f"variance paths of asset {i + 1}", V)
 
 

@@ -4,7 +4,8 @@ the segment integrals of kernel products behind the cell covariance,
 its convolution with a grid function, the resolvent's defining equation, a
 Picard fixed-point solve of the Riccati-Volterra system, the exact
 second moments of the path scheme, the dense cell covariance and its
-Gaussian factor by np.linalg.eigh, the wealth step factors by
+Gaussian factor by np.linalg.eigh, the path engine with a dense far
+field pushed to every later time, the wealth step factors by
 np.einsum, the wealth statistics from whole wealth and strategy paths,
 the resolvent density's L2 norm by adaptive quadrature and the standard
 errors of per-column means and variances by a multinomial bootstrap
@@ -33,8 +34,12 @@ from voltmark.model import Grid
 from voltmark.montecarlo import ColumnMoments
 from voltmark.riccati import RiccatiSolution, _rhs_tables, solve_riccati_adams
 from voltmark.simulate import (
+    _BLOCK,
     _FACTOR_RTOL,
+    _SUB,
     _asset_increments,
+    _lag_blocks,
+    require_finite,
     simulate_variance_chunks,
 )
 
@@ -238,6 +243,67 @@ def eigh_factor(spec, grid: Grid) -> np.ndarray:
     bound = _FACTOR_RTOL / 10 * np.linalg.norm(w)
     r = next(k for k in range(w.size + 1) if np.linalg.norm(w[k:]) <= bound)
     return U[:, ::-1][:, :r] * np.sqrt(w[:r])[None, :]
+
+
+def _dense_path_bounds(rows: int, M: int, far_cells: int) -> list[int]:
+    """Path edges of a far-field product with ``rows`` rows: ranges of a
+    multiple of 64 paths that hold about ``far_cells`` entries."""
+    cols = max(64, far_cells // rows // 64 * 64)
+    return [j * cols for j in range(max(1, M // cols))] + [M]
+
+
+def dense_advance_asset(model, i, fac, sig, rng, V, dW, *, far_cells: int = 1 << 19) -> None:
+    """The path engine with the dense far field, a drop-in for
+    ``simulate._advance_asset``: the same draws, near field and 8-cell
+    sub-block flushes, but at the end of each 64-cell block one product of
+    the whole lag-block matrix (``_lag_blocks`` at width 64) adds the
+    block's cells to every later time, split into path ranges of about
+    ``far_cells`` product entries (``_dense_path_bounds``)."""
+    n, M = fac.grid.n, V.shape[1]
+    r = fac.rank
+    F_aug = np.concatenate([fac.factor[:n], fac.c_seg[:, None]], axis=1)
+    z, vol = np.empty((r, M)), np.empty(M)
+    y_blk, near = np.empty((_BLOCK, r + 1, M)), np.empty((_BLOCK - _SUB, M))
+    f_sub = np.empty((max(0, min(_BLOCK, n) - _SUB), _SUB * (r + 1)))
+    f_far = np.empty((max(0, n - _BLOCK), _BLOCK * (r + 1)))
+    _lag_blocks(F_aug, _SUB, f_sub)
+    _lag_blocks(F_aug, _BLOCK, f_far)
+    f_dw = fac.factor[n]
+    mu0, lam, nu = model.mu0[i], model.lam[i], model.nu[i]
+    V0 = V[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n, _BLOCK):
+            hi = min(lo + _BLOCK, n)
+            for s_lo in range(lo, hi, _SUB):
+                s_hi = min(s_lo + _SUB, hi)
+                for ell in range(s_lo + 1, s_hi + 1):
+                    v_prev = V[ell - 1]
+                    rng.standard_normal(out=z)
+                    if dW is not None:
+                        np.matmul(f_dw, z, out=dW[ell - 1])
+                    np.maximum(v_prev, 0.0, out=vol)
+                    np.sqrt(vol, out=vol)
+                    np.multiply(nu * sig[ell - 1], vol, out=vol)
+                    y = y_blk[ell - lo - 1]
+                    np.multiply(z, vol, out=y[:r])
+                    np.multiply(lam, v_prev, out=y[r])
+                    np.subtract(mu0, y[r], out=y[r])
+                    m_loc = s_hi - ell + 1
+                    np.matmul(F_aug[:m_loc], y, out=near[:m_loc])
+                    V[ell : s_hi + 1] += near[:m_loc]
+                    V[ell] += V0
+                if s_hi < hi:
+                    rows = hi - s_hi
+                    Y = y_blk[s_lo - lo : s_hi - lo].reshape(_SUB * (r + 1), M)
+                    np.matmul(f_sub[:rows], Y, out=near[:rows])
+                    V[s_hi + 1 : hi + 1] += near[:rows]
+            if hi < n:
+                rows = n - hi
+                Y = y_blk.reshape(_BLOCK * (r + 1), M)
+                bounds = _dense_path_bounds(rows, M, far_cells)
+                for c0, c1 in zip(bounds[:-1], bounds[1:]):
+                    V[hi + 1 :, c0:c1] += f_far[:rows] @ Y[:, c0:c1]
+    require_finite(f"variance paths of asset {i + 1}", V)
 
 
 def einsum_step_factors(model, ensemble, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

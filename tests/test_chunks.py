@@ -2,7 +2,7 @@
 
 Path counts sit on the chunk edges: one short of a chunk, exactly one,
 one over, and two chunks plus a remainder.  The grid is small, but has
-more than one block of cells, so the far-field flush runs in every chunk.
+more than one block of cells, so the far field runs in every chunk.
 """
 
 import itertools
@@ -11,6 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
+from oracles import dense_advance_asset
 from voltmark import markowitz, simulate
 from voltmark.kernels import ParameterError
 from voltmark.markowitz import affine_wealth_terminal, laplace_affine_check
@@ -197,17 +198,14 @@ def test_engine_rejects_empty_path_count(model_t1, stabs_t1, M):
 
 
 def test_short_last_chunk_fits_the_scratch(model_t1, stabs_t1, monkeypatch):
-    # with a small far-field budget a full chunk splits each flush into
-    # 640-path ranges, while a last chunk of 1279 paths runs as one
-    # range, wider than any of a full chunk's; its scratch must hold it
-    unsplit = _paths(model_t1, stabs_t1, C + 1279)
-    monkeypatch.setattr(simulate, "_FAR_CELLS", 1 << 12)
-    assert simulate._path_bounds(GRID.n - 64, C)[:2] == [0, 640]
-    assert simulate._path_bounds(GRID.n - 64, 1279) == [0, 1279]
-    split = _paths(model_t1, stabs_t1, C + 1279)
+    # a last chunk of 1279 paths maps scratch of its own width, equals the
+    # ensemble's tail, and agrees with the dense reference to rounding
+    ens = _paths(model_t1, stabs_t1, C + 1279)
     last = _chunks(model_t1, stabs_t1, C + 1279)[-1]
-    assert np.array_equal(last.V, split.V[C:])
-    assert np.max(np.abs(split.V - unsplit.V)) <= 1e-12 * np.max(np.abs(unsplit.V))
+    assert np.array_equal(last.V, ens.V[C:])
+    monkeypatch.setattr(simulate, "_advance_asset", dense_advance_asset)
+    dense = _paths(model_t1, stabs_t1, C + 1279)
+    assert np.max(np.abs(ens.V - dense.V)) <= 1e-12 * np.max(np.abs(dense.V))
 
 
 def test_scratch_leaves_before_a_consumer(model_t1, stabs_t1, monkeypatch):

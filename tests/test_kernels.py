@@ -55,6 +55,20 @@ def test_eval_kernel_domain_and_validation():
         KernelSpec(0.4)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha", [0.6, 1.0])
+@pytest.mark.parametrize("arg", [math.nan, np.array([0.5, math.nan])])
+def test_nan_argument_is_a_domain_error(alpha, arg):
+    # each evaluator raises DomainError at NaN, with no warning before it
+    res = ResolventSpec(fractional_kernel(alpha), 1.5)
+    for call in (lambda: eval_kernel(fractional_kernel(alpha), arg),
+                 lambda: resolvent(res, arg),
+                 lambda: resolvent_density(res, arg),
+                 lambda: mittag_leffler(alpha, arg)):
+        with pytest.raises(DomainError):
+            call()
+
+
 # --- Gamma and the Gauss rules ---------------------------------------------
 
 def test_gamma_is_math_gamma_per_element():

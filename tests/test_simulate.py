@@ -1,5 +1,6 @@
 """Gaussian block factor and the K-integrated Euler scheme."""
 
+import functools
 import subprocess
 import sys
 
@@ -11,6 +12,7 @@ from scipy.integrate import quad
 from conftest import child_env, small_model
 from oracles import (
     _covariance_matrix,
+    dense_advance_asset,
     eigh_factor,
     kernel_cross_segment,
     kernel_mean_segment,
@@ -406,27 +408,75 @@ def test_asset_threads_leave_room_for_blas_threads(monkeypatch):
 
 
 def test_path_chunks_change_only_rounding(model_t1, stabs_t1, monkeypatch):
-    # splitting a far-field product into path chunks leaves V equal up to
-    # rounding (gemm promises no bits across column splits; the OpenBLAS
-    # build the engine was measured with gave equal bits)
+    # the dense reference, its far-field products split into path ranges,
+    # and the engine, whose far field is compressed and unsplit, agree up to
+    # rounding
     g = Grid(1.0, 150)
-    whole = simulate_variance_paths(model_t1, stabs_t1, g, 300, seed=6)
-    monkeypatch.setattr(simulate, "_FAR_CELLS", 1 << 12)
-    assert simulate._path_bounds(g.n - 64, 300) == [0, 64, 128, 192, 300]
+    engine = simulate_variance_paths(model_t1, stabs_t1, g, 300, seed=6)
+    monkeypatch.setattr(simulate, "_advance_asset",
+                        functools.partial(dense_advance_asset, far_cells=1 << 12))
     split = simulate_variance_paths(model_t1, stabs_t1, g, 300, seed=6)
-    assert np.max(np.abs(split.V - whole.V)) <= 1e-12 * np.max(np.abs(whole.V))
+    assert np.max(np.abs(split.V - engine.V)) <= 1e-12 * np.max(np.abs(engine.V))
+
+
+@pytest.mark.parametrize("n, M", [(600, 4096), (2400, 500)])
+def test_engine_matches_dense_reference(model_t1, stabs_t1, monkeypatch, n, M):
+    # the compressed far field against the dense one on the same draws
+    g = Grid(1.0, n)
+    V = simulate_variance_paths(model_t1, stabs_t1, g, M, seed=3, increments=False).V
+    monkeypatch.setattr(simulate, "_advance_asset", dense_advance_asset)
+    ref = simulate_variance_paths(model_t1, stabs_t1, g, M, seed=3, increments=False).V
+    assert np.max(np.abs(V - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def _far_miss(fac) -> float:
+    """Relative Frobenius miss of the pair U W against the dense far-field
+    matrix that the reference engine pushes."""
+    n = fac.grid.n
+    F_aug = np.concatenate([fac.factor[:n], fac.c_seg[:, None]], axis=1)
+    f_far = np.empty((n - 64, 64 * (fac.rank + 1)))
+    simulate._lag_blocks(F_aug, 64, f_far)
+    return np.linalg.norm(f_far - fac.u_far @ fac.w_far) / np.linalg.norm(f_far)
+
+
+@pytest.mark.parametrize("T, n", [(0.5, 150), (1.0, 600), (5.0, 2400)])
+@pytest.mark.parametrize("alpha", [0.51, 0.6, 0.9, 0.99, 1.0])
+def test_far_field_pair_reproduces_the_lag_blocks(alpha, T, n):
+    # the pair's rank stays far below the dense 64 (r + 1) columns
+    fac = build_gaussian_factor(fractional_kernel(alpha), Grid(T, n))
+    assert _far_miss(fac) <= simulate._FAR_RTOL
+    assert fac.u_far.shape == (n - 64, fac.far_rank) and fac.far_rank <= 40
+    if alpha == 1.0:
+        assert fac.far_rank == 1
+
+
+def test_a_narrow_sketch_is_widened(monkeypatch):
+    # 4 sketch columns cannot hold the 18 modes of alpha = 0.6 at n = 600;
+    # the build widens the sketch to every column and passes its check
+    monkeypatch.setattr(simulate, "_SKETCH", 4)
+    fac = build_gaussian_factor(fractional_kernel(0.6), Grid(1.0, 600))
+    assert fac.far_rank > 4 and _far_miss(fac) <= simulate._FAR_RTOL
+
+
+def test_far_field_check_refuses_a_missed_pair(monkeypatch):
+    monkeypatch.setattr(simulate, "_FAR_RTOL", 0.0)
+    with pytest.raises(FactorizationError, match="far-field pair misses"):
+        build_gaussian_factor(fractional_kernel(0.7), Grid(1.0, 150))
+
+
+def test_no_far_field_within_one_block():
+    fac = build_gaussian_factor(fractional_kernel(0.7), Grid(1.0, 64))
+    assert fac.far_rank == 0 and fac.u_far.shape[0] == 0
 
 
 @pytest.mark.parametrize("n", [150, 67])
-def test_engine_matches_naive_volterra_sum(model_t1, stabs_t1, monkeypatch, n):
+def test_engine_matches_naive_volterra_sum(model_t1, stabs_t1, n):
     # V(t_k) = V0 + sum_{l<=k} [(mu0 - lam V_{l-1}) C[k-l]
     #                           + nu sig(t_{l-1}) sqrt(V_{l-1}^+) G_{k,l}],
     # with G_{k,l} = factor[k-l] . z_l from the same per-asset draws.
     # n = 150 is blocks of 64 + 64 + 22 cells, the last one's last
-    # sub-block 6 cells; n = 67 a last block of 3.  Both flush to the far
-    # field, and the small cell budget splits each flush into several
-    # path chunks of uneven width
-    monkeypatch.setattr(simulate, "_FAR_CELLS", 1 << 12)
+    # sub-block 6 cells; n = 67 a last block of 3.  Both pull earlier
+    # blocks through the far field
     g = Grid(1.0, n)
     M, seed = 200, 21
     ens = simulate_variance_paths(model_t1, stabs_t1, g, M, seed, initial="fixed")
