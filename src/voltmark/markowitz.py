@@ -302,12 +302,12 @@ def _wealth_recursion(model: MarketModel, ensemble: PathEnsemble, solution: Ricc
         B_{k+1} = B_k (1 + r dt + s_k) - e^(-r(T-t_k)) s_k,   B_0 = 0.
 
     The paths run on the pool in ranges of whole 64-path blocks, one per
-    worker; each path's arithmetic is elementwise, so the split keeps the
-    bits.  Without fold, each range runs to T on its own.  With fold, each
-    step also writes alpha_k and X_{k+1} = A_{k+1} + xi* B_{k+1} into
-    path-major buffers of one block of ``_WEALTH_BLOCK`` steps [lo, hi);
-    the ranges meet after each block, and fold(lo, X, alpha) takes
-    X_lo .. X_hi (M, hi - lo + 1) and alpha_lo .. alpha_{hi-1}
+    worker but at most M // 512; each path's arithmetic is elementwise, so
+    the split keeps the bits.  Without fold, each range runs to T on its
+    own.  With fold, each step also writes alpha_k and X_{k+1} = A_{k+1}
+    + xi* B_{k+1} into path-major buffers of one block of ``_WEALTH_BLOCK``
+    steps [lo, hi); the ranges meet after each block, and fold(lo, X, alpha)
+    takes X_lo .. X_hi (M, hi - lo + 1) and alpha_lo .. alpha_{hi-1}
     (M, d, hi - lo), views that the next block overwrites, after
     NonFiniteError has been raised unless both are finite.  Returns
     (A_T, B_T) unchecked (a finite X_T has finite A_T and B_T);
@@ -323,7 +323,9 @@ def _wealth_recursion(model: MarketModel, ensemble: PathEnsemble, solution: Ricc
     if fold is not None:  # the block buffers, X_lo .. X_hi and alpha_lo .. alpha_{hi-1}
         X = np.full((ensemble.M, _WEALTH_BLOCK + 1), float(model.x0))
         alpha = np.empty((ensemble.M, model.d, _WEALTH_BLOCK))
-    width = -(-ensemble.M // (64 * _pool_size())) * 64
+    # numpy's loops keep the GIL up to 500 elements: smaller ranges queue on it
+    parts = max(1, min(_pool_size(), ensemble.M // 512))
+    width = -(-ensemble.M // (64 * parts)) * 64
     ranges = [slice(c0, c0 + width) for c0 in range(0, ensemble.M, width)]
     factors = [_step_factors(model, ensemble, coef, paths) for paths in ranges]
 

@@ -10,15 +10,15 @@ with the fractional kernel K_i of order alpha_i and D = -diag(lam).  The
 workhorse is the generalized Adams-Bashforth-Moulton predictor-corrector
 with the classical product-trapezoidal corrector weights (Diethelm, Ford
 & Freed, Nonlinear Dyn. 29, 2002); its predictor and corrector weights
-come from ``kernels._product_weights``.  It steps in scalars: the d-vectors
-of a step are Python floats, and numpy does only the two history sums
-per asset and step, each one dot of the asset's contiguous row of past
-rhs values with a weight row reversed once per solve.  The same
-machinery solves the measure-extended equation used by the
-Laplace-transform check (forcing u, no risk-premium terms, quadratic
-coefficient nu_i^2/2).  ``_system`` states F once for both systems:
-the solver's tables and ``_rhs_along``, which the Gamma0 direct form
-and the Laplace closed form integrate, read its constants.
+come from ``kernels._product_weights``.  It steps asset by asset in Python
+floats, and numpy does only the two history sums per asset and step, each
+one dot of the asset's row of past rhs values with a weight row reversed
+once per solve.  The same machinery solves the measure-extended equation
+of the Laplace-transform check (forcing u, no risk-premium terms,
+quadratic coefficient nu_i^2/2).  ``_system`` gives both systems'
+constants and ``_rhs`` is the one expression of force + F, called on
+floats by the solver and on arrays by ``_rhs_along``, which the Gamma0
+direct form and the Laplace closed form integrate.
 
 Runtime guards: solutions are non-positive in exact arithmetic and
 bounded by theta_i^2 / lam_bar_i (1 - R_{lam_bar_i}(T)) whenever
@@ -66,8 +66,8 @@ class RiccatiSolution:
 
 
 def _system(model: MarketModel, forcing):
-    """Per-asset constants (force, lin, quad) of the rhs force + F, the only
-    statement of F_i(s, psi) = lin_i sig_i(s) psi_i - lam_i psi_i + quad_i (sig_i(s) psi_i)^2.
+    """Per-asset constants (force, lin, quad) of the rhs force + F, with
+    F_i(s, psi) = lin_i sig_i(s) psi_i - lam_i psi_i + quad_i (sig_i(s) psi_i)^2.
 
     ``forcing`` None selects the mean-variance system (force -theta^2), a
     vector u the measure-extended Laplace system (no risk-premium terms).
@@ -79,25 +79,10 @@ def _system(model: MarketModel, forcing):
             np.zeros(model.d), 0.5 * model.nu**2)
 
 
-def _rhs_tables(model: MarketModel, stabs, grid: Grid, forcing):
-    """Per-grid-node coefficient tables of the quadratic rhs of ``_system``.
-
-    rhs(j, y) = force + lin_sig[j] * y + D^T y + quad_sig[j] * y^2 with
-    all stabilizer factors evaluated at the reversed times T - t_j.  It maps
-    d floats to a list of d, reading row j as floats per call; (D^T y)_i = -lam_i y_i.
-    """
-    t_rev = grid.T - grid.times
-    sig_rev = np.stack([np.asarray(st.eval(t_rev)) for st in stabs], axis=1)  # (n+1, d)
-    force, lin, quad = _system(model, forcing)
-    lin_sig, quad_sig = lin * sig_rev, quad * sig_rev**2
-    force, neg_lam = force.tolist(), (-model.lam).tolist()
-
-    def rhs(j: int, y) -> list:
-        return [f + lin * x + dl * x + q * x * x
-                for f, lin, dl, q, x in zip(force, lin_sig[j].tolist(), neg_lam,
-                                            quad_sig[j].tolist(), y)]
-
-    return rhs
+def _rhs(y, force, lin_sig, neg_lam, quad_sig):
+    """force + F(s, y) for the constants of ``_system`` with lin_sig = lin sig(s),
+    quad_sig = quad sig(s)^2 and neg_lam = -lam; floats or arrays alike."""
+    return force + lin_sig * y + neg_lam * y + quad_sig * y * y
 
 
 def _rhs_along(solution: RiccatiSolution, stabs, s, forcing=None) -> np.ndarray:
@@ -108,10 +93,10 @@ def _rhs_along(solution: RiccatiSolution, stabs, s, forcing=None) -> np.ndarray:
     exactly what the discrete solution represents.
     """
     model = solution.model
-    force, lin, quad, lam = (np.asarray(c)[:, None] for c in (*_system(model, forcing), model.lam))
+    force, lin, quad = (np.asarray(c)[:, None] for c in _system(model, forcing))
     psi = solution.psi_at(model.T - np.asarray(s, dtype=float))
     sig = np.stack([np.asarray(st.eval(s)) for st in stabs])
-    return force + (lin * sig * psi - lam * psi + quad * (sig * psi) ** 2)
+    return _rhs(psi, force, lin * sig, -model.lam[:, None], quad * sig**2)
 
 
 # solutions kept by solve_riccati_adams (least recently used dropped)
@@ -156,12 +141,18 @@ def _solve_memo(model: MarketModel, stabs: tuple, n: int, forcing: tuple | None)
 # message; numpy's own warnings would only repeat it on stderr
 @np.errstate(over="ignore", invalid="ignore")
 def _solve_adams(model: MarketModel, stabs, n: int, forcing) -> RiccatiSolution:
-    """The Adams solve behind ``solve_riccati_adams``, without the memo."""
+    """The Adams solve behind ``solve_riccati_adams``, without the memo; D being
+    diagonal, a step is d scalar steps, on float lists of each asset's
+    lin sig and quad sig^2 at the nodes T - t_j."""
     if n < 2:
         raise ParameterError("Adams solve needs n >= 2")
     grid = Grid(model.T, n)
     d = model.d
-    rhs = _rhs_tables(model, stabs, grid, forcing)
+    force, lin, quad = _system(model, forcing)
+    sig = [np.asarray(st.eval(grid.T - grid.times)) for st in stabs]
+    lin_sig = [(lin_i * sig_i).tolist() for lin_i, sig_i in zip(lin, sig)]
+    quad_sig = [(quad_i * sig_i**2).tolist() for quad_i, sig_i in zip(quad, sig)]
+    force, neg_lam = force.tolist(), (-model.lam).tolist()
     b_rev = [_product_weights(a, n, grid.dt)[::-1].copy() for a in model.alpha]
     a_first, a_rev, a_diag = zip(*(_product_weights(a, n, grid.dt, steps=np.arange(n))
                                    for a in model.alpha))
@@ -174,22 +165,25 @@ def _solve_adams(model: MarketModel, stabs, n: int, forcing) -> RiccatiSolution:
         cap = np.maximum(cap, 1e-6).tolist()  # theta = 0 assets stay at zero anyway
     else:
         cap = [_FALLBACK_CAP] * d
-    psi = np.zeros((d, n + 1))
-    fh = np.empty((d, n + 1))
-    fh[:, 0] = f0 = rhs(0, [0.0] * d)
-    for k in range(n):
-        y_pred = [float(fi[: k + 1].dot(bi[n - k - 1 :])) for fi, bi in zip(fh, b_rev)]
-        f_pred = rhs(k + 1, y_pred)
-        y_new = [af[k] * f0_i + float(fi[1 : k + 1].dot(ai[n - 1 - k :])) + ad * fp
-                 for af, f0_i, fi, ai, ad, fp in zip(a_first, f0, fh, a_rev, a_diag, f_pred)]
+    psi, fh = np.zeros((d, n + 1)), np.empty((d, n + 1))  # fh: the rhs at t_0 .. t_n
+    fh[:, 0] = f0 = [_rhs(0.0, force[i], lin_sig[i][0], neg_lam[i], quad_sig[i][0])
+                     for i in range(d)]
+    for j in range(1, n + 1):  # t_j from the rhs history at t_0 .. t_{j-1}
+        y_new = []
+        for i, fi in enumerate(fh):
+            y_pred = float(fi[:j].dot(b_rev[i][n - j :]))
+            f_pred = _rhs(y_pred, force[i], lin_sig[i][j], neg_lam[i], quad_sig[i][j])
+            y_new.append(a_first[i][j - 1] * f0[i] + float(fi[1:j].dot(a_rev[i][n - j :]))
+                         + a_diag[i] * f_pred)
         # false for NaN and, the cap being finite, for +-inf
         if not all(abs(y) <= c for y, c in zip(y_new, cap)):
             raise BlowupError(
-                f"psi not finite or beyond the blow-up guard at t = {grid.times[k + 1]:.6g} "
+                f"psi not finite or beyond the blow-up guard at t = {grid.times[j]:.6g} "
                 f"(values {np.array(y_new)}, caps {np.array(cap)})"
             )
-        psi[:, k + 1] = y_new
-        fh[:, k + 1] = rhs(k + 1, y_new)
+        for i, y in enumerate(y_new):
+            psi[i, j] = y
+            fh[i, j] = _rhs(y, force[i], lin_sig[i][j], neg_lam[i], quad_sig[i][j])
     return RiccatiSolution(grid=grid, psi=psi, model=model)
 
 

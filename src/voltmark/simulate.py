@@ -462,9 +462,13 @@ def _mapped(shape) -> np.ndarray:
     when the array is freed.  Engine arrays therefore leave no holes in
     the heap, and a worker thread can allocate them without stranding
     the memory in a per-thread arena that the main thread cannot reuse.
+    Like numpy's large arrays, it asks for transparent huge pages.
     """
     size = int(np.prod(shape))
     pages = mmap.mmap(-1, max(8 * size, 1), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        with contextlib.suppress(OSError):  # a kernel built without them refuses
+            pages.madvise(mmap.MADV_HUGEPAGE)
     return np.frombuffer(pages, count=size).reshape(shape)
 
 

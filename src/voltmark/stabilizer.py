@@ -190,10 +190,10 @@ class StabilizerSeries:
 
     def _scaled_sq(self, u: np.ndarray) -> np.ndarray:
         # s2_alpha(u) = 2 u^(1-alpha) sum_k (-1)^k c_k u^(alpha k), Horner in u^alpha
-        ua = u ** self.alpha
-        acc = np.zeros_like(u)
+        neg_ua, acc = -(u ** self.alpha), np.zeros_like(u)
         for ck in self.coeffs[::-1]:
-            acc = acc * (-ua) + ck
+            np.multiply(acc, neg_ua, out=acc)
+            acc += ck
         return 2.0 * u ** (1.0 - self.alpha) * acc
 
     def sup(self, T: float) -> float:

@@ -2,7 +2,8 @@
 cell integrals and product-integration moments by direct differences,
 the segment integrals of kernel products behind the cell covariance,
 its convolution with a grid function, the resolvent's defining equation, a
-Picard fixed-point solve of the Riccati-Volterra system, the exact
+Picard fixed-point solve of the Riccati-Volterra system and the Adams
+loop in d-vector steps that pins the scalar solver's bits, the exact
 second moments of the path scheme, the dense cell covariance and its
 Gaussian factor by np.linalg.eigh, the path engine with a dense far
 field pushed to every later time, the wealth step factors by
@@ -24,6 +25,7 @@ from voltmark.kernels import (
     ResolventSpec,
     _jacobi_rule,
     _legendre_rule,
+    _product_weights,
     eval_kernel,
     fractional_kernel,
     resolvent,
@@ -32,7 +34,7 @@ from voltmark.kernels import (
 from voltmark.markowitz import simulate_wealth, solve_markowitz
 from voltmark.model import Grid
 from voltmark.montecarlo import ColumnMoments
-from voltmark.riccati import RiccatiSolution, _rhs_tables, solve_riccati_adams
+from voltmark.riccati import RiccatiSolution, _rhs, _system, solve_riccati_adams
 from voltmark.simulate import (
     _BLOCK,
     _FACTOR_RTOL,
@@ -161,17 +163,18 @@ def oracle_volterra_picard(model, stabs, n_fine: int, sweeps: int = 80, *,
     integrals) on a fine grid, iterated until successive sweeps differ
     by less than ``tol`` in sup norm.  Entirely independent of the Adams
     weights, which it serves to validate; it shares only the solver's
-    rhs, ``_rhs_tables``.
+    rhs, ``_rhs`` with the constants of ``_system``.
     """
     if sweeps < 1:
         raise ParameterError("need at least one Picard sweep")
     grid = Grid(model.T, n_fine)
     d = model.d
-    rhs = _rhs_tables(model, stabs, grid, forcing)
+    force, lin, quad = _system(model, forcing)
+    sig = np.stack([np.asarray(st.eval(grid.T - grid.times[:-1])) for st in stabs], axis=1)
     c_seg = [_power_moments(model.alpha[i], n_fine, grid.dt)[0] for i in range(d)]
     psi = np.zeros((n_fine + 1, d))
     for _ in range(sweeps):
-        g = np.array([rhs(j, psi[j].tolist()) for j in range(n_fine)])
+        g = _rhs(psi[:-1], force, lin * sig, -model.lam, quad * sig**2)
         new = np.zeros_like(psi)
         for i in range(d):
             new[1:, i] = np.convolve(c_seg[i], g[:, i])[:n_fine]
@@ -180,6 +183,41 @@ def oracle_volterra_picard(model, stabs, n_fine: int, sweeps: int = 80, *,
         if delta < tol:
             return RiccatiSolution(grid=grid, psi=psi.T.copy(), model=model)
     raise ConvergenceError(f"Picard iteration stalled at delta = {delta:.3e} after {sweeps} sweeps")
+
+
+def oracle_adams_reference(model, stabs, n: int, forcing=None) -> np.ndarray:
+    """psi of the fractional Adams predictor-corrector in steps of d-vectors,
+    the rhs at node j a list comprehension over the assets reading per-node
+    coefficient rows.  Same weights, slices and float arithmetic as
+    ``riccati._solve_adams``, which steps asset by asset, so the two agree
+    bit for bit.  No blow-up guard."""
+    grid = Grid(model.T, n)
+    d = model.d
+    sig_rev = np.stack([np.asarray(st.eval(grid.T - grid.times)) for st in stabs], axis=1)
+    force, lin, quad = _system(model, forcing)
+    lin_sig, quad_sig = lin * sig_rev, quad * sig_rev**2
+    force, neg_lam = force.tolist(), (-model.lam).tolist()
+
+    def rhs(j, y):
+        return [f + lin * x + dl * x + q * x * x
+                for f, lin, dl, q, x in zip(force, lin_sig[j].tolist(), neg_lam,
+                                            quad_sig[j].tolist(), y)]
+
+    b_rev = [_product_weights(a, n, grid.dt)[::-1].copy() for a in model.alpha]
+    a_first, a_rev, a_diag = zip(*(_product_weights(a, n, grid.dt, steps=np.arange(n))
+                                   for a in model.alpha))
+    a_first, a_rev = [af.tolist() for af in a_first], [ar[::-1].copy() for ar in a_rev]
+    psi = np.zeros((d, n + 1))
+    fh = np.empty((d, n + 1))
+    fh[:, 0] = f0 = rhs(0, [0.0] * d)
+    for k in range(n):
+        y_pred = [float(fi[: k + 1].dot(bi[n - k - 1 :])) for fi, bi in zip(fh, b_rev)]
+        f_pred = rhs(k + 1, y_pred)
+        y_new = [af[k] * f0_i + float(fi[1 : k + 1].dot(ai[n - 1 - k :])) + ad * fp
+                 for af, f0_i, fi, ai, ad, fp in zip(a_first, f0, fh, a_rev, a_diag, f_pred)]
+        psi[:, k + 1] = y_new
+        fh[:, k + 1] = rhs(k + 1, y_new)
+    return psi
 
 
 def scheme_covariance(model, stabs, grid: Grid, i: int) -> np.ndarray:

@@ -181,12 +181,12 @@ def test_affine_terminal_matches_wealth_scheme():
         assert np.max(np.abs(A + xi * B - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("M, pools", [(203, [4, 4]), (40, [])])
+@pytest.mark.parametrize("M, pools", [(2100, [4, 4]), (40, [])])
 def test_wealth_path_ranges_do_not_change_the_bits(model_t1, stabs_t1, monkeypatch, M, pools):
     # the recursion splits the paths into ranges of whole 64-path
-    # blocks, one per pool worker: four ranges on eight CPUs for M = 203,
-    # one for M < 64.  With a short switch interval the split gives the
-    # bits of one pass on one CPU
+    # blocks, one per pool worker and at most M // 512: four ranges on
+    # eight CPUs for M = 2100, one for M < 1024.  With a short switch
+    # interval the split gives the bits of one pass on one CPU
     grid = Grid(1.0, 90)
     sol = solve_riccati_adams(model_t1, stabs_t1, grid.n)
     ens = simulate_variance_paths(model_t1, stabs_t1, grid, M, seed=17, initial="fixed")

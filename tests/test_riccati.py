@@ -9,14 +9,15 @@ import numpy as np
 import pytest
 
 from conftest import small_model
-from oracles import oracle_volterra_picard
+from oracles import oracle_adams_reference, oracle_volterra_picard
 from voltmark import riccati
 from voltmark.markowitz import gamma0
 from voltmark.model import Grid, MarketModel, bundled_model
 from voltmark.riccati import (
     BlowupError,
+    _rhs,
     _rhs_along,
-    _rhs_tables,
+    _system,
     admissibility_constant,
     check_admissibility,
     riccati_bound,
@@ -35,16 +36,23 @@ def regime_a_model():
     )
 
 
+def _node_rhs(model, stabs, grid, forcing, psi):
+    """force + F(T - t_j, psi[:, j]) at every node t_j, (d, n+1), by ``_rhs``
+    on the constants of ``_system`` and sig at the reversed times."""
+    force, lin, quad = (np.asarray(c)[:, None] for c in _system(model, forcing))
+    sig = np.stack([np.asarray(st.eval(grid.T - grid.times)) for st in stabs])
+    return _rhs(psi, force, lin * sig, -model.lam[:, None], quad * sig**2)
+
+
 def test_rhs_at_zero_psi(model_t1, stabs_t1):
     # node j = 7 of n = 10 sits at the reversed time T - t_j = 0.3
     grid = Grid(1.0, 10)
-    rhs = _rhs_tables(model_t1, stabs_t1, grid, None)
-    assert np.allclose(rhs(7, np.zeros(2)), -model_t1.theta**2)
+    zeros = np.zeros((2, grid.n + 1))
+    assert np.allclose(_node_rhs(model_t1, stabs_t1, grid, None, zeros)[:, 7], -model_t1.theta**2)
     m0 = bundled_model(T=1.0)
     zero = MarketModel(d=2, alpha=m0.alpha, lam=m0.lam, nu=m0.nu, rho=m0.rho,
                        theta=[0.0, 0.0], mu0=m0.mu0, c=m0.c, r=m0.r, x0=m0.x0, T=1.0)
-    rhs_zero = _rhs_tables(zero, stabs_t1, grid, None)
-    assert np.allclose(rhs_zero(7, np.zeros(2)), 0.0)
+    assert np.allclose(_node_rhs(zero, stabs_t1, grid, None, zeros)[:, 7], 0.0)
 
 
 def test_rhs_scalar_reduction():
@@ -52,7 +60,7 @@ def test_rhs_scalar_reduction():
     m = small_model(rho=[0.0])
     st = [ConstantStabilizer(1.0)]
     psi = np.array([-0.7])
-    val = _rhs_tables(m, st, Grid(1.0, 4), None)(2, psi)
+    val = _node_rhs(m, st, Grid(1.0, 4), None, np.full((1, 5), psi[0]))[:, 2]
     expect = -m.theta[0] ** 2 - m.lam[0] * psi[0] + 0.5 * m.nu[0] ** 2 * psi[0] ** 2
     assert val[0] == pytest.approx(expect, rel=1e-14)
 
@@ -60,13 +68,22 @@ def test_rhs_scalar_reduction():
 @pytest.mark.parametrize("forcing", [None, (-0.05, -0.05)], ids=["mean-variance", "laplace"])
 def test_rhs_along_is_the_solver_rhs(model_t1, stabs_t1, forcing):
     # the closed forms integrate the solver's own F: at the grid nodes the
-    # vectorised rhs equals the solver's rhs(j, psi_j)
+    # rhs along the interpolated psi equals the solver's rhs at psi_j, up to
+    # the rounding of interpolating at T - (T - t_j) (one ulp seen)
     sol = solve_riccati_adams(model_t1, stabs_t1, 40, forcing=forcing)
     grid = sol.grid
-    rhs = _rhs_tables(model_t1, stabs_t1, grid, forcing)
-    solver = np.array([rhs(j, sol.psi[:, j].tolist()) for j in range(grid.n + 1)]).T
+    solver = _node_rhs(model_t1, stabs_t1, grid, forcing, sol.psi)
     along = _rhs_along(sol, stabs_t1, grid.T - grid.times, forcing)
-    np.testing.assert_allclose(along, solver, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(along, solver, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [600, 2400])
+@pytest.mark.parametrize("forcing", [None, (-0.05, -0.3)], ids=["mean-variance", "laplace"])
+def test_adams_steps_keep_the_bits_of_the_vector_loop(model_t1, stabs_t1, forcing, n):
+    # the solver steps asset by asset in floats through _rhs, the reference
+    # steps d-vectors through per-node coefficient rows: the same arithmetic
+    sol = riccati._solve_adams(model_t1, stabs_t1, n, forcing)
+    assert np.array_equal(sol.psi, oracle_adams_reference(model_t1, stabs_t1, n, forcing))
 
 
 def test_theta_zero_gives_identically_zero(stabs_t1):
@@ -185,8 +202,7 @@ def test_blowup_guard_raises():
 
 def _constant_rhs(monkeypatch, value):
     """Make every Adams solve see a constant rhs, so psi is exactly that value."""
-    monkeypatch.setattr(riccati, "_rhs_tables",
-                        lambda model, *args: lambda j, y: np.full(model.d, value))
+    monkeypatch.setattr(riccati, "_rhs", lambda y, *coefficients: value)
 
 
 # the cap the guard derives for blowup_model: its resolvent bound does not
