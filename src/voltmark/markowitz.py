@@ -5,10 +5,11 @@ With psi solved, everything the Markowitz problem needs is explicit:
 * Gamma0 = exp(2 r T + sum_i V0_i I^(1-alpha_i) psi_i(T)
                       + sum_i mu0_i I^1 psi_i(T)),
   the initial value of the Riccati-BSDE factor at V0 = x_inf.  It is
-  computed through fractional integrals and cross-checked against the
-  direct quadrature of the defining integral formula, which like the
-  Laplace closed form integrates the solver's own F (``_rhs_along``);
-  disagreement beyond 1e-6 relative raises.
+  the direct quadrature of the defining integral formula, which like the
+  Laplace closed form integrates the solver's own F (``_rhs_along``),
+  cross-checked against the fractional-integral form; both are
+  Richardson-extrapolated over three psi grids, and a disagreement beyond
+  their error estimates and beyond 1e-6 relative raises.
 * the optimal target split xi* = m - eta*, the feedback strategy
   alpha*_i = -(theta_i + rho_i nu_i sig_i(t) psi_i(T-t)) sqrt(V_i)
              (X - xi* e^(-r(T-t))),
@@ -94,24 +95,10 @@ def _cell_quadrature(n: int, T: float):
     return s.ravel(), w.ravel()
 
 
-def gamma0(model: MarketModel, solution: RiccatiSolution, stabs) -> float:
-    """Initial Riccati-BSDE factor Gamma0 at the stationary mean V0 = x_inf.
-
-    Computes the fractional-integral form and the direct quadrature of
-    the defining integral, int_0^T (-theta^2 + F(s, psi(T-s))) ds by
-    per-cell Legendre over ``_rhs_along``; the two routes must agree to
-    ``_GAMMA0_TOL`` relative or ConsistencyError is raised.  The
-    integrals converge like a positive power of the step, so the psi
-    grid is refined to at least ``_GAMMA0_REFINE`` max(T, 1) steps
-    internally (0 disables it); both are read at call time.  The refined
-    solve goes through the memo of ``solve_riccati_adams``, so repeated
-    calls on one (model, stabs) pair run it once per process.
-    """
-    # the agreement of the two forms is limited by the step size, so the
-    # refinement target scales with the horizon
-    n_target = int(np.ceil(_GAMMA0_REFINE * max(model.T, 1.0)))
-    if solution.n < n_target:
-        solution = solve_riccati_adams(model, stabs, n_target)
+def _gamma0_forms(model: MarketModel, solution: RiccatiSolution, stabs) -> tuple[float, float]:
+    """log Gamma0 on the grid of one psi solve: (fractional-integral form,
+    direct quadrature of int_0^T (-theta^2 + F(s, psi(T-s))) ds by per-cell
+    Legendre over ``_rhs_along``)."""
     s, w = _cell_quadrature(solution.n, model.T)
     direct = _rhs_along(solution, stabs, s)
     v0 = model.x_inf
@@ -125,12 +112,54 @@ def gamma0(model: MarketModel, solution: RiccatiSolution, stabs) -> float:
         mu_term = model.mu0[i] * fractional_integral(1.0, solution.psi[i], model.T)
         expo_const += v0[i] * frac + mu_term
         expo_direct += v0[i] * float(w @ direct[i]) + mu_term
-    if abs(expo_const - expo_direct) > _GAMMA0_TOL * max(1.0, abs(expo_const)):
+    return float(expo_const), float(expo_direct)
+
+
+def _extrapolate(v1: float, v2: float, v3: float) -> tuple[float, float]:
+    """(limit, estimate) of values on n/4, n/2 and n steps: v3 + d2 q / (1 - q)
+    and that tail's size when d1 = v2 - v1 and d2 = v3 - v2 contract
+    (0 < q = d2/d1 < 1) above rounding (1e-13 relative), else (v3, |d2|)."""
+    d1, d2 = v2 - v1, v3 - v2
+    if abs(d2) > 1e-13 * max(1.0, abs(v3)) and d1 * d2 > 0.0 and abs(d2) < abs(d1):
+        q = d2 / d1
+        tail = d2 * q / (1.0 - q)
+        return v3 + tail, abs(tail)
+    return v3, abs(d2)
+
+
+def _log_gamma0(model: MarketModel, solution: RiccatiSolution, stabs):
+    """Both forms of log Gamma0 (``_gamma0_forms``), Richardson-extrapolated
+    from psi on N/4, N/2 and N steps (``_extrapolate``; Diethelm & Walz,
+    Numer. Algorithms 16, 1997): ((fractional, estimate), (direct, estimate)).
+
+    N = max(solution.n, ``_GAMMA0_REFINE``) rounded up to a multiple of 4
+    (a refinement of 0 makes a caller's grid of 4k steps the finest level);
+    the caller's solution serves its own level and the memo of
+    ``solve_riccati_adams`` the others.
+    """
+    top = -(-max(solution.n, _GAMMA0_REFINE) // 4) * 4
+    levels = [solution if solution.n == n else solve_riccati_adams(model, stabs, n)
+              for n in (top // 4, top // 2, top)]
+    frac, direct = zip(*(_gamma0_forms(model, sol, stabs) for sol in levels))
+    return _extrapolate(*frac), _extrapolate(*direct)
+
+
+def gamma0(model: MarketModel, solution: RiccatiSolution, stabs) -> float:
+    """Initial Riccati-BSDE factor Gamma0 at the stationary mean V0 = x_inf.
+
+    exp of the direct form of ``_log_gamma0``, which converges faster
+    (order about 1.7 against 1).  ConsistencyError when the two
+    extrapolated forms differ by more than the sum of their estimates and
+    by more than ``_GAMMA0_TOL`` relative.  ``_GAMMA0_TOL`` and
+    ``_GAMMA0_REFINE`` are read at call time.
+    """
+    (frac, est_frac), (direct, est_direct) = _log_gamma0(model, solution, stabs)
+    if abs(frac - direct) > max(_GAMMA0_TOL * max(1.0, abs(direct)), est_frac + est_direct):
         raise ConsistencyError(
-            f"Gamma0 exponent mismatch: fractional-integral form {float(expo_const)!r} vs "
-            f"direct quadrature {float(expo_direct)!r}"
+            f"Gamma0 exponent mismatch: fractional-integral form {frac!r} vs "
+            f"direct quadrature {direct!r}"
         )
-    return float(np.exp(expo_const))
+    return float(np.exp(direct))
 
 
 def _riskless(model: MarketModel, m: float) -> bool:
@@ -266,10 +295,12 @@ def _step_factors(model: MarketModel, ensemble: PathEnsemble, coef: np.ndarray, 
     + g . DB_k, the wealth under alpha = g (X - xi* e^(-r(T-t))) steps as
     X_{k+1} = X_k (1 + r dt) + (X_k - xi* e^(-r(T-t_k))) s_k.  coef is the
     (d, n) ``control_coefficient`` at the left nodes.  Yields (first step,
-    g (m, d, w), s (w, m)) for the m paths in ``paths`` per block of
-    ``_WEALTH_BLOCK`` steps, in one memory map of the call's own (``_mapped``,
-    so that a worker thread leaves nothing in its malloc arena) that each
-    block overwrites; the d-sums (np.einsum) run in one (m, w) slot of it.
+    g (m, d, w), s (w, m), spare (3, w, m)) for the m paths in ``paths`` per
+    block of ``_WEALTH_BLOCK`` steps, in one memory map of the call's own
+    (``_mapped``, so that a worker thread leaves nothing in its malloc
+    arena) that each block overwrites; the d-sums (np.einsum) run in one
+    (m, w) slot of it, and spare is the caller's, made of the slots that
+    are free once s is formed.
     """
     V, dW, dWperp = (a[paths] for a in (ensemble.V, *_increments(ensemble)))
     (m, d, n), dt = dW.shape, ensemble.grid.dt
@@ -277,14 +308,15 @@ def _step_factors(model: MarketModel, ensemble: PathEnsemble, coef: np.ndarray, 
     for lo in range(0, n, _WEALTH_BLOCK):
         hi = min(lo + _WEALTH_BLOCK, n)
         w = hi - lo
-        gain, root_v, dB = flat[: 3 * m * d * w].reshape(3, m, d, w)
-        s = flat[3 * m * d * w : (3 * d + 1) * m * w].reshape(w, m)
+        gain = flat[: m * d * w].reshape(m, d, w)
+        s = flat[m * d * w : (d + 1) * m * w].reshape(w, m)
+        root_v, dB = flat[(d + 1) * m * w : (3 * d + 1) * m * w].reshape(2, m, d, w)
         acc = flat[(3 * d + 1) * m * w : (3 * d + 2) * m * w].reshape(m, w)
         _asset_increments(model, dW[:, :, lo:hi], dWperp[:, :, lo:hi], out=(dB, gain))
         _gain(coef[None, :, lo:hi], V[:, :, lo:hi], out=(gain, root_v))
         np.multiply(np.einsum("mdw,mdw,d->mw", gain, root_v, model.theta, out=acc).T, dt, out=s)
         s += np.einsum("mdw,mdw->mw", gain, dB, out=acc).T
-        yield lo, gain, s
+        yield lo, gain, s, flat[(d + 1) * m * w : (d + 4) * m * w].reshape(3, w, m)
 
 
 def _wealth_recursion(model: MarketModel, ensemble: PathEnsemble, solution: RiccatiSolution,
@@ -301,23 +333,26 @@ def _wealth_recursion(model: MarketModel, ensemble: PathEnsemble, solution: Ricc
         A_{k+1} = A_k (1 + r dt + s_k),                       A_0 = x0,
         B_{k+1} = B_k (1 + r dt + s_k) - e^(-r(T-t_k)) s_k,   B_0 = 0.
 
-    The paths run on the pool in ranges of whole 64-path blocks, one per
-    worker but at most M // 512; each path's arithmetic is elementwise, so
-    the split keeps the bits.  Without fold, each range runs to T on its
-    own.  With fold, each step also writes alpha_k and X_{k+1} = A_{k+1}
-    + xi* B_{k+1} into path-major buffers of one block of ``_WEALTH_BLOCK``
-    steps [lo, hi); the ranges meet after each block, and fold(lo, X, alpha)
-    takes X_lo .. X_hi (M, hi - lo + 1) and alpha_lo .. alpha_{hi-1}
-    (M, d, hi - lo), views that the next block overwrites, after
-    NonFiniteError has been raised unless both are finite.  Returns
-    (A_T, B_T) unchecked (a finite X_T has finite A_T and B_T);
-    ParameterError on a V-only ensemble or a psi grid unlike the path grid.
+    1 + r dt + s and e^(-r(T-t)) s are formed once per block of
+    ``_WEALTH_BLOCK`` steps, and each step writes the block's rows of A and
+    B, all in the spare slots of ``_step_factors``.  The paths run on the
+    pool in ranges of whole 64-path blocks, one per worker but at most
+    M // 512; each path's arithmetic is elementwise, so the split keeps the
+    bits.  Without fold, each range runs to T on its own.  With fold, each
+    block [lo, hi) also forms X_{k+1} = A_{k+1} + xi* B_{k+1} and alpha_k
+    into path-major buffers of one block; the ranges meet after each block,
+    and fold(lo, X, alpha) takes X_lo .. X_hi (M, hi - lo + 1) and
+    alpha_lo .. alpha_{hi-1} (M, d, hi - lo), views that the next block
+    overwrites, after NonFiniteError has been raised unless both are
+    finite.  Returns (A_T, B_T) unchecked (a finite X_T has finite A_T and
+    B_T); ParameterError on a V-only ensemble or a psi grid unlike the path
+    grid.
     """
     if solution.grid != ensemble.grid:
         raise ParameterError("wealth scheme requires the psi grid to match the path grid")
     grid = ensemble.grid
     coef = control_coefficient(model, solution, stabs, grid.times[:-1])  # (d, n)
-    disc = np.exp(-model.r * (model.T - grid.times[:-1]))               # (n,)
+    disc = np.exp(-model.r * (model.T - grid.times[:-1]))[:, None]       # (n, 1)
     A = np.full(ensemble.M, float(model.x0))
     B = np.zeros(ensemble.M)
     if fold is not None:  # the block buffers, X_lo .. X_hi and alpha_lo .. alpha_{hi-1}
@@ -332,16 +367,22 @@ def _wealth_recursion(model: MarketModel, ensemble: PathEnsemble, solution: Ricc
     def advance(paths, blocks, count):
         a, b_ = A[paths], B[paths]
         with np.errstate(over="ignore", invalid="ignore"):  # per thread; the callers check
-            for lo, gain, s in itertools.islice(blocks, count):
-                for b in range(len(s)):
-                    growth = 1.0 + model.r * grid.dt + s[b]
-                    a *= growth
-                    b_ *= growth
-                    b_ -= disc[lo + b] * s[b]
-                    if fold is not None:
-                        gap = X[paths, b] - xi_star * disc[lo + b]
-                        np.multiply(gain[:, :, b], gap[:, None], out=alpha[paths, :, b])
-                        X[paths, b + 1] = a + xi_star * b_
+            for lo, gain, s, (a_rows, ds, b_rows) in itertools.islice(blocks, count):
+                w = len(s)
+                np.add(s, 1.0 + model.r * grid.dt, out=a_rows)  # the growth, then A in place
+                np.multiply(s, disc[lo : lo + w], out=ds)
+                a_k, b_k = a, b_
+                for k in range(w):
+                    np.multiply(b_k, a_rows[k], out=b_rows[k])
+                    b_rows[k] -= ds[k]
+                    np.multiply(a_k, a_rows[k], out=a_rows[k])
+                    a_k, b_k = a_rows[k], b_rows[k]
+                a[...], b_[...] = a_k, b_k
+                if fold is not None:
+                    x = X[paths, : w + 1].T                     # (w+1, m)
+                    np.add(a_rows, np.multiply(b_rows, xi_star, out=b_rows), out=x[1:])
+                    np.subtract(x[:-1], xi_star * disc[lo : lo + w], out=ds)  # the gap
+                    np.multiply(gain, ds.T[:, None, :], out=alpha[paths, :, :w])
 
     def jobs(count):  # count blocks of each range, or all of them for None
         return [functools.partial(advance, paths, blocks, count)

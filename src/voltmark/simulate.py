@@ -15,7 +15,8 @@ whose exact diagonal and first row are ``kernels._kernel_products``,
 so one spectral factor per asset drives every cell.  It comes from the covariance's rank-36 thin
 form, truncated to the fewest modes that its reproduction check allows
 (PCA sampling, Glasserman 2003, Section 2.3).  Each cell draws one
-low-rank standard-normal block for all paths; thin matrix products add
+low-rank standard-normal block for all paths, one fill per 8-cell
+sub-block in cell order; thin matrix products add
 its contributions to the cells of its 8-cell sub-block at once, and to
 the rest of its 64-cell block once per sub-block.  Later blocks read it
 through a low-rank pair U W of the far-field lag rows, built and checked
@@ -474,13 +475,13 @@ def _mapped(shape) -> np.ndarray:
 
 def _asset_scratch(n: int, r: int, k: int, m: int) -> tuple:
     """Scratch of ``_advance_asset`` for a rank-r factor with a rank-k far
-    field and a chunk of m paths: a cell's normals (r, m) and vol (m,), a
-    block's noise and drift (_BLOCK, r+1, m), the product of a cell or a
-    sub-block, in the leading rows of (_BLOCK - _SUB, m), the sub-block
-    flush's lag factor (``_lag_blocks``), the far-field slabs and the
+    field and a chunk of m paths: a sub-block's normals (_SUB, r, m), a
+    cell's vol (m,), a block's noise and drift (_BLOCK, r+1, m), the
+    product of a cell or a sub-block, in the leading rows of
+    (_BLOCK - _SUB, m), the sub-block flush's lag factor (``_lag_blocks``), the far-field slabs and the
     history of compressed blocks, k rows for each block but the last."""
     blocks = (n - 1) // _BLOCK
-    return (_mapped((r, m)), _mapped((m,)), _mapped((_BLOCK, r + 1, m)),
+    return (_mapped((_SUB, r, m)), _mapped((m,)), _mapped((_BLOCK, r + 1, m)),
             _mapped((_BLOCK - _SUB, m)),
             _mapped((max(0, min(_BLOCK, n) - _SUB), _SUB * (r + 1))),
             _mapped((_BLOCK, blocks * k)), _mapped((blocks * k, m)))
@@ -541,16 +542,18 @@ def _advance_asset(model: MarketModel, i: int, fac: GaussianBlockFactor,
                           out=V[lo + 1 : hi + 1])
             for s_lo in range(lo, hi, _SUB):
                 s_hi = min(s_lo + _SUB, hi)   # sub-block holds cells s_lo+1 .. s_hi
+                # one fill in cell order draws the bits of one call per cell
+                rng.standard_normal(out=z[: s_hi - s_lo])
                 for ell in range(s_lo + 1, s_hi + 1):
                     v_prev = V[ell - 1]
-                    rng.standard_normal(out=z)
+                    z_ell = z[ell - s_lo - 1]
                     if dW is not None:
-                        np.matmul(f_dw, z, out=dW[ell - 1])
+                        np.matmul(f_dw, z_ell, out=dW[ell - 1])
                     np.maximum(v_prev, 0.0, out=vol)
                     np.sqrt(vol, out=vol)
                     np.multiply(nu * sig[ell - 1], vol, out=vol)
                     y = y_blk[ell - lo - 1]
-                    np.multiply(z, vol, out=y[:r])
+                    np.multiply(z_ell, vol, out=y[:r])
                     np.multiply(lam, v_prev, out=y[r])
                     np.subtract(mu0, y[r], out=y[r])
                     m_loc = s_hi - ell + 1

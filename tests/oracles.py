@@ -7,7 +7,7 @@ loop in d-vector steps that pins the scalar solver's bits, the exact
 second moments of the path scheme, the dense cell covariance and its
 Gaussian factor by np.linalg.eigh, the path engine with a dense far
 field pushed to every later time, the wealth step factors by
-np.einsum, the wealth statistics from whole wealth and strategy paths,
+np.einsum and the wealth recursion one step at a time, the wealth statistics from whole wealth and strategy paths,
 the resolvent density's L2 norm by adaptive quadrature and the standard
 errors of per-column means and variances by a multinomial bootstrap
 over paths."""
@@ -31,7 +31,7 @@ from voltmark.kernels import (
     resolvent,
     resolvent_density,
 )
-from voltmark.markowitz import simulate_wealth, solve_markowitz
+from voltmark.markowitz import control_coefficient, simulate_wealth, solve_markowitz
 from voltmark.model import Grid
 from voltmark.montecarlo import ColumnMoments
 from voltmark.riccati import RiccatiSolution, _rhs, _system, solve_riccati_adams
@@ -354,6 +354,30 @@ def einsum_step_factors(model, ensemble, coef: np.ndarray) -> tuple[np.ndarray, 
     dB = _asset_increments(model, ensemble.dW, ensemble.dWperp)
     s = np.einsum("mdk,mdk,d->km", gain, root, model.theta) * ensemble.grid.dt
     return gain, s + np.einsum("mdk,mdk->km", gain, dB)
+
+
+def stepwise_wealth(model, ensemble, solution, stabs, xi_star: float) -> tuple:
+    """The wealth recursion one step at a time over the whole grid: (A_T, B_T,
+    X (M, n+1), alpha (M, d, n)), forming 1 + r dt + s_k and e^(-r(T-t_k)) s_k,
+    then alpha_k and X_{k+1} = A_{k+1} + xi* B_{k+1}, at each step from the
+    ``einsum_step_factors`` gains and factors."""
+    grid = ensemble.grid
+    coef = control_coefficient(model, solution, stabs, grid.times[:-1])
+    disc = np.exp(-model.r * (model.T - grid.times[:-1]))
+    gain, s = einsum_step_factors(model, ensemble, coef)
+    A, B = np.full(ensemble.M, float(model.x0)), np.zeros(ensemble.M)
+    X = np.empty((ensemble.M, grid.n + 1))
+    X[:, 0] = model.x0
+    alpha = np.empty((ensemble.M, model.d, grid.n))
+    for k in range(grid.n):
+        growth = 1.0 + model.r * grid.dt + s[k]
+        A *= growth
+        B *= growth
+        B -= disc[k] * s[k]
+        gap = X[:, k] - xi_star * disc[k]
+        np.multiply(gain[:, :, k], gap[:, None], out=alpha[:, :, k])
+        X[:, k + 1] = A + xi_star * B
+    return A, B, X, alpha
 
 
 def whole_path_wealth_stats(model, stabs, grid: Grid, M: int, seed: int, m: float) -> tuple:

@@ -674,9 +674,9 @@ def test_full_stages_share_one_context(tmp_path, monkeypatch):
     full = tmp_path / "full"
     assert main(["full", "--config", path, "--out", str(full)]) in (0, 4)
     assert len(builds) == 2
-    # psi at T = 1 and 0.5 on the path grid and refined for Gamma0, and
-    # the Laplace system
-    assert len(solves) == len(set(solves)) == 5, solves
+    # psi at T = 1 and 0.5 on the path grid and at Gamma0's three levels
+    # 600, 1200 and 2400, and the Laplace system
+    assert len(solves) == len(set(solves)) == 9, solves
     # both kernels for each stream: stationarity and wealth on the T = 1
     # grid, the frontier on the T = 0.5 one; the T = 1 frontier and the
     # Laplace check (laplace_M = M) read the wealth stage's chunks

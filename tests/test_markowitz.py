@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import small_model
-from oracles import einsum_step_factors
+from oracles import einsum_step_factors, stepwise_wealth
 from voltmark import markowitz, simulate
 from voltmark.kernels import ParameterError
 from voltmark.markowitz import (
@@ -63,14 +63,61 @@ def test_gamma0_two_forms_agree_at_600(model_t1, riccati_600, stabs_t1, monkeypa
     assert 0.0 < val < np.exp(0.04)
 
 
-def test_gamma0_inconsistency_detectable(model_t1, riccati_600, stabs_t1, monkeypatch):
-    monkeypatch.setattr(markowitz, "_GAMMA0_REFINE", 0)
-    monkeypatch.setattr(markowitz, "_GAMMA0_TOL", 1e-12)
-    with pytest.raises(ConsistencyError) as err:
-        gamma0(model_t1, riccati_600, stabs_t1)
-    # the one-line stderr shows both exponents as plain floats
-    assert "np.float64" not in str(err.value)
-    assert re.search(r"form -?\d\.\d+ vs direct quadrature -?\d\.\d+$", str(err.value))
+def test_gamma0_inconsistency_detectable(monkeypatch):
+    # a 1e-5 relative error in the direct form's integrand is beyond both
+    # forms' extrapolation estimates at T = 1 and at T = 5, where the
+    # unperturbed forms agree
+    real = markowitz._rhs_along
+    for T in (1.0, 5.0):
+        model = bundled_model(T=T)
+        stabs = model.build_stabilizers()
+        sol = solve_riccati_adams(model, stabs, 600)
+        gamma0(model, sol, stabs)
+        with monkeypatch.context() as patch:
+            patch.setattr(markowitz, "_rhs_along", lambda *args: real(*args) * (1.0 + 1e-5))
+            with pytest.raises(ConsistencyError) as err:
+                gamma0(model, sol, stabs)
+        # the one-line stderr shows both exponents as plain floats
+        assert "np.float64" not in str(err.value)
+        assert re.search(r"form -?\d\.\d+ vs direct quadrature -?\d\.\d+$", str(err.value))
+
+
+def config_a(T: float) -> MarketModel:
+    """A rough two-asset config whose two Gamma0 forms differed by 1.04e-6
+    at 2400 steps, which a fixed 1e-6 tolerance refused."""
+    return MarketModel(d=2, alpha=[0.55, 0.9], lam=[3.71, 0.5], nu=[0.70, 0.68], rho=[1.0, 1.0],
+                       theta=[0.386, 0.186], mu0=[1.0, 1.5], c=[0.33, 0.21], r=0.02, x0=2.0, T=T)
+
+
+@pytest.mark.parametrize("model", [bundled_model(T=1.0), bundled_model(T=5.0), config_a(1.0)],
+                         ids=["bundled-T1", "bundled-T5", "config-A-T1"])
+def test_gamma0_extrapolation_within_its_estimate(model):
+    # the direct exponent extrapolated from 600, 1200 and 2400 steps meets
+    # the direct form on 19 200 steps within its own estimate, and Gamma0
+    # returns it
+    stabs = model.build_stabilizers()
+    sol = solve_riccati_adams(model, stabs, 600)
+    _, (direct, estimate) = markowitz._log_gamma0(model, sol, stabs)
+    fine = markowitz._gamma0_forms(model, solve_riccati_adams(model, stabs, 19200), stabs)[1]
+    assert abs(direct - fine) <= estimate
+    assert gamma0(model, sol, stabs) == np.exp(direct)
+
+
+def test_gamma0_nu_zero_levels_agree_to_rounding():
+    # nu = 0 keeps V at x_inf = mu0 / lam, so log Gamma0 = (2r - theta^2 . x_inf) T,
+    # which the direct form gives at every level up to rounding: the
+    # extrapolation keeps the finest level, and the fractional form, still
+    # converging, lies within its estimate
+    b = bundled_model(T=1.0)
+    model = MarketModel(d=2, alpha=b.alpha, lam=b.lam, nu=[0.0, 0.0], rho=b.rho, theta=b.theta,
+                        mu0=b.mu0, c=b.c, r=b.r, x0=b.x0, T=1.0)
+    stabs = model.build_stabilizers()
+    sol = solve_riccati_adams(model, stabs, 600)
+    exact = (2.0 * model.r - model.theta**2 @ model.x_inf) * model.T
+    (frac, est_frac), (direct, est_direct) = markowitz._log_gamma0(model, sol, stabs)
+    assert est_direct <= 1e-13 and abs(direct - exact) <= 1e-13
+    assert abs(frac - exact) <= est_frac
+    assert gamma0(model, sol, stabs) == np.exp(direct)
 
 
 def test_xi_eta_identities(gamma0_bundled, model_t1):
@@ -404,6 +451,24 @@ def test_solve_markowitz_bundle(model_t1, riccati_600, stabs_t1):
         variance_of_terminal(ms.gamma0, model_t1, ms.m), rel=1e-14)
 
 
+@pytest.mark.parametrize("M", [500, 2100])
+def test_wealth_recursion_keeps_the_bits_of_the_step_loop(model_t1, stabs_t1, monkeypatch, M):
+    # the blocked growth factors and A/B rows against the per-step loop,
+    # with a fold (simulate_wealth) and without (affine_wealth_terminal),
+    # in one path range (M = 500) and in four (M = 2100 on eight CPUs)
+    monkeypatch.setattr(simulate, "_BLAS_THREADS", 1)
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: 8)
+    grid = Grid(1.0, 150)
+    sol = solve_riccati_adams(model_t1, stabs_t1, grid.n)
+    ens = simulate_variance_paths(model_t1, stabs_t1, grid, M, seed=23, initial="fixed")
+    A, B, X, alpha = stepwise_wealth(model_t1, ens, sol, stabs_t1, 2.5)
+    wealth = simulate_wealth(model_t1, ens, sol, stabs_t1, 2.5)
+    terminal = affine_wealth_terminal(model_t1, ens, sol, stabs_t1)
+    for got, ref in zip((wealth.A_T, wealth.B_T, wealth.X, wealth.alpha_paths, *terminal),
+                        (A, B, X, alpha, A, B)):
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_step_factors_equal_the_einsum_sums(d):
     # the per-asset d-sums of _step_factors against np.einsum's, bit for bit
@@ -422,7 +487,7 @@ def test_step_factors_equal_the_einsum_sums(d):
     coef = rng.standard_normal((d, grid.n))
     gain_ref, s_ref = einsum_step_factors(model, ens, coef)
     steps = 0
-    for lo, gain, s in markowitz._step_factors(model, ens, coef, slice(0, M)):
+    for lo, gain, s, _ in markowitz._step_factors(model, ens, coef, slice(0, M)):
         w = len(s)
         assert np.array_equal(gain.view(np.int64), gain_ref[:, :, lo:lo + w].view(np.int64))
         assert np.array_equal(s.view(np.int64), s_ref[lo:lo + w].view(np.int64))

@@ -256,8 +256,9 @@ def test_gamma0_refines_once_per_model_and_stabilizers(adams_spy):
     stabs = model.build_stabilizers()
     sol = solve_riccati_adams(model, stabs, 600)
     values = [gamma0(model, sol, stabs) for _ in range(3)]
-    assert adams_spy == [600, 12000]
-    assert (memo.cache_info().misses, memo.cache_info().hits) == (2, 2)
+    # the levels 600, 1200 and 2400, the first being the caller's solve
+    assert adams_spy == [600, 1200, 2400]
+    assert (memo.cache_info().misses, memo.cache_info().hits) == (3, 4)
     assert values[0] == values[1] == values[2]
 
 
