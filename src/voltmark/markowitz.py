@@ -41,11 +41,10 @@ from .riccati import (
 )
 from .simulate import (
     PathEnsemble,
-    _asset_increments,
-    _increments,
     _mapped,
     _pool_size,
     _workers,
+    correlate_asset_brownian,
     require_finite,
     simulate_variance_chunks,
 )
@@ -283,9 +282,10 @@ def optimal_control(model: MarketModel, solution: RiccatiSolution, stabs, xi_sta
     return gain * gap
 
 
-# time steps per block of the wealth recursion; fixed so that the
-# output never depends on the environment
+# time steps per block of the wealth recursion, and paths per tile of a
+# block; fixed so that the output never depends on the environment
 _WEALTH_BLOCK = 64
+_WEALTH_TILE = 512
 
 
 def _step_factors(model: MarketModel, ensemble: PathEnsemble, coef: np.ndarray, paths: slice):
@@ -294,29 +294,30 @@ def _step_factors(model: MarketModel, ensemble: PathEnsemble, coef: np.ndarray, 
     With g = -coef sqrt(V^+) at the left node and s_k = (g sqrt(V^+)) . theta dt
     + g . DB_k, the wealth under alpha = g (X - xi* e^(-r(T-t))) steps as
     X_{k+1} = X_k (1 + r dt) + (X_k - xi* e^(-r(T-t_k))) s_k.  coef is the
-    (d, n) ``control_coefficient`` at the left nodes.  Yields (first step,
-    g (m, d, w), s (w, m), spare (3, w, m)) for the m paths in ``paths`` per
-    block of ``_WEALTH_BLOCK`` steps, in one memory map of the call's own
-    (``_mapped``, so that a worker thread leaves nothing in its malloc
-    arena) that each block overwrites; the d-sums (np.einsum) run in one
-    (m, w) slot of it, and spare is the caller's, made of the slots that
-    are free once s is formed.
+    (d, n) ``control_coefficient`` at the left nodes.  For each block of
+    ``_WEALTH_BLOCK`` steps, and in it each tile of ``_WEALTH_TILE`` paths
+    of ``paths`` (clipped to the ensemble), yields (first step, tile,
+    g (d, w, t), s (w, t), spare (3, w, t)), read from V and dB in their
+    time-major layout.  All of it lives in one memory map of the call's
+    own (``_mapped``, so that a worker thread leaves nothing in its malloc
+    arena) that each tile overwrites; the d-sums (np.einsum) run in one
+    (w, t) slot of it, and spare is the caller's.
     """
-    V, dW, dWperp = (a[paths] for a in (ensemble.V, *_increments(ensemble)))
-    (m, d, n), dt = dW.shape, ensemble.grid.dt
-    flat = _mapped(((3 * d + 2) * m * _WEALTH_BLOCK,))
+    V, dB = ensemble.V.transpose(1, 2, 0), ensemble.dB.transpose(1, 2, 0)   # (d, ., M)
+    (d, n, _), dt = dB.shape, ensemble.grid.dt
+    stop = min(paths.stop, ensemble.M)
+    flat = _mapped(((2 * d + 5) * _WEALTH_BLOCK * _WEALTH_TILE,))
     for lo in range(0, n, _WEALTH_BLOCK):
         hi = min(lo + _WEALTH_BLOCK, n)
-        w = hi - lo
-        gain = flat[: m * d * w].reshape(m, d, w)
-        s = flat[m * d * w : (d + 1) * m * w].reshape(w, m)
-        root_v, dB = flat[(d + 1) * m * w : (3 * d + 1) * m * w].reshape(2, m, d, w)
-        acc = flat[(3 * d + 1) * m * w : (3 * d + 2) * m * w].reshape(m, w)
-        _asset_increments(model, dW[:, :, lo:hi], dWperp[:, :, lo:hi], out=(dB, gain))
-        _gain(coef[None, :, lo:hi], V[:, :, lo:hi], out=(gain, root_v))
-        np.multiply(np.einsum("mdw,mdw,d->mw", gain, root_v, model.theta, out=acc).T, dt, out=s)
-        s += np.einsum("mdw,mdw->mw", gain, dB, out=acc).T
-        yield lo, gain, s, flat[(d + 1) * m * w : (d + 4) * m * w].reshape(3, w, m)
+        for t0 in range(paths.start, stop, _WEALTH_TILE):
+            tile = slice(t0, min(t0 + _WEALTH_TILE, stop))
+            size = (hi - lo) * (tile.stop - t0)
+            gain, root = flat[: 2 * d * size].reshape(2, d, hi - lo, -1)
+            s, acc, *spare = flat[2 * d * size : (2 * d + 5) * size].reshape(5, hi - lo, -1)
+            _gain(coef[:, lo:hi, None], V[:, lo:hi, tile], out=(gain, root))
+            np.multiply(np.einsum("dwt,dwt,d->wt", gain, root, model.theta, out=acc), dt, out=s)
+            s += np.einsum("dwt,dwt->wt", gain, dB[:, lo:hi, tile], out=acc)
+            yield lo, tile, gain, s, spare
 
 
 def _wealth_recursion(model: MarketModel, ensemble: PathEnsemble, solution: RiccatiSolution,
@@ -324,32 +325,35 @@ def _wealth_recursion(model: MarketModel, ensemble: PathEnsemble, solution: Ricc
     """The Euler wealth of the optimal feedback in its affine form X_k = A_k + xi* B_k.
 
     X(t_k) = X(t_{k-1}) + (r X(t_{k-1}) + sum_i theta_i sqrt(V_i) alpha_i) dt
-             + sum_i alpha_i (rho_i DW_i - sqrt(1-rho_i^2) DWperp_i),
+             + sum_i alpha_i DB_i,
 
     with alpha = g (X - xi* e^(-r(T-t))) at the left node from the same
-    variance paths.  The scheme is affine in xi*: with the per-step factor
-    s_k of ``_step_factors``,
+    variance paths and DB the ensemble's asset increments
+    (``correlate_asset_brownian``).  The scheme is affine in xi*: with the
+    per-step factor s_k of ``_step_factors``,
 
         A_{k+1} = A_k (1 + r dt + s_k),                       A_0 = x0,
         B_{k+1} = B_k (1 + r dt + s_k) - e^(-r(T-t_k)) s_k,   B_0 = 0.
 
     1 + r dt + s and e^(-r(T-t)) s are formed once per block of
-    ``_WEALTH_BLOCK`` steps, and each step writes the block's rows of A and
-    B, all in the spare slots of ``_step_factors``.  The paths run on the
-    pool in ranges of whole 64-path blocks, one per worker but at most
-    M // 512; each path's arithmetic is elementwise, so the split keeps the
-    bits.  Without fold, each range runs to T on its own.  With fold, each
-    block [lo, hi) also forms X_{k+1} = A_{k+1} + xi* B_{k+1} and alpha_k
-    into path-major buffers of one block; the ranges meet after each block,
-    and fold(lo, X, alpha) takes X_lo .. X_hi (M, hi - lo + 1) and
-    alpha_lo .. alpha_{hi-1} (M, d, hi - lo), views that the next block
-    overwrites, after NonFiniteError has been raised unless both are
-    finite.  Returns (A_T, B_T) unchecked (a finite X_T has finite A_T and
-    B_T); ParameterError on a V-only ensemble or a psi grid unlike the path
-    grid.
+    ``_WEALTH_BLOCK`` steps and tile of paths, and each step writes the
+    block's rows of A and B, all in the spare slots of ``_step_factors``.
+    The paths run on the pool in ranges of whole 64-path blocks, one per
+    worker but at most M // 512; each path's arithmetic is elementwise,
+    so the split keeps the bits.  Without fold, each range runs to T on
+    its own.  With fold, each block [lo, hi) also forms
+    X_{k+1} = A_{k+1} + xi* B_{k+1} and alpha_k into path-major buffers of
+    one block; the ranges meet after each block, and fold(lo, X, alpha)
+    takes X_lo .. X_hi (M, hi - lo + 1) and alpha_lo .. alpha_{hi-1}
+    (M, d, hi - lo), views that the next block overwrites, after
+    NonFiniteError has been raised unless both are finite.  Returns
+    (A_T, B_T) unchecked (a finite X_T has finite A_T and B_T);
+    ParameterError on a V-only ensemble, on a model whose rho differs
+    from the ensemble's, or on a psi grid unlike the path grid.
     """
     if solution.grid != ensemble.grid:
         raise ParameterError("wealth scheme requires the psi grid to match the path grid")
+    correlate_asset_brownian(ensemble, model)  # the checks, before any job starts
     grid = ensemble.grid
     coef = control_coefficient(model, solution, stabs, grid.times[:-1])  # (d, n)
     disc = np.exp(-model.r * (model.T - grid.times[:-1]))[:, None]       # (n, 1)
@@ -364,36 +368,34 @@ def _wealth_recursion(model: MarketModel, ensemble: PathEnsemble, solution: Ricc
     ranges = [slice(c0, c0 + width) for c0 in range(0, ensemble.M, width)]
     factors = [_step_factors(model, ensemble, coef, paths) for paths in ranges]
 
-    def advance(paths, blocks, count):
-        a, b_ = A[paths], B[paths]
+    def advance(tiles, count):
         with np.errstate(over="ignore", invalid="ignore"):  # per thread; the callers check
-            for lo, gain, s, (a_rows, ds, b_rows) in itertools.islice(blocks, count):
+            for lo, tile, gain, s, (a_rows, ds, b_rows) in itertools.islice(tiles, count):
                 w = len(s)
                 np.add(s, 1.0 + model.r * grid.dt, out=a_rows)  # the growth, then A in place
                 np.multiply(s, disc[lo : lo + w], out=ds)
-                a_k, b_k = a, b_
+                a_k, b_k = A[tile], B[tile]
                 for k in range(w):
                     np.multiply(b_k, a_rows[k], out=b_rows[k])
                     b_rows[k] -= ds[k]
                     np.multiply(a_k, a_rows[k], out=a_rows[k])
                     a_k, b_k = a_rows[k], b_rows[k]
-                a[...], b_[...] = a_k, b_k
+                A[tile], B[tile] = a_k, b_k
                 if fold is not None:
-                    x = X[paths, : w + 1].T                     # (w+1, m)
+                    x = X[tile, : w + 1].T                      # (w+1, t)
                     np.add(a_rows, np.multiply(b_rows, xi_star, out=b_rows), out=x[1:])
                     np.subtract(x[:-1], xi_star * disc[lo : lo + w], out=ds)  # the gap
-                    np.multiply(gain, ds.T[:, None, :], out=alpha[paths, :, :w])
-
-    def jobs(count):  # count blocks of each range, or all of them for None
-        return [functools.partial(advance, paths, blocks, count)
-                for paths, blocks in zip(ranges, factors)]
+                    np.multiply(gain, ds, out=alpha[tile, :, :w].transpose(1, 2, 0))
 
     with _workers(len(ranges)) as run:
         if fold is None:
-            run(jobs(None))
+            run([functools.partial(advance, tiles, None) for tiles in factors])
             return A, B
+        # one block of each range: its tiles
+        per_block = [-(-(min(p.stop, ensemble.M) - p.start) // _WEALTH_TILE) for p in ranges]
         for lo in range(0, grid.n, _WEALTH_BLOCK):
-            run(jobs(1))
+            run([functools.partial(advance, tiles, count)
+                 for tiles, count in zip(factors, per_block)])
             w = min(_WEALTH_BLOCK, grid.n - lo)
             require_finite("wealth paths", X[:, : w + 1])
             require_finite("optimal strategy", alpha[:, :, :w])

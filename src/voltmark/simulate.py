@@ -24,27 +24,29 @@ with the factor: each finished block is compressed once to W Y, and
 each new block pulls its far field from all of them in one product.
 
 Paths are simulated in fixed chunks of ``_CHUNK_PATHS`` paths, each in
-arrays of its own and time-major: V is a (d, n+1, chunk) array and dW,
-when the increments are kept, a (d, n, chunk) one, so each time step of
-an asset is one contiguous row of paths, which the engine accumulates
-in place; the ensemble exposes both as (paths, d, .) transposed views.
-``simulate_variance_chunks`` yields one chunk at a time, so a consumer
-that keeps only per-path values runs in memory that does not grow with
-M; ``simulate_variance_paths`` copies the chunks into whole (d, n+1, M)
-arrays for the tests and the benchmark.  Within a chunk the assets,
-which share only the read-only model, advance on one thread each
-(numpy's random fills, ufuncs and BLAS calls release the GIL), beside
-the chunk's dWperp draw, on the CPUs that the BLAS threads leave free
-(``_workers``).
+arrays of its own and time-major: V is a (d, n+1, chunk) array and dB,
+the asset-driving increments when they are kept, a (d, n, chunk) one, so
+each time step of an asset is one contiguous row of paths, which the
+engine accumulates in place; the ensemble exposes both as (paths, d, .)
+transposed views.  ``simulate_variance_chunks`` yields one chunk at a
+time, so a consumer that keeps only per-path values runs in memory that
+does not grow with M; ``simulate_variance_paths`` copies the chunks into
+whole (d, ., M) arrays for the tests and the benchmark.  Within a chunk
+the assets, which share only the read-only model, advance on one thread
+each (numpy's random fills, ufuncs and BLAS calls release the GIL), on
+the CPUs that the BLAS threads leave free (``_workers``).  Each asset's
+job writes its own rows of V and of dB.
 
 Everything is reproducible: chunk c takes the c-th ``spawn(1 + d)``
-group of SeedSequence(seed), one child stream for the initial variance
-and the orthogonal increments plus one stream per asset, each through
-``_BIT_GENERATOR``, and the draw order is fixed regardless of the
-number of threads.  The first group is the whole stream of an ensemble
-of at most one chunk, and chunk c of paths is the same for every M that
-gives it one size.  The engine keeps no state between calls: every
-stream starts at chunk 0 and builds its own factors.
+group of SeedSequence(seed), each child through ``_BIT_GENERATOR``.
+Child 0 draws the stationary start V0; child 1 + i draws asset i's
+factor normals, and the first child that it spawns asset i's W-perp
+normals, which only a stream with increments draws.  The draw order is
+fixed regardless of the number of threads.  The first group is the
+whole stream of an ensemble of at most one chunk, and chunk c of paths
+is the same for every M that gives it one size.  The engine keeps no
+state between calls: every stream starts at chunk 0 and builds its own
+factors.
 """
 
 import contextlib
@@ -258,26 +260,24 @@ def _far_field(F_aug: np.ndarray) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class PathEnsemble:
-    """Simulated variance paths with their driving increments.
+    """Simulated variance paths with the increments that drive the assets.
 
     V has shape (M, d, n+1) and is stored raw (the scheme can leave
-    slightly negative values, consumers clip); dW and dWperp are the
-    per-cell increments of W and the independent W-perp, shape
-    (M, d, n).  V and dW are transposed views of time-major (d, n+1, M)
-    and (d, n, M) arrays, so V[:, i, k] is contiguous within each chunk
-    of paths; dWperp is stored path-major, in the order of its draws.
-    A V-only ensemble (``increments=False``) has dW and dWperp None;
-    its V equals the full ensemble's bit for bit.  A chunk of
-    ``simulate_variance_chunks`` is a PathEnsemble of its own, whose M
-    is the chunk's path count.
+    slightly negative values, consumers clip); dB holds the per-cell
+    asset-driving increments DB_i = rho_i DW_i - sqrt(1 - rho_i^2)
+    DWperp_i at the model's rho, shape (M, d, n).  Both are transposed
+    views of time-major (d, n+1, M) and (d, n, M) arrays, so V[:, i, k]
+    and dB[:, i, k] are contiguous within each chunk of paths.  A V-only
+    ensemble (``increments=False``) has dB None; its V equals the full
+    ensemble's bit for bit.  A chunk of ``simulate_variance_chunks`` is a
+    PathEnsemble of its own, whose M is the chunk's path count.
     """
 
     model: MarketModel
     grid: Grid
     M: int
     V: np.ndarray = field(repr=False)
-    dW: np.ndarray | None = field(repr=False)
-    dWperp: np.ndarray | None = field(repr=False)
+    dB: np.ndarray | None = field(repr=False)
 
 
 def sample_initial_variance(model: MarketModel, M: int, rng: np.random.Generator) -> np.ndarray:
@@ -299,9 +299,9 @@ def simulate_variance_paths(model: MarketModel, stabs, grid: Grid, M: int, seed:
     initial = "stationary" draws V0 from N(x_inf, v0) (the fake
     stationary configuration); "fixed" starts every path at x_inf.
     The kernel-weighted noise integrals are not kept; ``store_noise``
-    only accepts False.  ``increments=False`` keeps V alone: dW is never
-    stored and dWperp never drawn (its draw follows V0's on the common
-    stream, so V0 and V do not change).  The paths are the chunks of
+    only accepts False.  ``increments=False`` keeps V alone: dB is never
+    stored and W-perp never drawn (its normals have streams of their own,
+    so V0 and V do not change).  The paths are the chunks of
     ``simulate_variance_chunks``, copied side by side into whole arrays
     (a lone chunk is the ensemble itself).  Raises NonFiniteError when
     V0 or a path leaves the finite floats, ParameterError when M < 1
@@ -316,19 +316,17 @@ def simulate_variance_paths(model: MarketModel, stabs, grid: Grid, M: int, seed:
     d, n = model.d, grid.n
     # time-major storage: each asset's cells are contiguous rows of M paths
     V = _mapped((d, n + 1, M))
-    dW = _mapped((d, n, M)) if increments else None
-    dWperp = np.empty((M, d, n)) if increments else None
+    dB = _mapped((d, n, M)) if increments else None
     c0 = 0
     for chunk in chunks:
         paths = slice(c0, c0 + chunk.M)
         V[:, :, paths] = chunk.V.transpose(1, 2, 0)
         if increments:
-            dW[:, :, paths] = chunk.dW.transpose(1, 2, 0)
-            dWperp[paths] = chunk.dWperp
+            dB[:, :, paths] = chunk.dB.transpose(1, 2, 0)
         c0 += chunk.M
         del chunk  # before the next chunk is simulated
     return PathEnsemble(model=model, grid=grid, M=M, V=V.transpose(2, 0, 1),
-                        dW=dW.transpose(2, 0, 1) if increments else None, dWperp=dWperp)
+                        dB=dB.transpose(2, 0, 1) if increments else None)
 
 
 def simulate_variance_chunks(model: MarketModel, stabs, grid: Grid, M: int, seed: int, *,
@@ -373,34 +371,33 @@ def _advance_chunks(model: MarketModel, stabs, grid: Grid, M: int, seed: int, in
 
 def _simulate_chunk(model: MarketModel, grid: Grid, m: int, initial: str, factors: list,
                     increments: bool, sig_grid: np.ndarray, children: list) -> PathEnsemble:
-    """One chunk of m paths from its stream group ``children``: V0 (before
-    the jobs start), then dWperp (a job beside the assets'), from child 0
-    and asset i's normals from child 1 + i.  The chunk gets arrays of its
-    own, and each asset's job maps and frees its own scratch, so that the
-    consumer's arrays never stack on it."""
-    d, n, dt = model.d, grid.n, grid.dt
-    rng_common, *rngs_asset = (np.random.Generator(_BIT_GENERATOR(child)) for child in children)
+    """One chunk of m paths from its stream group ``children``: V0 from
+    child 0 (before the jobs start), and one job per asset, which draws
+    its factor normals from child 1 + i and, with the increments, its
+    W-perp normals from child 1 + i's first spawned child.  The chunk
+    gets arrays of its own, V and dB, and each asset's job maps and frees
+    its own scratch, so that the consumer's arrays never stack on it."""
+    d, n = model.d, grid.n
     if initial == "stationary":
+        rng = np.random.Generator(_BIT_GENERATOR(children[0]))
         with np.errstate(over="ignore", invalid="ignore"):
-            V0 = sample_initial_variance(model, m, rng_common)
+            V0 = sample_initial_variance(model, m, rng)
     else:
         V0 = np.tile(model.x_inf, (m, 1))
     require_finite("initial variance", V0)
     V = _mapped((d, n + 1, m))
-    dW = _mapped((d, n, m)) if increments else None
-    dWperp = np.empty((m, d, n)) if increments else None
+    dB = _mapped((d, n, m)) if increments else None
     V[:, 0, :] = V0.T
-    jobs = [functools.partial(_advance_asset, model, i, factors[i], sig_grid[i], rngs_asset[i],
-                              V[i], dW[i] if increments else None)
-            for i in range(d)]
-    if increments:
-        # last, so that it fills the worker that finishes its asset first
-        jobs.append(lambda: np.multiply(rng_common.standard_normal(out=dWperp), np.sqrt(dt),
-                                        out=dWperp))
+    jobs = [functools.partial(
+        _advance_asset, model, i, factors[i], sig_grid[i],
+        np.random.Generator(_BIT_GENERATOR(children[1 + i])), V[i],
+        dB[i] if increments else None,
+        np.random.Generator(_BIT_GENERATOR(children[1 + i].spawn(1)[0])) if increments else None)
+        for i in range(d)]
     with _workers(len(jobs)) as run:
         run(jobs)
     return PathEnsemble(model=model, grid=grid, M=m, V=V.transpose(2, 0, 1),
-                        dW=dW.transpose(2, 0, 1) if increments else None, dWperp=dWperp)
+                        dB=dB.transpose(2, 0, 1) if increments else None)
 
 
 def _cpu_count() -> int:
@@ -421,8 +418,8 @@ def _workers(count: int):
     """run(jobs): rounds of at most ``count`` independent jobs on threads
     that the rounds share, re-raising the first error.
 
-    Jobs: an engine chunk's assets and its dWperp draw, or the path ranges
-    of the wealth recursion, one round per block of steps when the ranges
+    Jobs: an engine chunk's assets, or the path ranges of the wealth
+    recursion, one round per block of steps when the ranges
     meet.  Each job's BLAS calls start their own threads, so the jobs get
     CPUs // BLAS threads workers (``_pool_size``).  The BLAS thread count
     is known when VOLTMARK_THREADS set it (``_BLAS_THREADS``); otherwise
@@ -478,13 +475,14 @@ def _asset_scratch(n: int, r: int, k: int, m: int) -> tuple:
     field and a chunk of m paths: a sub-block's normals (_SUB, r, m), a
     cell's vol (m,), a block's noise and drift (_BLOCK, r+1, m), the
     product of a cell or a sub-block, in the leading rows of
-    (_BLOCK - _SUB, m), the sub-block flush's lag factor (``_lag_blocks``), the far-field slabs and the
-    history of compressed blocks, k rows for each block but the last."""
+    (_BLOCK - _SUB, m), the sub-block flush's lag factor (``_lag_blocks``), the far-field slabs, the
+    history of compressed blocks, k rows for each block but the last, and
+    a sub-block's DW increments (_SUB, m), which a V-only stream never touches."""
     blocks = (n - 1) // _BLOCK
     return (_mapped((_SUB, r, m)), _mapped((m,)), _mapped((_BLOCK, r + 1, m)),
             _mapped((_BLOCK - _SUB, m)),
             _mapped((max(0, min(_BLOCK, n) - _SUB), _SUB * (r + 1))),
-            _mapped((_BLOCK, blocks * k)), _mapped((blocks * k, m)))
+            _mapped((_BLOCK, blocks * k)), _mapped((blocks * k, m)), _mapped((_SUB, m)))
 
 
 def _lag_blocks(F_aug: np.ndarray, width: int, out: np.ndarray) -> None:
@@ -497,12 +495,18 @@ def _lag_blocks(F_aug: np.ndarray, width: int, out: np.ndarray) -> None:
 
 def _advance_asset(model: MarketModel, i: int, fac: GaussianBlockFactor,
                    sig: np.ndarray, rng: np.random.Generator,
-                   V: np.ndarray, dW: np.ndarray | None) -> None:
+                   V: np.ndarray, dB: np.ndarray | None,
+                   rng_perp: np.random.Generator | None) -> None:
     """Blocked Volterra accumulation of one asset over one chunk of paths, in place.
 
     V is the asset's contiguous time-major (n+1, m) slab of the chunk's
-    m paths, holding V0 in row 0 and zeros below; dW is its (n, m) slab
-    of increments, or None when they are not kept.  Each cell l adds
+    m paths, holding V0 in row 0 and zeros below; dB is its (n, m) slab
+    of asset-driving increments, or None when they are not kept.  Each
+    sub-block's factor normals come in one fill from rng, and with dB
+    its W-perp normals N in one fill from rng_perp into its rows of dB,
+    which at the end of the sub-block become
+    DB = rho DW - sqrt(1 - rho^2) (sqrt(dt) N), one rounding per
+    product, with the cells' DW = f_dw z in a scratch of ``_SUB`` rows.  Each cell l adds
     drift_l C[k-l] + vol_l G_{k,l} to every later time k; a row of V
     becomes V0 + sum once its last contribution is in.  Contributions to
     the times of the cell's own sub-block of ``_SUB`` cells are added at
@@ -524,7 +528,7 @@ def _advance_asset(model: MarketModel, i: int, fac: GaussianBlockFactor,
     # factor's column-major order, which decides numpy's matmul
     # route for F_aug[:m] (its own loop for one row) and so the rounding
     F_aug = np.concatenate([fac.factor[:n], fac.c_seg[:, None]], axis=1)  # (n, r+1)
-    z, vol, y_blk, near, f_sub, u_slabs, history = _asset_scratch(n, r, k, M)
+    z, vol, y_blk, near, f_sub, u_slabs, history, dw = _asset_scratch(n, r, k, M)
     _lag_blocks(F_aug, _SUB, f_sub)
     blocks = (n - 1) // _BLOCK          # blocks with a far field
     for s in range(blocks):  # slab s: U's rows for the s-th block back
@@ -533,6 +537,7 @@ def _advance_asset(model: MarketModel, i: int, fac: GaussianBlockFactor,
     f_dw = fac.factor[n]
     mu0, lam = model.mu0[i], model.lam[i]
     nu = model.nu[i]
+    rho, comp, root_dt = model.rho[i], np.sqrt(1.0 - model.rho[i] ** 2), np.sqrt(fac.grid.dt)
     V0 = V[0]
     with np.errstate(over="ignore", invalid="ignore"):  # errstate is per thread
         for b, lo in enumerate(range(0, n, _BLOCK)):
@@ -544,11 +549,11 @@ def _advance_asset(model: MarketModel, i: int, fac: GaussianBlockFactor,
                 s_hi = min(s_lo + _SUB, hi)   # sub-block holds cells s_lo+1 .. s_hi
                 # one fill in cell order draws the bits of one call per cell
                 rng.standard_normal(out=z[: s_hi - s_lo])
+                if dB is not None:
+                    perp = rng_perp.standard_normal(out=dB[s_lo:s_hi])
                 for ell in range(s_lo + 1, s_hi + 1):
                     v_prev = V[ell - 1]
                     z_ell = z[ell - s_lo - 1]
-                    if dW is not None:
-                        np.matmul(f_dw, z_ell, out=dW[ell - 1])
                     np.maximum(v_prev, 0.0, out=vol)
                     np.sqrt(vol, out=vol)
                     np.multiply(nu * sig[ell - 1], vol, out=vol)
@@ -560,6 +565,12 @@ def _advance_asset(model: MarketModel, i: int, fac: GaussianBlockFactor,
                     np.matmul(F_aug[:m_loc], y, out=near[:m_loc])
                     V[ell : s_hi + 1] += near[:m_loc]
                     V[ell] += V0
+                if dB is not None:           # DB = rho DW - comp sqrt(dt) N, DW = f_dw z
+                    dw_sub = np.matmul(f_dw, z[: s_hi - s_lo], out=dw[: s_hi - s_lo])
+                    dw_sub *= rho
+                    perp *= root_dt
+                    perp *= comp
+                    np.subtract(dw_sub, perp, out=perp)
                 if s_hi < hi:                 # then the sub-block has _SUB cells
                     rows = hi - s_hi          # block times s_hi+1 .. hi
                     Y = y_blk[s_lo - lo : s_hi - lo].reshape(_SUB * (r + 1), M)
@@ -576,25 +587,15 @@ def correlate_asset_brownian(ensemble: PathEnsemble, model: MarketModel) -> np.n
 
     This is the reconstruction B = Sigma^T W - sqrt(I - Sigma^T Sigma)
     W-perp of the model's correlation structure; the joint law of (V, B)
-    is the same as with the forward construction.  Raises ParameterError
-    on a V-only ensemble.
+    is the same as with the forward construction.  The engine forms them
+    at the ensemble model's rho, so this returns the ensemble's dB.
+    Raises ParameterError on a V-only ensemble and on a model whose rho
+    differs from the ensemble model's.
     """
-    return _asset_increments(model, *_increments(ensemble))
-
-
-def _increments(ensemble: PathEnsemble) -> tuple[np.ndarray, np.ndarray]:
-    """(dW, dWperp) of an ensemble; ParameterError when it holds V only."""
-    if ensemble.dW is None or ensemble.dWperp is None:
+    if ensemble.dB is None:
         raise ParameterError("ensemble holds V only (simulated with increments=False), "
                              "not the Brownian increments")
-    return ensemble.dW, ensemble.dWperp
-
-
-def _asset_increments(model: MarketModel, dW: np.ndarray, dWperp: np.ndarray,
-                      out=(None, None)) -> np.ndarray:
-    """DB from (M, d, k) slices of DW and DWperp, for any run of cells k, into
-    out[0] if given, with out[1] as scratch of the same shape."""
-    rho = model.rho
-    comp = np.sqrt(1.0 - rho**2)
-    return np.subtract(np.multiply(rho[None, :, None], dW, out=out[1]),
-                       np.multiply(comp[None, :, None], dWperp, out=out[0]), out=out[0])
+    if not np.array_equal(model.rho, ensemble.model.rho):
+        raise ParameterError(f"model rho {model.rho.tolist()} differs from the rho "
+                             f"{ensemble.model.rho.tolist()} that the ensemble's increments hold")
+    return ensemble.dB

@@ -6,8 +6,9 @@ Picard fixed-point solve of the Riccati-Volterra system and the Adams
 loop in d-vector steps that pins the scalar solver's bits, the exact
 second moments of the path scheme, the dense cell covariance and its
 Gaussian factor by np.linalg.eigh, the path engine with a dense far
-field pushed to every later time, the wealth step factors by
-np.einsum and the wealth recursion one step at a time, the wealth statistics from whole wealth and strategy paths,
+field pushed to every later time, the asset-driving increments from
+DW and DWperp, the wealth step factors by np.einsum and the wealth
+recursion one step at a time, the wealth statistics from whole wealth and strategy paths,
 the resolvent density's L2 norm by adaptive quadrature and the standard
 errors of per-column means and variances by a multinomial bootstrap
 over paths."""
@@ -39,7 +40,6 @@ from voltmark.simulate import (
     _BLOCK,
     _FACTOR_RTOL,
     _SUB,
-    _asset_increments,
     _lag_blocks,
     require_finite,
     simulate_variance_chunks,
@@ -290,13 +290,22 @@ def _dense_path_bounds(rows: int, M: int, far_cells: int) -> list[int]:
     return [j * cols for j in range(max(1, M // cols))] + [M]
 
 
-def dense_advance_asset(model, i, fac, sig, rng, V, dW, *, far_cells: int = 1 << 19) -> None:
+def asset_increments(rho, dW: np.ndarray, dWperp: np.ndarray) -> np.ndarray:
+    """DB = rho DW - sqrt(1 - rho^2) DWperp, one rounding per product; rho
+    broadcasts against dW and dWperp."""
+    return rho * dW - np.sqrt(1.0 - np.square(rho)) * dWperp
+
+
+def dense_advance_asset(model, i, fac, sig, rng, V, dB, rng_perp, *,
+                        far_cells: int = 1 << 19) -> None:
     """The path engine with the dense far field, a drop-in for
     ``simulate._advance_asset``: the same draws, near field and 8-cell
     sub-block flushes, but at the end of each 64-cell block one product of
     the whole lag-block matrix (``_lag_blocks`` at width 64) adds the
     block's cells to every later time, split into path ranges of about
-    ``far_cells`` product entries (``_dense_path_bounds``)."""
+    ``far_cells`` product entries (``_dense_path_bounds``).  Each cell
+    draws its W-perp normals N on its own and writes its DB from DW and
+    sqrt(dt) N by ``asset_increments``."""
     n, M = fac.grid.n, V.shape[1]
     r = fac.rank
     F_aug = np.concatenate([fac.factor[:n], fac.c_seg[:, None]], axis=1)
@@ -317,8 +326,9 @@ def dense_advance_asset(model, i, fac, sig, rng, V, dW, *, far_cells: int = 1 <<
                 for ell in range(s_lo + 1, s_hi + 1):
                     v_prev = V[ell - 1]
                     rng.standard_normal(out=z)
-                    if dW is not None:
-                        np.matmul(f_dw, z, out=dW[ell - 1])
+                    if dB is not None:
+                        dWperp = np.sqrt(fac.grid.dt) * rng_perp.standard_normal(M)
+                        dB[ell - 1] = asset_increments(model.rho[i], f_dw @ z, dWperp)
                     np.maximum(v_prev, 0.0, out=vol)
                     np.sqrt(vol, out=vol)
                     np.multiply(nu * sig[ell - 1], vol, out=vol)
@@ -347,13 +357,12 @@ def dense_advance_asset(model, i, fac, sig, rng, V, dW, *, far_cells: int = 1 <<
 def einsum_step_factors(model, ensemble, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gains g = -coef sqrt(V^+) (M, d, n) and wealth step factors
     s_k = (g sqrt(V^+)) . theta dt + g . DB_k (n, M) over the whole grid,
-    the d-sums taken by np.einsum."""
+    the d-sums taken by np.einsum, with DB the ensemble's dB."""
     V = ensemble.V[:, :, :-1]
     root = np.sqrt(np.maximum(V, 0.0))
     gain = -coef[None] * root
-    dB = _asset_increments(model, ensemble.dW, ensemble.dWperp)
     s = np.einsum("mdk,mdk,d->km", gain, root, model.theta) * ensemble.grid.dt
-    return gain, s + np.einsum("mdk,mdk->km", gain, dB)
+    return gain, s + np.einsum("mdk,mdk->km", gain, ensemble.dB)
 
 
 def stepwise_wealth(model, ensemble, solution, stabs, xi_star: float) -> tuple:

@@ -15,7 +15,7 @@ from oracles import dense_advance_asset
 from voltmark import markowitz, simulate
 from voltmark.kernels import ParameterError
 from voltmark.markowitz import affine_wealth_terminal, laplace_affine_check
-from voltmark.model import Grid
+from voltmark.model import Grid, MarketModel
 from voltmark.riccati import solve_riccati_adams
 from voltmark.simulate import (
     _CHUNK_PATHS as C,
@@ -42,8 +42,7 @@ def test_first_chunk_does_not_depend_on_M(model_t1, stabs_t1, M):
     ens = _paths(model_t1, stabs_t1, M)
     assert ens.V.shape == (M, 2, GRID.n + 1)
     assert np.array_equal(ens.V[:C], ref.V)
-    assert np.array_equal(ens.dW[:C], ref.dW)
-    assert np.array_equal(ens.dWperp[:C], ref.dWperp)
+    assert np.array_equal(ens.dB[:C], ref.dB)
 
 
 @pytest.mark.parametrize("M", EDGES)
@@ -57,9 +56,8 @@ def test_chunks_are_the_columns_of_the_whole_ensemble(model_t1, stabs_t1, M):
     for c, (ch, vo) in enumerate(zip(full, v_only)):
         paths = slice(c * C, c * C + ch.M)
         assert np.array_equal(ch.V, whole.V[paths])
-        assert np.array_equal(ch.dW, whole.dW[paths])
-        assert np.array_equal(ch.dWperp, whole.dWperp[paths])
-        assert vo.dW is None and vo.dWperp is None
+        assert np.array_equal(ch.dB, whole.dB[paths])
+        assert vo.dB is None
         assert np.array_equal(vo.V, ch.V)
 
 
@@ -106,24 +104,30 @@ def test_chunks_do_not_depend_on_the_thread_count(model_t1, stabs_t1, monkeypatc
     two = _paths(model_t1, stabs_t1, M)
     assert pool_sizes == [2, 2, 2]          # one pool per chunk
     assert np.array_equal(one.V, two.V)
-    assert np.array_equal(one.dW, two.dW)
-    assert np.array_equal(one.dWperp, two.dWperp)
+    assert np.array_equal(one.dB, two.dB)
 
 
 def test_chunk_streams_are_successive_spawn_groups(model_t1, stabs_t1):
-    # chunk c draws V0 and then, in place, dWperp = sqrt(dt) N(0, 1) from
-    # child 0 of the c-th spawn(1 + d) group of SeedSequence(seed), through
-    # the engine's bit generator
+    # chunk c draws V0 from child 0 of the c-th spawn(1 + d) group of
+    # SeedSequence(seed), and asset i its W-perp normals N from the first
+    # child that child 1 + i spawns, each through the engine's bit
+    # generator; at rho = 0 the asset increments are dB = -sqrt(dt) N
     M = C + 300
-    ens = _paths(model_t1, stabs_t1, M)
+    rho0 = MarketModel(d=2, alpha=model_t1.alpha, lam=model_t1.lam, nu=model_t1.nu,
+                       rho=0.0, theta=model_t1.theta, mu0=model_t1.mu0, c=model_t1.c,
+                       r=model_t1.r, x0=model_t1.x0, T=model_t1.T)
+    ens = _paths(rho0, stabs_t1, M)
     seq = np.random.SeedSequence(SEED)
     for c0 in (0, C):
         m = min(C, M - c0)
-        rng = np.random.Generator(simulate._BIT_GENERATOR(seq.spawn(3)[0]))
+        children = seq.spawn(3)
+        rng = np.random.Generator(simulate._BIT_GENERATOR(children[0]))
         V0 = simulate.sample_initial_variance(model_t1, m, rng)
         assert np.array_equal(ens.V[c0:c0 + m, :, 0], V0)
-        assert np.array_equal(ens.dWperp[c0:c0 + m],
-                              np.sqrt(GRID.dt) * rng.standard_normal((m, 2, GRID.n)))
+        for i in range(2):
+            perp = np.random.Generator(simulate._BIT_GENERATOR(children[1 + i].spawn(1)[0]))
+            assert np.array_equal(ens.dB[c0:c0 + m, i],
+                                  -(np.sqrt(GRID.dt) * perp.standard_normal((GRID.n, m))).T)
 
 
 @pytest.mark.parametrize("M, other, shared", [
@@ -157,9 +161,8 @@ def test_shared_pass_leaves_before_the_frontier_and_laplace(tmp_path, monkeypatc
 
     def chunks_spy(*args, **kwargs):
         for chunk in real_chunks(*args, **kwargs):
-            if chunk.dW is not None:
-                refs.extend(weakref.ref(obj) for obj in (chunk, chunk.V.base, chunk.dW.base,
-                                                         chunk.dWperp))
+            if chunk.dB is not None:
+                refs.extend(weakref.ref(obj) for obj in (chunk, chunk.V.base, chunk.dB.base))
             yield chunk
             del chunk
 
@@ -185,8 +188,8 @@ def test_shared_pass_leaves_before_the_frontier_and_laplace(tmp_path, monkeypatc
     assert cli.main(["full", "--config", str(path), "--out", str(tmp_path / "o")]) in (0, 4)
     # the wealth stage's two chunks (M = C + 5); the frontier gets their
     # (A_T, B_T) pairs, the Laplace check their exponents
-    assert seen == [("frontier_experiment", 2, 8, [False] * 8),
-                    ("laplace_affine_check", 2, 8, [False] * 8)]
+    assert seen == [("frontier_experiment", 2, 6, [False] * 6),
+                    ("laplace_affine_check", 2, 6, [False] * 6)]
 
 
 @pytest.mark.parametrize("M", [0, -5])
@@ -231,7 +234,37 @@ def test_dropped_chunk_frees_its_arrays(model_t1, stabs_t1):
     # next chunk is asked for
     chunks = simulate_variance_chunks(model_t1, stabs_t1, GRID, 10, SEED)
     chunk = next(chunks)
-    refs = [weakref.ref(a) for a in (chunk.V.base, chunk.dW.base, chunk.dWperp)]
+    refs = [weakref.ref(a) for a in (chunk.V.base, chunk.dB.base)]
     del chunk
     assert all(ref() is None for ref in refs)
     chunks.close()
+
+
+def test_a_chunk_owns_only_v_and_db(model_t1, stabs_t1, monkeypatch):
+    # a chunk with increments maps two arrays the size of its paths, V and
+    # dB, 8 d m (2n + 1) bytes in all, and allocates none on the heap: the
+    # traced peak stays below a tenth of one (n, m) row block
+    import tracemalloc
+
+    mapped, real = [], simulate._mapped
+
+    def spy(shape):
+        arr = real(shape)
+        mapped.append((tuple(np.atleast_1d(shape)), arr))
+        return arr
+
+    monkeypatch.setattr(simulate, "_mapped", spy)
+    chunks = simulate_variance_chunks(model_t1, stabs_t1, GRID, C, SEED)
+    mapped.clear()
+    tracemalloc.start()
+    try:
+        chunk = next(chunks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    d, n = model_t1.d, GRID.n
+    big = [(shape, arr) for shape, arr in mapped if shape[-1] == C and max(shape[:-1], default=0) >= n]
+    assert [shape for shape, _ in big] == [(d, n + 1, C), (d, n, C)]
+    assert np.shares_memory(big[0][1], chunk.V) and np.shares_memory(big[1][1], chunk.dB)
+    assert sum(arr.nbytes for _, arr in big) == 8 * d * C * (2 * n + 1)
+    assert peak < n * C * 8 / 10, peak

@@ -303,7 +303,7 @@ def test_wealth_drops_its_paths_before_the_statistics(tmp_path, monkeypatch):
     # the wealth stage takes the paths chunk by chunk, never as a whole
     # ensemble: it folds each chunk's wealth and strategies per block of
     # steps while it steps that chunk, and lets the chunk go before the
-    # next one; V, dW and dWperp are its largest arrays, and none is
+    # next one; V and dB are its largest arrays, and neither is
     # alive by the time the statistics are taken
     from voltmark import montecarlo, simulate
 
@@ -313,7 +313,7 @@ def test_wealth_drops_its_paths_before_the_statistics(tmp_path, monkeypatch):
 
     def record(chunk):
         chunks.append(weakref.ref(chunk))
-        refs.extend(weakref.ref(obj) for obj in (chunk.V.base, chunk.dW.base, chunk.dWperp))
+        refs.extend(weakref.ref(obj) for obj in (chunk.V.base, chunk.dB.base))
         return chunk
 
     def chunks_spy(*args, **kwargs):
@@ -338,7 +338,7 @@ def test_wealth_drops_its_paths_before_the_statistics(tmp_path, monkeypatch):
     # X and two strategies per chunk (one block of steps), then their
     # three statistics
     assert whole == [] and alive == ([("add", [True])] * 3 + [("add", [False, True])] * 3
-                                     + [("stats", [False] * 8)] * 3)
+                                     + [("stats", [False] * 6)] * 3)
 
 
 def test_v_only_stages_skip_the_increments(tmp_path, monkeypatch):
@@ -498,7 +498,7 @@ def _growth_from_one_to_four_chunks(tmp_path, command: str, n: int, extra=()) ->
 def test_frontier_memory_does_not_grow_with_paths(tmp_path):
     # frontier keeps (A_T, B_T) per path and drops each chunk of paths, so
     # three more chunks must add far less than holding their paths would:
-    # 3 C d (n+1) doubles for V alone, as much again for dW and for dWperp
+    # 3 C d (n+1) doubles for V alone, and about as much again for dB
     peak_mb, budget_mb = _growth_from_one_to_four_chunks(
         tmp_path, "frontier", 200, [("m_count = 8", "m_count = 2")])
     assert peak_mb[1] - peak_mb[0] < budget_mb, peak_mb

@@ -472,24 +472,41 @@ def test_wealth_recursion_keeps_the_bits_of_the_step_loop(model_t1, stabs_t1, mo
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_step_factors_equal_the_einsum_sums(d):
     # the per-asset d-sums of _step_factors against np.einsum's, bit for bit
-    # (signed zeros too) over three blocks of steps; einsum sums a one-step
-    # block (n = 1 mod 64) of d >= 3 assets in its own unrolled order, so n
-    # leaves none here
+    # (signed zeros too) over three blocks of steps, on the time-major
+    # tiles of one path range: 512 paths and the rest; einsum sums a
+    # one-step block (n = 1 mod 64) of d >= 3 assets in its own unrolled
+    # order, so n leaves none here
     assets = dict(alpha=[0.6, 0.7, 0.9], lam=[0.2, 0.3, 0.4], nu=[0.4, 0.3, 0.5],
                   rho=[-0.5, 0.2, -0.7], theta=[0.3, 0.1, 0.25], mu0=[1.0, 1.5, 2.0],
                   c=[0.02, 0.03, 0.04])
     model = MarketModel(d=d, **{k: v[:d] for k, v in assets.items()}, r=0.02, x0=1.0, T=1.0)
-    grid, M = Grid(1.0, 130), 203
+    grid, M = Grid(1.0, 130), 715
     rng = np.random.default_rng(17)
-    V = rng.standard_normal((M, d, grid.n + 1))         # negative entries give zero roots
-    dW, dWperp = rng.standard_normal((2, M, d, grid.n)) * np.sqrt(grid.dt)
-    ens = simulate.PathEnsemble(model=model, grid=grid, M=M, V=V, dW=dW, dWperp=dWperp)
+    V = rng.standard_normal((d, grid.n + 1, M)).transpose(2, 0, 1)   # negative: zero roots
+    dB = (rng.standard_normal((d, grid.n, M)) * np.sqrt(grid.dt)).transpose(2, 0, 1)
+    ens = simulate.PathEnsemble(model=model, grid=grid, M=M, V=V, dB=dB)
     coef = rng.standard_normal((d, grid.n))
     gain_ref, s_ref = einsum_step_factors(model, ens, coef)
-    steps = 0
-    for lo, gain, s, _ in markowitz._step_factors(model, ens, coef, slice(0, M)):
+    cells = 0
+    for lo, tile, gain, s, _ in markowitz._step_factors(model, ens, coef, slice(0, 768)):
         w = len(s)
-        assert np.array_equal(gain.view(np.int64), gain_ref[:, :, lo:lo + w].view(np.int64))
-        assert np.array_equal(s.view(np.int64), s_ref[lo:lo + w].view(np.int64))
-        steps += w
-    assert steps == grid.n
+        assert np.array_equal(gain.view(np.int64),
+                              gain_ref[tile, :, lo:lo + w].transpose(1, 2, 0).view(np.int64))
+        assert np.array_equal(s.view(np.int64), s_ref[lo:lo + w, tile].view(np.int64))
+        cells += s.size
+    assert cells == grid.n * M
+
+
+def test_wealth_rejects_a_model_of_another_rho(model_t1, stabs_t1):
+    # the ensemble's dB holds its model's rho, so a wealth run at another
+    # rho would mix two correlations
+    grid = Grid(1.0, 20)
+    sol = solve_riccati_adams(model_t1, stabs_t1, grid.n)
+    ens = simulate_variance_paths(model_t1, stabs_t1, grid, 30, seed=1, initial="fixed")
+    other = MarketModel(d=2, alpha=model_t1.alpha, lam=model_t1.lam, nu=model_t1.nu,
+                        rho=[-0.7, -0.5], theta=model_t1.theta, mu0=model_t1.mu0,
+                        c=model_t1.c, r=model_t1.r, x0=model_t1.x0, T=model_t1.T)
+    with pytest.raises(ParameterError, match="rho"):
+        affine_wealth_terminal(other, ens, sol, stabs_t1)
+    with pytest.raises(ParameterError, match="rho"):
+        simulate_wealth(other, ens, sol, stabs_t1, 2.5)

@@ -12,6 +12,7 @@ from scipy.integrate import quad
 from conftest import child_env, small_model
 from oracles import (
     _covariance_matrix,
+    asset_increments,
     dense_advance_asset,
     eigh_factor,
     kernel_cross_segment,
@@ -248,8 +249,7 @@ def test_deterministic_under_seed(model_t1, stabs_t1):
     e1 = simulate_variance_paths(model_t1, stabs_t1, g, 25, seed=42)
     e2 = simulate_variance_paths(model_t1, stabs_t1, g, 25, seed=42)
     assert np.array_equal(e1.V, e2.V)
-    assert np.array_equal(e1.dW, e2.dW)
-    assert np.array_equal(e1.dWperp, e2.dWperp)
+    assert np.array_equal(e1.dB, e2.dB)
     e3 = simulate_variance_paths(model_t1, stabs_t1, g, 25, seed=43)
     assert not np.array_equal(e1.V, e3.V)
 
@@ -263,12 +263,13 @@ def test_zero_vol_constant_solution(stabs_t1):
 
 
 def test_markovian_edge_matches_classical_cir():
-    m = small_model(alpha=[1.0], lam=[0.5], nu=[0.9], rho=[-0.3], theta=[0.1], c=[0.04])
+    # rho = 1 makes the asset increments dB the variance's own dW
+    m = small_model(alpha=[1.0], lam=[0.5], nu=[0.9], rho=[1.0], theta=[0.1], c=[0.04])
     stabs = m.build_stabilizers()
     sigma_const = np.sqrt(2.0 * m.lam[0] * m.c[0])  # the exact alpha = 1 stabilizer
     assert stabs[0].eval(0.3) == sigma_const
     ens = simulate_variance_paths(m, stabs, Grid(1.0, 64), 50, seed=3)
-    V, dW = ens.V[:, 0, :], ens.dW[:, 0, :]
+    V, dW = ens.V[:, 0, :], ens.dB[:, 0, :]
     ref = np.empty_like(V)
     ref[:, 0] = V[:, 0]
     dt = 1.0 / 64
@@ -287,19 +288,34 @@ def test_mean_profile_stationary(model_t1, stabs_t1):
     assert np.mean(z <= 3.0) >= 0.97
 
 
+def _with_rho(model, rho):
+    return MarketModel(d=model.d, alpha=model.alpha, lam=model.lam, nu=model.nu, rho=rho,
+                       theta=model.theta, mu0=model.mu0, c=model.c, r=model.r,
+                       x0=model.x0, T=model.T)
+
+
 def test_correlate_asset_brownian_limits(model_t1, stabs_t1):
+    # rho = 1 gives dB = dW and rho = 0 gives dB = -sqrt(dt) N, the W-perp
+    # normals of the asset's own spawned stream; V does not depend on rho
     g = Grid(1.0, 40)
+    m_limits = _with_rho(model_t1, [1.0, 0.0])
     ens = simulate_variance_paths(model_t1, stabs_t1, g, 2000, seed=17)
-    m_pos = MarketModel(d=2, alpha=model_t1.alpha, lam=model_t1.lam, nu=model_t1.nu,
-                        rho=[1.0, 0.0], theta=model_t1.theta, mu0=model_t1.mu0,
-                        c=model_t1.c, r=model_t1.r, x0=model_t1.x0, T=1.0)
-    dB = correlate_asset_brownian(ens, m_pos)
-    assert np.array_equal(dB[:, 0, :], ens.dW[:, 0, :])          # rho = 1
-    assert np.array_equal(dB[:, 1, :], -ens.dWperp[:, 1, :])     # rho = 0
-    # generic rho: empirical correlation within 3 SE
+    limits = simulate_variance_paths(m_limits, stabs_t1, g, 2000, seed=17)
+    assert np.array_equal(limits.V, ens.V)
+    dB = correlate_asset_brownian(limits, m_limits)
+    assert dB is limits.dB
+    children = np.random.SeedSequence(17).spawn(3)
+    perp = np.random.Generator(simulate._BIT_GENERATOR(children[2].spawn(1)[0]))
+    assert np.array_equal(dB[:, 1, :], -(np.sqrt(g.dt) * perp.standard_normal((g.n, 2000))).T)
+    fac = build_gaussian_factor(fractional_kernel(model_t1.alpha[0]), g)
+    z = np.random.Generator(simulate._BIT_GENERATOR(children[1])).standard_normal((g.n, fac.rank,
+                                                                                    2000))
+    assert np.array_equal(dB[:, 0, :], (fac.factor[g.n] @ z).T)
+    # generic rho: empirical correlation with dW, the dB of rho = 1, within 3 SE
+    dW = simulate_variance_paths(_with_rho(model_t1, 1.0), stabs_t1, g, 2000, seed=17).dB
     dB2 = correlate_asset_brownian(ens, model_t1)
     for i in range(2):
-        x = ens.dW[:, i, :].ravel()
+        x = dW[:, i, :].ravel()
         y = dB2[:, i, :].ravel()
         corr = np.corrcoef(x, y)[0, 1]
         assert abs(corr - model_t1.rho[i]) <= 3.0 / np.sqrt(len(x))
@@ -307,9 +323,26 @@ def test_correlate_asset_brownian_limits(model_t1, stabs_t1):
     assert np.var(dB2[:, 0, :]) == pytest.approx(g.dt, rel=0.1)
 
 
+def test_asset_increments_follow_the_formula(model_t1, stabs_t1):
+    # dB at the bundled rho is rho dW - sqrt(1 - rho^2) dWperp bit for bit,
+    # with dW from a rho = 1 ensemble and dWperp from a rho = 0 one
+    g = Grid(1.0, 70)
+    dB, dW, neg_perp = (simulate_variance_paths(m, stabs_t1, g, 300, seed=12).dB for m in
+                        (model_t1, _with_rho(model_t1, 1.0), _with_rho(model_t1, 0.0)))
+    assert np.array_equal(dB, asset_increments(model_t1.rho[:, None], dW, -neg_perp))
+
+
+def test_asset_increments_hold_the_ensemble_rho(model_t1, stabs_t1):
+    from voltmark.kernels import ParameterError
+
+    ens = simulate_variance_paths(model_t1, stabs_t1, Grid(1.0, 10), 5, seed=1)
+    with pytest.raises(ParameterError, match="rho"):
+        correlate_asset_brownian(ens, _with_rho(model_t1, [-0.7, 0.5]))
+
+
 @pytest.mark.parametrize("initial", ["stationary", "fixed"])
 def test_v_only_ensemble_equals_full(model_t1, stabs_t1, monkeypatch, initial):
-    # skipping dW and the dWperp draw leaves V0 and V bit for bit; M is
+    # skipping dB and the W-perp draws leaves V0 and V bit for bit; M is
     # not a multiple of 64 and the two assets run on two threads
     pool_sizes = []
     real_pool = simulate.ThreadPoolExecutor
@@ -326,7 +359,7 @@ def test_v_only_ensemble_equals_full(model_t1, stabs_t1, monkeypatch, initial):
     v_only = simulate_variance_paths(model_t1, stabs_t1, g, 203, seed=5, initial=initial,
                                      increments=False)
     assert pool_sizes == [2, 2]
-    assert v_only.dW is None and v_only.dWperp is None
+    assert v_only.dB is None
     assert np.array_equal(v_only.V[:, :, 0], full.V[:, :, 0])
     assert np.array_equal(v_only.V, full.V)
 
@@ -349,14 +382,14 @@ def test_store_noise_rejected(model_t1, stabs_t1):
 
 def test_time_major_views(model_t1, stabs_t1):
     ens = simulate_variance_paths(model_t1, stabs_t1, Grid(1.0, 12), 9, seed=4)
-    assert ens.V.shape == (9, 2, 13) and ens.dW.shape == (9, 2, 12)
+    assert ens.V.shape == (9, 2, 13) and ens.dB.shape == (9, 2, 12)
     # each asset's time steps are contiguous rows of paths
     assert ens.V.base is not None and ens.V.transpose(1, 2, 0).flags.c_contiguous
-    assert ens.dW.transpose(1, 2, 0).flags.c_contiguous
+    assert ens.dB.transpose(1, 2, 0).flags.c_contiguous
 
 
 def test_concurrent_assets_equal_sequential(monkeypatch):
-    # five assets and the dWperp draw on six threads, more than the
+    # five assets on five threads, more than the
     # cores, with a short switch interval, give the same bits as running
     # them one after the other on the calling thread
     m = small_model(d=5, alpha=[0.6, 0.7, 0.8, 0.9, 1.0], nu=[0.3, 0.4, 0.5, 0.6, 0.7])
@@ -380,10 +413,9 @@ def test_concurrent_assets_equal_sequential(monkeypatch):
         par = simulate_variance_paths(m, stabs, g, 700, seed=8)
     finally:
         sys.setswitchinterval(interval)
-    assert pool_sizes == [6]                 # d asset jobs and the dWperp draw
+    assert pool_sizes == [5]                 # d asset jobs
     assert np.array_equal(seq.V, par.V)
-    assert np.array_equal(seq.dW, par.dW)
-    assert np.array_equal(seq.dWperp, par.dWperp)
+    assert np.array_equal(seq.dB, par.dB)
 
 
 def test_asset_threads_leave_room_for_blas_threads(monkeypatch):
@@ -476,7 +508,8 @@ def test_engine_matches_naive_volterra_sum(model_t1, stabs_t1, n):
     # with G_{k,l} = factor[k-l] . z_l from the same per-asset draws.
     # n = 150 is blocks of 64 + 64 + 22 cells, the last one's last
     # sub-block 6 cells; n = 67 a last block of 3.  Both pull earlier
-    # blocks through the far field
+    # blocks through the far field.  Each cell's dB is rho dW - sqrt(1 - rho^2)
+    # sqrt(dt) N, with dW = factor[n] . z_l and N from the asset's spawned stream
     g = Grid(1.0, n)
     M, seed = 200, 21
     ens = simulate_variance_paths(model_t1, stabs_t1, g, M, seed, initial="fixed")
@@ -484,6 +517,7 @@ def test_engine_matches_naive_volterra_sum(model_t1, stabs_t1, n):
     for i in range(model_t1.d):
         fac = build_gaussian_factor(fractional_kernel(model_t1.alpha[i]), g)
         rng = np.random.Generator(simulate._BIT_GENERATOR(children[1 + i]))
+        perp = np.random.Generator(simulate._BIT_GENERATOR(children[1 + i].spawn(1)[0]))
         sig = np.asarray(stabs_t1[i].eval(g.times[:-1]))
         mu0, lam, nu = model_t1.mu0[i], model_t1.lam[i], model_t1.nu[i]
         V = np.empty((n + 1, M))
@@ -491,7 +525,9 @@ def test_engine_matches_naive_volterra_sum(model_t1, stabs_t1, n):
         drift, vol_noise = [], []           # per cell l: drift and vol * z_l
         for k in range(1, n + 1):
             z = rng.standard_normal((fac.rank, M))
-            assert np.array_equal(ens.dW[:, i, k - 1], fac.factor[n] @ z)
+            dWperp = np.sqrt(g.dt) * perp.standard_normal(M)
+            assert np.array_equal(ens.dB[:, i, k - 1],
+                                  asset_increments(model_t1.rho[i], fac.factor[n] @ z, dWperp))
             v = V[k - 1]
             drift.append(mu0 - lam * v)
             vol_noise.append(nu * sig[k - 1] * np.sqrt(np.maximum(v, 0.0)) * z)
