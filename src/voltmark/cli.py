@@ -27,17 +27,24 @@ horizon takes ``RunContext.at(T)``, which keeps the stabilizers.
 ``full`` first applies its late stages' own rules (the frontier
 horizons, the target m, the Laplace forcing u), so a config that one of
 them would refuse fails before the first stage writes anything.
+Every stage with paths reads a block stream
+(``simulate.simulate_variance_blocks``) and folds each block of 64
+steps before the engine advances the next, so no stage holds a chunk's
+V, dB, wealth or strategy paths.
 One fixed-start pass serves three stages of ``full``: each chunk's wealth
 recursion also gives the frontier at the config horizon its (A_T, B_T),
 and, when laplace_M equals mc.M (same seed, grid and start, so the same
-paths), the Laplace check its exponents; otherwise the Laplace stage
-simulates its own stream, as ``voltmark laplace`` does.
-The wealth stage folds X and the strategies per block of 64 steps as the
-recursion steps them, so it holds no chunk's wealth or strategy paths.
+paths), each of its blocks the Laplace check's time integrals (``tap``);
+otherwise the Laplace stage simulates its own stream, as
+``voltmark laplace`` does.
+The manifest's ``stages`` holds one record per stage in run order (the
+command itself, or each stage of ``full``): its name, ``wall_s`` and the
+process's peak resident set at its end, ``vmhwm_mb``.
 """
 
 import argparse
 import configparser
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -263,14 +270,20 @@ def run_riccati(run: RunContext, out_dir: str) -> int:
 
 def run_simulate(run: RunContext, out_dir: str, M: int | None = None,
                  dump_paths: bool = False, gate: bool = False) -> int:
-    """Stationary-start statistics on M paths (mc.M by default), chunk by chunk;
-    they and --dump-paths read V alone, so no Brownian increments are simulated."""
+    """Stationary-start statistics on M paths (mc.M by default), folded
+    block by block; they and --dump-paths read V alone, so no Brownian
+    increments are simulated.  --dump-paths takes whole chunks
+    (``simulate_variance_chunks``), which the fold reads block by block too."""
     cfg = run.cfg
     M = cfg["M"] if M is None else M
-    chunks = simulate.simulate_variance_chunks(run.model, run.stabs, run.grid, M, cfg["seed"],
-                                               initial="stationary", increments=False)
     if dump_paths:
-        chunks = _dumped(os.path.join(out_dir, "paths.bin"), chunks, M, run.model.d, run.grid)
+        chunks = _dumped(os.path.join(out_dir, "paths.bin"), simulate.simulate_variance_chunks(
+            run.model, run.stabs, run.grid, M, cfg["seed"], initial="stationary",
+            increments=False), M, run.model.d, run.grid)
+    else:
+        chunks = simulate.simulate_variance_blocks(run.model, run.stabs, run.grid, M,
+                                                   cfg["seed"], initial="stationary",
+                                                   increments=False)
     report = montecarlo.stationarity_diagnostics(chunks, run.model)
     for i, st in enumerate(report.stats):
         write_csv(
@@ -283,31 +296,34 @@ def run_simulate(run: RunContext, out_dir: str, M: int | None = None,
     return 0 if (report.passed or not gate) else EXIT_ACCEPTANCE
 
 
-def run_wealth(run: RunContext, out_dir: str, tap=lambda chunk, A_T, B_T: None) -> int:
-    """Wealth under the optimal strategy, simulated chunk by chunk of
-    variance paths, so that no whole ensemble is held; X and the strategies
-    fold per block of 64 steps as the recursion steps them
-    (``markowitz._wealth_recursion``), so no chunk's paths of them are held
-    either.  tap(chunk, A_T, B_T) reads each chunk and its (A_T, B_T) too
-    before they go."""
+def run_wealth(run: RunContext, out_dir: str, tap=None, pairs=None) -> int:
+    """Wealth under the optimal strategy, block by block of the variance
+    paths: X and the strategies fold per block of 64 steps as the
+    recursion steps them (``markowitz._wealth_recursion``), so no chunk's
+    paths of V, dB, wealth or strategy are held.  tap(lo, V, dB) reads
+    each block of the paths too, and pairs, a list, takes each chunk's
+    (A_T, B_T)."""
     cfg, model, stabs, grid = run.cfg, run.model, run.stabs, run.grid
     sol = riccati.solve_riccati_adams(model, stabs, grid.n)
     ms = markowitz.solve_markowitz(model, sol, stabs, cfg["m"])
-    chunks = simulate.simulate_variance_chunks(model, stabs, grid, cfg["M"], cfg["seed"],
+    chunks = simulate.simulate_variance_blocks(model, stabs, grid, cfg["M"], cfg["seed"],
                                                initial="fixed")
+    if tap is not None:
+        chunks = (chunk.tapped(tap) for chunk in chunks)
     # one accumulator per block of steps [lo, hi), by lo: X_lo .. X_{hi-1}
     # (X_n too in the last block) and each asset's alpha_lo .. alpha_{hi-1}
     wealth, strategies = {}, [{} for _ in range(model.d)]
+    scratch = montecarlo._fold_scratch(min(cfg["M"], simulate._CHUNK_PATHS))
 
     def fold(lo, x, alpha):
         last = lo + alpha.shape[2] == grid.n
-        wealth.setdefault(lo, montecarlo.ColumnMoments()).add(x if last else x[:, :-1])
+        wealth.setdefault(lo, montecarlo.ColumnMoments()).add(x if last else x[:, :-1], scratch)
         for i, acc in enumerate(strategies):
-            acc.setdefault(lo, montecarlo.ColumnMoments()).add(alpha[:, i])
+            acc.setdefault(lo, montecarlo.ColumnMoments()).add(alpha[:, i], scratch)
 
-    for chunk in chunks:
-        tap(chunk, *markowitz._wealth_recursion(model, chunk, sol, stabs, ms.xi_star, fold))
-        del chunk  # before the engine simulates the next one
+    for pair in markowitz._wealth_recursion(model, sol, stabs, chunks, ms.xi_star, fold):
+        if pairs is not None:
+            pairs.append(pair)
     xstats = montecarlo.joined_stats(wealth.values())
     astats = [montecarlo.joined_stats(acc.values()) for acc in strategies]
     cols = [grid.times, xstats.mean, xstats.ci_low, xstats.ci_high]
@@ -369,7 +385,9 @@ def run_laplace(run: RunContext, out_dir: str, exponents=None) -> int:
     return 0 if rep.passed else EXIT_ACCEPTANCE
 
 
-def run_full(run: RunContext, out_dir: str) -> int:
+def run_full(run: RunContext, out_dir: str, stage) -> int:
+    """Every stage in turn, each timed by stage(name), a context manager
+    (``_Stages``)."""
     cfg, grid = run.cfg, run.grid
     # the late stages' own rules, so that a config they refuse writes nothing
     for T in cfg["frontier_horizons"]:
@@ -379,32 +397,69 @@ def run_full(run: RunContext, out_dir: str) -> int:
     riccati._laplace_forcing(run.model, cfg["u"])
     status = 0
     print("== stabilizer ==")
-    status = max(status, run_stabilizer(run, out_dir))
+    with stage("stabilizer"):
+        status = max(status, run_stabilizer(run, out_dir))
     print("== riccati ==")
-    status = max(status, run_riccati(run, out_dir))
+    with stage("riccati"):
+        status = max(status, run_riccati(run, out_dir))
     print("== stationarity ==")
-    status = max(status, run_simulate(run, out_dir, M=cfg["stationarity_M"], gate=True))
+    with stage("stationarity"):
+        status = max(status, run_simulate(run, out_dir, M=cfg["stationarity_M"], gate=True))
     print("== wealth ==")
     # the wealth stage's recursions also give the frontier at the config horizon
-    # its (A_T, B_T), and its chunks the Laplace check its exponents when the
+    # its (A_T, B_T), and its blocks the Laplace check its exponents when the
     # Laplace ensemble is the wealth stage's: same seed, grid, start and size
-    pairs = []
-    exponents = [] if cfg["laplace_M"] == cfg["M"] else None
+    pairs = [] if grid.T in cfg["frontier_horizons"] else None
+    integrals = []   # per chunk: the time integral of V, block by block
 
-    def tap(chunk, A_T, B_T):
-        if grid.T in cfg["frontier_horizons"]:
-            pairs.append((A_T, B_T))
-        if exponents is not None:
-            exponents.append(markowitz._laplace_exponents(chunk.V, grid.dt, np.asarray(cfg["u"])))
+    def tap(lo, V, dB):
+        if lo == 0:
+            integrals.append(None)
+        integrals[-1] = markowitz._time_integral(integrals[-1], V, grid.dt)
 
-    status = max(status, run_wealth(run, out_dir, tap))
+    shared = cfg["laplace_M"] == cfg["M"]
+    with stage("wealth"):
+        status = max(status, run_wealth(run, out_dir, tap if shared else None, pairs))
     for T in cfg["frontier_horizons"]:
         print(f"== frontier T={T:g} ==")
-        terminal = pairs if T == grid.T else None
-        status = max(status, run_frontier(run, out_dir, T=T, terminal=terminal))
+        with stage(f"frontier_T{T:g}"):
+            terminal = pairs if T == grid.T else None
+            status = max(status, run_frontier(run, out_dir, T=T, terminal=terminal))
     print("== laplace ==")
-    status = max(status, run_laplace(run, out_dir, exponents))
+    u = np.asarray(cfg["u"])
+    exponents = [total.T @ u for total in integrals] if shared else None
+    with stage("laplace"):
+        status = max(status, run_laplace(run, out_dir, exponents))
     return status
+
+
+class _Stages:
+    """Per-stage telemetry of one command: ``stage(name)`` times the block it
+    wraps and appends {name, wall_s, vmhwm_mb} to ``records``, in run order,
+    with the process's peak resident set (VmHWM in /proc/self/status, in
+    MB; None where the file or the field is absent) at the stage's end."""
+
+    def __init__(self):
+        self.records = []
+
+    @contextlib.contextmanager
+    def __call__(self, name: str):
+        t0 = time.perf_counter()
+        yield
+        self.records.append({"name": name, "wall_s": time.perf_counter() - t0,
+                             "vmhwm_mb": _vmhwm_mb()})
+
+
+def _vmhwm_mb():
+    """VmHWM of this process in MB, or None where /proc does not give it."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    return None
 
 
 _RUNNERS = {
@@ -455,11 +510,17 @@ def main(argv=None) -> int:
 
     try:
         run = RunContext.build(cfg)
-        if args.command == "simulate":
-            status = run_simulate(run, out_dir, dump_paths=args.dump_paths)
+        stage = _Stages()
+        if args.command == "full":
+            status = run_full(run, out_dir, stage)
         else:
-            status = _RUNNERS[args.command](run, out_dir)
-        write_manifest(out_dir, cfg, text, extra={"command": args.command})
+            with stage(args.command):
+                if args.command == "simulate":
+                    status = run_simulate(run, out_dir, dump_paths=args.dump_paths)
+                else:
+                    status = _RUNNERS[args.command](run, out_dir)
+        write_manifest(out_dir, cfg, text, extra={"command": args.command,
+                                                  "stages": stage.records})
     except ParameterError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -16,16 +16,17 @@ With psi solved, everything the Markowitz problem needs is explicit:
   the efficient frontier m = x0 e^(rT) + sigma sqrt(e^(2rT)/Gamma0 - 1)
   and the optimal terminal variance V(m).
 * a wealth Euler scheme driven by the same increments as the variance
-  ensemble, run in one recursion of its affine form X = A + xi* B, which
-  gives the wealth and strategy of one target block by block of steps, or
-  the X_T of every frontier target, and the exponential-affine Laplace-transform check that pits
+  paths, run in one recursion of its affine form X = A + xi* B over the
+  block stream, which gives the wealth and strategy of one target block
+  by block of steps, or the X_T of every frontier target, and the
+  exponential-affine Laplace-transform check that pits
   a Monte Carlo functional of the paths, controlled by the exact mean of
   its exponent, against the closed form, by the 3-SE gate that every
   Monte Carlo check reads (``z_score``).
 """
 
+import contextlib
 import functools
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +47,7 @@ from .simulate import (
     _workers,
     correlate_asset_brownian,
     require_finite,
-    simulate_variance_chunks,
+    simulate_variance_blocks,
 )
 
 _GAMMA0_REFINE = 2400
@@ -288,91 +289,101 @@ _WEALTH_BLOCK = 64
 _WEALTH_TILE = 512
 
 
-def _step_factors(model: MarketModel, ensemble: PathEnsemble, coef: np.ndarray, paths: slice):
-    """Gains and per-step wealth factors of the optimal feedback, in blocks of steps.
+def _tile_buffer(d: int) -> np.ndarray:
+    """The memory map that ``_step_factors`` overwrites tile by tile."""
+    return _mapped(((2 * d + 5) * _WEALTH_BLOCK * _WEALTH_TILE,))
+
+
+def _step_factors(model: MarketModel, V: np.ndarray, dB: np.ndarray, coef: np.ndarray,
+                  dt: float, paths: slice, flat: np.ndarray):
+    """Gains and per-step wealth factors of the optimal feedback over one block of steps.
 
     With g = -coef sqrt(V^+) at the left node and s_k = (g sqrt(V^+)) . theta dt
     + g . DB_k, the wealth under alpha = g (X - xi* e^(-r(T-t))) steps as
-    X_{k+1} = X_k (1 + r dt) + (X_k - xi* e^(-r(T-t_k))) s_k.  coef is the
-    (d, n) ``control_coefficient`` at the left nodes.  For each block of
-    ``_WEALTH_BLOCK`` steps, and in it each tile of ``_WEALTH_TILE`` paths
-    of ``paths`` (clipped to the ensemble), yields (first step, tile,
-    g (d, w, t), s (w, t), spare (3, w, t)), read from V and dB in their
-    time-major layout.  All of it lives in one memory map of the call's
-    own (``_mapped``, so that a worker thread leaves nothing in its malloc
-    arena) that each tile overwrites; the d-sums (np.einsum) run in one
-    (w, t) slot of it, and spare is the caller's.
+    X_{k+1} = X_k (1 + r dt) + (X_k - xi* e^(-r(T-t_k))) s_k.  V and dB are
+    a block's time-major rows (``PathChunk``), (d, w+1, M) and (d, w, M),
+    and coef the (d, w) ``control_coefficient`` at its left nodes.  For
+    each tile of ``_WEALTH_TILE`` paths of ``paths`` (clipped to the
+    chunk) yields (tile, g (d, w, t), s (w, t), spare (3, w, t)).  All of
+    it lives in flat (``_tile_buffer``), a memory map of the caller's
+    that each tile overwrites (``_mapped``, so that a worker thread
+    leaves nothing in its malloc arena); the d-sums (np.einsum) run in
+    one (w, t) slot of it, and spare is the caller's.
     """
-    V, dB = ensemble.V.transpose(1, 2, 0), ensemble.dB.transpose(1, 2, 0)   # (d, ., M)
-    (d, n, _), dt = dB.shape, ensemble.grid.dt
-    stop = min(paths.stop, ensemble.M)
-    flat = _mapped(((2 * d + 5) * _WEALTH_BLOCK * _WEALTH_TILE,))
-    for lo in range(0, n, _WEALTH_BLOCK):
-        hi = min(lo + _WEALTH_BLOCK, n)
-        for t0 in range(paths.start, stop, _WEALTH_TILE):
-            tile = slice(t0, min(t0 + _WEALTH_TILE, stop))
-            size = (hi - lo) * (tile.stop - t0)
-            gain, root = flat[: 2 * d * size].reshape(2, d, hi - lo, -1)
-            s, acc, *spare = flat[2 * d * size : (2 * d + 5) * size].reshape(5, hi - lo, -1)
-            _gain(coef[:, lo:hi, None], V[:, lo:hi, tile], out=(gain, root))
-            np.multiply(np.einsum("dwt,dwt,d->wt", gain, root, model.theta, out=acc), dt, out=s)
-            s += np.einsum("dwt,dwt->wt", gain, dB[:, lo:hi, tile], out=acc)
-            yield lo, tile, gain, s, spare
+    d, w, M = dB.shape
+    for t0 in range(paths.start, min(paths.stop, M), _WEALTH_TILE):
+        tile = slice(t0, min(t0 + _WEALTH_TILE, paths.stop, M))
+        size = w * (tile.stop - t0)
+        gain, root = flat[: 2 * d * size].reshape(2, d, w, -1)
+        s, acc, *spare = flat[2 * d * size : (2 * d + 5) * size].reshape(5, w, -1)
+        _gain(coef[:, :, None], V[:, :w, tile], out=(gain, root))
+        np.multiply(np.einsum("dwt,dwt,d->wt", gain, root, model.theta, out=acc), dt, out=s)
+        s += np.einsum("dwt,dwt->wt", gain, dB[:, :, tile], out=acc)
+        yield tile, gain, s, spare
 
 
-def _wealth_recursion(model: MarketModel, ensemble: PathEnsemble, solution: RiccatiSolution,
-                      stabs, xi_star=None, fold=None) -> tuple[np.ndarray, np.ndarray]:
+def _checked_ensemble(model: MarketModel, ensemble: PathEnsemble,
+                      solution: RiccatiSolution) -> None:
+    """ParameterError unless the wealth of ensemble can run: a psi grid like
+    the path grid, the increments kept, and the ensemble model's rho."""
+    if solution.grid != ensemble.grid:
+        raise ParameterError("wealth scheme requires the psi grid to match the path grid")
+    correlate_asset_brownian(ensemble, model)
+
+
+def _wealth_recursion(model: MarketModel, solution: RiccatiSolution, stabs, chunks,
+                      xi_star=None, fold=None, whole=None):
     """The Euler wealth of the optimal feedback in its affine form X_k = A_k + xi* B_k.
 
     X(t_k) = X(t_{k-1}) + (r X(t_{k-1}) + sum_i theta_i sqrt(V_i) alpha_i) dt
              + sum_i alpha_i DB_i,
 
     with alpha = g (X - xi* e^(-r(T-t))) at the left node from the same
-    variance paths and DB the ensemble's asset increments
-    (``correlate_asset_brownian``).  The scheme is affine in xi*: with the
-    per-step factor s_k of ``_step_factors``,
+    variance paths and DB their asset increments.  The scheme is affine
+    in xi*: with the per-step factor s_k of ``_step_factors``,
 
         A_{k+1} = A_k (1 + r dt + s_k),                       A_0 = x0,
         B_{k+1} = B_k (1 + r dt + s_k) - e^(-r(T-t_k)) s_k,   B_0 = 0.
 
-    1 + r dt + s and e^(-r(T-t)) s are formed once per block of
-    ``_WEALTH_BLOCK`` steps and tile of paths, and each step writes the
-    block's rows of A and B, all in the spare slots of ``_step_factors``.
-    The paths run on the pool in ranges of whole 64-path blocks, one per
-    worker but at most M // 512; each path's arithmetic is elementwise,
-    so the split keeps the bits.  Without fold, each range runs to T on
-    its own.  With fold, each block [lo, hi) also forms
-    X_{k+1} = A_{k+1} + xi* B_{k+1} and alpha_k into path-major buffers of
-    one block; the ranges meet after each block, and fold(lo, X, alpha)
-    takes X_lo .. X_hi (M, hi - lo + 1) and alpha_lo .. alpha_{hi-1}
-    (M, d, hi - lo), views that the next block overwrites, after
-    NonFiniteError has been raised unless both are finite.  Returns
-    (A_T, B_T) unchecked (a finite X_T has finite A_T and B_T);
-    ParameterError on a V-only ensemble, on a model whose rho differs
-    from the ensemble's, or on a psi grid unlike the path grid.
+    chunks is a block stream on psi's grid with increments (PathChunks,
+    or whole ensembles, which hand out blocks too); the recursion takes
+    each chunk block by block, and yields its (A_T, B_T), unchecked (a
+    finite X_T has finite A_T and B_T), once its last block is stepped.
+    1 + r dt + s and e^(-r(T-t)) s are formed once per block and tile of
+    paths, and each step writes the block's rows of A and B, all in the
+    spare slots of ``_step_factors``.  The paths of a block run on the
+    pool in ranges of whole 64-path blocks, one per worker but at most
+    M // 512 (numpy's loops keep the GIL up to 500 elements, so smaller
+    ranges would queue on it); each path's arithmetic is elementwise, so
+    the split keeps the bits.  The ranges meet after each block.
+
+    With fold, each block [lo, hi) also forms X_{k+1} = A_{k+1} + xi* B_{k+1}
+    and alpha_k into path-major buffers of one block, and fold(lo, X,
+    alpha) takes X_lo .. X_hi (M, hi - lo + 1) and alpha_lo ..
+    alpha_{hi-1} (M, d, hi - lo), views that the next block overwrites,
+    after NonFiniteError has been raised unless both are finite.  With
+    whole, an (M, n+1) X and an (M, d, n) alpha of the caller's for a
+    stream of one chunk, the block buffers are views of them, so that
+    they hold the whole paths at the end.
+
+    The stream maps its buffers once, sized by its first chunk, the
+    widest: the wealth-fold buffers (with fold) and one ``_tile_buffer``
+    per range; a later chunk takes contiguous views of them.  One pool
+    serves every block of the stream.
     """
-    if solution.grid != ensemble.grid:
-        raise ParameterError("wealth scheme requires the psi grid to match the path grid")
-    correlate_asset_brownian(ensemble, model)  # the checks, before any job starts
-    grid = ensemble.grid
+    grid, d = solution.grid, model.d
     coef = control_coefficient(model, solution, stabs, grid.times[:-1])  # (d, n)
     disc = np.exp(-model.r * (model.T - grid.times[:-1]))[:, None]       # (n, 1)
-    A = np.full(ensemble.M, float(model.x0))
-    B = np.zeros(ensemble.M)
-    if fold is not None:  # the block buffers, X_lo .. X_hi and alpha_lo .. alpha_{hi-1}
-        X = np.full((ensemble.M, _WEALTH_BLOCK + 1), float(model.x0))
-        alpha = np.empty((ensemble.M, model.d, _WEALTH_BLOCK))
-    # numpy's loops keep the GIL up to 500 elements: smaller ranges queue on it
-    parts = max(1, min(_pool_size(), ensemble.M // 512))
-    width = -(-ensemble.M // (64 * parts)) * 64
-    ranges = [slice(c0, c0 + width) for c0 in range(0, ensemble.M, width)]
-    factors = [_step_factors(model, ensemble, coef, paths) for paths in ranges]
+    growth = 1.0 + model.r * grid.dt
+    paths = fold is not None or whole is not None    # X and alpha are formed
+    flats = X_buf = alpha_buf = None
 
-    def advance(tiles, count):
+    def advance(lo, V, dB, part, flat, A, B, X, alpha):
+        w = dB.shape[1]
         with np.errstate(over="ignore", invalid="ignore"):  # per thread; the callers check
-            for lo, tile, gain, s, (a_rows, ds, b_rows) in itertools.islice(tiles, count):
-                w = len(s)
-                np.add(s, 1.0 + model.r * grid.dt, out=a_rows)  # the growth, then A in place
+            for tile, gain, s, (a_rows, ds, b_rows) in _step_factors(
+                    model, V, dB, coef[:, lo : lo + w], grid.dt, part, flat):
+                np.add(s, growth, out=a_rows)   # the growth, then A in place
                 np.multiply(s, disc[lo : lo + w], out=ds)
                 a_k, b_k = A[tile], B[tile]
                 for k in range(w):
@@ -381,27 +392,48 @@ def _wealth_recursion(model: MarketModel, ensemble: PathEnsemble, solution: Ricc
                     np.multiply(a_k, a_rows[k], out=a_rows[k])
                     a_k, b_k = a_rows[k], b_rows[k]
                 A[tile], B[tile] = a_k, b_k
-                if fold is not None:
-                    x = X[tile, : w + 1].T                      # (w+1, t)
+                if paths:
+                    x = X[tile].T                               # (w+1, t)
                     np.add(a_rows, np.multiply(b_rows, xi_star, out=b_rows), out=x[1:])
                     np.subtract(x[:-1], xi_star * disc[lo : lo + w], out=ds)  # the gap
-                    np.multiply(gain, ds, out=alpha[tile, :, :w].transpose(1, 2, 0))
+                    np.multiply(gain, ds, out=alpha[tile].transpose(1, 2, 0))
 
-    with _workers(len(ranges)) as run:
-        if fold is None:
-            run([functools.partial(advance, tiles, None) for tiles in factors])
-            return A, B
-        # one block of each range: its tiles
-        per_block = [-(-(min(p.stop, ensemble.M) - p.start) // _WEALTH_TILE) for p in ranges]
-        for lo in range(0, grid.n, _WEALTH_BLOCK):
-            run([functools.partial(advance, tiles, count)
-                 for tiles, count in zip(factors, per_block)])
-            w = min(_WEALTH_BLOCK, grid.n - lo)
-            require_finite("wealth paths", X[:, : w + 1])
-            require_finite("optimal strategy", alpha[:, :, :w])
-            fold(lo, X[:, : w + 1], alpha[:, :, :w])
-            X[:, 0] = X[:, w]
-    return A, B
+    with contextlib.ExitStack() as stack:
+        for chunk in chunks:
+            M = chunk.M
+            parts = max(1, min(_pool_size(), M // 512))
+            width = -(-M // (64 * parts)) * 64
+            ranges = [slice(c0, c0 + width) for c0 in range(0, M, width)]
+            if flats is None:               # the first chunk: the stream's maps and pool
+                flats = [_tile_buffer(d) for _ in ranges]
+                if fold is not None:
+                    X_buf = _mapped((M, _WEALTH_BLOCK + 1))
+                    alpha_buf = _mapped((M, d, _WEALTH_BLOCK))
+                run = stack.enter_context(_workers(len(ranges)))
+            A = np.full(M, float(model.x0))
+            B = np.zeros(M)
+            if whole is not None:
+                X_all, alpha_all = whole
+                X_all[:, 0] = model.x0
+            elif fold is not None:  # the block buffers, X_lo .. X_hi and alpha_lo .. alpha_{hi-1}
+                X_all = X_buf.reshape(-1)[: M * (_WEALTH_BLOCK + 1)].reshape(M, -1)
+                alpha_all = alpha_buf.reshape(-1)[: M * d * _WEALTH_BLOCK].reshape(M, d, -1)
+                X_all[:, 0] = model.x0
+            X = alpha = None
+            for lo, V, dB in chunk.blocks():
+                w = dB.shape[1]
+                if paths:
+                    X, alpha = ((X_all[:, lo : lo + w + 1], alpha_all[:, :, lo : lo + w])
+                                if whole is not None else (X_all[:, : w + 1], alpha_all[:, :, :w]))
+                run([functools.partial(advance, lo, V, dB, part, flat, A, B, X, alpha)
+                     for part, flat in zip(ranges, flats)])
+                if paths:
+                    require_finite("wealth paths", X)
+                    require_finite("optimal strategy", alpha)
+                if fold is not None:
+                    fold(lo, X, alpha)
+                    X_all[:, 0] = X_all[:, w]
+            yield A, B
 
 
 def simulate_wealth(model: MarketModel, ensemble: PathEnsemble, solution: RiccatiSolution,
@@ -412,53 +444,67 @@ def simulate_wealth(model: MarketModel, ensemble: PathEnsemble, solution: Riccat
     NonFiniteError when a wealth or strategy value is not finite, and
     ParameterError on a V-only ensemble.
     """
+    _checked_ensemble(model, ensemble, solution)
     X = np.empty((ensemble.M, ensemble.grid.n + 1))
     alpha_paths = np.empty((ensemble.M, model.d, ensemble.grid.n))
-
-    def store(lo, x, alpha):
-        X[:, lo : lo + x.shape[1]] = x
-        alpha_paths[:, :, lo : lo + alpha.shape[2]] = alpha
-
-    A, B = _wealth_recursion(model, ensemble, solution, stabs, xi_star, store)
+    [(A, B)] = _wealth_recursion(model, solution, stabs, [ensemble], xi_star,
+                                 whole=(X, alpha_paths))
     return WealthEnsemble(X=X, alpha_paths=alpha_paths, A_T=A, B_T=B)
+
+
+def _terminal_wealth(model: MarketModel, solution: RiccatiSolution, stabs, chunks):
+    """``_wealth_recursion`` without a reader: each chunk's (A_T, B_T), after
+    NonFiniteError unless both are finite."""
+    for A, B in _wealth_recursion(model, solution, stabs, chunks):
+        require_finite("terminal wealth A_T", A)
+        require_finite("terminal wealth B_T", B)
+        yield A, B
 
 
 def affine_wealth_terminal(model: MarketModel, ensemble: PathEnsemble,
                            solution: RiccatiSolution, stabs) -> tuple[np.ndarray, np.ndarray]:
     """Terminal wealth of every target at once: X_T = A_T + xi* B_T.
 
-    ``_wealth_recursion`` without a reader: neither the increment array,
-    the wealth paths nor the strategy are stored.  Returns (A_T, B_T),
-    each of shape (M,); raises NonFiniteError when either is not finite,
-    and ParameterError on a V-only ensemble.
+    ``_wealth_recursion`` without a reader: neither the wealth paths nor
+    the strategy are stored.  Returns (A_T, B_T), each of shape (M,);
+    raises NonFiniteError when either is not finite, and ParameterError
+    on a V-only ensemble.
     """
-    A, B = _wealth_recursion(model, ensemble, solution, stabs)
-    require_finite("terminal wealth A_T", A)
-    require_finite("terminal wealth B_T", B)
+    _checked_ensemble(model, ensemble, solution)
+    [(A, B)] = _terminal_wealth(model, solution, stabs, [ensemble])
     return A, B
 
 
-def _trapezoid_rows(V: np.ndarray, dt: float) -> np.ndarray:
-    """Per-path trapezoid integral over time of an (M, d, n+1) V, as (d, M).
+def _time_integral(total, V: np.ndarray, dt: float) -> np.ndarray:
+    """total, or a new (d, M) zero array, plus the trapezoid cells of a
+    block's time-major rows V (d, w+1, M), in time order.
 
-    Sums (dt (V_k + V_{k+1})) / 2 over k in order, one time row at a
-    time; this is what np.trapezoid(V, dx=dt, axis=2) computes, without
-    its (M, d, n) temporary.
+    Adds (dt (V_k + V_{k+1})) / 2 one cell at a time; over every block of
+    a chunk in order this is what np.trapezoid(V, dx=dt, axis=2) computes
+    on its (M, d, n+1) paths, without its (M, d, n) temporary.
     """
-    rows = V.transpose(1, 2, 0)                               # (d, n+1, M)
-    total = np.zeros(rows[:, 0].shape)
+    if total is None:
+        total = np.zeros(V[:, 0].shape)
     cell = np.empty_like(total)
-    for k in range(rows.shape[1] - 1):
-        np.add(rows[:, k + 1], rows[:, k], out=cell)
+    for k in range(V.shape[1] - 1):
+        np.add(V[:, k + 1], V[:, k], out=cell)
         cell *= dt
         cell /= 2.0
         total += cell
     return total
 
 
-def _laplace_exponents(V: np.ndarray, dt: float, u: np.ndarray) -> np.ndarray:
-    """Per-path exponent int_0^T V^T u ds of an (M, d, n+1) V, trapezoidal in time."""
-    return _trapezoid_rows(V, dt).T @ u
+def _trapezoid_rows(blocks, dt: float) -> np.ndarray:
+    """Per-path trapezoid integral over time of one chunk's blocks, as (d, M)."""
+    total = None
+    for _, V, _ in blocks:
+        total = _time_integral(total, V, dt)
+    return total
+
+
+def _laplace_exponents(blocks, dt: float, u: np.ndarray) -> np.ndarray:
+    """Per-path exponent int_0^T V^T u ds of one chunk's blocks, trapezoidal in time."""
+    return _trapezoid_rows(blocks, dt).T @ u
 
 
 def _controlled_mean(X: np.ndarray, mean_X: float) -> tuple[float, float, float]:
@@ -537,14 +583,14 @@ def laplace_affine_check(model: MarketModel, stabs, u, grid: Grid, M: int, seed:
     increments) unless an ensemble or the exponents are given, estimates
     E[exp(int_0^T V^T u ds)] with a per-path trapezoidal time integral,
     and compares against the closed form by ``z_score``.  The paths are
-    taken one chunk at a time (``simulate_variance_chunks``; a given
-    ensemble is the one chunk) and only the per-path exponents are kept.
+    taken block by block (``simulate_variance_blocks``; a given ensemble
+    is the one chunk) and only the per-path exponents are kept.
     ``exponents`` holds those of all M paths, one array per chunk
     (``_laplace_exponents``), when a caller already had the paths
-    (``voltmark full``, from the wealth stage's chunks); the engine is
+    (``voltmark full``, from the wealth stage's blocks); the engine is
     then not called.  The integral runs over the time-major rows of each
-    chunk's V with (d, chunk) buffers, in the order and rounding of
-    ``np.trapezoid`` along the time axis.
+    block's V with (d, chunk) buffers, in the order and rounding of
+    ``np.trapezoid`` along the time axis (``_time_integral``).
 
     The estimator is controlled (Glasserman, Monte Carlo Methods in
     Financial Engineering, 2003, sec. 4.1).  From V_0 = x_inf the scheme's
@@ -572,10 +618,9 @@ def laplace_affine_check(model: MarketModel, stabs, u, grid: Grid, M: int, seed:
     closed = laplace_closed_form(model, stabs, u, n_solver=max(grid.n, _GAMMA0_REFINE))
     if exponents is None:
         chunks = ([ensemble] if ensemble is not None
-                  else simulate_variance_chunks(model, stabs, grid, M, seed, initial="fixed",
+                  else simulate_variance_blocks(model, stabs, grid, M, seed, initial="fixed",
                                                 increments=False))
-        # map drops each chunk before the next one is simulated
-        exponents = map(lambda chunk: _laplace_exponents(chunk.V, grid.dt, u), chunks)
+        exponents = map(lambda chunk: _laplace_exponents(chunk.blocks(), grid.dt, u), chunks)
     X = np.concatenate(list(exponents))
     mc, se, beta = _controlled_mean(X, float(u @ model.x_inf) * model.T)
     z = float(z_score(mc, closed, se))

@@ -1,10 +1,13 @@
 """Ensemble statistics, stationarity diagnostics, and the experiment drivers.
 
 Every statistic of the stationarity, wealth and frontier stages is a
-plug-in moment estimate over whole paths, folded chunk by chunk
-(``ColumnMoments``), so no such stage holds more than one chunk of
-paths.  The Laplace check (``markowitz.laplace_affine_check``) keeps one
-sample per path instead, and its SE is their ddof = 1 sample SE.
+plug-in moment estimate over whole paths, folded from the block stream
+(``simulate.simulate_variance_blocks``): per-time statistics fold each
+64-step block into an accumulator of its own (``ColumnMoments``,
+``joined_stats``), and per-path ones (the frontier's terminal wealth)
+once a chunk's last block is in, so no stage holds a chunk of paths.
+The Laplace check (``markowitz.laplace_affine_check``) keeps one sample
+per path instead, and its SE is their ddof = 1 sample SE.
 """
 
 from dataclasses import dataclass, field, fields
@@ -12,10 +15,10 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .kernels import ParameterError
-from .markowitz import affine_wealth_terminal, gamma0, variance_of_terminal, xi_eta_star, z_score
+from .markowitz import _terminal_wealth, gamma0, variance_of_terminal, xi_eta_star, z_score
 from .model import Grid, MarketModel
 from .riccati import solve_riccati_adams
-from .simulate import require_finite, simulate_variance_chunks
+from .simulate import require_finite, simulate_variance_blocks
 
 # columns per block of a chunk's moment pass, so that its temporaries
 # hold (paths, 64) entries whatever the number of columns
@@ -43,13 +46,16 @@ class ColumnMoments:
     whole ensemble is one chunk.  With m_k = M_k / M, ``stats`` gives the
     variance M2 / (M - 1), the SEs sqrt(m2 / M) of the mean and
     sqrt((m4 - m2^2) / M) M / (M - 1) of the variance, and the 95% band
-    mean -/+ 1.96 SE.  Overflowing sums are left to ``stats``.
+    mean -/+ 1.96 SE.  Overflowing sums are left to ``stats``.  A fold
+    that adds block after block passes ``scratch`` (``_fold_scratch``),
+    which then holds the temporaries of each block of columns: new ones
+    from the heap per call cost the allocator fresh pages each time.
     """
 
     count = 0
     mean = m2 = m3 = m4 = None
 
-    def add(self, x) -> None:
+    def add(self, x, scratch=None) -> None:
         x = np.asarray(x, dtype=float)
         nb = len(x)
         with np.errstate(over="ignore", invalid="ignore"):  # checked by ``stats``
@@ -57,8 +63,12 @@ class ColumnMoments:
             m2b, m3b, m4b = (np.empty_like(mean_b) for _ in range(3))
             for lo in range(0, len(mean_b), _BLOCK_COLUMNS):
                 cols = slice(lo, lo + _BLOCK_COLUMNS)
-                c = x[:, cols] - mean_b[cols]
-                c2 = np.square(c)
+                if scratch is None:
+                    c = x[:, cols] - mean_b[cols]
+                    c2 = np.square(c)
+                else:
+                    c = np.subtract(x[:, cols], mean_b[cols], out=_laid_out(scratch, x[:, cols]))
+                    c2 = np.square(c, out=_laid_out(scratch[c.size :], c))
                 m2b[cols] = c2.sum(axis=0)
                 m3b[cols] = np.multiply(c2, c, out=c).sum(axis=0)
                 m4b[cols] = np.square(c2, out=c2).sum(axis=0)
@@ -98,6 +108,19 @@ class ColumnMoments:
         return out
 
 
+def _fold_scratch(m: int) -> np.ndarray:
+    """Scratch of ``ColumnMoments.add`` for blocks of at most m rows."""
+    return np.empty(2 * m * _BLOCK_COLUMNS)
+
+
+def _laid_out(buf: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """A view of buf's front with the shape and the axis order of the (m, k)
+    array like, the layout numpy gives like's elementwise results."""
+    if like.strides[0] < like.strides[1]:      # rows (paths) contiguous
+        return buf[: like.size].reshape(like.shape[::-1]).T
+    return buf[: like.size].reshape(like.shape)
+
+
 def joined_stats(blocks) -> EnsembleStats:
     """The ``stats`` of ColumnMoments over consecutive column blocks of the
     same rows, as one EnsembleStats.  Each column's arithmetic is its own,
@@ -122,18 +145,28 @@ class StationarityReport:
 def stationarity_diagnostics(chunks, model: MarketModel) -> StationarityReport:
     """Check that per-time sample moments stay on the stationary constants.
 
-    chunks is an iterable of PathEnsembles (a whole ensemble is one
-    chunk), each folded per asset.  The sample mean of V must sit within
-    3 SEs of x_inf at >= 99% of grid times and the sample variance within
-    3 SEs of v0 at >= 95% of times, by ``z_score``.  Each asset's
-    statistics (a column per grid time) are returned with the report.
+    chunks is a block stream (``simulate_variance_blocks``) or any
+    iterable of PathEnsembles (a whole ensemble is one chunk), each
+    folded block by block: each asset's rows lo .. hi-1 of every block go
+    into one ``ColumnMoments`` per block, and row n with the last block,
+    so that no block of columns is a lone column and the statistics
+    have the bits of whole rows (``joined_stats``).  The sample mean of V
+    must sit within 3 SEs of x_inf at >= 99% of grid times and the
+    sample variance within 3 SEs of v0 at >= 95% of times, by
+    ``z_score``.  Each asset's statistics (a column per grid time) are
+    returned with the report.
     """
-    moments = [ColumnMoments() for _ in range(model.d)]
+    moments, scratch = {}, None   # per block, by lo: one accumulator per asset
     for chunk in chunks:
-        for i, acc in enumerate(moments):
-            acc.add(chunk.V[:, i, :])
-        del chunk  # before the engine simulates the next one
-    stats = tuple(acc.stats() for acc in moments)
+        n = chunk.grid.n
+        if scratch is None:       # the first chunk is the widest
+            scratch = _fold_scratch(chunk.M)
+        for lo, V, _ in chunk.blocks():
+            cols = V.shape[1] if lo + V.shape[1] - 1 == n else V.shape[1] - 1
+            accs = moments.setdefault(lo, [ColumnMoments() for _ in range(model.d)])
+            for i, acc in enumerate(accs):
+                acc.add(V[i, :cols].T, scratch)
+    stats = tuple(joined_stats(accs[i] for accs in moments.values()) for i in range(model.d))
     mean_cov = np.empty(model.d)
     var_cov = np.empty(model.d)
     for i, st in enumerate(stats):
@@ -187,9 +220,9 @@ def frontier_experiment(model: MarketModel, m_values, M: int, seed: int, *,
     One variance ensemble (deterministic V0 = x_inf, matching the single
     Gamma0 that prices the frontier) serves all targets.  The terminal
     wealth is affine in xi*, so one recursion gives the pair (A_T, B_T)
-    and each target's X_T = A_T + xi* B_T.  The recursion runs chunk by
-    chunk (``simulate_variance_chunks``), and each chunk's targets fold
-    into one ``ColumnMoments`` as the chunk goes.  A caller that ran the
+    and each target's X_T = A_T + xi* B_T.  The recursion steps the
+    block stream (``simulate_variance_blocks``), and each chunk's targets
+    fold into one ``ColumnMoments`` once its last block is in.  A caller that ran the
     recursion over the same paths (``voltmark full``, in its wealth
     stage) passes its per-chunk (A_T, B_T) pairs as ``terminal``, and
     none is simulated.  psi is solved through the memo of
@@ -200,9 +233,8 @@ def frontier_experiment(model: MarketModel, m_values, M: int, seed: int, *,
     solution = solve_riccati_adams(model, stabs, grid.n)
     g0 = gamma0(model, solution, stabs)  # m-independent, priced once
     if terminal is None:
-        chunks = simulate_variance_chunks(model, stabs, grid, M, seed, initial="fixed")
-        # map drops each chunk before the next one is simulated
-        terminal = map(lambda chunk: affine_wealth_terminal(model, chunk, solution, stabs), chunks)
+        terminal = _terminal_wealth(model, solution, stabs, simulate_variance_blocks(
+            model, stabs, grid, M, seed, initial="fixed"))
     m_values = np.atleast_1d(np.asarray(m_values, dtype=float))
     xis = [xi_eta_star(g0, model, float(m))[0] for m in m_values]
     moments = ColumnMoments()

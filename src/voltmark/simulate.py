@@ -23,36 +23,45 @@ through a low-rank pair U W of the far-field lag rows, built and checked
 with the factor: each finished block is compressed once to W Y, and
 each new block pulls its far field from all of them in one product.
 
-Paths are simulated in fixed chunks of ``_CHUNK_PATHS`` paths, each in
-arrays of its own and time-major: V is a (d, n+1, chunk) array and dB,
-the asset-driving increments when they are kept, a (d, n, chunk) one, so
-each time step of an asset is one contiguous row of paths, which the
-engine accumulates in place; the ensemble exposes both as (paths, d, .)
-transposed views.  ``simulate_variance_chunks`` yields one chunk at a
-time, so a consumer that keeps only per-path values runs in memory that
-does not grow with M; ``simulate_variance_paths`` copies the chunks into
-whole (d, ., M) arrays for the tests and the benchmark.  Within a chunk
-the assets, which share only the read-only model, advance on one thread
+Paths are simulated in fixed chunks of ``_CHUNK_PATHS`` paths, and each
+chunk one block of ``_BLOCK`` cells at a time: ``simulate_variance_blocks``
+is a block stream, which yields a ``PathChunk`` per chunk whose blocks
+the engine advances as the consumer asks for them.  A block's rows are
+time-major, V as (d, 65, chunk) and dB, the asset-driving increments
+when they are kept, as (d, 64, chunk), so each time step of an asset is
+one contiguous row of paths, which the engine accumulates in place.
+The rows live in a small row store that every block of the stream
+overwrites, and the engine reads nothing of earlier blocks but V0 and
+their compressed far field, so a consumer that folds each block runs in
+memory that does not grow with M, and grows with n only by that far
+field, k rows per path for each block (``_asset_scratch``).  The chunk
+assemblers build on the stream: ``simulate_variance_chunks`` lets the
+engine write each chunk into (d, n+1, chunk) and (d, n, chunk) arrays of
+its own and yields it as a PathEnsemble, and ``simulate_variance_paths``
+copies the chunks into whole (d, ., M) arrays, for the tests, the
+benchmark and ``voltmark simulate --dump-paths``.  Within a block the
+assets, which share only the read-only model, advance on one thread
 each (numpy's random fills, ufuncs and BLAS calls release the GIL), on
-the CPUs that the BLAS threads leave free (``_workers``).  Each asset's
-job writes its own rows of V and of dB.
+the CPUs that the BLAS threads leave free (``_workers``), one pool for
+the whole stream.  Each asset's step writes its own rows of V and of dB.
 
 Everything is reproducible: chunk c takes the c-th ``spawn(1 + d)``
 group of SeedSequence(seed), each child through ``_BIT_GENERATOR``.
 Child 0 draws the stationary start V0; child 1 + i draws asset i's
 factor normals, and the first child that it spawns asset i's W-perp
 normals, which only a stream with increments draws.  The draw order is
-fixed regardless of the number of threads.  The first group is the
-whole stream of an ensemble of at most one chunk, and chunk c of paths
-is the same for every M that gives it one size.  The engine keeps no
-state between calls: every stream starts at chunk 0 and builds its own
-factors.
+fixed regardless of the number of threads and of the block stream's
+consumer.  The first group is the whole stream of an ensemble of at
+most one chunk, and chunk c of paths is the same for every M that gives
+it one size.  The engine keeps no state between calls: every stream
+starts at chunk 0 and builds its own factors, scratch and row store.
 """
 
 import contextlib
 import functools
 import mmap
 import os
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -270,7 +279,9 @@ class PathEnsemble:
     and dB[:, i, k] are contiguous within each chunk of paths.  A V-only
     ensemble (``increments=False``) has dB None; its V equals the full
     ensemble's bit for bit.  A chunk of ``simulate_variance_chunks`` is a
-    PathEnsemble of its own, whose M is the chunk's path count.
+    PathEnsemble of its own, whose M is the chunk's path count.  Like a
+    ``PathChunk``, an ensemble hands out its blocks (``blocks``), so
+    every consumer of a block stream also reads whole paths.
     """
 
     model: MarketModel
@@ -278,6 +289,49 @@ class PathEnsemble:
     M: int
     V: np.ndarray = field(repr=False)
     dB: np.ndarray | None = field(repr=False)
+
+    def blocks(self):
+        """The ensemble's blocks, as a ``PathChunk`` yields them: views of V and dB."""
+        return _row_blocks(self.V.transpose(1, 2, 0),
+                           None if self.dB is None else self.dB.transpose(1, 2, 0))
+
+
+def _row_blocks(V: np.ndarray, dB: np.ndarray | None):
+    """(lo, V rows lo .. hi, dB rows lo .. hi-1) for each block of cells of
+    time-major (d, n+1, M) V and (d, n, M) dB, as views."""
+    n = V.shape[1] - 1
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        yield lo, V[:, lo : hi + 1], None if dB is None else dB[:, lo:hi]
+
+
+@dataclass(frozen=True, eq=False)
+class PathChunk:
+    """One chunk of a block stream (``simulate_variance_blocks``): M paths on grid.
+
+    ``blocks()`` advances the chunk one block of ``_BLOCK`` cells at a
+    time and yields, in time order, (lo, V, dB) for the block of cells
+    lo+1 .. hi: V holds the variance rows lo .. hi, (d, hi - lo + 1, M),
+    whose row 0 is the last row of the block before (V0 in the first),
+    and dB the increment rows lo .. hi-1, (d, hi - lo, M), or None in a
+    V-only stream.  Both are time-major views of the stream's row store,
+    which the next block overwrites, so a consumer folds each block
+    before it asks for the next.  ``blocks(V, dB)`` writes the chunk into
+    (d, n+1, M) and (d, n, M) arrays of its own instead, and yields
+    views of them.
+    """
+
+    grid: Grid
+    M: int
+    blocks: Callable = field(repr=False)
+
+    def tapped(self, tap) -> "PathChunk":
+        """The chunk with tap(lo, V, dB) called on each block before its reader gets it."""
+        def blocks():
+            for block in self.blocks():
+                tap(*block)
+                yield block
+        return PathChunk(self.grid, self.M, blocks)
 
 
 def sample_initial_variance(model: MarketModel, M: int, rng: np.random.Generator) -> np.ndarray:
@@ -335,9 +389,43 @@ def simulate_variance_chunks(model: MarketModel, stabs, grid: Grid, M: int, seed
 
     Yields a PathEnsemble per block of ``_CHUNK_PATHS`` paths (the last
     one holds the rest), in path order; its M is the chunk's path count.
-    The engine's scratch and each chunk's arrays scale with the chunk,
-    not with M.  The arguments are checked and the factors built before
-    the first chunk is asked for.
+    Each chunk of ``simulate_variance_blocks`` is written into arrays of
+    its own, which are the engine's row store for that chunk, so nothing
+    is copied.  The engine's scratch and each chunk's arrays scale with
+    the chunk, not with M.  The arguments are checked and the factors
+    built before the first chunk is asked for.
+    """
+    return _whole_chunks(model, simulate_variance_blocks(
+        model, stabs, grid, M, seed, initial=initial, increments=increments), increments)
+
+
+def _whole_chunks(model: MarketModel, chunks, increments: bool):
+    """Each PathChunk of chunks as a PathEnsemble of its own; ``_whole``
+    builds and returns each one, so that the generator, suspended at its
+    yield, holds none of a chunk's arrays."""
+    for chunk in chunks:
+        yield _whole(model, chunk, increments)
+
+
+def _whole(model: MarketModel, chunk: PathChunk, increments: bool) -> PathEnsemble:
+    d, n, m = model.d, chunk.grid.n, chunk.M
+    V = _mapped((d, n + 1, m))
+    dB = _mapped((d, n, m)) if increments else None
+    for _ in chunk.blocks(V, dB):
+        pass
+    return PathEnsemble(model=model, grid=chunk.grid, M=m, V=V.transpose(2, 0, 1),
+                        dB=dB.transpose(2, 0, 1) if increments else None)
+
+
+def simulate_variance_blocks(model: MarketModel, stabs, grid: Grid, M: int, seed: int, *,
+                             initial: str = "stationary", increments: bool = True):
+    """The paths of ``simulate_variance_chunks`` as a block stream.
+
+    Yields a ``PathChunk`` per chunk of ``_CHUNK_PATHS`` paths (the last
+    one holds the rest), in path order, whose blocks the engine advances
+    as they are asked for; no chunk's V or dB is held whole.  The
+    arguments are checked and the factors built before the first chunk
+    is asked for.
     """
     factors = _checked_factors(model, grid, M, initial)
     return _advance_chunks(model, stabs, grid, M, seed, initial, factors, increments)
@@ -356,48 +444,68 @@ def _checked_factors(model: MarketModel, grid: Grid, M: int, initial: str) -> li
 
 def _advance_chunks(model: MarketModel, stabs, grid: Grid, M: int, seed: int, initial: str,
                     factors: list, increments: bool):
-    """Yield the chunks: chunk c covers paths c C .. min((c+1) C, M) - 1
+    """Yield the PathChunks: chunk c covers paths c C .. min((c+1) C, M) - 1
     with C = _CHUNK_PATHS and draws from the c-th ``spawn(1 + d)`` group
-    of SeedSequence(seed).  ``_simulate_chunk`` builds and returns each
-    one, so that the generator, suspended at its yield, holds none of a
-    chunk's arrays."""
-    d = model.d
+    of SeedSequence(seed): V0 from child 0 (before its first block), and
+    asset i its factor normals from child 1 + i and, with the increments,
+    its W-perp normals from child 1 + i's first spawned child.
+
+    The stream maps, once and sized by its first chunk, each asset's
+    engine (``_AssetEngine``) and a row store of (d, _BLOCK + 1, C) V
+    rows and (d, _BLOCK, C) dB rows; a shorter last chunk takes
+    contiguous views of the same maps (``_fit``).  One pool runs the
+    assets of every block of the stream (``_workers``)."""
+    d, n = model.d, grid.n
     sig_grid = np.stack([np.asarray(st.eval(grid.times[:-1])) for st in stabs], axis=0)  # (d, n)
     seq = np.random.SeedSequence(seed)
-    for c0 in range(0, M, _CHUNK_PATHS):
-        yield _simulate_chunk(model, grid, min(_CHUNK_PATHS, M - c0), initial, factors,
-                              increments, sig_grid, seq.spawn(1 + d))
+    width = min(_CHUNK_PATHS, M)
+    engines = [_AssetEngine(model, i, factors[i], sig_grid[i], width) for i in range(d)]
+    store = (_mapped((d, _BLOCK + 1, width)), _mapped((d, _BLOCK, width)) if increments else None)
+    with _workers(d) as run:
+        for c0 in range(0, M, _CHUNK_PATHS):
+            m = min(_CHUNK_PATHS, M - c0)
+            children = seq.spawn(1 + d)
+            if initial == "stationary":
+                rng = np.random.Generator(_BIT_GENERATOR(children[0]))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    V0 = sample_initial_variance(model, m, rng)
+            else:
+                V0 = np.tile(model.x_inf, (m, 1))
+            require_finite("initial variance", V0)
+            V0 = np.ascontiguousarray(V0.T)             # (d, m): each asset's row
+            for i, engine in enumerate(engines):
+                engine.start(m, V0[i], np.random.Generator(_BIT_GENERATOR(children[1 + i])),
+                             np.random.Generator(_BIT_GENERATOR(children[1 + i].spawn(1)[0]))
+                             if increments else None)
+            rows = tuple(None if buf is None else _fit(buf, m) for buf in store)
+            yield PathChunk(grid, m, functools.partial(_chunk_blocks, engines, run, n, V0, rows))
 
 
-def _simulate_chunk(model: MarketModel, grid: Grid, m: int, initial: str, factors: list,
-                    increments: bool, sig_grid: np.ndarray, children: list) -> PathEnsemble:
-    """One chunk of m paths from its stream group ``children``: V0 from
-    child 0 (before the jobs start), and one job per asset, which draws
-    its factor normals from child 1 + i and, with the increments, its
-    W-perp normals from child 1 + i's first spawned child.  The chunk
-    gets arrays of its own, V and dB, and each asset's job maps and frees
-    its own scratch, so that the consumer's arrays never stack on it."""
-    d, n = model.d, grid.n
-    if initial == "stationary":
-        rng = np.random.Generator(_BIT_GENERATOR(children[0]))
-        with np.errstate(over="ignore", invalid="ignore"):
-            V0 = sample_initial_variance(model, m, rng)
-    else:
-        V0 = np.tile(model.x_inf, (m, 1))
-    require_finite("initial variance", V0)
-    V = _mapped((d, n + 1, m))
-    dB = _mapped((d, n, m)) if increments else None
-    V[:, 0, :] = V0.T
-    jobs = [functools.partial(
-        _advance_asset, model, i, factors[i], sig_grid[i],
-        np.random.Generator(_BIT_GENERATOR(children[1 + i])), V[i],
-        dB[i] if increments else None,
-        np.random.Generator(_BIT_GENERATOR(children[1 + i].spawn(1)[0])) if increments else None)
-        for i in range(d)]
-    with _workers(len(jobs)) as run:
-        run(jobs)
-    return PathEnsemble(model=model, grid=grid, M=m, V=V.transpose(2, 0, 1),
-                        dB=dB.transpose(2, 0, 1) if increments else None)
+def _chunk_blocks(engines: list, run, n: int, V0: np.ndarray, store: tuple, V=None, dB=None):
+    """The blocks of one chunk (``PathChunk.blocks``) from V0 (d, m).
+
+    Into the row store, whose row 0 takes the last row of the block
+    before, the assets advance one block per round.  Into V and dB, the
+    chunk's own arrays, each asset's job advances all of its blocks
+    (``_AssetEngine.advance``), so that no round waits for the slower
+    asset at each block, and the blocks are views of them."""
+    if V is not None:
+        V[:, 0] = V0
+        run([functools.partial(engine.advance, V[i], None if dB is None else dB[i])
+             for i, engine in enumerate(engines)])
+        yield from _row_blocks(V, dB)
+        return
+    V, dB = store
+    V[:, 0] = V0
+    w = 0
+    for b, lo in enumerate(range(0, n, _BLOCK)):
+        if b:
+            V[:, 0] = V[:, w]
+        w = min(_BLOCK, n - lo)
+        rows, inc = V[:, : w + 1], None if dB is None else dB[:, :w]
+        run([functools.partial(engine.step, b, rows[i], None if inc is None else inc[i])
+             for i, engine in enumerate(engines)])
+        yield lo, rows, inc
 
 
 def _cpu_count() -> int:
@@ -418,9 +526,10 @@ def _workers(count: int):
     """run(jobs): rounds of at most ``count`` independent jobs on threads
     that the rounds share, re-raising the first error.
 
-    Jobs: an engine chunk's assets, or the path ranges of the wealth
-    recursion, one round per block of steps when the ranges
-    meet.  Each job's BLAS calls start their own threads, so the jobs get
+    Jobs: the assets of one block of the engine, or the path ranges of
+    one block of the wealth recursion, one round per block; a stream
+    keeps one pool for all of its rounds rather than starting threads for
+    each block.  Each job's BLAS calls start their own threads, so the jobs get
     CPUs // BLAS threads workers (``_pool_size``).  The BLAS thread count
     is known when VOLTMARK_THREADS set it (``_BLAS_THREADS``); otherwise
     BLAS may take every CPU, its default, and the jobs run one after the
@@ -470,19 +579,23 @@ def _mapped(shape) -> np.ndarray:
     return np.frombuffer(pages, count=size).reshape(shape)
 
 
+def _fit(buf: np.ndarray, m: int) -> np.ndarray:
+    """The contiguous view of buf's map with its last axis (paths) cut to m."""
+    shape = buf.shape[:-1] + (m,)
+    return buf.reshape(-1)[: int(np.prod(shape))].reshape(shape)
+
+
 def _asset_scratch(n: int, r: int, k: int, m: int) -> tuple:
-    """Scratch of ``_advance_asset`` for a rank-r factor with a rank-k far
-    field and a chunk of m paths: a sub-block's normals (_SUB, r, m), a
-    cell's vol (m,), a block's noise and drift (_BLOCK, r+1, m), the
-    product of a cell or a sub-block, in the leading rows of
-    (_BLOCK - _SUB, m), the sub-block flush's lag factor (``_lag_blocks``), the far-field slabs, the
-    history of compressed blocks, k rows for each block but the last, and
-    a sub-block's DW increments (_SUB, m), which a V-only stream never touches."""
+    """Scratch of ``_AssetEngine`` for a rank-r factor with a rank-k far
+    field and chunks of at most m paths, paths last: a sub-block's
+    normals (_SUB, r, m), a cell's vol (m,), a block's noise and drift
+    (_BLOCK, r+1, m), the product of a cell or a sub-block, in the
+    leading rows of (_BLOCK - _SUB, m), the history of compressed blocks,
+    k rows for each block but the last, and a sub-block's DW increments
+    (_SUB, m), which a V-only stream never touches."""
     blocks = (n - 1) // _BLOCK
     return (_mapped((_SUB, r, m)), _mapped((m,)), _mapped((_BLOCK, r + 1, m)),
-            _mapped((_BLOCK - _SUB, m)),
-            _mapped((max(0, min(_BLOCK, n) - _SUB), _SUB * (r + 1))),
-            _mapped((_BLOCK, blocks * k)), _mapped((blocks * k, m)), _mapped((_SUB, m)))
+            _mapped((_BLOCK - _SUB, m)), _mapped((blocks * k, m)), _mapped((_SUB, m)))
 
 
 def _lag_blocks(F_aug: np.ndarray, width: int, out: np.ndarray) -> None:
@@ -493,93 +606,119 @@ def _lag_blocks(F_aug: np.ndarray, width: int, out: np.ndarray) -> None:
         out[:, b * r1 : (b + 1) * r1] = F_aug[width - b : width - b + out.shape[0]]
 
 
-def _advance_asset(model: MarketModel, i: int, fac: GaussianBlockFactor,
-                   sig: np.ndarray, rng: np.random.Generator,
-                   V: np.ndarray, dB: np.ndarray | None,
-                   rng_perp: np.random.Generator | None) -> None:
-    """Blocked Volterra accumulation of one asset over one chunk of paths, in place.
+class _AssetEngine:
+    """Blocked Volterra accumulation of one asset, one block of cells at a time.
 
-    V is the asset's contiguous time-major (n+1, m) slab of the chunk's
-    m paths, holding V0 in row 0 and zeros below; dB is its (n, m) slab
-    of asset-driving increments, or None when they are not kept.  Each
-    sub-block's factor normals come in one fill from rng, and with dB
-    its W-perp normals N in one fill from rng_perp into its rows of dB,
-    which at the end of the sub-block become
+    One engine serves every chunk of a stream: its scratch
+    (``_asset_scratch``) is mapped for the stream's first chunk, the
+    widest, and ``start`` takes a chunk of m paths, its V0 row and its
+    generators: rng for the factor normals and, when the increments are
+    kept, rng_perp for the W-perp normals.  ``step(b, V, dB)`` then
+    advances block b of the chunk in place: V is the block's (hi-lo+1, m)
+    variance rows lo .. hi, row 0 holding V[lo], and dB its (hi-lo, m)
+    increment rows, or None.
+
+    Each sub-block's factor normals come in one fill from rng, and with
+    dB its W-perp normals N in one fill from rng_perp into its rows of
+    dB, which at the end of the sub-block become
     DB = rho DW - sqrt(1 - rho^2) (sqrt(dt) N), one rounding per
-    product, with the cells' DW = f_dw z in a scratch of ``_SUB`` rows.  Each cell l adds
-    drift_l C[k-l] + vol_l G_{k,l} to every later time k; a row of V
-    becomes V0 + sum once its last contribution is in.  Contributions to
-    the times of the cell's own sub-block of ``_SUB`` cells are added at
-    once (they feed the next vol coefficient), and at the end of a
-    sub-block one product adds its cells' to the rest of the
-    ``_BLOCK``-cell block.  Earlier blocks reach a block through the
+    product, with the cells' DW = f_dw z in a scratch of ``_SUB`` rows.
+    Each cell l adds drift_l C[k-l] + vol_l G_{k,l} to every later time
+    k; a row of V becomes V0 + sum once its last contribution is in.
+    Contributions to the times of the cell's own sub-block of ``_SUB``
+    cells are added at once (they feed the next vol coefficient), and at
+    the end of a sub-block one product adds its cells' to the rest of
+    the ``_BLOCK``-cell block.  Earlier blocks reach a block through the
     far-field pair U W (``_far_field``): at the end of each block one
-    product compresses it to Z = W Y, k rows per path, kept newest first,
-    and at the start of the next block one product of U's 64-row slabs,
-    side by side, with that history writes the block's far-field rows,
-    still zero, into V.  Each cell thus rewrites at most ``_SUB`` rows,
-    and the rest is gemm work.  The scratch (``_asset_scratch``) is
-    mapped per call and goes back to the system on return (``_mapped``),
-    so the routine can run on a worker thread.
+    product compresses it to Z = W Y, k rows per path, kept newest
+    first, and at the start of the next block one product of U's 64-row
+    slabs, side by side, with that history writes the block's rows
+    (zeros in block 0).  Each cell thus rewrites at most ``_SUB`` rows,
+    and the rest is gemm work.  A block touches no row outside its own,
+    and the maps leave no memory in a worker thread's malloc arena
+    (``_mapped``), so each step can run on any thread of the pool.
     """
-    n, M = fac.grid.n, V.shape[1]
-    r, k = fac.rank, fac.far_rank
-    # noise modes plus one drift "mode" per cell; it inherits the
-    # factor's column-major order, which decides numpy's matmul
-    # route for F_aug[:m] (its own loop for one row) and so the rounding
-    F_aug = np.concatenate([fac.factor[:n], fac.c_seg[:, None]], axis=1)  # (n, r+1)
-    z, vol, y_blk, near, f_sub, u_slabs, history, dw = _asset_scratch(n, r, k, M)
-    _lag_blocks(F_aug, _SUB, f_sub)
-    blocks = (n - 1) // _BLOCK          # blocks with a far field
-    for s in range(blocks):  # slab s: U's rows for the s-th block back
-        slab = fac.u_far[s * _BLOCK : (s + 1) * _BLOCK]
-        u_slabs[: len(slab), s * k : (s + 1) * k] = slab
-    f_dw = fac.factor[n]
-    mu0, lam = model.mu0[i], model.lam[i]
-    nu = model.nu[i]
-    rho, comp, root_dt = model.rho[i], np.sqrt(1.0 - model.rho[i] ** 2), np.sqrt(fac.grid.dt)
-    V0 = V[0]
-    with np.errstate(over="ignore", invalid="ignore"):  # errstate is per thread
-        for b, lo in enumerate(range(0, n, _BLOCK)):
-            hi = min(lo + _BLOCK, n)          # block holds cells lo+1 .. hi
+
+    def __init__(self, model: MarketModel, i: int, fac: GaussianBlockFactor,
+                 sig: np.ndarray, m: int):
+        n, r, k = fac.grid.n, fac.rank, fac.far_rank
+        self.i, self.fac, self.sig, self.n = i, fac, sig, n
+        # noise modes plus one drift "mode" per cell; it inherits the
+        # factor's column-major order, which decides numpy's matmul
+        # route for F_aug[:m] (its own loop for one row) and so the rounding
+        self.F_aug = np.concatenate([fac.factor[:n], fac.c_seg[:, None]], axis=1)  # (n, r+1)
+        # the sub-block flush's lag factor (``_lag_blocks``), the far-field slabs
+        self.f_sub = _mapped((max(0, min(_BLOCK, n) - _SUB), _SUB * (r + 1)))
+        _lag_blocks(self.F_aug, _SUB, self.f_sub)
+        self.blocks = (n - 1) // _BLOCK          # blocks with a far field
+        self.u_slabs = _mapped((_BLOCK, self.blocks * k))
+        for s in range(self.blocks):  # slab s: U's rows for the s-th block back
+            slab = fac.u_far[s * _BLOCK : (s + 1) * _BLOCK]
+            self.u_slabs[: len(slab), s * k : (s + 1) * k] = slab
+        self.scratch = _asset_scratch(n, r, k, m)
+        self.mu0, self.lam, self.nu = model.mu0[i], model.lam[i], model.nu[i]
+        self.rho, self.comp = model.rho[i], np.sqrt(1.0 - model.rho[i] ** 2)
+        self.root_dt = np.sqrt(fac.grid.dt)
+
+    def start(self, m: int, V0: np.ndarray, rng: np.random.Generator,
+              rng_perp: np.random.Generator | None) -> None:
+        self.V0, self.rng, self.rng_perp = V0, rng, rng_perp
+        self.views = [_fit(buf, m) for buf in self.scratch]
+
+    def advance(self, V: np.ndarray, dB: np.ndarray | None) -> None:
+        """Every block of the chunk, in order, into its own (n+1, m) V rows,
+        V0 in row 0, and (n, m) dB rows, or None."""
+        for b, lo in enumerate(range(0, self.n, _BLOCK)):
+            hi = min(lo + _BLOCK, self.n)
+            self.step(b, V[lo : hi + 1], None if dB is None else dB[lo:hi])
+
+    def step(self, b: int, V: np.ndarray, dB: np.ndarray | None) -> None:
+        fac, r, k, blocks = self.fac, self.fac.rank, self.fac.far_rank, self.blocks
+        F_aug, f_dw, sig, V0 = self.F_aug, fac.factor[self.n], self.sig, self.V0
+        z, vol, y_blk, near, history, dw = self.views
+        M = V.shape[1]
+        lo = b * _BLOCK
+        w = min(_BLOCK, self.n - lo)          # the block holds cells lo+1 .. lo+w
+        with np.errstate(over="ignore", invalid="ignore"):  # errstate is per thread
             if b:                             # the far field of blocks b-1 .. 0
-                np.matmul(u_slabs[: hi - lo, : b * k], history[(blocks - b) * k :],
-                          out=V[lo + 1 : hi + 1])
-            for s_lo in range(lo, hi, _SUB):
-                s_hi = min(s_lo + _SUB, hi)   # sub-block holds cells s_lo+1 .. s_hi
+                np.matmul(self.u_slabs[:w, : b * k], history[(blocks - b) * k :], out=V[1:])
+            else:
+                V[1:] = 0.0
+            for s_lo in range(0, w, _SUB):
+                s_hi = min(s_lo + _SUB, w)    # sub-block holds cells s_lo+1 .. s_hi
                 # one fill in cell order draws the bits of one call per cell
-                rng.standard_normal(out=z[: s_hi - s_lo])
+                self.rng.standard_normal(out=z[: s_hi - s_lo])
                 if dB is not None:
-                    perp = rng_perp.standard_normal(out=dB[s_lo:s_hi])
+                    perp = self.rng_perp.standard_normal(out=dB[s_lo:s_hi])
                 for ell in range(s_lo + 1, s_hi + 1):
                     v_prev = V[ell - 1]
                     z_ell = z[ell - s_lo - 1]
                     np.maximum(v_prev, 0.0, out=vol)
                     np.sqrt(vol, out=vol)
-                    np.multiply(nu * sig[ell - 1], vol, out=vol)
-                    y = y_blk[ell - lo - 1]
+                    np.multiply(self.nu * sig[lo + ell - 1], vol, out=vol)
+                    y = y_blk[ell - 1]
                     np.multiply(z_ell, vol, out=y[:r])
-                    np.multiply(lam, v_prev, out=y[r])
-                    np.subtract(mu0, y[r], out=y[r])
+                    np.multiply(self.lam, v_prev, out=y[r])
+                    np.subtract(self.mu0, y[r], out=y[r])
                     m_loc = s_hi - ell + 1
                     np.matmul(F_aug[:m_loc], y, out=near[:m_loc])
                     V[ell : s_hi + 1] += near[:m_loc]
                     V[ell] += V0
                 if dB is not None:           # DB = rho DW - comp sqrt(dt) N, DW = f_dw z
                     dw_sub = np.matmul(f_dw, z[: s_hi - s_lo], out=dw[: s_hi - s_lo])
-                    dw_sub *= rho
-                    perp *= root_dt
-                    perp *= comp
+                    dw_sub *= self.rho
+                    perp *= self.root_dt
+                    perp *= self.comp
                     np.subtract(dw_sub, perp, out=perp)
-                if s_hi < hi:                 # then the sub-block has _SUB cells
-                    rows = hi - s_hi          # block times s_hi+1 .. hi
-                    Y = y_blk[s_lo - lo : s_hi - lo].reshape(_SUB * (r + 1), M)
-                    np.matmul(f_sub[:rows], Y, out=near[:rows])
-                    V[s_hi + 1 : hi + 1] += near[:rows]
+                if s_hi < w:                  # then the sub-block has _SUB cells
+                    rows = w - s_hi           # block times s_hi+1 .. w
+                    Y = y_blk[s_lo:s_hi].reshape(_SUB * (r + 1), M)
+                    np.matmul(self.f_sub[:rows], Y, out=near[:rows])
+                    V[s_hi + 1 :] += near[:rows]
             if b < blocks:                    # then the block has _BLOCK cells
                 np.matmul(fac.w_far, y_blk.reshape(_BLOCK * (r + 1), M),
                           out=history[(blocks - 1 - b) * k : (blocks - b) * k])
-    require_finite(f"variance paths of asset {i + 1}", V)
+        require_finite(f"variance paths of asset {self.i + 1}", V[1:])
 
 
 def correlate_asset_brownian(ensemble: PathEnsemble, model: MarketModel) -> np.ndarray:

@@ -5,6 +5,8 @@ session-scoped so the acceptance module and the unit tests reuse them.
 """
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -69,6 +71,22 @@ def child_env():
     """Environment for a child interpreter that imports this voltmark."""
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.dirname(os.path.dirname(voltmark.__file__)), os.environ.get("PYTHONPATH", "")]))
+
+
+def child_peak_kib(setup: str, code: str, **env) -> tuple[int, int]:
+    """(VmHWM after setup, VmHWM after code) of a fresh interpreter that runs
+    setup, then code, with ``child_env()`` and env added, in KiB.
+
+    Each child reads its own VmHWM, the peak of its own memory: Linux
+    keeps ru_maxrss across exec, so there a child of pytest would start
+    at pytest's peak."""
+    peak = ("with open('/proc/self/status') as status:\n"
+            "    print(next(int(line.split()[1]) for line in status "
+            "if line.startswith('VmHWM')))\n")
+    proc = subprocess.run([sys.executable, "-c", setup + peak + code + peak],
+                          capture_output=True, text=True, env=dict(child_env(), **env), check=True)
+    before, after = map(int, proc.stdout.split()[-2:])
+    return before, after
 
 
 @pytest.fixture

@@ -8,7 +8,8 @@ second moments of the path scheme, the dense cell covariance and its
 Gaussian factor by np.linalg.eigh, the path engine with a dense far
 field pushed to every later time, the asset-driving increments from
 DW and DWperp, the wealth step factors by np.einsum and the wealth
-recursion one step at a time, the wealth statistics from whole wealth and strategy paths,
+recursion one step at a time, the wealth, stationarity, frontier and
+Laplace inputs from whole chunks of paths,
 the resolvent density's L2 norm by adaptive quadrature and the standard
 errors of per-column means and variances by a multinomial bootstrap
 over paths."""
@@ -37,11 +38,15 @@ from voltmark.model import Grid
 from voltmark.montecarlo import ColumnMoments
 from voltmark.riccati import RiccatiSolution, _rhs, _system, solve_riccati_adams
 from voltmark.simulate import (
+    _BIT_GENERATOR,
     _BLOCK,
+    _CHUNK_PATHS,
     _FACTOR_RTOL,
     _SUB,
     _lag_blocks,
+    build_gaussian_factor,
     require_finite,
+    sample_initial_variance,
     simulate_variance_chunks,
 )
 
@@ -296,11 +301,45 @@ def asset_increments(rho, dW: np.ndarray, dWperp: np.ndarray) -> np.ndarray:
     return rho * dW - np.sqrt(1.0 - np.square(rho)) * dWperp
 
 
+def dense_variance_paths(model, stabs, grid: Grid, M: int, seed: int, *,
+                         initial: str = "stationary", increments: bool = True,
+                         far_cells: int = 1 << 19) -> tuple:
+    """(V, dB) of ``simulate_variance_paths`` by the dense reference engine,
+    as (M, d, n+1) and (M, d, n) arrays (dB None without increments): the
+    same chunks and stream groups, each chunk's V0 and every asset's
+    whole chunk advanced at once by ``dense_advance_asset``."""
+    d, n = model.d, grid.n
+    factors = [build_gaussian_factor(fractional_kernel(a), grid) for a in model.alpha]
+    sig = np.stack([np.asarray(st.eval(grid.times[:-1])) for st in stabs])
+    seq = np.random.SeedSequence(seed)
+    V = np.empty((M, d, n + 1))
+    dB = np.empty((M, d, n)) if increments else None
+    for c0 in range(0, M, _CHUNK_PATHS):
+        m = min(_CHUNK_PATHS, M - c0)
+        children = seq.spawn(1 + d)
+        if initial == "stationary":
+            V0 = sample_initial_variance(model, m, np.random.Generator(_BIT_GENERATOR(children[0])))
+        else:
+            V0 = np.tile(model.x_inf, (m, 1))
+        for i in range(d):
+            Vi = np.zeros((n + 1, m))
+            Vi[0] = V0[:, i]
+            dBi = np.empty((n, m)) if increments else None
+            dense_advance_asset(
+                model, i, factors[i], sig[i], np.random.Generator(_BIT_GENERATOR(children[1 + i])),
+                Vi, dBi, np.random.Generator(_BIT_GENERATOR(children[1 + i].spawn(1)[0]))
+                if increments else None, far_cells=far_cells)
+            V[c0 : c0 + m, i] = Vi.T
+            if increments:
+                dB[c0 : c0 + m, i] = dBi.T
+    return V, dB
+
+
 def dense_advance_asset(model, i, fac, sig, rng, V, dB, rng_perp, *,
                         far_cells: int = 1 << 19) -> None:
-    """The path engine with the dense far field, a drop-in for
-    ``simulate._advance_asset``: the same draws, near field and 8-cell
-    sub-block flushes, but at the end of each 64-cell block one product of
+    """One asset's whole (n+1, m) chunk by the path engine with the dense
+    far field: the same draws, near field and 8-cell
+    sub-block flushes as ``simulate._AssetEngine``, but at the end of each 64-cell block one product of
     the whole lag-block matrix (``_lag_blocks`` at width 64) adds the
     block's cells to every later time, split into path ranges of about
     ``far_cells`` product entries (``_dense_path_bounds``).  Each cell
@@ -402,6 +441,32 @@ def whole_path_wealth_stats(model, stabs, grid: Grid, M: int, seed: int, m: floa
         for i, acc in enumerate(strategies):
             acc.add(part.alpha_paths[:, i, :])
     return wealth.stats(), [acc.stats() for acc in strategies]
+
+
+def whole_chunk_variance_stats(model, stabs, grid: Grid, M: int, seed: int) -> list:
+    """Each asset's stationarity statistics from whole chunks: every
+    stationary V-only chunk's (chunk, n+1) V folded into one ColumnMoments
+    per asset, rows whole."""
+    moments = [ColumnMoments() for _ in range(model.d)]
+    for chunk in simulate_variance_chunks(model, stabs, grid, M, seed, increments=False):
+        for i, acc in enumerate(moments):
+            acc.add(chunk.V[:, i, :])
+    return [acc.stats() for acc in moments]
+
+
+def whole_chunk_terminal(model, stabs, grid: Grid, M: int, seed: int) -> list:
+    """Each fixed-start chunk's (A_T, B_T) by ``stepwise_wealth`` over its whole paths."""
+    sol = solve_riccati_adams(model, stabs, grid.n)
+    return [stepwise_wealth(model, chunk, sol, stabs, 0.0)[:2]
+            for chunk in simulate_variance_chunks(model, stabs, grid, M, seed, initial="fixed")]
+
+
+def whole_chunk_exponents(model, stabs, grid: Grid, M: int, seed: int, u) -> list:
+    """Each fixed-start V-only chunk's Laplace exponents, np.trapezoid over
+    its whole (chunk, d, n+1) V along time, then u."""
+    return [np.trapezoid(chunk.V, dx=grid.dt, axis=2) @ np.asarray(u)
+            for chunk in simulate_variance_chunks(model, stabs, grid, M, seed, initial="fixed",
+                                                  increments=False)]
 
 
 def quad_density_l2_norm(alpha: float, lam: float) -> float:

@@ -1,4 +1,4 @@
-"""The path engine's fixed chunks of paths and the consumers that fold them.
+"""The path engine's fixed chunks of paths, their blocks, and the consumers that fold them.
 
 Path counts sit on the chunk edges: one short of a chunk, exactly one,
 one over, and two chunks plus a remainder.  The grid is small, but has
@@ -11,7 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
-from oracles import dense_advance_asset
+from oracles import dense_variance_paths
 from voltmark import markowitz, simulate
 from voltmark.kernels import ParameterError
 from voltmark.markowitz import affine_wealth_terminal, laplace_affine_check
@@ -19,6 +19,7 @@ from voltmark.model import Grid, MarketModel
 from voltmark.riccati import solve_riccati_adams
 from voltmark.simulate import (
     _CHUNK_PATHS as C,
+    simulate_variance_blocks,
     simulate_variance_chunks,
     simulate_variance_paths,
 )
@@ -69,10 +70,10 @@ def test_fused_laplace_equals_materialized(model_t1, stabs_t1, M):
     given = laplace_affine_check(model_t1, stabs_t1, u, GRID, M, SEED, ensemble=whole)
     assert fused.mc_value == given.mc_value and fused.mc_se == given.mc_se
     # the exponents themselves, against one pass over the whole V
-    exponents = np.concatenate([markowitz._laplace_exponents(ch.V, GRID.dt, np.array(u))
+    exponents = np.concatenate([markowitz._laplace_exponents(ch.blocks(), GRID.dt, np.array(u))
                                 for ch in _chunks(model_t1, stabs_t1, M,
                                                   initial="fixed", increments=False)])
-    direct = markowitz._laplace_exponents(whole.V, GRID.dt, np.array(u))
+    direct = markowitz._laplace_exponents(whole.blocks(), GRID.dt, np.array(u))
     assert np.max(np.abs(exponents - direct)) <= 1e-15 * np.max(np.abs(direct))
 
 
@@ -102,7 +103,7 @@ def test_chunks_do_not_depend_on_the_thread_count(model_t1, stabs_t1, monkeypatc
 
     monkeypatch.setattr(simulate, "ThreadPoolExecutor", recording_pool)
     two = _paths(model_t1, stabs_t1, M)
-    assert pool_sizes == [2, 2, 2]          # one pool per chunk
+    assert pool_sizes == [2]                # one pool per stream
     assert np.array_equal(one.V, two.V)
     assert np.array_equal(one.dB, two.dB)
 
@@ -153,27 +154,39 @@ def test_common_chunks_are_those_of_equal_size(model_t1, stabs_t1, M, other, sha
 def test_shared_pass_leaves_before_the_frontier_and_laplace(tmp_path, monkeypatch):
     # full's wealth stage hands the T = 1 frontier its (A_T, B_T) and the
     # Laplace check (laplace_M = M) the exponents of its chunks, but none of
-    # its chunks: they are gone when those stages start
+    # the maps that its stream made (engine scratch, row store, wealth
+    # buffers): they are gone when those stages start
     from voltmark import cli, montecarlo
 
-    refs, seen = [], []
-    real_chunks = simulate.simulate_variance_chunks
+    refs, seen, in_wealth = [], [], []
 
-    def chunks_spy(*args, **kwargs):
-        for chunk in real_chunks(*args, **kwargs):
-            if chunk.dB is not None:
-                refs.extend(weakref.ref(obj) for obj in (chunk, chunk.V.base, chunk.dB.base))
-            yield chunk
-            del chunk
+    def mapped_spy(real):
+        def wrapped(shape):
+            arr = real(shape)
+            if in_wealth:
+                refs.append(weakref.ref(arr))
+            return arr
+        return wrapped
+
+    def wealth_spy(real):
+        def wrapped(*args, **kwargs):
+            in_wealth.append(True)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                in_wealth.clear()
+        return wrapped
 
     def stage_spy(real, shared_kw):
         def wrapped(*args, **kwargs):
             seen.append((real.__name__, kwargs[shared_kw] is not None and len(kwargs[shared_kw]),
-                         len(refs), [ref() is not None for ref in refs]))
+                         [ref() is not None for ref in refs]))
             return real(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(simulate, "simulate_variance_chunks", chunks_spy)
+    for module in (simulate, markowitz):
+        monkeypatch.setattr(module, "_mapped", mapped_spy(module._mapped))
+    monkeypatch.setattr(cli, "run_wealth", wealth_spy(cli.run_wealth))
     monkeypatch.setattr(montecarlo, "frontier_experiment",
                         stage_spy(montecarlo.frontier_experiment, "terminal"))
     monkeypatch.setattr(markowitz, "laplace_affine_check",
@@ -187,9 +200,12 @@ def test_shared_pass_leaves_before_the_frontier_and_laplace(tmp_path, monkeypatc
     path.write_text(cfg_text)
     assert cli.main(["full", "--config", str(path), "--out", str(tmp_path / "o")]) in (0, 4)
     # the wealth stage's two chunks (M = C + 5); the frontier gets their
-    # (A_T, B_T) pairs, the Laplace check their exponents
-    assert seen == [("frontier_experiment", 2, 6, [False] * 6),
-                    ("laplace_affine_check", 2, 6, [False] * 6)]
+    # (A_T, B_T) pairs, the Laplace check their exponents.  The stream maps
+    # each asset's 6 scratch and 2 factor buffers, the 2 row stores, the
+    # wealth fold's 2 buffers and a tile buffer per path range (1 or 2)
+    assert len(refs) >= 2 * 8 + 2 + 2 + 1
+    assert seen == [("frontier_experiment", 2, [False] * len(refs)),
+                    ("laplace_affine_check", 2, [False] * len(refs))]
 
 
 @pytest.mark.parametrize("M", [0, -5])
@@ -200,32 +216,53 @@ def test_engine_rejects_empty_path_count(model_t1, stabs_t1, M):
         simulate_variance_chunks(model_t1, stabs_t1, GRID, M, SEED)   # before the first chunk
 
 
-def test_short_last_chunk_fits_the_scratch(model_t1, stabs_t1, monkeypatch):
-    # a last chunk of 1279 paths maps scratch of its own width, equals the
-    # ensemble's tail, and agrees with the dense reference to rounding
+def test_short_last_chunk_fits_the_scratch(model_t1, stabs_t1):
+    # a last chunk of 1279 paths takes views of the first chunk's maps,
+    # equals the ensemble's tail, and agrees with the dense reference to
+    # rounding
     ens = _paths(model_t1, stabs_t1, C + 1279)
     last = _chunks(model_t1, stabs_t1, C + 1279)[-1]
     assert np.array_equal(last.V, ens.V[C:])
-    monkeypatch.setattr(simulate, "_advance_asset", dense_advance_asset)
-    dense = _paths(model_t1, stabs_t1, C + 1279)
-    assert np.max(np.abs(ens.V - dense.V)) <= 1e-12 * np.max(np.abs(dense.V))
+    dense, _ = dense_variance_paths(model_t1, stabs_t1, GRID, C + 1279, SEED)
+    assert np.max(np.abs(ens.V - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
 def test_scratch_leaves_before_a_consumer(model_t1, stabs_t1, monkeypatch):
-    # each asset's job maps the scratch of its chunk, and a chunk handed
-    # to a consumer no longer holds any of it
-    made = []
-    real = simulate._asset_scratch
+    # each asset's engine maps its scratch once per stream, sized by the
+    # first chunk; every chunk's scratch and row store are views of those
+    # maps, and they leave with the stream, before its consumer goes on
+    made, stores = [], []
+    real_scratch, real_fit = simulate._asset_scratch, simulate._fit
 
-    def spy(*args):
-        buffers = real(*args)
-        made.append([weakref.ref(buf) for buf in buffers])
+    def scratch_spy(*args):
+        buffers = real_scratch(*args)
+        made.append(buffers)
         return buffers
 
-    monkeypatch.setattr(simulate, "_asset_scratch", spy)
-    for _ in simulate_variance_chunks(model_t1, stabs_t1, GRID, 2 * C + 3, SEED):
-        assert made and all(ref() is None for refs in made for ref in refs)
-    assert len(made) == 3 * model_t1.d
+    def fit_spy(buf, m):
+        view = real_fit(buf, m)
+        stores.append((buf, view))
+        return view
+
+    monkeypatch.setattr(simulate, "_asset_scratch", scratch_spy)
+    monkeypatch.setattr(simulate, "_fit", fit_spy)
+    sizes = []
+    for chunk in simulate_variance_blocks(model_t1, stabs_t1, GRID, 2 * C + 3, SEED):
+        sizes.append(chunk.M)
+        assert len(made) == model_t1.d
+        assert all(buf.shape[-1] == C for buffers in made for buf in buffers)
+        for _ in chunk.blocks():
+            pass
+    assert sizes == [C, C, 3]
+    # 6 scratch views per asset and 2 row stores per chunk, each a view of its map
+    assert len(stores) == 3 * (6 * model_t1.d + 2)
+    assert all(np.shares_memory(buf, view) and view.flags.c_contiguous and view.shape[-1] == m
+               for (buf, view), m in zip(stores, np.repeat(sizes, 6 * model_t1.d + 2)))
+    refs = [weakref.ref(buf) for buffers in made for buf in buffers]
+    del chunk
+    made.clear()
+    stores.clear()
+    assert all(ref() is None for ref in refs)
 
 
 def test_dropped_chunk_frees_its_arrays(model_t1, stabs_t1):
@@ -241,9 +278,10 @@ def test_dropped_chunk_frees_its_arrays(model_t1, stabs_t1):
 
 
 def test_a_chunk_owns_only_v_and_db(model_t1, stabs_t1, monkeypatch):
-    # a chunk with increments maps two arrays the size of its paths, V and
-    # dB, 8 d m (2n + 1) bytes in all, and allocates none on the heap: the
-    # traced peak stays below a tenth of one (n, m) row block
+    # an assembled chunk with increments maps two arrays the size of its
+    # paths, V and dB, 8 d m (2n + 1) bytes in all, which are the engine's
+    # row store for that chunk, and allocates none on the heap: the traced
+    # peak stays below a tenth of one (n, m) row block
     import tracemalloc
 
     mapped, real = [], simulate._mapped

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import voltmark
-from conftest import child_env
+from conftest import child_env, child_peak_kib
 from voltmark.cli import ConfigError, RunContext, _DEFAULT_CONFIG, load_config, main
 from voltmark.model import Grid, bundled_model
 
@@ -280,9 +280,9 @@ def test_each_statistic_folds_each_chunk_once(tmp_path, monkeypatch):
     folds = []
     real = montecarlo.ColumnMoments.add
 
-    def spy(self, x):
+    def spy(self, x, *scratch):
         folds.append(np.shape(x))
-        return real(self, x)
+        return real(self, x, *scratch)
 
     monkeypatch.setattr(montecarlo.ColumnMoments, "add", spy)
     path = _write(tmp_path, _DEFAULT_CONFIG.replace("M = 5000", "M = 60")
@@ -300,45 +300,57 @@ def test_each_statistic_folds_each_chunk_once(tmp_path, monkeypatch):
 
 
 def test_wealth_drops_its_paths_before_the_statistics(tmp_path, monkeypatch):
-    # the wealth stage takes the paths chunk by chunk, never as a whole
+    # the wealth stage takes the paths block by block, never as a whole
     # ensemble: it folds each chunk's wealth and strategies per block of
     # steps while it steps that chunk, and lets the chunk go before the
-    # next one; V and dB are its largest arrays, and neither is
-    # alive by the time the statistics are taken
-    from voltmark import montecarlo, simulate
+    # next one; the maps of its stream (engine scratch, row store, wealth
+    # buffers) are its largest arrays, and none of them is alive by the
+    # time the statistics are taken
+    from voltmark import markowitz, montecarlo, simulate
 
     chunks, refs, alive, whole = [], [], [], []
-    real_chunks = simulate.simulate_variance_chunks
+    real_blocks = simulate.simulate_variance_blocks
     real_add, real_stats = montecarlo.ColumnMoments.add, montecarlo.ColumnMoments.stats
 
     def record(chunk):
         chunks.append(weakref.ref(chunk))
-        refs.extend(weakref.ref(obj) for obj in (chunk.V.base, chunk.dB.base))
         return chunk
 
-    def chunks_spy(*args, **kwargs):
+    def blocks_spy(*args, **kwargs):
         # map, unlike a generator suspended at its yield, keeps no chunk
-        return map(record, real_chunks(*args, **kwargs))
+        return map(record, real_blocks(*args, **kwargs))
 
-    def add_spy(self, x):
+    def mapped_spy(real):
+        def wrapped(shape):
+            arr = real(shape)
+            refs.append(weakref.ref(arr))
+            return arr
+        return wrapped
+
+    def add_spy(self, x, *scratch):
         alive.append(("add", [ref() is not None for ref in chunks]))
-        return real_add(self, x)
+        return real_add(self, x, *scratch)
 
     def stats_spy(self):
         alive.append(("stats", [ref() is not None for ref in chunks + refs]))
         return real_stats(self)
 
-    monkeypatch.setattr(simulate, "simulate_variance_chunks", chunks_spy)
+    monkeypatch.setattr(simulate, "simulate_variance_blocks", blocks_spy)
     monkeypatch.setattr(simulate, "simulate_variance_paths", lambda *a, **k: whole.append(a))
+    for module in (simulate, markowitz):
+        monkeypatch.setattr(module, "_mapped", mapped_spy(module._mapped))
     monkeypatch.setattr(montecarlo.ColumnMoments, "add", add_spy)
     monkeypatch.setattr(montecarlo.ColumnMoments, "stats", stats_spy)
     two_chunks = f"M = {simulate._CHUNK_PATHS + 5}"
     path = _write(tmp_path, _two_assets(TINY).replace("M = 120", two_chunks))
     assert main(["wealth", "--config", path, "--out", str(tmp_path / "o")]) in (0, 4)
     # X and two strategies per chunk (one block of steps), then their
-    # three statistics
+    # three statistics; the stream mapped each asset's 6 scratch and 2
+    # factor buffers, the 2 row stores, the 2 fold buffers and a tile
+    # buffer per path range
+    assert len(refs) >= 2 * 8 + 2 + 2 + 1
     assert whole == [] and alive == ([("add", [True])] * 3 + [("add", [False, True])] * 3
-                                     + [("stats", [False] * 6)] * 3)
+                                     + [("stats", [False] * (2 + len(refs)))] * 3)
 
 
 def test_v_only_stages_skip_the_increments(tmp_path, monkeypatch):
@@ -357,15 +369,17 @@ def test_v_only_stages_skip_the_increments(tmp_path, monkeypatch):
 
     monkeypatch.setattr(simulate, "simulate_variance_paths",
                         spy(simulate.simulate_variance_paths))
-    chunks = spy(simulate.simulate_variance_chunks)
-    for module in (simulate, markowitz, montecarlo):
-        monkeypatch.setattr(module, "simulate_variance_chunks", chunks)
+    for name in ("simulate_variance_chunks", "simulate_variance_blocks"):
+        streams = spy(getattr(simulate, name))
+        for module in (simulate, markowitz, montecarlo):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, streams)
     run = RunContext.build(load_config(TINY))
     for runner in (cli.run_simulate, cli.run_laplace, cli.run_wealth, cli.run_frontier):
         runner(run, str(tmp_path))
-    # every stage takes the paths chunk by chunk
-    assert requested == [("simulate_variance_chunks", False)] * 2 + [
-        ("simulate_variance_chunks", True)] * 2
+    # every stage takes the paths block by block
+    assert requested == [("simulate_variance_blocks", False)] * 2 + [
+        ("simulate_variance_blocks", True)] * 2
 
 
 def test_manifest_records_thread_cap_and_chunk_size(tmp_path, monkeypatch):
@@ -459,21 +473,13 @@ def test_threads_variable_reaches_blas():
 
 
 def _peak_mb(argv) -> float:
-    """VmHWM of a child interpreter that runs ``main(argv)`` to exit 0, in MB.
-
-    Each child reads its own VmHWM: Linux keeps ru_maxrss across exec,
-    so there a child of pytest would start at pytest's peak."""
-    code = (
+    """VmHWM of a child interpreter that runs ``main(argv)`` to exit 0, in MB."""
+    _, after = child_peak_kib(
         "import contextlib, io\n"
         "from voltmark.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert main({argv!r}) == 0\n"
-        "with open('/proc/self/status') as status:\n"
-        "    print(next(int(line.split()[1]) for line in status if line.startswith('VmHWM')))\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(child_env(), VOLTMARK_THREADS="1"), check=True)
-    return int(proc.stdout) / 1024
+        f"    assert main({argv!r}) == 0\n", "", VOLTMARK_THREADS="1")
+    return after / 1024
 
 
 def _growth_from_one_to_four_chunks(tmp_path, command: str, n: int, extra=()) -> tuple:
@@ -506,9 +512,10 @@ def test_frontier_memory_does_not_grow_with_paths(tmp_path):
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads the peak RSS from /proc")
 def test_wealth_holds_no_chunk_of_wealth_paths(tmp_path):
-    # wealth folds X and the strategies per block of steps, so on one
-    # chunk it may peak above frontier, which keeps only (A_T, B_T), by
-    # far less than that chunk's X and alpha: C (n+1) + C d n doubles
+    # wealth folds X and the strategies per block of steps, in buffers of
+    # one block mapped once per stream, so on one chunk it may peak above
+    # frontier, which keeps only (A_T, B_T), by far less than that chunk's
+    # X and alpha: C (n+1) + C d n doubles
     from voltmark.simulate import _CHUNK_PATHS as C
 
     d, n = 2, 600
@@ -545,12 +552,97 @@ def test_wealth_stats_keep_the_bits_of_whole_paths(tmp_path, monkeypatch, cpus):
     assert (out / "wealth_stats.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("n", [150, 65])
+def test_block_folds_keep_the_bits_of_whole_chunks(tmp_path, monkeypatch, n, cpus):
+    # the stationarity, frontier and Laplace stages fold the block stream,
+    # and write the bytes of the same statistics over whole chunks, on one
+    # worker or two: n = 150 leaves a last block of 22 cells, n = 65 one
+    # of a single cell, and M = C + 5 a second chunk
+    from oracles import whole_chunk_exponents, whole_chunk_terminal, whole_chunk_variance_stats
+    from voltmark import cli, markowitz, montecarlo, riccati, simulate
+
+    monkeypatch.setattr(simulate, "_BLAS_THREADS", 1)
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: cpus)
+    M = simulate._CHUNK_PATHS + 5      # mc.M and laplace_M
+    cfg_text = (_DEFAULT_CONFIG.replace("M = 5000", f"M = {M}").replace("n = 600", f"n = {n}")
+                .replace("m_count = 8", "m_count = 2"))
+    path, out, ref = _write(tmp_path, cfg_text), tmp_path / "o", tmp_path / "ref"
+    for command in ("simulate", "frontier", "laplace"):
+        assert main([command, "--config", path, "--out", str(out)]) in (0, 4)
+    run = RunContext.build(load_config(cfg_text))
+    model, stabs, grid, seed = run.model, run.stabs, run.grid, run.cfg["seed"]
+    ref.mkdir()
+    for i, st in enumerate(whole_chunk_variance_stats(model, stabs, grid, M, seed)):
+        cli.write_csv(str(ref / f"variance_stats_asset{i + 1}.csv"),
+                      ["t", "mean", "variance", "ci_low", "ci_high"],
+                      zip(grid.times, st.mean, st.variance, st.ci_low, st.ci_high))
+    points = montecarlo.frontier_experiment(
+        model, montecarlo.frontier_m_grid(model, 2), M, seed, grid=grid, stabs=stabs,
+        terminal=whole_chunk_terminal(model, stabs, grid, M, seed))
+    cli.write_csv(str(ref / "frontier.csv"),
+                  ["m", "sigma_theoretical", "sigma_mc", "mc_se", "v_theory", "v_mc", "v_mc_se"],
+                  [(p.m, p.sigma_theory, p.sigma_mc, p.sigma_mc_se, p.v_theory, p.v_mc, p.v_mc_se)
+                   for p in points])
+    rep = markowitz.laplace_affine_check(
+        model, stabs, run.cfg["u"], grid, M, seed,
+        exponents=whole_chunk_exponents(model, stabs, grid, M, seed, run.cfg["u"]))
+    cli.write_csv(str(ref / "laplace_check.csv"),
+                  ["mc_value", "mc_se", "closed_form", "z_score", "beta"],
+                  [(rep.mc_value, rep.mc_se, rep.closed_form, rep.z_score, rep.beta)])
+    names = sorted(p.name for p in ref.iterdir())
+    assert len(names) == 4
+    for name in names:
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+    # and below the CSVs' 12 digits, bit for bit: the statistics, each
+    # chunk's (A_T, B_T) and its Laplace exponents
+    fixed = dict(initial="fixed")
+    folded = montecarlo.stationarity_diagnostics(
+        simulate.simulate_variance_blocks(model, stabs, grid, M, seed, increments=False), model)
+    for got, want in zip(folded.stats, whole_chunk_variance_stats(model, stabs, grid, M, seed)):
+        for name in ("mean", "variance", "mean_se", "var_se"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    sol = riccati.solve_riccati_adams(model, stabs, grid.n)
+    pairs = markowitz._terminal_wealth(model, sol, stabs, simulate.simulate_variance_blocks(
+        model, stabs, grid, M, seed, **fixed))
+    for got, want in zip(pairs, whole_chunk_terminal(model, stabs, grid, M, seed), strict=True):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    u = np.asarray(run.cfg["u"])
+    exponents = [markowitz._laplace_exponents(chunk.blocks(), grid.dt, u)
+                 for chunk in simulate.simulate_variance_blocks(model, stabs, grid, M, seed,
+                                                                increments=False, **fixed)]
+    for got, want in zip(exponents, whole_chunk_exponents(model, stabs, grid, M, seed, u),
+                         strict=True):
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="reads the peak RSS from /proc")
 def test_stationarity_memory_does_not_grow_with_paths(tmp_path):
     # simulate folds each chunk's V into per-time moments and drops it,
     # so three more chunks must add far less than their V
     peak_mb, budget_mb = _growth_from_one_to_four_chunks(tmp_path, "simulate", 100)
     assert peak_mb[1] - peak_mb[0] < budget_mb, peak_mb
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads the peak RSS from /proc")
+@pytest.mark.parametrize("command, arrays", [("frontier", 2), ("wealth", 2), ("simulate", 1)])
+def test_block_stream_memory_does_not_grow_with_steps(tmp_path, command, arrays):
+    # no stage holds a chunk's V or dB: from n = 200 to 800 steps on one
+    # chunk, the peak may grow by less than a quarter of the 600 more rows
+    # of each array that a chunk would hold, 8 d C 600 bytes for V and as
+    # many for dB.  Without dB (simulate) the bound is a third: the
+    # far field's history, k = 17-18 rows per path for each 64-cell block,
+    # grows about 27 % as fast as V itself
+    from voltmark.simulate import _CHUNK_PATHS as C
+
+    d, share = 2, (4 if arrays == 2 else 3)
+    peak_mb = []
+    for n in (200, 800):
+        path = _write(tmp_path, _DEFAULT_CONFIG.replace("M = 5000", f"M = {C}")
+                      .replace("n = 600", f"n = {n}").replace("m_count = 8", "m_count = 2"),
+                      name=f"cfg{n}.ini")
+        peak_mb.append(_peak_mb([command, "--config", path, "--out", str(tmp_path / f"o{n}")]))
+    assert peak_mb[1] - peak_mb[0] < arrays * 8 * d * C * 600 / 2**20 / share, peak_mb
 
 
 def test_console_entry_point():
@@ -638,6 +730,28 @@ def test_full_mode_smoke(tmp_path):
     for name in ("stabilizer_asset1.csv", "riccati_psi.csv", "wealth_stats.csv",
                  "frontier_T1.csv", "laplace_check.csv", "manifest.json"):
         assert (out / name).exists()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads the peak RSS from /proc")
+def test_manifest_records_each_stage(tmp_path, capsys):
+    # one record per stage in run order, each with a finite wall time and
+    # the peak resident set at its end, which never falls; a lone command
+    # is one stage of its own name.  Stdout stays the stages' summary
+    path = _write(tmp_path, TINY.replace("frontier_horizons = 1.0", "frontier_horizons = 0.5, 1.0"))
+    assert main(["full", "--config", path, "--out", str(tmp_path / "full")]) in (0, 4)
+    assert "wall_s" not in capsys.readouterr().out
+    stages = json.loads((tmp_path / "full" / "manifest.json").read_text())["stages"]
+    assert [st["name"] for st in stages] == ["stabilizer", "riccati", "stationarity", "wealth",
+                                             "frontier_T0.5", "frontier_T1", "laplace"]
+    for st in stages:
+        assert sorted(st) == ["name", "vmhwm_mb", "wall_s"]
+        assert np.isfinite(st["wall_s"]) and st["wall_s"] >= 0.0
+        assert np.isfinite(st["vmhwm_mb"]) and st["vmhwm_mb"] > 0.0
+    peaks = [st["vmhwm_mb"] for st in stages]
+    assert peaks == sorted(peaks)
+    assert main(["laplace", "--config", path, "--out", str(tmp_path / "alone")]) in (0, 4)
+    alone = json.loads((tmp_path / "alone" / "manifest.json").read_text())["stages"]
+    assert [st["name"] for st in alone] == ["laplace"]
 
 
 def test_full_stages_share_one_context(tmp_path, monkeypatch):
@@ -799,7 +913,8 @@ def test_bundled_full_laplace_stage_asks_the_engine_nothing(tmp_path, monkeypatc
         return real_laplace(*args, **kwargs)
 
     for module in (simulate, markowitz, montecarlo):
-        spy(module, "simulate_variance_chunks")
+        spy(module, "simulate_variance_blocks")
+    spy(simulate, "simulate_variance_chunks")
     spy(simulate, "build_gaussian_factor")
     monkeypatch.setattr(cli, "run_laplace", laplace_stage)
     path = _write(tmp_path, _DEFAULT_CONFIG.replace("n = 600", "n = 20"))
@@ -808,23 +923,24 @@ def test_bundled_full_laplace_stage_asks_the_engine_nothing(tmp_path, monkeypatc
     assert [name for name, stage in calls if stage == "laplace"] == []
     # the earlier stages' 4 streams, each with a factor per asset
     assert sorted(calls) == [("build_gaussian_factor", None)] * 8 + \
-        [("simulate_variance_chunks", None)] * 4, calls
+        [("simulate_variance_blocks", None)] * 4, calls
 
 
 def test_full_steps_each_wealth_chunk_once(tmp_path, monkeypatch):
     # the wealth stage's recursion gives the T = 1 frontier its (A_T, B_T):
-    # one _step_factors pass per path range of each wealth chunk, and no
-    # terminal-only recursion; its block fold adds no pass, and no whole
-    # paths are simulated.  Two workers split the C-path chunk in two
-    # ranges; the 5-path chunk is one range of one 64-path block
+    # one _step_factors pass per path range of each block of each wealth
+    # chunk (one block at n = 20), and no terminal-only recursion; its
+    # block fold adds no pass, and no whole paths are simulated.  Two
+    # workers split the C-path chunk in two ranges; the 5-path chunk is
+    # one range of one 64-path block
     from voltmark import markowitz, montecarlo, simulate
 
     passes, terminal_calls, whole = [], [], []
     real_steps = markowitz._step_factors
 
-    def steps_spy(model, ensemble, coef, paths):
-        passes.append((ensemble.M, paths.start, paths.stop))
-        return real_steps(model, ensemble, coef, paths)
+    def steps_spy(model, V, dB, coef, dt, paths, flat):
+        passes.append((dB.shape[2], paths.start, paths.stop))
+        return real_steps(model, V, dB, coef, dt, paths, flat)
 
     def terminal_spy(real):
         def wrapped(*args):
@@ -834,9 +950,9 @@ def test_full_steps_each_wealth_chunk_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(markowitz, "_step_factors", steps_spy)
     monkeypatch.setattr(markowitz, "simulate_wealth", lambda *args: whole.append(args))
-    for module in (markowitz, montecarlo):
-        monkeypatch.setattr(module, "affine_wealth_terminal",
-                            terminal_spy(module.affine_wealth_terminal))
+    monkeypatch.setattr(markowitz, "affine_wealth_terminal",
+                        terminal_spy(markowitz.affine_wealth_terminal))
+    monkeypatch.setattr(montecarlo, "_terminal_wealth", terminal_spy(montecarlo._terminal_wealth))
     monkeypatch.setattr(simulate, "_BLAS_THREADS", 1)
     monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
     C = simulate._CHUNK_PATHS

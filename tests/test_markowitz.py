@@ -363,7 +363,7 @@ def laplace_exponents(model_t1, stabs_t1):
     grid, u = Grid(1.0, 50), np.array([-0.05, -0.05])
     ens = simulate_variance_paths(model_t1, stabs_t1, grid, 1000, seed=5, initial="fixed",
                                   increments=False)
-    return grid, u, markowitz._laplace_exponents(ens.V, grid.dt, u)
+    return grid, u, markowitz._laplace_exponents(ens.blocks(), grid.dt, u)
 
 
 def test_laplace_control_has_its_exact_mean(model_t1, laplace_exponents):
@@ -417,11 +417,12 @@ def test_laplace_deterministic_variance(stabs_t1):
 
 
 def test_laplace_row_integral_is_numpy_trapezoid(model_t1, stabs_t1):
-    # the row-by-row integral over the time-major V repeats the rounding
-    # of np.trapezoid along the time axis of the (M, d, n+1) view
+    # the row-by-row integral over the time-major V, block by block,
+    # repeats the rounding of np.trapezoid along the time axis of the
+    # (M, d, n+1) view
     ens = simulate_variance_paths(model_t1, stabs_t1, Grid(1.0, 130), 333, seed=2,
                                   initial="fixed")
-    rows = _trapezoid_rows(ens.V, ens.grid.dt)
+    rows = _trapezoid_rows(ens.blocks(), ens.grid.dt)
     ref = np.trapezoid(ens.V, dx=ens.grid.dt, axis=2)
     assert np.array_equal(rows.T, ref)
     u = np.array([-0.05, -0.05])
@@ -473,7 +474,7 @@ def test_wealth_recursion_keeps_the_bits_of_the_step_loop(model_t1, stabs_t1, mo
 def test_step_factors_equal_the_einsum_sums(d):
     # the per-asset d-sums of _step_factors against np.einsum's, bit for bit
     # (signed zeros too) over three blocks of steps, on the time-major
-    # tiles of one path range: 512 paths and the rest; einsum sums a
+    # tiles of one path range of each block: 512 paths and the rest; einsum sums a
     # one-step block (n = 1 mod 64) of d >= 3 assets in its own unrolled
     # order, so n leaves none here
     assets = dict(alpha=[0.6, 0.7, 0.9], lam=[0.2, 0.3, 0.4], nu=[0.4, 0.3, 0.5],
@@ -487,13 +488,16 @@ def test_step_factors_equal_the_einsum_sums(d):
     ens = simulate.PathEnsemble(model=model, grid=grid, M=M, V=V, dB=dB)
     coef = rng.standard_normal((d, grid.n))
     gain_ref, s_ref = einsum_step_factors(model, ens, coef)
-    cells = 0
-    for lo, tile, gain, s, _ in markowitz._step_factors(model, ens, coef, slice(0, 768)):
-        w = len(s)
-        assert np.array_equal(gain.view(np.int64),
-                              gain_ref[tile, :, lo:lo + w].transpose(1, 2, 0).view(np.int64))
-        assert np.array_equal(s.view(np.int64), s_ref[lo:lo + w, tile].view(np.int64))
-        cells += s.size
+    cells, flat = 0, markowitz._tile_buffer(d)
+    for lo, V_rows, dB_rows in ens.blocks():
+        w = dB_rows.shape[1]
+        for tile, gain, s, _ in markowitz._step_factors(model, V_rows, dB_rows,
+                                                         coef[:, lo:lo + w], grid.dt,
+                                                         slice(0, 768), flat):
+            assert np.array_equal(gain.view(np.int64),
+                                  gain_ref[tile, :, lo:lo + w].transpose(1, 2, 0).view(np.int64))
+            assert np.array_equal(s.view(np.int64), s_ref[lo:lo + w, tile].view(np.int64))
+            cells += s.size
     assert cells == grid.n * M
 
 

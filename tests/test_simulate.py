@@ -1,7 +1,5 @@
 """Gaussian block factor and the K-integrated Euler scheme."""
 
-import functools
-import subprocess
 import sys
 
 import mpmath
@@ -9,11 +7,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import child_env, small_model
+from conftest import child_peak_kib, small_model
 from oracles import (
     _covariance_matrix,
     asset_increments,
-    dense_advance_asset,
+    dense_variance_paths,
     eigh_factor,
     kernel_cross_segment,
     kernel_mean_segment,
@@ -194,25 +192,15 @@ def test_thin_form_without_row0_correction_fails_the_check(monkeypatch):
 def test_factor_build_memory():
     # a fresh interpreter, so that no earlier peak hides the build's; the
     # small build first loads the LAPACK code and its thread buffers.  The
-    # peak is VmHWM, the peak of the interpreter's own memory: Linux keeps
-    # ru_maxrss across exec, so there it would start at pytest's peak.  The
     # build holds no (n+1)^2 array: any whole one would read >= 1
     n = 2400
-    code = (
+    before, after = child_peak_kib(
         "from voltmark.kernels import fractional_kernel\n"
         "from voltmark.model import Grid\n"
         "from voltmark.simulate import build_gaussian_factor\n"
-        "def peak_kib():\n"
-        "    with open('/proc/self/status') as status:\n"
-        "        return next(int(line.split()[1]) for line in status if line.startswith('VmHWM'))\n"
-        "build_gaussian_factor(fractional_kernel(0.6), Grid(5.0, 100))\n"
-        "before = peak_kib()\n"
-        f"build_gaussian_factor(fractional_kernel(0.6), Grid(5.0, {n}))\n"
-        "print(peak_kib() - before)\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=child_env(), check=True)
-    growth = int(proc.stdout) * 1024 / (8 * (n + 1) ** 2)
+        "build_gaussian_factor(fractional_kernel(0.6), Grid(5.0, 100))\n",
+        f"build_gaussian_factor(fractional_kernel(0.6), Grid(5.0, {n}))\n")
+    growth = (after - before) * 1024 / (8 * (n + 1) ** 2)
     assert growth <= 0.5, f"the build grew the peak by {growth:.2f} covariance matrices"
 
 
@@ -439,25 +427,22 @@ def test_asset_threads_leave_room_for_blas_threads(monkeypatch):
     assert sorted(done) == sorted(list(range(3)) * 4)
 
 
-def test_path_chunks_change_only_rounding(model_t1, stabs_t1, monkeypatch):
+def test_path_chunks_change_only_rounding(model_t1, stabs_t1):
     # the dense reference, its far-field products split into path ranges,
     # and the engine, whose far field is compressed and unsplit, agree up to
     # rounding
     g = Grid(1.0, 150)
     engine = simulate_variance_paths(model_t1, stabs_t1, g, 300, seed=6)
-    monkeypatch.setattr(simulate, "_advance_asset",
-                        functools.partial(dense_advance_asset, far_cells=1 << 12))
-    split = simulate_variance_paths(model_t1, stabs_t1, g, 300, seed=6)
-    assert np.max(np.abs(split.V - engine.V)) <= 1e-12 * np.max(np.abs(engine.V))
+    split, _ = dense_variance_paths(model_t1, stabs_t1, g, 300, seed=6, far_cells=1 << 12)
+    assert np.max(np.abs(split - engine.V)) <= 1e-12 * np.max(np.abs(engine.V))
 
 
 @pytest.mark.parametrize("n, M", [(600, 4096), (2400, 500)])
-def test_engine_matches_dense_reference(model_t1, stabs_t1, monkeypatch, n, M):
+def test_engine_matches_dense_reference(model_t1, stabs_t1, n, M):
     # the compressed far field against the dense one on the same draws
     g = Grid(1.0, n)
     V = simulate_variance_paths(model_t1, stabs_t1, g, M, seed=3, increments=False).V
-    monkeypatch.setattr(simulate, "_advance_asset", dense_advance_asset)
-    ref = simulate_variance_paths(model_t1, stabs_t1, g, M, seed=3, increments=False).V
+    ref, _ = dense_variance_paths(model_t1, stabs_t1, g, M, seed=3, increments=False)
     assert np.max(np.abs(V - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
