@@ -322,17 +322,8 @@ def _step_factors(model: MarketModel, V: np.ndarray, dB: np.ndarray, coef: np.nd
         yield tile, gain, s, spare
 
 
-def _checked_ensemble(model: MarketModel, ensemble: PathEnsemble,
-                      solution: RiccatiSolution) -> None:
-    """ParameterError unless the wealth of ensemble can run: a psi grid like
-    the path grid, the increments kept, and the ensemble model's rho."""
-    if solution.grid != ensemble.grid:
-        raise ParameterError("wealth scheme requires the psi grid to match the path grid")
-    correlate_asset_brownian(ensemble, model)
-
-
 def _wealth_recursion(model: MarketModel, solution: RiccatiSolution, stabs, chunks,
-                      xi_star=None, fold=None, whole=None):
+                      xi_star=None, fold=None):
     """The Euler wealth of the optimal feedback in its affine form X_k = A_k + xi* B_k.
 
     X(t_k) = X(t_{k-1}) + (r X(t_{k-1}) + sum_i theta_i sqrt(V_i) alpha_i) dt
@@ -345,10 +336,11 @@ def _wealth_recursion(model: MarketModel, solution: RiccatiSolution, stabs, chun
         A_{k+1} = A_k (1 + r dt + s_k),                       A_0 = x0,
         B_{k+1} = B_k (1 + r dt + s_k) - e^(-r(T-t_k)) s_k,   B_0 = 0.
 
-    chunks is a block stream on psi's grid with increments (PathChunks,
-    or whole ensembles, which hand out blocks too); the recursion takes
-    each chunk block by block, and yields its (A_T, B_T), unchecked (a
-    finite X_T has finite A_T and B_T), once its last block is stepped.
+    chunks is a block stream with increments (PathChunks, or whole
+    ensembles, which hand out blocks too); ParameterError unless each
+    chunk is on psi's grid.  The recursion takes each chunk block by
+    block, and yields its (A_T, B_T), unchecked (a finite X_T has finite
+    A_T and B_T), once its last block is stepped.
     1 + r dt + s and e^(-r(T-t)) s are formed once per block and tile of
     paths, and each step writes the block's rows of A and B, all in the
     spare slots of ``_step_factors``.  The paths of a block run on the
@@ -361,10 +353,7 @@ def _wealth_recursion(model: MarketModel, solution: RiccatiSolution, stabs, chun
     and alpha_k into path-major buffers of one block, and fold(lo, X,
     alpha) takes X_lo .. X_hi (M, hi - lo + 1) and alpha_lo ..
     alpha_{hi-1} (M, d, hi - lo), views that the next block overwrites,
-    after NonFiniteError has been raised unless both are finite.  With
-    whole, an (M, n+1) X and an (M, d, n) alpha of the caller's for a
-    stream of one chunk, the block buffers are views of them, so that
-    they hold the whole paths at the end.
+    after NonFiniteError has been raised unless both are finite.
 
     The stream maps its buffers once, sized by its first chunk, the
     widest: the wealth-fold buffers (with fold) and one ``_tile_buffer``
@@ -375,7 +364,6 @@ def _wealth_recursion(model: MarketModel, solution: RiccatiSolution, stabs, chun
     coef = control_coefficient(model, solution, stabs, grid.times[:-1])  # (d, n)
     disc = np.exp(-model.r * (model.T - grid.times[:-1]))[:, None]       # (n, 1)
     growth = 1.0 + model.r * grid.dt
-    paths = fold is not None or whole is not None    # X and alpha are formed
     flats = X_buf = alpha_buf = None
 
     def advance(lo, V, dB, part, flat, A, B, X, alpha):
@@ -392,7 +380,7 @@ def _wealth_recursion(model: MarketModel, solution: RiccatiSolution, stabs, chun
                     np.multiply(a_k, a_rows[k], out=a_rows[k])
                     a_k, b_k = a_rows[k], b_rows[k]
                 A[tile], B[tile] = a_k, b_k
-                if paths:
+                if fold is not None:
                     x = X[tile].T                               # (w+1, t)
                     np.add(a_rows, np.multiply(b_rows, xi_star, out=b_rows), out=x[1:])
                     np.subtract(x[:-1], xi_star * disc[lo : lo + w], out=ds)  # the gap
@@ -400,6 +388,8 @@ def _wealth_recursion(model: MarketModel, solution: RiccatiSolution, stabs, chun
 
     with contextlib.ExitStack() as stack:
         for chunk in chunks:
+            if chunk.grid != grid:
+                raise ParameterError("wealth scheme requires the psi grid to match the path grid")
             M = chunk.M
             parts = max(1, min(_pool_size(), M // 512))
             width = -(-M // (64 * parts)) * 64
@@ -412,25 +402,20 @@ def _wealth_recursion(model: MarketModel, solution: RiccatiSolution, stabs, chun
                 run = stack.enter_context(_workers(len(ranges)))
             A = np.full(M, float(model.x0))
             B = np.zeros(M)
-            if whole is not None:
-                X_all, alpha_all = whole
-                X_all[:, 0] = model.x0
-            elif fold is not None:  # the block buffers, X_lo .. X_hi and alpha_lo .. alpha_{hi-1}
+            if fold is not None:  # the block buffers, X_lo .. X_hi and alpha_lo .. alpha_{hi-1}
                 X_all = X_buf.reshape(-1)[: M * (_WEALTH_BLOCK + 1)].reshape(M, -1)
                 alpha_all = alpha_buf.reshape(-1)[: M * d * _WEALTH_BLOCK].reshape(M, d, -1)
                 X_all[:, 0] = model.x0
             X = alpha = None
             for lo, V, dB in chunk.blocks():
                 w = dB.shape[1]
-                if paths:
-                    X, alpha = ((X_all[:, lo : lo + w + 1], alpha_all[:, :, lo : lo + w])
-                                if whole is not None else (X_all[:, : w + 1], alpha_all[:, :, :w]))
+                if fold is not None:
+                    X, alpha = X_all[:, : w + 1], alpha_all[:, :, :w]
                 run([functools.partial(advance, lo, V, dB, part, flat, A, B, X, alpha)
                      for part, flat in zip(ranges, flats)])
-                if paths:
+                if fold is not None:
                     require_finite("wealth paths", X)
                     require_finite("optimal strategy", alpha)
-                if fold is not None:
                     fold(lo, X, alpha)
                     X_all[:, 0] = X_all[:, w]
             yield A, B
@@ -444,11 +429,15 @@ def simulate_wealth(model: MarketModel, ensemble: PathEnsemble, solution: Riccat
     NonFiniteError when a wealth or strategy value is not finite, and
     ParameterError on a V-only ensemble.
     """
-    _checked_ensemble(model, ensemble, solution)
+    correlate_asset_brownian(ensemble, model)
     X = np.empty((ensemble.M, ensemble.grid.n + 1))
     alpha_paths = np.empty((ensemble.M, model.d, ensemble.grid.n))
-    [(A, B)] = _wealth_recursion(model, solution, stabs, [ensemble], xi_star,
-                                 whole=(X, alpha_paths))
+
+    def store(lo, x, alpha):
+        X[:, lo : lo + x.shape[1]] = x
+        alpha_paths[:, :, lo : lo + alpha.shape[2]] = alpha
+
+    [(A, B)] = _wealth_recursion(model, solution, stabs, [ensemble], xi_star, store)
     return WealthEnsemble(X=X, alpha_paths=alpha_paths, A_T=A, B_T=B)
 
 
@@ -470,7 +459,7 @@ def affine_wealth_terminal(model: MarketModel, ensemble: PathEnsemble,
     raises NonFiniteError when either is not finite, and ParameterError
     on a V-only ensemble.
     """
-    _checked_ensemble(model, ensemble, solution)
+    correlate_asset_brownian(ensemble, model)
     [(A, B)] = _terminal_wealth(model, solution, stabs, [ensemble])
     return A, B
 

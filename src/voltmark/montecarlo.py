@@ -46,10 +46,12 @@ class ColumnMoments:
     whole ensemble is one chunk.  With m_k = M_k / M, ``stats`` gives the
     variance M2 / (M - 1), the SEs sqrt(m2 / M) of the mean and
     sqrt((m4 - m2^2) / M) M / (M - 1) of the variance, and the 95% band
-    mean -/+ 1.96 SE.  Overflowing sums are left to ``stats``.  A fold
-    that adds block after block passes ``scratch`` (``_fold_scratch``),
-    which then holds the temporaries of each block of columns: new ones
-    from the heap per call cost the allocator fresh pages each time.
+    mean -/+ 1.96 SE.  Overflowing sums are left to ``stats``.  The
+    temporaries of each block of columns live in ``scratch``, laid out
+    as numpy lays out x's elementwise results (``_laid_out``), so the
+    sums keep their bits; a fold that adds block after block passes one
+    (``_fold_scratch``), since new ones from the heap per call cost the
+    allocator fresh pages each time, and without one ``add`` takes its own.
     """
 
     count = 0
@@ -58,17 +60,15 @@ class ColumnMoments:
     def add(self, x, scratch=None) -> None:
         x = np.asarray(x, dtype=float)
         nb = len(x)
+        if scratch is None:
+            scratch = np.empty(2 * nb * min(x.shape[1], _BLOCK_COLUMNS))
         with np.errstate(over="ignore", invalid="ignore"):  # checked by ``stats``
             mean_b = x.mean(axis=0)
             m2b, m3b, m4b = (np.empty_like(mean_b) for _ in range(3))
             for lo in range(0, len(mean_b), _BLOCK_COLUMNS):
                 cols = slice(lo, lo + _BLOCK_COLUMNS)
-                if scratch is None:
-                    c = x[:, cols] - mean_b[cols]
-                    c2 = np.square(c)
-                else:
-                    c = np.subtract(x[:, cols], mean_b[cols], out=_laid_out(scratch, x[:, cols]))
-                    c2 = np.square(c, out=_laid_out(scratch[c.size :], c))
+                c = np.subtract(x[:, cols], mean_b[cols], out=_laid_out(scratch, x[:, cols]))
+                c2 = np.square(c, out=_laid_out(scratch[c.size :], c))
                 m2b[cols] = c2.sum(axis=0)
                 m3b[cols] = np.multiply(c2, c, out=c).sum(axis=0)
                 m4b[cols] = np.square(c2, out=c2).sum(axis=0)

@@ -318,7 +318,9 @@ class PathChunk:
     which the next block overwrites, so a consumer folds each block
     before it asks for the next.  ``blocks(V, dB)`` writes the chunk into
     (d, n+1, M) and (d, n, M) arrays of its own instead, and yields
-    views of them.
+    views of them.  The stream's engines serve one chunk at a time, so
+    the blocks are taken once, before the stream's next chunk is pulled;
+    RuntimeError otherwise.
     """
 
     grid: Grid
@@ -461,9 +463,11 @@ def _advance_chunks(model: MarketModel, stabs, grid: Grid, M: int, seed: int, in
     width = min(_CHUNK_PATHS, M)
     engines = [_AssetEngine(model, i, factors[i], sig_grid[i], width) for i in range(d)]
     store = (_mapped((d, _BLOCK + 1, width)), _mapped((d, _BLOCK, width)) if increments else None)
+    live = [None]   # the chunk whose engines are started, ~c once its blocks are taken
     with _workers(d) as run:
-        for c0 in range(0, M, _CHUNK_PATHS):
+        for c, c0 in enumerate(range(0, M, _CHUNK_PATHS)):
             m = min(_CHUNK_PATHS, M - c0)
+            live[0] = c
             children = seq.spawn(1 + d)
             if initial == "stationary":
                 rng = np.random.Generator(_BIT_GENERATOR(children[0]))
@@ -478,17 +482,27 @@ def _advance_chunks(model: MarketModel, stabs, grid: Grid, M: int, seed: int, in
                              np.random.Generator(_BIT_GENERATOR(children[1 + i].spawn(1)[0]))
                              if increments else None)
             rows = tuple(None if buf is None else _fit(buf, m) for buf in store)
-            yield PathChunk(grid, m, functools.partial(_chunk_blocks, engines, run, n, V0, rows))
+            yield PathChunk(grid, m, functools.partial(_chunk_blocks, engines, run, n, V0, rows,
+                                                       live, c))
 
 
-def _chunk_blocks(engines: list, run, n: int, V0: np.ndarray, store: tuple, V=None, dB=None):
-    """The blocks of one chunk (``PathChunk.blocks``) from V0 (d, m).
+_STALE = "a PathChunk's blocks are read once, before the stream's next chunk is pulled"
+
+
+def _chunk_blocks(engines: list, run, n: int, V0: np.ndarray, store: tuple, live: list, c: int,
+                  V=None, dB=None):
+    """The blocks of chunk c (``PathChunk.blocks``) from V0 (d, m).
 
     Into the row store, whose row 0 takes the last row of the block
     before, the assets advance one block per round.  Into V and dB, the
     chunk's own arrays, each asset's job advances all of its blocks
     (``_AssetEngine.advance``), so that no round waits for the slower
-    asset at each block, and the blocks are views of them."""
+    asset at each block, and the blocks are views of them.  The engines
+    serve one chunk at a time: RuntimeError if the blocks were taken
+    before, or once a later chunk has started them (live, the stream's)."""
+    if live[0] != c:
+        raise RuntimeError(_STALE)
+    live[0] = ~c
     if V is not None:
         V[:, 0] = V0
         run([functools.partial(engine.advance, V[i], None if dB is None else dB[i])
@@ -499,6 +513,8 @@ def _chunk_blocks(engines: list, run, n: int, V0: np.ndarray, store: tuple, V=No
     V[:, 0] = V0
     w = 0
     for b, lo in enumerate(range(0, n, _BLOCK)):
+        if live[0] != ~c:
+            raise RuntimeError(_STALE)
         if b:
             V[:, 0] = V[:, w]
         w = min(_BLOCK, n - lo)

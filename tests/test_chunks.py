@@ -265,6 +265,25 @@ def test_scratch_leaves_before_a_consumer(model_t1, stabs_t1, monkeypatch):
     assert all(ref() is None for ref in refs)
 
 
+def test_a_chunk_reads_its_blocks_once_before_the_next(model_t1, stabs_t1):
+    # the engines of a stream serve one chunk at a time: blocks taken a
+    # second time, or after a later chunk has started the engines, raise
+    # rather than step that chunk's generators from another chunk's V0
+    chunks = list(simulate_variance_blocks(model_t1, stabs_t1, GRID, C + 5, SEED))
+    with pytest.raises(RuntimeError, match="read once"):
+        next(chunks[0].blocks())
+    stream = simulate_variance_blocks(model_t1, stabs_t1, GRID, C + 5, SEED)
+    chunk = next(stream)
+    blocks = chunk.blocks()
+    next(blocks)
+    with pytest.raises(RuntimeError, match="read once"):
+        next(chunk.blocks())
+    next(stream)
+    with pytest.raises(RuntimeError, match="read once"):
+        next(blocks)                  # GRID's second block, after the next chunk
+    stream.close()
+
+
 def test_dropped_chunk_frees_its_arrays(model_t1, stabs_t1):
     # the generator, suspended at its yield, holds none of a chunk's
     # arrays, so a consumer that drops the chunk frees them before the

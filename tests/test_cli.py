@@ -628,21 +628,30 @@ def test_stationarity_memory_does_not_grow_with_paths(tmp_path):
 @pytest.mark.parametrize("command, arrays", [("frontier", 2), ("wealth", 2), ("simulate", 1)])
 def test_block_stream_memory_does_not_grow_with_steps(tmp_path, command, arrays):
     # no stage holds a chunk's V or dB: from n = 200 to 800 steps on one
-    # chunk, the peak may grow by less than a quarter of the 600 more rows
-    # of each array that a chunk would hold, 8 d C 600 bytes for V and as
-    # many for dB.  Without dB (simulate) the bound is a third: the
-    # far field's history, k = 17-18 rows per path for each 64-cell block,
-    # grows about 27 % as fast as V itself
-    from voltmark.simulate import _CHUNK_PATHS as C
+    # chunk, the peak may grow by less than a quarter of what a chunk's
+    # arrays would add, 8 d C 600 bytes for V and as many for dB.  The
+    # engine keeps the far field's history, k rows per path of each asset
+    # for each finished 64-cell block, as whole chunks did; it grows about
+    # 27 % as fast as V, so without dB (simulate) the quarter is that of V
+    # and the history together, the growth of a whole chunk of V
+    from voltmark.kernels import fractional_kernel
+    from voltmark.simulate import _BLOCK, _CHUNK_PATHS as C, build_gaussian_factor
 
-    d, share = 2, (4 if arrays == 2 else 3)
+    cfg = load_config(_DEFAULT_CONFIG)
+    d = cfg["d"]
+
+    def history_rows(n):
+        return sum((n - 1) // _BLOCK * build_gaussian_factor(
+            fractional_kernel(a), Grid(cfg["T"], n)).far_rank for a in cfg["alpha"])
+
+    rows = arrays * d * 600 + (history_rows(800) - history_rows(200) if arrays == 1 else 0)
     peak_mb = []
     for n in (200, 800):
         path = _write(tmp_path, _DEFAULT_CONFIG.replace("M = 5000", f"M = {C}")
                       .replace("n = 600", f"n = {n}").replace("m_count = 8", "m_count = 2"),
                       name=f"cfg{n}.ini")
         peak_mb.append(_peak_mb([command, "--config", path, "--out", str(tmp_path / f"o{n}")]))
-    assert peak_mb[1] - peak_mb[0] < arrays * 8 * d * C * 600 / 2**20 / share, peak_mb
+    assert peak_mb[1] - peak_mb[0] < 8 * C * rows / 2**20 / 4, (peak_mb, rows)
 
 
 def test_console_entry_point():

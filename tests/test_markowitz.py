@@ -330,8 +330,14 @@ def test_wealth_schemes_reject_v_only_ensemble(model_t1, stabs_t1):
 
 def test_affine_terminal_grid_mismatch_rejected(model_t1, stabs_t1, riccati_600):
     ens = simulate_variance_paths(model_t1, stabs_t1, Grid(1.0, 30), 5, seed=1)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="psi grid"):
         affine_wealth_terminal(model_t1, ens, riccati_600, stabs_t1)
+    with pytest.raises(ParameterError, match="psi grid"):
+        simulate_wealth(model_t1, ens, riccati_600, stabs_t1, 3.0)
+    # the recursion checks each chunk of a block stream itself
+    stream = simulate.simulate_variance_blocks(model_t1, stabs_t1, Grid(1.0, 30), 5, seed=1)
+    with pytest.raises(ParameterError, match="psi grid"):
+        next(markowitz._terminal_wealth(model_t1, riccati_600, stabs_t1, stream))
 
 
 def test_laplace_ensemble_grid_mismatch_rejected(model_t1, stabs_t1):

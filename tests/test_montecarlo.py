@@ -258,6 +258,14 @@ def test_frontier_experiment_reproducible():
     assert p1 == p2
 
 
+def test_frontier_rejects_a_grid_of_another_horizon():
+    # psi is solved on the model's horizon; paths on another grid would
+    # step with one dt and the coefficients of the other
+    m = small_model()
+    with pytest.raises(ParameterError, match="horizon"):
+        frontier_experiment(m, [m.m0], 10, seed=6, grid=Grid(0.5, 40))
+
+
 def test_frontier_on_target_zero_variance():
     # d=1, theta=0 at m = m0: strategy is identically zero, variance exactly 0
     m = small_model(theta=[0.0])
