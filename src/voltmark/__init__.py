@@ -42,7 +42,6 @@ from .markowitz import (
     LaplaceReport,
     MarkowitzSolution,
     WealthEnsemble,
-    affine_wealth_terminal,
     efficient_frontier,
     gamma0,
     laplace_affine_check,
@@ -73,7 +72,6 @@ from .simulate import (
     build_gaussian_factor,
     correlate_asset_brownian,
     sample_initial_variance,
-    simulate_variance_chunks,
     simulate_variance_paths,
 )
 from .stabilizer import (

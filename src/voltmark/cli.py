@@ -200,14 +200,21 @@ def write_manifest(out_dir: str, cfg: dict, config_text: str, extra: dict | None
 
 
 def _dumped(path: str, chunks, M: int, d: int, grid: Grid):
-    """Pass the chunks on, writing the raw little-endian dump as they go: header
-    M, d, n as int64 and T as float64, then V row-major (path, asset, time)."""
+    """Pass the chunks on, each writing its blocks into the raw little-endian
+    dump as its reader takes them (``PathChunk.tapped``): header M, d, n as
+    int64 and T as float64, then V row-major (path, asset, time)."""
     with open(path, "wb") as fh:
         np.array([M, d, grid.n], dtype="<i8").tofile(fh)
         np.array([grid.T], dtype="<f8").tofile(fh)
-        for chunk in chunks:
-            np.ascontiguousarray(chunk.V, dtype="<f8").tofile(fh)
-            yield chunk
+        fh.truncate(32 + 8 * M * d * (grid.n + 1))
+    rest = np.memmap(path, dtype="<f8", mode="r+", offset=32, shape=(M, d, grid.n + 1))
+    for chunk in chunks:
+        paths, rest = rest[: chunk.M], rest[chunk.M :]
+
+        def write(lo, V, dB, paths=paths):
+            paths[:, :, lo : lo + V.shape[1]] = V.transpose(2, 0, 1)
+
+        yield chunk.tapped(write)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -272,18 +279,14 @@ def run_simulate(run: RunContext, out_dir: str, M: int | None = None,
                  dump_paths: bool = False, gate: bool = False) -> int:
     """Stationary-start statistics on M paths (mc.M by default), folded
     block by block; they and --dump-paths read V alone, so no Brownian
-    increments are simulated.  --dump-paths takes whole chunks
-    (``simulate_variance_chunks``), which the fold reads block by block too."""
+    increments are simulated.  --dump-paths writes each block as the fold
+    takes it."""
     cfg = run.cfg
     M = cfg["M"] if M is None else M
+    chunks = simulate.simulate_variance_blocks(run.model, run.stabs, run.grid, M, cfg["seed"],
+                                               initial="stationary", increments=False)
     if dump_paths:
-        chunks = _dumped(os.path.join(out_dir, "paths.bin"), simulate.simulate_variance_chunks(
-            run.model, run.stabs, run.grid, M, cfg["seed"], initial="stationary",
-            increments=False), M, run.model.d, run.grid)
-    else:
-        chunks = simulate.simulate_variance_blocks(run.model, run.stabs, run.grid, M,
-                                                   cfg["seed"], initial="stationary",
-                                                   increments=False)
+        chunks = _dumped(os.path.join(out_dir, "paths.bin"), chunks, M, run.model.d, run.grid)
     report = montecarlo.stationarity_diagnostics(chunks, run.model)
     for i, st in enumerate(report.stats):
         write_csv(
@@ -297,12 +300,10 @@ def run_simulate(run: RunContext, out_dir: str, M: int | None = None,
 
 
 def run_wealth(run: RunContext, out_dir: str, tap=None, pairs=None) -> int:
-    """Wealth under the optimal strategy, block by block of the variance
-    paths: X and the strategies fold per block of 64 steps as the
-    recursion steps them (``markowitz._wealth_recursion``), so no chunk's
-    paths of V, dB, wealth or strategy are held.  tap(lo, V, dB) reads
-    each block of the paths too, and pairs, a list, takes each chunk's
-    (A_T, B_T)."""
+    """Wealth under the optimal strategy, folded block by block of the
+    variance paths (``montecarlo.wealth_statistics``).  tap(lo, V, dB)
+    reads each block of the paths too, and pairs, a list, takes each
+    chunk's (A_T, B_T)."""
     cfg, model, stabs, grid = run.cfg, run.model, run.stabs, run.grid
     sol = riccati.solve_riccati_adams(model, stabs, grid.n)
     ms = markowitz.solve_markowitz(model, sol, stabs, cfg["m"])
@@ -310,22 +311,7 @@ def run_wealth(run: RunContext, out_dir: str, tap=None, pairs=None) -> int:
                                                initial="fixed")
     if tap is not None:
         chunks = (chunk.tapped(tap) for chunk in chunks)
-    # one accumulator per block of steps [lo, hi), by lo: X_lo .. X_{hi-1}
-    # (X_n too in the last block) and each asset's alpha_lo .. alpha_{hi-1}
-    wealth, strategies = {}, [{} for _ in range(model.d)]
-    scratch = montecarlo._fold_scratch(min(cfg["M"], simulate._CHUNK_PATHS))
-
-    def fold(lo, x, alpha):
-        last = lo + alpha.shape[2] == grid.n
-        wealth.setdefault(lo, montecarlo.ColumnMoments()).add(x if last else x[:, :-1], scratch)
-        for i, acc in enumerate(strategies):
-            acc.setdefault(lo, montecarlo.ColumnMoments()).add(alpha[:, i], scratch)
-
-    for pair in markowitz._wealth_recursion(model, sol, stabs, chunks, ms.xi_star, fold):
-        if pairs is not None:
-            pairs.append(pair)
-    xstats = montecarlo.joined_stats(wealth.values())
-    astats = [montecarlo.joined_stats(acc.values()) for acc in strategies]
+    xstats, astats = montecarlo.wealth_statistics(model, sol, stabs, chunks, ms.xi_star, pairs)
     cols = [grid.times, xstats.mean, xstats.ci_low, xstats.ci_high]
     header = ["t", "X_mean", "X_ci_low", "X_ci_high"]
     for i, st in enumerate(astats):

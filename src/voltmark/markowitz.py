@@ -72,9 +72,7 @@ class MarkowitzSolution:
 
 @dataclass(frozen=True, eq=False)
 class WealthEnsemble:
-    """Whole wealth paths under the optimal strategy, X[-, 0] = x0, for the
-    readers of whole paths: the tests, and the benchmark's refine_t5
-    workload through ``terminal``."""
+    """Whole wealth paths under the optimal strategy (``simulate_wealth``), X[:, 0] = x0."""
 
     X: np.ndarray = field(repr=False)            # (M, n+1)
     alpha_paths: np.ndarray = field(repr=False)  # (M, d, n)
@@ -424,10 +422,9 @@ def _wealth_recursion(model: MarketModel, solution: RiccatiSolution, stabs, chun
 def simulate_wealth(model: MarketModel, ensemble: PathEnsemble, solution: RiccatiSolution,
                     stabs, xi_star: float) -> WealthEnsemble:
     """Whole wealth and strategy paths of ``_wealth_recursion`` at target
-    xi*, for readers of whole paths (the tests, the benchmark's refine_t5
-    workload); ``voltmark wealth`` folds its blocks instead.  Raises
+    xi* (``voltmark wealth`` folds its blocks instead).  Raises
     NonFiniteError when a wealth or strategy value is not finite, and
-    ParameterError on a V-only ensemble.
+    ParameterError on a V-only ensemble or on a model of another rho.
     """
     correlate_asset_brownian(ensemble, model)
     X = np.empty((ensemble.M, ensemble.grid.n + 1))
@@ -448,20 +445,6 @@ def _terminal_wealth(model: MarketModel, solution: RiccatiSolution, stabs, chunk
         require_finite("terminal wealth A_T", A)
         require_finite("terminal wealth B_T", B)
         yield A, B
-
-
-def affine_wealth_terminal(model: MarketModel, ensemble: PathEnsemble,
-                           solution: RiccatiSolution, stabs) -> tuple[np.ndarray, np.ndarray]:
-    """Terminal wealth of every target at once: X_T = A_T + xi* B_T.
-
-    ``_wealth_recursion`` without a reader: neither the wealth paths nor
-    the strategy are stored.  Returns (A_T, B_T), each of shape (M,);
-    raises NonFiniteError when either is not finite, and ParameterError
-    on a V-only ensemble.
-    """
-    correlate_asset_brownian(ensemble, model)
-    [(A, B)] = _terminal_wealth(model, solution, stabs, [ensemble])
-    return A, B
 
 
 def _time_integral(total, V: np.ndarray, dt: float) -> np.ndarray:

@@ -15,7 +15,14 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .kernels import ParameterError
-from .markowitz import _terminal_wealth, gamma0, variance_of_terminal, xi_eta_star, z_score
+from .markowitz import (
+    _terminal_wealth,
+    _wealth_recursion,
+    gamma0,
+    variance_of_terminal,
+    xi_eta_star,
+    z_score,
+)
 from .model import Grid, MarketModel
 from .riccati import solve_riccati_adams
 from .simulate import require_finite, simulate_variance_blocks
@@ -50,7 +57,7 @@ class ColumnMoments:
     temporaries of each block of columns live in ``scratch``, laid out
     as numpy lays out x's elementwise results (``_laid_out``), so the
     sums keep their bits; a fold that adds block after block passes one
-    (``_fold_scratch``), since new ones from the heap per call cost the
+    (``_TimeMoments``), since new ones from the heap per call cost the
     allocator fresh pages each time, and without one ``add`` takes its own.
     """
 
@@ -108,17 +115,38 @@ class ColumnMoments:
         return out
 
 
-def _fold_scratch(m: int) -> np.ndarray:
-    """Scratch of ``ColumnMoments.add`` for blocks of at most m rows."""
-    return np.empty(2 * m * _BLOCK_COLUMNS)
-
-
 def _laid_out(buf: np.ndarray, like: np.ndarray) -> np.ndarray:
     """A view of buf's front with the shape and the axis order of the (m, k)
     array like, the layout numpy gives like's elementwise results."""
     if like.strides[0] < like.strides[1]:      # rows (paths) contiguous
         return buf[: like.size].reshape(like.shape[::-1]).T
     return buf[: like.size].reshape(like.shape)
+
+
+def _own_rows(lo: int, rows: np.ndarray, n: int) -> np.ndarray:
+    """The rows that a block of times lo .. hi (rows' first axis) folds:
+    lo .. hi-1, since its row 0 repeats the last row of the block before,
+    which that block left out, and row n too in the last block."""
+    return rows if lo + len(rows) - 1 == n else rows[:-1]
+
+
+class _TimeMoments:
+    """Per-time moments of series folded block by block: a ``ColumnMoments``
+    per series and block of times, by the block's first time lo, and one
+    scratch for all of them, sized by the first chunk, the widest."""
+
+    def __init__(self):
+        self.blocks, self.scratch = {}, None
+
+    def add(self, lo: int, *series) -> None:
+        """Fold each series' (paths, times) array of the block at lo."""
+        if self.scratch is None:
+            self.scratch = np.empty(2 * len(series[0]) * _BLOCK_COLUMNS)
+        for acc, x in zip(self.blocks.setdefault(lo, [ColumnMoments() for _ in series]), series):
+            acc.add(x, self.scratch)
+
+    def stats(self) -> list[EnsembleStats]:
+        return [joined_stats(accs) for accs in zip(*self.blocks.values())]
 
 
 def joined_stats(blocks) -> EnsembleStats:
@@ -147,26 +175,19 @@ def stationarity_diagnostics(chunks, model: MarketModel) -> StationarityReport:
 
     chunks is a block stream (``simulate_variance_blocks``) or any
     iterable of PathEnsembles (a whole ensemble is one chunk), each
-    folded block by block: each asset's rows lo .. hi-1 of every block go
-    into one ``ColumnMoments`` per block, and row n with the last block,
-    so that no block of columns is a lone column and the statistics
-    have the bits of whole rows (``joined_stats``).  The sample mean of V
-    must sit within 3 SEs of x_inf at >= 99% of grid times and the
-    sample variance within 3 SEs of v0 at >= 95% of times, by
-    ``z_score``.  Each asset's statistics (a column per grid time) are
-    returned with the report.
+    folded block by block (``_TimeMoments``, ``_own_rows``), so that no
+    block of columns is a lone column and the statistics have the bits
+    of whole rows (``joined_stats``).  The sample mean of V must sit
+    within 3 SEs of x_inf at >= 99% of grid times and the sample
+    variance within 3 SEs of v0 at >= 95% of times, by ``z_score``.
+    Each asset's statistics (a column per grid time) are returned with
+    the report.
     """
-    moments, scratch = {}, None   # per block, by lo: one accumulator per asset
+    moments = _TimeMoments()
     for chunk in chunks:
-        n = chunk.grid.n
-        if scratch is None:       # the first chunk is the widest
-            scratch = _fold_scratch(chunk.M)
         for lo, V, _ in chunk.blocks():
-            cols = V.shape[1] if lo + V.shape[1] - 1 == n else V.shape[1] - 1
-            accs = moments.setdefault(lo, [ColumnMoments() for _ in range(model.d)])
-            for i, acc in enumerate(accs):
-                acc.add(V[i, :cols].T, scratch)
-    stats = tuple(joined_stats(accs[i] for accs in moments.values()) for i in range(model.d))
+            moments.add(lo, *(_own_rows(lo, rows, chunk.grid.n).T for rows in V))
+    stats = tuple(moments.stats())
     mean_cov = np.empty(model.d)
     var_cov = np.empty(model.d)
     for i, st in enumerate(stats):
@@ -175,6 +196,24 @@ def stationarity_diagnostics(chunks, model: MarketModel) -> StationarityReport:
     passed = bool(np.all(mean_cov >= 0.99) and np.all(var_cov >= 0.95))
     return StationarityReport(mean_coverage=mean_cov, var_coverage=var_cov, passed=passed,
                               stats=stats)
+
+
+def wealth_statistics(model: MarketModel, solution, stabs, chunks, xi_star: float,
+                      pairs=None) -> tuple[EnsembleStats, list[EnsembleStats]]:
+    """Per-time statistics (X's, [alpha_i's]) of the wealth and each asset's
+    strategy at xi*, folded block by block of ``markowitz._wealth_recursion``
+    over the block stream chunks; pairs, a list, takes each chunk's (A_T, B_T)."""
+    n = solution.grid.n
+    moments = _TimeMoments()
+
+    def fold(lo, x, alpha):
+        moments.add(lo, _own_rows(lo, x.T, n).T, *alpha.transpose(1, 0, 2))
+
+    for pair in _wealth_recursion(model, solution, stabs, chunks, xi_star, fold):
+        if pairs is not None:
+            pairs.append(pair)
+    xstats, *astats = moments.stats()
+    return xstats, astats
 
 
 @dataclass(frozen=True)

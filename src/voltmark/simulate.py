@@ -34,16 +34,13 @@ The rows live in a small row store that every block of the stream
 overwrites, and the engine reads nothing of earlier blocks but V0 and
 their compressed far field, so a consumer that folds each block runs in
 memory that does not grow with M, and grows with n only by that far
-field, k rows per path for each block (``_asset_scratch``).  The chunk
-assemblers build on the stream: ``simulate_variance_chunks`` lets the
-engine write each chunk into (d, n+1, chunk) and (d, n, chunk) arrays of
-its own and yields it as a PathEnsemble, and ``simulate_variance_paths``
-copies the chunks into whole (d, ., M) arrays, for the tests, the
-benchmark and ``voltmark simulate --dump-paths``.  Within a block the
-assets, which share only the read-only model, advance on one thread
-each (numpy's random fills, ufuncs and BLAS calls release the GIL), on
-the CPUs that the BLAS threads leave free (``_workers``), one pool for
-the whole stream.  Each asset's step writes its own rows of V and of dB.
+field, k rows per path for each block (``_asset_scratch``).
+``simulate_variance_paths`` copies each block into whole (d, ., M)
+arrays, for the tests and the benchmark.  Within a block the assets,
+which share only the read-only model, advance on one thread each
+(numpy's random fills, ufuncs and BLAS calls release the GIL), on the
+CPUs that the BLAS threads leave free (``_workers``), one pool for the
+whole stream.  Each asset's step writes its own rows of V and of dB.
 
 Everything is reproducible: chunk c takes the c-th ``spawn(1 + d)``
 group of SeedSequence(seed), each child through ``_BIT_GENERATOR``.
@@ -276,11 +273,9 @@ class PathEnsemble:
     asset-driving increments DB_i = rho_i DW_i - sqrt(1 - rho_i^2)
     DWperp_i at the model's rho, shape (M, d, n).  Both are transposed
     views of time-major (d, n+1, M) and (d, n, M) arrays, so V[:, i, k]
-    and dB[:, i, k] are contiguous within each chunk of paths.  A V-only
-    ensemble (``increments=False``) has dB None; its V equals the full
-    ensemble's bit for bit.  A chunk of ``simulate_variance_chunks`` is a
-    PathEnsemble of its own, whose M is the chunk's path count.  Like a
-    ``PathChunk``, an ensemble hands out its blocks (``blocks``), so
+    and dB[:, i, k] are contiguous.  A V-only ensemble
+    (``increments=False``) has dB None; its V equals the full ensemble's
+    bit for bit.  It hands out its blocks as a ``PathChunk`` does, so
     every consumer of a block stream also reads whole paths.
     """
 
@@ -292,17 +287,11 @@ class PathEnsemble:
 
     def blocks(self):
         """The ensemble's blocks, as a ``PathChunk`` yields them: views of V and dB."""
-        return _row_blocks(self.V.transpose(1, 2, 0),
-                           None if self.dB is None else self.dB.transpose(1, 2, 0))
-
-
-def _row_blocks(V: np.ndarray, dB: np.ndarray | None):
-    """(lo, V rows lo .. hi, dB rows lo .. hi-1) for each block of cells of
-    time-major (d, n+1, M) V and (d, n, M) dB, as views."""
-    n = V.shape[1] - 1
-    for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
-        yield lo, V[:, lo : hi + 1], None if dB is None else dB[:, lo:hi]
+        V, n = self.V.transpose(1, 2, 0), self.grid.n
+        dB = None if self.dB is None else self.dB.transpose(1, 2, 0)
+        for lo in range(0, n, _BLOCK):
+            hi = min(lo + _BLOCK, n)
+            yield lo, V[:, lo : hi + 1], None if dB is None else dB[:, lo:hi]
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,11 +305,9 @@ class PathChunk:
     and dB the increment rows lo .. hi-1, (d, hi - lo, M), or None in a
     V-only stream.  Both are time-major views of the stream's row store,
     which the next block overwrites, so a consumer folds each block
-    before it asks for the next.  ``blocks(V, dB)`` writes the chunk into
-    (d, n+1, M) and (d, n, M) arrays of its own instead, and yields
-    views of them.  The stream's engines serve one chunk at a time, so
-    the blocks are taken once, before the stream's next chunk is pulled;
-    RuntimeError otherwise.
+    before it asks for the next.  The stream's engines serve one chunk at
+    a time, so the blocks are taken once, before the stream's next chunk
+    is pulled; RuntimeError otherwise.
     """
 
     grid: Grid
@@ -357,71 +344,32 @@ def simulate_variance_paths(model: MarketModel, stabs, grid: Grid, M: int, seed:
     The kernel-weighted noise integrals are not kept; ``store_noise``
     only accepts False.  ``increments=False`` keeps V alone: dB is never
     stored and W-perp never drawn (its normals have streams of their own,
-    so V0 and V do not change).  The paths are the chunks of
-    ``simulate_variance_chunks``, copied side by side into whole arrays
-    (a lone chunk is the ensemble itself).  Raises NonFiniteError when
+    so V0 and V do not change).  Each block of ``simulate_variance_blocks``
+    is copied into whole time-major arrays.  Raises NonFiniteError when
     V0 or a path leaves the finite floats, ParameterError when M < 1
     (before anything is allocated).
     """
     if store_noise:
         raise ParameterError("kernel-weighted noise integrals are not stored")
-    chunks = simulate_variance_chunks(model, stabs, grid, M, seed, initial=initial,
+    chunks = simulate_variance_blocks(model, stabs, grid, M, seed, initial=initial,
                                       increments=increments)
-    if M <= _CHUNK_PATHS:  # the one chunk is the ensemble: nothing to copy
-        return next(chunks)
-    d, n = model.d, grid.n
-    # time-major storage: each asset's cells are contiguous rows of M paths
-    V = _mapped((d, n + 1, M))
-    dB = _mapped((d, n, M)) if increments else None
+    V = _mapped((model.d, grid.n + 1, M))
+    dB = _mapped((model.d, grid.n, M)) if increments else None
     c0 = 0
     for chunk in chunks:
         paths = slice(c0, c0 + chunk.M)
-        V[:, :, paths] = chunk.V.transpose(1, 2, 0)
-        if increments:
-            dB[:, :, paths] = chunk.dB.transpose(1, 2, 0)
+        for lo, rows, inc in chunk.blocks():
+            V[:, lo : lo + rows.shape[1], paths] = rows
+            if increments:
+                dB[:, lo : lo + inc.shape[1], paths] = inc
         c0 += chunk.M
-        del chunk  # before the next chunk is simulated
     return PathEnsemble(model=model, grid=grid, M=M, V=V.transpose(2, 0, 1),
-                        dB=dB.transpose(2, 0, 1) if increments else None)
-
-
-def simulate_variance_chunks(model: MarketModel, stabs, grid: Grid, M: int, seed: int, *,
-                             initial: str = "stationary", increments: bool = True):
-    """The paths of ``simulate_variance_paths``, one chunk at a time.
-
-    Yields a PathEnsemble per block of ``_CHUNK_PATHS`` paths (the last
-    one holds the rest), in path order; its M is the chunk's path count.
-    Each chunk of ``simulate_variance_blocks`` is written into arrays of
-    its own, which are the engine's row store for that chunk, so nothing
-    is copied.  The engine's scratch and each chunk's arrays scale with
-    the chunk, not with M.  The arguments are checked and the factors
-    built before the first chunk is asked for.
-    """
-    return _whole_chunks(model, simulate_variance_blocks(
-        model, stabs, grid, M, seed, initial=initial, increments=increments), increments)
-
-
-def _whole_chunks(model: MarketModel, chunks, increments: bool):
-    """Each PathChunk of chunks as a PathEnsemble of its own; ``_whole``
-    builds and returns each one, so that the generator, suspended at its
-    yield, holds none of a chunk's arrays."""
-    for chunk in chunks:
-        yield _whole(model, chunk, increments)
-
-
-def _whole(model: MarketModel, chunk: PathChunk, increments: bool) -> PathEnsemble:
-    d, n, m = model.d, chunk.grid.n, chunk.M
-    V = _mapped((d, n + 1, m))
-    dB = _mapped((d, n, m)) if increments else None
-    for _ in chunk.blocks(V, dB):
-        pass
-    return PathEnsemble(model=model, grid=chunk.grid, M=m, V=V.transpose(2, 0, 1),
                         dB=dB.transpose(2, 0, 1) if increments else None)
 
 
 def simulate_variance_blocks(model: MarketModel, stabs, grid: Grid, M: int, seed: int, *,
                              initial: str = "stationary", increments: bool = True):
-    """The paths of ``simulate_variance_chunks`` as a block stream.
+    """The paths of ``simulate_variance_paths`` as a block stream.
 
     Yields a ``PathChunk`` per chunk of ``_CHUNK_PATHS`` paths (the last
     one holds the rest), in path order, whose blocks the engine advances
@@ -489,26 +437,15 @@ def _advance_chunks(model: MarketModel, stabs, grid: Grid, M: int, seed: int, in
 _STALE = "a PathChunk's blocks are read once, before the stream's next chunk is pulled"
 
 
-def _chunk_blocks(engines: list, run, n: int, V0: np.ndarray, store: tuple, live: list, c: int,
-                  V=None, dB=None):
-    """The blocks of chunk c (``PathChunk.blocks``) from V0 (d, m).
-
-    Into the row store, whose row 0 takes the last row of the block
-    before, the assets advance one block per round.  Into V and dB, the
-    chunk's own arrays, each asset's job advances all of its blocks
-    (``_AssetEngine.advance``), so that no round waits for the slower
-    asset at each block, and the blocks are views of them.  The engines
-    serve one chunk at a time: RuntimeError if the blocks were taken
-    before, or once a later chunk has started them (live, the stream's)."""
+def _chunk_blocks(engines: list, run, n: int, V0: np.ndarray, store: tuple, live: list, c: int):
+    """The blocks of chunk c (``PathChunk.blocks``) from V0 (d, m), advanced
+    one block per round into the row store, whose row 0 takes the last
+    row of the block before.  The engines serve one chunk at a time:
+    RuntimeError if the blocks were taken before, or once a later chunk
+    has started them (live, the stream's)."""
     if live[0] != c:
         raise RuntimeError(_STALE)
     live[0] = ~c
-    if V is not None:
-        V[:, 0] = V0
-        run([functools.partial(engine.advance, V[i], None if dB is None else dB[i])
-             for i, engine in enumerate(engines)])
-        yield from _row_blocks(V, dB)
-        return
     V, dB = store
     V[:, 0] = V0
     w = 0
@@ -680,13 +617,6 @@ class _AssetEngine:
               rng_perp: np.random.Generator | None) -> None:
         self.V0, self.rng, self.rng_perp = V0, rng, rng_perp
         self.views = [_fit(buf, m) for buf in self.scratch]
-
-    def advance(self, V: np.ndarray, dB: np.ndarray | None) -> None:
-        """Every block of the chunk, in order, into its own (n+1, m) V rows,
-        V0 in row 0, and (n, m) dB rows, or None."""
-        for b, lo in enumerate(range(0, self.n, _BLOCK)):
-            hi = min(lo + _BLOCK, self.n)
-            self.step(b, V[lo : hi + 1], None if dB is None else dB[lo:hi])
 
     def step(self, b: int, V: np.ndarray, dB: np.ndarray | None) -> None:
         fac, r, k, blocks = self.fac, self.fac.rank, self.fac.far_rank, self.blocks

@@ -8,8 +8,9 @@ second moments of the path scheme, the dense cell covariance and its
 Gaussian factor by np.linalg.eigh, the path engine with a dense far
 field pushed to every later time, the asset-driving increments from
 DW and DWperp, the wealth step factors by np.einsum and the wealth
-recursion one step at a time, the wealth, stationarity, frontier and
-Laplace inputs from whole chunks of paths,
+recursion one step at a time, whole chunks of paths assembled from the
+block stream and the wealth, stationarity, frontier and Laplace inputs
+from them,
 the resolvent density's L2 norm by adaptive quadrature and the standard
 errors of per-column means and variances by a multinomial bootstrap
 over paths."""
@@ -43,11 +44,12 @@ from voltmark.simulate import (
     _CHUNK_PATHS,
     _FACTOR_RTOL,
     _SUB,
+    PathEnsemble,
     _lag_blocks,
     build_gaussian_factor,
     require_finite,
     sample_initial_variance,
-    simulate_variance_chunks,
+    simulate_variance_blocks,
 )
 
 # Mittag-Leffler terms of the resolvent convolved in closed form by
@@ -428,6 +430,23 @@ def stepwise_wealth(model, ensemble, solution, stabs, xi_star: float) -> tuple:
     return A, B, X, alpha
 
 
+def assembled_chunks(model, stabs, grid: Grid, M: int, seed: int, *,
+                     initial: str = "stationary", increments: bool = True):
+    """Each chunk of ``simulate_variance_blocks`` as a PathEnsemble of its
+    own: every block copied into the chunk's whole (d, n+1, chunk) V and
+    (d, n, chunk) dB, time-major as the engine writes them."""
+    for chunk in simulate_variance_blocks(model, stabs, grid, M, seed, initial=initial,
+                                          increments=increments):
+        V = np.empty((model.d, grid.n + 1, chunk.M))
+        dB = np.empty((model.d, grid.n, chunk.M)) if increments else None
+        for lo, rows, inc in chunk.blocks():
+            V[:, lo : lo + rows.shape[1]] = rows
+            if increments:
+                dB[:, lo : lo + inc.shape[1]] = inc
+        yield PathEnsemble(model=model, grid=grid, M=chunk.M, V=V.transpose(2, 0, 1),
+                           dB=dB.transpose(2, 0, 1) if increments else None)
+
+
 def whole_path_wealth_stats(model, stabs, grid: Grid, M: int, seed: int, m: float) -> tuple:
     """Statistics (X, [alpha_i]) of the wealth stage from whole paths: each
     chunk's (chunk, n+1) X and (chunk, d, n) strategy from simulate_wealth,
@@ -435,7 +454,7 @@ def whole_path_wealth_stats(model, stabs, grid: Grid, M: int, seed: int, m: floa
     sol = solve_riccati_adams(model, stabs, grid.n)
     xi = solve_markowitz(model, sol, stabs, m).xi_star
     wealth, strategies = ColumnMoments(), [ColumnMoments() for _ in range(model.d)]
-    for chunk in simulate_variance_chunks(model, stabs, grid, M, seed, initial="fixed"):
+    for chunk in assembled_chunks(model, stabs, grid, M, seed, initial="fixed"):
         part = simulate_wealth(model, chunk, sol, stabs, xi)
         wealth.add(part.X)
         for i, acc in enumerate(strategies):
@@ -448,7 +467,7 @@ def whole_chunk_variance_stats(model, stabs, grid: Grid, M: int, seed: int) -> l
     stationary V-only chunk's (chunk, n+1) V folded into one ColumnMoments
     per asset, rows whole."""
     moments = [ColumnMoments() for _ in range(model.d)]
-    for chunk in simulate_variance_chunks(model, stabs, grid, M, seed, increments=False):
+    for chunk in assembled_chunks(model, stabs, grid, M, seed, increments=False):
         for i, acc in enumerate(moments):
             acc.add(chunk.V[:, i, :])
     return [acc.stats() for acc in moments]
@@ -458,15 +477,15 @@ def whole_chunk_terminal(model, stabs, grid: Grid, M: int, seed: int) -> list:
     """Each fixed-start chunk's (A_T, B_T) by ``stepwise_wealth`` over its whole paths."""
     sol = solve_riccati_adams(model, stabs, grid.n)
     return [stepwise_wealth(model, chunk, sol, stabs, 0.0)[:2]
-            for chunk in simulate_variance_chunks(model, stabs, grid, M, seed, initial="fixed")]
+            for chunk in assembled_chunks(model, stabs, grid, M, seed, initial="fixed")]
 
 
 def whole_chunk_exponents(model, stabs, grid: Grid, M: int, seed: int, u) -> list:
     """Each fixed-start V-only chunk's Laplace exponents, np.trapezoid over
     its whole (chunk, d, n+1) V along time, then u."""
     return [np.trapezoid(chunk.V, dx=grid.dt, axis=2) @ np.asarray(u)
-            for chunk in simulate_variance_chunks(model, stabs, grid, M, seed, initial="fixed",
-                                                  increments=False)]
+            for chunk in assembled_chunks(model, stabs, grid, M, seed, initial="fixed",
+                                          increments=False)]
 
 
 def quad_density_l2_norm(alpha: float, lam: float) -> float:

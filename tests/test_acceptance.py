@@ -20,7 +20,7 @@ from voltmark.kernels import (
     mittag_leffler,
 )
 from voltmark.markowitz import (
-    affine_wealth_terminal,
+    _terminal_wealth,
     efficient_frontier,
     frontier_slope,
     gamma0,
@@ -93,17 +93,16 @@ def test_criterion_2_frontier_consistency(stabs_t1, grid_600):
                 worst = max(worst, gap / p.v_theory)
         lines.append(f"T={T:g} worst rel gap {worst:.1%}")
 
-    from voltmark.simulate import simulate_variance_chunks
+    from voltmark.simulate import simulate_variance_blocks
 
     model5 = bundled_model(T=5.0)
     stabs5 = model5.build_stabilizers()
     grid5 = Grid(5.0, 600)
     sol5 = solve_riccati_adams(model5, stabs5, 600)
     g0_5 = gamma0(model5, sol5, stabs5)
-    # X_T = A + xi* B, chunk by chunk: map drops each chunk before the next
-    parts = list(map(lambda chunk: affine_wealth_terminal(model5, chunk, sol5, stabs5),
-                     simulate_variance_chunks(model5, stabs5, grid5, 50000, seed=502,
-                                              initial="fixed")))
+    # X_T = A + xi* B, chunk by chunk of the block stream
+    parts = list(_terminal_wealth(model5, sol5, stabs5, simulate_variance_blocks(
+        model5, stabs5, grid5, 50000, seed=502, initial="fixed")))
     A5 = np.concatenate([a for a, _ in parts])
     B5 = np.concatenate([b for _, b in parts])
     worst5 = 0.0

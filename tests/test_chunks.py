@@ -11,16 +11,15 @@ import weakref
 import numpy as np
 import pytest
 
-from oracles import dense_variance_paths
+from oracles import assembled_chunks, dense_variance_paths
 from voltmark import markowitz, simulate
 from voltmark.kernels import ParameterError
-from voltmark.markowitz import affine_wealth_terminal, laplace_affine_check
+from voltmark.markowitz import _terminal_wealth, laplace_affine_check
 from voltmark.model import Grid, MarketModel
 from voltmark.riccati import solve_riccati_adams
 from voltmark.simulate import (
     _CHUNK_PATHS as C,
     simulate_variance_blocks,
-    simulate_variance_chunks,
     simulate_variance_paths,
 )
 
@@ -34,7 +33,7 @@ def _paths(model, stabs, M, **kwargs):
 
 
 def _chunks(model, stabs, M, **kwargs):
-    return list(simulate_variance_chunks(model, stabs, GRID, M, SEED, **kwargs))
+    return list(assembled_chunks(model, stabs, GRID, M, SEED, **kwargs))
 
 
 @pytest.mark.parametrize("M", [C + 1, 2 * C + 3])
@@ -81,9 +80,9 @@ def test_fused_laplace_equals_materialized(model_t1, stabs_t1, M):
 def test_fused_terminal_wealth_equals_materialized(model_t1, stabs_t1, M):
     sol = solve_riccati_adams(model_t1, stabs_t1, GRID.n)
     whole = _paths(model_t1, stabs_t1, M, initial="fixed")
-    A, B = affine_wealth_terminal(model_t1, whole, sol, stabs_t1)
-    parts = [affine_wealth_terminal(model_t1, ch, sol, stabs_t1)
-             for ch in _chunks(model_t1, stabs_t1, M, initial="fixed")]
+    [(A, B)] = _terminal_wealth(model_t1, sol, stabs_t1, [whole])
+    parts = list(_terminal_wealth(model_t1, sol, stabs_t1,
+                                  _chunks(model_t1, stabs_t1, M, initial="fixed")))
     assert np.max(np.abs(np.concatenate([a for a, _ in parts]) - A)) <= 1e-12 * np.max(np.abs(A))
     assert np.max(np.abs(np.concatenate([b for _, b in parts]) - B)) <= 1e-12 * np.max(np.abs(B))
 
@@ -141,7 +140,7 @@ def test_common_chunks_are_those_of_equal_size(model_t1, stabs_t1, M, other, sha
     # of one size agree bit for bit; the V-only stream (full's Laplace
     # ensemble) against the one with increments (its wealth ensemble)
     def leading(n, increments):
-        return list(itertools.islice(simulate_variance_chunks(
+        return list(itertools.islice(assembled_chunks(
             model_t1, stabs_t1, GRID, n, SEED, initial="fixed", increments=increments),
             shared + 1))
 
@@ -213,7 +212,7 @@ def test_engine_rejects_empty_path_count(model_t1, stabs_t1, M):
     with pytest.raises(ParameterError, match="M must be >= 1"):
         simulate_variance_paths(model_t1, stabs_t1, GRID, M, SEED)
     with pytest.raises(ParameterError, match="M must be >= 1"):
-        simulate_variance_chunks(model_t1, stabs_t1, GRID, M, SEED)   # before the first chunk
+        simulate_variance_blocks(model_t1, stabs_t1, GRID, M, SEED)   # before the first chunk
 
 
 def test_short_last_chunk_fits_the_scratch(model_t1, stabs_t1):
@@ -282,46 +281,3 @@ def test_a_chunk_reads_its_blocks_once_before_the_next(model_t1, stabs_t1):
     with pytest.raises(RuntimeError, match="read once"):
         next(blocks)                  # GRID's second block, after the next chunk
     stream.close()
-
-
-def test_dropped_chunk_frees_its_arrays(model_t1, stabs_t1):
-    # the generator, suspended at its yield, holds none of a chunk's
-    # arrays, so a consumer that drops the chunk frees them before the
-    # next chunk is asked for
-    chunks = simulate_variance_chunks(model_t1, stabs_t1, GRID, 10, SEED)
-    chunk = next(chunks)
-    refs = [weakref.ref(a) for a in (chunk.V.base, chunk.dB.base)]
-    del chunk
-    assert all(ref() is None for ref in refs)
-    chunks.close()
-
-
-def test_a_chunk_owns_only_v_and_db(model_t1, stabs_t1, monkeypatch):
-    # an assembled chunk with increments maps two arrays the size of its
-    # paths, V and dB, 8 d m (2n + 1) bytes in all, which are the engine's
-    # row store for that chunk, and allocates none on the heap: the traced
-    # peak stays below a tenth of one (n, m) row block
-    import tracemalloc
-
-    mapped, real = [], simulate._mapped
-
-    def spy(shape):
-        arr = real(shape)
-        mapped.append((tuple(np.atleast_1d(shape)), arr))
-        return arr
-
-    monkeypatch.setattr(simulate, "_mapped", spy)
-    chunks = simulate_variance_chunks(model_t1, stabs_t1, GRID, C, SEED)
-    mapped.clear()
-    tracemalloc.start()
-    try:
-        chunk = next(chunks)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    d, n = model_t1.d, GRID.n
-    big = [(shape, arr) for shape, arr in mapped if shape[-1] == C and max(shape[:-1], default=0) >= n]
-    assert [shape for shape, _ in big] == [(d, n + 1, C), (d, n, C)]
-    assert np.shares_memory(big[0][1], chunk.V) and np.shares_memory(big[1][1], chunk.dB)
-    assert sum(arr.nbytes for _, arr in big) == 8 * d * C * (2 * n + 1)
-    assert peak < n * C * 8 / 10, peak

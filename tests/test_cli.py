@@ -369,11 +369,9 @@ def test_v_only_stages_skip_the_increments(tmp_path, monkeypatch):
 
     monkeypatch.setattr(simulate, "simulate_variance_paths",
                         spy(simulate.simulate_variance_paths))
-    for name in ("simulate_variance_chunks", "simulate_variance_blocks"):
-        streams = spy(getattr(simulate, name))
-        for module in (simulate, markowitz, montecarlo):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, streams)
+    streams = spy(simulate.simulate_variance_blocks)
+    for module in (simulate, markowitz, montecarlo):
+        monkeypatch.setattr(module, "simulate_variance_blocks", streams)
     run = RunContext.build(load_config(TINY))
     for runner in (cli.run_simulate, cli.run_laplace, cli.run_wealth, cli.run_frontier):
         runner(run, str(tmp_path))
@@ -524,6 +522,19 @@ def test_wealth_holds_no_chunk_of_wealth_paths(tmp_path):
     wealth, frontier = (_peak_mb([command, "--config", path, "--out", str(tmp_path / command)])
                         for command in ("wealth", "frontier"))
     assert wealth - frontier < (C * (n + 1) + C * d * n) * 8 / 2**20 / 2, (wealth, frontier)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads the peak RSS from /proc")
+def test_dump_holds_no_paths_beside_the_file(tmp_path):
+    # --dump-paths writes each block of the stream that simulate folds into
+    # the file's mapped body, so on the bundled config its peak may exceed
+    # simulate's by that body's pages and 5 MB more: no chunk of V, nor a
+    # path-major copy of one, is held on the side
+    cfg = load_config(_DEFAULT_CONFIG)
+    plain, dump = (_peak_mb(["simulate", "--out", str(tmp_path / name), *flag])
+                   for name, flag in (("plain", []), ("dump", ["--dump-paths"])))
+    body_mb = 8 * cfg["M"] * cfg["d"] * (cfg["n"] + 1) / 2**20
+    assert dump - plain <= body_mb + 5, (plain, dump, body_mb)
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -923,7 +934,7 @@ def test_bundled_full_laplace_stage_asks_the_engine_nothing(tmp_path, monkeypatc
 
     for module in (simulate, markowitz, montecarlo):
         spy(module, "simulate_variance_blocks")
-    spy(simulate, "simulate_variance_chunks")
+    spy(simulate, "simulate_variance_paths")
     spy(simulate, "build_gaussian_factor")
     monkeypatch.setattr(cli, "run_laplace", laplace_stage)
     path = _write(tmp_path, _DEFAULT_CONFIG.replace("n = 600", "n = 20"))
@@ -959,8 +970,7 @@ def test_full_steps_each_wealth_chunk_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(markowitz, "_step_factors", steps_spy)
     monkeypatch.setattr(markowitz, "simulate_wealth", lambda *args: whole.append(args))
-    monkeypatch.setattr(markowitz, "affine_wealth_terminal",
-                        terminal_spy(markowitz.affine_wealth_terminal))
+    monkeypatch.setattr(markowitz, "_terminal_wealth", terminal_spy(markowitz._terminal_wealth))
     monkeypatch.setattr(montecarlo, "_terminal_wealth", terminal_spy(montecarlo._terminal_wealth))
     monkeypatch.setattr(simulate, "_BLAS_THREADS", 1)
     monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)

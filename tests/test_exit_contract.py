@@ -2,10 +2,10 @@
 
 Any config ends in one of two ways: exit 0 or 4 with finite CSVs, or
 exit 2 or 3 with a one-line message on stderr and no traceback.  The
-property draws toy two-asset configs on an explicit grid of kernel
-orders (roughness, with the Markovian edge alpha = 1) and correlations
-(with the edges rho = -1, 0, 1), and the other per-asset parameters from
-stated ranges.  Every run is in-process and at toy sizes.
+property draws toy configs of d = 1, 2 or 3 assets, each on an explicit
+grid of kernel orders (roughness, with the Markovian edge alpha = 1) and
+correlations (with the edges rho = -1, 0, 1), and the other per-asset
+parameters from stated ranges.  Every run is in-process and at toy sizes.
 """
 
 import contextlib
@@ -21,30 +21,30 @@ from voltmark import cli
 
 ALPHAS = (0.55, 0.6, 0.75, 0.9, 1.0)
 RHOS = (-1.0, -0.7, -0.3, 0.0, 0.5, 1.0)
-
-
-def _asset_pair(strategy):
-    return st.tuples(strategy, strategy)
+MU0 = (1.0, 1.5, 2.0)
 
 
 def _ranged(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
 
-def _config(alpha, rho, lam, nu, theta, c) -> str:
-    def row(pair):
-        return ", ".join(repr(float(v)) for v in pair)
+@st.composite
+def _configs(draw) -> str:
+    d = draw(st.sampled_from((1, 2, 3)))
+
+    def row(strategy):
+        return ", ".join(repr(float(v)) for v in draw(st.lists(strategy, min_size=d, max_size=d)))
 
     return f"""\
 [model]
-d = 2
-alpha = {row(alpha)}
-lam = {row(lam)}
-nu = {row(nu)}
-rho = {row(rho)}
-theta = {row(theta)}
-mu0 = 1.0, 1.5
-c = {row(c)}
+d = {d}
+alpha = {row(st.sampled_from(ALPHAS))}
+lam = {row(_ranged(0.05, 5.0))}
+nu = {row(_ranged(0.0, 1.0))}
+rho = {row(st.sampled_from(RHOS))}
+theta = {row(_ranged(0.0, 0.5))}
+mu0 = {", ".join(map(str, MU0[:d]))}
+c = {row(_ranged(0.005, 0.5))}
 r = 0.02
 x0 = 2.0
 
@@ -58,7 +58,7 @@ seed = 3
 
 [experiment]
 m = 2.255
-u = -0.05, -0.05
+u = {", ".join(["-0.05"] * d)}
 m_count = 2
 frontier_horizons = 1.0
 laplace_M = 20
@@ -68,13 +68,11 @@ output_dir = unused
 
 
 @settings(derandomize=True, deadline=None, max_examples=40, database=None)
-@given(alpha=_asset_pair(st.sampled_from(ALPHAS)), rho=_asset_pair(st.sampled_from(RHOS)),
-       lam=_asset_pair(_ranged(0.05, 5.0)), nu=_asset_pair(_ranged(0.0, 1.0)),
-       theta=_asset_pair(_ranged(0.0, 0.5)), c=_asset_pair(_ranged(0.005, 0.5)))
-def test_full_run_keeps_the_exit_contract(alpha, rho, lam, nu, theta, c):
+@given(config_text=_configs())
+def test_full_run_keeps_the_exit_contract(config_text):
     with tempfile.TemporaryDirectory() as tmp:
         config = pathlib.Path(tmp) / "toy.ini"
-        config.write_text(_config(alpha, rho, lam, nu, theta, c), encoding="utf-8")
+        config.write_text(config_text, encoding="utf-8")
         out = pathlib.Path(tmp) / "out"
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):

@@ -12,8 +12,8 @@ from voltmark import markowitz, simulate
 from voltmark.kernels import ParameterError
 from voltmark.markowitz import (
     ConsistencyError,
+    _terminal_wealth,
     _trapezoid_rows,
-    affine_wealth_terminal,
     control_coefficient,
     efficient_frontier,
     frontier_slope,
@@ -218,7 +218,7 @@ def test_affine_terminal_matches_wealth_scheme():
     sol = solve_riccati_adams(m, stabs, grid.n)
     ens = simulate_variance_paths(m, stabs, grid, 200, seed=12, initial="fixed")
     g0 = gamma0(m, sol, stabs)
-    A, B = affine_wealth_terminal(m, ens, sol, stabs)
+    [(A, B)] = _terminal_wealth(m, sol, stabs, [ens])
     m_grid = frontier_m_grid(m, 8)
     for target in (m.m0, m_grid[len(m_grid) // 2], m_grid[-1]):
         xi, _ = xi_eta_star(g0, m, float(target))
@@ -253,7 +253,7 @@ def test_wealth_path_ranges_do_not_change_the_bits(model_t1, stabs_t1, monkeypat
         for cpus in (1, 8):
             monkeypatch.setattr(simulate, "_cpu_count", lambda cpus=cpus: cpus)
             wealth = simulate_wealth(model_t1, ens, sol, stabs_t1, 3.0)
-            A, B = affine_wealth_terminal(model_t1, ens, sol, stabs_t1)
+            [(A, B)] = _terminal_wealth(model_t1, sol, stabs_t1, [ens])
             runs.append((A, B, wealth.X, wealth.alpha_paths, wealth.A_T, wealth.B_T))
     finally:
         sys.setswitchinterval(interval)
@@ -297,7 +297,7 @@ def test_affine_terminal_riskless_compounding():
     grid = Grid(1.0, 50)
     sol = solve_riccati_adams(m, stabs, grid.n)
     ens = simulate_variance_paths(m, stabs, grid, 30, seed=1)
-    A, B = affine_wealth_terminal(m, ens, sol, stabs)
+    [(A, B)] = _terminal_wealth(m, sol, stabs, [ens])
     assert np.all(B == 0.0)
     assert np.max(np.abs(A - m.x0 * (1.0 + m.r * grid.dt) ** grid.n)) <= 1e-12
 
@@ -313,7 +313,7 @@ def test_non_finite_wealth_rejected():
     ens = simulate_variance_paths(m, stabs, grid, 30, seed=1, initial="fixed")
     huge = dataclasses.replace(ens, V=ens.V * 1e300)
     with pytest.raises(NonFiniteError, match="terminal wealth"):
-        affine_wealth_terminal(m, huge, sol, stabs)
+        next(_terminal_wealth(m, sol, stabs, [huge]))
     with pytest.raises(NonFiniteError, match="wealth paths"):
         simulate_wealth(m, huge, sol, stabs, 3.0)
 
@@ -324,14 +324,10 @@ def test_wealth_schemes_reject_v_only_ensemble(model_t1, stabs_t1):
     ens = simulate_variance_paths(model_t1, stabs_t1, grid, 5, seed=1, increments=False)
     with pytest.raises(ParameterError, match="V only"):
         simulate_wealth(model_t1, ens, sol, stabs_t1, 3.0)
-    with pytest.raises(ParameterError, match="V only"):
-        affine_wealth_terminal(model_t1, ens, sol, stabs_t1)
 
 
 def test_affine_terminal_grid_mismatch_rejected(model_t1, stabs_t1, riccati_600):
     ens = simulate_variance_paths(model_t1, stabs_t1, Grid(1.0, 30), 5, seed=1)
-    with pytest.raises(ParameterError, match="psi grid"):
-        affine_wealth_terminal(model_t1, ens, riccati_600, stabs_t1)
     with pytest.raises(ParameterError, match="psi grid"):
         simulate_wealth(model_t1, ens, riccati_600, stabs_t1, 3.0)
     # the recursion checks each chunk of a block stream itself
@@ -461,7 +457,7 @@ def test_solve_markowitz_bundle(model_t1, riccati_600, stabs_t1):
 @pytest.mark.parametrize("M", [500, 2100])
 def test_wealth_recursion_keeps_the_bits_of_the_step_loop(model_t1, stabs_t1, monkeypatch, M):
     # the blocked growth factors and A/B rows against the per-step loop,
-    # with a fold (simulate_wealth) and without (affine_wealth_terminal),
+    # with a fold (simulate_wealth) and without (_terminal_wealth),
     # in one path range (M = 500) and in four (M = 2100 on eight CPUs)
     monkeypatch.setattr(simulate, "_BLAS_THREADS", 1)
     monkeypatch.setattr(simulate, "_cpu_count", lambda: 8)
@@ -470,7 +466,7 @@ def test_wealth_recursion_keeps_the_bits_of_the_step_loop(model_t1, stabs_t1, mo
     ens = simulate_variance_paths(model_t1, stabs_t1, grid, M, seed=23, initial="fixed")
     A, B, X, alpha = stepwise_wealth(model_t1, ens, sol, stabs_t1, 2.5)
     wealth = simulate_wealth(model_t1, ens, sol, stabs_t1, 2.5)
-    terminal = affine_wealth_terminal(model_t1, ens, sol, stabs_t1)
+    [terminal] = _terminal_wealth(model_t1, sol, stabs_t1, [ens])
     for got, ref in zip((wealth.A_T, wealth.B_T, wealth.X, wealth.alpha_paths, *terminal),
                         (A, B, X, alpha, A, B)):
         assert np.array_equal(got.view(np.int64), ref.view(np.int64))
@@ -516,7 +512,5 @@ def test_wealth_rejects_a_model_of_another_rho(model_t1, stabs_t1):
     other = MarketModel(d=2, alpha=model_t1.alpha, lam=model_t1.lam, nu=model_t1.nu,
                         rho=[-0.7, -0.5], theta=model_t1.theta, mu0=model_t1.mu0,
                         c=model_t1.c, r=model_t1.r, x0=model_t1.x0, T=model_t1.T)
-    with pytest.raises(ParameterError, match="rho"):
-        affine_wealth_terminal(other, ens, sol, stabs_t1)
     with pytest.raises(ParameterError, match="rho"):
         simulate_wealth(other, ens, sol, stabs_t1, 2.5)

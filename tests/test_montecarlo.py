@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import small_model
-from oracles import bootstrap_se, bootstrap_weights
+from oracles import assembled_chunks, bootstrap_se, bootstrap_weights
 from voltmark.kernels import ParameterError
 from voltmark.markowitz import z_score
 from voltmark.model import Grid, bundled_model
@@ -23,7 +23,6 @@ from voltmark.montecarlo import (
 from voltmark.simulate import (
     _CHUNK_PATHS,
     NonFiniteError,
-    simulate_variance_chunks,
     simulate_variance_paths,
 )
 from voltmark.stabilizer import ConstantStabilizer
@@ -148,7 +147,7 @@ def test_stationarity_chunks_equal_the_whole_ensemble(model_t1, stabs_t1):
     # the chunks of an ensemble give its statistics, up to rounding
     grid, M = Grid(1.0, 30), _CHUNK_PATHS + 5
     chunked = stationarity_diagnostics(
-        simulate_variance_chunks(model_t1, stabs_t1, grid, M, 8, increments=False), model_t1)
+        assembled_chunks(model_t1, stabs_t1, grid, M, 8, increments=False), model_t1)
     whole = stationarity_diagnostics(
         [simulate_variance_paths(model_t1, stabs_t1, grid, M, 8, increments=False)], model_t1)
     assert np.array_equal(chunked.mean_coverage, whole.mean_coverage)
