@@ -244,16 +244,22 @@ def test_simulate_reproducible_and_dump(tmp_path):
     assert V.shape == (120 * 1 * 41,)
 
 
-def test_dump_paths_is_path_asset_time_row_major(tmp_path):
-    # V is stored time-major; the dump, written chunk by chunk, still
-    # holds the whole ensemble's (path, asset, time)
+def test_dump_paths_is_path_asset_time_row_major(tmp_path, monkeypatch):
+    # V is stored time-major; the dump, written block by block from the one
+    # stream that the statistics fold, still holds the whole ensemble's
+    # (path, asset, time)
+    from voltmark import simulate
     from voltmark.simulate import _CHUNK_PATHS, simulate_variance_paths
 
+    streams, real = [], simulate.simulate_variance_blocks
+    monkeypatch.setattr(simulate, "simulate_variance_blocks",
+                        lambda *args, **kwargs: streams.append(args) or real(*args, **kwargs))
     M = _CHUNK_PATHS + 5
     cfg_text = _DEFAULT_CONFIG.replace("M = 5000", f"M = {M}").replace("n = 600", "n = 30")
     path = _write(tmp_path, cfg_text)
     out = tmp_path / "o"
     assert main(["simulate", "--config", path, "--out", str(out), "--dump-paths"]) == 0
+    assert len(streams) == 1
     run = RunContext.build(load_config(cfg_text))
     ens = simulate_variance_paths(run.model, run.stabs, run.grid, M, run.cfg["seed"],
                                   initial="stationary", increments=False)
