@@ -5,7 +5,9 @@
 and M = ``_CHUNK_PATHS`` + 5 (two chunks), the file's sha256 and a summary
 of its parsed values, plus the environment it was taken in: numpy, its
 BLAS, the machine and numpy's SIMD targets, on which the last bits
-depend.  Both commands run in a child with VOLTMARK_THREADS=1.
+depend.  It holds the same for ``full`` at the Markovian edge alpha = 1
+(``ALPHA1``, a small grid and few paths), its names prefixed
+``alpha1_``.  Every command runs in a child with VOLTMARK_THREADS=1.
 
 In the recorded environment every file must hash the same, so a change
 of one unit in the last digit of one CSV cell fails.  Elsewhere only the
@@ -32,6 +34,7 @@ import sys
 import tempfile
 
 import numpy as np
+import pytest
 
 from conftest import child_env
 from voltmark import cli, simulate
@@ -40,6 +43,9 @@ FINGERPRINT = pathlib.Path(__file__).with_name("fingerprint.json")
 RTOL = 1e-6
 SEED = 7041
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+# the bundled config's changes for the alpha = 1 run
+ALPHA1 = {"alpha": "1.0, 0.9", "n": "40", "M": "200", "laplace_M": "200",
+          "stationarity_M": "200"}
 
 
 def environment() -> dict:
@@ -56,15 +62,31 @@ def _voltmark(*args: str) -> str:
                           check=True).stdout
 
 
+def _config(path: pathlib.Path, changes: dict) -> str:
+    """Write the bundled config with each key's value replaced to path."""
+    text = cli._DEFAULT_CONFIG
+    for key, value in changes.items():
+        text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        assert count == 1, key
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def _full(out: pathlib.Path, *args: str) -> dict[str, bytes]:
+    """full --seed SEED's CSVs and stdout, made in out."""
+    stdout = _voltmark("full", "--seed", str(SEED), "--out", str(out), *args)
+    files = {path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))}
+    files["stdout"] = stdout.encode()
+    return files
+
+
 def outputs(tmp: pathlib.Path) -> dict[str, bytes]:
     """Each fingerprinted output by name, made under tmp."""
-    stdout = _voltmark("full", "--seed", str(SEED), "--out", str(tmp / "full"))
-    files = {path.name: path.read_bytes() for path in sorted((tmp / "full").glob("*.csv"))}
-    files["stdout"] = stdout.encode()
-    config = tmp / "dump.ini"
-    config.write_text(cli._DEFAULT_CONFIG.replace("\nn = 600\n", "\nn = 30\n").replace(
-        "\nM = 5000\n", f"\nM = {simulate._CHUNK_PATHS + 5}\n"), encoding="utf-8")
-    _voltmark("simulate", "--config", str(config), "--out", str(tmp / "dump"), "--dump-paths")
+    files = _full(tmp / "full")
+    alpha1 = _full(tmp / "alpha1", "--config", _config(tmp / "alpha1.ini", ALPHA1))
+    files.update((f"alpha1_{name}", data) for name, data in alpha1.items())
+    config = _config(tmp / "dump.ini", {"n": "30", "M": str(simulate._CHUNK_PATHS + 5)})
+    _voltmark("simulate", "--config", config, "--out", str(tmp / "dump"), "--dump-paths")
     files["paths.bin"] = (tmp / "dump" / "paths.bin").read_bytes()
     return files
 
@@ -73,7 +95,7 @@ def summary(name: str, data: bytes) -> list:
     """The parsed values of an output, summarized: stdout's numbers in order;
     per column of a CSV, and per asset of the dump (after its header M, d, n,
     T), the minimum, maximum, mean, first and last value."""
-    if name == "stdout":
+    if name.endswith("stdout"):
         return [float(token) for token in _NUMBER.findall(data.decode())]
     if name == "paths.bin":
         M, d, n = (int(v) for v in np.frombuffer(data, "<i8", count=3))
@@ -97,16 +119,48 @@ def _flat(values: list) -> list:
     return [x for v in values for x in (v if isinstance(v, list) else [v])]
 
 
-def test_full_and_dump_keep_their_fingerprint(tmp_path):
-    recorded = json.loads(FINGERPRINT.read_text(encoding="utf-8"))
-    files = outputs(tmp_path)
-    assert sorted(files) == sorted(recorded["files"])
+def mismatches(files: dict[str, bytes], recorded: dict) -> list[str]:
+    """The outputs that miss their record: by hash in the recorded
+    environment, by summary in every environment."""
     exact = recorded["environment"] == environment()
-    for name, data in files.items():
-        want = recorded["files"][name]
-        if exact:
-            assert hashlib.sha256(data).hexdigest() == want["sha256"], name
-        assert _close(_flat(summary(name, data)), _flat(want["values"])), name
+    return [name for name, data in files.items()
+            if exact and hashlib.sha256(data).hexdigest() != recorded["files"][name]["sha256"]
+            or not _close(_flat(summary(name, data)), _flat(recorded["files"][name]["values"]))]
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    return outputs(tmp_path_factory.mktemp("fingerprint"))
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    return json.loads(FINGERPRINT.read_text(encoding="utf-8"))
+
+
+def test_full_and_dump_keep_their_fingerprint(files, recorded):
+    assert sorted(files) == sorted(recorded["files"])
+    assert mismatches(files, recorded) == []
+
+
+def _moved(data: bytes, factor: float) -> bytes:
+    """A one-row CSV with its first value multiplied by factor."""
+    header, row = data.decode().splitlines()
+    first, rest = row.split(",", 1)
+    return f"{header}\n{float(first) * factor:.12g},{rest}\n".encode()
+
+
+def test_another_environment_compares_the_summaries(files, recorded, monkeypatch):
+    # elsewhere no hash is compared: a value moved well inside RTOL passes
+    # (its hash differs), one moved beyond RTOL fails
+    monkeypatch.setitem(globals(), "environment", lambda: {})
+    name = "laplace_check.csv"
+    assert float(files[name].split(b"\n")[1].split(b",")[0]) < 1.0  # so RTOL is absolute
+    assert mismatches(files, recorded) == []
+    assert mismatches(dict(files, **{name: _moved(files[name], 1.0 + 0.1 * RTOL)}),
+                      recorded) == []
+    assert mismatches(dict(files, **{name: _moved(files[name], 1.0 + 10.0 * RTOL)}),
+                      recorded) == [name]
 
 
 if __name__ == "__main__":
