@@ -75,7 +75,6 @@ from .simulate import (
     simulate_variance_paths,
 )
 from .stabilizer import (
-    ConstantStabilizer,
     StabilizerSeries,
     build_stabilizer,
     stabilizer_coeffs,

@@ -34,9 +34,9 @@ V, dB, wealth or strategy paths.
 One fixed-start pass serves three stages of ``full``: each chunk's wealth
 recursion also gives the frontier at the config horizon its (A_T, B_T),
 and, when laplace_M equals mc.M (same seed, grid and start, so the same
-paths), each of its blocks the Laplace check's time integrals (``tap``);
-otherwise the Laplace stage simulates its own stream, as
-``voltmark laplace`` does.
+paths), each of its blocks goes to the Laplace check's block fold
+(``markowitz._time_integrals``) too; otherwise the Laplace stage
+simulates its own stream, as ``voltmark laplace`` does.
 The manifest's ``stages`` holds one record per stage in run order (the
 command itself, or each stage of ``full``): its name, ``wall_s`` and the
 process's peak resident set at its end, ``vmhwm_mb``.
@@ -355,12 +355,12 @@ def run_frontier(run: RunContext, out_dir: str, T: float | None = None, terminal
     return 0 if ok else EXIT_ACCEPTANCE
 
 
-def run_laplace(run: RunContext, out_dir: str, exponents=None) -> int:
-    """The Laplace check on its own stream, or on the per-chunk ``exponents``
-    of all laplace_M paths if given."""
+def run_laplace(run: RunContext, out_dir: str, totals=None) -> int:
+    """The Laplace check on its own stream, or on the per-chunk time
+    integrals ``totals`` of all laplace_M paths if given."""
     cfg = run.cfg
     rep = markowitz.laplace_affine_check(run.model, run.stabs, cfg["u"], run.grid,
-                                         cfg["laplace_M"], cfg["seed"], exponents=exponents)
+                                         cfg["laplace_M"], cfg["seed"], totals=totals)
     write_csv(
         os.path.join(out_dir, "laplace_check.csv"),
         ["mc_value", "mc_se", "closed_form", "z_score", "beta"],
@@ -393,29 +393,21 @@ def run_full(run: RunContext, out_dir: str, stage) -> int:
         status = max(status, run_simulate(run, out_dir, M=cfg["stationarity_M"], gate=True))
     print("== wealth ==")
     # the wealth stage's recursions also give the frontier at the config horizon
-    # its (A_T, B_T), and its blocks the Laplace check its exponents when the
-    # Laplace ensemble is the wealth stage's: same seed, grid, start and size
+    # its (A_T, B_T), and its blocks the Laplace check its time integrals when
+    # the Laplace ensemble is the wealth stage's: same seed, grid, start and size
     pairs = [] if grid.T in cfg["frontier_horizons"] else None
-    integrals = []   # per chunk: the time integral of V, block by block
-
-    def tap(lo, V, dB):
-        if lo == 0:
-            integrals.append(None)
-        integrals[-1] = markowitz._time_integral(integrals[-1], V, grid.dt)
-
     shared = cfg["laplace_M"] == cfg["M"]
+    fold, totals = markowitz._time_integrals(grid.dt) if shared else (None, None)
     with stage("wealth"):
-        status = max(status, run_wealth(run, out_dir, tap if shared else None, pairs))
+        status = max(status, run_wealth(run, out_dir, fold, pairs))
     for T in cfg["frontier_horizons"]:
         print(f"== frontier T={T:g} ==")
         with stage(f"frontier_T{T:g}"):
             terminal = pairs if T == grid.T else None
             status = max(status, run_frontier(run, out_dir, T=T, terminal=terminal))
     print("== laplace ==")
-    u = np.asarray(cfg["u"])
-    exponents = [total.T @ u for total in integrals] if shared else None
     with stage("laplace"):
-        status = max(status, run_laplace(run, out_dir, exponents))
+        status = max(status, run_laplace(run, out_dir, totals))
     return status
 
 

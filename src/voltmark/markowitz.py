@@ -25,7 +25,6 @@ With psi solved, everything the Markowitz problem needs is explicit:
   Monte Carlo check reads (``z_score``).
 """
 
-import contextlib
 import functools
 from dataclasses import dataclass, field
 
@@ -44,7 +43,6 @@ from .simulate import (
     PathEnsemble,
     _mapped,
     _pool_size,
-    _workers,
     correlate_asset_brownian,
     require_finite,
     simulate_variance_blocks,
@@ -335,17 +333,18 @@ def _wealth_recursion(model: MarketModel, solution: RiccatiSolution, stabs, chun
         B_{k+1} = B_k (1 + r dt + s_k) - e^(-r(T-t_k)) s_k,   B_0 = 0.
 
     chunks is a block stream with increments (PathChunks, or whole
-    ensembles, which hand out blocks too); ParameterError unless each
-    chunk is on psi's grid.  The recursion takes each chunk block by
-    block, and yields its (A_T, B_T), unchecked (a finite X_T has finite
-    A_T and B_T), once its last block is stepped.
+    ensembles, which hand out blocks and run jobs too); ParameterError
+    unless each chunk is on psi's grid.  The recursion takes each chunk
+    block by block, and yields its (A_T, B_T), unchecked (a finite X_T
+    has finite A_T and B_T), once its last block is stepped.
     1 + r dt + s and e^(-r(T-t)) s are formed once per block and tile of
     paths, and each step writes the block's rows of A and B, all in the
-    spare slots of ``_step_factors``.  The paths of a block run on the
-    pool in ranges of whole 64-path blocks, one per worker but at most
-    M // 512 (numpy's loops keep the GIL up to 500 elements, so smaller
-    ranges would queue on it); each path's arithmetic is elementwise, so
-    the split keeps the bits.  The ranges meet after each block.
+    spare slots of ``_step_factors``.  A block's paths run on the
+    stream's pool (``chunk.run``) in ranges of whole 64-path blocks, one
+    per worker but at most M // 512 (numpy's loops keep the GIL up to 500
+    elements, so smaller ranges would queue on it); each path's arithmetic
+    is elementwise, so the split keeps the bits.  The ranges meet after
+    each block.
 
     With fold, each block [lo, hi) also forms X_{k+1} = A_{k+1} + xi* B_{k+1}
     and alpha_k into path-major buffers of one block, and fold(lo, X,
@@ -355,8 +354,7 @@ def _wealth_recursion(model: MarketModel, solution: RiccatiSolution, stabs, chun
 
     The stream maps its buffers once, sized by its first chunk, the
     widest: the wealth-fold buffers (with fold) and one ``_tile_buffer``
-    per range; a later chunk takes contiguous views of them.  One pool
-    serves every block of the stream.
+    per range; a later chunk takes contiguous views of them.
     """
     grid, d = solution.grid, model.d
     coef = control_coefficient(model, solution, stabs, grid.times[:-1])  # (d, n)
@@ -384,39 +382,37 @@ def _wealth_recursion(model: MarketModel, solution: RiccatiSolution, stabs, chun
                     np.subtract(x[:-1], xi_star * disc[lo : lo + w], out=ds)  # the gap
                     np.multiply(gain, ds, out=alpha[tile].transpose(1, 2, 0))
 
-    with contextlib.ExitStack() as stack:
-        for chunk in chunks:
-            if chunk.grid != grid:
-                raise ParameterError("wealth scheme requires the psi grid to match the path grid")
-            M = chunk.M
-            parts = max(1, min(_pool_size(), M // 512))
-            width = -(-M // (64 * parts)) * 64
-            ranges = [slice(c0, c0 + width) for c0 in range(0, M, width)]
-            if flats is None:               # the first chunk: the stream's maps and pool
-                flats = [_tile_buffer(d) for _ in ranges]
-                if fold is not None:
-                    X_buf = _mapped((M, _WEALTH_BLOCK + 1))
-                    alpha_buf = _mapped((M, d, _WEALTH_BLOCK))
-                run = stack.enter_context(_workers(len(ranges)))
-            A = np.full(M, float(model.x0))
-            B = np.zeros(M)
-            if fold is not None:  # the block buffers, X_lo .. X_hi and alpha_lo .. alpha_{hi-1}
-                X_all = X_buf.reshape(-1)[: M * (_WEALTH_BLOCK + 1)].reshape(M, -1)
-                alpha_all = alpha_buf.reshape(-1)[: M * d * _WEALTH_BLOCK].reshape(M, d, -1)
-                X_all[:, 0] = model.x0
-            X = alpha = None
-            for lo, V, dB in chunk.blocks():
-                w = dB.shape[1]
-                if fold is not None:
-                    X, alpha = X_all[:, : w + 1], alpha_all[:, :, :w]
-                run([functools.partial(advance, lo, V, dB, part, flat, A, B, X, alpha)
-                     for part, flat in zip(ranges, flats)])
-                if fold is not None:
-                    require_finite("wealth paths", X)
-                    require_finite("optimal strategy", alpha)
-                    fold(lo, X, alpha)
-                    X_all[:, 0] = X_all[:, w]
-            yield A, B
+    for chunk in chunks:
+        if chunk.grid != grid:
+            raise ParameterError("wealth scheme requires the psi grid to match the path grid")
+        M = chunk.M
+        parts = max(1, min(_pool_size(), M // 512))
+        width = -(-M // (64 * parts)) * 64
+        ranges = [slice(c0, c0 + width) for c0 in range(0, M, width)]
+        if flats is None:               # the first chunk: the stream's maps
+            flats = [_tile_buffer(d) for _ in ranges]
+            if fold is not None:
+                X_buf = _mapped((M, _WEALTH_BLOCK + 1))
+                alpha_buf = _mapped((M, d, _WEALTH_BLOCK))
+        A = np.full(M, float(model.x0))
+        B = np.zeros(M)
+        if fold is not None:  # the block buffers, X_lo .. X_hi and alpha_lo .. alpha_{hi-1}
+            X_all = X_buf.reshape(-1)[: M * (_WEALTH_BLOCK + 1)].reshape(M, -1)
+            alpha_all = alpha_buf.reshape(-1)[: M * d * _WEALTH_BLOCK].reshape(M, d, -1)
+            X_all[:, 0] = model.x0
+        X = alpha = None
+        for lo, V, dB in chunk.blocks():
+            w = dB.shape[1]
+            if fold is not None:
+                X, alpha = X_all[:, : w + 1], alpha_all[:, :, :w]
+            chunk.run([functools.partial(advance, lo, V, dB, part, flat, A, B, X, alpha)
+                       for part, flat in zip(ranges, flats)])
+            if fold is not None:
+                require_finite("wealth paths", X)
+                require_finite("optimal strategy", alpha)
+                fold(lo, X, alpha)
+                X_all[:, 0] = X_all[:, w]
+        yield A, B
 
 
 def simulate_wealth(model: MarketModel, ensemble: PathEnsemble, solution: RiccatiSolution,
@@ -447,36 +443,29 @@ def _terminal_wealth(model: MarketModel, solution: RiccatiSolution, stabs, chunk
         yield A, B
 
 
-def _time_integral(total, V: np.ndarray, dt: float) -> np.ndarray:
-    """total, or a new (d, M) zero array, plus the trapezoid cells of a
-    block's time-major rows V (d, w+1, M), in time order.
+def _time_integrals(dt: float):
+    """(fold, totals): the block fold fold(lo, V, dB) adds the trapezoid
+    cells dt (V_k + V_{k+1}) / 2 of a block's time-major rows V
+    (d, w+1, M) to totals, a list of one (d, M) array per chunk that
+    the chunk's first block (lo = 0) appends.
 
-    Adds (dt (V_k + V_{k+1})) / 2 one cell at a time; over every block of
-    a chunk in order this is what np.trapezoid(V, dx=dt, axis=2) computes
-    on its (M, d, n+1) paths, without its (M, d, n) temporary.
+    One cell at a time, in time order: over every block of a chunk this
+    is what np.trapezoid(V, dx=dt, axis=2) computes on its (M, d, n+1)
+    paths, without its (M, d, n) temporary.
     """
-    if total is None:
-        total = np.zeros(V[:, 0].shape)
-    cell = np.empty_like(total)
-    for k in range(V.shape[1] - 1):
-        np.add(V[:, k + 1], V[:, k], out=cell)
-        cell *= dt
-        cell /= 2.0
-        total += cell
-    return total
+    totals = []
 
+    def fold(lo, V, dB):
+        if lo == 0:
+            totals.append(np.zeros(V[:, 0].shape))
+        total, cell = totals[-1], np.empty(V[:, 0].shape)
+        for k in range(V.shape[1] - 1):
+            np.add(V[:, k + 1], V[:, k], out=cell)
+            cell *= dt
+            cell /= 2.0
+            total += cell
 
-def _trapezoid_rows(blocks, dt: float) -> np.ndarray:
-    """Per-path trapezoid integral over time of one chunk's blocks, as (d, M)."""
-    total = None
-    for _, V, _ in blocks:
-        total = _time_integral(total, V, dt)
-    return total
-
-
-def _laplace_exponents(blocks, dt: float, u: np.ndarray) -> np.ndarray:
-    """Per-path exponent int_0^T V^T u ds of one chunk's blocks, trapezoidal in time."""
-    return _trapezoid_rows(blocks, dt).T @ u
+    return fold, totals
 
 
 def _controlled_mean(X: np.ndarray, mean_X: float) -> tuple[float, float, float]:
@@ -548,21 +537,20 @@ def laplace_closed_form(model: MarketModel, stabs, u, n_solver: int = _GAMMA0_RE
 
 def laplace_affine_check(model: MarketModel, stabs, u, grid: Grid, M: int, seed: int, *,
                          ensemble: PathEnsemble | None = None,
-                         exponents=None) -> LaplaceReport:
+                         totals=None) -> LaplaceReport:
     """Monte Carlo test of the exponential-affine Laplace formula.
 
     Simulates M paths started from x_inf (V only, without the Brownian
-    increments) unless an ensemble or the exponents are given, estimates
+    increments) unless an ensemble or the integrals are given, estimates
     E[exp(int_0^T V^T u ds)] with a per-path trapezoidal time integral,
     and compares against the closed form by ``z_score``.  The paths are
     taken block by block (``simulate_variance_blocks``; a given ensemble
-    is the one chunk) and only the per-path exponents are kept.
-    ``exponents`` holds those of all M paths, one array per chunk
-    (``_laplace_exponents``), when a caller already had the paths
+    is the one chunk) and folded into the per-path integrals of V by
+    ``_time_integrals``, in the order and rounding of ``np.trapezoid``
+    along the time axis.  ``totals`` holds those of all M paths, one
+    (d, chunk) array per chunk, when a caller already folded the paths
     (``voltmark full``, from the wealth stage's blocks); the engine is
-    then not called.  The integral runs over the time-major rows of each
-    block's V with (d, chunk) buffers, in the order and rounding of
-    ``np.trapezoid`` along the time axis (``_time_integral``).
+    then not called.
 
     The estimator is controlled (Glasserman, Monte Carlo Methods in
     Financial Engineering, 2003, sec. 4.1).  From V_0 = x_inf the scheme's
@@ -588,12 +576,14 @@ def laplace_affine_check(model: MarketModel, stabs, u, grid: Grid, M: int, seed:
         raise ParameterError("Laplace check requires the ensemble's grid to match the given grid")
     u = _laplace_forcing(model, u)
     closed = laplace_closed_form(model, stabs, u, n_solver=max(grid.n, _GAMMA0_REFINE))
-    if exponents is None:
-        chunks = ([ensemble] if ensemble is not None
-                  else simulate_variance_blocks(model, stabs, grid, M, seed, initial="fixed",
-                                                increments=False))
-        exponents = map(lambda chunk: _laplace_exponents(chunk.blocks(), grid.dt, u), chunks)
-    X = np.concatenate(list(exponents))
+    if totals is None:
+        fold, totals = _time_integrals(grid.dt)
+        for chunk in ([ensemble] if ensemble is not None
+                      else simulate_variance_blocks(model, stabs, grid, M, seed, initial="fixed",
+                                                    increments=False)):
+            for block in chunk.blocks():
+                fold(*block)
+    X = np.concatenate([total.T @ u for total in totals])
     mc, se, beta = _controlled_mean(X, float(u @ model.x_inf) * model.T)
     z = float(z_score(mc, closed, se))
     return LaplaceReport(mc_value=mc, mc_se=se, closed_form=closed, z_score=z,

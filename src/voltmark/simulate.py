@@ -40,7 +40,8 @@ arrays, for the tests and the benchmark.  Within a block the assets,
 which share only the read-only model, advance on one thread each
 (numpy's random fills, ufuncs and BLAS calls release the GIL), on the
 CPUs that the BLAS threads leave free (``_workers``), one pool for the
-whole stream.  Each asset's step writes its own rows of V and of dB.
+whole stream, which each ``PathChunk`` hands its consumer as ``run``.
+Each asset's step writes its own rows of V and of dB.
 
 Everything is reproducible: chunk c takes the c-th ``spawn(1 + d)``
 group of SeedSequence(seed), each child through ``_BIT_GENERATOR``.
@@ -264,6 +265,11 @@ def _far_field(F_aug: np.ndarray) -> tuple:
     raise FactorizationError(f"far-field pair misses its matrix by {err / norm:.2e} relative")
 
 
+def _serial(jobs) -> list:
+    """Run the jobs one after the other on the calling thread."""
+    return [job() for job in jobs]
+
+
 @dataclass(frozen=True, eq=False)
 class PathEnsemble:
     """Simulated variance paths with the increments that drive the assets.
@@ -275,8 +281,9 @@ class PathEnsemble:
     views of time-major (d, n+1, M) and (d, n, M) arrays, so V[:, i, k]
     and dB[:, i, k] are contiguous.  A V-only ensemble
     (``increments=False``) has dB None; its V equals the full ensemble's
-    bit for bit.  It hands out its blocks as a ``PathChunk`` does, so
-    every consumer of a block stream also reads whole paths.
+    bit for bit.  It hands out its blocks as a ``PathChunk`` does, and
+    runs its consumer's jobs one after the other (``run``), so every
+    consumer of a block stream also reads whole paths.
     """
 
     model: MarketModel
@@ -284,6 +291,7 @@ class PathEnsemble:
     M: int
     V: np.ndarray = field(repr=False)
     dB: np.ndarray | None = field(repr=False)
+    run = staticmethod(_serial)
 
     def blocks(self):
         """The ensemble's blocks, as a ``PathChunk`` yields them: views of V and dB."""
@@ -307,12 +315,15 @@ class PathChunk:
     which the next block overwrites, so a consumer folds each block
     before it asks for the next.  The stream's engines serve one chunk at
     a time, so the blocks are taken once, before the stream's next chunk
-    is pulled; RuntimeError otherwise.
+    is pulled; RuntimeError otherwise.  ``run(jobs)`` runs a round of a
+    consumer's jobs on the stream's pool (``_workers``) while the chunk
+    is read.
     """
 
     grid: Grid
     M: int
     blocks: Callable = field(repr=False)
+    run: Callable = field(repr=False)
 
     def tapped(self, tap) -> "PathChunk":
         """The chunk with tap(lo, V, dB) called on each block before its reader gets it."""
@@ -320,7 +331,7 @@ class PathChunk:
             for block in self.blocks():
                 tap(*block)
                 yield block
-        return PathChunk(self.grid, self.M, blocks)
+        return PathChunk(self.grid, self.M, blocks, self.run)
 
 
 def sample_initial_variance(model: MarketModel, M: int, rng: np.random.Generator) -> np.ndarray:
@@ -404,7 +415,8 @@ def _advance_chunks(model: MarketModel, stabs, grid: Grid, M: int, seed: int, in
     engine (``_AssetEngine``) and a row store of (d, _BLOCK + 1, C) V
     rows and (d, _BLOCK, C) dB rows; a shorter last chunk takes
     contiguous views of the same maps (``_fit``).  One pool runs the
-    assets of every block of the stream (``_workers``)."""
+    assets of every block of the stream (``_workers``), and each chunk
+    hands it on as ``run``."""
     d, n = model.d, grid.n
     sig_grid = np.stack([np.asarray(st.eval(grid.times[:-1])) for st in stabs], axis=0)  # (d, n)
     seq = np.random.SeedSequence(seed)
@@ -412,7 +424,7 @@ def _advance_chunks(model: MarketModel, stabs, grid: Grid, M: int, seed: int, in
     engines = [_AssetEngine(model, i, factors[i], sig_grid[i], width) for i in range(d)]
     store = (_mapped((d, _BLOCK + 1, width)), _mapped((d, _BLOCK, width)) if increments else None)
     live = [None]   # the chunk whose engines are started, ~c once its blocks are taken
-    with _workers(d) as run:
+    with _workers() as run:
         for c, c0 in enumerate(range(0, M, _CHUNK_PATHS)):
             m = min(_CHUNK_PATHS, M - c0)
             live[0] = c
@@ -431,7 +443,7 @@ def _advance_chunks(model: MarketModel, stabs, grid: Grid, M: int, seed: int, in
                              if increments else None)
             rows = tuple(None if buf is None else _fit(buf, m) for buf in store)
             yield PathChunk(grid, m, functools.partial(_chunk_blocks, engines, run, n, V0, rows,
-                                                       live, c))
+                                                       live, c), run)
 
 
 _STALE = "a PathChunk's blocks are read once, before the stream's next chunk is pulled"
@@ -470,29 +482,29 @@ def _cpu_count() -> int:
 
 
 def _pool_size() -> int:
-    """Workers ``_workers`` may start: CPUs // BLAS threads, 1 without a cap."""
+    """Workers ``_workers`` starts: CPUs // BLAS threads, 1 without a cap."""
     return max(1, _cpu_count() // _BLAS_THREADS) if _BLAS_THREADS else 1
 
 
 @contextlib.contextmanager
-def _workers(count: int):
-    """run(jobs): rounds of at most ``count`` independent jobs on threads
+def _workers():
+    """run(jobs): rounds of independent jobs on ``_pool_size()`` threads
     that the rounds share, re-raising the first error.
 
     Jobs: the assets of one block of the engine, or the path ranges of
     one block of the wealth recursion, one round per block; a stream
-    keeps one pool for all of its rounds rather than starting threads for
-    each block.  Each job's BLAS calls start their own threads, so the jobs get
-    CPUs // BLAS threads workers (``_pool_size``).  The BLAS thread count
-    is known when VOLTMARK_THREADS set it (``_BLAS_THREADS``); otherwise
-    BLAS may take every CPU, its default, and the jobs run one after the
-    other, since oversubscribed threads cost more than they give.  The
-    jobs write disjoint arrays and each owns its generator, so the output
-    does not depend on the thread count.
+    keeps one pool for all of its rounds and consumers.  Each job's BLAS
+    calls start their own threads, so the jobs get CPUs // BLAS threads
+    workers.  The BLAS thread count is known when VOLTMARK_THREADS set it
+    (``_BLAS_THREADS``); otherwise BLAS may take every CPU, its default,
+    and the jobs run one after the other (``_serial``), since
+    oversubscribed threads cost more than they give.  The jobs write
+    disjoint arrays and each owns its generator, so the output does not
+    depend on the thread count.
     """
-    workers = min(count, _pool_size())
+    workers = _pool_size()
     if workers <= 1:
-        yield lambda jobs: [job() for job in jobs]
+        yield _serial
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
         yield lambda jobs: [future.result() for future in [pool.submit(job) for job in jobs]]

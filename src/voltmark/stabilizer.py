@@ -12,7 +12,8 @@ has infinite radius of convergence but loses floating-point accuracy for
 large arguments, so beyond a computed switch point the evaluation jumps
 to the exact limit value sqrt(c) lam / ||f_{alpha,lam}||_L2, with the
 norm in closed form (``density_l2_norm``).  At the Markovian edge
-alpha = 1 that limit, sqrt(2 c lam), holds for all t.
+alpha = 1 that limit, sqrt(2 c lam), holds for all t: the series has no
+terms and switches at u = 0.
 
 The construction is validated a posteriori: `functional_equation_residual`
 measures how well the evaluated stabilizer satisfies the defining
@@ -24,7 +25,6 @@ own error is below 1e-15 of c lam^2 for the bundled parameters.
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import ClassVar
 
 import numpy as np
 
@@ -142,11 +142,12 @@ class StabilizerSeries:
         Kernel order, mean-reversion rate and normalized variance
         c = v0 / (nu^2 x_inf).
     coeffs : ndarray
-        Truncated series coefficients c_k, one per retained term.
+        Truncated series coefficients c_k, one per retained term (none
+        at alpha = 1).
     switch_u : float
         Scaled time beyond which the asymptotic constant replaces the
         series (largest u whose tail and rounding errors stay below
-        _SWITCH_TOL of the squared limit).
+        _SWITCH_TOL of the squared limit; 0 at alpha = 1).
     limit : float
         sqrt(c) lam / ||f_{alpha,lam}||_L2, the t -> inf value.
     """
@@ -202,39 +203,12 @@ class StabilizerSeries:
         return float(np.max(self.eval(grid)))
 
 
-@dataclass(frozen=True, eq=False)
-class ConstantStabilizer:
-    """Constant diffusion multiplier, the exact stabilizer at alpha = 1.
-
-    Immutable and compared by identity, like ``StabilizerSeries``.
-    """
-
-    value: float
-    alpha: ClassVar[float] = 1.0
-
-    def __post_init__(self):
-        if self.value < 0.0:
-            raise ParameterError("stabilizer value must be >= 0")
-        object.__setattr__(self, "value", float(self.value))
-
-    @property
-    def limit(self) -> float:
-        return self.value
-
-    def eval(self, t) -> float | np.ndarray:
-        if np.isscalar(t):
-            return self.value
-        return np.full(np.shape(t), self.value)
-
-    def sup(self, T: float) -> float:
-        return self.value
-
-
 def build_stabilizer(alpha: float, lam: float, c: float):
     """Construct the stabilizer evaluator for one asset.
 
-    At alpha = 1 (K = 1, f_lam = lam e^(-lam t)) the constant
-    sqrt(2 lam c) solves the functional equation exactly.  For alpha < 1
+    At alpha = 1 (f_lam = lam e^(-lam t)) the constant limit
+    sqrt(2 lam c) solves the functional equation exactly, so the series
+    has no terms and switches to it at u = 0.  For alpha < 1
     coefficients are kept, up to _MAX_TERMS of them, only while they
     stand clear of the rounding noise of the recurrence.  The switch
     point is the largest scaled time u at which (a) the terms are
@@ -245,7 +219,8 @@ def build_stabilizer(alpha: float, lam: float, c: float):
     if not lam > 0.0 or not c > 0.0:
         raise ParameterError("stabilizer requires lam > 0 and c > 0")
     if alpha == 1.0:
-        return ConstantStabilizer(np.sqrt(2.0 * lam * c))
+        return StabilizerSeries(alpha=alpha, lam=lam, c=c, coeffs=(), switch_u=0.0,
+                                limit=float(np.sqrt(2.0 * lam * c)))
     coeffs, floor = _coeffs_with_floor(alpha, _MAX_TERMS)
     clean = np.abs(coeffs) > 20.0 * floor
     k_eff = max(int(np.argmin(clean)) if not clean.all() else _MAX_TERMS, 8)

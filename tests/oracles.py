@@ -10,7 +10,7 @@ field pushed to every later time, the asset-driving increments from
 DW and DWperp, the wealth step factors by np.einsum and the wealth
 recursion one step at a time, whole chunks of paths assembled from the
 block stream and the wealth, stationarity, frontier and Laplace inputs
-from them,
+from them, a stabilizer of constant sigma,
 the resolvent density's L2 norm by adaptive quadrature and the standard
 errors of per-column means and variances by a multinomial bootstrap
 over paths."""
@@ -51,6 +51,7 @@ from voltmark.simulate import (
     sample_initial_variance,
     simulate_variance_blocks,
 )
+from voltmark.stabilizer import StabilizerSeries
 
 # Mittag-Leffler terms of the resolvent convolved in closed form by
 # resolvent_equation_residual
@@ -480,12 +481,20 @@ def whole_chunk_terminal(model, stabs, grid: Grid, M: int, seed: int) -> list:
             for chunk in assembled_chunks(model, stabs, grid, M, seed, initial="fixed")]
 
 
-def whole_chunk_exponents(model, stabs, grid: Grid, M: int, seed: int, u) -> list:
-    """Each fixed-start V-only chunk's Laplace exponents, np.trapezoid over
-    its whole (chunk, d, n+1) V along time, then u."""
-    return [np.trapezoid(chunk.V, dx=grid.dt, axis=2) @ np.asarray(u)
+def whole_chunk_integrals(model, stabs, grid: Grid, M: int, seed: int) -> list:
+    """Each fixed-start V-only chunk's Laplace time integrals as (d, chunk):
+    np.trapezoid over its whole (chunk, d, n+1) V along time."""
+    return [np.trapezoid(chunk.V, dx=grid.dt, axis=2).T
             for chunk in assembled_chunks(model, stabs, grid, M, seed, initial="fixed",
                                           increments=False)]
+
+
+def constant_sigma(value: float) -> StabilizerSeries:
+    """A stabilizer with sigma(t) = value for every t >= 0: the alpha = 1
+    evaluator of ``build_stabilizer`` (no terms, switch at u = 0) with
+    that limit, at lam = 1 and c = value^2 / 2."""
+    return StabilizerSeries(alpha=1.0, lam=1.0, c=value**2 / 2.0, coeffs=(), switch_u=0.0,
+                            limit=value)
 
 
 def quad_density_l2_norm(alpha: float, lam: float) -> float:

@@ -61,6 +61,15 @@ def test_chunks_are_the_columns_of_the_whole_ensemble(model_t1, stabs_t1, M):
         assert np.array_equal(vo.V, ch.V)
 
 
+def _exponents(chunks, u) -> np.ndarray:
+    """Each path's u^T int V by the Laplace fold over the chunks' blocks."""
+    fold, totals = markowitz._time_integrals(GRID.dt)
+    for chunk in chunks:
+        for block in chunk.blocks():
+            fold(*block)
+    return np.concatenate([total.T @ np.asarray(u) for total in totals])
+
+
 @pytest.mark.parametrize("M", EDGES)
 def test_fused_laplace_equals_materialized(model_t1, stabs_t1, M):
     u = [-0.05, -0.05]
@@ -69,10 +78,8 @@ def test_fused_laplace_equals_materialized(model_t1, stabs_t1, M):
     given = laplace_affine_check(model_t1, stabs_t1, u, GRID, M, SEED, ensemble=whole)
     assert fused.mc_value == given.mc_value and fused.mc_se == given.mc_se
     # the exponents themselves, against one pass over the whole V
-    exponents = np.concatenate([markowitz._laplace_exponents(ch.blocks(), GRID.dt, np.array(u))
-                                for ch in _chunks(model_t1, stabs_t1, M,
-                                                  initial="fixed", increments=False)])
-    direct = markowitz._laplace_exponents(whole.blocks(), GRID.dt, np.array(u))
+    exponents = _exponents(_chunks(model_t1, stabs_t1, M, initial="fixed", increments=False), u)
+    direct = _exponents([whole], u)
     assert np.max(np.abs(exponents - direct)) <= 1e-15 * np.max(np.abs(direct))
 
 
@@ -102,7 +109,7 @@ def test_chunks_do_not_depend_on_the_thread_count(model_t1, stabs_t1, monkeypatc
 
     monkeypatch.setattr(simulate, "ThreadPoolExecutor", recording_pool)
     two = _paths(model_t1, stabs_t1, M)
-    assert pool_sizes == [2]                # one pool per stream
+    assert pool_sizes == [2]                # one pool per stream, CPUs // BLAS threads
     assert np.array_equal(one.V, two.V)
     assert np.array_equal(one.dB, two.dB)
 
@@ -152,7 +159,7 @@ def test_common_chunks_are_those_of_equal_size(model_t1, stabs_t1, M, other, sha
 
 def test_shared_pass_leaves_before_the_frontier_and_laplace(tmp_path, monkeypatch):
     # full's wealth stage hands the T = 1 frontier its (A_T, B_T) and the
-    # Laplace check (laplace_M = M) the exponents of its chunks, but none of
+    # Laplace check (laplace_M = M) the time integrals of its chunks, but none of
     # the maps that its stream made (engine scratch, row store, wealth
     # buffers): they are gone when those stages start
     from voltmark import cli, montecarlo
@@ -189,7 +196,7 @@ def test_shared_pass_leaves_before_the_frontier_and_laplace(tmp_path, monkeypatc
     monkeypatch.setattr(montecarlo, "frontier_experiment",
                         stage_spy(montecarlo.frontier_experiment, "terminal"))
     monkeypatch.setattr(markowitz, "laplace_affine_check",
-                        stage_spy(markowitz.laplace_affine_check, "exponents"))
+                        stage_spy(markowitz.laplace_affine_check, "totals"))
     # mc.M and laplace_M, both 5000 in the bundled config
     cfg_text = (cli._DEFAULT_CONFIG.replace("M = 5000", f"M = {C + 5}")
                 .replace("n = 600", "n = 20")
@@ -199,7 +206,7 @@ def test_shared_pass_leaves_before_the_frontier_and_laplace(tmp_path, monkeypatc
     path.write_text(cfg_text)
     assert cli.main(["full", "--config", str(path), "--out", str(tmp_path / "o")]) in (0, 4)
     # the wealth stage's two chunks (M = C + 5); the frontier gets their
-    # (A_T, B_T) pairs, the Laplace check their exponents.  The stream maps
+    # (A_T, B_T) pairs, the Laplace check their time integrals.  The stream maps
     # each asset's 6 scratch and 2 factor buffers, the 2 row stores, the
     # wealth fold's 2 buffers and a tile buffer per path range (1 or 2)
     assert len(refs) >= 2 * 8 + 2 + 2 + 1

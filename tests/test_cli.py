@@ -576,7 +576,7 @@ def test_block_folds_keep_the_bits_of_whole_chunks(tmp_path, monkeypatch, n, cpu
     # and write the bytes of the same statistics over whole chunks, on one
     # worker or two: n = 150 leaves a last block of 22 cells, n = 65 one
     # of a single cell, and M = C + 5 a second chunk
-    from oracles import whole_chunk_exponents, whole_chunk_terminal, whole_chunk_variance_stats
+    from oracles import whole_chunk_integrals, whole_chunk_terminal, whole_chunk_variance_stats
     from voltmark import cli, markowitz, montecarlo, riccati, simulate
 
     monkeypatch.setattr(simulate, "_BLAS_THREADS", 1)
@@ -603,7 +603,7 @@ def test_block_folds_keep_the_bits_of_whole_chunks(tmp_path, monkeypatch, n, cpu
                    for p in points])
     rep = markowitz.laplace_affine_check(
         model, stabs, run.cfg["u"], grid, M, seed,
-        exponents=whole_chunk_exponents(model, stabs, grid, M, seed, run.cfg["u"]))
+        totals=whole_chunk_integrals(model, stabs, grid, M, seed))
     cli.write_csv(str(ref / "laplace_check.csv"),
                   ["mc_value", "mc_se", "closed_form", "z_score", "beta"],
                   [(rep.mc_value, rep.mc_se, rep.closed_form, rep.z_score, rep.beta)])
@@ -612,7 +612,7 @@ def test_block_folds_keep_the_bits_of_whole_chunks(tmp_path, monkeypatch, n, cpu
     for name in names:
         assert (out / name).read_bytes() == (ref / name).read_bytes(), name
     # and below the CSVs' 12 digits, bit for bit: the statistics, each
-    # chunk's (A_T, B_T) and its Laplace exponents
+    # chunk's (A_T, B_T) and its Laplace time integrals
     fixed = dict(initial="fixed")
     folded = montecarlo.stationarity_diagnostics(
         simulate.simulate_variance_blocks(model, stabs, grid, M, seed, increments=False), model)
@@ -624,12 +624,12 @@ def test_block_folds_keep_the_bits_of_whole_chunks(tmp_path, monkeypatch, n, cpu
         model, stabs, grid, M, seed, **fixed))
     for got, want in zip(pairs, whole_chunk_terminal(model, stabs, grid, M, seed), strict=True):
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
-    u = np.asarray(run.cfg["u"])
-    exponents = [markowitz._laplace_exponents(chunk.blocks(), grid.dt, u)
-                 for chunk in simulate.simulate_variance_blocks(model, stabs, grid, M, seed,
-                                                                increments=False, **fixed)]
-    for got, want in zip(exponents, whole_chunk_exponents(model, stabs, grid, M, seed, u),
-                         strict=True):
+    fold, totals = markowitz._time_integrals(grid.dt)
+    for chunk in simulate.simulate_variance_blocks(model, stabs, grid, M, seed, increments=False,
+                                                   **fixed):
+        for block in chunk.blocks():
+            fold(*block)
+    for got, want in zip(totals, whole_chunk_integrals(model, stabs, grid, M, seed), strict=True):
         assert np.array_equal(got, want)
 
 
@@ -890,7 +890,7 @@ def test_full_simulates_no_chunk_twice(tmp_path, monkeypatch, sizes, horizons, f
 
 def test_bundled_full_simulates_no_laplace_chunk(tmp_path, monkeypatch):
     # the bundled laplace_M equals mc.M, so the Laplace stage takes the
-    # exponents of every chunk from the wealth stage and starts no stream:
+    # time integrals of every chunk from the wealth stage and starts no stream:
     # 3 stationarity chunks, 2 wealth chunks and 2 for each of the
     # frontiers at T = 0.5 and 5.  The path counts alone decide the
     # chunks, so the bundled config runs on a coarse grid here
@@ -1104,14 +1104,18 @@ def test_non_finite_laplace_sample_exit_code(tmp_path, capsys, monkeypatch):
     # in one line, with no CSV, instead of a NaN row and exit 4
     from voltmark import markowitz
 
-    real = markowitz._laplace_exponents
+    real = markowitz._time_integrals
 
-    def one_infinite(V, dt, u):
-        X = real(V, dt, u)
-        X[7] = np.inf
-        return X
+    def one_infinite(dt):
+        fold, totals = real(dt)
 
-    monkeypatch.setattr(markowitz, "_laplace_exponents", one_infinite)
+        def infinite_fold(lo, V, dB):
+            fold(lo, V, dB)
+            totals[-1][0, 7] = np.inf
+
+        return infinite_fold, totals
+
+    monkeypatch.setattr(markowitz, "_time_integrals", one_infinite)
     out = tmp_path / "o"
     assert main(["laplace", "--config", _write(tmp_path, TINY), "--out", str(out)]) == 3
     lines = capsys.readouterr().err.splitlines()

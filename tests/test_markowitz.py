@@ -13,7 +13,8 @@ from voltmark.kernels import ParameterError
 from voltmark.markowitz import (
     ConsistencyError,
     _terminal_wealth,
-    _trapezoid_rows,
+    _time_integrals,
+    _wealth_recursion,
     control_coefficient,
     efficient_frontier,
     frontier_slope,
@@ -29,7 +30,12 @@ from voltmark.markowitz import (
 from voltmark.model import Grid, MarketModel, bundled_model
 from voltmark.montecarlo import frontier_m_grid
 from voltmark.riccati import solve_riccati_adams
-from voltmark.simulate import NonFiniteError, correlate_asset_brownian, simulate_variance_paths
+from voltmark.simulate import (
+    NonFiniteError,
+    correlate_asset_brownian,
+    simulate_variance_blocks,
+    simulate_variance_paths,
+)
 
 
 @pytest.fixture(scope="module")
@@ -228,15 +234,8 @@ def test_affine_terminal_matches_wealth_scheme():
         assert np.max(np.abs(A + xi * B - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("M, pools", [(2100, [4, 4]), (40, [])])
-def test_wealth_path_ranges_do_not_change_the_bits(model_t1, stabs_t1, monkeypatch, M, pools):
-    # the recursion splits the paths into ranges of whole 64-path
-    # blocks, one per pool worker and at most M // 512: four ranges on
-    # eight CPUs for M = 2100, one for M < 1024.  With a short switch
-    # interval the split gives the bits of one pass on one CPU
-    grid = Grid(1.0, 90)
-    sol = solve_riccati_adams(model_t1, stabs_t1, grid.n)
-    ens = simulate_variance_paths(model_t1, stabs_t1, grid, M, seed=17, initial="fixed")
+def _recording_pools(monkeypatch) -> list:
+    """The max_workers of every ThreadPoolExecutor that simulate starts."""
     pool_sizes = []
     real_pool = simulate.ThreadPoolExecutor
 
@@ -245,21 +244,65 @@ def test_wealth_path_ranges_do_not_change_the_bits(model_t1, stabs_t1, monkeypat
         return real_pool(max_workers=max_workers)
 
     monkeypatch.setattr(simulate, "ThreadPoolExecutor", recording_pool)
+    return pool_sizes
+
+
+@pytest.mark.parametrize("M, pools", [(2100, [8]), (40, [8])])
+def test_wealth_path_ranges_do_not_change_the_bits(model_t1, stabs_t1, monkeypatch, M, pools):
+    # the recursion splits a stream's paths into ranges of whole 64-path
+    # blocks, one per pool worker and at most M // 512: four ranges on
+    # eight CPUs for M = 2100, one for M < 1024, on the stream's one pool.
+    # With a short switch interval the split gives the bits of one pass
+    # on one CPU
+    grid = Grid(1.0, 90)
+    sol = solve_riccati_adams(model_t1, stabs_t1, grid.n)
+    pool_sizes = _recording_pools(monkeypatch)
+    tiles = []
+    real_tiles = markowitz._tile_buffer
+    monkeypatch.setattr(markowitz, "_tile_buffer", lambda d: tiles.append(d) or real_tiles(d))
     monkeypatch.setattr(simulate, "_BLAS_THREADS", 1)
+    X, alpha_paths = np.empty((M, grid.n + 1)), np.empty((M, 2, grid.n))
+
+    def store(lo, x, alpha):
+        X[:, lo : lo + x.shape[1]] = x
+        alpha_paths[:, :, lo : lo + alpha.shape[2]] = alpha
+
     runs = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for cpus in (1, 8):
             monkeypatch.setattr(simulate, "_cpu_count", lambda cpus=cpus: cpus)
-            wealth = simulate_wealth(model_t1, ens, sol, stabs_t1, 3.0)
-            [(A, B)] = _terminal_wealth(model_t1, sol, stabs_t1, [ens])
-            runs.append((A, B, wealth.X, wealth.alpha_paths, wealth.A_T, wealth.B_T))
+            [(A, B)] = _wealth_recursion(model_t1, sol, stabs_t1, simulate_variance_blocks(
+                model_t1, stabs_t1, grid, M, 17, initial="fixed"), 3.0, store)
+            runs.append((A, B, X.copy(), alpha_paths.copy()))
     finally:
         sys.setswitchinterval(interval)
     assert pool_sizes == pools
+    assert len(tiles) == 1 + {2100: 4, 40: 1}[M]       # one map per range
     for one, split in zip(*runs):
         assert np.array_equal(one, split)
+
+
+def test_wealth_stream_runs_on_its_engine_pool(model_t1, stabs_t1, monkeypatch):
+    # a two-worker stream of two chunks starts one pool, the engine's, and
+    # the wealth recursion's two path ranges run on it with the bits of
+    # one CPU
+    grid = Grid(1.0, 20)
+    sol = solve_riccati_adams(model_t1, stabs_t1, grid.n)
+    monkeypatch.setattr(simulate, "_BLAS_THREADS", 1)
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
+    pool_sizes = _recording_pools(monkeypatch)
+    M = simulate._CHUNK_PATHS + 5
+    pairs = list(_terminal_wealth(model_t1, sol, stabs_t1, simulate_variance_blocks(
+        model_t1, stabs_t1, grid, M, 9, initial="fixed")))
+    assert pool_sizes == [2]
+    assert [len(A) for A, _ in pairs] == [simulate._CHUNK_PATHS, 5]
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: 1)
+    serial = _terminal_wealth(model_t1, sol, stabs_t1, simulate_variance_blocks(
+        model_t1, stabs_t1, grid, M, 9, initial="fixed"))
+    for got, want in zip(pairs, serial, strict=True):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_wealth_scheme_matches_a_direct_euler_loop(model_t1, stabs_t1):
@@ -359,13 +402,22 @@ def test_laplace_u_zero_exact(model_t1, stabs_t1):
     assert rep.passed
 
 
+def _folded(blocks, dt: float) -> list:
+    """The totals of ``_time_integrals`` once its fold took every block."""
+    fold, totals = _time_integrals(dt)
+    for block in blocks:
+        fold(*block)
+    return totals
+
+
 @pytest.fixture(scope="module")
 def laplace_exponents(model_t1, stabs_t1):
     """Per-path exponents u^T int V of 1000 fixed-start paths on a T = 1 grid."""
     grid, u = Grid(1.0, 50), np.array([-0.05, -0.05])
     ens = simulate_variance_paths(model_t1, stabs_t1, grid, 1000, seed=5, initial="fixed",
                                   increments=False)
-    return grid, u, markowitz._laplace_exponents(ens.blocks(), grid.dt, u)
+    [total] = _folded(ens.blocks(), grid.dt)
+    return grid, u, total.T @ u
 
 
 def test_laplace_control_has_its_exact_mean(model_t1, laplace_exponents):
@@ -393,14 +445,18 @@ def test_laplace_control_shrinks_the_se(model_t1, stabs_t1, laplace_exponents):
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_laplace_non_finite_sample_rejected(model_t1, stabs_t1, monkeypatch, bad):
-    real = markowitz._laplace_exponents
+    real = markowitz._time_integrals
 
-    def one_bad(V, dt, u):
-        X = real(V, dt, u)
-        X[7] = bad
-        return X
+    def one_bad(dt):
+        fold, totals = real(dt)
 
-    monkeypatch.setattr(markowitz, "_laplace_exponents", one_bad)
+        def bad_fold(lo, V, dB):
+            fold(lo, V, dB)
+            totals[-1][0, 7] = bad
+
+        return bad_fold, totals
+
+    monkeypatch.setattr(markowitz, "_time_integrals", one_bad)
     with pytest.raises(NonFiniteError, match="Laplace samples is not finite"):
         laplace_affine_check(model_t1, stabs_t1, [-0.05, -0.05], Grid(1.0, 30), 50, seed=3)
 
@@ -424,7 +480,7 @@ def test_laplace_row_integral_is_numpy_trapezoid(model_t1, stabs_t1):
     # (M, d, n+1) view
     ens = simulate_variance_paths(model_t1, stabs_t1, Grid(1.0, 130), 333, seed=2,
                                   initial="fixed")
-    rows = _trapezoid_rows(ens.blocks(), ens.grid.dt)
+    [rows] = _folded(ens.blocks(), ens.grid.dt)
     ref = np.trapezoid(ens.V, dx=ens.grid.dt, axis=2)
     assert np.array_equal(rows.T, ref)
     u = np.array([-0.05, -0.05])

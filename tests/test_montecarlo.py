@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import small_model
-from oracles import assembled_chunks, bootstrap_se, bootstrap_weights
+from oracles import assembled_chunks, bootstrap_se, bootstrap_weights, constant_sigma
 from voltmark.kernels import ParameterError
 from voltmark.markowitz import z_score
 from voltmark.model import Grid, bundled_model
@@ -25,7 +25,6 @@ from voltmark.simulate import (
     NonFiniteError,
     simulate_variance_paths,
 )
-from voltmark.stabilizer import ConstantStabilizer
 
 
 def _stats(x):
@@ -172,7 +171,7 @@ def test_overflowing_statistics_rejected():
 def test_stationarity_negative_control(model_t1):
     # removing the stabilizer kills the noise injection: Var(V_t) decays
     # and the variance band check must fail
-    zero = [ConstantStabilizer(0.0), ConstantStabilizer(0.0)]
+    zero = [constant_sigma(0.0), constant_sigma(0.0)]
     ens = simulate_variance_paths(model_t1, zero, Grid(1.0, 120), 1500, seed=31)
     rep = stationarity_diagnostics([ens], model_t1)
     assert not rep.passed

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import small_model
-from oracles import oracle_adams_reference, oracle_volterra_picard
+from oracles import constant_sigma, oracle_adams_reference, oracle_volterra_picard
 from voltmark import riccati
 from voltmark.markowitz import gamma0
 from voltmark.model import Grid, MarketModel, bundled_model
@@ -24,7 +24,6 @@ from voltmark.riccati import (
     solve_laplace_riccati,
     solve_riccati_adams,
 )
-from voltmark.stabilizer import ConstantStabilizer
 
 
 def regime_a_model():
@@ -58,7 +57,7 @@ def test_rhs_at_zero_psi(model_t1, stabs_t1):
 def test_rhs_scalar_reduction():
     # d=1, rho=0, constant sigma=1: rhs = -theta^2 - lam psi + nu^2/2 psi^2
     m = small_model(rho=[0.0])
-    st = [ConstantStabilizer(1.0)]
+    st = [constant_sigma(1.0)]
     psi = np.array([-0.7])
     val = _node_rhs(m, st, Grid(1.0, 4), None, np.full((1, 5), psi[0]))[:, 2]
     expect = -m.theta[0] ** 2 - m.lam[0] * psi[0] + 0.5 * m.nu[0] ** 2 * psi[0] ** 2
@@ -126,7 +125,7 @@ def test_adams_vs_picard_bundled_params(riccati_600, picard_4800):
 
 def test_picard_matches_euler_ode_markovian_edge():
     m = small_model(alpha=[1.0], theta=[0.8], rho=[-0.4], nu=[0.5], lam=[0.3])
-    st = [ConstantStabilizer(1.0)]
+    st = [constant_sigma(1.0)]
     orc = oracle_volterra_picard(m, st, 4800)
     n, dt = 4800, 1.0 / 4800
     y, ys = 0.0, [0.0]
@@ -160,7 +159,7 @@ def test_component_decoupling(model_t1, stabs_t1, riccati_600):
 
 def test_bound_theta_zero_and_constant_kernel():
     m = small_model(theta=[0.0])
-    st = [ConstantStabilizer(0.5)]
+    st = [constant_sigma(0.5)]
     assert riccati_bound(m, st, 1.0)[0] == 0.0
     # alpha = 1 reduces the resolvent to e^(-lam t)
     m1 = small_model(alpha=[1.0], theta=[0.4], rho=[0.2])
@@ -186,7 +185,7 @@ def test_bound_inapplicable_warns():
     m = small_model(rho=[-0.9], theta=[4.0], nu=[2.0], lam=[0.1])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        b = riccati_bound(m, [ConstantStabilizer(1.0)], 1.0)
+        b = riccati_bound(m, [constant_sigma(1.0)], 1.0)
     assert np.isnan(b[0])
 
 
@@ -197,7 +196,7 @@ def blowup_model():
 
 def test_blowup_guard_raises():
     with pytest.raises(BlowupError):
-        solve_riccati_adams(blowup_model(), [ConstantStabilizer(1.0)], 500)
+        solve_riccati_adams(blowup_model(), [constant_sigma(1.0)], 500)
 
 
 def _constant_rhs(monkeypatch, value):
@@ -211,7 +210,7 @@ def _constant_rhs(monkeypatch, value):
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, "beyond"])
 def test_blowup_guard_catches_nan_inf_and_large(monkeypatch, value, cap):
     # "beyond" is the genuine blow-up
-    model, stabs = blowup_model(), [ConstantStabilizer(1.0)]
+    model, stabs = blowup_model(), [constant_sigma(1.0)]
     assert np.isnan(riccati_bound(model, stabs, model.T)).all()
     if value != "beyond":
         _constant_rhs(monkeypatch, value)
@@ -222,7 +221,7 @@ def test_blowup_guard_catches_nan_inf_and_large(monkeypatch, value, cap):
 def test_blowup_guard_when_ten_times_the_bound_overflows(monkeypatch):
     # the bound itself is finite, ten times it is not: the guard must fall
     # back to the fixed cap, or an infinite psi would pass |psi| <= inf
-    model, stabs = small_model(theta=[5e153], rho=[0.3]), [ConstantStabilizer(1.0)]
+    model, stabs = small_model(theta=[5e153], rho=[0.3]), [constant_sigma(1.0)]
     bound = riccati_bound(model, stabs, model.T)[0]
     assert np.finfo(float).max / 10.0 < bound < np.inf
     _constant_rhs(monkeypatch, np.inf)
@@ -295,7 +294,7 @@ def test_memo_key_separates_every_argument(adams_spy):
 
 def test_blowup_is_never_memoized(adams_spy):
     model = blowup_model()
-    stabs = [ConstantStabilizer(1.0)]
+    stabs = [constant_sigma(1.0)]
     for _ in range(2):
         with pytest.raises(BlowupError):
             solve_riccati_adams(model, stabs, 500)
@@ -340,12 +339,12 @@ def test_memo_under_concurrent_callers(adams_spy):
 
 def test_memo_inputs_are_immutable():
     model = small_model()
-    stabs = model.build_stabilizers() + [ConstantStabilizer(0.5)]
+    stabs = model.build_stabilizers() + [constant_sigma(0.5)]
     with pytest.raises(ValueError):
         model.theta[0] = 1.0
     with pytest.raises(ValueError):
         stabs[0].coeffs[0] = 1.0
-    for target, attr in [(model, "T"), (stabs[0], "lam"), (stabs[1], "value")]:
+    for target, attr in [(model, "T"), (stabs[0], "lam"), (stabs[1], "limit")]:
         with pytest.raises(AttributeError):
             setattr(target, attr, 2.0)
 

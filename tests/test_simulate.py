@@ -377,7 +377,7 @@ def test_time_major_views(model_t1, stabs_t1):
 
 
 def test_concurrent_assets_equal_sequential(monkeypatch):
-    # five assets on five threads, more than the
+    # five assets on the stream's pool of eight threads, more than the
     # cores, with a short switch interval, give the same bits as running
     # them one after the other on the calling thread
     m = small_model(d=5, alpha=[0.6, 0.7, 0.8, 0.9, 1.0], nu=[0.3, 0.4, 0.5, 0.6, 0.7])
@@ -401,7 +401,7 @@ def test_concurrent_assets_equal_sequential(monkeypatch):
         par = simulate_variance_paths(m, stabs, g, 700, seed=8)
     finally:
         sys.setswitchinterval(interval)
-    assert pool_sizes == [5]                 # d asset jobs
+    assert pool_sizes == [8]                 # CPUs // BLAS threads workers
     assert np.array_equal(seq.V, par.V)
     assert np.array_equal(seq.dB, par.dB)
 
@@ -421,9 +421,9 @@ def test_asset_threads_leave_room_for_blas_threads(monkeypatch):
     jobs = [lambda i=i: done.append(i) for i in range(3)]
     for cap in (None, 1, 2, 4):
         monkeypatch.setattr(simulate, "_BLAS_THREADS", cap)
-        with simulate._workers(len(jobs)) as run:
+        with simulate._workers() as run:
             run(jobs)
-    assert pool_sizes == [3, 2]
+    assert pool_sizes == [4, 2]
     assert sorted(done) == sorted(list(range(3)) * 4)
 
 

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from scipy.special import gamma as G
 
-from oracles import quad_density_l2_norm
+from oracles import constant_sigma, quad_density_l2_norm
 from voltmark.kernels import (
+    DomainError,
     ParameterError,
     ResolventSpec,
     fractional_kernel,
@@ -14,7 +15,6 @@ from voltmark.kernels import (
     resolvent_density,
 )
 from voltmark.stabilizer import (
-    ConstantStabilizer,
     _sigma_sq_convolution,
     build_stabilizer,
     density_l2_norm,
@@ -123,10 +123,14 @@ def test_residual_zero_at_origin():
 def test_residual_constant_kernel_closed_form():
     # alpha = 1 (K = 1): R = e^(-lam t), f = lam e^(-lam t); sigma^2 = 2 lam c
     # solves the functional equation exactly and equals the limit
-    # sqrt(c) lam / ||f|| with ||f|| = sqrt(lam / 2)
+    # sqrt(c) lam / ||f|| with ||f|| = sqrt(lam / 2), from t = 0 on
     lam, c = 0.7, 0.05
     st = build_stabilizer(1.0, lam, c)
-    assert isinstance(st, ConstantStabilizer)
+    exact = np.sqrt(2.0 * lam * c)
+    assert st.eval(2.3) == exact and st.eval(0.0) == exact and st.limit == exact
+    assert np.array_equal(st.eval(np.array([0.0, 1e-300, 0.4, 2.3, 1e6])), np.full(5, exact))
+    with pytest.raises(DomainError):
+        st.eval(-1e-12)
     assert st.eval(2.3) == pytest.approx(np.sqrt(c) * lam / density_l2_norm(1.0, lam), rel=1e-15)
     res = functional_equation_residual(st, lam, c, 2.0, 25)
     assert np.max(res) <= 1e-12
@@ -198,13 +202,13 @@ def test_residual_markovian_edge():
     lam, c = 0.7, 0.05
     st = build_stabilizer(1.0, lam, c)
     assert functional_equation_residual(st, lam, c, 1.0, 10).max() <= 1e-12
-    res = functional_equation_residual(ConstantStabilizer(0.3), lam, c, 1.0, 10)
+    res = functional_equation_residual(constant_sigma(0.3), lam, c, 1.0, 10)
     R = np.exp(-lam * np.linspace(0.0, 1.0, 11))
     assert np.max(np.abs(res - (0.3**2 / (2.0 * lam * c) - 1.0) * (1.0 - R**2))) <= 1e-12
 
 
 def test_constant_stabilizer_interface():
-    cs = ConstantStabilizer(0.3)
+    cs = constant_sigma(0.3)
     assert cs.eval(1.7) == 0.3
     assert np.all(cs.eval(np.zeros(4)) == 0.3)
     assert cs.sup(10.0) == 0.3
