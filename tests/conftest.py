@@ -90,6 +90,20 @@ def child_peak_kib(setup: str, code: str, **env) -> tuple[int, int]:
 
 
 @pytest.fixture
+def pool_sizes(monkeypatch) -> list:
+    """The max_workers of every ThreadPoolExecutor that simulate starts."""
+    sizes = []
+    real_pool = simulate.ThreadPoolExecutor
+
+    def recording_pool(max_workers):
+        sizes.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", recording_pool)
+    return sizes
+
+
+@pytest.fixture
 def nan_covariance(monkeypatch):
     """Cell covariances with one NaN in the thin terms, at lag 5 of the exact
     diagonal."""

@@ -94,20 +94,12 @@ def test_fused_terminal_wealth_equals_materialized(model_t1, stabs_t1, M):
     assert np.max(np.abs(np.concatenate([b for _, b in parts]) - B)) <= 1e-12 * np.max(np.abs(B))
 
 
-def test_chunks_do_not_depend_on_the_thread_count(model_t1, stabs_t1, monkeypatch):
+def test_chunks_do_not_depend_on_the_thread_count(model_t1, stabs_t1, monkeypatch, pool_sizes):
     M = 2 * C + 3
     monkeypatch.setattr(simulate, "_BLAS_THREADS", 1)
     monkeypatch.setattr(simulate, "_cpu_count", lambda: 1)
     one = _paths(model_t1, stabs_t1, M)
     monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
-    pool_sizes = []
-    real_pool = simulate.ThreadPoolExecutor
-
-    def recording_pool(max_workers):
-        pool_sizes.append(max_workers)
-        return real_pool(max_workers=max_workers)
-
-    monkeypatch.setattr(simulate, "ThreadPoolExecutor", recording_pool)
     two = _paths(model_t1, stabs_t1, M)
     assert pool_sizes == [2]                # one pool per stream, CPUs // BLAS threads
     assert np.array_equal(one.V, two.V)

@@ -234,21 +234,9 @@ def test_affine_terminal_matches_wealth_scheme():
         assert np.max(np.abs(A + xi * B - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def _recording_pools(monkeypatch) -> list:
-    """The max_workers of every ThreadPoolExecutor that simulate starts."""
-    pool_sizes = []
-    real_pool = simulate.ThreadPoolExecutor
-
-    def recording_pool(max_workers):
-        pool_sizes.append(max_workers)
-        return real_pool(max_workers=max_workers)
-
-    monkeypatch.setattr(simulate, "ThreadPoolExecutor", recording_pool)
-    return pool_sizes
-
-
 @pytest.mark.parametrize("M, pools", [(2100, [8]), (40, [8])])
-def test_wealth_path_ranges_do_not_change_the_bits(model_t1, stabs_t1, monkeypatch, M, pools):
+def test_wealth_path_ranges_do_not_change_the_bits(model_t1, stabs_t1, monkeypatch, pool_sizes,
+                                                   M, pools):
     # the recursion splits a stream's paths into ranges of whole 64-path
     # blocks, one per pool worker and at most M // 512: four ranges on
     # eight CPUs for M = 2100, one for M < 1024, on the stream's one pool.
@@ -256,7 +244,6 @@ def test_wealth_path_ranges_do_not_change_the_bits(model_t1, stabs_t1, monkeypat
     # on one CPU
     grid = Grid(1.0, 90)
     sol = solve_riccati_adams(model_t1, stabs_t1, grid.n)
-    pool_sizes = _recording_pools(monkeypatch)
     tiles = []
     real_tiles = markowitz._tile_buffer
     monkeypatch.setattr(markowitz, "_tile_buffer", lambda d: tiles.append(d) or real_tiles(d))
@@ -284,7 +271,7 @@ def test_wealth_path_ranges_do_not_change_the_bits(model_t1, stabs_t1, monkeypat
         assert np.array_equal(one, split)
 
 
-def test_wealth_stream_runs_on_its_engine_pool(model_t1, stabs_t1, monkeypatch):
+def test_wealth_stream_runs_on_its_engine_pool(model_t1, stabs_t1, monkeypatch, pool_sizes):
     # a two-worker stream of two chunks starts one pool, the engine's, and
     # the wealth recursion's two path ranges run on it with the bits of
     # one CPU
@@ -292,7 +279,6 @@ def test_wealth_stream_runs_on_its_engine_pool(model_t1, stabs_t1, monkeypatch):
     sol = solve_riccati_adams(model_t1, stabs_t1, grid.n)
     monkeypatch.setattr(simulate, "_BLAS_THREADS", 1)
     monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
-    pool_sizes = _recording_pools(monkeypatch)
     M = simulate._CHUNK_PATHS + 5
     pairs = list(_terminal_wealth(model_t1, sol, stabs_t1, simulate_variance_blocks(
         model_t1, stabs_t1, grid, M, 9, initial="fixed")))

@@ -329,17 +329,9 @@ def test_asset_increments_hold_the_ensemble_rho(model_t1, stabs_t1):
 
 
 @pytest.mark.parametrize("initial", ["stationary", "fixed"])
-def test_v_only_ensemble_equals_full(model_t1, stabs_t1, monkeypatch, initial):
+def test_v_only_ensemble_equals_full(model_t1, stabs_t1, monkeypatch, pool_sizes, initial):
     # skipping dB and the W-perp draws leaves V0 and V bit for bit; M is
     # not a multiple of 64 and the two assets run on two threads
-    pool_sizes = []
-    real_pool = simulate.ThreadPoolExecutor
-
-    def recording_pool(max_workers):
-        pool_sizes.append(max_workers)
-        return real_pool(max_workers=max_workers)
-
-    monkeypatch.setattr(simulate, "ThreadPoolExecutor", recording_pool)
     monkeypatch.setattr(simulate, "_BLAS_THREADS", 1)
     monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
     g = Grid(1.0, 150)
@@ -376,7 +368,7 @@ def test_time_major_views(model_t1, stabs_t1):
     assert ens.dB.transpose(1, 2, 0).flags.c_contiguous
 
 
-def test_concurrent_assets_equal_sequential(monkeypatch):
+def test_concurrent_assets_equal_sequential(monkeypatch, pool_sizes):
     # five assets on the stream's pool of eight threads, more than the
     # cores, with a short switch interval, give the same bits as running
     # them one after the other on the calling thread
@@ -387,14 +379,6 @@ def test_concurrent_assets_equal_sequential(monkeypatch):
     monkeypatch.setattr(simulate, "_cpu_count", lambda: 1)
     seq = simulate_variance_paths(m, stabs, g, 700, seed=8)
     monkeypatch.setattr(simulate, "_cpu_count", lambda: 8)
-    pool_sizes = []
-    real_pool = simulate.ThreadPoolExecutor
-
-    def recording_pool(max_workers):
-        pool_sizes.append(max_workers)
-        return real_pool(max_workers=max_workers)
-
-    monkeypatch.setattr(simulate, "ThreadPoolExecutor", recording_pool)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -406,16 +390,8 @@ def test_concurrent_assets_equal_sequential(monkeypatch):
     assert np.array_equal(seq.dB, par.dB)
 
 
-def test_asset_threads_leave_room_for_blas_threads(monkeypatch):
+def test_asset_threads_leave_room_for_blas_threads(monkeypatch, pool_sizes):
     # CPUs // BLAS threads workers, none while BLAS may take every CPU
-    pool_sizes = []
-    real_pool = simulate.ThreadPoolExecutor
-
-    def recording_pool(max_workers):
-        pool_sizes.append(max_workers)
-        return real_pool(max_workers=max_workers)
-
-    monkeypatch.setattr(simulate, "ThreadPoolExecutor", recording_pool)
     monkeypatch.setattr(simulate, "_cpu_count", lambda: 4)
     done = []
     jobs = [lambda i=i: done.append(i) for i in range(3)]
