@@ -13,7 +13,7 @@ import pytest
 
 import voltmark
 from oracles import oracle_volterra_picard
-from voltmark import simulate
+from voltmark import markowitz, simulate
 from voltmark.model import Grid, MarketModel, bundled_model
 from voltmark.riccati import solve_riccati_adams
 from voltmark.simulate import simulate_variance_paths
@@ -87,6 +87,33 @@ def child_peak_kib(setup: str, code: str, **env) -> tuple[int, int]:
                           capture_output=True, text=True, env=dict(child_env(), **env), check=True)
     before, after = map(int, proc.stdout.split()[-2:])
     return before, after
+
+
+def folded_integrals(chunks, dt: float) -> list:
+    """The totals of ``markowitz._time_integrals`` once its fold took every
+    block of the chunks: each chunk's (d, chunk) time integrals of V."""
+    fold, totals = markowitz._time_integrals(dt)
+    for chunk in chunks:
+        for block in chunk.blocks():
+            fold(*block)
+    return totals
+
+
+def spoil_integrals(monkeypatch, value: float) -> None:
+    """Make the Laplace fold (``markowitz._time_integrals``) end every block
+    with value as asset 1's integral of path 7."""
+    real = markowitz._time_integrals
+
+    def spoiled(dt):
+        fold, totals = real(dt)
+
+        def spoiled_fold(lo, V, dB):
+            fold(lo, V, dB)
+            totals[-1][0, 7] = value
+
+        return spoiled_fold, totals
+
+    monkeypatch.setattr(markowitz, "_time_integrals", spoiled)
 
 
 @pytest.fixture

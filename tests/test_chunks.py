@@ -11,6 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
+from conftest import folded_integrals
 from oracles import assembled_chunks, dense_variance_paths
 from voltmark import markowitz, simulate
 from voltmark.kernels import ParameterError
@@ -63,11 +64,7 @@ def test_chunks_are_the_columns_of_the_whole_ensemble(model_t1, stabs_t1, M):
 
 def _exponents(chunks, u) -> np.ndarray:
     """Each path's u^T int V by the Laplace fold over the chunks' blocks."""
-    fold, totals = markowitz._time_integrals(GRID.dt)
-    for chunk in chunks:
-        for block in chunk.blocks():
-            fold(*block)
-    return np.concatenate([total.T @ np.asarray(u) for total in totals])
+    return np.concatenate([total.T @ np.asarray(u) for total in folded_integrals(chunks, GRID.dt)])
 
 
 @pytest.mark.parametrize("M", EDGES)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import voltmark
-from conftest import child_env, child_peak_kib
+from conftest import child_env, child_peak_kib, folded_integrals, spoil_integrals
 from voltmark.cli import ConfigError, RunContext, _DEFAULT_CONFIG, load_config, main
 from voltmark.model import Grid, bundled_model
 
@@ -624,11 +624,8 @@ def test_block_folds_keep_the_bits_of_whole_chunks(tmp_path, monkeypatch, n, cpu
         model, stabs, grid, M, seed, **fixed))
     for got, want in zip(pairs, whole_chunk_terminal(model, stabs, grid, M, seed), strict=True):
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
-    fold, totals = markowitz._time_integrals(grid.dt)
-    for chunk in simulate.simulate_variance_blocks(model, stabs, grid, M, seed, increments=False,
-                                                   **fixed):
-        for block in chunk.blocks():
-            fold(*block)
+    totals = folded_integrals(simulate.simulate_variance_blocks(
+        model, stabs, grid, M, seed, increments=False, **fixed), grid.dt)
     for got, want in zip(totals, whole_chunk_integrals(model, stabs, grid, M, seed), strict=True):
         assert np.array_equal(got, want)
 
@@ -1102,20 +1099,7 @@ def test_zero_vol_of_vol_passes_quietly(tmp_path, command):
 def test_non_finite_laplace_sample_exit_code(tmp_path, capsys, monkeypatch):
     # one infinite exponent ends the Laplace check as a numerical failure
     # in one line, with no CSV, instead of a NaN row and exit 4
-    from voltmark import markowitz
-
-    real = markowitz._time_integrals
-
-    def one_infinite(dt):
-        fold, totals = real(dt)
-
-        def infinite_fold(lo, V, dB):
-            fold(lo, V, dB)
-            totals[-1][0, 7] = np.inf
-
-        return infinite_fold, totals
-
-    monkeypatch.setattr(markowitz, "_time_integrals", one_infinite)
+    spoil_integrals(monkeypatch, np.inf)
     out = tmp_path / "o"
     assert main(["laplace", "--config", _write(tmp_path, TINY), "--out", str(out)]) == 3
     lines = capsys.readouterr().err.splitlines()

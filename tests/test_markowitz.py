@@ -6,14 +6,13 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import small_model
+from conftest import folded_integrals, small_model, spoil_integrals
 from oracles import einsum_step_factors, stepwise_wealth
 from voltmark import markowitz, simulate
 from voltmark.kernels import ParameterError
 from voltmark.markowitz import (
     ConsistencyError,
     _terminal_wealth,
-    _time_integrals,
     _wealth_recursion,
     control_coefficient,
     efficient_frontier,
@@ -388,21 +387,13 @@ def test_laplace_u_zero_exact(model_t1, stabs_t1):
     assert rep.passed
 
 
-def _folded(blocks, dt: float) -> list:
-    """The totals of ``_time_integrals`` once its fold took every block."""
-    fold, totals = _time_integrals(dt)
-    for block in blocks:
-        fold(*block)
-    return totals
-
-
 @pytest.fixture(scope="module")
 def laplace_exponents(model_t1, stabs_t1):
     """Per-path exponents u^T int V of 1000 fixed-start paths on a T = 1 grid."""
     grid, u = Grid(1.0, 50), np.array([-0.05, -0.05])
     ens = simulate_variance_paths(model_t1, stabs_t1, grid, 1000, seed=5, initial="fixed",
                                   increments=False)
-    [total] = _folded(ens.blocks(), grid.dt)
+    [total] = folded_integrals([ens], grid.dt)
     return grid, u, total.T @ u
 
 
@@ -431,18 +422,7 @@ def test_laplace_control_shrinks_the_se(model_t1, stabs_t1, laplace_exponents):
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_laplace_non_finite_sample_rejected(model_t1, stabs_t1, monkeypatch, bad):
-    real = markowitz._time_integrals
-
-    def one_bad(dt):
-        fold, totals = real(dt)
-
-        def bad_fold(lo, V, dB):
-            fold(lo, V, dB)
-            totals[-1][0, 7] = bad
-
-        return bad_fold, totals
-
-    monkeypatch.setattr(markowitz, "_time_integrals", one_bad)
+    spoil_integrals(monkeypatch, bad)
     with pytest.raises(NonFiniteError, match="Laplace samples is not finite"):
         laplace_affine_check(model_t1, stabs_t1, [-0.05, -0.05], Grid(1.0, 30), 50, seed=3)
 
@@ -466,7 +446,7 @@ def test_laplace_row_integral_is_numpy_trapezoid(model_t1, stabs_t1):
     # (M, d, n+1) view
     ens = simulate_variance_paths(model_t1, stabs_t1, Grid(1.0, 130), 333, seed=2,
                                   initial="fixed")
-    [rows] = _folded(ens.blocks(), ens.grid.dt)
+    [rows] = folded_integrals([ens], ens.grid.dt)
     ref = np.trapezoid(ens.V, dx=ens.grid.dt, axis=2)
     assert np.array_equal(rows.T, ref)
     u = np.array([-0.05, -0.05])
