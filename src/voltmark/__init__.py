@@ -56,7 +56,6 @@ from .montecarlo import (
     ColumnMoments,
     EnsembleStats,
     frontier_experiment,
-    stationarity_diagnostics,
 )
 from .riccati import (
     BlowupError,

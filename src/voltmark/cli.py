@@ -20,23 +20,18 @@ import, before numpy loads).  The manifest records the cap
 (``chunk_paths``) and its bit generator (``bit_generator``), the
 settings besides config and seed that the CSV bits depend on.
 
-``main`` builds one ``RunContext`` (model, stabilizers, grid) from the
-validated config, and every stage of ``full`` runs on it, so no stage
-rebuilds the stabilizers or re-solves psi; a frontier at another
-horizon takes ``RunContext.at(T)``, which keeps the stabilizers.
-``full`` first applies its late stages' own rules (the frontier
-horizons, the target m, the Laplace forcing u), so a config that one of
-them would refuse fails before the first stage writes anything.
-Every stage with paths reads a block stream
-(``simulate.simulate_variance_blocks``) and folds each block of 64
-steps before the engine advances the next, so no stage holds a chunk's
-V, dB, wealth or strategy paths.
-One fixed-start pass serves three stages of ``full``: each chunk's wealth
-recursion also gives the frontier at the config horizon its (A_T, B_T),
-and, when laplace_M equals mc.M (same seed, grid and start, so the same
-paths), each of its blocks goes to the Laplace check's block fold
-(``markowitz._time_integrals``) too; otherwise the Laplace stage
-simulates its own stream, as ``voltmark laplace`` does.
+``main`` builds one ``RunContext`` (model, stabilizers, grid, streams)
+from the validated config, and every stage of ``full`` runs on it: no
+stage rebuilds the stabilizers or re-solves psi, and a frontier at
+another horizon takes ``RunContext.at(T)``, which keeps them.  ``full``
+first applies its late stages' own rules (the frontier horizons, the
+target m, the Laplace forcing u), so a config that one of them would
+refuse fails before the first stage writes anything.  Every stage with
+paths is a block fold on a stream of the context's ``simulate.Streams``,
+which draws each stream once for all of its folds: the frontier at the
+config horizon reads the wealth stage's (A_T, B_T), and the Laplace
+check, whose fold ``full`` makes before the wealth stage, its time
+integrals when laplace_M equals mc.M (the same paths).
 The manifest's ``stages`` holds one record per stage in run order (the
 command itself, or each stage of ``full``): its name, ``wall_s`` and the
 process's peak resident set at its end, ``vmhwm_mb``.
@@ -199,38 +194,47 @@ def write_manifest(out_dir: str, cfg: dict, config_text: str, extra: dict | None
         fh.write("\n")
 
 
-def _dumped(path: str, chunks, M: int, d: int, grid: Grid):
-    """Pass the chunks on, each writing its blocks into the raw little-endian
-    dump as its reader takes them (``PathChunk.tapped``): header M, d, n as
-    int64 and T as float64, then V row-major (path, asset, time)."""
-    with open(path, "wb") as fh:
-        np.array([M, d, grid.n], dtype="<i8").tofile(fh)
-        np.array([grid.T], dtype="<f8").tofile(fh)
-        fh.truncate(32 + 8 * M * d * (grid.n + 1))
-    rest = np.memmap(path, dtype="<f8", mode="r+", offset=32, shape=(M, d, grid.n + 1))
-    for chunk in chunks:
-        paths, rest = rest[: chunk.M], rest[chunk.M :]
+class _Dump:
+    """The --dump-paths fold: it writes each block of V into the raw
+    little-endian dump, made at its first block: header M, d, n as int64
+    and T as float64, then V row-major (path, asset, time)."""
 
-        def write(lo, V, dB, paths=paths):
-            paths[:, :, lo : lo + V.shape[1]] = V.transpose(2, 0, 1)
+    increments = False
 
-        yield chunk.tapped(write)
+    def __init__(self, model: MarketModel, stabs, grid: Grid, path: str, M: int):
+        self.path, self.shape, self.body = path, (M, model.d, grid.n + 1), None
+
+    def __call__(self, chunk, lo, V, dB):
+        M, d, n1 = self.shape
+        if self.body is None:
+            with open(self.path, "wb") as fh:
+                np.array([M, d, n1 - 1], dtype="<i8").tofile(fh)
+                np.array([chunk.grid.T], dtype="<f8").tofile(fh)
+                fh.truncate(32 + 8 * M * d * n1)
+            self.body = np.memmap(self.path, dtype="<f8", mode="r+", offset=32, shape=self.shape)
+        paths = slice(chunk.first, chunk.first + chunk.M)
+        self.body[paths, :, lo : lo + V.shape[1]] = V.transpose(2, 0, 1)
+        if paths.stop == M and lo + V.shape[1] == n1:     # the stream's last block
+            self.body = None
 
 
 @dataclasses.dataclass(frozen=True)
 class RunContext:
     """What every stage of one run shares: the validated config, the
-    model at the config horizon, its stabilizers and the path grid."""
+    model at the config horizon, its stabilizers, the path grid and the
+    block streams at every horizon."""
 
     cfg: dict
     model: MarketModel
     stabs: list
     grid: Grid
+    streams: simulate.Streams
 
     @classmethod
     def build(cls, cfg: dict) -> "RunContext":
         model = MarketModel(**{key: cfg[key] for key in _SCHEMA["model"]}, T=cfg["T"])
-        return cls(cfg, model, model.build_stabilizers(), Grid(model.T, cfg["n"]))
+        return cls(cfg, model, model.build_stabilizers(), Grid(model.T, cfg["n"]),
+                   simulate.Streams(cfg["seed"]))
 
     def at(self, T: float) -> "RunContext":
         """The context at horizon T, with the same stabilizers: they depend
@@ -277,17 +281,14 @@ def run_riccati(run: RunContext, out_dir: str) -> int:
 
 def run_simulate(run: RunContext, out_dir: str, M: int | None = None,
                  dump_paths: bool = False, gate: bool = False) -> int:
-    """Stationary-start statistics on M paths (mc.M by default), folded
-    block by block; they and --dump-paths read V alone, so no Brownian
-    increments are simulated.  --dump-paths writes each block as the fold
-    takes it."""
-    cfg = run.cfg
-    M = cfg["M"] if M is None else M
-    chunks = simulate.simulate_variance_blocks(run.model, run.stabs, run.grid, M, cfg["seed"],
-                                               initial="stationary", increments=False)
+    """Stationary-start statistics on M paths (mc.M by default); they and
+    --dump-paths read V alone, so no Brownian increments are simulated."""
+    M = run.cfg["M"] if M is None else M
+    stream = (run.model, run.stabs, run.grid, M, "stationary")
     if dump_paths:
-        chunks = _dumped(os.path.join(out_dir, "paths.bin"), chunks, M, run.model.d, run.grid)
-    report = montecarlo.stationarity_diagnostics(chunks, run.model)
+        run.streams.fold(*stream, _Dump, os.path.join(out_dir, "paths.bin"), M)
+    moments = run.streams.result(*stream, montecarlo._VarianceMoments)
+    report = montecarlo.stationarity_report(run.model, moments.stats())
     for i, st in enumerate(report.stats):
         write_csv(
             os.path.join(out_dir, f"variance_stats_asset{i + 1}.csv"),
@@ -299,19 +300,15 @@ def run_simulate(run: RunContext, out_dir: str, M: int | None = None,
     return 0 if (report.passed or not gate) else EXIT_ACCEPTANCE
 
 
-def run_wealth(run: RunContext, out_dir: str, tap=None, pairs=None) -> int:
+def run_wealth(run: RunContext, out_dir: str) -> int:
     """Wealth under the optimal strategy, folded block by block of the
-    variance paths (``montecarlo.wealth_statistics``).  tap(lo, V, dB)
-    reads each block of the paths too, and pairs, a list, takes each
-    chunk's (A_T, B_T)."""
+    variance paths (``montecarlo._WealthMoments``)."""
     cfg, model, stabs, grid = run.cfg, run.model, run.stabs, run.grid
     sol = riccati.solve_riccati_adams(model, stabs, grid.n)
     ms = markowitz.solve_markowitz(model, sol, stabs, cfg["m"])
-    chunks = simulate.simulate_variance_blocks(model, stabs, grid, cfg["M"], cfg["seed"],
-                                               initial="fixed")
-    if tap is not None:
-        chunks = (chunk.tapped(tap) for chunk in chunks)
-    xstats, astats = montecarlo.wealth_statistics(model, sol, stabs, chunks, ms.xi_star, pairs)
+    wealth = run.streams.result(model, stabs, grid, cfg["M"], "fixed",
+                                montecarlo._WealthMoments, ms.xi_star)
+    xstats, *astats = wealth.moments.stats()
     cols = [grid.times, xstats.mean, xstats.ci_low, xstats.ci_high]
     header = ["t", "X_mean", "X_ci_low", "X_ci_high"]
     for i, st in enumerate(astats):
@@ -326,17 +323,18 @@ def run_wealth(run: RunContext, out_dir: str, tap=None, pairs=None) -> int:
     return 0 if z <= 3.0 else EXIT_ACCEPTANCE
 
 
-def run_frontier(run: RunContext, out_dir: str, T: float | None = None, terminal=None) -> int:
-    """Frontier at the config horizon, or at T (frontier_T<T>.csv), from
-    the per-chunk pairs (A_T, B_T) ``terminal`` if given.  A
+def run_frontier(run: RunContext, out_dir: str, T: float | None = None) -> int:
+    """Frontier at the config horizon, or at T (frontier_T<T>.csv).  A
     horizon beyond 1 is held to 10% relative instead of 5%: the terminal
     wealth grows heavy-tailed, and one variance estimate noisier."""
     here = run if T is None else run.at(T)
-    cfg, model = here.cfg, here.model
-    points = montecarlo.frontier_experiment(
-        model, montecarlo.frontier_m_grid(model, cfg["m_count"]), cfg["M"], cfg["seed"],
-        grid=here.grid, stabs=here.stabs, terminal=terminal,
-    )
+    cfg, model, stabs, grid = here.cfg, here.model, here.stabs, here.grid
+
+    def chunk_pairs():
+        return here.streams.result(model, stabs, grid, cfg["M"], "fixed", markowitz._Wealth).pairs
+
+    points = montecarlo.frontier_report(
+        model, stabs, grid, montecarlo.frontier_m_grid(model, cfg["m_count"]), chunk_pairs)
     tag = f"_T{model.T:g}" if T is not None else ""
     write_csv(
         os.path.join(out_dir, f"frontier{tag}.csv"),
@@ -355,12 +353,14 @@ def run_frontier(run: RunContext, out_dir: str, T: float | None = None, terminal
     return 0 if ok else EXIT_ACCEPTANCE
 
 
-def run_laplace(run: RunContext, out_dir: str, totals=None) -> int:
-    """The Laplace check on its own stream, or on the per-chunk time
-    integrals ``totals`` of all laplace_M paths if given."""
+def run_laplace(run: RunContext, out_dir: str) -> int:
+    """The Laplace check on the time integrals of laplace_M fixed-start paths;
+    u is checked before any path is drawn."""
     cfg = run.cfg
-    rep = markowitz.laplace_affine_check(run.model, run.stabs, cfg["u"], run.grid,
-                                         cfg["laplace_M"], cfg["seed"], totals=totals)
+    riccati._laplace_forcing(run.model, cfg["u"])
+    integrals = run.streams.result(run.model, run.stabs, run.grid, cfg["laplace_M"], "fixed",
+                                   markowitz._TimeIntegrals)
+    rep = markowitz.laplace_report(run.model, run.stabs, cfg["u"], run.grid, integrals.totals)
     write_csv(
         os.path.join(out_dir, "laplace_check.csv"),
         ["mc_value", "mc_se", "closed_form", "z_score", "beta"],
@@ -374,7 +374,7 @@ def run_laplace(run: RunContext, out_dir: str, totals=None) -> int:
 def run_full(run: RunContext, out_dir: str, stage) -> int:
     """Every stage in turn, each timed by stage(name), a context manager
     (``_Stages``)."""
-    cfg, grid = run.cfg, run.grid
+    cfg = run.cfg
     # the late stages' own rules, so that a config they refuse writes nothing
     for T in cfg["frontier_horizons"]:
         run.at(T)
@@ -392,22 +392,18 @@ def run_full(run: RunContext, out_dir: str, stage) -> int:
     with stage("stationarity"):
         status = max(status, run_simulate(run, out_dir, M=cfg["stationarity_M"], gate=True))
     print("== wealth ==")
-    # the wealth stage's recursions also give the frontier at the config horizon
-    # its (A_T, B_T), and its blocks the Laplace check its time integrals when
-    # the Laplace ensemble is the wealth stage's: same seed, grid, start and size
-    pairs = [] if grid.T in cfg["frontier_horizons"] else None
-    shared = cfg["laplace_M"] == cfg["M"]
-    fold, totals = markowitz._time_integrals(grid.dt) if shared else (None, None)
+    # so that the wealth stream also folds the Laplace integrals when it is theirs
+    run.streams.fold(run.model, run.stabs, run.grid, cfg["laplace_M"], "fixed",
+                     markowitz._TimeIntegrals)
     with stage("wealth"):
-        status = max(status, run_wealth(run, out_dir, fold, pairs))
+        status = max(status, run_wealth(run, out_dir))
     for T in cfg["frontier_horizons"]:
         print(f"== frontier T={T:g} ==")
         with stage(f"frontier_T{T:g}"):
-            terminal = pairs if T == grid.T else None
-            status = max(status, run_frontier(run, out_dir, T=T, terminal=terminal))
+            status = max(status, run_frontier(run, out_dir, T=T))
     print("== laplace ==")
     with stage("laplace"):
-        status = max(status, run_laplace(run, out_dir, totals))
+        status = max(status, run_laplace(run, out_dir))
     return status
 
 

@@ -16,8 +16,8 @@ With psi solved, everything the Markowitz problem needs is explicit:
   the efficient frontier m = x0 e^(rT) + sigma sqrt(e^(2rT)/Gamma0 - 1)
   and the optimal terminal variance V(m).
 * a wealth Euler scheme driven by the same increments as the variance
-  paths, run in one recursion of its affine form X = A + xi* B over the
-  block stream, which gives the wealth and strategy of one target block
+  paths, run as one block fold of its affine form X = A + xi* B
+  (``_Wealth``), which gives the wealth and strategy of one target block
   by block of steps, or the X_T of every frontier target, and the
   exponential-affine Laplace-transform check that pits
   a Monte Carlo functional of the paths, controlled by the exact mean of
@@ -41,11 +41,12 @@ from .riccati import (
 )
 from .simulate import (
     PathEnsemble,
+    Streams,
     _mapped,
     _pool_size,
     correlate_asset_brownian,
+    fold_chunks,
     require_finite,
-    simulate_variance_blocks,
 )
 
 _GAMMA0_REFINE = 2400
@@ -318,8 +319,7 @@ def _step_factors(model: MarketModel, V: np.ndarray, dB: np.ndarray, coef: np.nd
         yield tile, gain, s, spare
 
 
-def _wealth_recursion(model: MarketModel, solution: RiccatiSolution, stabs, chunks,
-                      xi_star=None, fold=None):
+class _Wealth:
     """The Euler wealth of the optimal feedback in its affine form X_k = A_k + xi* B_k.
 
     X(t_k) = X(t_{k-1}) + (r X(t_{k-1}) + sum_i theta_i sqrt(V_i) alpha_i) dt
@@ -332,43 +332,81 @@ def _wealth_recursion(model: MarketModel, solution: RiccatiSolution, stabs, chun
         A_{k+1} = A_k (1 + r dt + s_k),                       A_0 = x0,
         B_{k+1} = B_k (1 + r dt + s_k) - e^(-r(T-t_k)) s_k,   B_0 = 0.
 
-    chunks is a block stream with increments (PathChunks, or whole
-    ensembles, which hand out blocks and run jobs too); ParameterError
-    unless each chunk is on psi's grid.  The recursion takes each chunk
-    block by block, and yields its (A_T, B_T), unchecked (a finite X_T
-    has finite A_T and B_T), once its last block is stepped.
-    1 + r dt + s and e^(-r(T-t)) s are formed once per block and tile of
-    paths, and each step writes the block's rows of A and B, all in the
-    spare slots of ``_step_factors``.  A block's paths run on the
+    A block fold (``simulate.fold_chunks``) of a stream with increments,
+    on psi's grid (``solution``, or solved on grid through the memo;
+    ParameterError for a chunk on another grid).  Once a chunk's last
+    block is stepped, its (A_T, B_T) goes to ``pairs``, after
+    NonFiniteError unless both are finite.  1 + r dt + s and
+    e^(-r(T-t)) s are formed once per block and tile of paths, and each
+    step writes the block's rows of A and B, all in the spare slots of
+    ``_step_factors``.  A block's paths run on the
     stream's pool (``chunk.run``) in ranges of whole 64-path blocks, one
     per worker but at most M // 512 (numpy's loops keep the GIL up to 500
-    elements, so smaller ranges would queue on it); each path's arithmetic
-    is elementwise, so the split keeps the bits.  The ranges meet after
-    each block.
+    elements); each path's arithmetic is elementwise, so the split keeps
+    the bits.
 
-    With fold, each block [lo, hi) also forms X_{k+1} = A_{k+1} + xi* B_{k+1}
-    and alpha_k into path-major buffers of one block, and fold(lo, X,
+    With xi*, each block [lo, hi) also forms X_{k+1} = A_{k+1} + xi* B_{k+1}
+    and alpha_k into path-major buffers of one block, and read(lo, X,
     alpha) takes X_lo .. X_hi (M, hi - lo + 1) and alpha_lo ..
     alpha_{hi-1} (M, d, hi - lo), views that the next block overwrites,
-    after NonFiniteError has been raised unless both are finite.
-
-    The stream maps its buffers once, sized by its first chunk, the
-    widest: the wealth-fold buffers (with fold) and one ``_tile_buffer``
-    per range; a later chunk takes contiguous views of them.
+    after NonFiniteError unless both are finite.  Each chunk maps those
+    buffers and one ``_tile_buffer`` per range, and frees them after its
+    last block.
     """
-    grid, d = solution.grid, model.d
-    coef = control_coefficient(model, solution, stabs, grid.times[:-1])  # (d, n)
-    disc = np.exp(-model.r * (model.T - grid.times[:-1]))[:, None]       # (n, 1)
-    growth = 1.0 + model.r * grid.dt
-    flats = X_buf = alpha_buf = None
 
-    def advance(lo, V, dB, part, flat, A, B, X, alpha):
-        w = dB.shape[1]
-        with np.errstate(over="ignore", invalid="ignore"):  # per thread; the callers check
+    increments = True
+
+    def __init__(self, model: MarketModel, stabs, grid: Grid, xi_star=None, solution=None):
+        if solution is None:
+            solution = solve_riccati_adams(model, stabs, grid.n)
+        times = solution.grid.times[:-1]
+        self.model, self.grid, self.xi_star, self.pairs = model, solution.grid, xi_star, []
+        self.coef = control_coefficient(model, solution, stabs, times)  # (d, n)
+        self.disc = np.exp(-model.r * (model.T - times))[:, None]      # (n, 1)
+        self.chunk = None    # the chunk's ranges, tile buffers, A, B and block buffers
+
+    def read(self, lo: int, X: np.ndarray, alpha: np.ndarray) -> None:
+        """Take a block's wealth and strategy (with xi*); no reader here."""
+
+    def __call__(self, chunk, lo, V, dB):
+        model, w = self.model, dB.shape[1]
+        if lo == 0:
+            if chunk.grid != self.grid:
+                raise ParameterError("wealth scheme requires the psi grid to match the path grid")
+            M = chunk.M
+            parts = max(1, min(_pool_size(), M // 512))
+            width = -(-M // (64 * parts)) * 64
+            ranges = [slice(c0, c0 + width) for c0 in range(0, M, width)]
+            paths = None
+            if self.xi_star is not None:   # X_lo .. X_hi and alpha_lo .. alpha_{hi-1}
+                paths = _mapped((M, _WEALTH_BLOCK + 1)), _mapped((M, model.d, _WEALTH_BLOCK))
+                paths[0][:, 0] = model.x0
+            self.chunk = (ranges, [_tile_buffer(model.d) for _ in ranges],
+                          np.full(M, float(model.x0)), np.zeros(M), paths)
+        ranges, flats, A, B, paths = self.chunk
+        X, alpha = (None, None) if paths is None else (paths[0][:, : w + 1], paths[1][:, :, :w])
+        chunk.run([functools.partial(self._advance, lo, V, dB, part, flat, A, B, X, alpha)
+                   for part, flat in zip(ranges, flats)])
+        if X is not None:
+            require_finite("wealth paths", X)
+            require_finite("optimal strategy", alpha)
+            self.read(lo, X, alpha)
+            X[:, 0] = X[:, w]
+        if lo + w == chunk.grid.n:
+            require_finite("terminal wealth A_T", A)
+            require_finite("terminal wealth B_T", B)
+            self.pairs.append((A, B))
+            self.chunk = None
+
+    def _advance(self, lo, V, dB, part, flat, A, B, X, alpha):
+        """Step the paths ``part`` of one block, on a worker of the stream's pool."""
+        w, xi_star, disc = dB.shape[1], self.xi_star, self.disc[lo : lo + dB.shape[1]]
+        growth = 1.0 + self.model.r * self.grid.dt
+        with np.errstate(over="ignore", invalid="ignore"):  # per thread; the caller checks
             for tile, gain, s, (a_rows, ds, b_rows) in _step_factors(
-                    model, V, dB, coef[:, lo : lo + w], grid.dt, part, flat):
+                    self.model, V, dB, self.coef[:, lo : lo + w], self.grid.dt, part, flat):
                 np.add(s, growth, out=a_rows)   # the growth, then A in place
-                np.multiply(s, disc[lo : lo + w], out=ds)
+                np.multiply(s, disc, out=ds)
                 a_k, b_k = A[tile], B[tile]
                 for k in range(w):
                     np.multiply(b_k, a_rows[k], out=b_rows[k])
@@ -376,49 +414,17 @@ def _wealth_recursion(model: MarketModel, solution: RiccatiSolution, stabs, chun
                     np.multiply(a_k, a_rows[k], out=a_rows[k])
                     a_k, b_k = a_rows[k], b_rows[k]
                 A[tile], B[tile] = a_k, b_k
-                if fold is not None:
+                if X is not None:
                     x = X[tile].T                               # (w+1, t)
                     np.add(a_rows, np.multiply(b_rows, xi_star, out=b_rows), out=x[1:])
-                    np.subtract(x[:-1], xi_star * disc[lo : lo + w], out=ds)  # the gap
+                    np.subtract(x[:-1], xi_star * disc, out=ds)  # the gap
                     np.multiply(gain, ds, out=alpha[tile].transpose(1, 2, 0))
-
-    for chunk in chunks:
-        if chunk.grid != grid:
-            raise ParameterError("wealth scheme requires the psi grid to match the path grid")
-        M = chunk.M
-        parts = max(1, min(_pool_size(), M // 512))
-        width = -(-M // (64 * parts)) * 64
-        ranges = [slice(c0, c0 + width) for c0 in range(0, M, width)]
-        if flats is None:               # the first chunk: the stream's maps
-            flats = [_tile_buffer(d) for _ in ranges]
-            if fold is not None:
-                X_buf = _mapped((M, _WEALTH_BLOCK + 1))
-                alpha_buf = _mapped((M, d, _WEALTH_BLOCK))
-        A = np.full(M, float(model.x0))
-        B = np.zeros(M)
-        if fold is not None:  # the block buffers, X_lo .. X_hi and alpha_lo .. alpha_{hi-1}
-            X_all = X_buf.reshape(-1)[: M * (_WEALTH_BLOCK + 1)].reshape(M, -1)
-            alpha_all = alpha_buf.reshape(-1)[: M * d * _WEALTH_BLOCK].reshape(M, d, -1)
-            X_all[:, 0] = model.x0
-        X = alpha = None
-        for lo, V, dB in chunk.blocks():
-            w = dB.shape[1]
-            if fold is not None:
-                X, alpha = X_all[:, : w + 1], alpha_all[:, :, :w]
-            chunk.run([functools.partial(advance, lo, V, dB, part, flat, A, B, X, alpha)
-                       for part, flat in zip(ranges, flats)])
-            if fold is not None:
-                require_finite("wealth paths", X)
-                require_finite("optimal strategy", alpha)
-                fold(lo, X, alpha)
-                X_all[:, 0] = X_all[:, w]
-        yield A, B
 
 
 def simulate_wealth(model: MarketModel, ensemble: PathEnsemble, solution: RiccatiSolution,
                     stabs, xi_star: float) -> WealthEnsemble:
-    """Whole wealth and strategy paths of ``_wealth_recursion`` at target
-    xi* (``voltmark wealth`` folds its blocks instead).  Raises
+    """Whole wealth and strategy paths of ``_Wealth`` at target xi*
+    (``voltmark wealth`` folds its blocks instead).  Raises
     NonFiniteError when a wealth or strategy value is not finite, and
     ParameterError on a V-only ensemble or on a model of another rho.
     """
@@ -430,42 +436,38 @@ def simulate_wealth(model: MarketModel, ensemble: PathEnsemble, solution: Riccat
         X[:, lo : lo + x.shape[1]] = x
         alpha_paths[:, :, lo : lo + alpha.shape[2]] = alpha
 
-    [(A, B)] = _wealth_recursion(model, solution, stabs, [ensemble], xi_star, store)
+    wealth = _Wealth(model, stabs, ensemble.grid, xi_star, solution)
+    wealth.read = store
+    fold_chunks([ensemble], [wealth])
+    [(A, B)] = wealth.pairs
     return WealthEnsemble(X=X, alpha_paths=alpha_paths, A_T=A, B_T=B)
 
 
-def _terminal_wealth(model: MarketModel, solution: RiccatiSolution, stabs, chunks):
-    """``_wealth_recursion`` without a reader: each chunk's (A_T, B_T), after
-    NonFiniteError unless both are finite."""
-    for A, B in _wealth_recursion(model, solution, stabs, chunks):
-        require_finite("terminal wealth A_T", A)
-        require_finite("terminal wealth B_T", B)
-        yield A, B
-
-
-def _time_integrals(dt: float):
-    """(fold, totals): the block fold fold(lo, V, dB) adds the trapezoid
-    cells dt (V_k + V_{k+1}) / 2 of a block's time-major rows V
-    (d, w+1, M) to totals, a list of one (d, M) array per chunk that
-    the chunk's first block (lo = 0) appends.
+class _TimeIntegrals:
+    """The Laplace check's block fold: it adds the trapezoid cells
+    dt (V_k + V_{k+1}) / 2 of a block's time-major rows V (d, w+1, M) to
+    ``totals``, one (d, M) array per chunk that the chunk's first block
+    (lo = 0) appends.
 
     One cell at a time, in time order: over every block of a chunk this
     is what np.trapezoid(V, dx=dt, axis=2) computes on its (M, d, n+1)
     paths, without its (M, d, n) temporary.
     """
-    totals = []
 
-    def fold(lo, V, dB):
+    increments = False
+
+    def __init__(self, *stream):
+        self.totals = []
+
+    def __call__(self, chunk, lo, V, dB):
         if lo == 0:
-            totals.append(np.zeros(V[:, 0].shape))
-        total, cell = totals[-1], np.empty(V[:, 0].shape)
+            self.totals.append(np.zeros(V[:, 0].shape))
+        total, cell, dt = self.totals[-1], np.empty(V[:, 0].shape), chunk.grid.dt
         for k in range(V.shape[1] - 1):
             np.add(V[:, k + 1], V[:, k], out=cell)
             cell *= dt
             cell /= 2.0
             total += cell
-
-    return fold, totals
 
 
 def _controlled_mean(X: np.ndarray, mean_X: float) -> tuple[float, float, float]:
@@ -535,22 +537,12 @@ def laplace_closed_form(model: MarketModel, stabs, u, n_solver: int = _GAMMA0_RE
     return float(np.exp(expo))
 
 
-def laplace_affine_check(model: MarketModel, stabs, u, grid: Grid, M: int, seed: int, *,
-                         ensemble: PathEnsemble | None = None,
-                         totals=None) -> LaplaceReport:
-    """Monte Carlo test of the exponential-affine Laplace formula.
-
-    Simulates M paths started from x_inf (V only, without the Brownian
-    increments) unless an ensemble or the integrals are given, estimates
-    E[exp(int_0^T V^T u ds)] with a per-path trapezoidal time integral,
-    and compares against the closed form by ``z_score``.  The paths are
-    taken block by block (``simulate_variance_blocks``; a given ensemble
-    is the one chunk) and folded into the per-path integrals of V by
-    ``_time_integrals``, in the order and rounding of ``np.trapezoid``
-    along the time axis.  ``totals`` holds those of all M paths, one
-    (d, chunk) array per chunk, when a caller already folded the paths
-    (``voltmark full``, from the wealth stage's blocks); the engine is
-    then not called.
+def laplace_report(model: MarketModel, stabs, u, grid: Grid, integrals) -> LaplaceReport:
+    """Monte Carlo test of the exponential-affine Laplace formula on paths
+    started from x_inf, from their time integrals of V on grid,
+    ``integrals``, one (d, chunk) array per chunk (``_TimeIntegrals``): it
+    estimates E[exp(int_0^T V^T u ds)] and compares it against the closed
+    form by ``z_score``.
 
     The estimator is controlled (Glasserman, Monte Carlo Methods in
     Financial Engineering, 2003, sec. 4.1).  From V_0 = x_inf the scheme's
@@ -560,31 +552,32 @@ def laplace_affine_check(model: MarketModel, stabs, u, grid: Grid, M: int, seed:
     Y = exp(X), beta = sum (Y - mean Y)(C - mean C) / sum (C - mean C)^2,
     or 0 when that denominator is 0 (u = 0, nu = 0), and
     R = Y - beta C, ``mc_value`` is the mean of R and ``mc_se`` its
-    ddof = 1 sample standard deviation over sqrt(M).  X and Y are nearly
-    collinear, so the SE is 70 to 560 times the plain estimator's smaller.
-
-    The gate's resolution is coarser than that SE: ``z_score`` passes any
-    gap up to 1e-6 relative to the closed form, tens of SE on the bundled
-    check, whatever z it has.  The closed form on at least 2400 Adams
-    steps itself misses its limit by a few 1e-8 at T = 1.
+    ddof = 1 sample standard deviation over sqrt(M).
 
     NonFiniteError when a sample, beta or the SE is not finite;
-    ParameterError when u > 0 (before any path is drawn) or a given
-    ensemble lies on another grid.
+    ParameterError when u > 0.
     """
-    if ensemble is not None and ensemble.grid != grid:
-        raise ParameterError("Laplace check requires the ensemble's grid to match the given grid")
     u = _laplace_forcing(model, u)
     closed = laplace_closed_form(model, stabs, u, n_solver=max(grid.n, _GAMMA0_REFINE))
-    if totals is None:
-        fold, totals = _time_integrals(grid.dt)
-        for chunk in ([ensemble] if ensemble is not None
-                      else simulate_variance_blocks(model, stabs, grid, M, seed, initial="fixed",
-                                                    increments=False)):
-            for block in chunk.blocks():
-                fold(*block)
-    X = np.concatenate([total.T @ u for total in totals])
+    X = np.concatenate([total.T @ u for total in integrals])
     mc, se, beta = _controlled_mean(X, float(u @ model.x_inf) * model.T)
     z = float(z_score(mc, closed, se))
     return LaplaceReport(mc_value=mc, mc_se=se, closed_form=closed, z_score=z,
                          passed=z <= 3.0, beta=beta)
+
+
+def laplace_affine_check(model: MarketModel, stabs, u, grid: Grid, M: int, seed: int, *,
+                         ensemble: PathEnsemble | None = None) -> LaplaceReport:
+    """``laplace_report`` on M paths from x_inf (V only) of their own
+    stream, or on a given ensemble.  ParameterError when u > 0, before
+    any path is drawn, or when the ensemble lies on another grid.
+    """
+    if ensemble is not None and ensemble.grid != grid:
+        raise ParameterError("Laplace check requires the ensemble's grid to match the given grid")
+    _laplace_forcing(model, u)
+    if ensemble is None:
+        integrals = Streams(seed).result(model, stabs, grid, M, "fixed", _TimeIntegrals)
+    else:
+        integrals = _TimeIntegrals()
+        fold_chunks([ensemble], [integrals])
+    return laplace_report(model, stabs, u, grid, integrals.totals)

@@ -1,13 +1,13 @@
-"""Ensemble statistics, stationarity diagnostics, and the experiment drivers.
+"""Ensemble statistics, the stationarity and frontier reports, and their folds.
 
 Every statistic of the stationarity, wealth and frontier stages is a
 plug-in moment estimate over whole paths, folded from the block stream
-(``simulate.simulate_variance_blocks``): per-time statistics fold each
-64-step block into an accumulator of its own (``ColumnMoments``,
-``joined_stats``), and per-path ones (the frontier's terminal wealth)
-once a chunk's last block is in, so no stage holds a chunk of paths.
-The Laplace check (``markowitz.laplace_affine_check``) keeps one sample
-per path instead, and its SE is their ddof = 1 sample SE.
+(``simulate.fold_chunks``): per-time statistics fold each 64-step block
+into an accumulator of its own (``ColumnMoments``, ``joined_stats``),
+and per-path ones (the frontier's terminal wealth) once a chunk's last
+block is in, so no stage holds a chunk of paths.  The Laplace check
+(``markowitz.laplace_report``) keeps one sample per path instead, and
+its SE is their ddof = 1 sample SE.
 """
 
 from dataclasses import dataclass, field, fields
@@ -15,17 +15,10 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .kernels import ParameterError
-from .markowitz import (
-    _terminal_wealth,
-    _wealth_recursion,
-    gamma0,
-    variance_of_terminal,
-    xi_eta_star,
-    z_score,
-)
+from .markowitz import _Wealth, gamma0, variance_of_terminal, xi_eta_star, z_score
 from .model import Grid, MarketModel
 from .riccati import solve_riccati_adams
-from .simulate import require_finite, simulate_variance_blocks
+from .simulate import Streams, require_finite
 
 # columns per block of a chunk's moment pass, so that its temporaries
 # hold (paths, 64) entries whatever the number of columns
@@ -56,9 +49,7 @@ class ColumnMoments:
     mean -/+ 1.96 SE.  Overflowing sums are left to ``stats``.  The
     temporaries of each block of columns live in ``scratch``, laid out
     as numpy lays out x's elementwise results (``_laid_out``), so the
-    sums keep their bits; a fold that adds block after block passes one
-    (``_TimeMoments``), since new ones from the heap per call cost the
-    allocator fresh pages each time, and without one ``add`` takes its own.
+    sums keep their bits: a fold's (``_TimeMoments``), or add's own.
     """
 
     count = 0
@@ -123,30 +114,52 @@ def _laid_out(buf: np.ndarray, like: np.ndarray) -> np.ndarray:
     return buf[: like.size].reshape(like.shape)
 
 
-def _own_rows(lo: int, rows: np.ndarray, n: int) -> np.ndarray:
-    """The rows that a block of times lo .. hi (rows' first axis) folds:
-    lo .. hi-1, since its row 0 repeats the last row of the block before,
-    which that block left out, and row n too in the last block."""
-    return rows if lo + len(rows) - 1 == n else rows[:-1]
-
-
 class _TimeMoments:
     """Per-time moments of series folded block by block: a ``ColumnMoments``
     per series and block of times, by the block's first time lo, and one
-    scratch for all of them, sized by the first chunk, the widest."""
+    scratch for all of them, sized by a chunk and freed after its last block."""
 
-    def __init__(self):
+    def __init__(self, *stream):
         self.blocks, self.scratch = {}, None
 
-    def add(self, lo: int, *series) -> None:
-        """Fold each series' (paths, times) array of the block at lo."""
+    def add(self, lo: int, last: bool, *series) -> None:
+        """Fold each series' (paths, times) array of the block at lo, the chunk's last if last."""
         if self.scratch is None:
             self.scratch = np.empty(2 * len(series[0]) * _BLOCK_COLUMNS)
         for acc, x in zip(self.blocks.setdefault(lo, [ColumnMoments() for _ in series]), series):
             acc.add(x, self.scratch)
+        if last:
+            self.scratch = None
 
     def stats(self) -> list[EnsembleStats]:
         return [joined_stats(accs) for accs in zip(*self.blocks.values())]
+
+
+class _VarianceMoments(_TimeMoments):
+    """The stationarity stage's fold: each asset's per-time moments of V.
+    A block folds its times lo .. hi-1, the next block's row 0 repeating
+    hi, and the chunk's last block time n too: no block of columns is a
+    lone column, so the statistics have the bits of whole rows
+    (``joined_stats``)."""
+
+    increments = False
+
+    def __call__(self, chunk, lo, V, dB):
+        last = lo + V.shape[1] - 1 == chunk.grid.n
+        self.add(lo, last, *(rows.T if last else rows[:-1].T for rows in V))
+
+
+class _WealthMoments(_Wealth):
+    """The wealth stage's fold: the wealth recursion at xi* with the
+    per-time moments of X and of each asset's strategy."""
+
+    def __init__(self, model: MarketModel, stabs, grid: Grid, xi_star: float):
+        super().__init__(model, stabs, grid, xi_star)
+        self.moments = _TimeMoments()
+
+    def read(self, lo, X, alpha):
+        last = lo + X.shape[1] - 1 == self.grid.n
+        self.moments.add(lo, last, X if last else X[:, :-1], *alpha.transpose(1, 0, 2))
 
 
 def joined_stats(blocks) -> EnsembleStats:
@@ -170,24 +183,15 @@ class StationarityReport:
     stats: tuple[EnsembleStats, ...] = field(repr=False)   # per asset
 
 
-def stationarity_diagnostics(chunks, model: MarketModel) -> StationarityReport:
+def stationarity_report(model: MarketModel, stats) -> StationarityReport:
     """Check that per-time sample moments stay on the stationary constants.
 
-    chunks is a block stream (``simulate_variance_blocks``) or any
-    iterable of PathEnsembles (a whole ensemble is one chunk), each
-    folded block by block (``_TimeMoments``, ``_own_rows``), so that no
-    block of columns is a lone column and the statistics have the bits
-    of whole rows (``joined_stats``).  The sample mean of V must sit
-    within 3 SEs of x_inf at >= 99% of grid times and the sample
-    variance within 3 SEs of v0 at >= 95% of times, by ``z_score``.
-    Each asset's statistics (a column per grid time) are returned with
-    the report.
+    stats holds each asset's statistics, a column per grid time
+    (``_VarianceMoments``).  The sample mean of V must sit within 3 SEs
+    of x_inf at >= 99% of grid times and the sample variance within 3
+    SEs of v0 at >= 95% of times, by ``z_score``.
     """
-    moments = _TimeMoments()
-    for chunk in chunks:
-        for lo, V, _ in chunk.blocks():
-            moments.add(lo, *(_own_rows(lo, rows, chunk.grid.n).T for rows in V))
-    stats = tuple(moments.stats())
+    stats = tuple(stats)
     mean_cov = np.empty(model.d)
     var_cov = np.empty(model.d)
     for i, st in enumerate(stats):
@@ -196,24 +200,6 @@ def stationarity_diagnostics(chunks, model: MarketModel) -> StationarityReport:
     passed = bool(np.all(mean_cov >= 0.99) and np.all(var_cov >= 0.95))
     return StationarityReport(mean_coverage=mean_cov, var_coverage=var_cov, passed=passed,
                               stats=stats)
-
-
-def wealth_statistics(model: MarketModel, solution, stabs, chunks, xi_star: float,
-                      pairs=None) -> tuple[EnsembleStats, list[EnsembleStats]]:
-    """Per-time statistics (X's, [alpha_i's]) of the wealth and each asset's
-    strategy at xi*, folded block by block of ``markowitz._wealth_recursion``
-    over the block stream chunks; pairs, a list, takes each chunk's (A_T, B_T)."""
-    n = solution.grid.n
-    moments = _TimeMoments()
-
-    def fold(lo, x, alpha):
-        moments.add(lo, _own_rows(lo, x.T, n).T, *alpha.transpose(1, 0, 2))
-
-    for pair in _wealth_recursion(model, solution, stabs, chunks, xi_star, fold):
-        if pairs is not None:
-            pairs.append(pair)
-    xstats, *astats = moments.stats()
-    return xstats, astats
 
 
 @dataclass(frozen=True)
@@ -251,33 +237,23 @@ def terminal_bootstrap(terminal: np.ndarray, n_boot=None,
     return float(st.mean[0]), float(st.mean_se[0]), float(st.variance[0]), float(st.var_se[0])
 
 
-def frontier_experiment(model: MarketModel, m_values, M: int, seed: int, *,
-                        grid: Grid, stabs=None,
-                        n_boot=None, terminal=None) -> list[FrontierPoint]:
+def frontier_report(model: MarketModel, stabs, grid: Grid, m_values,
+                    chunk_pairs) -> list[FrontierPoint]:
     """Monte Carlo frontier: simulated Var(X_T) against V(m) per target m.
 
-    One variance ensemble (deterministic V0 = x_inf, matching the single
-    Gamma0 that prices the frontier) serves all targets.  The terminal
-    wealth is affine in xi*, so one recursion gives the pair (A_T, B_T)
-    and each target's X_T = A_T + xi* B_T.  The recursion steps the
-    block stream (``simulate_variance_blocks``), and each chunk's targets
-    fold into one ``ColumnMoments`` once its last block is in.  A caller that ran the
-    recursion over the same paths (``voltmark full``, in its wealth
-    stage) passes its per-chunk (A_T, B_T) pairs as ``terminal``, and
-    none is simulated.  psi is solved through the memo of
-    ``solve_riccati_adams``, so a caller's own solve is reused.  n_boot
-    is unused, kept because the benchmark's workloads pass it.
+    The terminal wealth is affine in xi*, so each chunk's (A_T, B_T),
+    which chunk_pairs() returns (``markowitz._Wealth``, on fixed-start
+    paths, V0 = x_inf, matching the single Gamma0 that prices the
+    frontier), gives each target's X_T = A_T + xi* B_T, and each chunk's
+    targets fold into one ``ColumnMoments``.  chunk_pairs is called once
+    the targets are priced, so a refused target draws no path.
     """
-    stabs = stabs or model.build_stabilizers()
     solution = solve_riccati_adams(model, stabs, grid.n)
     g0 = gamma0(model, solution, stabs)  # m-independent, priced once
-    if terminal is None:
-        terminal = _terminal_wealth(model, solution, stabs, simulate_variance_blocks(
-            model, stabs, grid, M, seed, initial="fixed"))
     m_values = np.atleast_1d(np.asarray(m_values, dtype=float))
     xis = [xi_eta_star(g0, model, float(m))[0] for m in m_values]
     moments = ColumnMoments()
-    for A, B in terminal:
+    for A, B in chunk_pairs():
         # column-major, so each target's moments reduce one contiguous column
         x = np.empty((len(A), len(xis)), order="F")
         for j, xi in enumerate(xis):
@@ -293,6 +269,15 @@ def frontier_experiment(model: MarketModel, m_values, M: int, seed: int, *,
         )
         for j, (m, xi) in enumerate(zip(m_values, xis))
     ]
+
+
+def frontier_experiment(model: MarketModel, m_values, M: int, seed: int, *,
+                        grid: Grid, stabs=None, n_boot=None) -> list[FrontierPoint]:
+    """``frontier_report`` on M fixed-start paths of their own stream.
+    n_boot is unused, kept because the benchmark's workloads pass it."""
+    stabs = stabs or model.build_stabilizers()
+    return frontier_report(model, stabs, grid, m_values, lambda: Streams(seed).result(
+        model, stabs, grid, M, "fixed", _Wealth).pairs)
 
 
 def frontier_m_grid(model: MarketModel, count: int = 8) -> np.ndarray:

@@ -11,37 +11,25 @@ Adams solver reads as its predictor weights) and
 G_{k,l} = int_{t_{l-1}}^{t_l} K(t_k - s) dW_s are kernel-weighted
 Brownian integrals.  Within one cell the vector of all lags plus the
 plain increment DW is jointly Gaussian with lag-stationary covariance,
-whose exact diagonal and first row are ``kernels._kernel_products``,
-so one spectral factor per asset drives every cell.  It comes from the covariance's rank-36 thin
-form, truncated to the fewest modes that its reproduction check allows
-(PCA sampling, Glasserman 2003, Section 2.3).  Each cell draws one
-low-rank standard-normal block for all paths, one fill per 8-cell
-sub-block in cell order; thin matrix products add
-its contributions to the cells of its 8-cell sub-block at once, and to
-the rest of its 64-cell block once per sub-block.  Later blocks read it
-through a low-rank pair U W of the far-field lag rows, built and checked
-with the factor: each finished block is compressed once to W Y, and
-each new block pulls its far field from all of them in one product.
+so one low-rank spectral factor per asset drives every cell
+(``_spectral_factor``; PCA sampling, Glasserman 2003, Section 2.3), and
+a low-rank pair of its far-field lag rows carries each finished block
+of cells to the later ones (``_far_field``, ``_AssetEngine``).
 
 Paths are simulated in fixed chunks of ``_CHUNK_PATHS`` paths, and each
 chunk one block of ``_BLOCK`` cells at a time: ``simulate_variance_blocks``
 is a block stream, which yields a ``PathChunk`` per chunk whose blocks
-the engine advances as the consumer asks for them.  A block's rows are
-time-major, V as (d, 65, chunk) and dB, the asset-driving increments
-when they are kept, as (d, 64, chunk), so each time step of an asset is
-one contiguous row of paths, which the engine accumulates in place.
-The rows live in a small row store that every block of the stream
-overwrites, and the engine reads nothing of earlier blocks but V0 and
-their compressed far field, so a consumer that folds each block runs in
-memory that does not grow with M, and grows with n only by that far
-field, k rows per path for each block (``_asset_scratch``).
-``simulate_variance_paths`` copies each block into whole (d, ., M)
-arrays, for the tests and the benchmark.  Within a block the assets,
-which share only the read-only model, advance on one thread each
-(numpy's random fills, ufuncs and BLAS calls release the GIL), on the
-CPUs that the BLAS threads leave free (``_workers``), one pool for the
-whole stream, which each ``PathChunk`` hands its consumer as ``run``.
-Each asset's step writes its own rows of V and of dB.
+the engine advances into a small row store as they are asked for.  The
+engine reads nothing of earlier blocks but V0 and their compressed far
+field, so a fold of each block runs in memory that does not grow with M,
+and grows with n only by that far field (``_asset_scratch``).
+``fold_chunks`` is the one loop over the blocks: it hands each block to
+every fold of the stream, and ``Streams`` draws each stream of a run
+once for all of its folds.  ``simulate_variance_paths`` copies each
+block into whole (d, ., M) arrays, for the tests and the benchmark.
+Within a block the assets, which share only the read-only model,
+advance on one thread each, on one pool for the whole stream
+(``_workers``), which each ``PathChunk`` hands its consumer as ``run``.
 
 Everything is reproducible: chunk c takes the c-th ``spawn(1 + d)``
 group of SeedSequence(seed), each child through ``_BIT_GENERATOR``.
@@ -281,9 +269,8 @@ class PathEnsemble:
     views of time-major (d, n+1, M) and (d, n, M) arrays, so V[:, i, k]
     and dB[:, i, k] are contiguous.  A V-only ensemble
     (``increments=False``) has dB None; its V equals the full ensemble's
-    bit for bit.  It hands out its blocks as a ``PathChunk`` does, and
-    runs its consumer's jobs one after the other (``run``), so every
-    consumer of a block stream also reads whole paths.
+    bit for bit.  It is the ``PathChunk`` of paths 0 .. M-1, with views
+    of V and dB for blocks, that runs its fold's jobs one after the other.
     """
 
     model: MarketModel
@@ -291,6 +278,7 @@ class PathEnsemble:
     M: int
     V: np.ndarray = field(repr=False)
     dB: np.ndarray | None = field(repr=False)
+    first = 0
     run = staticmethod(_serial)
 
     def blocks(self):
@@ -304,7 +292,8 @@ class PathEnsemble:
 
 @dataclass(frozen=True, eq=False)
 class PathChunk:
-    """One chunk of a block stream (``simulate_variance_blocks``): M paths on grid.
+    """One chunk of a block stream (``simulate_variance_blocks``): paths
+    first .. first + M - 1 of the stream, on grid.
 
     ``blocks()`` advances the chunk one block of ``_BLOCK`` cells at a
     time and yields, in time order, (lo, V, dB) for the block of cells
@@ -322,16 +311,9 @@ class PathChunk:
 
     grid: Grid
     M: int
+    first: int
     blocks: Callable = field(repr=False)
     run: Callable = field(repr=False)
-
-    def tapped(self, tap) -> "PathChunk":
-        """The chunk with tap(lo, V, dB) called on each block before its reader gets it."""
-        def blocks():
-            for block in self.blocks():
-                tap(*block)
-                yield block
-        return PathChunk(self.grid, self.M, blocks, self.run)
 
 
 def sample_initial_variance(model: MarketModel, M: int, rng: np.random.Generator) -> np.ndarray:
@@ -366,14 +348,14 @@ def simulate_variance_paths(model: MarketModel, stabs, grid: Grid, M: int, seed:
                                       increments=increments)
     V = _mapped((model.d, grid.n + 1, M))
     dB = _mapped((model.d, grid.n, M)) if increments else None
-    c0 = 0
-    for chunk in chunks:
-        paths = slice(c0, c0 + chunk.M)
-        for lo, rows, inc in chunk.blocks():
-            V[:, lo : lo + rows.shape[1], paths] = rows
-            if increments:
-                dB[:, lo : lo + inc.shape[1], paths] = inc
-        c0 += chunk.M
+
+    def copy(chunk, lo, rows, inc):
+        paths = slice(chunk.first, chunk.first + chunk.M)
+        V[:, lo : lo + rows.shape[1], paths] = rows
+        if increments:
+            dB[:, lo : lo + inc.shape[1], paths] = inc
+
+    fold_chunks(chunks, [copy])
     return PathEnsemble(model=model, grid=grid, M=M, V=V.transpose(2, 0, 1),
                         dB=dB.transpose(2, 0, 1) if increments else None)
 
@@ -392,6 +374,57 @@ def simulate_variance_blocks(model: MarketModel, stabs, grid: Grid, M: int, seed
     return _advance_chunks(model, stabs, grid, M, seed, initial, factors, increments)
 
 
+def fold_chunks(chunks, folds) -> None:
+    """Hand each block of each chunk to every fold, in order, before the
+    next block is drawn.  A fold is a callable fold(chunk, lo, V, dB) that
+    reads the block (``PathChunk.blocks``) of chunk, a PathChunk or a
+    PathEnsemble; its last block has lo + V.shape[1] - 1 == chunk.grid.n.
+    """
+    for chunk in chunks:
+        for lo, V, dB in chunk.blocks():
+            for fold in folds:
+                fold(chunk, lo, V, dB)
+
+
+class Streams:
+    """The block streams of one model and seed, by key (grid, M, initial),
+    each drawn with the model at grid's horizon and the stabilizers of the
+    request that runs it.
+
+    ``fold(model, stabs, grid, M, initial, kind, *args)`` makes the fold
+    kind(model, stabs, grid, *args) on the stream, or returns the one
+    made before: the first of its kind with the same args, or with any
+    args when none are given.  ``result`` takes the same arguments and
+    returns the fold once its stream has run: the stream's waiting folds
+    are drawn together (``fold_chunks``), with the increments only when
+    one of them reads them (its ``increments``), and a fold made after
+    its stream has run gets a fresh draw, whose V is the same bit for
+    bit.  The folds that have run are kept, and hold only their results.
+    """
+
+    def __init__(self, seed: int):
+        self.seed, self.made, self.waiting = seed, {}, {}
+
+    def fold(self, model: MarketModel, stabs, grid: Grid, M: int, initial: str, kind, *args):
+        made = self.made.setdefault((grid, M, initial), [])
+        for fold, given in made:
+            if isinstance(fold, kind) and args in ((), given):
+                return fold
+        fold = kind(model, stabs, grid, *args)
+        made.append((fold, args))
+        self.waiting.setdefault((grid, M, initial), []).append(fold)
+        return fold
+
+    def result(self, model: MarketModel, stabs, grid: Grid, M: int, initial: str, kind, *args):
+        fold = self.fold(model, stabs, grid, M, initial, kind, *args)
+        if fold in self.waiting.get((grid, M, initial), ()):
+            folds = self.waiting.pop((grid, M, initial))
+            fold_chunks(simulate_variance_blocks(
+                model, stabs, grid, M, self.seed, initial=initial,
+                increments=any(f.increments for f in folds)), folds)
+        return fold
+
+
 def _checked_factors(model: MarketModel, grid: Grid, M: int, initial: str) -> list:
     """Validate the engine's arguments, then build each asset's factor."""
     if M < 1:
@@ -405,18 +438,12 @@ def _checked_factors(model: MarketModel, grid: Grid, M: int, initial: str) -> li
 
 def _advance_chunks(model: MarketModel, stabs, grid: Grid, M: int, seed: int, initial: str,
                     factors: list, increments: bool):
-    """Yield the PathChunks: chunk c covers paths c C .. min((c+1) C, M) - 1
-    with C = _CHUNK_PATHS and draws from the c-th ``spawn(1 + d)`` group
-    of SeedSequence(seed): V0 from child 0 (before its first block), and
-    asset i its factor normals from child 1 + i and, with the increments,
-    its W-perp normals from child 1 + i's first spawned child.
-
+    """Yield the PathChunks: chunk c holds paths c C .. min((c+1) C, M) - 1,
+    C = _CHUNK_PATHS, drawn from the c-th spawn group (module docstring).
     The stream maps, once and sized by its first chunk, each asset's
     engine (``_AssetEngine``) and a row store of (d, _BLOCK + 1, C) V
     rows and (d, _BLOCK, C) dB rows; a shorter last chunk takes
-    contiguous views of the same maps (``_fit``).  One pool runs the
-    assets of every block of the stream (``_workers``), and each chunk
-    hands it on as ``run``."""
+    contiguous views of the same maps (``_fit``)."""
     d, n = model.d, grid.n
     sig_grid = np.stack([np.asarray(st.eval(grid.times[:-1])) for st in stabs], axis=0)  # (d, n)
     seq = np.random.SeedSequence(seed)
@@ -442,8 +469,8 @@ def _advance_chunks(model: MarketModel, stabs, grid: Grid, M: int, seed: int, in
                              np.random.Generator(_BIT_GENERATOR(children[1 + i].spawn(1)[0]))
                              if increments else None)
             rows = tuple(None if buf is None else _fit(buf, m) for buf in store)
-            yield PathChunk(grid, m, functools.partial(_chunk_blocks, engines, run, n, V0, rows,
-                                                       live, c), run)
+            yield PathChunk(grid, m, c0, functools.partial(_chunk_blocks, engines, run, n, V0,
+                                                           rows, live, c), run)
 
 
 _STALE = "a PathChunk's blocks are read once, before the stream's next chunk is pulled"

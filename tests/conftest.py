@@ -13,7 +13,7 @@ import pytest
 
 import voltmark
 from oracles import oracle_volterra_picard
-from voltmark import markowitz, simulate
+from voltmark import markowitz, montecarlo, simulate
 from voltmark.model import Grid, MarketModel, bundled_model
 from voltmark.riccati import solve_riccati_adams
 from voltmark.simulate import simulate_variance_paths
@@ -89,31 +89,43 @@ def child_peak_kib(setup: str, code: str, **env) -> tuple[int, int]:
     return before, after
 
 
-def folded_integrals(chunks, dt: float) -> list:
-    """The totals of ``markowitz._time_integrals`` once its fold took every
-    block of the chunks: each chunk's (d, chunk) time integrals of V."""
-    fold, totals = markowitz._time_integrals(dt)
-    for chunk in chunks:
-        for block in chunk.blocks():
-            fold(*block)
-    return totals
+def folded_integrals(chunks) -> list:
+    """The totals of the Laplace fold (``markowitz._TimeIntegrals``) over
+    every block of the chunks: each chunk's (d, chunk) time integrals of V."""
+    integrals = markowitz._TimeIntegrals()
+    simulate.fold_chunks(chunks, [integrals])
+    return integrals.totals
 
 
 def spoil_integrals(monkeypatch, value: float) -> None:
-    """Make the Laplace fold (``markowitz._time_integrals``) end every block
+    """Make the Laplace fold (``markowitz._TimeIntegrals``) end every block
     with value as asset 1's integral of path 7."""
-    real = markowitz._time_integrals
+    real = markowitz._TimeIntegrals.__call__
 
-    def spoiled(dt):
-        fold, totals = real(dt)
+    def spoiled(self, chunk, lo, V, dB):
+        real(self, chunk, lo, V, dB)
+        self.totals[-1][0, 7] = value
 
-        def spoiled_fold(lo, V, dB):
-            fold(lo, V, dB)
-            totals[-1][0, 7] = value
+    monkeypatch.setattr(markowitz._TimeIntegrals, "__call__", spoiled)
 
-        return spoiled_fold, totals
 
-    monkeypatch.setattr(markowitz, "_time_integrals", spoiled)
+def wealth_pairs(model, solution, stabs, chunks, xi_star=None, read=None) -> list:
+    """Each chunk's (A_T, B_T) from the wealth fold (``markowitz._Wealth``) on
+    psi ``solution`` over every block of the chunks; with xi_star,
+    read(lo, X, alpha) takes each block's wealth and strategy."""
+    wealth = markowitz._Wealth(model, stabs, solution.grid, xi_star, solution)
+    if read is not None:
+        wealth.read = read
+    simulate.fold_chunks(chunks, [wealth])
+    return wealth.pairs
+
+
+def stationarity(chunks, model):
+    """``montecarlo.stationarity_report`` of the stationarity fold
+    (``montecarlo._VarianceMoments``) over every block of the chunks."""
+    moments = montecarlo._VarianceMoments()
+    simulate.fold_chunks(chunks, [moments])
+    return montecarlo.stationarity_report(model, moments.stats())
 
 
 @pytest.fixture
@@ -128,6 +140,16 @@ def pool_sizes(monkeypatch) -> list:
 
     monkeypatch.setattr(simulate, "ThreadPoolExecutor", recording_pool)
     return sizes
+
+
+@pytest.fixture
+def started_streams(monkeypatch) -> list:
+    """The arguments of every stream that the engine starts (``simulate._advance_chunks``)."""
+    streams = []
+    real = simulate._advance_chunks
+    monkeypatch.setattr(simulate, "_advance_chunks",
+                        lambda *args: streams.append(args) or real(*args))
+    return streams
 
 
 @pytest.fixture

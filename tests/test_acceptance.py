@@ -12,6 +12,7 @@ on two cores.
 import numpy as np
 import pytest
 
+from conftest import stationarity, wealth_pairs
 from oracles import resolvent_equation_residual
 from voltmark import markowitz
 from voltmark.kernels import (
@@ -20,7 +21,6 @@ from voltmark.kernels import (
     mittag_leffler,
 )
 from voltmark.markowitz import (
-    _terminal_wealth,
     efficient_frontier,
     frontier_slope,
     gamma0,
@@ -34,7 +34,6 @@ from voltmark.model import Grid, MarketModel, bundled_model
 from voltmark.montecarlo import (
     frontier_experiment,
     frontier_m_grid,
-    stationarity_diagnostics,
     terminal_bootstrap,
 )
 from voltmark.riccati import riccati_bound, solve_riccati_adams
@@ -101,8 +100,8 @@ def test_criterion_2_frontier_consistency(stabs_t1, grid_600):
     sol5 = solve_riccati_adams(model5, stabs5, 600)
     g0_5 = gamma0(model5, sol5, stabs5)
     # X_T = A + xi* B, chunk by chunk of the block stream
-    parts = list(_terminal_wealth(model5, sol5, stabs5, simulate_variance_blocks(
-        model5, stabs5, grid5, 50000, seed=502, initial="fixed")))
+    parts = wealth_pairs(model5, sol5, stabs5, simulate_variance_blocks(
+        model5, stabs5, grid5, 50000, seed=502, initial="fixed"))
     A5 = np.concatenate([a for a, _ in parts])
     B5 = np.concatenate([b for _, b in parts])
     worst5 = 0.0
@@ -123,7 +122,7 @@ def test_criterion_2_frontier_consistency(stabs_t1, grid_600):
 def test_criterion_3_fake_stationarity(model_t1, ensemble_10000_stationary):
     """Sample mean of V within 3 SE of x_inf at >= 99% of times and sample
     variance within 3 SE of v0 at >= 95% (M = 10000)."""
-    rep = stationarity_diagnostics([ensemble_10000_stationary], model_t1)
+    rep = stationarity([ensemble_10000_stationary], model_t1)
     detail = (f"mean coverage {tuple(float(x) for x in rep.mean_coverage)} (need >= 0.99), "
               f"variance coverage {tuple(float(x) for x in rep.var_coverage)} (need >= 0.95); "
               f"targets x_inf = (10, 5), v0 = (0.016, 0.01536)")

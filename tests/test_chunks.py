@@ -5,17 +5,20 @@ one over, and two chunks plus a remainder.  The grid is small, but has
 more than one block of cells, so the far field runs in every chunk.
 """
 
+import ast
 import itertools
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import folded_integrals
+from conftest import folded_integrals, wealth_pairs
 from oracles import assembled_chunks, dense_variance_paths
-from voltmark import markowitz, simulate
+import voltmark
+from voltmark import markowitz, montecarlo, simulate
 from voltmark.kernels import ParameterError
-from voltmark.markowitz import _terminal_wealth, laplace_affine_check
+from voltmark.markowitz import laplace_affine_check
 from voltmark.model import Grid, MarketModel
 from voltmark.riccati import solve_riccati_adams
 from voltmark.simulate import (
@@ -64,7 +67,7 @@ def test_chunks_are_the_columns_of_the_whole_ensemble(model_t1, stabs_t1, M):
 
 def _exponents(chunks, u) -> np.ndarray:
     """Each path's u^T int V by the Laplace fold over the chunks' blocks."""
-    return np.concatenate([total.T @ np.asarray(u) for total in folded_integrals(chunks, GRID.dt)])
+    return np.concatenate([total.T @ np.asarray(u) for total in folded_integrals(chunks)])
 
 
 @pytest.mark.parametrize("M", EDGES)
@@ -84,9 +87,8 @@ def test_fused_laplace_equals_materialized(model_t1, stabs_t1, M):
 def test_fused_terminal_wealth_equals_materialized(model_t1, stabs_t1, M):
     sol = solve_riccati_adams(model_t1, stabs_t1, GRID.n)
     whole = _paths(model_t1, stabs_t1, M, initial="fixed")
-    [(A, B)] = _terminal_wealth(model_t1, sol, stabs_t1, [whole])
-    parts = list(_terminal_wealth(model_t1, sol, stabs_t1,
-                                  _chunks(model_t1, stabs_t1, M, initial="fixed")))
+    [(A, B)] = wealth_pairs(model_t1, sol, stabs_t1, [whole])
+    parts = wealth_pairs(model_t1, sol, stabs_t1, _chunks(model_t1, stabs_t1, M, initial="fixed"))
     assert np.max(np.abs(np.concatenate([a for a, _ in parts]) - A)) <= 1e-12 * np.max(np.abs(A))
     assert np.max(np.abs(np.concatenate([b for _, b in parts]) - B)) <= 1e-12 * np.max(np.abs(B))
 
@@ -172,20 +174,19 @@ def test_shared_pass_leaves_before_the_frontier_and_laplace(tmp_path, monkeypatc
                 in_wealth.clear()
         return wrapped
 
-    def stage_spy(real, shared_kw):
-        def wrapped(*args, **kwargs):
-            seen.append((real.__name__, kwargs[shared_kw] is not None and len(kwargs[shared_kw]),
-                         [ref() is not None for ref in refs]))
-            return real(*args, **kwargs)
+    def report_spy(real):
+        def wrapped(*args):
+            # the last argument gives the per-chunk pairs or holds the integrals
+            chunks = args[-1]() if callable(args[-1]) else args[-1]
+            seen.append((real.__name__, len(chunks), [ref() is not None for ref in refs]))
+            return real(*args)
         return wrapped
 
     for module in (simulate, markowitz):
         monkeypatch.setattr(module, "_mapped", mapped_spy(module._mapped))
     monkeypatch.setattr(cli, "run_wealth", wealth_spy(cli.run_wealth))
-    monkeypatch.setattr(montecarlo, "frontier_experiment",
-                        stage_spy(montecarlo.frontier_experiment, "terminal"))
-    monkeypatch.setattr(markowitz, "laplace_affine_check",
-                        stage_spy(markowitz.laplace_affine_check, "totals"))
+    monkeypatch.setattr(montecarlo, "frontier_report", report_spy(montecarlo.frontier_report))
+    monkeypatch.setattr(markowitz, "laplace_report", report_spy(markowitz.laplace_report))
     # mc.M and laplace_M, both 5000 in the bundled config
     cfg_text = (cli._DEFAULT_CONFIG.replace("M = 5000", f"M = {C + 5}")
                 .replace("n = 600", "n = 20")
@@ -199,8 +200,8 @@ def test_shared_pass_leaves_before_the_frontier_and_laplace(tmp_path, monkeypatc
     # each asset's 6 scratch and 2 factor buffers, the 2 row stores, the
     # wealth fold's 2 buffers and a tile buffer per path range (1 or 2)
     assert len(refs) >= 2 * 8 + 2 + 2 + 1
-    assert seen == [("frontier_experiment", 2, [False] * len(refs)),
-                    ("laplace_affine_check", 2, [False] * len(refs))]
+    assert seen == [("frontier_report", 2, [False] * len(refs)),
+                    ("laplace_report", 2, [False] * len(refs))]
 
 
 @pytest.mark.parametrize("M", [0, -5])
@@ -277,3 +278,92 @@ def test_a_chunk_reads_its_blocks_once_before_the_next(model_t1, stabs_t1):
     with pytest.raises(RuntimeError, match="read once"):
         next(blocks)                  # GRID's second block, after the next chunk
     stream.close()
+
+
+class _Rows:
+    """A fold that keeps a copy of every block's V; increments says whether it reads dB."""
+
+    def __init__(self, model, stabs, grid, increments):
+        self.increments, self.V = increments, []
+
+    def __call__(self, chunk, lo, V, dB):
+        self.V.append(V.copy())
+
+
+def test_streams_draw_each_stream_once_for_its_folds(model_t1, stabs_t1, started_streams):
+    # the folds waiting on a stream are drawn together, with the increments
+    # only when one of them reads them; asking again returns the fold made
+    # first and draws nothing, and a fold made on a stream that has run
+    # gets a fresh draw, whose V is the same bit for bit
+    def increments():
+        return [args[-1] for args in started_streams]
+
+    streams = simulate.Streams(SEED)
+    stream = (model_t1, stabs_t1, GRID, C + 5, "fixed")
+    first = streams.fold(*stream, _Rows, False)
+    integrals = streams.fold(*stream, markowitz._TimeIntegrals)
+    assert increments() == []
+    assert streams.result(*stream, _Rows, False) is first and increments() == [False]
+    assert streams.result(*stream, markowitz._TimeIntegrals) is integrals
+    assert increments() == [False]
+    assert [total.shape for total in integrals.totals] == [(2, C), (2, 5)]
+    again = streams.result(*stream, _Rows, True)        # other args: a fold of its own
+    assert again is not first and increments() == [False, True]
+    assert streams.result(*stream, _Rows) is first      # no args: the first of its kind
+    assert increments() == [False, True] and len(first.V) == len(again.V) == 4
+    for a, b in zip(first.V, again.V, strict=True):
+        assert np.array_equal(a, b)
+
+
+def test_a_finished_stream_keeps_only_the_results_of_its_folds(model_t1, stabs_t1, monkeypatch):
+    # Streams keeps the folds of a stream that has run, for the stages that
+    # read their results, but none of the maps that the stream or its folds
+    # made (engine scratch, row store, wealth buffers) and no moments scratch
+    refs = []
+    real_add = montecarlo.ColumnMoments.add
+
+    def mapped_spy(real):
+        def wrapped(shape):
+            arr = real(shape)
+            refs.append(weakref.ref(arr))
+            return arr
+        return wrapped
+
+    def add_spy(self, x, scratch=None):
+        refs.append(weakref.ref(scratch))
+        return real_add(self, x, scratch)
+
+    for module in (simulate, markowitz):
+        monkeypatch.setattr(module, "_mapped", mapped_spy(module._mapped))
+    monkeypatch.setattr(montecarlo.ColumnMoments, "add", add_spy)
+    streams = simulate.Streams(SEED)
+    fixed = (model_t1, stabs_t1, GRID, C + 5, "fixed")
+    integrals = streams.fold(*fixed, markowitz._TimeIntegrals)
+    wealth = streams.result(*fixed, montecarlo._WealthMoments, 3.0)
+    moments = streams.result(model_t1, stabs_t1, GRID, C + 5, "stationary",
+                             montecarlo._VarianceMoments)
+    # each asset's 6 scratch and 2 factor buffers and the 2 row stores per
+    # stream, the wealth buffers of each chunk, and a scratch per moments block
+    assert len(refs) >= 2 * (2 * 8 + 2) + 2 * 3 + 2 * 2 * 3
+    assert [ref() for ref in refs] == [None] * len(refs)
+    assert [len(A) for A, _ in wealth.pairs] == [total.shape[1] for total in integrals.totals]
+    assert [len(st.mean) for st in wealth.moments.stats() + moments.stats()] == [71, 70, 70, 71, 71]
+
+
+def test_one_driver_draws_and_folds_the_streams():
+    # src/ starts a block stream only in Streams and in
+    # simulate_variance_paths (which the benchmark reads), and only
+    # simulate.py loops over a chunk's blocks (fold_chunks): every stage
+    # is a fold
+    callers, readers = set(), set()
+    for path in Path(voltmark.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name == "simulate_variance_blocks":
+                        callers.add(f"{path.stem}.{getattr(top, 'name', '')}")
+                    if name == "blocks" and isinstance(node.func, ast.Attribute):
+                        readers.add(path.stem)
+    assert callers == {"simulate.Streams", "simulate.simulate_variance_paths"}
+    assert readers == {"simulate"}

@@ -13,7 +13,14 @@ import numpy as np
 import pytest
 
 import voltmark
-from conftest import child_env, child_peak_kib, folded_integrals, spoil_integrals
+from conftest import (
+    child_env,
+    child_peak_kib,
+    folded_integrals,
+    spoil_integrals,
+    stationarity,
+    wealth_pairs,
+)
 from voltmark.cli import ConfigError, RunContext, _DEFAULT_CONFIG, load_config, main
 from voltmark.model import Grid, bundled_model
 
@@ -178,15 +185,27 @@ def test_malformed_scalar_exit_code(tmp_path, capsys, line, message):
     assert capsys.readouterr().err.strip() == f"config error: {message}"
 
 
-def test_laplace_positive_u_exit_code(tmp_path, capsys):
-    # solve_laplace_riccati alone checks u <= 0, and the closed form is
-    # computed before any path is drawn
+def test_laplace_positive_u_exit_code(tmp_path, capsys, started_streams):
+    # u <= 0 is checked before any path is drawn: no stream is started
     cfg_text = re.sub(r"^u = .*$", "u = 0.01, -0.05", _two_assets(TINY), flags=re.M)
     out = tmp_path / "o"
     assert main(["laplace", "--config", _write(tmp_path, cfg_text), "--out", str(out)]) == 2
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and err.startswith("config error") and "u must be <= 0" in err
     assert not (out / "laplace_check.csv").exists()
+    assert started_streams == []
+
+
+def test_frontier_degenerate_market_exit_code(tmp_path, capsys, started_streams):
+    # theta = 0 puts Gamma0 at e^(2rT), where no target above m0 is priced;
+    # the frontier refuses its targets before any path is drawn
+    cfg_text = re.sub(r"^theta = .*$", "theta = 0.0, 0.0", _two_assets(TINY), flags=re.M)
+    out = tmp_path / "o"
+    assert main(["frontier", "--config", _write(tmp_path, cfg_text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and err.startswith("config error") and "degenerate" in err
+    assert not (out / "frontier.csv").exists()
+    assert started_streams == []
 
 
 @pytest.mark.parametrize("line, message", [
@@ -361,9 +380,11 @@ def test_wealth_drops_its_paths_before_the_statistics(tmp_path, monkeypatch):
 
 def test_v_only_stages_skip_the_increments(tmp_path, monkeypatch):
     # the stationarity and Laplace stages read V alone, so they ask the
-    # engine for no Brownian increments; the wealth and frontier stages
-    # keep them
-    from voltmark import cli, markowitz, montecarlo, simulate
+    # engine for no Brownian increments; the wealth stage keeps them.  The
+    # runners share the context's streams: the wealth stage's fold is new
+    # on the Laplace stream, which has run, so it draws it again, and the
+    # frontier reads the wealth stage's (A_T, B_T)
+    from voltmark import cli, simulate
 
     requested = []
 
@@ -373,17 +394,14 @@ def test_v_only_stages_skip_the_increments(tmp_path, monkeypatch):
             return real(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(simulate, "simulate_variance_paths",
-                        spy(simulate.simulate_variance_paths))
-    streams = spy(simulate.simulate_variance_blocks)
-    for module in (simulate, markowitz, montecarlo):
-        monkeypatch.setattr(module, "simulate_variance_blocks", streams)
+    for name in ("simulate_variance_paths", "simulate_variance_blocks"):
+        monkeypatch.setattr(simulate, name, spy(getattr(simulate, name)))
     run = RunContext.build(load_config(TINY))
     for runner in (cli.run_simulate, cli.run_laplace, cli.run_wealth, cli.run_frontier):
         runner(run, str(tmp_path))
     # every stage takes the paths block by block
     assert requested == [("simulate_variance_blocks", False)] * 2 + [
-        ("simulate_variance_blocks", True)] * 2
+        ("simulate_variance_blocks", True)]
 
 
 def test_manifest_records_thread_cap_and_chunk_size(tmp_path, monkeypatch):
@@ -594,16 +612,14 @@ def test_block_folds_keep_the_bits_of_whole_chunks(tmp_path, monkeypatch, n, cpu
         cli.write_csv(str(ref / f"variance_stats_asset{i + 1}.csv"),
                       ["t", "mean", "variance", "ci_low", "ci_high"],
                       zip(grid.times, st.mean, st.variance, st.ci_low, st.ci_high))
-    points = montecarlo.frontier_experiment(
-        model, montecarlo.frontier_m_grid(model, 2), M, seed, grid=grid, stabs=stabs,
-        terminal=whole_chunk_terminal(model, stabs, grid, M, seed))
+    points = montecarlo.frontier_report(model, stabs, grid, montecarlo.frontier_m_grid(model, 2),
+                                        lambda: whole_chunk_terminal(model, stabs, grid, M, seed))
     cli.write_csv(str(ref / "frontier.csv"),
                   ["m", "sigma_theoretical", "sigma_mc", "mc_se", "v_theory", "v_mc", "v_mc_se"],
                   [(p.m, p.sigma_theory, p.sigma_mc, p.sigma_mc_se, p.v_theory, p.v_mc, p.v_mc_se)
                    for p in points])
-    rep = markowitz.laplace_affine_check(
-        model, stabs, run.cfg["u"], grid, M, seed,
-        totals=whole_chunk_integrals(model, stabs, grid, M, seed))
+    rep = markowitz.laplace_report(model, stabs, run.cfg["u"], grid,
+                                   whole_chunk_integrals(model, stabs, grid, M, seed))
     cli.write_csv(str(ref / "laplace_check.csv"),
                   ["mc_value", "mc_se", "closed_form", "z_score", "beta"],
                   [(rep.mc_value, rep.mc_se, rep.closed_form, rep.z_score, rep.beta)])
@@ -614,18 +630,18 @@ def test_block_folds_keep_the_bits_of_whole_chunks(tmp_path, monkeypatch, n, cpu
     # and below the CSVs' 12 digits, bit for bit: the statistics, each
     # chunk's (A_T, B_T) and its Laplace time integrals
     fixed = dict(initial="fixed")
-    folded = montecarlo.stationarity_diagnostics(
+    folded = stationarity(
         simulate.simulate_variance_blocks(model, stabs, grid, M, seed, increments=False), model)
     for got, want in zip(folded.stats, whole_chunk_variance_stats(model, stabs, grid, M, seed)):
         for name in ("mean", "variance", "mean_se", "var_se"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
     sol = riccati.solve_riccati_adams(model, stabs, grid.n)
-    pairs = markowitz._terminal_wealth(model, sol, stabs, simulate.simulate_variance_blocks(
+    pairs = wealth_pairs(model, sol, stabs, simulate.simulate_variance_blocks(
         model, stabs, grid, M, seed, **fixed))
     for got, want in zip(pairs, whole_chunk_terminal(model, stabs, grid, M, seed), strict=True):
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
     totals = folded_integrals(simulate.simulate_variance_blocks(
-        model, stabs, grid, M, seed, increments=False, **fixed), grid.dt)
+        model, stabs, grid, M, seed, increments=False, **fixed))
     for got, want in zip(totals, whole_chunk_integrals(model, stabs, grid, M, seed), strict=True):
         assert np.array_equal(got, want)
 
@@ -917,7 +933,7 @@ def test_bundled_full_simulates_no_laplace_chunk(tmp_path, monkeypatch):
 def test_bundled_full_laplace_stage_asks_the_engine_nothing(tmp_path, monkeypatch):
     # with the bundled laplace_M = mc.M the Laplace stage neither opens a
     # stream of chunks nor builds a Gaussian factor
-    from voltmark import cli, markowitz, montecarlo, simulate
+    from voltmark import cli, simulate
 
     calls, stages = [], []
 
@@ -935,8 +951,7 @@ def test_bundled_full_laplace_stage_asks_the_engine_nothing(tmp_path, monkeypatc
         stages.append("laplace")
         return real_laplace(*args, **kwargs)
 
-    for module in (simulate, markowitz, montecarlo):
-        spy(module, "simulate_variance_blocks")
+    spy(simulate, "simulate_variance_blocks")
     spy(simulate, "simulate_variance_paths")
     spy(simulate, "build_gaussian_factor")
     monkeypatch.setattr(cli, "run_laplace", laplace_stage)
@@ -952,29 +967,26 @@ def test_bundled_full_laplace_stage_asks_the_engine_nothing(tmp_path, monkeypatc
 def test_full_steps_each_wealth_chunk_once(tmp_path, monkeypatch):
     # the wealth stage's recursion gives the T = 1 frontier its (A_T, B_T):
     # one _step_factors pass per path range of each block of each wealth
-    # chunk (one block at n = 20), and no terminal-only recursion; its
-    # block fold adds no pass, and no whole paths are simulated.  Two
+    # chunk (one block at n = 20), and no other wealth fold is made; its
+    # reader adds no pass, and no whole paths are simulated.  Two
     # workers split the C-path chunk in two ranges; the 5-path chunk is
     # one range of one 64-path block
-    from voltmark import markowitz, montecarlo, simulate
+    from voltmark import markowitz, simulate
 
-    passes, terminal_calls, whole = [], [], []
-    real_steps = markowitz._step_factors
+    passes, folds, whole = [], [], []
+    real_steps, real_init = markowitz._step_factors, markowitz._Wealth.__init__
 
     def steps_spy(model, V, dB, coef, dt, paths, flat):
         passes.append((dB.shape[2], paths.start, paths.stop))
         return real_steps(model, V, dB, coef, dt, paths, flat)
 
-    def terminal_spy(real):
-        def wrapped(*args):
-            terminal_calls.append(real.__module__)
-            return real(*args)
-        return wrapped
+    def init_spy(self, *args):
+        folds.append(type(self).__name__)
+        real_init(self, *args)
 
     monkeypatch.setattr(markowitz, "_step_factors", steps_spy)
     monkeypatch.setattr(markowitz, "simulate_wealth", lambda *args: whole.append(args))
-    monkeypatch.setattr(markowitz, "_terminal_wealth", terminal_spy(markowitz._terminal_wealth))
-    monkeypatch.setattr(montecarlo, "_terminal_wealth", terminal_spy(montecarlo._terminal_wealth))
+    monkeypatch.setattr(markowitz._Wealth, "__init__", init_spy)
     monkeypatch.setattr(simulate, "_BLAS_THREADS", 1)
     monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
     C = simulate._CHUNK_PATHS
@@ -982,7 +994,7 @@ def test_full_steps_each_wealth_chunk_once(tmp_path, monkeypatch):
     path = _write(tmp_path, cfg_text)
     assert main(["full", "--config", path, "--out", str(tmp_path / "o")]) in (0, 4)
     assert sorted(passes) == [(5, 0, 64), (C, 0, C // 2), (C, C // 2, C)]
-    assert terminal_calls == [] and whole == []
+    assert folds == ["_WealthMoments"] and whole == []
 
 
 def test_stabilizer_residual_above_tolerance_exit_code(tmp_path, capsys):

@@ -6,14 +6,12 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import folded_integrals, small_model, spoil_integrals
+from conftest import folded_integrals, small_model, spoil_integrals, wealth_pairs
 from oracles import einsum_step_factors, stepwise_wealth
 from voltmark import markowitz, simulate
 from voltmark.kernels import ParameterError
 from voltmark.markowitz import (
     ConsistencyError,
-    _terminal_wealth,
-    _wealth_recursion,
     control_coefficient,
     efficient_frontier,
     frontier_slope,
@@ -223,7 +221,7 @@ def test_affine_terminal_matches_wealth_scheme():
     sol = solve_riccati_adams(m, stabs, grid.n)
     ens = simulate_variance_paths(m, stabs, grid, 200, seed=12, initial="fixed")
     g0 = gamma0(m, sol, stabs)
-    [(A, B)] = _terminal_wealth(m, sol, stabs, [ens])
+    [(A, B)] = wealth_pairs(m, sol, stabs, [ens])
     m_grid = frontier_m_grid(m, 8)
     for target in (m.m0, m_grid[len(m_grid) // 2], m_grid[-1]):
         xi, _ = xi_eta_star(g0, m, float(target))
@@ -259,7 +257,7 @@ def test_wealth_path_ranges_do_not_change_the_bits(model_t1, stabs_t1, monkeypat
     try:
         for cpus in (1, 8):
             monkeypatch.setattr(simulate, "_cpu_count", lambda cpus=cpus: cpus)
-            [(A, B)] = _wealth_recursion(model_t1, sol, stabs_t1, simulate_variance_blocks(
+            [(A, B)] = wealth_pairs(model_t1, sol, stabs_t1, simulate_variance_blocks(
                 model_t1, stabs_t1, grid, M, 17, initial="fixed"), 3.0, store)
             runs.append((A, B, X.copy(), alpha_paths.copy()))
     finally:
@@ -279,12 +277,12 @@ def test_wealth_stream_runs_on_its_engine_pool(model_t1, stabs_t1, monkeypatch, 
     monkeypatch.setattr(simulate, "_BLAS_THREADS", 1)
     monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
     M = simulate._CHUNK_PATHS + 5
-    pairs = list(_terminal_wealth(model_t1, sol, stabs_t1, simulate_variance_blocks(
-        model_t1, stabs_t1, grid, M, 9, initial="fixed")))
+    pairs = wealth_pairs(model_t1, sol, stabs_t1, simulate_variance_blocks(
+        model_t1, stabs_t1, grid, M, 9, initial="fixed"))
     assert pool_sizes == [2]
     assert [len(A) for A, _ in pairs] == [simulate._CHUNK_PATHS, 5]
     monkeypatch.setattr(simulate, "_cpu_count", lambda: 1)
-    serial = _terminal_wealth(model_t1, sol, stabs_t1, simulate_variance_blocks(
+    serial = wealth_pairs(model_t1, sol, stabs_t1, simulate_variance_blocks(
         model_t1, stabs_t1, grid, M, 9, initial="fixed"))
     for got, want in zip(pairs, serial, strict=True):
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
@@ -325,7 +323,7 @@ def test_affine_terminal_riskless_compounding():
     grid = Grid(1.0, 50)
     sol = solve_riccati_adams(m, stabs, grid.n)
     ens = simulate_variance_paths(m, stabs, grid, 30, seed=1)
-    [(A, B)] = _terminal_wealth(m, sol, stabs, [ens])
+    [(A, B)] = wealth_pairs(m, sol, stabs, [ens])
     assert np.all(B == 0.0)
     assert np.max(np.abs(A - m.x0 * (1.0 + m.r * grid.dt) ** grid.n)) <= 1e-12
 
@@ -341,7 +339,7 @@ def test_non_finite_wealth_rejected():
     ens = simulate_variance_paths(m, stabs, grid, 30, seed=1, initial="fixed")
     huge = dataclasses.replace(ens, V=ens.V * 1e300)
     with pytest.raises(NonFiniteError, match="terminal wealth"):
-        next(_terminal_wealth(m, sol, stabs, [huge]))
+        wealth_pairs(m, sol, stabs, [huge])
     with pytest.raises(NonFiniteError, match="wealth paths"):
         simulate_wealth(m, huge, sol, stabs, 3.0)
 
@@ -361,7 +359,7 @@ def test_affine_terminal_grid_mismatch_rejected(model_t1, stabs_t1, riccati_600)
     # the recursion checks each chunk of a block stream itself
     stream = simulate.simulate_variance_blocks(model_t1, stabs_t1, Grid(1.0, 30), 5, seed=1)
     with pytest.raises(ParameterError, match="psi grid"):
-        next(markowitz._terminal_wealth(model_t1, riccati_600, stabs_t1, stream))
+        wealth_pairs(model_t1, riccati_600, stabs_t1, stream)
 
 
 def test_laplace_ensemble_grid_mismatch_rejected(model_t1, stabs_t1):
@@ -393,7 +391,7 @@ def laplace_exponents(model_t1, stabs_t1):
     grid, u = Grid(1.0, 50), np.array([-0.05, -0.05])
     ens = simulate_variance_paths(model_t1, stabs_t1, grid, 1000, seed=5, initial="fixed",
                                   increments=False)
-    [total] = folded_integrals([ens], grid.dt)
+    [total] = folded_integrals([ens])
     return grid, u, total.T @ u
 
 
@@ -446,7 +444,7 @@ def test_laplace_row_integral_is_numpy_trapezoid(model_t1, stabs_t1):
     # (M, d, n+1) view
     ens = simulate_variance_paths(model_t1, stabs_t1, Grid(1.0, 130), 333, seed=2,
                                   initial="fixed")
-    [rows] = folded_integrals([ens], ens.grid.dt)
+    [rows] = folded_integrals([ens])
     ref = np.trapezoid(ens.V, dx=ens.grid.dt, axis=2)
     assert np.array_equal(rows.T, ref)
     u = np.array([-0.05, -0.05])
@@ -479,7 +477,7 @@ def test_solve_markowitz_bundle(model_t1, riccati_600, stabs_t1):
 @pytest.mark.parametrize("M", [500, 2100])
 def test_wealth_recursion_keeps_the_bits_of_the_step_loop(model_t1, stabs_t1, monkeypatch, M):
     # the blocked growth factors and A/B rows against the per-step loop,
-    # with a fold (simulate_wealth) and without (_terminal_wealth),
+    # with a reader (simulate_wealth) and without (the fold alone),
     # in one path range (M = 500) and in four (M = 2100 on eight CPUs)
     monkeypatch.setattr(simulate, "_BLAS_THREADS", 1)
     monkeypatch.setattr(simulate, "_cpu_count", lambda: 8)
@@ -488,7 +486,7 @@ def test_wealth_recursion_keeps_the_bits_of_the_step_loop(model_t1, stabs_t1, mo
     ens = simulate_variance_paths(model_t1, stabs_t1, grid, M, seed=23, initial="fixed")
     A, B, X, alpha = stepwise_wealth(model_t1, ens, sol, stabs_t1, 2.5)
     wealth = simulate_wealth(model_t1, ens, sol, stabs_t1, 2.5)
-    [terminal] = _terminal_wealth(model_t1, sol, stabs_t1, [ens])
+    [terminal] = wealth_pairs(model_t1, sol, stabs_t1, [ens])
     for got, ref in zip((wealth.A_T, wealth.B_T, wealth.X, wealth.alpha_paths, *terminal),
                         (A, B, X, alpha, A, B)):
         assert np.array_equal(got.view(np.int64), ref.view(np.int64))

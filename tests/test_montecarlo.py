@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from conftest import small_model
+from conftest import small_model, stationarity
 from oracles import assembled_chunks, bootstrap_se, bootstrap_weights, constant_sigma
 from voltmark.kernels import ParameterError
 from voltmark.markowitz import z_score
@@ -17,7 +17,6 @@ from voltmark.montecarlo import (
     frontier_experiment,
     frontier_m_grid,
     joined_stats,
-    stationarity_diagnostics,
     terminal_bootstrap,
 )
 from voltmark.simulate import (
@@ -105,7 +104,7 @@ def test_plug_in_se_matches_bootstrap(model_t1, stabs_t1):
     # of a 1000-resample SE
     ens = simulate_variance_paths(model_t1, stabs_t1, Grid(1.0, 120), 4000, seed=5,
                                   increments=False)
-    for i, st in enumerate(stationarity_diagnostics([ens], model_t1).stats):
+    for i, st in enumerate(stationarity([ens], model_t1).stats):
         boot_mean_se, boot_var_se = bootstrap_se(ens.V[:, i, :], 1000, seed=5)
         for ratio in (st.mean_se / boot_mean_se, st.var_se / boot_var_se):
             assert 0.9 <= ratio.min() and ratio.max() <= 1.1, (i, ratio.min(), ratio.max())
@@ -138,16 +137,16 @@ def test_ci_width_shrinks_like_sqrt_M():
 
 def test_stationarity_passes_quickly(model_t1, stabs_t1):
     ens = simulate_variance_paths(model_t1, stabs_t1, Grid(1.0, 120), 1500, seed=31)
-    rep = stationarity_diagnostics([ens], model_t1)
+    rep = stationarity([ens], model_t1)
     assert rep.passed
 
 
 def test_stationarity_chunks_equal_the_whole_ensemble(model_t1, stabs_t1):
     # the chunks of an ensemble give its statistics, up to rounding
     grid, M = Grid(1.0, 30), _CHUNK_PATHS + 5
-    chunked = stationarity_diagnostics(
+    chunked = stationarity(
         assembled_chunks(model_t1, stabs_t1, grid, M, 8, increments=False), model_t1)
-    whole = stationarity_diagnostics(
+    whole = stationarity(
         [simulate_variance_paths(model_t1, stabs_t1, grid, M, 8, increments=False)], model_t1)
     assert np.array_equal(chunked.mean_coverage, whole.mean_coverage)
     assert np.array_equal(chunked.var_coverage, whole.var_coverage)
@@ -173,7 +172,7 @@ def test_stationarity_negative_control(model_t1):
     # and the variance band check must fail
     zero = [constant_sigma(0.0), constant_sigma(0.0)]
     ens = simulate_variance_paths(model_t1, zero, Grid(1.0, 120), 1500, seed=31)
-    rep = stationarity_diagnostics([ens], model_t1)
+    rep = stationarity([ens], model_t1)
     assert not rep.passed
     assert np.all(rep.var_coverage < 0.5)
 
