@@ -28,10 +28,11 @@ first applies its late stages' own rules (the frontier horizons, the
 target m, the Laplace forcing u), so a config that one of them would
 refuse fails before the first stage writes anything.  Every stage with
 paths is a block fold on a stream of the context's ``simulate.Streams``,
-which draws each stream once for all of its folds: the frontier at the
-config horizon reads the wealth stage's (A_T, B_T), and the Laplace
-check, whose fold ``full`` makes before the wealth stage, its time
-integrals when laplace_M equals mc.M (the same paths).
+which draws each stream once and hands every block to all of its folds
+(``simulate.fold_stream``): the frontier at the config horizon reads
+the wealth stage's (A_T, B_T), and the Laplace check, whose fold
+``full`` makes before the wealth stage, its time integrals when
+laplace_M equals mc.M (the same paths).
 The manifest's ``stages`` holds one record per stage in run order (the
 command itself, or each stage of ``full``): its name, ``wall_s`` and the
 process's peak resident set at its end, ``vmhwm_mb``.

@@ -45,7 +45,6 @@ from .simulate import (
     _mapped,
     _pool_size,
     correlate_asset_brownian,
-    fold_chunks,
     require_finite,
 )
 
@@ -297,15 +296,15 @@ def _step_factors(model: MarketModel, V: np.ndarray, dB: np.ndarray, coef: np.nd
 
     With g = -coef sqrt(V^+) at the left node and s_k = (g sqrt(V^+)) . theta dt
     + g . DB_k, the wealth under alpha = g (X - xi* e^(-r(T-t))) steps as
-    X_{k+1} = X_k (1 + r dt) + (X_k - xi* e^(-r(T-t_k))) s_k.  V and dB are
-    a block's time-major rows (``PathChunk``), (d, w+1, M) and (d, w, M),
-    and coef the (d, w) ``control_coefficient`` at its left nodes.  For
-    each tile of ``_WEALTH_TILE`` paths of ``paths`` (clipped to the
-    chunk) yields (tile, g (d, w, t), s (w, t), spare (3, w, t)).  All of
-    it lives in flat (``_tile_buffer``), a memory map of the caller's
-    that each tile overwrites (``_mapped``, so that a worker thread
-    leaves nothing in its malloc arena); the d-sums (np.einsum) run in
-    one (w, t) slot of it, and spare is the caller's.
+    X_{k+1} = X_k (1 + r dt) + (X_k - xi* e^(-r(T-t_k))) s_k.  V and dB
+    are a block's time-major rows (``simulate.fold_stream``), (d, w+1, M)
+    and (d, w, M), and coef the (d, w) ``control_coefficient`` at its
+    left nodes.  For each tile of ``_WEALTH_TILE`` paths of ``paths``
+    (clipped to the chunk) yields (tile, g (d, w, t), s (w, t), spare
+    (3, w, t)).  All of it lives in flat (``_tile_buffer``), a memory map
+    of the caller's that each tile overwrites (``_mapped``, so that a
+    worker thread leaves nothing in its malloc arena); the d-sums
+    (np.einsum) run in one (w, t) slot of it, and spare is the caller's.
     """
     d, w, M = dB.shape
     for t0 in range(paths.start, min(paths.stop, M), _WEALTH_TILE):
@@ -332,7 +331,7 @@ class _Wealth:
         A_{k+1} = A_k (1 + r dt + s_k),                       A_0 = x0,
         B_{k+1} = B_k (1 + r dt + s_k) - e^(-r(T-t_k)) s_k,   B_0 = 0.
 
-    A block fold (``simulate.fold_chunks``) of a stream with increments,
+    A block fold (``simulate.fold_stream``) of a stream with increments,
     on psi's grid (``solution``, or solved on grid through the memo;
     ParameterError for a chunk on another grid).  Once a chunk's last
     block is stepped, its (A_T, B_T) goes to ``pairs``, after
@@ -438,7 +437,7 @@ def simulate_wealth(model: MarketModel, ensemble: PathEnsemble, solution: Riccat
 
     wealth = _Wealth(model, stabs, ensemble.grid, xi_star, solution)
     wealth.read = store
-    fold_chunks([ensemble], [wealth])
+    ensemble.fold([wealth])
     [(A, B)] = wealth.pairs
     return WealthEnsemble(X=X, alpha_paths=alpha_paths, A_T=A, B_T=B)
 
@@ -579,5 +578,5 @@ def laplace_affine_check(model: MarketModel, stabs, u, grid: Grid, M: int, seed:
         integrals = Streams(seed).result(model, stabs, grid, M, "fixed", _TimeIntegrals)
     else:
         integrals = _TimeIntegrals()
-        fold_chunks([ensemble], [integrals])
+        ensemble.fold([integrals])
     return laplace_report(model, stabs, u, grid, integrals.totals)

@@ -2,7 +2,7 @@
 
 Every statistic of the stationarity, wealth and frontier stages is a
 plug-in moment estimate over whole paths, folded from the block stream
-(``simulate.fold_chunks``): per-time statistics fold each 64-step block
+(``simulate.fold_stream``): per-time statistics fold each 64-step block
 into an accumulator of its own (``ColumnMoments``, ``joined_stats``),
 and per-path ones (the frontier's terminal wealth) once a chunk's last
 block is in, so no stage holds a chunk of paths.  The Laplace check

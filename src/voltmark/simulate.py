@@ -17,29 +17,27 @@ a low-rank pair of its far-field lag rows carries each finished block
 of cells to the later ones (``_far_field``, ``_AssetEngine``).
 
 Paths are simulated in fixed chunks of ``_CHUNK_PATHS`` paths, and each
-chunk one block of ``_BLOCK`` cells at a time: ``simulate_variance_blocks``
-is a block stream, which yields a ``PathChunk`` per chunk whose blocks
-the engine advances into a small row store as they are asked for.  The
-engine reads nothing of earlier blocks but V0 and their compressed far
-field, so a fold of each block runs in memory that does not grow with M,
-and grows with n only by that far field (``_asset_scratch``).
-``fold_chunks`` is the one loop over the blocks: it hands each block to
-every fold of the stream, and ``Streams`` draws each stream of a run
-once for all of its folds.  ``simulate_variance_paths`` copies each
-block into whole (d, ., M) arrays, for the tests and the benchmark.
-Within a block the assets, which share only the read-only model,
-advance on one thread each, on one pool for the whole stream
-(``_workers``), which each ``PathChunk`` hands its consumer as ``run``.
+chunk one block of ``_BLOCK`` cells at a time into a small row store:
+``fold_stream`` draws a stream and hands each block to every fold of
+it as soon as the engines have stepped it.  The engine reads nothing of
+earlier blocks but V0 and their compressed far field, so a fold of each
+block runs in memory that does not grow with M, and grows with n only
+by that far field (``_asset_scratch``).  ``Streams`` draws each stream
+of a run once for all of its folds, and ``simulate_variance_paths``
+copies each block into whole (d, ., M) arrays, for the tests and the
+benchmark.  Within a block the assets, which share only the read-only
+model, advance on one thread each, on one pool for the whole stream
+(``_workers``), which each ``PathChunk`` hands its folds as ``run``.
 
 Everything is reproducible: chunk c takes the c-th ``spawn(1 + d)``
 group of SeedSequence(seed), each child through ``_BIT_GENERATOR``.
 Child 0 draws the stationary start V0; child 1 + i draws asset i's
 factor normals, and the first child that it spawns asset i's W-perp
 normals, which only a stream with increments draws.  The draw order is
-fixed regardless of the number of threads and of the block stream's
-consumer.  The first group is the whole stream of an ensemble of at
-most one chunk, and chunk c of paths is the same for every M that gives
-it one size.  The engine keeps no state between calls: every stream
+fixed regardless of the number of threads and of the stream's folds.
+The first group is the whole stream of an ensemble of at most one
+chunk, and chunk c of paths is the same for every M that gives it one
+size.  The engine keeps no state between calls: every stream
 starts at chunk 0 and builds its own factors, scratch and row store.
 """
 
@@ -269,8 +267,8 @@ class PathEnsemble:
     views of time-major (d, n+1, M) and (d, n, M) arrays, so V[:, i, k]
     and dB[:, i, k] are contiguous.  A V-only ensemble
     (``increments=False``) has dB None; its V equals the full ensemble's
-    bit for bit.  It is the ``PathChunk`` of paths 0 .. M-1, with views
-    of V and dB for blocks, that runs its fold's jobs one after the other.
+    bit for bit.  It is the ``PathChunk`` of paths 0 .. M-1, whose
+    ``fold`` runs its folds' jobs one after the other.
     """
 
     model: MarketModel
@@ -281,38 +279,26 @@ class PathEnsemble:
     first = 0
     run = staticmethod(_serial)
 
-    def blocks(self):
-        """The ensemble's blocks, as a ``PathChunk`` yields them: views of V and dB."""
+    def fold(self, folds) -> None:
+        """Hand each block of the ensemble, views of V and dB, to every
+        fold, as ``fold_stream`` hands a chunk's."""
         V, n = self.V.transpose(1, 2, 0), self.grid.n
         dB = None if self.dB is None else self.dB.transpose(1, 2, 0)
         for lo in range(0, n, _BLOCK):
             hi = min(lo + _BLOCK, n)
-            yield lo, V[:, lo : hi + 1], None if dB is None else dB[:, lo:hi]
+            for fold in folds:
+                fold(self, lo, V[:, lo : hi + 1], None if dB is None else dB[:, lo:hi])
 
 
 @dataclass(frozen=True, eq=False)
 class PathChunk:
-    """One chunk of a block stream (``simulate_variance_blocks``): paths
-    first .. first + M - 1 of the stream, on grid.
-
-    ``blocks()`` advances the chunk one block of ``_BLOCK`` cells at a
-    time and yields, in time order, (lo, V, dB) for the block of cells
-    lo+1 .. hi: V holds the variance rows lo .. hi, (d, hi - lo + 1, M),
-    whose row 0 is the last row of the block before (V0 in the first),
-    and dB the increment rows lo .. hi-1, (d, hi - lo, M), or None in a
-    V-only stream.  Both are time-major views of the stream's row store,
-    which the next block overwrites, so a consumer folds each block
-    before it asks for the next.  The stream's engines serve one chunk at
-    a time, so the blocks are taken once, before the stream's next chunk
-    is pulled; RuntimeError otherwise.  ``run(jobs)`` runs a round of a
-    consumer's jobs on the stream's pool (``_workers``) while the chunk
-    is read.
-    """
+    """Paths first .. first + M - 1 of a stream (``fold_stream``), on grid;
+    ``run(jobs)`` runs a round of a fold's jobs on the stream's pool
+    (``_workers``)."""
 
     grid: Grid
     M: int
     first: int
-    blocks: Callable = field(repr=False)
     run: Callable = field(repr=False)
 
 
@@ -337,53 +323,93 @@ def simulate_variance_paths(model: MarketModel, stabs, grid: Grid, M: int, seed:
     The kernel-weighted noise integrals are not kept; ``store_noise``
     only accepts False.  ``increments=False`` keeps V alone: dB is never
     stored and W-perp never drawn (its normals have streams of their own,
-    so V0 and V do not change).  Each block of ``simulate_variance_blocks``
-    is copied into whole time-major arrays.  Raises NonFiniteError when
+    so V0 and V do not change).  A fold of ``fold_stream`` copies each
+    block into whole time-major arrays.  Raises NonFiniteError when
     V0 or a path leaves the finite floats, ParameterError when M < 1
     (before anything is allocated).
     """
     if store_noise:
         raise ParameterError("kernel-weighted noise integrals are not stored")
-    chunks = simulate_variance_blocks(model, stabs, grid, M, seed, initial=initial,
-                                      increments=increments)
-    V = _mapped((model.d, grid.n + 1, M))
-    dB = _mapped((model.d, grid.n, M)) if increments else None
+    V = dB = None
 
     def copy(chunk, lo, rows, inc):
+        nonlocal V, dB
+        if V is None:            # mapped once fold_stream has checked the arguments
+            V = _mapped((model.d, grid.n + 1, M))
+            dB = _mapped((model.d, grid.n, M)) if increments else None
         paths = slice(chunk.first, chunk.first + chunk.M)
         V[:, lo : lo + rows.shape[1], paths] = rows
         if increments:
             dB[:, lo : lo + inc.shape[1], paths] = inc
 
-    fold_chunks(chunks, [copy])
+    copy.increments = increments
+    fold_stream(model, stabs, grid, M, seed, [copy], initial=initial)
     return PathEnsemble(model=model, grid=grid, M=M, V=V.transpose(2, 0, 1),
                         dB=dB.transpose(2, 0, 1) if increments else None)
 
 
-def simulate_variance_blocks(model: MarketModel, stabs, grid: Grid, M: int, seed: int, *,
-                             initial: str = "stationary", increments: bool = True):
-    """The paths of ``simulate_variance_paths`` as a block stream.
+def fold_stream(model: MarketModel, stabs, grid: Grid, M: int, seed: int, folds, *,
+                initial: str = "stationary") -> None:
+    """Draw the paths of ``simulate_variance_paths`` and hand each block to every fold.
 
-    Yields a ``PathChunk`` per chunk of ``_CHUNK_PATHS`` paths (the last
-    one holds the rest), in path order, whose blocks the engine advances
-    as they are asked for; no chunk's V or dB is held whole.  The
-    arguments are checked and the factors built before the first chunk
-    is asked for.
+    A fold is a callable fold(chunk, lo, V, dB) with an ``increments``
+    flag.  Chunk c, a ``PathChunk``, holds paths c C .. min((c+1) C, M) - 1,
+    C = _CHUNK_PATHS, drawn from the c-th spawn group (module docstring).
+    Its blocks are stepped in time order, and the folds called in order
+    on each one as soon as the engines have stepped it: (lo, V, dB) for
+    the cells lo+1 .. hi, V the variance rows lo .. hi, (d, hi - lo + 1,
+    m), whose row 0 is the last row of the block before (V0 in the
+    first), and dB the increment rows lo .. hi-1, (d, hi - lo, m), or
+    None, with W-perp never drawn, unless some fold's ``increments`` is
+    set.  The last block has lo + V.shape[1] - 1 == grid.n.  Both are
+    time-major views of a row store of (d, _BLOCK + 1, C) V rows and
+    (d, _BLOCK, C) dB rows, which the next block overwrites.  The stream
+    maps it and each asset's engine (``_AssetEngine``) once, sized by its
+    first chunk, and a shorter last chunk takes contiguous views of the
+    same maps (``_fit``).  The arguments are checked and the factors
+    built before anything is drawn.
     """
-    factors = _checked_factors(model, grid, M, initial)
-    return _advance_chunks(model, stabs, grid, M, seed, initial, factors, increments)
-
-
-def fold_chunks(chunks, folds) -> None:
-    """Hand each block of each chunk to every fold, in order, before the
-    next block is drawn.  A fold is a callable fold(chunk, lo, V, dB) that
-    reads the block (``PathChunk.blocks``) of chunk, a PathChunk or a
-    PathEnsemble; its last block has lo + V.shape[1] - 1 == chunk.grid.n.
-    """
-    for chunk in chunks:
-        for lo, V, dB in chunk.blocks():
-            for fold in folds:
-                fold(chunk, lo, V, dB)
+    if M < 1:
+        raise ParameterError(f"path count M must be >= 1, got {M}")
+    if grid.T != model.T:
+        raise ParameterError(f"grid horizon {grid.T} != model horizon {model.T}")
+    if initial not in ("stationary", "fixed"):
+        raise ParameterError(f"unknown initial-variance mode {initial!r}")
+    factors = [build_gaussian_factor(fractional_kernel(a), grid) for a in model.alpha]
+    increments = any(fold.increments for fold in folds)
+    d, n = model.d, grid.n
+    sig_grid = np.stack([np.asarray(st.eval(grid.times[:-1])) for st in stabs], axis=0)  # (d, n)
+    seq = np.random.SeedSequence(seed)
+    width = min(_CHUNK_PATHS, M)
+    engines = [_AssetEngine(model, i, factors[i], sig_grid[i], width) for i in range(d)]
+    store = (_mapped((d, _BLOCK + 1, width)), _mapped((d, _BLOCK, width)) if increments else None)
+    with _workers() as run:
+        for c0 in range(0, M, _CHUNK_PATHS):
+            m = min(_CHUNK_PATHS, M - c0)
+            children = seq.spawn(1 + d)
+            if initial == "stationary":
+                rng = np.random.Generator(_BIT_GENERATOR(children[0]))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    V0 = sample_initial_variance(model, m, rng)
+            else:
+                V0 = np.tile(model.x_inf, (m, 1))
+            require_finite("initial variance", V0)
+            V0 = np.ascontiguousarray(V0.T)             # (d, m): each asset's row
+            for i, engine in enumerate(engines):
+                engine.start(m, V0[i], np.random.Generator(_BIT_GENERATOR(children[1 + i])),
+                             np.random.Generator(_BIT_GENERATOR(children[1 + i].spawn(1)[0]))
+                             if increments else None)
+            V, dB = (None if buf is None else _fit(buf, m) for buf in store)
+            chunk = PathChunk(grid, m, c0, run)
+            V[:, 0] = V0
+            for b, lo in enumerate(range(0, n, _BLOCK)):
+                w = min(_BLOCK, n - lo)
+                rows, inc = V[:, : w + 1], None if dB is None else dB[:, :w]
+                run([functools.partial(engine.step, b, rows[i], None if inc is None else inc[i])
+                     for i, engine in enumerate(engines)])
+                for fold in folds:
+                    fold(chunk, lo, rows, inc)
+                V[:, 0] = V[:, w]                       # row 0 of the next block
 
 
 class Streams:
@@ -396,10 +422,9 @@ class Streams:
     made before: the first of its kind with the same args, or with any
     args when none are given.  ``result`` takes the same arguments and
     returns the fold once its stream has run: the stream's waiting folds
-    are drawn together (``fold_chunks``), with the increments only when
-    one of them reads them (its ``increments``), and a fold made after
-    its stream has run gets a fresh draw, whose V is the same bit for
-    bit.  The folds that have run are kept, and hold only their results.
+    are drawn together (``fold_stream``), and a fold made after its
+    stream has run gets a fresh draw, whose V is the same bit for bit.
+    The folds that have run are kept, and hold only their results.
     """
 
     def __init__(self, seed: int):
@@ -418,86 +443,9 @@ class Streams:
     def result(self, model: MarketModel, stabs, grid: Grid, M: int, initial: str, kind, *args):
         fold = self.fold(model, stabs, grid, M, initial, kind, *args)
         if fold in self.waiting.get((grid, M, initial), ()):
-            folds = self.waiting.pop((grid, M, initial))
-            fold_chunks(simulate_variance_blocks(
-                model, stabs, grid, M, self.seed, initial=initial,
-                increments=any(f.increments for f in folds)), folds)
+            fold_stream(model, stabs, grid, M, self.seed, self.waiting.pop((grid, M, initial)),
+                        initial=initial)
         return fold
-
-
-def _checked_factors(model: MarketModel, grid: Grid, M: int, initial: str) -> list:
-    """Validate the engine's arguments, then build each asset's factor."""
-    if M < 1:
-        raise ParameterError(f"path count M must be >= 1, got {M}")
-    if grid.T != model.T:
-        raise ParameterError(f"grid horizon {grid.T} != model horizon {model.T}")
-    if initial not in ("stationary", "fixed"):
-        raise ParameterError(f"unknown initial-variance mode {initial!r}")
-    return [build_gaussian_factor(fractional_kernel(a), grid) for a in model.alpha]
-
-
-def _advance_chunks(model: MarketModel, stabs, grid: Grid, M: int, seed: int, initial: str,
-                    factors: list, increments: bool):
-    """Yield the PathChunks: chunk c holds paths c C .. min((c+1) C, M) - 1,
-    C = _CHUNK_PATHS, drawn from the c-th spawn group (module docstring).
-    The stream maps, once and sized by its first chunk, each asset's
-    engine (``_AssetEngine``) and a row store of (d, _BLOCK + 1, C) V
-    rows and (d, _BLOCK, C) dB rows; a shorter last chunk takes
-    contiguous views of the same maps (``_fit``)."""
-    d, n = model.d, grid.n
-    sig_grid = np.stack([np.asarray(st.eval(grid.times[:-1])) for st in stabs], axis=0)  # (d, n)
-    seq = np.random.SeedSequence(seed)
-    width = min(_CHUNK_PATHS, M)
-    engines = [_AssetEngine(model, i, factors[i], sig_grid[i], width) for i in range(d)]
-    store = (_mapped((d, _BLOCK + 1, width)), _mapped((d, _BLOCK, width)) if increments else None)
-    live = [None]   # the chunk whose engines are started, ~c once its blocks are taken
-    with _workers() as run:
-        for c, c0 in enumerate(range(0, M, _CHUNK_PATHS)):
-            m = min(_CHUNK_PATHS, M - c0)
-            live[0] = c
-            children = seq.spawn(1 + d)
-            if initial == "stationary":
-                rng = np.random.Generator(_BIT_GENERATOR(children[0]))
-                with np.errstate(over="ignore", invalid="ignore"):
-                    V0 = sample_initial_variance(model, m, rng)
-            else:
-                V0 = np.tile(model.x_inf, (m, 1))
-            require_finite("initial variance", V0)
-            V0 = np.ascontiguousarray(V0.T)             # (d, m): each asset's row
-            for i, engine in enumerate(engines):
-                engine.start(m, V0[i], np.random.Generator(_BIT_GENERATOR(children[1 + i])),
-                             np.random.Generator(_BIT_GENERATOR(children[1 + i].spawn(1)[0]))
-                             if increments else None)
-            rows = tuple(None if buf is None else _fit(buf, m) for buf in store)
-            yield PathChunk(grid, m, c0, functools.partial(_chunk_blocks, engines, run, n, V0,
-                                                           rows, live, c), run)
-
-
-_STALE = "a PathChunk's blocks are read once, before the stream's next chunk is pulled"
-
-
-def _chunk_blocks(engines: list, run, n: int, V0: np.ndarray, store: tuple, live: list, c: int):
-    """The blocks of chunk c (``PathChunk.blocks``) from V0 (d, m), advanced
-    one block per round into the row store, whose row 0 takes the last
-    row of the block before.  The engines serve one chunk at a time:
-    RuntimeError if the blocks were taken before, or once a later chunk
-    has started them (live, the stream's)."""
-    if live[0] != c:
-        raise RuntimeError(_STALE)
-    live[0] = ~c
-    V, dB = store
-    V[:, 0] = V0
-    w = 0
-    for b, lo in enumerate(range(0, n, _BLOCK)):
-        if live[0] != ~c:
-            raise RuntimeError(_STALE)
-        if b:
-            V[:, 0] = V[:, w]
-        w = min(_BLOCK, n - lo)
-        rows, inc = V[:, : w + 1], None if dB is None else dB[:, :w]
-        run([functools.partial(engine.step, b, rows[i], None if inc is None else inc[i])
-             for i, engine in enumerate(engines)])
-        yield lo, rows, inc
 
 
 def _cpu_count() -> int:

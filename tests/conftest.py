@@ -4,6 +4,8 @@ Heavy artifacts (stabilizers, Riccati solutions, path ensembles) are
 session-scoped so the acceptance module and the unit tests reuse them.
 """
 
+import dataclasses
+import functools
 import os
 import subprocess
 import sys
@@ -89,11 +91,25 @@ def child_peak_kib(setup: str, code: str, **env) -> tuple[int, int]:
     return before, after
 
 
-def folded_integrals(chunks) -> list:
+def stream(model, stabs, grid, M, seed, **kwargs):
+    """A block stream of ``simulate.fold_stream`` to fold: stream(folds) draws it."""
+    return functools.partial(simulate.fold_stream, model, stabs, grid, M, seed, **kwargs)
+
+
+def fold(source, folds) -> None:
+    """Run the folds over source: a ``stream``, or PathEnsembles, each folded whole."""
+    if callable(source):
+        source(folds)
+    else:
+        for ensemble in source:
+            ensemble.fold(folds)
+
+
+def folded_integrals(source) -> list:
     """The totals of the Laplace fold (``markowitz._TimeIntegrals``) over
-    every block of the chunks: each chunk's (d, chunk) time integrals of V."""
+    every block of source (``fold``): each chunk's (d, chunk) time integrals of V."""
     integrals = markowitz._TimeIntegrals()
-    simulate.fold_chunks(chunks, [integrals])
+    fold(source, [integrals])
     return integrals.totals
 
 
@@ -109,22 +125,22 @@ def spoil_integrals(monkeypatch, value: float) -> None:
     monkeypatch.setattr(markowitz._TimeIntegrals, "__call__", spoiled)
 
 
-def wealth_pairs(model, solution, stabs, chunks, xi_star=None, read=None) -> list:
+def wealth_pairs(model, solution, stabs, source, xi_star=None, read=None) -> list:
     """Each chunk's (A_T, B_T) from the wealth fold (``markowitz._Wealth``) on
-    psi ``solution`` over every block of the chunks; with xi_star,
+    psi ``solution`` over every block of source (``fold``); with xi_star,
     read(lo, X, alpha) takes each block's wealth and strategy."""
     wealth = markowitz._Wealth(model, stabs, solution.grid, xi_star, solution)
     if read is not None:
         wealth.read = read
-    simulate.fold_chunks(chunks, [wealth])
+    fold(source, [wealth])
     return wealth.pairs
 
 
-def stationarity(chunks, model):
+def stationarity(source, model):
     """``montecarlo.stationarity_report`` of the stationarity fold
-    (``montecarlo._VarianceMoments``) over every block of the chunks."""
+    (``montecarlo._VarianceMoments``) over every block of source (``fold``)."""
     moments = montecarlo._VarianceMoments()
-    simulate.fold_chunks(chunks, [moments])
+    fold(source, [moments])
     return montecarlo.stationarity_report(model, moments.stats())
 
 
@@ -142,13 +158,39 @@ def pool_sizes(monkeypatch) -> list:
     return sizes
 
 
+@dataclasses.dataclass
+class Started:
+    """A stream that ``simulate.fold_stream`` draws: its grid, M and
+    initial mode, whether it drew the increments, and its chunks' sizes."""
+
+    grid: Grid
+    M: int
+    initial: str
+    increments: bool | None = None
+    sizes: list = dataclasses.field(default_factory=list)
+
+
 @pytest.fixture
 def started_streams(monkeypatch) -> list:
-    """The arguments of every stream that the engine starts (``simulate._advance_chunks``)."""
+    """A ``Started`` for every stream that the engine starts
+    (``simulate.fold_stream``), which a last fold of its own fills in
+    from the blocks it is handed."""
     streams = []
-    real = simulate._advance_chunks
-    monkeypatch.setattr(simulate, "_advance_chunks",
-                        lambda *args: streams.append(args) or real(*args))
+    real = simulate.fold_stream
+
+    def spy(model, stabs, grid, M, seed, folds, *, initial="stationary"):
+        started = Started(grid, M, initial)
+        streams.append(started)
+
+        def record(chunk, lo, V, dB):
+            if lo == 0:
+                started.increments = dB is not None
+                started.sizes.append(chunk.M)
+
+        record.increments = False
+        real(model, stabs, grid, M, seed, [*folds, record], initial=initial)
+
+    monkeypatch.setattr(simulate, "fold_stream", spy)
     return streams
 
 

@@ -47,9 +47,9 @@ from voltmark.simulate import (
     PathEnsemble,
     _lag_blocks,
     build_gaussian_factor,
+    fold_stream,
     require_finite,
     sample_initial_variance,
-    simulate_variance_blocks,
 )
 from voltmark.stabilizer import StabilizerSeries
 
@@ -432,20 +432,26 @@ def stepwise_wealth(model, ensemble, solution, stabs, xi_star: float) -> tuple:
 
 
 def assembled_chunks(model, stabs, grid: Grid, M: int, seed: int, *,
-                     initial: str = "stationary", increments: bool = True):
-    """Each chunk of ``simulate_variance_blocks`` as a PathEnsemble of its
-    own: every block copied into the chunk's whole (d, n+1, chunk) V and
+                     initial: str = "stationary", increments: bool = True) -> list:
+    """Each chunk of ``fold_stream`` as a PathEnsemble of its own: a copy
+    fold writes every block into the chunk's whole (d, n+1, chunk) V and
     (d, n, chunk) dB, time-major as the engine writes them."""
-    for chunk in simulate_variance_blocks(model, stabs, grid, M, seed, initial=initial,
-                                          increments=increments):
-        V = np.empty((model.d, grid.n + 1, chunk.M))
-        dB = np.empty((model.d, grid.n, chunk.M)) if increments else None
-        for lo, rows, inc in chunk.blocks():
-            V[:, lo : lo + rows.shape[1]] = rows
-            if increments:
-                dB[:, lo : lo + inc.shape[1]] = inc
-        yield PathEnsemble(model=model, grid=grid, M=chunk.M, V=V.transpose(2, 0, 1),
-                           dB=dB.transpose(2, 0, 1) if increments else None)
+    chunks = []
+
+    def copy(chunk, lo, rows, inc):
+        if lo == 0:
+            V = np.empty((model.d, grid.n + 1, chunk.M))
+            dB = np.empty((model.d, grid.n, chunk.M)) if increments else None
+            chunks.append(PathEnsemble(model=model, grid=grid, M=chunk.M, V=V.transpose(2, 0, 1),
+                                       dB=dB.transpose(2, 0, 1) if increments else None))
+        ens = chunks[-1]
+        ens.V.transpose(1, 2, 0)[:, lo : lo + rows.shape[1]] = rows
+        if increments:
+            ens.dB.transpose(1, 2, 0)[:, lo : lo + inc.shape[1]] = inc
+
+    copy.increments = increments
+    fold_stream(model, stabs, grid, M, seed, [copy], initial=initial)
+    return chunks
 
 
 def whole_path_wealth_stats(model, stabs, grid: Grid, M: int, seed: int, m: float) -> tuple:

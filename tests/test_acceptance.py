@@ -12,7 +12,7 @@ on two cores.
 import numpy as np
 import pytest
 
-from conftest import stationarity, wealth_pairs
+from conftest import stationarity, stream, wealth_pairs
 from oracles import resolvent_equation_residual
 from voltmark import markowitz
 from voltmark.kernels import (
@@ -92,15 +92,13 @@ def test_criterion_2_frontier_consistency(stabs_t1, grid_600):
                 worst = max(worst, gap / p.v_theory)
         lines.append(f"T={T:g} worst rel gap {worst:.1%}")
 
-    from voltmark.simulate import simulate_variance_blocks
-
     model5 = bundled_model(T=5.0)
     stabs5 = model5.build_stabilizers()
     grid5 = Grid(5.0, 600)
     sol5 = solve_riccati_adams(model5, stabs5, 600)
     g0_5 = gamma0(model5, sol5, stabs5)
     # X_T = A + xi* B, chunk by chunk of the block stream
-    parts = wealth_pairs(model5, sol5, stabs5, simulate_variance_blocks(
+    parts = wealth_pairs(model5, sol5, stabs5, stream(
         model5, stabs5, grid5, 50000, seed=502, initial="fixed"))
     A5 = np.concatenate([a for a, _ in parts])
     B5 = np.concatenate([b for _, b in parts])

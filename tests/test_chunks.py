@@ -6,7 +6,7 @@ more than one block of cells, so the far field runs in every chunk.
 """
 
 import ast
-import itertools
+import threading
 import weakref
 from pathlib import Path
 
@@ -23,7 +23,8 @@ from voltmark.model import Grid, MarketModel
 from voltmark.riccati import solve_riccati_adams
 from voltmark.simulate import (
     _CHUNK_PATHS as C,
-    simulate_variance_blocks,
+    NonFiniteError,
+    fold_stream,
     simulate_variance_paths,
 )
 
@@ -138,9 +139,8 @@ def test_common_chunks_are_those_of_equal_size(model_t1, stabs_t1, M, other, sha
     # of one size agree bit for bit; the V-only stream (full's Laplace
     # ensemble) against the one with increments (its wealth ensemble)
     def leading(n, increments):
-        return list(itertools.islice(assembled_chunks(
-            model_t1, stabs_t1, GRID, n, SEED, initial="fixed", increments=increments),
-            shared + 1))
+        return assembled_chunks(model_t1, stabs_t1, GRID, n, SEED, initial="fixed",
+                                increments=increments)[: shared + 1]
 
     mine, theirs = leading(M, False), leading(other, True)
     for a, b in zip(mine[:shared], theirs[:shared]):
@@ -209,7 +209,7 @@ def test_engine_rejects_empty_path_count(model_t1, stabs_t1, M):
     with pytest.raises(ParameterError, match="M must be >= 1"):
         simulate_variance_paths(model_t1, stabs_t1, GRID, M, SEED)
     with pytest.raises(ParameterError, match="M must be >= 1"):
-        simulate_variance_blocks(model_t1, stabs_t1, GRID, M, SEED)   # before the first chunk
+        fold_stream(model_t1, stabs_t1, GRID, M, SEED, [])   # before the first chunk
 
 
 def test_short_last_chunk_fits_the_scratch(model_t1, stabs_t1):
@@ -243,41 +243,24 @@ def test_scratch_leaves_before_a_consumer(model_t1, stabs_t1, monkeypatch):
     monkeypatch.setattr(simulate, "_asset_scratch", scratch_spy)
     monkeypatch.setattr(simulate, "_fit", fit_spy)
     sizes = []
-    for chunk in simulate_variance_blocks(model_t1, stabs_t1, GRID, 2 * C + 3, SEED):
-        sizes.append(chunk.M)
-        assert len(made) == model_t1.d
-        assert all(buf.shape[-1] == C for buffers in made for buf in buffers)
-        for _ in chunk.blocks():
-            pass
+
+    def check(chunk, lo, V, dB):
+        if lo == 0:
+            sizes.append(chunk.M)
+            assert len(made) == model_t1.d
+            assert all(buf.shape[-1] == C for buffers in made for buf in buffers)
+
+    check.increments = True
+    fold_stream(model_t1, stabs_t1, GRID, 2 * C + 3, SEED, [check])
     assert sizes == [C, C, 3]
     # 6 scratch views per asset and 2 row stores per chunk, each a view of its map
     assert len(stores) == 3 * (6 * model_t1.d + 2)
     assert all(np.shares_memory(buf, view) and view.flags.c_contiguous and view.shape[-1] == m
                for (buf, view), m in zip(stores, np.repeat(sizes, 6 * model_t1.d + 2)))
     refs = [weakref.ref(buf) for buffers in made for buf in buffers]
-    del chunk
     made.clear()
     stores.clear()
     assert all(ref() is None for ref in refs)
-
-
-def test_a_chunk_reads_its_blocks_once_before_the_next(model_t1, stabs_t1):
-    # the engines of a stream serve one chunk at a time: blocks taken a
-    # second time, or after a later chunk has started the engines, raise
-    # rather than step that chunk's generators from another chunk's V0
-    chunks = list(simulate_variance_blocks(model_t1, stabs_t1, GRID, C + 5, SEED))
-    with pytest.raises(RuntimeError, match="read once"):
-        next(chunks[0].blocks())
-    stream = simulate_variance_blocks(model_t1, stabs_t1, GRID, C + 5, SEED)
-    chunk = next(stream)
-    blocks = chunk.blocks()
-    next(blocks)
-    with pytest.raises(RuntimeError, match="read once"):
-        next(chunk.blocks())
-    next(stream)
-    with pytest.raises(RuntimeError, match="read once"):
-        next(blocks)                  # GRID's second block, after the next chunk
-    stream.close()
 
 
 class _Rows:
@@ -296,7 +279,7 @@ def test_streams_draw_each_stream_once_for_its_folds(model_t1, stabs_t1, started
     # first and draws nothing, and a fold made on a stream that has run
     # gets a fresh draw, whose V is the same bit for bit
     def increments():
-        return [args[-1] for args in started_streams]
+        return [started.increments for started in started_streams]
 
     streams = simulate.Streams(SEED)
     stream = (model_t1, stabs_t1, GRID, C + 5, "fixed")
@@ -313,6 +296,30 @@ def test_streams_draw_each_stream_once_for_its_folds(model_t1, stabs_t1, started
     assert increments() == [False, True] and len(first.V) == len(again.V) == 4
     for a, b in zip(first.V, again.V, strict=True):
         assert np.array_equal(a, b)
+
+
+class _Failing:
+    """A fold that raises in the second block of cells."""
+
+    increments = False
+
+    def __init__(self, *stream):
+        pass
+
+    def __call__(self, chunk, lo, V, dB):
+        if lo >= 64:
+            raise NonFiniteError("spoiled block")
+
+
+def test_a_failing_fold_leaves_no_pool_threads(model_t1, stabs_t1, monkeypatch):
+    # an error raised in a fold closes the stream's pool as it propagates:
+    # no worker outlives the call while the caller still holds the error
+    monkeypatch.setattr(simulate, "_pool_size", lambda: 2)
+    before = threading.active_count()
+    with pytest.raises(NonFiniteError, match="spoiled block") as caught:
+        simulate.Streams(SEED).result(model_t1, stabs_t1, GRID, C + 5, "fixed", _Failing)
+    assert caught.value.__traceback__ is not None
+    assert threading.active_count() == before
 
 
 def test_a_finished_stream_keeps_only_the_results_of_its_folds(model_t1, stabs_t1, monkeypatch):
@@ -351,19 +358,25 @@ def test_a_finished_stream_keeps_only_the_results_of_its_folds(model_t1, stabs_t
 
 
 def test_one_driver_draws_and_folds_the_streams():
-    # src/ starts a block stream only in Streams and in
-    # simulate_variance_paths (which the benchmark reads), and only
-    # simulate.py loops over a chunk's blocks (fold_chunks): every stage
-    # is a fold
-    callers, readers = set(), set()
+    # src/ draws a block stream only in Streams and in
+    # simulate_variance_paths (which the benchmark reads), and folds a
+    # whole ensemble (its one-argument fold) only in simulate_wealth and
+    # laplace_affine_check; simulate.py has no generator but its pool's
+    # context manager, since the engine calls every fold on each block
+    streams, ensembles, generators = set(), set(), set()
     for path in Path(voltmark.__file__).parent.glob("*.py"):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = f"{path.stem}.{getattr(top, 'name', '')}"
             for node in ast.walk(top):
                 if isinstance(node, ast.Call):
                     name = getattr(node.func, "id", getattr(node.func, "attr", None))
-                    if name == "simulate_variance_blocks":
-                        callers.add(f"{path.stem}.{getattr(top, 'name', '')}")
-                    if name == "blocks" and isinstance(node.func, ast.Attribute):
-                        readers.add(path.stem)
-    assert callers == {"simulate.Streams", "simulate.simulate_variance_paths"}
-    assert readers == {"simulate"}
+                    if name == "fold_stream":
+                        streams.add(where)
+                    if name == "fold" and isinstance(node.func, ast.Attribute) \
+                            and len(node.args) == 1:
+                        ensembles.add(where)
+                if isinstance(node, (ast.Yield, ast.YieldFrom)) and path.stem == "simulate":
+                    generators.add(where)
+    assert streams == {"simulate.Streams", "simulate.simulate_variance_paths"}
+    assert ensembles == {"markowitz.simulate_wealth", "markowitz.laplace_affine_check"}
+    assert generators == {"simulate._workers"}

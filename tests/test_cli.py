@@ -19,6 +19,7 @@ from conftest import (
     folded_integrals,
     spoil_integrals,
     stationarity,
+    stream,
     wealth_pairs,
 )
 from voltmark.cli import ConfigError, RunContext, _DEFAULT_CONFIG, load_config, main
@@ -263,22 +264,18 @@ def test_simulate_reproducible_and_dump(tmp_path):
     assert V.shape == (120 * 1 * 41,)
 
 
-def test_dump_paths_is_path_asset_time_row_major(tmp_path, monkeypatch):
+def test_dump_paths_is_path_asset_time_row_major(tmp_path, started_streams):
     # V is stored time-major; the dump, written block by block from the one
     # stream that the statistics fold, still holds the whole ensemble's
     # (path, asset, time)
-    from voltmark import simulate
     from voltmark.simulate import _CHUNK_PATHS, simulate_variance_paths
 
-    streams, real = [], simulate.simulate_variance_blocks
-    monkeypatch.setattr(simulate, "simulate_variance_blocks",
-                        lambda *args, **kwargs: streams.append(args) or real(*args, **kwargs))
     M = _CHUNK_PATHS + 5
     cfg_text = _DEFAULT_CONFIG.replace("M = 5000", f"M = {M}").replace("n = 600", "n = 30")
     path = _write(tmp_path, cfg_text)
     out = tmp_path / "o"
     assert main(["simulate", "--config", path, "--out", str(out), "--dump-paths"]) == 0
-    assert len(streams) == 1
+    assert len(started_streams) == 1
     run = RunContext.build(load_config(cfg_text))
     ens = simulate_variance_paths(run.model, run.stabs, run.grid, M, run.cfg["seed"],
                                   initial="stationary", increments=False)
@@ -334,16 +331,17 @@ def test_wealth_drops_its_paths_before_the_statistics(tmp_path, monkeypatch):
     from voltmark import markowitz, montecarlo, simulate
 
     chunks, refs, alive, whole = [], [], [], []
-    real_blocks = simulate.simulate_variance_blocks
+    real_stream = simulate.fold_stream
     real_add, real_stats = montecarlo.ColumnMoments.add, montecarlo.ColumnMoments.stats
 
-    def record(chunk):
-        chunks.append(weakref.ref(chunk))
-        return chunk
+    def stream_spy(model, stabs, grid, M, seed, folds, **kwargs):
+        # a first fold of the stream's own sees each chunk and keeps no reference to it
+        def record(chunk, lo, V, dB):
+            if lo == 0:
+                chunks.append(weakref.ref(chunk))
 
-    def blocks_spy(*args, **kwargs):
-        # map, unlike a generator suspended at its yield, keeps no chunk
-        return map(record, real_blocks(*args, **kwargs))
+        record.increments = False
+        return real_stream(model, stabs, grid, M, seed, [record, *folds], **kwargs)
 
     def mapped_spy(real):
         def wrapped(shape):
@@ -360,7 +358,7 @@ def test_wealth_drops_its_paths_before_the_statistics(tmp_path, monkeypatch):
         alive.append(("stats", [ref() is not None for ref in chunks + refs]))
         return real_stats(self)
 
-    monkeypatch.setattr(simulate, "simulate_variance_blocks", blocks_spy)
+    monkeypatch.setattr(simulate, "fold_stream", stream_spy)
     monkeypatch.setattr(simulate, "simulate_variance_paths", lambda *a, **k: whole.append(a))
     for module in (simulate, markowitz):
         monkeypatch.setattr(module, "_mapped", mapped_spy(module._mapped))
@@ -378,30 +376,23 @@ def test_wealth_drops_its_paths_before_the_statistics(tmp_path, monkeypatch):
                                      + [("stats", [False] * (2 + len(refs)))] * 3)
 
 
-def test_v_only_stages_skip_the_increments(tmp_path, monkeypatch):
-    # the stationarity and Laplace stages read V alone, so they ask the
-    # engine for no Brownian increments; the wealth stage keeps them.  The
+def test_v_only_stages_skip_the_increments(tmp_path, monkeypatch, started_streams):
+    # the stationarity and Laplace stages read V alone, so the engine draws
+    # them no Brownian increments; the wealth stage keeps them.  The
     # runners share the context's streams: the wealth stage's fold is new
     # on the Laplace stream, which has run, so it draws it again, and the
     # frontier reads the wealth stage's (A_T, B_T)
     from voltmark import cli, simulate
 
-    requested = []
-
-    def spy(real):
-        def wrapped(*args, **kwargs):
-            requested.append((real.__name__, kwargs.get("increments", True)))
-            return real(*args, **kwargs)
-        return wrapped
-
-    for name in ("simulate_variance_paths", "simulate_variance_blocks"):
-        monkeypatch.setattr(simulate, name, spy(getattr(simulate, name)))
+    whole, real = [], simulate.simulate_variance_paths
+    monkeypatch.setattr(simulate, "simulate_variance_paths",
+                        lambda *args, **kwargs: whole.append(args) or real(*args, **kwargs))
     run = RunContext.build(load_config(TINY))
     for runner in (cli.run_simulate, cli.run_laplace, cli.run_wealth, cli.run_frontier):
         runner(run, str(tmp_path))
     # every stage takes the paths block by block
-    assert requested == [("simulate_variance_blocks", False)] * 2 + [
-        ("simulate_variance_blocks", True)]
+    assert whole == []
+    assert [started.increments for started in started_streams] == [False, False, True]
 
 
 def test_manifest_records_thread_cap_and_chunk_size(tmp_path, monkeypatch):
@@ -630,18 +621,15 @@ def test_block_folds_keep_the_bits_of_whole_chunks(tmp_path, monkeypatch, n, cpu
     # and below the CSVs' 12 digits, bit for bit: the statistics, each
     # chunk's (A_T, B_T) and its Laplace time integrals
     fixed = dict(initial="fixed")
-    folded = stationarity(
-        simulate.simulate_variance_blocks(model, stabs, grid, M, seed, increments=False), model)
+    folded = stationarity(stream(model, stabs, grid, M, seed), model)
     for got, want in zip(folded.stats, whole_chunk_variance_stats(model, stabs, grid, M, seed)):
         for name in ("mean", "variance", "mean_se", "var_se"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
     sol = riccati.solve_riccati_adams(model, stabs, grid.n)
-    pairs = wealth_pairs(model, sol, stabs, simulate.simulate_variance_blocks(
-        model, stabs, grid, M, seed, **fixed))
+    pairs = wealth_pairs(model, sol, stabs, stream(model, stabs, grid, M, seed, **fixed))
     for got, want in zip(pairs, whole_chunk_terminal(model, stabs, grid, M, seed), strict=True):
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
-    totals = folded_integrals(simulate.simulate_variance_blocks(
-        model, stabs, grid, M, seed, increments=False, **fixed))
+    totals = folded_integrals(stream(model, stabs, grid, M, seed, **fixed))
     for got, want in zip(totals, whole_chunk_integrals(model, stabs, grid, M, seed), strict=True):
         assert np.array_equal(got, want)
 
@@ -863,22 +851,13 @@ _C = 4096  # simulate._CHUNK_PATHS, asserted in the test
     # no frontier at the config horizon
     ((_C + 5, 130), "0.5", [(True, 0, _C), (True, 1, 5), (False, 0, 130)]),
 ], ids=["shared", "laplace-apart", "no-config-horizon"])
-def test_full_simulates_no_chunk_twice(tmp_path, monkeypatch, sizes, horizons, fixed_chunks):
+def test_full_simulates_no_chunk_twice(tmp_path, sizes, horizons, fixed_chunks,
+                                      started_streams):
     # full's wealth chunks feed the T = 1 frontier, and no stream simulates
     # a chunk twice; every stage still writes the standalone command's bytes
     from voltmark import simulate
 
     assert simulate._CHUNK_PATHS == _C
-    simulated = []
-    real = simulate._advance_chunks
-
-    def spy(model, stabs, grid, M, seed, initial, factors, increments):
-        for c, chunk in enumerate(real(model, stabs, grid, M, seed, initial, factors,
-                                       increments)):
-            simulated.append((grid, initial, increments, c, chunk.M))
-            yield chunk
-            del chunk
-
     M, laplace_M = sizes
     cfg_text = _two_assets(re.sub(r"^M = 120$", f"M = {M}", TINY, flags=re.M)
                            .replace("n = 40", "n = 20")
@@ -886,8 +865,9 @@ def test_full_simulates_no_chunk_twice(tmp_path, monkeypatch, sizes, horizons, f
                            .replace("frontier_horizons = 1.0", f"frontier_horizons = {horizons}"))
     path = _write(tmp_path, cfg_text)
     full, alone = tmp_path / "full", tmp_path / "alone"
-    monkeypatch.setattr(simulate, "_advance_chunks", spy)
     assert main(["full", "--config", path, "--out", str(full)]) in (0, 4)
+    simulated = [(s.grid, s.initial, s.increments, c, m)
+                 for s in started_streams for c, m in enumerate(s.sizes)]
     assert len(simulated) == len(set(simulated)), simulated
     grid = RunContext.build(load_config(cfg_text)).grid
     assert [(inc, c, m) for g, initial, inc, c, m in simulated
@@ -901,28 +881,15 @@ def test_full_simulates_no_chunk_twice(tmp_path, monkeypatch, sizes, horizons, f
         assert (alone / name).read_bytes() == (full / ref).read_bytes(), name
 
 
-def test_bundled_full_simulates_no_laplace_chunk(tmp_path, monkeypatch):
+def test_bundled_full_simulates_no_laplace_chunk(tmp_path, started_streams):
     # the bundled laplace_M equals mc.M, so the Laplace stage takes the
     # time integrals of every chunk from the wealth stage and starts no stream:
     # 3 stationarity chunks, 2 wealth chunks and 2 for each of the
     # frontiers at T = 0.5 and 5.  The path counts alone decide the
     # chunks, so the bundled config runs on a coarse grid here
-    from voltmark import simulate
-
-    calls = []
-    real = simulate._advance_chunks
-
-    def spy(model, stabs, grid, M, seed, initial, factors, increments):
-        sizes = []
-        calls.append((model.T, initial, increments, sizes))
-        for chunk in real(model, stabs, grid, M, seed, initial, factors, increments):
-            sizes.append(chunk.M)
-            yield chunk
-            del chunk
-
-    monkeypatch.setattr(simulate, "_advance_chunks", spy)
     path = _write(tmp_path, _DEFAULT_CONFIG.replace("n = 600", "n = 20"))
     assert main(["full", "--config", path, "--out", str(tmp_path / "o")]) in (0, 4)
+    calls = [(s.grid.T, s.initial, s.increments, s.sizes) for s in started_streams]
     assert calls == [(1.0, "stationary", False, [4096, 4096, 1808]),
                      (1.0, "fixed", True, [4096, 904]),
                      (0.5, "fixed", True, [4096, 904]),
@@ -951,7 +918,7 @@ def test_bundled_full_laplace_stage_asks_the_engine_nothing(tmp_path, monkeypatc
         stages.append("laplace")
         return real_laplace(*args, **kwargs)
 
-    spy(simulate, "simulate_variance_blocks")
+    spy(simulate, "fold_stream")
     spy(simulate, "simulate_variance_paths")
     spy(simulate, "build_gaussian_factor")
     monkeypatch.setattr(cli, "run_laplace", laplace_stage)
@@ -961,7 +928,7 @@ def test_bundled_full_laplace_stage_asks_the_engine_nothing(tmp_path, monkeypatc
     assert [name for name, stage in calls if stage == "laplace"] == []
     # the earlier stages' 4 streams, each with a factor per asset
     assert sorted(calls) == [("build_gaussian_factor", None)] * 8 + \
-        [("simulate_variance_blocks", None)] * 4, calls
+        [("fold_stream", None)] * 4, calls
 
 
 def test_full_steps_each_wealth_chunk_once(tmp_path, monkeypatch):

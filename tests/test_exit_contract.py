@@ -5,7 +5,9 @@ exit 2 or 3 with a one-line message on stderr and no traceback.  The
 property draws toy configs of d = 1, 2 or 3 assets, each on an explicit
 grid of kernel orders (roughness, with the Markovian edge alpha = 1) and
 correlations (with the edges rho = -1, 0, 1), and the other per-asset
-parameters from stated ranges.  Every run is in-process and at toy sizes.
+parameters from stated ranges.  The grid has 20 or 70 cells; 70 crosses
+a block boundary of the path engine and has a far field.  Every run is
+in-process and at toy sizes.
 """
 
 import contextlib
@@ -31,6 +33,7 @@ def _ranged(lo, hi):
 @st.composite
 def _configs(draw) -> str:
     d = draw(st.sampled_from((1, 2, 3)))
+    n = draw(st.sampled_from((20, 70)))   # 70 crosses a 64-cell block boundary
 
     def row(strategy):
         return ", ".join(repr(float(v)) for v in draw(st.lists(strategy, min_size=d, max_size=d)))
@@ -50,7 +53,7 @@ x0 = 2.0
 
 [grid]
 T = 1.0
-n = 20
+n = {n}
 
 [mc]
 M = 20

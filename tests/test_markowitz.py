@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import folded_integrals, small_model, spoil_integrals, wealth_pairs
+from conftest import folded_integrals, small_model, spoil_integrals, stream, wealth_pairs
 from oracles import einsum_step_factors, stepwise_wealth
 from voltmark import markowitz, simulate
 from voltmark.kernels import ParameterError
@@ -27,12 +27,7 @@ from voltmark.markowitz import (
 from voltmark.model import Grid, MarketModel, bundled_model
 from voltmark.montecarlo import frontier_m_grid
 from voltmark.riccati import solve_riccati_adams
-from voltmark.simulate import (
-    NonFiniteError,
-    correlate_asset_brownian,
-    simulate_variance_blocks,
-    simulate_variance_paths,
-)
+from voltmark.simulate import NonFiniteError, correlate_asset_brownian, simulate_variance_paths
 
 
 @pytest.fixture(scope="module")
@@ -257,7 +252,7 @@ def test_wealth_path_ranges_do_not_change_the_bits(model_t1, stabs_t1, monkeypat
     try:
         for cpus in (1, 8):
             monkeypatch.setattr(simulate, "_cpu_count", lambda cpus=cpus: cpus)
-            [(A, B)] = wealth_pairs(model_t1, sol, stabs_t1, simulate_variance_blocks(
+            [(A, B)] = wealth_pairs(model_t1, sol, stabs_t1, stream(
                 model_t1, stabs_t1, grid, M, 17, initial="fixed"), 3.0, store)
             runs.append((A, B, X.copy(), alpha_paths.copy()))
     finally:
@@ -277,12 +272,12 @@ def test_wealth_stream_runs_on_its_engine_pool(model_t1, stabs_t1, monkeypatch, 
     monkeypatch.setattr(simulate, "_BLAS_THREADS", 1)
     monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
     M = simulate._CHUNK_PATHS + 5
-    pairs = wealth_pairs(model_t1, sol, stabs_t1, simulate_variance_blocks(
+    pairs = wealth_pairs(model_t1, sol, stabs_t1, stream(
         model_t1, stabs_t1, grid, M, 9, initial="fixed"))
     assert pool_sizes == [2]
     assert [len(A) for A, _ in pairs] == [simulate._CHUNK_PATHS, 5]
     monkeypatch.setattr(simulate, "_cpu_count", lambda: 1)
-    serial = wealth_pairs(model_t1, sol, stabs_t1, simulate_variance_blocks(
+    serial = wealth_pairs(model_t1, sol, stabs_t1, stream(
         model_t1, stabs_t1, grid, M, 9, initial="fixed"))
     for got, want in zip(pairs, serial, strict=True):
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
@@ -357,9 +352,9 @@ def test_affine_terminal_grid_mismatch_rejected(model_t1, stabs_t1, riccati_600)
     with pytest.raises(ParameterError, match="psi grid"):
         simulate_wealth(model_t1, ens, riccati_600, stabs_t1, 3.0)
     # the recursion checks each chunk of a block stream itself
-    stream = simulate.simulate_variance_blocks(model_t1, stabs_t1, Grid(1.0, 30), 5, seed=1)
+    paths = stream(model_t1, stabs_t1, Grid(1.0, 30), 5, seed=1)
     with pytest.raises(ParameterError, match="psi grid"):
-        wealth_pairs(model_t1, riccati_600, stabs_t1, stream)
+        wealth_pairs(model_t1, riccati_600, stabs_t1, paths)
 
 
 def test_laplace_ensemble_grid_mismatch_rejected(model_t1, stabs_t1):
@@ -510,8 +505,9 @@ def test_step_factors_equal_the_einsum_sums(d):
     ens = simulate.PathEnsemble(model=model, grid=grid, M=M, V=V, dB=dB)
     coef = rng.standard_normal((d, grid.n))
     gain_ref, s_ref = einsum_step_factors(model, ens, coef)
-    cells, flat = 0, markowitz._tile_buffer(d)
-    for lo, V_rows, dB_rows in ens.blocks():
+    cells, flat = [], markowitz._tile_buffer(d)
+
+    def check(chunk, lo, V_rows, dB_rows):
         w = dB_rows.shape[1]
         for tile, gain, s, _ in markowitz._step_factors(model, V_rows, dB_rows,
                                                          coef[:, lo:lo + w], grid.dt,
@@ -519,8 +515,10 @@ def test_step_factors_equal_the_einsum_sums(d):
             assert np.array_equal(gain.view(np.int64),
                                   gain_ref[tile, :, lo:lo + w].transpose(1, 2, 0).view(np.int64))
             assert np.array_equal(s.view(np.int64), s_ref[lo:lo + w, tile].view(np.int64))
-            cells += s.size
-    assert cells == grid.n * M
+            cells.append(s.size)
+
+    ens.fold([check])
+    assert sum(cells) == grid.n * M
 
 
 def test_wealth_rejects_a_model_of_another_rho(model_t1, stabs_t1):
