@@ -35,7 +35,9 @@ the wealth stage's (A_T, B_T), and the Laplace check, whose fold
 laplace_M equals mc.M (the same paths).
 The manifest's ``stages`` holds one record per stage in run order (the
 command itself, or each stage of ``full``): its name, ``wall_s`` and the
-process's peak resident set at its end, ``vmhwm_mb``.
+process's peak resident set at its end, ``vmhwm_mb``; ``status`` holds
+the exit code of a run that ends 0 or 4 (a run that fails writes no
+manifest).
 """
 
 import argparse
@@ -494,7 +496,7 @@ def main(argv=None) -> int:
                     status = run_simulate(run, out_dir, dump_paths=args.dump_paths)
                 else:
                     status = _RUNNERS[args.command](run, out_dir)
-        write_manifest(out_dir, cfg, text, extra={"command": args.command,
+        write_manifest(out_dir, cfg, text, extra={"command": args.command, "status": status,
                                                   "stages": stage.records})
     except ParameterError as exc:
         print(f"config error: {exc}", file=sys.stderr)

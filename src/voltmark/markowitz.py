@@ -17,15 +17,14 @@ With psi solved, everything the Markowitz problem needs is explicit:
   and the optimal terminal variance V(m).
 * a wealth Euler scheme driven by the same increments as the variance
   paths, run as one block fold of its affine form X = A + xi* B
-  (``_Wealth``), which gives the wealth and strategy of one target block
-  by block of steps, or the X_T of every frontier target, and the
-  exponential-affine Laplace-transform check that pits
-  a Monte Carlo functional of the paths, controlled by the exact mean of
-  its exponent, against the closed form, by the 3-SE gate that every
-  Monte Carlo check reads (``z_score``).
+  (``_Wealth``), which gives the wealth and strategy of one target tile
+  of paths by tile, block by block of steps, or the X_T of every
+  frontier target, and the exponential-affine Laplace-transform check
+  that pits a Monte Carlo functional of the paths, controlled by the
+  exact mean of its exponent, against the closed form, by the 3-SE gate
+  that every Monte Carlo check reads (``z_score``).
 """
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +42,6 @@ from .simulate import (
     PathEnsemble,
     Streams,
     _mapped,
-    _pool_size,
     correlate_asset_brownian,
     require_finite,
 )
@@ -286,12 +284,14 @@ _WEALTH_TILE = 512
 
 
 def _tile_buffer(d: int) -> np.ndarray:
-    """The memory map that ``_step_factors`` overwrites tile by tile."""
+    """The memory map that ``_step_factors`` overwrites tile by tile: 2d + 5
+    slots of a block's (w, t) rows, the last three of which also hold the
+    (t, 64) pair of a moments fold's scratch (``ColumnMoments.add``)."""
     return _mapped(((2 * d + 5) * _WEALTH_BLOCK * _WEALTH_TILE,))
 
 
 def _step_factors(model: MarketModel, V: np.ndarray, dB: np.ndarray, coef: np.ndarray,
-                  dt: float, paths: slice, flat: np.ndarray):
+                  dt: float, flat: np.ndarray):
     """Gains and per-step wealth factors of the optimal feedback over one block of steps.
 
     With g = -coef sqrt(V^+) at the left node and s_k = (g sqrt(V^+)) . theta dt
@@ -299,23 +299,26 @@ def _step_factors(model: MarketModel, V: np.ndarray, dB: np.ndarray, coef: np.nd
     X_{k+1} = X_k (1 + r dt) + (X_k - xi* e^(-r(T-t_k))) s_k.  V and dB
     are a block's time-major rows (``simulate.fold_stream``), (d, w+1, M)
     and (d, w, M), and coef the (d, w) ``control_coefficient`` at its
-    left nodes.  For each tile of ``_WEALTH_TILE`` paths of ``paths``
-    (clipped to the chunk) yields (tile, g (d, w, t), s (w, t), spare
-    (3, w, t)).  All of it lives in flat (``_tile_buffer``), a memory map
-    of the caller's that each tile overwrites (``_mapped``, so that a
-    worker thread leaves nothing in its malloc arena); the d-sums
-    (np.einsum) run in one (w, t) slot of it, and spare is the caller's.
+    left nodes.  For each tile of ``_WEALTH_TILE`` paths, in path order,
+    yields (tile, g (d, w, t), s (w, t), spare (3, w, t), free), with
+    free = (X (w+1, t), alpha (d, w, t), scratch) the slots that the
+    caller's results may take once it has read s and spare: X those of s
+    and of the d-sums, alpha that of sqrt(V^+), and scratch the rest of
+    flat, from spare on.  All of it lives in flat (``_tile_buffer``), a
+    memory map of the caller's that each tile overwrites.
     """
     d, w, M = dB.shape
-    for t0 in range(paths.start, min(paths.stop, M), _WEALTH_TILE):
-        tile = slice(t0, min(t0 + _WEALTH_TILE, paths.stop, M))
+    for t0 in range(0, M, _WEALTH_TILE):
+        tile = slice(t0, min(t0 + _WEALTH_TILE, M))
         size = w * (tile.stop - t0)
         gain, root = flat[: 2 * d * size].reshape(2, d, w, -1)
-        s, acc, *spare = flat[2 * d * size : (2 * d + 5) * size].reshape(5, w, -1)
+        pair, scratch = flat[2 * d * size : (2 * d + 2) * size], flat[(2 * d + 2) * size :]
+        s, acc = pair.reshape(2, w, -1)
         _gain(coef[:, :, None], V[:, :w, tile], out=(gain, root))
         np.multiply(np.einsum("dwt,dwt,d->wt", gain, root, model.theta, out=acc), dt, out=s)
         s += np.einsum("dwt,dwt->wt", gain, dB[:, :, tile], out=acc)
-        yield tile, gain, s, spare
+        X = pair[: size + tile.stop - t0].reshape(w + 1, -1)
+        yield tile, gain, s, scratch[: 3 * size].reshape(3, w, -1), (X, root, scratch)
 
 
 class _Wealth:
@@ -335,22 +338,19 @@ class _Wealth:
     on psi's grid (``solution``, or solved on grid through the memo;
     ParameterError for a chunk on another grid).  Once a chunk's last
     block is stepped, its (A_T, B_T) goes to ``pairs``, after
-    NonFiniteError unless both are finite.  1 + r dt + s and
-    e^(-r(T-t)) s are formed once per block and tile of paths, and each
-    step writes the block's rows of A and B, all in the spare slots of
-    ``_step_factors``.  A block's paths run on the
-    stream's pool (``chunk.run``) in ranges of whole 64-path blocks, one
-    per worker but at most M // 512 (numpy's loops keep the GIL up to 500
-    elements); each path's arithmetic is elementwise, so the split keeps
-    the bits.
+    NonFiniteError unless both are finite.  A block's tiles of paths are
+    stepped in path order on the calling thread: 1 + r dt + s and
+    e^(-r(T-t)) s are formed once per block and tile, and each step
+    writes the tile's rows of A and B, all in the spare slots of
+    ``_step_factors``.  Each chunk maps one ``_tile_buffer`` and frees
+    it after its last block.
 
-    With xi*, each block [lo, hi) also forms X_{k+1} = A_{k+1} + xi* B_{k+1}
-    and alpha_k into path-major buffers of one block, and read(lo, X,
-    alpha) takes X_lo .. X_hi (M, hi - lo + 1) and alpha_lo ..
-    alpha_{hi-1} (M, d, hi - lo), views that the next block overwrites,
-    after NonFiniteError unless both are finite.  Each chunk maps those
-    buffers and one ``_tile_buffer`` per range, and frees them after its
-    last block.
+    With xi*, each tile of a block [lo, hi) also forms, in its free
+    slots, X_lo .. X_hi (hi - lo + 1, t), X = A + xi* B, and alpha_lo ..
+    alpha_{hi-1} (d, hi - lo, t), both time-major, and hands them to
+    read(lo, tile, X, alpha, scratch) after NonFiniteError unless both
+    are finite; they and scratch, the rest of the map, are views that
+    the next tile overwrites.
     """
 
     increments = True
@@ -362,62 +362,48 @@ class _Wealth:
         self.model, self.grid, self.xi_star, self.pairs = model, solution.grid, xi_star, []
         self.coef = control_coefficient(model, solution, stabs, times)  # (d, n)
         self.disc = np.exp(-model.r * (model.T - times))[:, None]      # (n, 1)
-        self.chunk = None    # the chunk's ranges, tile buffers, A, B and block buffers
+        self.chunk = None    # the chunk's tile buffer, A and B
 
-    def read(self, lo: int, X: np.ndarray, alpha: np.ndarray) -> None:
-        """Take a block's wealth and strategy (with xi*); no reader here."""
+    def read(self, lo: int, tile: slice, X: np.ndarray, alpha: np.ndarray,
+             scratch: np.ndarray) -> None:
+        """Take a tile's wealth and strategy over a block (with xi*); no reader here."""
 
     def __call__(self, chunk, lo, V, dB):
-        model, w = self.model, dB.shape[1]
+        model, xi_star, w = self.model, self.xi_star, dB.shape[1]
         if lo == 0:
             if chunk.grid != self.grid:
                 raise ParameterError("wealth scheme requires the psi grid to match the path grid")
-            M = chunk.M
-            parts = max(1, min(_pool_size(), M // 512))
-            width = -(-M // (64 * parts)) * 64
-            ranges = [slice(c0, c0 + width) for c0 in range(0, M, width)]
-            paths = None
-            if self.xi_star is not None:   # X_lo .. X_hi and alpha_lo .. alpha_{hi-1}
-                paths = _mapped((M, _WEALTH_BLOCK + 1)), _mapped((M, model.d, _WEALTH_BLOCK))
-                paths[0][:, 0] = model.x0
-            self.chunk = (ranges, [_tile_buffer(model.d) for _ in ranges],
-                          np.full(M, float(model.x0)), np.zeros(M), paths)
-        ranges, flats, A, B, paths = self.chunk
-        X, alpha = (None, None) if paths is None else (paths[0][:, : w + 1], paths[1][:, :, :w])
-        chunk.run([functools.partial(self._advance, lo, V, dB, part, flat, A, B, X, alpha)
-                   for part, flat in zip(ranges, flats)])
-        if X is not None:
-            require_finite("wealth paths", X)
-            require_finite("optimal strategy", alpha)
-            self.read(lo, X, alpha)
-            X[:, 0] = X[:, w]
-        if lo + w == chunk.grid.n:
-            require_finite("terminal wealth A_T", A)
-            require_finite("terminal wealth B_T", B)
-            self.pairs.append((A, B))
-            self.chunk = None
-
-    def _advance(self, lo, V, dB, part, flat, A, B, X, alpha):
-        """Step the paths ``part`` of one block, on a worker of the stream's pool."""
-        w, xi_star, disc = dB.shape[1], self.xi_star, self.disc[lo : lo + dB.shape[1]]
-        growth = 1.0 + self.model.r * self.grid.dt
-        with np.errstate(over="ignore", invalid="ignore"):  # per thread; the caller checks
-            for tile, gain, s, (a_rows, ds, b_rows) in _step_factors(
-                    self.model, V, dB, self.coef[:, lo : lo + w], self.grid.dt, part, flat):
+            self.chunk = (_tile_buffer(model.d), np.full(chunk.M, float(model.x0)),
+                          np.zeros(chunk.M))
+        flat, A, B = self.chunk
+        disc, growth = self.disc[lo : lo + w], 1.0 + model.r * self.grid.dt
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            for tile, gain, s, (a_rows, ds, b_rows), (X, alpha, scratch) in _step_factors(
+                    model, V, dB, self.coef[:, lo : lo + w], self.grid.dt, flat):
                 np.add(s, growth, out=a_rows)   # the growth, then A in place
                 np.multiply(s, disc, out=ds)
                 a_k, b_k = A[tile], B[tile]
+                if xi_star is not None:         # X_lo, before the steps move A and B
+                    np.add(a_k, np.multiply(b_k, xi_star, out=X[0]), out=X[0])
                 for k in range(w):
                     np.multiply(b_k, a_rows[k], out=b_rows[k])
                     b_rows[k] -= ds[k]
                     np.multiply(a_k, a_rows[k], out=a_rows[k])
                     a_k, b_k = a_rows[k], b_rows[k]
                 A[tile], B[tile] = a_k, b_k
-                if X is not None:
-                    x = X[tile].T                               # (w+1, t)
-                    np.add(a_rows, np.multiply(b_rows, xi_star, out=b_rows), out=x[1:])
-                    np.subtract(x[:-1], xi_star * disc, out=ds)  # the gap
-                    np.multiply(gain, ds, out=alpha[tile].transpose(1, 2, 0))
+                if xi_star is None:
+                    continue
+                np.add(a_rows, np.multiply(b_rows, xi_star, out=b_rows), out=X[1:])
+                np.subtract(X[:-1], xi_star * disc, out=ds)   # the gap
+                np.multiply(gain, ds, out=alpha)
+                require_finite("wealth paths", X)
+                require_finite("optimal strategy", alpha)
+                self.read(lo, tile, X, alpha, scratch)
+        if lo + w == chunk.grid.n:
+            require_finite("terminal wealth A_T", A)
+            require_finite("terminal wealth B_T", B)
+            self.pairs.append((A, B))
+            self.chunk = None
 
 
 def simulate_wealth(model: MarketModel, ensemble: PathEnsemble, solution: RiccatiSolution,
@@ -431,9 +417,9 @@ def simulate_wealth(model: MarketModel, ensemble: PathEnsemble, solution: Riccat
     X = np.empty((ensemble.M, ensemble.grid.n + 1))
     alpha_paths = np.empty((ensemble.M, model.d, ensemble.grid.n))
 
-    def store(lo, x, alpha):
-        X[:, lo : lo + x.shape[1]] = x
-        alpha_paths[:, :, lo : lo + alpha.shape[2]] = alpha
+    def store(lo, tile, x, alpha, scratch):
+        X[tile, lo : lo + len(x)] = x.T
+        alpha_paths[tile, :, lo : lo + alpha.shape[1]] = alpha.transpose(2, 0, 1)
 
     wealth = _Wealth(model, stabs, ensemble.grid, xi_star, solution)
     wealth.read = store

@@ -18,7 +18,7 @@ from .kernels import ParameterError
 from .markowitz import _Wealth, gamma0, variance_of_terminal, xi_eta_star, z_score
 from .model import Grid, MarketModel
 from .riccati import solve_riccati_adams
-from .simulate import Streams, require_finite
+from .simulate import Streams, _mapped, require_finite
 
 # columns per block of a chunk's moment pass, so that its temporaries
 # hold (paths, 64) entries whatever the number of columns
@@ -49,7 +49,8 @@ class ColumnMoments:
     mean -/+ 1.96 SE.  Overflowing sums are left to ``stats``.  The
     temporaries of each block of columns live in ``scratch``, laid out
     as numpy lays out x's elementwise results (``_laid_out``), so the
-    sums keep their bits: a fold's (``_TimeMoments``), or add's own.
+    sums keep their bits: a fold's (``_VarianceMoments``, or the wealth
+    fold's tile buffer), or add's own.
     """
 
     count = 0
@@ -116,20 +117,16 @@ def _laid_out(buf: np.ndarray, like: np.ndarray) -> np.ndarray:
 
 class _TimeMoments:
     """Per-time moments of series folded block by block: a ``ColumnMoments``
-    per series and block of times, by the block's first time lo, and one
-    scratch for all of them, sized by a chunk and freed after its last block."""
+    per series and block of times, by the block's first time lo."""
 
     def __init__(self, *stream):
-        self.blocks, self.scratch = {}, None
+        self.blocks = {}
 
-    def add(self, lo: int, last: bool, *series) -> None:
-        """Fold each series' (paths, times) array of the block at lo, the chunk's last if last."""
-        if self.scratch is None:
-            self.scratch = np.empty(2 * len(series[0]) * _BLOCK_COLUMNS)
+    def add(self, lo: int, scratch: np.ndarray, *series) -> None:
+        """Fold each series' (paths, times) array of the block at lo, with
+        the temporaries in scratch (``ColumnMoments.add``)."""
         for acc, x in zip(self.blocks.setdefault(lo, [ColumnMoments() for _ in series]), series):
-            acc.add(x, self.scratch)
-        if last:
-            self.scratch = None
+            acc.add(x, scratch)
 
     def stats(self) -> list[EnsembleStats]:
         return [joined_stats(accs) for accs in zip(*self.blocks.values())]
@@ -140,26 +137,37 @@ class _VarianceMoments(_TimeMoments):
     A block folds its times lo .. hi-1, the next block's row 0 repeating
     hi, and the chunk's last block time n too: no block of columns is a
     lone column, so the statistics have the bits of whole rows
-    (``joined_stats``)."""
+    (``joined_stats``).  Each chunk maps the scratch (``simulate._mapped``,
+    so that freeing it leaves no heap behind for the stages after it)
+    and frees it after its last block."""
 
     increments = False
+    scratch = None
 
     def __call__(self, chunk, lo, V, dB):
         last = lo + V.shape[1] - 1 == chunk.grid.n
-        self.add(lo, last, *(rows.T if last else rows[:-1].T for rows in V))
+        if lo == 0:
+            self.scratch = _mapped((2 * chunk.M * _BLOCK_COLUMNS,))
+        self.add(lo, self.scratch, *(rows.T if last else rows[:-1].T for rows in V))
+        if last:
+            self.scratch = None
 
 
 class _WealthMoments(_Wealth):
     """The wealth stage's fold: the wealth recursion at xi* with the
-    per-time moments of X and of each asset's strategy."""
+    per-time moments of X and of each asset's strategy, each tile of
+    paths folded in tile order with the scratch of its tile buffer
+    (``markowitz._Wealth``), so no block of a chunk's paths is held
+    whole.  A tile of block [lo, hi) folds X at lo .. hi-1, and at
+    lo .. n in the chunk's last block, and the strategies at lo .. hi-1."""
 
     def __init__(self, model: MarketModel, stabs, grid: Grid, xi_star: float):
         super().__init__(model, stabs, grid, xi_star)
         self.moments = _TimeMoments()
 
-    def read(self, lo, X, alpha):
-        last = lo + X.shape[1] - 1 == self.grid.n
-        self.moments.add(lo, last, X if last else X[:, :-1], *alpha.transpose(1, 0, 2))
+    def read(self, lo, tile, X, alpha, scratch):
+        last = lo + len(X) - 1 == self.grid.n
+        self.moments.add(lo, scratch, (X if last else X[:-1]).T, *(a.T for a in alpha))
 
 
 def joined_stats(blocks) -> EnsembleStats:

@@ -27,7 +27,7 @@ of a run once for all of its folds, and ``simulate_variance_paths``
 copies each block into whole (d, ., M) arrays, for the tests and the
 benchmark.  Within a block the assets, which share only the read-only
 model, advance on one thread each, on one pool for the whole stream
-(``_workers``), which each ``PathChunk`` hands its folds as ``run``.
+(``_workers``); the folds run on the calling thread.
 
 Everything is reproducible: chunk c takes the c-th ``spawn(1 + d)``
 group of SeedSequence(seed), each child through ``_BIT_GENERATOR``.
@@ -45,7 +45,6 @@ import contextlib
 import functools
 import mmap
 import os
-from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -251,11 +250,6 @@ def _far_field(F_aug: np.ndarray) -> tuple:
     raise FactorizationError(f"far-field pair misses its matrix by {err / norm:.2e} relative")
 
 
-def _serial(jobs) -> list:
-    """Run the jobs one after the other on the calling thread."""
-    return [job() for job in jobs]
-
-
 @dataclass(frozen=True, eq=False)
 class PathEnsemble:
     """Simulated variance paths with the increments that drive the assets.
@@ -267,8 +261,7 @@ class PathEnsemble:
     views of time-major (d, n+1, M) and (d, n, M) arrays, so V[:, i, k]
     and dB[:, i, k] are contiguous.  A V-only ensemble
     (``increments=False``) has dB None; its V equals the full ensemble's
-    bit for bit.  It is the ``PathChunk`` of paths 0 .. M-1, whose
-    ``fold`` runs its folds' jobs one after the other.
+    bit for bit.  It is the ``PathChunk`` of paths 0 .. M-1.
     """
 
     model: MarketModel
@@ -277,7 +270,6 @@ class PathEnsemble:
     V: np.ndarray = field(repr=False)
     dB: np.ndarray | None = field(repr=False)
     first = 0
-    run = staticmethod(_serial)
 
     def fold(self, folds) -> None:
         """Hand each block of the ensemble, views of V and dB, to every
@@ -292,14 +284,11 @@ class PathEnsemble:
 
 @dataclass(frozen=True, eq=False)
 class PathChunk:
-    """Paths first .. first + M - 1 of a stream (``fold_stream``), on grid;
-    ``run(jobs)`` runs a round of a fold's jobs on the stream's pool
-    (``_workers``)."""
+    """Paths first .. first + M - 1 of a stream (``fold_stream``), on grid."""
 
     grid: Grid
     M: int
     first: int
-    run: Callable = field(repr=False)
 
 
 def sample_initial_variance(model: MarketModel, M: int, rng: np.random.Generator) -> np.ndarray:
@@ -400,7 +389,7 @@ def fold_stream(model: MarketModel, stabs, grid: Grid, M: int, seed: int, folds,
                              np.random.Generator(_BIT_GENERATOR(children[1 + i].spawn(1)[0]))
                              if increments else None)
             V, dB = (None if buf is None else _fit(buf, m) for buf in store)
-            chunk = PathChunk(grid, m, c0, run)
+            chunk = PathChunk(grid, m, c0)
             V[:, 0] = V0
             for b, lo in enumerate(range(0, n, _BLOCK)):
                 w = min(_BLOCK, n - lo)
@@ -466,20 +455,19 @@ def _workers():
     """run(jobs): rounds of independent jobs on ``_pool_size()`` threads
     that the rounds share, re-raising the first error.
 
-    Jobs: the assets of one block of the engine, or the path ranges of
-    one block of the wealth recursion, one round per block; a stream
-    keeps one pool for all of its rounds and consumers.  Each job's BLAS
+    Jobs: the assets of one block of the engine, one round per block; a
+    stream keeps one pool for all of its rounds.  Each job's BLAS
     calls start their own threads, so the jobs get CPUs // BLAS threads
     workers.  The BLAS thread count is known when VOLTMARK_THREADS set it
     (``_BLAS_THREADS``); otherwise BLAS may take every CPU, its default,
-    and the jobs run one after the other (``_serial``), since
+    and the jobs run one after the other on the calling thread, since
     oversubscribed threads cost more than they give.  The jobs write
     disjoint arrays and each owns its generator, so the output does not
     depend on the thread count.
     """
     workers = _pool_size()
     if workers <= 1:
-        yield _serial
+        yield lambda jobs: [job() for job in jobs]
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
         yield lambda jobs: [future.result() for future in [pool.submit(job) for job in jobs]]

@@ -128,7 +128,8 @@ def spoil_integrals(monkeypatch, value: float) -> None:
 def wealth_pairs(model, solution, stabs, source, xi_star=None, read=None) -> list:
     """Each chunk's (A_T, B_T) from the wealth fold (``markowitz._Wealth``) on
     psi ``solution`` over every block of source (``fold``); with xi_star,
-    read(lo, X, alpha) takes each block's wealth and strategy."""
+    read(lo, tile, X, alpha, scratch) takes each tile's wealth and
+    strategy over each block."""
     wealth = markowitz._Wealth(model, stabs, solution.grid, xi_star, solution)
     if read is not None:
         wealth.read = read

@@ -34,9 +34,14 @@ from voltmark.kernels import (
     resolvent,
     resolvent_density,
 )
-from voltmark.markowitz import control_coefficient, simulate_wealth, solve_markowitz
+from voltmark.markowitz import (
+    _WEALTH_TILE,
+    control_coefficient,
+    simulate_wealth,
+    solve_markowitz,
+)
 from voltmark.model import Grid
-from voltmark.montecarlo import ColumnMoments
+from voltmark.montecarlo import ColumnMoments, joined_stats
 from voltmark.riccati import RiccatiSolution, _rhs, _system, solve_riccati_adams
 from voltmark.simulate import (
     _BIT_GENERATOR,
@@ -454,19 +459,39 @@ def assembled_chunks(model, stabs, grid: Grid, M: int, seed: int, *,
     return chunks
 
 
-def whole_path_wealth_stats(model, stabs, grid: Grid, M: int, seed: int, m: float) -> tuple:
+def whole_path_wealth_stats(model, stabs, grid: Grid, M: int, seed: int, m: float, *,
+                            tile: int | None = _WEALTH_TILE) -> tuple:
     """Statistics (X, [alpha_i]) of the wealth stage from whole paths: each
-    chunk's (chunk, n+1) X and (chunk, d, n) strategy from simulate_wealth,
-    each folded into one ColumnMoments per chunk, rows whole."""
+    chunk's (chunk, n+1) X and (chunk, d, n) strategy from simulate_wealth.
+
+    Folded as the wealth fold folds its tiles: each block of ``_BLOCK``
+    steps [lo, hi), X at lo .. hi-1 (lo .. n in the last block) and each
+    strategy at lo .. hi-1, into one ColumnMoments per series and block,
+    ``tile`` paths at a time in path order, each tile laid out paths
+    contiguous as the fold's time-major rows are, and the blocks joined
+    (``joined_stats``).  tile=None folds each chunk's rows whole into one
+    ColumnMoments per series over all times: the two-pass moments of a
+    chunk.
+    """
     sol = solve_riccati_adams(model, stabs, grid.n)
     xi = solve_markowitz(model, sol, stabs, m).xi_star
-    wealth, strategies = ColumnMoments(), [ColumnMoments() for _ in range(model.d)]
+    n, blocks = grid.n, {}
     for chunk in assembled_chunks(model, stabs, grid, M, seed, initial="fixed"):
         part = simulate_wealth(model, chunk, sol, stabs, xi)
-        wealth.add(part.X)
-        for i, acc in enumerate(strategies):
-            acc.add(part.alpha_paths[:, i, :])
-    return wealth.stats(), [acc.stats() for acc in strategies]
+        series = [part.X] + [part.alpha_paths[:, i] for i in range(model.d)]
+        if tile is None:
+            for acc, x in zip(blocks.setdefault(0, [ColumnMoments() for _ in series]), series):
+                acc.add(x)
+            continue
+        for lo in range(0, n, _BLOCK):
+            hi = min(lo + _BLOCK, n)
+            accs = blocks.setdefault(lo, [ColumnMoments() for _ in series])
+            for t0 in range(0, chunk.M, tile):
+                rows = slice(t0, t0 + tile)
+                for acc, x, stop in zip(accs, series, [n + 1 if hi == n else hi] + [hi] * model.d):
+                    acc.add(np.ascontiguousarray(x[rows, lo:stop].T).T)
+    xstats, *astats = [joined_stats(accs) for accs in zip(*blocks.values())]
+    return xstats, astats
 
 
 def whole_chunk_variance_stats(model, stabs, grid: Grid, M: int, seed: int) -> list:

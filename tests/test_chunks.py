@@ -151,7 +151,7 @@ def test_common_chunks_are_those_of_equal_size(model_t1, stabs_t1, M, other, sha
 def test_shared_pass_leaves_before_the_frontier_and_laplace(tmp_path, monkeypatch):
     # full's wealth stage hands the T = 1 frontier its (A_T, B_T) and the
     # Laplace check (laplace_M = M) the time integrals of its chunks, but none of
-    # the maps that its stream made (engine scratch, row store, wealth
+    # the maps that its stream made (engine scratch, row store, tile
     # buffers): they are gone when those stages start
     from voltmark import cli, montecarlo
 
@@ -197,9 +197,9 @@ def test_shared_pass_leaves_before_the_frontier_and_laplace(tmp_path, monkeypatc
     assert cli.main(["full", "--config", str(path), "--out", str(tmp_path / "o")]) in (0, 4)
     # the wealth stage's two chunks (M = C + 5); the frontier gets their
     # (A_T, B_T) pairs, the Laplace check their time integrals.  The stream maps
-    # each asset's 6 scratch and 2 factor buffers, the 2 row stores, the
-    # wealth fold's 2 buffers and a tile buffer per path range (1 or 2)
-    assert len(refs) >= 2 * 8 + 2 + 2 + 1
+    # each asset's 6 scratch and 2 factor buffers, the 2 row stores and
+    # the wealth fold's tile buffer of each chunk
+    assert len(refs) >= 2 * 8 + 2 + 2
     assert seen == [("frontier_report", 2, [False] * len(refs)),
                     ("laplace_report", 2, [False] * len(refs))]
 
@@ -325,7 +325,7 @@ def test_a_failing_fold_leaves_no_pool_threads(model_t1, stabs_t1, monkeypatch):
 def test_a_finished_stream_keeps_only_the_results_of_its_folds(model_t1, stabs_t1, monkeypatch):
     # Streams keeps the folds of a stream that has run, for the stages that
     # read their results, but none of the maps that the stream or its folds
-    # made (engine scratch, row store, wealth buffers) and no moments scratch
+    # made (engine scratch, row store, tile buffers) and no moments scratch
     refs = []
     real_add = montecarlo.ColumnMoments.add
 
@@ -350,8 +350,9 @@ def test_a_finished_stream_keeps_only_the_results_of_its_folds(model_t1, stabs_t
     moments = streams.result(model_t1, stabs_t1, GRID, C + 5, "stationary",
                              montecarlo._VarianceMoments)
     # each asset's 6 scratch and 2 factor buffers and the 2 row stores per
-    # stream, the wealth buffers of each chunk, and a scratch per moments block
-    assert len(refs) >= 2 * (2 * 8 + 2) + 2 * 3 + 2 * 2 * 3
+    # stream, the tile buffer of each wealth chunk, and the scratch of each
+    # moments add: 9 tiles of 3 series and 2 chunks of 2 assets, 2 blocks each
+    assert len(refs) >= 2 * (2 * 8 + 2) + 2 + 2 * (9 * 3 + 2 * 2)
     assert [ref() for ref in refs] == [None] * len(refs)
     assert [len(A) for A, _ in wealth.pairs] == [total.shape[1] for total in integrals.totals]
     assert [len(st.mean) for st in wealth.moments.stats() + moments.stats()] == [71, 70, 70, 71, 71]

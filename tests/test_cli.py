@@ -6,6 +6,7 @@ import json
 import re
 import subprocess
 import sys
+import threading
 import weakref
 from pathlib import Path
 
@@ -323,11 +324,11 @@ def test_each_statistic_folds_each_chunk_once(tmp_path, monkeypatch):
 
 def test_wealth_drops_its_paths_before_the_statistics(tmp_path, monkeypatch):
     # the wealth stage takes the paths block by block, never as a whole
-    # ensemble: it folds each chunk's wealth and strategies per block of
-    # steps while it steps that chunk, and lets the chunk go before the
-    # next one; the maps of its stream (engine scratch, row store, wealth
-    # buffers) are its largest arrays, and none of them is alive by the
-    # time the statistics are taken
+    # ensemble: it folds each chunk's wealth and strategies per tile of
+    # paths and block of steps while it steps that chunk, and lets the
+    # chunk go before the next one; the maps of its stream (engine
+    # scratch, row store, tile buffers) are its largest arrays, and none
+    # of them is alive by the time the statistics are taken
     from voltmark import markowitz, montecarlo, simulate
 
     chunks, refs, alive, whole = [], [], [], []
@@ -367,12 +368,12 @@ def test_wealth_drops_its_paths_before_the_statistics(tmp_path, monkeypatch):
     two_chunks = f"M = {simulate._CHUNK_PATHS + 5}"
     path = _write(tmp_path, _two_assets(TINY).replace("M = 120", two_chunks))
     assert main(["wealth", "--config", path, "--out", str(tmp_path / "o")]) in (0, 4)
-    # X and two strategies per chunk (one block of steps), then their
-    # three statistics; the stream mapped each asset's 6 scratch and 2
-    # factor buffers, the 2 row stores, the 2 fold buffers and a tile
-    # buffer per path range
-    assert len(refs) >= 2 * 8 + 2 + 2 + 1
-    assert whole == [] and alive == ([("add", [True])] * 3 + [("add", [False, True])] * 3
+    # X and two strategies per tile (one block of steps): 8 tiles of the
+    # first chunk and 1 of the second, then their three statistics; the
+    # stream mapped each asset's 6 scratch and 2 factor buffers, the 2 row
+    # stores and a tile buffer per chunk
+    assert len(refs) >= 2 * 8 + 2 + 2
+    assert whole == [] and alive == ([("add", [True])] * 8 * 3 + [("add", [False, True])] * 3
                                      + [("stats", [False] * (2 + len(refs)))] * 3)
 
 
@@ -525,18 +526,18 @@ def test_frontier_memory_does_not_grow_with_paths(tmp_path):
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads the peak RSS from /proc")
 def test_wealth_holds_no_chunk_of_wealth_paths(tmp_path):
-    # wealth folds X and the strategies per block of steps, in buffers of
-    # one block mapped once per stream, so on one chunk it may peak above
-    # frontier, which keeps only (A_T, B_T), by far less than that chunk's
-    # X and alpha: C (n+1) + C d n doubles
+    # wealth folds X and the strategies per tile of paths and block of
+    # steps, in the tile buffer that its recursion steps in, so on one
+    # chunk it may peak at most 2 MB above frontier, which keeps only
+    # (A_T, B_T): no block of the chunk's X and alpha, (C, 65) and
+    # (C, d, 64) doubles, 6.3 MB, is held
     from voltmark.simulate import _CHUNK_PATHS as C
 
-    d, n = 2, 600
     path = _write(tmp_path, _DEFAULT_CONFIG.replace("M = 5000", f"M = {C}")
                   .replace("m_count = 8", "m_count = 2"))
     wealth, frontier = (_peak_mb([command, "--config", path, "--out", str(tmp_path / command)])
                         for command in ("wealth", "frontier"))
-    assert wealth - frontier < (C * (n + 1) + C * d * n) * 8 / 2**20 / 2, (wealth, frontier)
+    assert wealth - frontier <= 2.0, (wealth, frontier)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads the peak RSS from /proc")
@@ -552,23 +553,27 @@ def test_dump_holds_no_paths_beside_the_file(tmp_path):
     assert dump - plain <= body_mb + 5, (plain, dump, body_mb)
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_wealth_stats_keep_the_bits_of_whole_paths(tmp_path, monkeypatch, cpus):
-    # the block fold writes the bytes of whole-path arrays folded chunk by
-    # chunk, on one worker or two: n = 150 leaves a last block of 22 steps,
-    # and M = C + 5 a second chunk
+@pytest.mark.parametrize("n, cpus", [pytest.param(150, 1, id="1"), pytest.param(150, 2, id="2"),
+                                     pytest.param(128, 1, id="128-1"),
+                                     pytest.param(128, 2, id="128-2")])
+def test_wealth_stats_keep_the_bits_of_whole_paths(tmp_path, monkeypatch, n, cpus):
+    # the block fold writes the bytes of whole-path arrays folded in tiles
+    # of 512 paths, on one worker or two: n = 150 leaves a last block of
+    # 22 steps and n = 128 one of 64 steps, whose X has 65 columns, and
+    # M = C + 5 a second chunk.  Each chunk's whole rows in one pass give
+    # the same statistics to 1e-12 relative
     from oracles import whole_path_wealth_stats
     from voltmark import cli, simulate
 
     monkeypatch.setattr(simulate, "_BLAS_THREADS", 1)
     monkeypatch.setattr(simulate, "_cpu_count", lambda: cpus)
     M = simulate._CHUNK_PATHS + 5
-    cfg_text = _DEFAULT_CONFIG.replace("M = 5000", f"M = {M}").replace("n = 600", "n = 150")
+    cfg_text = _DEFAULT_CONFIG.replace("M = 5000", f"M = {M}").replace("n = 600", f"n = {n}")
     out = tmp_path / "o"
     assert main(["wealth", "--config", _write(tmp_path, cfg_text), "--out", str(out)]) in (0, 4)
     run = RunContext.build(load_config(cfg_text))
-    xstats, astats = whole_path_wealth_stats(run.model, run.stabs, run.grid, M,
-                                             run.cfg["seed"], run.cfg["m"])
+    oracle = (run.model, run.stabs, run.grid, M, run.cfg["seed"], run.cfg["m"])
+    xstats, astats = whole_path_wealth_stats(*oracle)
     cols = [run.grid.times, xstats.mean, xstats.ci_low, xstats.ci_high]
     header = ["t", "X_mean", "X_ci_low", "X_ci_high"]
     for i, st in enumerate(astats):
@@ -576,6 +581,10 @@ def test_wealth_stats_keep_the_bits_of_whole_paths(tmp_path, monkeypatch, cpus):
         header += [f"alpha{i + 1}_mean", f"alpha{i + 1}_ci_low", f"alpha{i + 1}_ci_high"]
     cli.write_csv(str(tmp_path / "oracle.csv"), header, zip(*cols))
     assert (out / "wealth_stats.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+    xwhole, awhole = whole_path_wealth_stats(*oracle, tile=None)
+    for got, want in zip([xstats, *astats], [xwhole, *awhole], strict=True):
+        for name in ("mean", "ci_low", "ci_high"):
+            np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -933,19 +942,18 @@ def test_bundled_full_laplace_stage_asks_the_engine_nothing(tmp_path, monkeypatc
 
 def test_full_steps_each_wealth_chunk_once(tmp_path, monkeypatch):
     # the wealth stage's recursion gives the T = 1 frontier its (A_T, B_T):
-    # one _step_factors pass per path range of each block of each wealth
-    # chunk (one block at n = 20), and no other wealth fold is made; its
-    # reader adds no pass, and no whole paths are simulated.  Two
-    # workers split the C-path chunk in two ranges; the 5-path chunk is
-    # one range of one 64-path block
+    # one _step_factors pass per block of each wealth chunk (one block at
+    # n = 20), and no other wealth fold is made; its reader adds no pass,
+    # and no whole paths are simulated.  With two workers for the engine,
+    # each pass still runs on the calling thread
     from voltmark import markowitz, simulate
 
     passes, folds, whole = [], [], []
     real_steps, real_init = markowitz._step_factors, markowitz._Wealth.__init__
 
-    def steps_spy(model, V, dB, coef, dt, paths, flat):
-        passes.append((dB.shape[2], paths.start, paths.stop))
-        return real_steps(model, V, dB, coef, dt, paths, flat)
+    def steps_spy(model, V, dB, coef, dt, flat):
+        passes.append((dB.shape[2], threading.current_thread() is threading.main_thread()))
+        return real_steps(model, V, dB, coef, dt, flat)
 
     def init_spy(self, *args):
         folds.append(type(self).__name__)
@@ -960,7 +968,7 @@ def test_full_steps_each_wealth_chunk_once(tmp_path, monkeypatch):
     cfg_text = re.sub(r"^M = 120$", f"M = {C + 5}", TINY, flags=re.M).replace("n = 40", "n = 20")
     path = _write(tmp_path, cfg_text)
     assert main(["full", "--config", path, "--out", str(tmp_path / "o")]) in (0, 4)
-    assert sorted(passes) == [(5, 0, 64), (C, 0, C // 2), (C, C // 2, C)]
+    assert sorted(passes) == [(5, True), (C, True)]
     assert folds == ["_WealthMoments"] and whole == []
 
 

@@ -1,17 +1,18 @@
 """The exit contract of ``voltmark full`` over the paper's experiment axes.
 
-Any config ends in one of two ways: exit 0 or 4 with finite CSVs, or
-exit 2 or 3 with a one-line message on stderr and no traceback.  The
-property draws toy configs of d = 1, 2 or 3 assets, each on an explicit
-grid of kernel orders (roughness, with the Markovian edge alpha = 1) and
-correlations (with the edges rho = -1, 0, 1), and the other per-asset
-parameters from stated ranges.  The grid has 20 or 70 cells; 70 crosses
-a block boundary of the path engine and has a far field.  Every run is
-in-process and at toy sizes.
+Any config ends in one of two ways: exit 0 or 4 with finite CSVs and
+that status in manifest.json, or exit 2 or 3 with a one-line message on
+stderr and no traceback.  The property draws toy configs of d = 1, 2 or
+3 assets, each on an explicit grid of kernel orders (roughness, with the
+Markovian edge alpha = 1) and correlations (with the edges rho = -1, 0,
+1), and the other per-asset parameters from stated ranges.  The grid
+has 20 or 70 cells; 70 crosses a block boundary of the path engine and
+has a far field.  Every run is in-process and at toy sizes.
 """
 
 import contextlib
 import io
+import json
 import pathlib
 import tempfile
 
@@ -88,6 +89,8 @@ def test_full_run_keeps_the_exit_contract(config_text):
             for path in csvs:
                 body = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
                 assert np.all(np.isfinite(body)), path.name
+            manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+            assert manifest["status"] == code
         else:
             assert code in (2, 3)
             assert message.endswith("\n") and message.count("\n") == 1

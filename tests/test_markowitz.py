@@ -226,14 +226,14 @@ def test_affine_terminal_matches_wealth_scheme():
         assert np.max(np.abs(A + xi * B - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("M, pools", [(2100, [8]), (40, [8])])
-def test_wealth_path_ranges_do_not_change_the_bits(model_t1, stabs_t1, monkeypatch, pool_sizes,
-                                                   M, pools):
-    # the recursion splits a stream's paths into ranges of whole 64-path
-    # blocks, one per pool worker and at most M // 512: four ranges on
-    # eight CPUs for M = 2100, one for M < 1024, on the stream's one pool.
-    # With a short switch interval the split gives the bits of one pass
-    # on one CPU
+@pytest.mark.parametrize("M", [2100, 40])
+def test_wealth_bits_do_not_depend_on_the_cpu_count(model_t1, stabs_t1, monkeypatch, pool_sizes,
+                                                    M):
+    # the recursion steps a chunk's 512-path tiles in path order on the
+    # calling thread, in one tile buffer per chunk, while the engine's
+    # assets share the stream's pool: eight CPUs give the wealth and
+    # strategy bits of one, with five tiles (M = 2100) or one (M = 40),
+    # also under a short switch interval
     grid = Grid(1.0, 90)
     sol = solve_riccati_adams(model_t1, stabs_t1, grid.n)
     tiles = []
@@ -242,9 +242,9 @@ def test_wealth_path_ranges_do_not_change_the_bits(model_t1, stabs_t1, monkeypat
     monkeypatch.setattr(simulate, "_BLAS_THREADS", 1)
     X, alpha_paths = np.empty((M, grid.n + 1)), np.empty((M, 2, grid.n))
 
-    def store(lo, x, alpha):
-        X[:, lo : lo + x.shape[1]] = x
-        alpha_paths[:, :, lo : lo + alpha.shape[2]] = alpha
+    def store(lo, tile, x, alpha, scratch):
+        X[tile, lo : lo + len(x)] = x.T
+        alpha_paths[tile, :, lo : lo + alpha.shape[1]] = alpha.transpose(2, 0, 1)
 
     runs = []
     interval = sys.getswitchinterval()
@@ -257,16 +257,15 @@ def test_wealth_path_ranges_do_not_change_the_bits(model_t1, stabs_t1, monkeypat
             runs.append((A, B, X.copy(), alpha_paths.copy()))
     finally:
         sys.setswitchinterval(interval)
-    assert pool_sizes == pools
-    assert len(tiles) == 1 + {2100: 4, 40: 1}[M]       # one map per range
-    for one, split in zip(*runs):
-        assert np.array_equal(one, split)
+    assert pool_sizes == [8]
+    assert len(tiles) == 2                              # one map per chunk
+    for one, pooled in zip(*runs):
+        assert np.array_equal(one, pooled)
 
 
 def test_wealth_stream_runs_on_its_engine_pool(model_t1, stabs_t1, monkeypatch, pool_sizes):
     # a two-worker stream of two chunks starts one pool, the engine's, and
-    # the wealth recursion's two path ranges run on it with the bits of
-    # one CPU
+    # the wealth recursion, on the calling thread, keeps the bits of one CPU
     grid = Grid(1.0, 20)
     sol = solve_riccati_adams(model_t1, stabs_t1, grid.n)
     monkeypatch.setattr(simulate, "_BLAS_THREADS", 1)
@@ -472,8 +471,9 @@ def test_solve_markowitz_bundle(model_t1, riccati_600, stabs_t1):
 @pytest.mark.parametrize("M", [500, 2100])
 def test_wealth_recursion_keeps_the_bits_of_the_step_loop(model_t1, stabs_t1, monkeypatch, M):
     # the blocked growth factors and A/B rows against the per-step loop,
-    # with a reader (simulate_wealth) and without (the fold alone),
-    # in one path range (M = 500) and in four (M = 2100 on eight CPUs)
+    # with a reader (simulate_wealth) and without (the fold alone), in
+    # one 512-path tile (M = 500) and in five (M = 2100), the engine on
+    # eight CPUs
     monkeypatch.setattr(simulate, "_BLAS_THREADS", 1)
     monkeypatch.setattr(simulate, "_cpu_count", lambda: 8)
     grid = Grid(1.0, 150)
@@ -491,9 +491,9 @@ def test_wealth_recursion_keeps_the_bits_of_the_step_loop(model_t1, stabs_t1, mo
 def test_step_factors_equal_the_einsum_sums(d):
     # the per-asset d-sums of _step_factors against np.einsum's, bit for bit
     # (signed zeros too) over three blocks of steps, on the time-major
-    # tiles of one path range of each block: 512 paths and the rest; einsum sums a
-    # one-step block (n = 1 mod 64) of d >= 3 assets in its own unrolled
-    # order, so n leaves none here
+    # tiles of each block: 512 paths and the rest; einsum sums a one-step
+    # block (n = 1 mod 64) of d >= 3 assets in its own unrolled order, so
+    # n leaves none here
     assets = dict(alpha=[0.6, 0.7, 0.9], lam=[0.2, 0.3, 0.4], nu=[0.4, 0.3, 0.5],
                   rho=[-0.5, 0.2, -0.7], theta=[0.3, 0.1, 0.25], mu0=[1.0, 1.5, 2.0],
                   c=[0.02, 0.03, 0.04])
@@ -509,9 +509,8 @@ def test_step_factors_equal_the_einsum_sums(d):
 
     def check(chunk, lo, V_rows, dB_rows):
         w = dB_rows.shape[1]
-        for tile, gain, s, _ in markowitz._step_factors(model, V_rows, dB_rows,
-                                                         coef[:, lo:lo + w], grid.dt,
-                                                         slice(0, 768), flat):
+        for tile, gain, s, *_ in markowitz._step_factors(model, V_rows, dB_rows,
+                                                          coef[:, lo:lo + w], grid.dt, flat):
             assert np.array_equal(gain.view(np.int64),
                                   gain_ref[tile, :, lo:lo + w].transpose(1, 2, 0).view(np.int64))
             assert np.array_equal(s.view(np.int64), s_ref[lo:lo + w, tile].view(np.int64))
