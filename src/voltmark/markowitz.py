@@ -17,12 +17,13 @@ With psi solved, everything the Markowitz problem needs is explicit:
   and the optimal terminal variance V(m).
 * a wealth Euler scheme driven by the same increments as the variance
   paths, run as one block fold of its affine form X = A + xi* B
-  (``_Wealth``), which gives the wealth and strategy of one target tile
-  of paths by tile, block by block of steps, or the X_T of every
-  frontier target, and the exponential-affine Laplace-transform check
-  that pits a Monte Carlo functional of the paths, controlled by the
-  exact mean of its exponent, against the closed form, by the 3-SE gate
-  that every Monte Carlo check reads (``z_score``).
+  (``_Wealth``), which steps each block of a chunk one tile of paths
+  at a time in one memory map per chunk and gives the wealth and
+  strategy of one target or the X_T of every frontier target, and the
+  exponential-affine Laplace-transform check that pits a Monte Carlo
+  functional of the paths, controlled by the exact mean of its
+  exponent, against the closed form, by the 3-SE gate that every Monte
+  Carlo check reads (``z_score``).
 """
 
 from dataclasses import dataclass, field
@@ -277,48 +278,9 @@ def optimal_control(model: MarketModel, solution: RiccatiSolution, stabs, xi_sta
     return gain * gap
 
 
-# time steps per block of the wealth recursion, and paths per tile of a
-# block; fixed so that the output never depends on the environment
-_WEALTH_BLOCK = 64
+# paths per tile of the wealth recursion; fixed so that the output never
+# depends on the environment
 _WEALTH_TILE = 512
-
-
-def _tile_buffer(d: int) -> np.ndarray:
-    """The memory map that ``_step_factors`` overwrites tile by tile: 2d + 5
-    slots of a block's (w, t) rows, the last three of which also hold the
-    (t, 64) pair of a moments fold's scratch (``ColumnMoments.add``)."""
-    return _mapped(((2 * d + 5) * _WEALTH_BLOCK * _WEALTH_TILE,))
-
-
-def _step_factors(model: MarketModel, V: np.ndarray, dB: np.ndarray, coef: np.ndarray,
-                  dt: float, flat: np.ndarray):
-    """Gains and per-step wealth factors of the optimal feedback over one block of steps.
-
-    With g = -coef sqrt(V^+) at the left node and s_k = (g sqrt(V^+)) . theta dt
-    + g . DB_k, the wealth under alpha = g (X - xi* e^(-r(T-t))) steps as
-    X_{k+1} = X_k (1 + r dt) + (X_k - xi* e^(-r(T-t_k))) s_k.  V and dB
-    are a block's time-major rows (``simulate.fold_stream``), (d, w+1, M)
-    and (d, w, M), and coef the (d, w) ``control_coefficient`` at its
-    left nodes.  For each tile of ``_WEALTH_TILE`` paths, in path order,
-    yields (tile, g (d, w, t), s (w, t), spare (3, w, t), free), with
-    free = (X (w+1, t), alpha (d, w, t), scratch) the slots that the
-    caller's results may take once it has read s and spare: X those of s
-    and of the d-sums, alpha that of sqrt(V^+), and scratch the rest of
-    flat, from spare on.  All of it lives in flat (``_tile_buffer``), a
-    memory map of the caller's that each tile overwrites.
-    """
-    d, w, M = dB.shape
-    for t0 in range(0, M, _WEALTH_TILE):
-        tile = slice(t0, min(t0 + _WEALTH_TILE, M))
-        size = w * (tile.stop - t0)
-        gain, root = flat[: 2 * d * size].reshape(2, d, w, -1)
-        pair, scratch = flat[2 * d * size : (2 * d + 2) * size], flat[(2 * d + 2) * size :]
-        s, acc = pair.reshape(2, w, -1)
-        _gain(coef[:, :, None], V[:, :w, tile], out=(gain, root))
-        np.multiply(np.einsum("dwt,dwt,d->wt", gain, root, model.theta, out=acc), dt, out=s)
-        s += np.einsum("dwt,dwt->wt", gain, dB[:, :, tile], out=acc)
-        X = pair[: size + tile.stop - t0].reshape(w + 1, -1)
-        yield tile, gain, s, scratch[: 3 * size].reshape(3, w, -1), (X, root, scratch)
 
 
 class _Wealth:
@@ -327,9 +289,10 @@ class _Wealth:
     X(t_k) = X(t_{k-1}) + (r X(t_{k-1}) + sum_i theta_i sqrt(V_i) alpha_i) dt
              + sum_i alpha_i DB_i,
 
-    with alpha = g (X - xi* e^(-r(T-t))) at the left node from the same
-    variance paths and DB their asset increments.  The scheme is affine
-    in xi*: with the per-step factor s_k of ``_step_factors``,
+    with alpha = g (X - xi* e^(-r(T-t))) at the left node, g = -coef
+    sqrt(V^+) the gain of ``_gain`` from the same variance paths and DB
+    their asset increments.  The scheme is affine in xi*: with the
+    per-step factor s_k = (g sqrt(V^+)) . theta dt + g . DB_k,
 
         A_{k+1} = A_k (1 + r dt + s_k),                       A_0 = x0,
         B_{k+1} = B_k (1 + r dt + s_k) - e^(-r(T-t_k)) s_k,   B_0 = 0.
@@ -338,19 +301,22 @@ class _Wealth:
     on psi's grid (``solution``, or solved on grid through the memo;
     ParameterError for a chunk on another grid).  Once a chunk's last
     block is stepped, its (A_T, B_T) goes to ``pairs``, after
-    NonFiniteError unless both are finite.  A block's tiles of paths are
-    stepped in path order on the calling thread: 1 + r dt + s and
-    e^(-r(T-t)) s are formed once per block and tile, and each step
-    writes the tile's rows of A and B, all in the spare slots of
-    ``_step_factors``.  Each chunk maps one ``_tile_buffer`` and frees
-    it after its last block.
+    NonFiniteError unless both are finite.  A block's tiles of
+    ``_WEALTH_TILE`` paths are stepped in path order on the calling
+    thread, in one memory map per chunk (``simulate._mapped``), sized
+    at the chunk's first block, its widest, and freed after its last.
+    Each tile of a w-step block overwrites 2d + 5 slots of (w, t) rows:
+    g and sqrt(V^+) per asset, s, the d-sums, 1 + r dt + s (which the
+    steps overwrite with A's rows), e^(-r(T-t)) s and B's rows.
 
-    With xi*, each tile of a block [lo, hi) also forms, in its free
-    slots, X_lo .. X_hi (hi - lo + 1, t), X = A + xi* B, and alpha_lo ..
-    alpha_{hi-1} (d, hi - lo, t), both time-major, and hands them to
-    read(lo, tile, X, alpha, scratch) after NonFiniteError unless both
-    are finite; they and scratch, the rest of the map, are views that
-    the next tile overwrites.
+    With xi*, each tile of a block [lo, hi) also forms X_lo .. X_hi
+    (hi - lo + 1, t), X = A + xi* B, in the slots of s and the d-sums,
+    and alpha_lo .. alpha_{hi-1} (d, hi - lo, t) in those of sqrt(V^+),
+    both time-major, and hands them to read(lo, tile, X, alpha, scratch)
+    after NonFiniteError unless both are finite; scratch is the rest of
+    the map from the last three slots on, at least 2 t min(w+1, 64)
+    floats once the first block has two steps (``ColumnMoments.add``),
+    and all three are views that the next tile overwrites.
     """
 
     increments = True
@@ -362,24 +328,33 @@ class _Wealth:
         self.model, self.grid, self.xi_star, self.pairs = model, solution.grid, xi_star, []
         self.coef = control_coefficient(model, solution, stabs, times)  # (d, n)
         self.disc = np.exp(-model.r * (model.T - times))[:, None]      # (n, 1)
-        self.chunk = None    # the chunk's tile buffer, A and B
+        self.chunk = None    # the chunk's map, A and B
 
     def read(self, lo: int, tile: slice, X: np.ndarray, alpha: np.ndarray,
              scratch: np.ndarray) -> None:
         """Take a tile's wealth and strategy over a block (with xi*); no reader here."""
 
     def __call__(self, chunk, lo, V, dB):
-        model, xi_star, w = self.model, self.xi_star, dB.shape[1]
+        model, xi_star, (d, w, M) = self.model, self.xi_star, dB.shape
         if lo == 0:
             if chunk.grid != self.grid:
                 raise ParameterError("wealth scheme requires the psi grid to match the path grid")
-            self.chunk = (_tile_buffer(model.d), np.full(chunk.M, float(model.x0)),
-                          np.zeros(chunk.M))
+            self.chunk = (_mapped(((2 * d + 5) * w * _WEALTH_TILE,)),
+                          np.full(chunk.M, float(model.x0)), np.zeros(chunk.M))
         flat, A, B = self.chunk
-        disc, growth = self.disc[lo : lo + w], 1.0 + model.r * self.grid.dt
+        coef, dt = self.coef[:, lo : lo + w, None], self.grid.dt
+        disc, growth = self.disc[lo : lo + w], 1.0 + model.r * dt
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            for tile, gain, s, (a_rows, ds, b_rows), (X, alpha, scratch) in _step_factors(
-                    model, V, dB, self.coef[:, lo : lo + w], self.grid.dt, flat):
+            for t0 in range(0, M, _WEALTH_TILE):
+                t = min(_WEALTH_TILE, M - t0)
+                tile, size = slice(t0, t0 + t), w * t
+                slots = flat[: (2 * d + 5) * size].reshape(2 * d + 5, w, t)
+                gain, root, (s, sums, a_rows, ds, b_rows) = slots[:d], slots[d:-5], slots[-5:]
+                X = flat[2 * d * size : (2 * d + 1) * size + t].reshape(w + 1, t)
+                _gain(coef, V[:, :w, tile], out=(gain, root))
+                np.multiply(np.einsum("dwt,dwt,d->wt", gain, root, model.theta, out=sums), dt,
+                            out=s)
+                s += np.einsum("dwt,dwt->wt", gain, dB[:, :, tile], out=sums)
                 np.add(s, growth, out=a_rows)   # the growth, then A in place
                 np.multiply(s, disc, out=ds)
                 a_k, b_k = A[tile], B[tile]
@@ -395,10 +370,10 @@ class _Wealth:
                     continue
                 np.add(a_rows, np.multiply(b_rows, xi_star, out=b_rows), out=X[1:])
                 np.subtract(X[:-1], xi_star * disc, out=ds)   # the gap
-                np.multiply(gain, ds, out=alpha)
+                alpha = np.multiply(gain, ds, out=root)
                 require_finite("wealth paths", X)
                 require_finite("optimal strategy", alpha)
-                self.read(lo, tile, X, alpha, scratch)
+                self.read(lo, tile, X, alpha, flat[(2 * d + 2) * size :])
         if lo + w == chunk.grid.n:
             require_finite("terminal wealth A_T", A)
             require_finite("terminal wealth B_T", B)

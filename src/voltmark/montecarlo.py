@@ -49,8 +49,8 @@ class ColumnMoments:
     mean -/+ 1.96 SE.  Overflowing sums are left to ``stats``.  The
     temporaries of each block of columns live in ``scratch``, laid out
     as numpy lays out x's elementwise results (``_laid_out``), so the
-    sums keep their bits: a fold's (``_VarianceMoments``, or the wealth
-    fold's tile buffer), or add's own.
+    sums keep their bits: a fold's (``_VarianceMoments``' map, or the
+    rest of the wealth fold's map after a tile's slots), or add's own.
     """
 
     count = 0
@@ -156,10 +156,11 @@ class _VarianceMoments(_TimeMoments):
 class _WealthMoments(_Wealth):
     """The wealth stage's fold: the wealth recursion at xi* with the
     per-time moments of X and of each asset's strategy, each tile of
-    paths folded in tile order with the scratch of its tile buffer
-    (``markowitz._Wealth``), so no block of a chunk's paths is held
-    whole.  A tile of block [lo, hi) folds X at lo .. hi-1, and at
-    lo .. n in the chunk's last block, and the strategies at lo .. hi-1."""
+    paths folded in tile order with the scratch that the recursion's map
+    leaves after the tile's slots (``markowitz._Wealth``), so no block of
+    a chunk's paths is held whole.  A tile of block [lo, hi) folds X at
+    lo .. hi-1, and at lo .. n in the chunk's last block, and the
+    strategies at lo .. hi-1."""
 
     def __init__(self, model: MarketModel, stabs, grid: Grid, xi_star: float):
         super().__init__(model, stabs, grid, xi_star)

@@ -86,20 +86,26 @@ class GaussianBlockFactor:
     where cov is the (n+1) x (n+1) covariance of the vector (G at lags
     0..n-1, DW) (``_thin_form``); by time-translation invariance
     the same matrix serves every cell.  F's rank is its column count, set
-    by ``build_gaussian_factor``'s tail rule.  ``c_seg`` are the
-    deterministic cell integrals C[j].  ``u_far`` and ``w_far`` are the
-    far-field pair of ``_far_field``, of rank ``far_rank``.
+    by ``build_gaussian_factor``'s tail rule.  ``F_aug`` are the lag
+    rows (n, r+1): F's rows 0 .. n-1, the noise modes, and the
+    deterministic cell integrals C[j] (``c_seg``) as one drift "mode"
+    per cell.  ``u_far`` and ``w_far`` are the far-field pair of
+    ``_far_field``, of rank ``far_rank``.
     """
 
     grid: Grid
     factor: np.ndarray = field(repr=False)
-    c_seg: np.ndarray = field(repr=False)
+    F_aug: np.ndarray = field(repr=False)
     u_far: np.ndarray = field(repr=False)
     w_far: np.ndarray = field(repr=False)
 
     @property
     def rank(self) -> int:
         return self.factor.shape[1]
+
+    @property
+    def c_seg(self) -> np.ndarray:
+        return self.F_aug[:, -1]
 
     @property
     def far_rank(self) -> int:
@@ -153,9 +159,12 @@ def build_gaussian_factor(spec: KernelSpec, grid: Grid) -> GaussianBlockFactor:
     temporaries are freed.
     """
     factor, c_seg = _spectral_factor(spec, grid)
+    # concatenate keeps the factor's column-major order (row-major at rank
+    # 1), which decides numpy's matmul route for the engine's F_aug[:m]
+    # (its own loop for one row) and so the rounding
     F_aug = np.concatenate([factor[: grid.n], c_seg[:, None]], axis=1)
     u_far, w_far = _far_field(F_aug)
-    return GaussianBlockFactor(grid=grid, factor=factor, c_seg=c_seg, u_far=u_far, w_far=w_far)
+    return GaussianBlockFactor(grid=grid, factor=factor, F_aug=F_aug, u_far=u_far, w_far=w_far)
 
 
 def _spectral_factor(spec: KernelSpec, grid: Grid) -> tuple:
@@ -571,13 +580,9 @@ class _AssetEngine:
                  sig: np.ndarray, m: int):
         n, r, k = fac.grid.n, fac.rank, fac.far_rank
         self.i, self.fac, self.sig, self.n = i, fac, sig, n
-        # noise modes plus one drift "mode" per cell; it inherits the
-        # factor's column-major order, which decides numpy's matmul
-        # route for F_aug[:m] (its own loop for one row) and so the rounding
-        self.F_aug = np.concatenate([fac.factor[:n], fac.c_seg[:, None]], axis=1)  # (n, r+1)
         # the sub-block flush's lag factor (``_lag_blocks``), the far-field slabs
         self.f_sub = _mapped((max(0, min(_BLOCK, n) - _SUB), _SUB * (r + 1)))
-        _lag_blocks(self.F_aug, _SUB, self.f_sub)
+        _lag_blocks(fac.F_aug, _SUB, self.f_sub)
         self.blocks = (n - 1) // _BLOCK          # blocks with a far field
         self.u_slabs = _mapped((_BLOCK, self.blocks * k))
         for s in range(self.blocks):  # slab s: U's rows for the s-th block back
@@ -595,7 +600,7 @@ class _AssetEngine:
 
     def step(self, b: int, V: np.ndarray, dB: np.ndarray | None) -> None:
         fac, r, k, blocks = self.fac, self.fac.rank, self.fac.far_rank, self.blocks
-        F_aug, f_dw, sig, V0 = self.F_aug, fac.factor[self.n], self.sig, self.V0
+        F_aug, f_dw, sig, V0 = fac.F_aug, fac.factor[self.n], self.sig, self.V0
         z, vol, y_blk, near, history, dw = self.views
         M = V.shape[1]
         lo = b * _BLOCK

@@ -7,8 +7,8 @@ loop in d-vector steps that pins the scalar solver's bits, the exact
 second moments of the path scheme, the dense cell covariance and its
 Gaussian factor by np.linalg.eigh, the path engine with a dense far
 field pushed to every later time, the asset-driving increments from
-DW and DWperp, the wealth step factors by np.einsum and the wealth
-recursion one step at a time, whole chunks of paths assembled from the
+DW and DWperp, the wealth recursion one step at a time with its step
+factors by np.einsum, whole chunks of paths assembled from the
 block stream and the wealth, stationarity, frontier and Laplace inputs
 from them, a stabilizer of constant sigma,
 the resolvent density's L2 norm by adaptive quadrature and the standard
@@ -354,8 +354,7 @@ def dense_advance_asset(model, i, fac, sig, rng, V, dB, rng_perp, *,
     draws its W-perp normals N on its own and writes its DB from DW and
     sqrt(dt) N by ``asset_increments``."""
     n, M = fac.grid.n, V.shape[1]
-    r = fac.rank
-    F_aug = np.concatenate([fac.factor[:n], fac.c_seg[:, None]], axis=1)
+    r, F_aug = fac.rank, fac.F_aug
     z, vol = np.empty((r, M)), np.empty(M)
     y_blk, near = np.empty((_BLOCK, r + 1, M)), np.empty((_BLOCK - _SUB, M))
     f_sub = np.empty((max(0, min(_BLOCK, n) - _SUB), _SUB * (r + 1)))
@@ -401,26 +400,20 @@ def dense_advance_asset(model, i, fac, sig, rng, V, dB, rng_perp, *,
     require_finite(f"variance paths of asset {i + 1}", V)
 
 
-def einsum_step_factors(model, ensemble, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gains g = -coef sqrt(V^+) (M, d, n) and wealth step factors
-    s_k = (g sqrt(V^+)) . theta dt + g . DB_k (n, M) over the whole grid,
-    the d-sums taken by np.einsum, with DB the ensemble's dB."""
-    V = ensemble.V[:, :, :-1]
-    root = np.sqrt(np.maximum(V, 0.0))
-    gain = -coef[None] * root
-    s = np.einsum("mdk,mdk,d->km", gain, root, model.theta) * ensemble.grid.dt
-    return gain, s + np.einsum("mdk,mdk->km", gain, ensemble.dB)
-
-
 def stepwise_wealth(model, ensemble, solution, stabs, xi_star: float) -> tuple:
     """The wealth recursion one step at a time over the whole grid: (A_T, B_T,
     X (M, n+1), alpha (M, d, n)), forming 1 + r dt + s_k and e^(-r(T-t_k)) s_k,
     then alpha_k and X_{k+1} = A_{k+1} + xi* B_{k+1}, at each step from the
-    ``einsum_step_factors`` gains and factors."""
+    gains g = -coef sqrt(V^+) (M, d, n) and the step factors
+    s_k = (g sqrt(V^+)) . theta dt + g . DB_k (n, M) over the whole grid,
+    their d-sums taken by np.einsum, with DB the ensemble's dB."""
     grid = ensemble.grid
     coef = control_coefficient(model, solution, stabs, grid.times[:-1])
     disc = np.exp(-model.r * (model.T - grid.times[:-1]))
-    gain, s = einsum_step_factors(model, ensemble, coef)
+    root = np.sqrt(np.maximum(ensemble.V[:, :, :-1], 0.0))
+    gain = -coef[None] * root
+    s = np.einsum("mdk,mdk,d->km", gain, root, model.theta) * grid.dt
+    s = s + np.einsum("mdk,mdk->km", gain, ensemble.dB)
     A, B = np.full(ensemble.M, float(model.x0)), np.zeros(ensemble.M)
     X = np.empty((ensemble.M, grid.n + 1))
     X[:, 0] = model.x0

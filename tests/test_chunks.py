@@ -362,8 +362,10 @@ def test_one_driver_draws_and_folds_the_streams():
     # src/ draws a block stream only in Streams and in
     # simulate_variance_paths (which the benchmark reads), and folds a
     # whole ensemble (its one-argument fold) only in simulate_wealth and
-    # laplace_affine_check; simulate.py has no generator but its pool's
-    # context manager, since the engine calls every fold on each block
+    # laplace_affine_check; src/ has no generator but two context
+    # managers, the engine's pool and the CLI's stage timer, since the
+    # engine calls every fold on each block and each fold steps that block
+    # itself
     streams, ensembles, generators = set(), set(), set()
     for path in Path(voltmark.__file__).parent.glob("*.py"):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -376,8 +378,8 @@ def test_one_driver_draws_and_folds_the_streams():
                     if name == "fold" and isinstance(node.func, ast.Attribute) \
                             and len(node.args) == 1:
                         ensembles.add(where)
-                if isinstance(node, (ast.Yield, ast.YieldFrom)) and path.stem == "simulate":
+                if isinstance(node, (ast.Yield, ast.YieldFrom)):
                     generators.add(where)
     assert streams == {"simulate.Streams", "simulate.simulate_variance_paths"}
     assert ensembles == {"markowitz.simulate_wealth", "markowitz.laplace_affine_check"}
-    assert generators == {"simulate._workers"}
+    assert generators == {"simulate._workers", "cli._Stages"}

@@ -555,13 +555,15 @@ def test_dump_holds_no_paths_beside_the_file(tmp_path):
 
 @pytest.mark.parametrize("n, cpus", [pytest.param(150, 1, id="1"), pytest.param(150, 2, id="2"),
                                      pytest.param(128, 1, id="128-1"),
-                                     pytest.param(128, 2, id="128-2")])
+                                     pytest.param(128, 2, id="128-2"),
+                                     pytest.param(2, 1, id="2-1")])
 def test_wealth_stats_keep_the_bits_of_whole_paths(tmp_path, monkeypatch, n, cpus):
     # the block fold writes the bytes of whole-path arrays folded in tiles
     # of 512 paths, on one worker or two: n = 150 leaves a last block of
-    # 22 steps and n = 128 one of 64 steps, whose X has 65 columns, and
-    # M = C + 5 a second chunk.  Each chunk's whole rows in one pass give
-    # the same statistics to 1e-12 relative
+    # 22 steps, n = 128 one of 64 steps, whose X has 65 columns, and n = 2
+    # the smallest map, which the reader's scratch fills exactly; M = C + 5
+    # gives a second chunk.  Each chunk's whole rows in one pass give the
+    # same statistics to 1e-12 relative
     from oracles import whole_path_wealth_stats
     from voltmark import cli, simulate
 
@@ -942,24 +944,24 @@ def test_bundled_full_laplace_stage_asks_the_engine_nothing(tmp_path, monkeypatc
 
 def test_full_steps_each_wealth_chunk_once(tmp_path, monkeypatch):
     # the wealth stage's recursion gives the T = 1 frontier its (A_T, B_T):
-    # one _step_factors pass per block of each wealth chunk (one block at
-    # n = 20), and no other wealth fold is made; its reader adds no pass,
+    # one _Wealth call per block of each wealth chunk (one block at
+    # n = 20), and no other wealth fold is made; its reader adds no call,
     # and no whole paths are simulated.  With two workers for the engine,
-    # each pass still runs on the calling thread
+    # each call still runs on the calling thread
     from voltmark import markowitz, simulate
 
-    passes, folds, whole = [], [], []
-    real_steps, real_init = markowitz._step_factors, markowitz._Wealth.__init__
+    calls, folds, whole = [], [], []
+    real_call, real_init = markowitz._Wealth.__call__, markowitz._Wealth.__init__
 
-    def steps_spy(model, V, dB, coef, dt, flat):
-        passes.append((dB.shape[2], threading.current_thread() is threading.main_thread()))
-        return real_steps(model, V, dB, coef, dt, flat)
+    def call_spy(self, chunk, lo, V, dB):
+        calls.append((dB.shape[2], lo, threading.current_thread() is threading.main_thread()))
+        real_call(self, chunk, lo, V, dB)
 
     def init_spy(self, *args):
         folds.append(type(self).__name__)
         real_init(self, *args)
 
-    monkeypatch.setattr(markowitz, "_step_factors", steps_spy)
+    monkeypatch.setattr(markowitz._Wealth, "__call__", call_spy)
     monkeypatch.setattr(markowitz, "simulate_wealth", lambda *args: whole.append(args))
     monkeypatch.setattr(markowitz._Wealth, "__init__", init_spy)
     monkeypatch.setattr(simulate, "_BLAS_THREADS", 1)
@@ -968,7 +970,7 @@ def test_full_steps_each_wealth_chunk_once(tmp_path, monkeypatch):
     cfg_text = re.sub(r"^M = 120$", f"M = {C + 5}", TINY, flags=re.M).replace("n = 40", "n = 20")
     path = _write(tmp_path, cfg_text)
     assert main(["full", "--config", path, "--out", str(tmp_path / "o")]) in (0, 4)
-    assert sorted(passes) == [(5, True), (C, True)]
+    assert sorted(calls) == [(5, 0, True), (C, 0, True)]
     assert folds == ["_WealthMoments"] and whole == []
 
 

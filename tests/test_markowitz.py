@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import folded_integrals, small_model, spoil_integrals, stream, wealth_pairs
-from oracles import einsum_step_factors, stepwise_wealth
+from oracles import stepwise_wealth
 from voltmark import markowitz, simulate
 from voltmark.kernels import ParameterError
 from voltmark.markowitz import (
@@ -230,15 +230,14 @@ def test_affine_terminal_matches_wealth_scheme():
 def test_wealth_bits_do_not_depend_on_the_cpu_count(model_t1, stabs_t1, monkeypatch, pool_sizes,
                                                     M):
     # the recursion steps a chunk's 512-path tiles in path order on the
-    # calling thread, in one tile buffer per chunk, while the engine's
-    # assets share the stream's pool: eight CPUs give the wealth and
-    # strategy bits of one, with five tiles (M = 2100) or one (M = 40),
-    # also under a short switch interval
+    # calling thread, in one map per chunk, sized by its first block's 64
+    # steps, while the engine's assets share the stream's pool: eight CPUs
+    # give the wealth and strategy bits of one, with five tiles (M = 2100)
+    # or one (M = 40), also under a short switch interval
     grid = Grid(1.0, 90)
     sol = solve_riccati_adams(model_t1, stabs_t1, grid.n)
-    tiles = []
-    real_tiles = markowitz._tile_buffer
-    monkeypatch.setattr(markowitz, "_tile_buffer", lambda d: tiles.append(d) or real_tiles(d))
+    maps, real = [], markowitz._mapped
+    monkeypatch.setattr(markowitz, "_mapped", lambda shape: maps.append(shape) or real(shape))
     monkeypatch.setattr(simulate, "_BLAS_THREADS", 1)
     X, alpha_paths = np.empty((M, grid.n + 1)), np.empty((M, 2, grid.n))
 
@@ -258,7 +257,7 @@ def test_wealth_bits_do_not_depend_on_the_cpu_count(model_t1, stabs_t1, monkeypa
     finally:
         sys.setswitchinterval(interval)
     assert pool_sizes == [8]
-    assert len(tiles) == 2                              # one map per chunk
+    assert maps == [((2 * 2 + 5) * 64 * markowitz._WEALTH_TILE,)] * 2   # one map per chunk
     for one, pooled in zip(*runs):
         assert np.array_equal(one, pooled)
 
@@ -488,36 +487,31 @@ def test_wealth_recursion_keeps_the_bits_of_the_step_loop(model_t1, stabs_t1, mo
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_step_factors_equal_the_einsum_sums(d):
-    # the per-asset d-sums of _step_factors against np.einsum's, bit for bit
-    # (signed zeros too) over three blocks of steps, on the time-major
-    # tiles of each block: 512 paths and the rest; einsum sums a one-step
-    # block (n = 1 mod 64) of d >= 3 assets in its own unrolled order, so
-    # n leaves none here
+def test_step_factors_equal_the_einsum_sums(d, monkeypatch):
+    # the wealth fold's per-asset d-sums against np.einsum's, bit for bit
+    # (signed zeros too) through A_T, B_T, X and alpha, on the time-major
+    # tiles of each block: 512 paths and the rest, in blocks of 64 steps
+    # and of 128, whose width the fold's map takes from the first block;
+    # einsum sums a one-step block (n = 1 mod 64) of d >= 3 assets in its
+    # own unrolled order, so n leaves none here
     assets = dict(alpha=[0.6, 0.7, 0.9], lam=[0.2, 0.3, 0.4], nu=[0.4, 0.3, 0.5],
                   rho=[-0.5, 0.2, -0.7], theta=[0.3, 0.1, 0.25], mu0=[1.0, 1.5, 2.0],
                   c=[0.02, 0.03, 0.04])
     model = MarketModel(d=d, **{k: v[:d] for k, v in assets.items()}, r=0.02, x0=1.0, T=1.0)
+    stabs = model.build_stabilizers()
     grid, M = Grid(1.0, 130), 715
+    sol = solve_riccati_adams(model, stabs, grid.n)
     rng = np.random.default_rng(17)
     V = rng.standard_normal((d, grid.n + 1, M)).transpose(2, 0, 1)   # negative: zero roots
     dB = (rng.standard_normal((d, grid.n, M)) * np.sqrt(grid.dt)).transpose(2, 0, 1)
     ens = simulate.PathEnsemble(model=model, grid=grid, M=M, V=V, dB=dB)
-    coef = rng.standard_normal((d, grid.n))
-    gain_ref, s_ref = einsum_step_factors(model, ens, coef)
-    cells, flat = [], markowitz._tile_buffer(d)
-
-    def check(chunk, lo, V_rows, dB_rows):
-        w = dB_rows.shape[1]
-        for tile, gain, s, *_ in markowitz._step_factors(model, V_rows, dB_rows,
-                                                          coef[:, lo:lo + w], grid.dt, flat):
-            assert np.array_equal(gain.view(np.int64),
-                                  gain_ref[tile, :, lo:lo + w].transpose(1, 2, 0).view(np.int64))
-            assert np.array_equal(s.view(np.int64), s_ref[lo:lo + w, tile].view(np.int64))
-            cells.append(s.size)
-
-    ens.fold([check])
-    assert sum(cells) == grid.n * M
+    refs = stepwise_wealth(model, ens, sol, stabs, 2.5)
+    for width in (64, 128):
+        monkeypatch.setattr(simulate, "_BLOCK", width)
+        wealth = simulate_wealth(model, ens, sol, stabs, 2.5)
+        for got, ref in zip((wealth.A_T, wealth.B_T, wealth.X, wealth.alpha_paths), refs,
+                            strict=True):
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64)), width
 
 
 def test_wealth_rejects_a_model_of_another_rho(model_t1, stabs_t1):

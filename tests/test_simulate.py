@@ -425,10 +425,8 @@ def test_engine_matches_dense_reference(model_t1, stabs_t1, n, M):
 def _far_miss(fac) -> float:
     """Relative Frobenius miss of the pair U W against the dense far-field
     matrix that the reference engine pushes."""
-    n = fac.grid.n
-    F_aug = np.concatenate([fac.factor[:n], fac.c_seg[:, None]], axis=1)
-    f_far = np.empty((n - 64, 64 * (fac.rank + 1)))
-    simulate._lag_blocks(F_aug, 64, f_far)
+    f_far = np.empty((fac.grid.n - 64, 64 * (fac.rank + 1)))
+    simulate._lag_blocks(fac.F_aug, 64, f_far)
     return np.linalg.norm(f_far - fac.u_far @ fac.w_far) / np.linalg.norm(f_far)
 
 
