@@ -481,7 +481,7 @@ def main(argv=None) -> int:
             cfg["output_dir"] = args.out
         out_dir = cfg["output_dir"]
         os.makedirs(out_dir, exist_ok=True)
-    except (OSError, ConfigError) as exc:
+    except (OSError, ValueError) as exc:   # ConfigError, a file not in UTF-8, a NUL in a path
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

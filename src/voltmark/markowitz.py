@@ -278,7 +278,8 @@ def optimal_control(model: MarketModel, solution: RiccatiSolution, stabs, xi_sta
     return gain * gap
 
 
-# paths per tile of the wealth recursion; fixed so that the output never
+# paths per tile of the wealth recursion and of every moment fold
+# (``montecarlo.ColumnMoments.add``); fixed so that the output never
 # depends on the environment
 _WEALTH_TILE = 512
 
@@ -312,11 +313,9 @@ class _Wealth:
     With xi*, each tile of a block [lo, hi) also forms X_lo .. X_hi
     (hi - lo + 1, t), X = A + xi* B, in the slots of s and the d-sums,
     and alpha_lo .. alpha_{hi-1} (d, hi - lo, t) in those of sqrt(V^+),
-    both time-major, and hands them to read(lo, tile, X, alpha, scratch)
-    after NonFiniteError unless both are finite; scratch is the rest of
-    the map from the last three slots on, at least 2 t min(w+1, 64)
-    floats once the first block has two steps (``ColumnMoments.add``),
-    and all three are views that the next tile overwrites.
+    both time-major, and hands them to read(lo, tile, X, alpha) after
+    NonFiniteError unless both are finite; both are views that the next
+    tile overwrites.
     """
 
     increments = True
@@ -330,8 +329,7 @@ class _Wealth:
         self.disc = np.exp(-model.r * (model.T - times))[:, None]      # (n, 1)
         self.chunk = None    # the chunk's map, A and B
 
-    def read(self, lo: int, tile: slice, X: np.ndarray, alpha: np.ndarray,
-             scratch: np.ndarray) -> None:
+    def read(self, lo: int, tile: slice, X: np.ndarray, alpha: np.ndarray) -> None:
         """Take a tile's wealth and strategy over a block (with xi*); no reader here."""
 
     def __call__(self, chunk, lo, V, dB):
@@ -373,7 +371,7 @@ class _Wealth:
                 alpha = np.multiply(gain, ds, out=root)
                 require_finite("wealth paths", X)
                 require_finite("optimal strategy", alpha)
-                self.read(lo, tile, X, alpha, flat[(2 * d + 2) * size :])
+                self.read(lo, tile, X, alpha)
         if lo + w == chunk.grid.n:
             require_finite("terminal wealth A_T", A)
             require_finite("terminal wealth B_T", B)
@@ -392,7 +390,7 @@ def simulate_wealth(model: MarketModel, ensemble: PathEnsemble, solution: Riccat
     X = np.empty((ensemble.M, ensemble.grid.n + 1))
     alpha_paths = np.empty((ensemble.M, model.d, ensemble.grid.n))
 
-    def store(lo, tile, x, alpha, scratch):
+    def store(lo, tile, x, alpha):
         X[tile, lo : lo + len(x)] = x.T
         alpha_paths[tile, :, lo : lo + alpha.shape[1]] = alpha.transpose(2, 0, 1)
 

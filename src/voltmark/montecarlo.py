@@ -15,14 +15,10 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .kernels import ParameterError
-from .markowitz import _Wealth, gamma0, variance_of_terminal, xi_eta_star, z_score
+from .markowitz import _WEALTH_TILE, _Wealth, gamma0, variance_of_terminal, xi_eta_star, z_score
 from .model import Grid, MarketModel
 from .riccati import solve_riccati_adams
-from .simulate import Streams, _mapped, require_finite
-
-# columns per block of a chunk's moment pass, so that its temporaries
-# hold (paths, 64) entries whatever the number of columns
-_BLOCK_COLUMNS = 64
+from .simulate import Streams, require_finite
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,37 +36,37 @@ class EnsembleStats:
 class ColumnMoments:
     """Count, mean and central sums M2, M3, M4 of each column, folded chunk by chunk.
 
-    ``add(x)`` folds the rows (paths) of an (m, k) array in, by the
-    pairwise merges of Chan, Golub & LeVeque (Am. Stat. 37, 1983) for M2
-    and of Pebay (Sandia report SAND2008-6212, 2008) for M3 and M4; a
-    whole ensemble is one chunk.  With m_k = M_k / M, ``stats`` gives the
+    ``add(x)`` folds the rows (paths) of an (m, k) array in, tile by tile
+    of ``_WEALTH_TILE`` rows in row order, by the pairwise merges of Chan,
+    Golub & LeVeque (Am. Stat. 37, 1983) for M2 and of Pebay (Sandia
+    report SAND2008-6212, 2008) for M3 and M4; a whole ensemble is one
+    chunk.  A tile's two temporaries, of 512 x k floats at most (k = 65
+    for a block of X), are taken back from the heap by the next tile; a
+    whole block's, megabytes at 10 000 paths, would stay on the heap
+    after the fold.  With m_k = M_k / M, ``stats`` gives the
     variance M2 / (M - 1), the SEs sqrt(m2 / M) of the mean and
     sqrt((m4 - m2^2) / M) M / (M - 1) of the variance, and the 95% band
-    mean -/+ 1.96 SE.  Overflowing sums are left to ``stats``.  The
-    temporaries of each block of columns live in ``scratch``, laid out
-    as numpy lays out x's elementwise results (``_laid_out``), so the
-    sums keep their bits: a fold's (``_VarianceMoments``' map, or the
-    rest of the wealth fold's map after a tile's slots), or add's own.
+    mean -/+ 1.96 SE.  Overflowing sums are left to ``stats``.
     """
 
     count = 0
     mean = m2 = m3 = m4 = None
 
-    def add(self, x, scratch=None) -> None:
+    def add(self, x) -> None:
         x = np.asarray(x, dtype=float)
+        for t0 in range(0, len(x), _WEALTH_TILE):
+            self._merge(x[t0 : t0 + _WEALTH_TILE])
+
+    def _merge(self, x) -> None:
+        """Fold one tile's rows in."""
         nb = len(x)
-        if scratch is None:
-            scratch = np.empty(2 * nb * min(x.shape[1], _BLOCK_COLUMNS))
         with np.errstate(over="ignore", invalid="ignore"):  # checked by ``stats``
             mean_b = x.mean(axis=0)
-            m2b, m3b, m4b = (np.empty_like(mean_b) for _ in range(3))
-            for lo in range(0, len(mean_b), _BLOCK_COLUMNS):
-                cols = slice(lo, lo + _BLOCK_COLUMNS)
-                c = np.subtract(x[:, cols], mean_b[cols], out=_laid_out(scratch, x[:, cols]))
-                c2 = np.square(c, out=_laid_out(scratch[c.size :], c))
-                m2b[cols] = c2.sum(axis=0)
-                m3b[cols] = np.multiply(c2, c, out=c).sum(axis=0)
-                m4b[cols] = np.square(c2, out=c2).sum(axis=0)
+            c = x - mean_b
+            c2 = np.square(c)
+            m2b = c2.sum(axis=0)
+            m3b = np.multiply(c2, c, out=c).sum(axis=0)
+            m4b = np.square(c2, out=c2).sum(axis=0)
             if not self.count:
                 self.count, self.mean, self.m2, self.m3, self.m4 = nb, mean_b, m2b, m3b, m4b
                 return
@@ -107,14 +103,6 @@ class ColumnMoments:
         return out
 
 
-def _laid_out(buf: np.ndarray, like: np.ndarray) -> np.ndarray:
-    """A view of buf's front with the shape and the axis order of the (m, k)
-    array like, the layout numpy gives like's elementwise results."""
-    if like.strides[0] < like.strides[1]:      # rows (paths) contiguous
-        return buf[: like.size].reshape(like.shape[::-1]).T
-    return buf[: like.size].reshape(like.shape)
-
-
 class _TimeMoments:
     """Per-time moments of series folded block by block: a ``ColumnMoments``
     per series and block of times, by the block's first time lo."""
@@ -122,11 +110,10 @@ class _TimeMoments:
     def __init__(self, *stream):
         self.blocks = {}
 
-    def add(self, lo: int, scratch: np.ndarray, *series) -> None:
-        """Fold each series' (paths, times) array of the block at lo, with
-        the temporaries in scratch (``ColumnMoments.add``)."""
+    def add(self, lo: int, *series) -> None:
+        """Fold each series' (paths, times) array of the block at lo."""
         for acc, x in zip(self.blocks.setdefault(lo, [ColumnMoments() for _ in series]), series):
-            acc.add(x, scratch)
+            acc.add(x)
 
     def stats(self) -> list[EnsembleStats]:
         return [joined_stats(accs) for accs in zip(*self.blocks.values())]
@@ -137,27 +124,19 @@ class _VarianceMoments(_TimeMoments):
     A block folds its times lo .. hi-1, the next block's row 0 repeating
     hi, and the chunk's last block time n too: no block of columns is a
     lone column, so the statistics have the bits of whole rows
-    (``joined_stats``).  Each chunk maps the scratch (``simulate._mapped``,
-    so that freeing it leaves no heap behind for the stages after it)
-    and frees it after its last block."""
+    (``joined_stats``)."""
 
     increments = False
-    scratch = None
 
     def __call__(self, chunk, lo, V, dB):
         last = lo + V.shape[1] - 1 == chunk.grid.n
-        if lo == 0:
-            self.scratch = _mapped((2 * chunk.M * _BLOCK_COLUMNS,))
-        self.add(lo, self.scratch, *(rows.T if last else rows[:-1].T for rows in V))
-        if last:
-            self.scratch = None
+        self.add(lo, *(rows.T if last else rows[:-1].T for rows in V))
 
 
 class _WealthMoments(_Wealth):
     """The wealth stage's fold: the wealth recursion at xi* with the
     per-time moments of X and of each asset's strategy, each tile of
-    paths folded in tile order with the scratch that the recursion's map
-    leaves after the tile's slots (``markowitz._Wealth``), so no block of
+    paths (``markowitz._Wealth``) folded as it is stepped, so no block of
     a chunk's paths is held whole.  A tile of block [lo, hi) folds X at
     lo .. hi-1, and at lo .. n in the chunk's last block, and the
     strategies at lo .. hi-1."""
@@ -166,9 +145,9 @@ class _WealthMoments(_Wealth):
         super().__init__(model, stabs, grid, xi_star)
         self.moments = _TimeMoments()
 
-    def read(self, lo, tile, X, alpha, scratch):
+    def read(self, lo, tile, X, alpha):
         last = lo + len(X) - 1 == self.grid.n
-        self.moments.add(lo, scratch, (X if last else X[:-1]).T, *(a.T for a in alpha))
+        self.moments.add(lo, (X if last else X[:-1]).T, *(a.T for a in alpha))
 
 
 def joined_stats(blocks) -> EnsembleStats:

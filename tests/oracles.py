@@ -452,36 +452,36 @@ def assembled_chunks(model, stabs, grid: Grid, M: int, seed: int, *,
     return chunks
 
 
-def whole_path_wealth_stats(model, stabs, grid: Grid, M: int, seed: int, m: float, *,
-                            tile: int | None = _WEALTH_TILE) -> tuple:
-    """Statistics (X, [alpha_i]) of the wealth stage from whole paths: each
-    chunk's (chunk, n+1) X and (chunk, d, n) strategy from simulate_wealth.
+def whole_path_wealth(model, stabs, grid: Grid, M: int, seed: int, m: float) -> list:
+    """Each fixed-start chunk's whole wealth and strategy paths
+    (``simulate_wealth``) at the xi* of target m."""
+    sol = solve_riccati_adams(model, stabs, grid.n)
+    xi = solve_markowitz(model, sol, stabs, m).xi_star
+    return [simulate_wealth(model, chunk, sol, stabs, xi)
+            for chunk in assembled_chunks(model, stabs, grid, M, seed, initial="fixed")]
+
+
+def whole_path_wealth_stats(grid: Grid, parts) -> tuple:
+    """Statistics (X, [alpha_i]) of the wealth stage from the whole paths of
+    each chunk's WealthEnsemble in parts (``whole_path_wealth``).
 
     Folded as the wealth fold folds its tiles: each block of ``_BLOCK``
     steps [lo, hi), X at lo .. hi-1 (lo .. n in the last block) and each
     strategy at lo .. hi-1, into one ColumnMoments per series and block,
-    ``tile`` paths at a time in path order, each tile laid out paths
-    contiguous as the fold's time-major rows are, and the blocks joined
-    (``joined_stats``).  tile=None folds each chunk's rows whole into one
-    ColumnMoments per series over all times: the two-pass moments of a
-    chunk.
+    ``_WEALTH_TILE`` paths at a time in path order, each tile laid out
+    paths contiguous as the fold's time-major rows are, and the blocks
+    joined (``joined_stats``).
     """
-    sol = solve_riccati_adams(model, stabs, grid.n)
-    xi = solve_markowitz(model, sol, stabs, m).xi_star
     n, blocks = grid.n, {}
-    for chunk in assembled_chunks(model, stabs, grid, M, seed, initial="fixed"):
-        part = simulate_wealth(model, chunk, sol, stabs, xi)
-        series = [part.X] + [part.alpha_paths[:, i] for i in range(model.d)]
-        if tile is None:
-            for acc, x in zip(blocks.setdefault(0, [ColumnMoments() for _ in series]), series):
-                acc.add(x)
-            continue
+    for part in parts:
+        d = part.alpha_paths.shape[1]
+        series = [part.X] + [part.alpha_paths[:, i] for i in range(d)]
         for lo in range(0, n, _BLOCK):
             hi = min(lo + _BLOCK, n)
             accs = blocks.setdefault(lo, [ColumnMoments() for _ in series])
-            for t0 in range(0, chunk.M, tile):
-                rows = slice(t0, t0 + tile)
-                for acc, x, stop in zip(accs, series, [n + 1 if hi == n else hi] + [hi] * model.d):
+            for t0 in range(0, len(part.X), _WEALTH_TILE):
+                rows = slice(t0, t0 + _WEALTH_TILE)
+                for acc, x, stop in zip(accs, series, [n + 1 if hi == n else hi] + [hi] * d):
                     acc.add(np.ascontiguousarray(x[rows, lo:stop].T).T)
     xstats, *astats = [joined_stats(accs) for accs in zip(*blocks.values())]
     return xstats, astats

@@ -325,9 +325,8 @@ def test_a_failing_fold_leaves_no_pool_threads(model_t1, stabs_t1, monkeypatch):
 def test_a_finished_stream_keeps_only_the_results_of_its_folds(model_t1, stabs_t1, monkeypatch):
     # Streams keeps the folds of a stream that has run, for the stages that
     # read their results, but none of the maps that the stream or its folds
-    # made (engine scratch, row store, tile buffers) and no moments scratch
+    # made (engine scratch, row store, tile buffers)
     refs = []
-    real_add = montecarlo.ColumnMoments.add
 
     def mapped_spy(real):
         def wrapped(shape):
@@ -336,13 +335,8 @@ def test_a_finished_stream_keeps_only_the_results_of_its_folds(model_t1, stabs_t
             return arr
         return wrapped
 
-    def add_spy(self, x, scratch=None):
-        refs.append(weakref.ref(scratch))
-        return real_add(self, x, scratch)
-
     for module in (simulate, markowitz):
         monkeypatch.setattr(module, "_mapped", mapped_spy(module._mapped))
-    monkeypatch.setattr(montecarlo.ColumnMoments, "add", add_spy)
     streams = simulate.Streams(SEED)
     fixed = (model_t1, stabs_t1, GRID, C + 5, "fixed")
     integrals = streams.fold(*fixed, markowitz._TimeIntegrals)
@@ -350,9 +344,8 @@ def test_a_finished_stream_keeps_only_the_results_of_its_folds(model_t1, stabs_t
     moments = streams.result(model_t1, stabs_t1, GRID, C + 5, "stationary",
                              montecarlo._VarianceMoments)
     # each asset's 6 scratch and 2 factor buffers and the 2 row stores per
-    # stream, the tile buffer of each wealth chunk, and the scratch of each
-    # moments add: 9 tiles of 3 series and 2 chunks of 2 assets, 2 blocks each
-    assert len(refs) >= 2 * (2 * 8 + 2) + 2 + 2 * (9 * 3 + 2 * 2)
+    # stream, and the tile buffer of each wealth chunk
+    assert len(refs) >= 2 * (2 * 8 + 2) + 2
     assert [ref() for ref in refs] == [None] * len(refs)
     assert [len(A) for A, _ in wealth.pairs] == [total.shape[1] for total in integrals.totals]
     assert [len(st.mean) for st in wealth.moments.stats() + moments.stats()] == [71, 70, 70, 71, 71]
@@ -365,8 +358,9 @@ def test_one_driver_draws_and_folds_the_streams():
     # laplace_affine_check; src/ has no generator but two context
     # managers, the engine's pool and the CLI's stage timer, since the
     # engine calls every fold on each block and each fold steps that block
-    # itself
-    streams, ensembles, generators = set(), set(), set()
+    # itself.  Memory is mapped (``simulate._mapped``) only by simulate's
+    # engine, factor and stream, and by the wealth recursion's tiles
+    streams, ensembles, generators, maps = set(), set(), set(), set()
     for path in Path(voltmark.__file__).parent.glob("*.py"):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
             where = f"{path.stem}.{getattr(top, 'name', '')}"
@@ -375,6 +369,8 @@ def test_one_driver_draws_and_folds_the_streams():
                     name = getattr(node.func, "id", getattr(node.func, "attr", None))
                     if name == "fold_stream":
                         streams.add(where)
+                    if name == "_mapped":
+                        maps.add(where)
                     if name == "fold" and isinstance(node.func, ast.Attribute) \
                             and len(node.args) == 1:
                         ensembles.add(where)
@@ -383,3 +379,4 @@ def test_one_driver_draws_and_folds_the_streams():
     assert streams == {"simulate.Streams", "simulate.simulate_variance_paths"}
     assert ensembles == {"markowitz.simulate_wealth", "markowitz.laplace_affine_check"}
     assert generators == {"simulate._workers", "cli._Stages"}
+    assert {where for where in maps if not where.startswith("simulate.")} == {"markowitz._Wealth"}

@@ -141,15 +141,20 @@ def test_too_few_paths_exit_code(tmp_path, capsys, command, old, new):
     assert f".{key}: expected >= 2 paths" in err
 
 
-@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
-def test_output_path_through_a_file_exit_code(tmp_path, capsys, below):
+@pytest.mark.parametrize("config, out", [
+    (TINY.encode(), "blocker"), (TINY.encode(), "blocker/o"),
+    (b"\xff\xfe" + TINY.encode(), "o"), (TINY.encode(), "o\0x"),
+], ids=["file", "below-file", "not-utf8", "nul"])
+def test_output_path_through_a_file_exit_code(tmp_path, capsys, config, out):
     # --out naming a file, or a path below one, is a configuration error
-    # with one line, not a FileExistsError or NotADirectoryError traceback
-    path = _write(tmp_path, TINY)
+    # with one line, not a FileExistsError or NotADirectoryError traceback;
+    # so are a config file that is not UTF-8 and an output path holding a
+    # NUL byte, not a UnicodeDecodeError or ValueError traceback
+    path = tmp_path / "cfg.ini"
+    path.write_bytes(config)
     blocker = tmp_path / "blocker"
     blocker.write_text("")
-    out = blocker / "o" if below else blocker
-    assert main(["riccati", "--config", path, "--out", str(out)]) == 2
+    assert main(["riccati", "--config", str(path), "--out", str(tmp_path / out)]) == 2
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and err.startswith("config error")
     assert blocker.read_text() == ""
@@ -303,9 +308,9 @@ def test_each_statistic_folds_each_chunk_once(tmp_path, monkeypatch):
     folds = []
     real = montecarlo.ColumnMoments.add
 
-    def spy(self, x, *scratch):
+    def spy(self, x):
         folds.append(np.shape(x))
-        return real(self, x, *scratch)
+        return real(self, x)
 
     monkeypatch.setattr(montecarlo.ColumnMoments, "add", spy)
     path = _write(tmp_path, _DEFAULT_CONFIG.replace("M = 5000", "M = 60")
@@ -351,9 +356,9 @@ def test_wealth_drops_its_paths_before_the_statistics(tmp_path, monkeypatch):
             return arr
         return wrapped
 
-    def add_spy(self, x, *scratch):
+    def add_spy(self, x):
         alive.append(("add", [ref() is not None for ref in chunks]))
-        return real_add(self, x, *scratch)
+        return real_add(self, x)
 
     def stats_spy(self):
         alive.append(("stats", [ref() is not None for ref in chunks + refs]))
@@ -561,10 +566,10 @@ def test_wealth_stats_keep_the_bits_of_whole_paths(tmp_path, monkeypatch, n, cpu
     # the block fold writes the bytes of whole-path arrays folded in tiles
     # of 512 paths, on one worker or two: n = 150 leaves a last block of
     # 22 steps, n = 128 one of 64 steps, whose X has 65 columns, and n = 2
-    # the smallest map, which the reader's scratch fills exactly; M = C + 5
-    # gives a second chunk.  Each chunk's whole rows in one pass give the
-    # same statistics to 1e-12 relative
-    from oracles import whole_path_wealth_stats
+    # a block of two steps; M = C + 5 gives a second chunk.  numpy's
+    # two-pass mean and ddof = 1 variance over all paths agree to 1e-12
+    # relative
+    from oracles import whole_path_wealth, whole_path_wealth_stats
     from voltmark import cli, simulate
 
     monkeypatch.setattr(simulate, "_BLAS_THREADS", 1)
@@ -574,8 +579,8 @@ def test_wealth_stats_keep_the_bits_of_whole_paths(tmp_path, monkeypatch, n, cpu
     out = tmp_path / "o"
     assert main(["wealth", "--config", _write(tmp_path, cfg_text), "--out", str(out)]) in (0, 4)
     run = RunContext.build(load_config(cfg_text))
-    oracle = (run.model, run.stabs, run.grid, M, run.cfg["seed"], run.cfg["m"])
-    xstats, astats = whole_path_wealth_stats(*oracle)
+    parts = whole_path_wealth(run.model, run.stabs, run.grid, M, run.cfg["seed"], run.cfg["m"])
+    xstats, astats = whole_path_wealth_stats(run.grid, parts)
     cols = [run.grid.times, xstats.mean, xstats.ci_low, xstats.ci_high]
     header = ["t", "X_mean", "X_ci_low", "X_ci_high"]
     for i, st in enumerate(astats):
@@ -583,10 +588,16 @@ def test_wealth_stats_keep_the_bits_of_whole_paths(tmp_path, monkeypatch, n, cpu
         header += [f"alpha{i + 1}_mean", f"alpha{i + 1}_ci_low", f"alpha{i + 1}_ci_high"]
     cli.write_csv(str(tmp_path / "oracle.csv"), header, zip(*cols))
     assert (out / "wealth_stats.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
-    xwhole, awhole = whole_path_wealth_stats(*oracle, tile=None)
-    for got, want in zip([xstats, *astats], [xwhole, *awhole], strict=True):
-        for name in ("mean", "ci_low", "ci_high"):
-            np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-12, atol=0)
+    X = np.concatenate([part.X for part in parts])
+    alpha = np.concatenate([part.alpha_paths for part in parts])
+    for got, x in zip([xstats, *astats], [X, *alpha.transpose(1, 0, 2)], strict=True):
+        np.testing.assert_allclose(got.mean, x.mean(axis=0), rtol=1e-12, atol=0)
+        # the fixed start's t = 0 column is constant: each variance there is rounding
+        spread = np.ptp(x, axis=0) > 0.0
+        assert np.array_equal(spread, np.arange(x.shape[1]) > 0)
+        np.testing.assert_allclose(got.variance[spread], x.var(axis=0, ddof=1)[spread],
+                                   rtol=1e-12, atol=0)
+        assert abs(got.variance[0]) <= 1e-24 * got.mean[0] ** 2
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -595,8 +606,14 @@ def test_block_folds_keep_the_bits_of_whole_chunks(tmp_path, monkeypatch, n, cpu
     # the stationarity, frontier and Laplace stages fold the block stream,
     # and write the bytes of the same statistics over whole chunks, on one
     # worker or two: n = 150 leaves a last block of 22 cells, n = 65 one
-    # of a single cell, and M = C + 5 a second chunk
-    from oracles import whole_chunk_integrals, whole_chunk_terminal, whole_chunk_variance_stats
+    # of a single cell, and M = C + 5 a second chunk.  numpy's two-pass
+    # mean and ddof = 1 variance over all paths agree to 1e-12 relative
+    from oracles import (
+        assembled_chunks,
+        whole_chunk_integrals,
+        whole_chunk_terminal,
+        whole_chunk_variance_stats,
+    )
     from voltmark import cli, markowitz, montecarlo, riccati, simulate
 
     monkeypatch.setattr(simulate, "_BLAS_THREADS", 1)
@@ -640,6 +657,15 @@ def test_block_folds_keep_the_bits_of_whole_chunks(tmp_path, monkeypatch, n, cpu
     pairs = wealth_pairs(model, sol, stabs, stream(model, stabs, grid, M, seed, **fixed))
     for got, want in zip(pairs, whole_chunk_terminal(model, stabs, grid, M, seed), strict=True):
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    V = np.concatenate([chunk.V for chunk in assembled_chunks(model, stabs, grid, M, seed,
+                                                              increments=False)])
+    for got, x in zip(folded.stats, V.transpose(1, 0, 2), strict=True):
+        np.testing.assert_allclose(got.mean, x.mean(axis=0), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got.variance, x.var(axis=0, ddof=1), rtol=1e-12, atol=0)
+    for p in points:
+        x = np.concatenate([A + p.xi_star * B for A, B in pairs])
+        np.testing.assert_allclose([p.mean_terminal, p.v_mc], [x.mean(), x.var(ddof=1)],
+                                   rtol=1e-12, atol=0)
     totals = folded_integrals(stream(model, stabs, grid, M, seed, **fixed))
     for got, want in zip(totals, whole_chunk_integrals(model, stabs, grid, M, seed), strict=True):
         assert np.array_equal(got, want)

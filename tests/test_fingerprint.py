@@ -1,4 +1,4 @@
-"""The output fingerprint of ``voltmark full --seed 7041`` and of a two-chunk dump.
+"""The output fingerprint of ``voltmark full --seed 7041`` and of two two-chunk dumps.
 
 ``fingerprint.json`` holds, for each of full's CSVs, its stdout and the
 ``paths.bin`` of ``simulate --dump-paths`` on the bundled config at n = 30
@@ -7,7 +7,10 @@ of its parsed values, plus the environment it was taken in: numpy, its
 BLAS, the machine and numpy's SIMD targets, on which the last bits
 depend.  It holds the same for ``full`` at the Markovian edge alpha = 1
 (``ALPHA1``, a small grid and few paths), its names prefixed
-``alpha1_``.  Every command runs in a child with VOLTMARK_THREADS=1.
+``alpha1_``, and for a two-chunk dump at that alpha (``ALPHA1_DUMP``,
+n = 130): on chunk-sized path counts the layout of the alpha = 1
+asset's rank-1 factor picks numpy's matmul route, which moves bits that
+no CSV shows.  Every command runs in a child with VOLTMARK_THREADS=1.
 
 In the recorded environment every file must hash the same, so a change
 of one unit in the last digit of one CSV cell fails.  Elsewhere only the
@@ -46,6 +49,7 @@ _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 # the bundled config's changes for the alpha = 1 run
 ALPHA1 = {"alpha": "1.0, 0.9", "n": "40", "M": "200", "laplace_M": "200",
           "stationarity_M": "200"}
+ALPHA1_DUMP = {"alpha": "1.0, 0.9", "n": "130", "M": str(simulate._CHUNK_PATHS + 5)}
 
 
 def environment() -> dict:
@@ -85,9 +89,13 @@ def outputs(tmp: pathlib.Path) -> dict[str, bytes]:
     files = _full(tmp / "full")
     alpha1 = _full(tmp / "alpha1", "--config", _config(tmp / "alpha1.ini", ALPHA1))
     files.update((f"alpha1_{name}", data) for name, data in alpha1.items())
-    config = _config(tmp / "dump.ini", {"n": "30", "M": str(simulate._CHUNK_PATHS + 5)})
-    _voltmark("simulate", "--config", config, "--out", str(tmp / "dump"), "--dump-paths")
-    files["paths.bin"] = (tmp / "dump" / "paths.bin").read_bytes()
+    dumps = {"paths.bin": {"n": "30", "M": str(simulate._CHUNK_PATHS + 5)},
+             "alpha1_paths.bin": ALPHA1_DUMP}
+    for name, changes in dumps.items():
+        out = tmp / name.replace(".", "_")
+        config = _config(tmp / f"{out.name}.ini", changes)
+        _voltmark("simulate", "--config", config, "--out", str(out), "--dump-paths")
+        files[name] = (out / "paths.bin").read_bytes()
     return files
 
 
@@ -97,7 +105,7 @@ def summary(name: str, data: bytes) -> list:
     T), the minimum, maximum, mean, first and last value."""
     if name.endswith("stdout"):
         return [float(token) for token in _NUMBER.findall(data.decode())]
-    if name == "paths.bin":
+    if name.endswith("paths.bin"):
         M, d, n = (int(v) for v in np.frombuffer(data, "<i8", count=3))
         header = [M, d, n, float(np.frombuffer(data, "<f8", count=1, offset=24)[0])]
         body = np.frombuffer(data, "<f8", offset=32).reshape(M, d, n + 1)

@@ -241,7 +241,7 @@ def test_wealth_bits_do_not_depend_on_the_cpu_count(model_t1, stabs_t1, monkeypa
     monkeypatch.setattr(simulate, "_BLAS_THREADS", 1)
     X, alpha_paths = np.empty((M, grid.n + 1)), np.empty((M, 2, grid.n))
 
-    def store(lo, tile, x, alpha, scratch):
+    def store(lo, tile, x, alpha):
         X[tile, lo : lo + len(x)] = x.T
         alpha_paths[tile, :, lo : lo + alpha.shape[1]] = alpha.transpose(2, 0, 1)
 

@@ -8,7 +8,7 @@ import pytest
 from conftest import small_model, stationarity
 from oracles import assembled_chunks, bootstrap_se, bootstrap_weights, constant_sigma
 from voltmark.kernels import ParameterError
-from voltmark.markowitz import z_score
+from voltmark.markowitz import _WEALTH_TILE, z_score
 from voltmark.model import Grid, bundled_model
 from voltmark.montecarlo import (
     ColumnMoments,
@@ -95,6 +95,22 @@ def test_block_fold_gives_the_bits_of_whole_rows(edges):
     joined, st = joined_stats(blocks), whole.stats()
     for f in fields(EnsembleStats):
         assert np.array_equal(getattr(joined, f.name), getattr(st, f.name)), f.name
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_add_folds_tiles_of_the_wealth_tile(layout):
+    # add folds an array's rows in tiles of _WEALTH_TILE paths, so one add
+    # of C + 5 rows gives, bit for bit, the sums of an add per tile, in
+    # either layout, with a last tile of 5 rows
+    rng = np.random.default_rng(29)
+    x = np.asarray(2.0 + rng.gamma(2.0, 0.5, size=(_CHUNK_PATHS + 5, 7)), order=layout)
+    whole, tiles = ColumnMoments(), ColumnMoments()
+    whole.add(x)
+    for t0 in range(0, len(x), _WEALTH_TILE):
+        tiles.add(x[t0 : t0 + _WEALTH_TILE])
+    assert whole.count == tiles.count == len(x)
+    for name in ("mean", "m2", "m3", "m4"):
+        assert np.array_equal(getattr(whole, name), getattr(tiles, name)), name
 
 
 def test_plug_in_se_matches_bootstrap(model_t1, stabs_t1):
