@@ -21,18 +21,16 @@ import, before numpy loads).  The manifest records the cap
 settings besides config and seed that the CSV bits depend on.
 
 ``main`` builds one ``RunContext`` (model, stabilizers, grid, streams)
-from the validated config, and every stage of ``full`` runs on it: no
-stage rebuilds the stabilizers or re-solves psi, and a frontier at
-another horizon takes ``RunContext.at(T)``, which keeps them.  ``full``
-first applies its late stages' own rules (the frontier horizons, the
-target m, the Laplace forcing u), so a config that one of them would
-refuse fails before the first stage writes anything.  Every stage with
-paths is a block fold on a stream of the context's ``simulate.Streams``,
-which draws each stream once and hands every block to all of its folds
-(``simulate.fold_stream``): the frontier at the config horizon reads
-the wealth stage's (A_T, B_T), and the Laplace check, whose fold
-``full`` makes before the wealth stage, its time integrals when
-laplace_M equals mc.M (the same paths).
+from the validated config, and every stage of ``full`` runs on it; a
+frontier at another horizon takes ``RunContext.at(T)``.  ``full`` first
+applies its late stages' own rules (the frontier horizons and targets,
+the target m, the Laplace forcing u), so a config that one of them
+would refuse fails before the first stage writes anything.  Every stage
+with paths is a block fold on a stream of the context's
+``simulate.Streams``, which draws each stream once for all of its
+folds: the frontier at the config horizon reads the wealth stage's
+(A_T, B_T), and the Laplace check its time integrals when laplace_M
+equals mc.M (the same paths).
 The manifest's ``stages`` holds one record per stage in run order (the
 command itself, or each stage of ``full``): its name, ``wall_s`` and the
 process's peak resident set at its end, ``vmhwm_mb``; ``status`` holds
@@ -204,18 +202,18 @@ class _Dump:
 
     increments = False
 
-    def __init__(self, model: MarketModel, stabs, grid: Grid, path: str, M: int):
-        self.path, self.shape, self.body = path, (M, model.d, grid.n + 1), None
+    def __init__(self, model: MarketModel, stabs, grid: Grid, M: int, path: str):
+        self.path, self.T, self.shape, self.body = path, grid.T, (M, model.d, grid.n + 1), None
 
-    def __call__(self, chunk, lo, V, dB):
+    def __call__(self, first, lo, V, dB):
         M, d, n1 = self.shape
         if self.body is None:
             with open(self.path, "wb") as fh:
                 np.array([M, d, n1 - 1], dtype="<i8").tofile(fh)
-                np.array([chunk.grid.T], dtype="<f8").tofile(fh)
+                np.array([self.T], dtype="<f8").tofile(fh)
                 fh.truncate(32 + 8 * M * d * n1)
             self.body = np.memmap(self.path, dtype="<f8", mode="r+", offset=32, shape=self.shape)
-        paths = slice(chunk.first, chunk.first + chunk.M)
+        paths = slice(first, first + V.shape[-1])
         self.body[paths, :, lo : lo + V.shape[1]] = V.transpose(2, 0, 1)
         if paths.stop == M and lo + V.shape[1] == n1:     # the stream's last block
             self.body = None
@@ -289,7 +287,7 @@ def run_simulate(run: RunContext, out_dir: str, M: int | None = None,
     M = run.cfg["M"] if M is None else M
     stream = (run.model, run.stabs, run.grid, M, "stationary")
     if dump_paths:
-        run.streams.fold(*stream, _Dump, os.path.join(out_dir, "paths.bin"), M)
+        run.streams.fold(*stream, _Dump, os.path.join(out_dir, "paths.bin"))
     moments = run.streams.result(*stream, montecarlo._VarianceMoments)
     report = montecarlo.stationarity_report(run.model, moments.stats())
     for i, st in enumerate(report.stats):
@@ -333,11 +331,9 @@ def run_frontier(run: RunContext, out_dir: str, T: float | None = None) -> int:
     here = run if T is None else run.at(T)
     cfg, model, stabs, grid = here.cfg, here.model, here.stabs, here.grid
 
-    def chunk_pairs():
-        return here.streams.result(model, stabs, grid, cfg["M"], "fixed", markowitz._Wealth).pairs
-
     points = montecarlo.frontier_report(
-        model, stabs, grid, montecarlo.frontier_m_grid(model, cfg["m_count"]), chunk_pairs)
+        model, stabs, grid, montecarlo.frontier_m_grid(model, cfg["m_count"]),
+        lambda: here.streams.result(model, stabs, grid, cfg["M"], "fixed", markowitz._Wealth))
     tag = f"_T{model.T:g}" if T is not None else ""
     write_csv(
         os.path.join(out_dir, f"frontier{tag}.csv"),
@@ -363,7 +359,7 @@ def run_laplace(run: RunContext, out_dir: str) -> int:
     riccati._laplace_forcing(run.model, cfg["u"])
     integrals = run.streams.result(run.model, run.stabs, run.grid, cfg["laplace_M"], "fixed",
                                    markowitz._TimeIntegrals)
-    rep = markowitz.laplace_report(run.model, run.stabs, cfg["u"], run.grid, integrals.totals)
+    rep = markowitz.laplace_report(run.model, run.stabs, cfg["u"], run.grid, integrals.total)
     write_csv(
         os.path.join(out_dir, "laplace_check.csv"),
         ["mc_value", "mc_se", "closed_form", "z_score", "beta"],
@@ -380,7 +376,7 @@ def run_full(run: RunContext, out_dir: str, stage) -> int:
     cfg = run.cfg
     # the late stages' own rules, so that a config they refuse writes nothing
     for T in cfg["frontier_horizons"]:
-        run.at(T)
+        montecarlo.frontier_m_grid(run.at(T).model, cfg["m_count"])
     markowitz._riskless(run.model, cfg["m"])
     markowitz._finite_variance(run.model, cfg["m"])
     riccati._laplace_forcing(run.model, cfg["u"])

@@ -174,7 +174,7 @@ def mittag_leffler(alpha: float, z) -> float | np.ndarray:
     where the value leaves the floats."""
     if not 0.0 < alpha <= 1.0:
         raise ParameterError(f"mittag_leffler requires alpha in (0, 1], got {alpha}")
-    scalar = np.isscalar(z)
+    scalar = np.ndim(z) == 0
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if np.any(np.isnan(z)):
         raise DomainError("Mittag-Leffler function at z = nan")
@@ -191,7 +191,7 @@ def mittag_leffler(alpha: float, z) -> float | np.ndarray:
 
 def eval_kernel(spec: KernelSpec, t) -> float | np.ndarray:
     """Evaluate K(t) for t > 0 (a singular kernel rejects t <= 0, every kernel t = NaN)."""
-    scalar = np.isscalar(t)
+    scalar = np.ndim(t) == 0
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(np.isnan(t)):
         raise DomainError("fractional kernel at t = nan")
@@ -203,7 +203,7 @@ def eval_kernel(spec: KernelSpec, t) -> float | np.ndarray:
 
 def resolvent(spec: ResolventSpec, t) -> float | np.ndarray:
     """R_lam(t) = E_alpha(-lam t^alpha) for t >= 0 (exp(-lam t) at alpha = 1)."""
-    scalar = np.isscalar(t)
+    scalar = np.ndim(t) == 0
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if not np.all(t >= 0.0):  # NaN fails too
         raise DomainError("resolvent requires t >= 0")
@@ -217,7 +217,7 @@ def resolvent_density(spec: ResolventSpec, t) -> float | np.ndarray:
 
     E_{alpha,alpha} comes from ``_ml``; alpha = 1 gives lam e^(-lam t).
     """
-    scalar = np.isscalar(t)
+    scalar = np.ndim(t) == 0
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if not np.all(t > 0.0):  # NaN fails too
         raise DomainError("resolvent_density requires t > 0")

@@ -17,9 +17,8 @@ With psi solved, everything the Markowitz problem needs is explicit:
   and the optimal terminal variance V(m).
 * a wealth Euler scheme driven by the same increments as the variance
   paths, run as one block fold of its affine form X = A + xi* B
-  (``_Wealth``), which steps each block of a chunk one tile of paths
-  at a time in one memory map per chunk and gives the wealth and
-  strategy of one target or the X_T of every frontier target, and the
+  (``_Wealth``), which gives the wealth and strategy of one target or
+  the X_T of every frontier target, and the
   exponential-affine Laplace-transform check that pits a Monte Carlo
   functional of the paths, controlled by the exact mean of its
   exponent, against the closed form, by the 3-SE gate that every Monte
@@ -298,56 +297,54 @@ class _Wealth:
         A_{k+1} = A_k (1 + r dt + s_k),                       A_0 = x0,
         B_{k+1} = B_k (1 + r dt + s_k) - e^(-r(T-t_k)) s_k,   B_0 = 0.
 
-    A block fold (``simulate.fold_stream``) of a stream with increments,
-    on psi's grid (``solution``, or solved on grid through the memo;
-    ParameterError for a chunk on another grid).  Once a chunk's last
-    block is stepped, its (A_T, B_T) goes to ``pairs``, after
-    NonFiniteError unless both are finite.  A block's tiles of
-    ``_WEALTH_TILE`` paths are stepped in path order on the calling
-    thread, in one memory map per chunk (``simulate._mapped``), sized
-    at the chunk's first block, its widest, and freed after its last.
-    Each tile of a w-step block overwrites 2d + 5 slots of (w, t) rows:
-    g and sqrt(V^+) per asset, s, the d-sums, 1 + r dt + s (which the
-    steps overwrite with A's rows), e^(-r(T-t)) s and B's rows.
+    A block fold (``simulate.fold_stream``) of a stream of M paths with
+    increments, on psi's grid (``solution``, or solved on grid through
+    the memo); psi on another grid raises ParameterError.  ``A_T`` and
+    ``B_T``, shape (M,), hold each path's A and B at the last time
+    stepped; a chunk's last block raises NonFiniteError unless its paths'
+    A and B are finite.  Each block is stepped in tiles of ``_WEALTH_TILE``
+    paths, in path order, in one map per chunk (``simulate._mapped``)
+    that is sized by the chunk's first block, its widest, and freed by
+    its last.
 
     With xi*, each tile of a block [lo, hi) also forms X_lo .. X_hi
-    (hi - lo + 1, t), X = A + xi* B, in the slots of s and the d-sums,
-    and alpha_lo .. alpha_{hi-1} (d, hi - lo, t) in those of sqrt(V^+),
-    both time-major, and hands them to read(lo, tile, X, alpha) after
-    NonFiniteError unless both are finite; both are views that the next
-    tile overwrites.
+    (hi - lo + 1, t), X = A + xi* B, and alpha_lo .. alpha_{hi-1}
+    (d, hi - lo, t), both time-major, and hands them to
+    read(lo, tile, X, alpha) after NonFiniteError unless both are
+    finite; both are views that the next tile overwrites.
     """
 
     increments = True
 
-    def __init__(self, model: MarketModel, stabs, grid: Grid, xi_star=None, solution=None):
+    def __init__(self, model: MarketModel, stabs, grid: Grid, M: int, xi_star=None, solution=None):
         if solution is None:
             solution = solve_riccati_adams(model, stabs, grid.n)
-        times = solution.grid.times[:-1]
-        self.model, self.grid, self.xi_star, self.pairs = model, solution.grid, xi_star, []
+        if solution.grid != grid:
+            raise ParameterError("wealth scheme requires the psi grid to match the path grid")
+        times = grid.times[:-1]
+        self.model, self.grid, self.xi_star = model, grid, xi_star
         self.coef = control_coefficient(model, solution, stabs, times)  # (d, n)
         self.disc = np.exp(-model.r * (model.T - times))[:, None]      # (n, 1)
-        self.chunk = None    # the chunk's map, A and B
+        self.A_T, self.B_T = np.full(M, float(model.x0)), np.zeros(M)
+        self.flat = None     # the chunk's tile map
 
     def read(self, lo: int, tile: slice, X: np.ndarray, alpha: np.ndarray) -> None:
         """Take a tile's wealth and strategy over a block (with xi*); no reader here."""
 
-    def __call__(self, chunk, lo, V, dB):
-        model, xi_star, (d, w, M) = self.model, self.xi_star, dB.shape
+    def __call__(self, first, lo, V, dB):
+        model, xi_star, (d, w, m) = self.model, self.xi_star, dB.shape
         if lo == 0:
-            if chunk.grid != self.grid:
-                raise ParameterError("wealth scheme requires the psi grid to match the path grid")
-            self.chunk = (_mapped(((2 * d + 5) * w * _WEALTH_TILE,)),
-                          np.full(chunk.M, float(model.x0)), np.zeros(chunk.M))
-        flat, A, B = self.chunk
+            self.flat = _mapped(((2 * d + 5) * w * _WEALTH_TILE,))
+        flat, A, B = self.flat, self.A_T[first : first + m], self.B_T[first : first + m]
         coef, dt = self.coef[:, lo : lo + w, None], self.grid.dt
         disc, growth = self.disc[lo : lo + w], 1.0 + model.r * dt
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            for t0 in range(0, M, _WEALTH_TILE):
-                t = min(_WEALTH_TILE, M - t0)
+            for t0 in range(0, m, _WEALTH_TILE):
+                t = min(_WEALTH_TILE, m - t0)
                 tile, size = slice(t0, t0 + t), w * t
                 slots = flat[: (2 * d + 5) * size].reshape(2 * d + 5, w, t)
                 gain, root, (s, sums, a_rows, ds, b_rows) = slots[:d], slots[d:-5], slots[-5:]
+                # X_lo .. X_hi, w + 1 rows over the slots of s and the d-sums
                 X = flat[2 * d * size : (2 * d + 1) * size + t].reshape(w + 1, t)
                 _gain(coef, V[:, :w, tile], out=(gain, root))
                 np.multiply(np.einsum("dwt,dwt,d->wt", gain, root, model.theta, out=sums), dt,
@@ -372,11 +369,10 @@ class _Wealth:
                 require_finite("wealth paths", X)
                 require_finite("optimal strategy", alpha)
                 self.read(lo, tile, X, alpha)
-        if lo + w == chunk.grid.n:
+        if lo + w == self.grid.n:
             require_finite("terminal wealth A_T", A)
             require_finite("terminal wealth B_T", B)
-            self.pairs.append((A, B))
-            self.chunk = None
+            self.flat = None
 
 
 def simulate_wealth(model: MarketModel, ensemble: PathEnsemble, solution: RiccatiSolution,
@@ -394,36 +390,30 @@ def simulate_wealth(model: MarketModel, ensemble: PathEnsemble, solution: Riccat
         X[tile, lo : lo + len(x)] = x.T
         alpha_paths[tile, :, lo : lo + alpha.shape[1]] = alpha.transpose(2, 0, 1)
 
-    wealth = _Wealth(model, stabs, ensemble.grid, xi_star, solution)
+    wealth = _Wealth(model, stabs, ensemble.grid, ensemble.M, xi_star, solution)
     wealth.read = store
     ensemble.fold([wealth])
-    [(A, B)] = wealth.pairs
-    return WealthEnsemble(X=X, alpha_paths=alpha_paths, A_T=A, B_T=B)
+    return WealthEnsemble(X=X, alpha_paths=alpha_paths, A_T=wealth.A_T, B_T=wealth.B_T)
 
 
 class _TimeIntegrals:
-    """The Laplace check's block fold: it adds the trapezoid cells
-    dt (V_k + V_{k+1}) / 2 of a block's time-major rows V (d, w+1, M) to
-    ``totals``, one (d, M) array per chunk that the chunk's first block
-    (lo = 0) appends.
-
-    One cell at a time, in time order: over every block of a chunk this
-    is what np.trapezoid(V, dx=dt, axis=2) computes on its (M, d, n+1)
-    paths, without its (M, d, n) temporary.
+    """The Laplace check's block fold: ``total``, shape (d, M), is each
+    path's time integral of V, to which each block adds its trapezoid
+    cells dt (V_k + V_{k+1}) / 2 one at a time, in time order.  Over the
+    whole stream this is what np.trapezoid(V, dx=dt, axis=2) computes on
+    the (M, d, n+1) paths, without its (M, d, n) temporary.
     """
 
     increments = False
 
-    def __init__(self, *stream):
-        self.totals = []
+    def __init__(self, model: MarketModel, stabs, grid: Grid, M: int):
+        self.total, self.dt = np.zeros((model.d, M)), grid.dt
 
-    def __call__(self, chunk, lo, V, dB):
-        if lo == 0:
-            self.totals.append(np.zeros(V[:, 0].shape))
-        total, cell, dt = self.totals[-1], np.empty(V[:, 0].shape), chunk.grid.dt
+    def __call__(self, first, lo, V, dB):
+        total, cell = self.total[:, first : first + V.shape[-1]], np.empty(V[:, 0].shape)
         for k in range(V.shape[1] - 1):
             np.add(V[:, k + 1], V[:, k], out=cell)
-            cell *= dt
+            cell *= self.dt
             cell /= 2.0
             total += cell
 
@@ -495,12 +485,12 @@ def laplace_closed_form(model: MarketModel, stabs, u, n_solver: int = _GAMMA0_RE
     return float(np.exp(expo))
 
 
-def laplace_report(model: MarketModel, stabs, u, grid: Grid, integrals) -> LaplaceReport:
+def laplace_report(model: MarketModel, stabs, u, grid: Grid, total) -> LaplaceReport:
     """Monte Carlo test of the exponential-affine Laplace formula on paths
-    started from x_inf, from their time integrals of V on grid,
-    ``integrals``, one (d, chunk) array per chunk (``_TimeIntegrals``): it
-    estimates E[exp(int_0^T V^T u ds)] and compares it against the closed
-    form by ``z_score``.
+    started from x_inf, from their time integrals of V on grid, ``total``
+    of shape (d, M) (``_TimeIntegrals``): it estimates
+    E[exp(int_0^T V^T u ds)] and compares it against the closed form by
+    ``z_score``.
 
     The estimator is controlled (Glasserman, Monte Carlo Methods in
     Financial Engineering, 2003, sec. 4.1).  From V_0 = x_inf the scheme's
@@ -517,7 +507,7 @@ def laplace_report(model: MarketModel, stabs, u, grid: Grid, integrals) -> Lapla
     """
     u = _laplace_forcing(model, u)
     closed = laplace_closed_form(model, stabs, u, n_solver=max(grid.n, _GAMMA0_REFINE))
-    X = np.concatenate([total.T @ u for total in integrals])
+    X = total.T @ u
     mc, se, beta = _controlled_mean(X, float(u @ model.x_inf) * model.T)
     z = float(z_score(mc, closed, se))
     return LaplaceReport(mc_value=mc, mc_se=se, closed_form=closed, z_score=z,
@@ -536,6 +526,6 @@ def laplace_affine_check(model: MarketModel, stabs, u, grid: Grid, M: int, seed:
     if ensemble is None:
         integrals = Streams(seed).result(model, stabs, grid, M, "fixed", _TimeIntegrals)
     else:
-        integrals = _TimeIntegrals()
+        integrals = _TimeIntegrals(model, stabs, grid, ensemble.M)
         ensemble.fold([integrals])
-    return laplace_report(model, stabs, u, grid, integrals.totals)
+    return laplace_report(model, stabs, u, grid, integrals.total)

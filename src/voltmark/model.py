@@ -114,8 +114,13 @@ class MarketModel:
 
     @property
     def m0(self) -> float:
-        """Riskless attainable terminal wealth x0 e^(r T)."""
-        return self.x0 * np.exp(self.r * self.T)
+        """Riskless attainable terminal wealth x0 e^(r T); ParameterError
+        when it is not finite."""
+        with np.errstate(over="ignore"):  # checked below
+            m0 = self.x0 * np.exp(self.r * self.T)
+        if not np.isfinite(m0):
+            raise ParameterError(f"x0 e^(rT) beyond the floats at r T = {self.r * self.T:g}")
+        return m0
 
     def discount(self, s: float) -> float:
         """e^(-r s) for the constant short rate."""

@@ -4,8 +4,8 @@ Every statistic of the stationarity, wealth and frontier stages is a
 plug-in moment estimate over whole paths, folded from the block stream
 (``simulate.fold_stream``): per-time statistics fold each 64-step block
 into an accumulator of its own (``ColumnMoments``, ``joined_stats``),
-and per-path ones (the frontier's terminal wealth) once a chunk's last
-block is in, so no stage holds a chunk of paths.  The Laplace check
+and the frontier's per-path terminal wealth is the stream's (A_T, B_T),
+so no stage holds whole paths.  The Laplace check
 (``markowitz.laplace_report``) keeps one sample per path instead, and
 its SE is their ddof = 1 sample SE.
 """
@@ -107,7 +107,7 @@ class _TimeMoments:
     """Per-time moments of series folded block by block: a ``ColumnMoments``
     per series and block of times, by the block's first time lo."""
 
-    def __init__(self, *stream):
+    def __init__(self):
         self.blocks = {}
 
     def add(self, lo: int, *series) -> None:
@@ -128,8 +128,12 @@ class _VarianceMoments(_TimeMoments):
 
     increments = False
 
-    def __call__(self, chunk, lo, V, dB):
-        last = lo + V.shape[1] - 1 == chunk.grid.n
+    def __init__(self, model: MarketModel, stabs, grid: Grid, M: int):
+        super().__init__()
+        self.n = grid.n
+
+    def __call__(self, first, lo, V, dB):
+        last = lo + V.shape[1] - 1 == self.n
         self.add(lo, *(rows.T if last else rows[:-1].T for rows in V))
 
 
@@ -141,8 +145,8 @@ class _WealthMoments(_Wealth):
     lo .. hi-1, and at lo .. n in the chunk's last block, and the
     strategies at lo .. hi-1."""
 
-    def __init__(self, model: MarketModel, stabs, grid: Grid, xi_star: float):
-        super().__init__(model, stabs, grid, xi_star)
+    def __init__(self, model: MarketModel, stabs, grid: Grid, M: int, xi_star: float):
+        super().__init__(model, stabs, grid, M, xi_star)
         self.moments = _TimeMoments()
 
     def read(self, lo, tile, X, alpha):
@@ -226,27 +230,24 @@ def terminal_bootstrap(terminal: np.ndarray, n_boot=None,
 
 
 def frontier_report(model: MarketModel, stabs, grid: Grid, m_values,
-                    chunk_pairs) -> list[FrontierPoint]:
+                    wealth) -> list[FrontierPoint]:
     """Monte Carlo frontier: simulated Var(X_T) against V(m) per target m.
 
-    The terminal wealth is affine in xi*, so each chunk's (A_T, B_T),
-    which chunk_pairs() returns (``markowitz._Wealth``, on fixed-start
-    paths, V0 = x_inf, matching the single Gamma0 that prices the
-    frontier), gives each target's X_T = A_T + xi* B_T, and each chunk's
-    targets fold into one ``ColumnMoments``.  chunk_pairs is called once
-    the targets are priced, so a refused target draws no path.
+    The terminal wealth is affine in xi*, so the (A_T, B_T) of the
+    ``markowitz._Wealth`` fold that wealth() returns once its stream has
+    run (on fixed-start paths, V0 = x_inf, matching the single Gamma0
+    that prices the frontier) gives each target's X_T = A_T + xi* B_T.
+    wealth is called once the targets are priced, so a refused target
+    draws no path.
     """
     solution = solve_riccati_adams(model, stabs, grid.n)
     g0 = gamma0(model, solution, stabs)  # m-independent, priced once
     m_values = np.atleast_1d(np.asarray(m_values, dtype=float))
     xis = [xi_eta_star(g0, model, float(m))[0] for m in m_values]
+    terminal = wealth()
     moments = ColumnMoments()
-    for A, B in chunk_pairs():
-        # column-major, so each target's moments reduce one contiguous column
-        x = np.empty((len(A), len(xis)), order="F")
-        for j, xi in enumerate(xis):
-            x[:, j] = A + xi * B
-        moments.add(x)
+    # column-major, so each target's moments reduce one contiguous column
+    moments.add((terminal.A_T + np.multiply.outer(xis, terminal.B_T)).T)
     st = moments.stats()
     return [
         FrontierPoint(
@@ -265,11 +266,15 @@ def frontier_experiment(model: MarketModel, m_values, M: int, seed: int, *,
     n_boot is unused, kept because the benchmark's workloads pass it."""
     stabs = stabs or model.build_stabilizers()
     return frontier_report(model, stabs, grid, m_values, lambda: Streams(seed).result(
-        model, stabs, grid, M, "fixed", _Wealth).pairs)
+        model, stabs, grid, M, "fixed", _Wealth))
 
 
 def frontier_m_grid(model: MarketModel, count: int = 8) -> np.ndarray:
-    """Target means spanning [x0 e^((r+0.01)T), x0 e^((r+0.5)T)]."""
-    lo = model.x0 * np.exp((model.r + 0.01) * model.T)
-    hi = model.x0 * np.exp((model.r + 0.5) * model.T)
+    """Target means spanning [x0 e^((r+0.01)T), x0 e^((r+0.5)T)]; ParameterError
+    when the top one is not finite (the bottom one is then finite too)."""
+    with np.errstate(over="ignore"):  # checked below
+        lo = model.x0 * np.exp((model.r + 0.01) * model.T)
+        hi = model.x0 * np.exp((model.r + 0.5) * model.T)
+    if not np.isfinite(hi):
+        raise ParameterError(f"frontier targets beyond the floats at T = {model.T:g}")
     return np.linspace(lo, hi, count)

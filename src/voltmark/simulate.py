@@ -16,18 +16,15 @@ so one low-rank spectral factor per asset drives every cell
 a low-rank pair of its far-field lag rows carries each finished block
 of cells to the later ones (``_far_field``, ``_AssetEngine``).
 
-Paths are simulated in fixed chunks of ``_CHUNK_PATHS`` paths, and each
-chunk one block of ``_BLOCK`` cells at a time into a small row store:
-``fold_stream`` draws a stream and hands each block to every fold of
-it as soon as the engines have stepped it.  The engine reads nothing of
-earlier blocks but V0 and their compressed far field, so a fold of each
-block runs in memory that does not grow with M, and grows with n only
-by that far field (``_asset_scratch``).  ``Streams`` draws each stream
-of a run once for all of its folds, and ``simulate_variance_paths``
-copies each block into whole (d, ., M) arrays, for the tests and the
-benchmark.  Within a block the assets, which share only the read-only
-model, advance on one thread each, on one pool for the whole stream
-(``_workers``); the folds run on the calling thread.
+``fold_stream`` draws a stream of M paths and hands each block of
+``_BLOCK`` cells to every fold of it.  It draws the paths in fixed chunks
+of ``_CHUNK_PATHS``, which fix the random stream and bound the engine's
+memory; a fold sees a chunk only as the stream index of a block's first
+path.  The engine reads nothing of earlier blocks but V0 and their
+compressed far field, so its memory does not grow with M, and grows with
+n only by that far field.  Within a block the assets, which share only
+the read-only model, advance on one thread each (``_workers``); the
+folds run on the calling thread.
 
 Everything is reproducible: chunk c takes the c-th ``spawn(1 + d)``
 group of SeedSequence(seed), each child through ``_BIT_GENERATOR``.
@@ -270,7 +267,7 @@ class PathEnsemble:
     views of time-major (d, n+1, M) and (d, n, M) arrays, so V[:, i, k]
     and dB[:, i, k] are contiguous.  A V-only ensemble
     (``increments=False``) has dB None; its V equals the full ensemble's
-    bit for bit.  It is the ``PathChunk`` of paths 0 .. M-1.
+    bit for bit.
     """
 
     model: MarketModel
@@ -278,26 +275,16 @@ class PathEnsemble:
     M: int
     V: np.ndarray = field(repr=False)
     dB: np.ndarray | None = field(repr=False)
-    first = 0
 
     def fold(self, folds) -> None:
         """Hand each block of the ensemble, views of V and dB, to every
-        fold, as ``fold_stream`` hands a chunk's."""
+        fold as ``fold_stream`` hands a stream's, from path 0."""
         V, n = self.V.transpose(1, 2, 0), self.grid.n
         dB = None if self.dB is None else self.dB.transpose(1, 2, 0)
         for lo in range(0, n, _BLOCK):
             hi = min(lo + _BLOCK, n)
             for fold in folds:
-                fold(self, lo, V[:, lo : hi + 1], None if dB is None else dB[:, lo:hi])
-
-
-@dataclass(frozen=True, eq=False)
-class PathChunk:
-    """Paths first .. first + M - 1 of a stream (``fold_stream``), on grid."""
-
-    grid: Grid
-    M: int
-    first: int
+                fold(0, lo, V[:, lo : hi + 1], None if dB is None else dB[:, lo:hi])
 
 
 def sample_initial_variance(model: MarketModel, M: int, rng: np.random.Generator) -> np.ndarray:
@@ -328,44 +315,40 @@ def simulate_variance_paths(model: MarketModel, stabs, grid: Grid, M: int, seed:
     """
     if store_noise:
         raise ParameterError("kernel-weighted noise integrals are not stored")
-    V = dB = None
+    paths_V = paths_dB = None
 
-    def copy(chunk, lo, rows, inc):
-        nonlocal V, dB
-        if V is None:            # mapped once fold_stream has checked the arguments
-            V = _mapped((model.d, grid.n + 1, M))
-            dB = _mapped((model.d, grid.n, M)) if increments else None
-        paths = slice(chunk.first, chunk.first + chunk.M)
-        V[:, lo : lo + rows.shape[1], paths] = rows
+    def copy(first, lo, V, dB):
+        nonlocal paths_V, paths_dB
+        if paths_V is None:      # mapped once fold_stream has checked the arguments
+            paths_V = _mapped((model.d, grid.n + 1, M))
+            paths_dB = _mapped((model.d, grid.n, M)) if increments else None
+        paths = slice(first, first + V.shape[-1])
+        paths_V[:, lo : lo + V.shape[1], paths] = V
         if increments:
-            dB[:, lo : lo + inc.shape[1], paths] = inc
+            paths_dB[:, lo : lo + dB.shape[1], paths] = dB
 
     copy.increments = increments
     fold_stream(model, stabs, grid, M, seed, [copy], initial=initial)
-    return PathEnsemble(model=model, grid=grid, M=M, V=V.transpose(2, 0, 1),
-                        dB=dB.transpose(2, 0, 1) if increments else None)
+    return PathEnsemble(model=model, grid=grid, M=M, V=paths_V.transpose(2, 0, 1),
+                        dB=paths_dB.transpose(2, 0, 1) if increments else None)
 
 
 def fold_stream(model: MarketModel, stabs, grid: Grid, M: int, seed: int, folds, *,
                 initial: str = "stationary") -> None:
     """Draw the paths of ``simulate_variance_paths`` and hand each block to every fold.
 
-    A fold is a callable fold(chunk, lo, V, dB) with an ``increments``
-    flag.  Chunk c, a ``PathChunk``, holds paths c C .. min((c+1) C, M) - 1,
-    C = _CHUNK_PATHS, drawn from the c-th spawn group (module docstring).
-    Its blocks are stepped in time order, and the folds called in order
-    on each one as soon as the engines have stepped it: (lo, V, dB) for
-    the cells lo+1 .. hi, V the variance rows lo .. hi, (d, hi - lo + 1,
-    m), whose row 0 is the last row of the block before (V0 in the
-    first), and dB the increment rows lo .. hi-1, (d, hi - lo, m), or
-    None, with W-perp never drawn, unless some fold's ``increments`` is
-    set.  The last block has lo + V.shape[1] - 1 == grid.n.  Both are
-    time-major views of a row store of (d, _BLOCK + 1, C) V rows and
-    (d, _BLOCK, C) dB rows, which the next block overwrites.  The stream
-    maps it and each asset's engine (``_AssetEngine``) once, sized by its
-    first chunk, and a shorter last chunk takes contiguous views of the
-    same maps (``_fit``).  The arguments are checked and the factors
-    built before anything is drawn.
+    A fold is a callable fold(first, lo, V, dB) with an ``increments``
+    flag.  Chunk c of C = _CHUNK_PATHS paths is drawn from the c-th spawn
+    group (module docstring), its blocks in time order, and the folds are
+    called in order on each block as soon as the engines have stepped it:
+    first is the stream index of the block's first path, V the variance
+    rows lo .. hi of its m paths, (d, hi - lo + 1, m), whose row 0 is the
+    last row of the block before (V0 in the first), and dB the increment
+    rows lo .. hi-1, (d, hi - lo, m), or None, with W-perp never drawn,
+    unless some fold's ``increments`` is set.  The last block has
+    lo + V.shape[1] - 1 == grid.n.  Both are views that the next block
+    overwrites.  The arguments are checked and the factors built before
+    anything is drawn.
     """
     if M < 1:
         raise ParameterError(f"path count M must be >= 1, got {M}")
@@ -398,7 +381,6 @@ def fold_stream(model: MarketModel, stabs, grid: Grid, M: int, seed: int, folds,
                              np.random.Generator(_BIT_GENERATOR(children[1 + i].spawn(1)[0]))
                              if increments else None)
             V, dB = (None if buf is None else _fit(buf, m) for buf in store)
-            chunk = PathChunk(grid, m, c0)
             V[:, 0] = V0
             for b, lo in enumerate(range(0, n, _BLOCK)):
                 w = min(_BLOCK, n - lo)
@@ -406,7 +388,7 @@ def fold_stream(model: MarketModel, stabs, grid: Grid, M: int, seed: int, folds,
                 run([functools.partial(engine.step, b, rows[i], None if inc is None else inc[i])
                      for i, engine in enumerate(engines)])
                 for fold in folds:
-                    fold(chunk, lo, rows, inc)
+                    fold(c0, lo, rows, inc)
                 V[:, 0] = V[:, w]                       # row 0 of the next block
 
 
@@ -416,13 +398,12 @@ class Streams:
     request that runs it.
 
     ``fold(model, stabs, grid, M, initial, kind, *args)`` makes the fold
-    kind(model, stabs, grid, *args) on the stream, or returns the one
+    kind(model, stabs, grid, M, *args) on the stream, or returns the one
     made before: the first of its kind with the same args, or with any
     args when none are given.  ``result`` takes the same arguments and
     returns the fold once its stream has run: the stream's waiting folds
     are drawn together (``fold_stream``), and a fold made after its
     stream has run gets a fresh draw, whose V is the same bit for bit.
-    The folds that have run are kept, and hold only their results.
     """
 
     def __init__(self, seed: int):
@@ -433,7 +414,7 @@ class Streams:
         for fold, given in made:
             if isinstance(fold, kind) and args in ((), given):
                 return fold
-        fold = kind(model, stabs, grid, *args)
+        fold = kind(model, stabs, grid, M, *args)
         made.append((fold, args))
         self.waiting.setdefault((grid, M, initial), []).append(fold)
         return fold
@@ -502,11 +483,9 @@ _SUB = 8
 def _mapped(shape) -> np.ndarray:
     """Zero-filled float64 array in an anonymous memory map of its own.
 
-    No malloc arena owns the map, and it goes back to the system whole
-    when the array is freed.  Engine arrays therefore leave no holes in
-    the heap, and a worker thread can allocate them without stranding
-    the memory in a per-thread arena that the main thread cannot reuse.
-    Like numpy's large arrays, it asks for transparent huge pages.
+    The map goes back to the system whole when the array is freed, so
+    engine arrays leave no holes in the heap.  Like numpy's large
+    arrays, it asks for transparent huge pages.
     """
     size = int(np.prod(shape))
     pages = mmap.mmap(-1, max(8 * size, 1), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
@@ -572,8 +551,7 @@ class _AssetEngine:
     slabs, side by side, with that history writes the block's rows
     (zeros in block 0).  Each cell thus rewrites at most ``_SUB`` rows,
     and the rest is gemm work.  A block touches no row outside its own,
-    and the maps leave no memory in a worker thread's malloc arena
-    (``_mapped``), so each step can run on any thread of the pool.
+    so each step can run on any thread of the pool.
     """
 
     def __init__(self, model: MarketModel, i: int, fac: GaussianBlockFactor,

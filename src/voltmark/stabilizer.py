@@ -125,7 +125,8 @@ def density_l2_norm(alpha: float, lam: float = 1.0) -> float:
         return float(np.sqrt(lam / 2.0))
     ratio = np.sin((1.0 - alpha) * np.pi / 2.0) / (
         alpha * np.sin(np.pi * (1.0 - alpha) / alpha) * np.sin(alpha * np.pi / 2.0))
-    return float(np.sqrt(lam ** (1.0 / alpha) * ratio))
+    # np.power: a Python float lam past the floats gives inf, not OverflowError
+    return float(np.sqrt(np.power(lam, 1.0 / alpha) * ratio))
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,6 +216,8 @@ def build_stabilizer(alpha: float, lam: float, c: float):
     decaying at the truncation order with margin, (b) the geometric tail
     bound and (c) the cancellation error both stay below 1e-10 of the
     squared limit; past it the exact asymptotic value takes over.
+    ParameterError when lam is so small or so large that the limit is
+    not a positive float.
     """
     if not lam > 0.0 or not c > 0.0:
         raise ParameterError("stabilizer requires lam > 0 and c > 0")
@@ -251,7 +254,10 @@ def build_stabilizer(alpha: float, lam: float, c: float):
             else:
                 hi = mid
         switch_u = lo
-    limit = float(np.sqrt(c) * lam / density_l2_norm(alpha, lam))
+    with np.errstate(over="ignore", divide="ignore"):  # checked below
+        limit = float(np.sqrt(c) * lam / density_l2_norm(alpha, lam))
+    if not (np.isfinite(limit) and limit > 0.0):
+        raise ParameterError(f"stabilizer limit {limit} at lam = {lam:g} is not a positive float")
     return StabilizerSeries(
         alpha=alpha, lam=lam, c=c, coeffs=coeffs, switch_u=switch_u, limit=limit,
     )

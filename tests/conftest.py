@@ -96,21 +96,43 @@ def stream(model, stabs, grid, M, seed, **kwargs):
     return functools.partial(simulate.fold_stream, model, stabs, grid, M, seed, **kwargs)
 
 
+def paths_of(source) -> tuple:
+    """(model, grid, M) of source (``fold``): M counts every ensemble's paths."""
+    if callable(source):
+        model, _, grid, M = source.args[:4]
+        return model, grid, M
+    return source[0].model, source[0].grid, sum(ensemble.M for ensemble in source)
+
+
 def fold(source, folds) -> None:
-    """Run the folds over source: a ``stream``, or PathEnsembles, each folded whole."""
+    """Run the folds, made for ``paths_of(source)``, over source: a
+    ``stream``, or PathEnsembles, each folded whole after the ones before
+    it, so that its first path has the index of their path count."""
     if callable(source):
         source(folds)
-    else:
-        for ensemble in source:
-            ensemble.fold(folds)
+        return
+    offset = 0
+    for ensemble in source:
+        ensemble.fold([_shifted(each, offset) for each in folds])
+        offset += ensemble.M
 
 
-def folded_integrals(source) -> list:
-    """The totals of the Laplace fold (``markowitz._TimeIntegrals``) over
-    every block of source (``fold``): each chunk's (d, chunk) time integrals of V."""
-    integrals = markowitz._TimeIntegrals()
+def _shifted(fold, offset: int):
+    """fold, handed each block offset paths further on."""
+    def shifted(first, lo, V, dB):
+        fold(offset + first, lo, V, dB)
+
+    shifted.increments = fold.increments
+    return shifted
+
+
+def folded_integrals(source) -> np.ndarray:
+    """The (d, M) time integrals of V that the Laplace fold
+    (``markowitz._TimeIntegrals``) folds over every block of source (``fold``)."""
+    model, grid, M = paths_of(source)
+    integrals = markowitz._TimeIntegrals(model, None, grid, M)
     fold(source, [integrals])
-    return integrals.totals
+    return integrals.total
 
 
 def spoil_integrals(monkeypatch, value: float) -> None:
@@ -118,29 +140,31 @@ def spoil_integrals(monkeypatch, value: float) -> None:
     with value as asset 1's integral of path 7."""
     real = markowitz._TimeIntegrals.__call__
 
-    def spoiled(self, chunk, lo, V, dB):
-        real(self, chunk, lo, V, dB)
-        self.totals[-1][0, 7] = value
+    def spoiled(self, first, lo, V, dB):
+        real(self, first, lo, V, dB)
+        self.total[0, 7] = value
 
     monkeypatch.setattr(markowitz._TimeIntegrals, "__call__", spoiled)
 
 
-def wealth_pairs(model, solution, stabs, source, xi_star=None, read=None) -> list:
-    """Each chunk's (A_T, B_T) from the wealth fold (``markowitz._Wealth``) on
-    psi ``solution`` over every block of source (``fold``); with xi_star,
-    read(lo, tile, X, alpha) takes each tile's wealth and strategy over
-    each block, views that the next tile overwrites."""
-    wealth = markowitz._Wealth(model, stabs, solution.grid, xi_star, solution)
+def terminal_wealth(model, solution, stabs, source, xi_star=None, read=None) -> tuple:
+    """(A_T, B_T), each (M,), from the wealth fold (``markowitz._Wealth``)
+    on psi ``solution`` over every block of source (``fold``); with
+    xi_star, read(lo, tile, X, alpha) takes each tile's wealth and
+    strategy over each block, views that the next tile overwrites."""
+    _, grid, M = paths_of(source)
+    wealth = markowitz._Wealth(model, stabs, grid, M, xi_star, solution)
     if read is not None:
         wealth.read = read
     fold(source, [wealth])
-    return wealth.pairs
+    return wealth.A_T, wealth.B_T
 
 
 def stationarity(source, model):
     """``montecarlo.stationarity_report`` of the stationarity fold
     (``montecarlo._VarianceMoments``) over every block of source (``fold``)."""
-    moments = montecarlo._VarianceMoments()
+    _, grid, M = paths_of(source)
+    moments = montecarlo._VarianceMoments(model, None, grid, M)
     fold(source, [moments])
     return montecarlo.stationarity_report(model, moments.stats())
 
@@ -183,10 +207,10 @@ def started_streams(monkeypatch) -> list:
         started = Started(grid, M, initial)
         streams.append(started)
 
-        def record(chunk, lo, V, dB):
+        def record(first, lo, V, dB):
             if lo == 0:
                 started.increments = dB is not None
-                started.sizes.append(chunk.M)
+                started.sizes.append(V.shape[-1])
 
         record.increments = False
         real(model, stabs, grid, M, seed, [*folds, record], initial=initial)

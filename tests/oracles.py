@@ -436,11 +436,12 @@ def assembled_chunks(model, stabs, grid: Grid, M: int, seed: int, *,
     (d, n, chunk) dB, time-major as the engine writes them."""
     chunks = []
 
-    def copy(chunk, lo, rows, inc):
+    def copy(first, lo, rows, inc):
         if lo == 0:
-            V = np.empty((model.d, grid.n + 1, chunk.M))
-            dB = np.empty((model.d, grid.n, chunk.M)) if increments else None
-            chunks.append(PathEnsemble(model=model, grid=grid, M=chunk.M, V=V.transpose(2, 0, 1),
+            m = rows.shape[-1]
+            V = np.empty((model.d, grid.n + 1, m))
+            dB = np.empty((model.d, grid.n, m)) if increments else None
+            chunks.append(PathEnsemble(model=model, grid=grid, M=m, V=V.transpose(2, 0, 1),
                                        dB=dB.transpose(2, 0, 1) if increments else None))
         ens = chunks[-1]
         ens.V.transpose(1, 2, 0)[:, lo : lo + rows.shape[1]] = rows
@@ -498,19 +499,23 @@ def whole_chunk_variance_stats(model, stabs, grid: Grid, M: int, seed: int) -> l
     return [acc.stats() for acc in moments]
 
 
-def whole_chunk_terminal(model, stabs, grid: Grid, M: int, seed: int) -> list:
-    """Each fixed-start chunk's (A_T, B_T) by ``stepwise_wealth`` over its whole paths."""
+def whole_chunk_terminal(model, stabs, grid: Grid, M: int, seed: int) -> tuple:
+    """(A_T, B_T), each (M,): every fixed-start chunk's by ``stepwise_wealth``
+    over its whole paths, at the chunk's offset."""
     sol = solve_riccati_adams(model, stabs, grid.n)
-    return [stepwise_wealth(model, chunk, sol, stabs, 0.0)[:2]
-            for chunk in assembled_chunks(model, stabs, grid, M, seed, initial="fixed")]
+    parts = [stepwise_wealth(model, chunk, sol, stabs, 0.0)[:2]
+             for chunk in assembled_chunks(model, stabs, grid, M, seed, initial="fixed")]
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
-def whole_chunk_integrals(model, stabs, grid: Grid, M: int, seed: int) -> list:
-    """Each fixed-start V-only chunk's Laplace time integrals as (d, chunk):
-    np.trapezoid over its whole (chunk, d, n+1) V along time."""
-    return [np.trapezoid(chunk.V, dx=grid.dt, axis=2).T
-            for chunk in assembled_chunks(model, stabs, grid, M, seed, initial="fixed",
-                                          increments=False)]
+def whole_chunk_integrals(model, stabs, grid: Grid, M: int, seed: int) -> np.ndarray:
+    """The (d, M) Laplace time integrals: every fixed-start V-only chunk's,
+    np.trapezoid over its whole (chunk, d, n+1) V along time, at the
+    chunk's offset."""
+    return np.concatenate([np.trapezoid(chunk.V, dx=grid.dt, axis=2).T
+                           for chunk in assembled_chunks(model, stabs, grid, M, seed,
+                                                         initial="fixed", increments=False)],
+                          axis=1)
 
 
 def constant_sigma(value: float) -> StabilizerSeries:

@@ -12,7 +12,7 @@ on two cores.
 import numpy as np
 import pytest
 
-from conftest import stationarity, stream, wealth_pairs
+from conftest import stationarity, stream, terminal_wealth
 from oracles import resolvent_equation_residual
 from voltmark import markowitz
 from voltmark.kernels import (
@@ -97,11 +97,9 @@ def test_criterion_2_frontier_consistency(stabs_t1, grid_600):
     grid5 = Grid(5.0, 600)
     sol5 = solve_riccati_adams(model5, stabs5, 600)
     g0_5 = gamma0(model5, sol5, stabs5)
-    # X_T = A + xi* B, chunk by chunk of the block stream
-    parts = wealth_pairs(model5, sol5, stabs5, stream(
+    # X_T = A + xi* B from the block stream's (A_T, B_T)
+    A5, B5 = terminal_wealth(model5, sol5, stabs5, stream(
         model5, stabs5, grid5, 50000, seed=502, initial="fixed"))
-    A5 = np.concatenate([a for a, _ in parts])
-    B5 = np.concatenate([b for _, b in parts])
     worst5 = 0.0
     for m in frontier_m_grid(model5, 8):
         xi, _ = xi_eta_star(g0_5, model5, float(m))

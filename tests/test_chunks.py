@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import folded_integrals, wealth_pairs
+from conftest import folded_integrals, stream, terminal_wealth
 from oracles import assembled_chunks, dense_variance_paths
 import voltmark
 from voltmark import markowitz, montecarlo, simulate
@@ -66,32 +66,40 @@ def test_chunks_are_the_columns_of_the_whole_ensemble(model_t1, stabs_t1, M):
         assert np.array_equal(vo.V, ch.V)
 
 
-def _exponents(chunks, u) -> np.ndarray:
-    """Each path's u^T int V by the Laplace fold over the chunks' blocks."""
-    return np.concatenate([total.T @ np.asarray(u) for total in folded_integrals(chunks)])
-
-
 @pytest.mark.parametrize("M", EDGES)
 def test_fused_laplace_equals_materialized(model_t1, stabs_t1, M):
+    # the stream's (d, M) time integrals are each chunk's, folded on its
+    # own, at the chunk's offset, bit for bit; a pass over the whole V
+    # gives the same check, and the exponents to rounding
     u = [-0.05, -0.05]
     fused = laplace_affine_check(model_t1, stabs_t1, u, GRID, M, SEED)
     whole = _paths(model_t1, stabs_t1, M, initial="fixed", increments=False)
     given = laplace_affine_check(model_t1, stabs_t1, u, GRID, M, SEED, ensemble=whole)
     assert fused.mc_value == given.mc_value and fused.mc_se == given.mc_se
-    # the exponents themselves, against one pass over the whole V
-    exponents = _exponents(_chunks(model_t1, stabs_t1, M, initial="fixed", increments=False), u)
-    direct = _exponents([whole], u)
+    total = folded_integrals(stream(model_t1, stabs_t1, GRID, M, SEED, initial="fixed"))
+    chunks = _chunks(model_t1, stabs_t1, M, initial="fixed", increments=False)
+    assert total.shape == (2, M)
+    assert np.array_equal(total, folded_integrals(chunks))
+    exponents, direct = total.T @ np.asarray(u), folded_integrals([whole]).T @ np.asarray(u)
     assert np.max(np.abs(exponents - direct)) <= 1e-15 * np.max(np.abs(direct))
 
 
 @pytest.mark.parametrize("M", EDGES)
 def test_fused_terminal_wealth_equals_materialized(model_t1, stabs_t1, M):
+    # the stream's (A_T, B_T), each (M,), are each chunk's, folded on its
+    # own, at the chunk's offset, bit for bit, and the whole ensemble's
+    # to rounding
     sol = solve_riccati_adams(model_t1, stabs_t1, GRID.n)
-    whole = _paths(model_t1, stabs_t1, M, initial="fixed")
-    [(A, B)] = wealth_pairs(model_t1, sol, stabs_t1, [whole])
-    parts = wealth_pairs(model_t1, sol, stabs_t1, _chunks(model_t1, stabs_t1, M, initial="fixed"))
-    assert np.max(np.abs(np.concatenate([a for a, _ in parts]) - A)) <= 1e-12 * np.max(np.abs(A))
-    assert np.max(np.abs(np.concatenate([b for _, b in parts]) - B)) <= 1e-12 * np.max(np.abs(B))
+    A, B = terminal_wealth(model_t1, sol, stabs_t1,
+                           stream(model_t1, stabs_t1, GRID, M, SEED, initial="fixed"))
+    parts = terminal_wealth(model_t1, sol, stabs_t1,
+                            _chunks(model_t1, stabs_t1, M, initial="fixed"))
+    assert A.shape == B.shape == (M,)
+    assert np.array_equal(A, parts[0]) and np.array_equal(B, parts[1])
+    whole_A, whole_B = terminal_wealth(model_t1, sol, stabs_t1,
+                                       [_paths(model_t1, stabs_t1, M, initial="fixed")])
+    assert np.max(np.abs(A - whole_A)) <= 1e-12 * np.max(np.abs(whole_A))
+    assert np.max(np.abs(B - whole_B)) <= 1e-12 * np.max(np.abs(whole_B))
 
 
 def test_chunks_do_not_depend_on_the_thread_count(model_t1, stabs_t1, monkeypatch, pool_sizes):
@@ -134,18 +142,19 @@ def test_chunk_streams_are_successive_spawn_groups(model_t1, stabs_t1):
     (C, 2 * C, 1), (2 * C, 2 * C, 2), (C + 5, C + 5, 2), (C + 5, C + 6, 1),
 ])
 def test_common_chunks_are_those_of_equal_size(model_t1, stabs_t1, M, other, shared):
-    # chunk c of two fixed-start streams on one grid and seed holds the
-    # same paths when it has the same size in both, so the leading chunks
-    # of one size agree bit for bit; the V-only stream (full's Laplace
-    # ensemble) against the one with increments (its wealth ensemble)
-    def leading(n, increments):
-        return assembled_chunks(model_t1, stabs_t1, GRID, n, SEED, initial="fixed",
-                                increments=increments)[: shared + 1]
-
-    mine, theirs = leading(M, False), leading(other, True)
-    for a, b in zip(mine[:shared], theirs[:shared]):
-        assert a.M == b.M and np.array_equal(a.V, b.V)
-    assert shared in (len(mine), len(theirs)) or mine[shared].M != theirs[shared].M
+    # chunk c, paths [c C, (c+1) C), of two fixed-start streams on one
+    # grid and seed holds the same paths when it has the same size in
+    # both, so the leading chunks of one size agree bit for bit; the
+    # V-only stream (full's Laplace ensemble) against the one with
+    # increments (its wealth ensemble)
+    mine = _paths(model_t1, stabs_t1, M, initial="fixed", increments=False).V
+    theirs = _paths(model_t1, stabs_t1, other, initial="fixed").V
+    for c in range(shared):
+        paths = slice(c * C, (c + 1) * C)
+        assert len(mine[paths]) == len(theirs[paths])
+        assert np.array_equal(mine[paths], theirs[paths])
+    after = slice(shared * C, (shared + 1) * C)
+    assert min(M, other) <= shared * C or len(mine[after]) != len(theirs[after])
 
 
 def test_shared_pass_leaves_before_the_frontier_and_laplace(tmp_path, monkeypatch):
@@ -176,9 +185,9 @@ def test_shared_pass_leaves_before_the_frontier_and_laplace(tmp_path, monkeypatc
 
     def report_spy(real):
         def wrapped(*args):
-            # the last argument gives the per-chunk pairs or holds the integrals
-            chunks = args[-1]() if callable(args[-1]) else args[-1]
-            seen.append((real.__name__, len(chunks), [ref() is not None for ref in refs]))
+            # the last argument gives the wealth fold or holds the integrals
+            paths = len(args[-1]().A_T) if callable(args[-1]) else args[-1].shape[1]
+            seen.append((real.__name__, paths, [ref() is not None for ref in refs]))
             return real(*args)
         return wrapped
 
@@ -195,13 +204,13 @@ def test_shared_pass_leaves_before_the_frontier_and_laplace(tmp_path, monkeypatc
     path = tmp_path / "cfg.ini"
     path.write_text(cfg_text)
     assert cli.main(["full", "--config", str(path), "--out", str(tmp_path / "o")]) in (0, 4)
-    # the wealth stage's two chunks (M = C + 5); the frontier gets their
-    # (A_T, B_T) pairs, the Laplace check their time integrals.  The stream maps
-    # each asset's 6 scratch and 2 factor buffers, the 2 row stores and
-    # the wealth fold's tile buffer of each chunk
+    # the wealth stage's stream of two chunks (M = C + 5); the frontier
+    # gets its (A_T, B_T), the Laplace check its time integrals.  The
+    # stream maps each asset's 6 scratch and 2 factor buffers, the 2 row
+    # stores and the wealth fold's tile buffer of each chunk
     assert len(refs) >= 2 * 8 + 2 + 2
-    assert seen == [("frontier_report", 2, [False] * len(refs)),
-                    ("laplace_report", 2, [False] * len(refs))]
+    assert seen == [("frontier_report", C + 5, [False] * len(refs)),
+                    ("laplace_report", C + 5, [False] * len(refs))]
 
 
 @pytest.mark.parametrize("M", [0, -5])
@@ -244,9 +253,9 @@ def test_scratch_leaves_before_a_consumer(model_t1, stabs_t1, monkeypatch):
     monkeypatch.setattr(simulate, "_fit", fit_spy)
     sizes = []
 
-    def check(chunk, lo, V, dB):
+    def check(first, lo, V, dB):
         if lo == 0:
-            sizes.append(chunk.M)
+            sizes.append(V.shape[-1])
             assert len(made) == model_t1.d
             assert all(buf.shape[-1] == C for buffers in made for buf in buffers)
 
@@ -266,10 +275,10 @@ def test_scratch_leaves_before_a_consumer(model_t1, stabs_t1, monkeypatch):
 class _Rows:
     """A fold that keeps a copy of every block's V; increments says whether it reads dB."""
 
-    def __init__(self, model, stabs, grid, increments):
+    def __init__(self, model, stabs, grid, M, increments):
         self.increments, self.V = increments, []
 
-    def __call__(self, chunk, lo, V, dB):
+    def __call__(self, first, lo, V, dB):
         self.V.append(V.copy())
 
 
@@ -289,7 +298,7 @@ def test_streams_draw_each_stream_once_for_its_folds(model_t1, stabs_t1, started
     assert streams.result(*stream, _Rows, False) is first and increments() == [False]
     assert streams.result(*stream, markowitz._TimeIntegrals) is integrals
     assert increments() == [False]
-    assert [total.shape for total in integrals.totals] == [(2, C), (2, 5)]
+    assert integrals.total.shape == (2, C + 5)
     again = streams.result(*stream, _Rows, True)        # other args: a fold of its own
     assert again is not first and increments() == [False, True]
     assert streams.result(*stream, _Rows) is first      # no args: the first of its kind
@@ -306,7 +315,7 @@ class _Failing:
     def __init__(self, *stream):
         pass
 
-    def __call__(self, chunk, lo, V, dB):
+    def __call__(self, first, lo, V, dB):
         if lo >= 64:
             raise NonFiniteError("spoiled block")
 
@@ -347,7 +356,8 @@ def test_a_finished_stream_keeps_only_the_results_of_its_folds(model_t1, stabs_t
     # stream, and the tile buffer of each wealth chunk
     assert len(refs) >= 2 * (2 * 8 + 2) + 2
     assert [ref() for ref in refs] == [None] * len(refs)
-    assert [len(A) for A, _ in wealth.pairs] == [total.shape[1] for total in integrals.totals]
+    assert wealth.A_T.shape == wealth.B_T.shape == (C + 5,)
+    assert integrals.total.shape == (2, C + 5)
     assert [len(st.mean) for st in wealth.moments.stats() + moments.stats()] == [71, 70, 70, 71, 71]
 
 
@@ -359,12 +369,32 @@ def test_one_driver_draws_and_folds_the_streams():
     # managers, the engine's pool and the CLI's stage timer, since the
     # engine calls every fold on each block and each fold steps that block
     # itself.  Memory is mapped (``simulate._mapped``) only by simulate's
-    # engine, factor and stream, and by the wealth recursion's tiles
+    # engine, factor and stream, and by the wealth recursion's tiles.
+    # Every fold, a class with an ``increments`` attribute or a function
+    # given one, takes (first, lo, V, dB); the chunk size is read only by
+    # simulate and the manifest, and no chunk object is left
     streams, ensembles, generators, maps = set(), set(), set(), set()
+    folds, chunk_size = {}, set()
     for path in Path(voltmark.__file__).parent.glob("*.py"):
-        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        text = path.read_text(encoding="utf-8")
+        assert "PathChunk" not in text, path.name
+        for top in ast.parse(text).body:
             where = f"{path.stem}.{getattr(top, 'name', '')}"
+            if isinstance(top, ast.ClassDef) and any(
+                    isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None)
+                    == "increments" for node in top.body):
+                [call] = [node for node in top.body
+                          if isinstance(node, ast.FunctionDef) and node.name == "__call__"]
+                folds[where] = [arg.arg for arg in call.args.args[1:]]
+            given = {target.value.id for node in ast.walk(top) if isinstance(node, ast.Assign)
+                     for target in node.targets if isinstance(target, ast.Attribute)
+                     and target.attr == "increments" and isinstance(target.value, ast.Name)}
             for node in ast.walk(top):
+                if isinstance(node, ast.FunctionDef) and node.name in given:
+                    folds[f"{where}.{node.name}"] = [arg.arg for arg in node.args.args]
+                if getattr(node, "id", getattr(node, "attr", None)) == "_CHUNK_PATHS" \
+                        and isinstance(node, (ast.Name, ast.Attribute)):
+                    chunk_size.add(where)
                 if isinstance(node, ast.Call):
                     name = getattr(node.func, "id", getattr(node.func, "attr", None))
                     if name == "fold_stream":
@@ -380,3 +410,9 @@ def test_one_driver_draws_and_folds_the_streams():
     assert ensembles == {"markowitz.simulate_wealth", "markowitz.laplace_affine_check"}
     assert generators == {"simulate._workers", "cli._Stages"}
     assert {where for where in maps if not where.startswith("simulate.")} == {"markowitz._Wealth"}
+    assert {"markowitz._Wealth", "markowitz._TimeIntegrals", "montecarlo._VarianceMoments",
+            "cli._Dump", "simulate.simulate_variance_paths.copy"} <= set(folds)
+    assert {where: args for where, args in folds.items()
+            if args != ["first", "lo", "V", "dB"]} == {}
+    assert {where for where in chunk_size if not where.startswith("simulate.")} == \
+        {"cli.write_manifest"}

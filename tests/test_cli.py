@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import threading
+import types
 import weakref
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from conftest import (
     spoil_integrals,
     stationarity,
     stream,
-    wealth_pairs,
+    terminal_wealth,
 )
 from voltmark.cli import ConfigError, RunContext, _DEFAULT_CONFIG, load_config, main
 from voltmark.model import Grid, bundled_model
@@ -341,10 +342,11 @@ def test_wealth_drops_its_paths_before_the_statistics(tmp_path, monkeypatch):
     real_add, real_stats = montecarlo.ColumnMoments.add, montecarlo.ColumnMoments.stats
 
     def stream_spy(model, stabs, grid, M, seed, folds, **kwargs):
-        # a first fold of the stream's own sees each chunk and keeps no reference to it
-        def record(chunk, lo, V, dB):
+        # a first fold of the stream's own sees each chunk's first block
+        # and keeps no reference to it
+        def record(first, lo, V, dB):
             if lo == 0:
-                chunks.append(weakref.ref(chunk))
+                chunks.append(weakref.ref(V))
 
         record.increments = False
         return real_stream(model, stabs, grid, M, seed, [record, *folds], **kwargs)
@@ -631,8 +633,9 @@ def test_block_folds_keep_the_bits_of_whole_chunks(tmp_path, monkeypatch, n, cpu
         cli.write_csv(str(ref / f"variance_stats_asset{i + 1}.csv"),
                       ["t", "mean", "variance", "ci_low", "ci_high"],
                       zip(grid.times, st.mean, st.variance, st.ci_low, st.ci_high))
+    A_T, B_T = whole_chunk_terminal(model, stabs, grid, M, seed)
     points = montecarlo.frontier_report(model, stabs, grid, montecarlo.frontier_m_grid(model, 2),
-                                        lambda: whole_chunk_terminal(model, stabs, grid, M, seed))
+                                        lambda: types.SimpleNamespace(A_T=A_T, B_T=B_T))
     cli.write_csv(str(ref / "frontier.csv"),
                   ["m", "sigma_theoretical", "sigma_mc", "mc_se", "v_theory", "v_mc", "v_mc_se"],
                   [(p.m, p.sigma_theory, p.sigma_mc, p.sigma_mc_se, p.v_theory, p.v_mc, p.v_mc_se)
@@ -646,29 +649,27 @@ def test_block_folds_keep_the_bits_of_whole_chunks(tmp_path, monkeypatch, n, cpu
     assert len(names) == 4
     for name in names:
         assert (out / name).read_bytes() == (ref / name).read_bytes(), name
-    # and below the CSVs' 12 digits, bit for bit: the statistics, each
-    # chunk's (A_T, B_T) and its Laplace time integrals
+    # and below the CSVs' 12 digits, bit for bit: the statistics, the
+    # stream's (A_T, B_T) and its Laplace time integrals
     fixed = dict(initial="fixed")
     folded = stationarity(stream(model, stabs, grid, M, seed), model)
     for got, want in zip(folded.stats, whole_chunk_variance_stats(model, stabs, grid, M, seed)):
         for name in ("mean", "variance", "mean_se", "var_se"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
     sol = riccati.solve_riccati_adams(model, stabs, grid.n)
-    pairs = wealth_pairs(model, sol, stabs, stream(model, stabs, grid, M, seed, **fixed))
-    for got, want in zip(pairs, whole_chunk_terminal(model, stabs, grid, M, seed), strict=True):
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    A, B = terminal_wealth(model, sol, stabs, stream(model, stabs, grid, M, seed, **fixed))
+    assert np.array_equal(A, A_T) and np.array_equal(B, B_T)
     V = np.concatenate([chunk.V for chunk in assembled_chunks(model, stabs, grid, M, seed,
                                                               increments=False)])
     for got, x in zip(folded.stats, V.transpose(1, 0, 2), strict=True):
         np.testing.assert_allclose(got.mean, x.mean(axis=0), rtol=1e-12, atol=0)
         np.testing.assert_allclose(got.variance, x.var(axis=0, ddof=1), rtol=1e-12, atol=0)
     for p in points:
-        x = np.concatenate([A + p.xi_star * B for A, B in pairs])
+        x = A + p.xi_star * B
         np.testing.assert_allclose([p.mean_terminal, p.v_mc], [x.mean(), x.var(ddof=1)],
                                    rtol=1e-12, atol=0)
-    totals = folded_integrals(stream(model, stabs, grid, M, seed, **fixed))
-    for got, want in zip(totals, whole_chunk_integrals(model, stabs, grid, M, seed), strict=True):
-        assert np.array_equal(got, want)
+    total = folded_integrals(stream(model, stabs, grid, M, seed, **fixed))
+    assert np.array_equal(total, whole_chunk_integrals(model, stabs, grid, M, seed))
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads the peak RSS from /proc")
@@ -979,9 +980,9 @@ def test_full_steps_each_wealth_chunk_once(tmp_path, monkeypatch):
     calls, folds, whole = [], [], []
     real_call, real_init = markowitz._Wealth.__call__, markowitz._Wealth.__init__
 
-    def call_spy(self, chunk, lo, V, dB):
+    def call_spy(self, first, lo, V, dB):
         calls.append((dB.shape[2], lo, threading.current_thread() is threading.main_thread()))
-        real_call(self, chunk, lo, V, dB)
+        real_call(self, first, lo, V, dB)
 
     def init_spy(self, *args):
         folds.append(type(self).__name__)

@@ -17,7 +17,8 @@ import pathlib
 import tempfile
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from voltmark import cli
@@ -71,17 +72,44 @@ output_dir = unused
 """
 
 
+def _bundled(old: str, new: str) -> str:
+    """The bundled config at n = 20 with 20 paths per stream, old replaced by new."""
+    text = (cli._DEFAULT_CONFIG.replace("n = 600", "n = 20").replace("M = 5000", "M = 20")
+            .replace("stationarity_M = 10000", "stationarity_M = 20"))
+    assert old in text
+    return text.replace(old, new)
+
+
+# one number each beyond the floats: the riskless level m0 (T), the
+# stabilizer's limit (lam, small and large) and the frontier targets
+DEGENERATE = {
+    "T": _bundled("T = 1.0", "T = 1e300"),
+    "lam-small": _bundled("lam = 0.2, 0.2", "lam = 1e-300, 0.2"),
+    "lam-large": _bundled("lam = 0.2, 0.2", "lam = 1e300, 0.2"),
+    "horizon": _bundled("frontier_horizons = 0.5, 1.0, 5.0", "frontier_horizons = 1e6"),
+}
+
+
+def _full(config_text: str, tmp: str) -> tuple:
+    """(exit code, stderr, output directory) of ``voltmark full`` on config_text."""
+    config = pathlib.Path(tmp) / "toy.ini"
+    config.write_text(config_text, encoding="utf-8")
+    out = pathlib.Path(tmp) / "out"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(["full", "--config", str(config), "--out", str(out)])
+    return code, stderr.getvalue(), out
+
+
 @settings(derandomize=True, deadline=None, max_examples=40, database=None)
 @given(config_text=_configs())
+@example(config_text=DEGENERATE["T"])
+@example(config_text=DEGENERATE["lam-small"])
+@example(config_text=DEGENERATE["lam-large"])
+@example(config_text=DEGENERATE["horizon"])
 def test_full_run_keeps_the_exit_contract(config_text):
     with tempfile.TemporaryDirectory() as tmp:
-        config = pathlib.Path(tmp) / "toy.ini"
-        config.write_text(config_text, encoding="utf-8")
-        out = pathlib.Path(tmp) / "out"
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = cli.main(["full", "--config", str(config), "--out", str(out)])
-        message = stderr.getvalue()
+        code, message, out = _full(config_text, tmp)
         assert "Traceback" not in message
         if code in (0, 4):
             csvs = sorted(out.glob("*.csv"))
@@ -94,3 +122,12 @@ def test_full_run_keeps_the_exit_contract(config_text):
         else:
             assert code in (2, 3)
             assert message.endswith("\n") and message.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", DEGENERATE)
+def test_degenerate_config_fails_before_the_first_stage_writes(name, tmp_path):
+    # the rule that refuses the number is applied up front, so the run
+    # writes nothing and gives one config error line
+    code, message, out = _full(DEGENERATE[name], str(tmp_path))
+    assert code == 2 and message.startswith("config error: ") and message.count("\n") == 1
+    assert list(out.iterdir()) == []

@@ -48,6 +48,20 @@ def test_eval_kernel_closed_forms():
         0.67150497244207335818, abs=1e-15)
 
 
+@pytest.mark.parametrize("evaluate", [
+    lambda t: eval_kernel(fractional_kernel(0.6), t),
+    lambda t: resolvent(ResolventSpec(fractional_kernel(0.6), 0.2), t),
+    lambda t: resolvent_density(ResolventSpec(fractional_kernel(0.6), 0.2), t),
+    lambda z: mittag_leffler(0.6, z),
+], ids=["eval_kernel", "resolvent", "resolvent_density", "mittag_leffler"])
+def test_zero_dim_argument_gives_a_float(evaluate):
+    # a 0-d array or numpy scalar is a scalar argument, as the stabilizer's
+    # eval takes it, not a one-element grid
+    for x in (np.asarray(0.3), np.float64(0.3)):
+        value = evaluate(x)
+        assert isinstance(value, float) and value == evaluate(0.3)
+
+
 def test_eval_kernel_domain_and_validation():
     with pytest.raises(DomainError):
         eval_kernel(fractional_kernel(0.6), 0.0)

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import folded_integrals, small_model, spoil_integrals, stream, wealth_pairs
+from conftest import folded_integrals, small_model, spoil_integrals, stream, terminal_wealth
 from oracles import stepwise_wealth
 from voltmark import markowitz, simulate
 from voltmark.kernels import ParameterError
@@ -216,7 +216,7 @@ def test_affine_terminal_matches_wealth_scheme():
     sol = solve_riccati_adams(m, stabs, grid.n)
     ens = simulate_variance_paths(m, stabs, grid, 200, seed=12, initial="fixed")
     g0 = gamma0(m, sol, stabs)
-    [(A, B)] = wealth_pairs(m, sol, stabs, [ens])
+    A, B = terminal_wealth(m, sol, stabs, [ens])
     m_grid = frontier_m_grid(m, 8)
     for target in (m.m0, m_grid[len(m_grid) // 2], m_grid[-1]):
         xi, _ = xi_eta_star(g0, m, float(target))
@@ -251,7 +251,7 @@ def test_wealth_bits_do_not_depend_on_the_cpu_count(model_t1, stabs_t1, monkeypa
     try:
         for cpus in (1, 8):
             monkeypatch.setattr(simulate, "_cpu_count", lambda cpus=cpus: cpus)
-            [(A, B)] = wealth_pairs(model_t1, sol, stabs_t1, stream(
+            A, B = terminal_wealth(model_t1, sol, stabs_t1, stream(
                 model_t1, stabs_t1, grid, M, 17, initial="fixed"), 3.0, store)
             runs.append((A, B, X.copy(), alpha_paths.copy()))
     finally:
@@ -270,15 +270,15 @@ def test_wealth_stream_runs_on_its_engine_pool(model_t1, stabs_t1, monkeypatch, 
     monkeypatch.setattr(simulate, "_BLAS_THREADS", 1)
     monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
     M = simulate._CHUNK_PATHS + 5
-    pairs = wealth_pairs(model_t1, sol, stabs_t1, stream(
+    pooled = terminal_wealth(model_t1, sol, stabs_t1, stream(
         model_t1, stabs_t1, grid, M, 9, initial="fixed"))
     assert pool_sizes == [2]
-    assert [len(A) for A, _ in pairs] == [simulate._CHUNK_PATHS, 5]
+    assert [len(x) for x in pooled] == [M, M]
     monkeypatch.setattr(simulate, "_cpu_count", lambda: 1)
-    serial = wealth_pairs(model_t1, sol, stabs_t1, stream(
+    serial = terminal_wealth(model_t1, sol, stabs_t1, stream(
         model_t1, stabs_t1, grid, M, 9, initial="fixed"))
-    for got, want in zip(pairs, serial, strict=True):
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    for got, want in zip(pooled, serial, strict=True):
+        assert np.array_equal(got, want)
 
 
 def test_wealth_scheme_matches_a_direct_euler_loop(model_t1, stabs_t1):
@@ -316,7 +316,7 @@ def test_affine_terminal_riskless_compounding():
     grid = Grid(1.0, 50)
     sol = solve_riccati_adams(m, stabs, grid.n)
     ens = simulate_variance_paths(m, stabs, grid, 30, seed=1)
-    [(A, B)] = wealth_pairs(m, sol, stabs, [ens])
+    A, B = terminal_wealth(m, sol, stabs, [ens])
     assert np.all(B == 0.0)
     assert np.max(np.abs(A - m.x0 * (1.0 + m.r * grid.dt) ** grid.n)) <= 1e-12
 
@@ -332,7 +332,7 @@ def test_non_finite_wealth_rejected():
     ens = simulate_variance_paths(m, stabs, grid, 30, seed=1, initial="fixed")
     huge = dataclasses.replace(ens, V=ens.V * 1e300)
     with pytest.raises(NonFiniteError, match="terminal wealth"):
-        wealth_pairs(m, sol, stabs, [huge])
+        terminal_wealth(m, sol, stabs, [huge])
     with pytest.raises(NonFiniteError, match="wealth paths"):
         simulate_wealth(m, huge, sol, stabs, 3.0)
 
@@ -345,14 +345,22 @@ def test_wealth_schemes_reject_v_only_ensemble(model_t1, stabs_t1):
         simulate_wealth(model_t1, ens, sol, stabs_t1, 3.0)
 
 
-def test_affine_terminal_grid_mismatch_rejected(model_t1, stabs_t1, riccati_600):
+def test_affine_terminal_grid_mismatch_rejected(model_t1, stabs_t1, riccati_600, monkeypatch,
+                                                started_streams):
+    # psi on another grid than the paths' is refused while the wealth fold
+    # is made: no block of an ensemble is handed out, no stream started
     ens = simulate_variance_paths(model_t1, stabs_t1, Grid(1.0, 30), 5, seed=1)
+    streams, handed, real = len(started_streams), [], simulate.PathEnsemble.fold
+    monkeypatch.setattr(simulate.PathEnsemble, "fold",
+                        lambda self, folds: handed.append(folds) or real(self, folds))
     with pytest.raises(ParameterError, match="psi grid"):
         simulate_wealth(model_t1, ens, riccati_600, stabs_t1, 3.0)
-    # the recursion checks each chunk of a block stream itself
-    paths = stream(model_t1, stabs_t1, Grid(1.0, 30), 5, seed=1)
     with pytest.raises(ParameterError, match="psi grid"):
-        wealth_pairs(model_t1, riccati_600, stabs_t1, paths)
+        terminal_wealth(model_t1, riccati_600, stabs_t1, [ens])
+    with pytest.raises(ParameterError, match="psi grid"):
+        terminal_wealth(model_t1, riccati_600, stabs_t1,
+                        stream(model_t1, stabs_t1, Grid(1.0, 30), 5, seed=1))
+    assert handed == [] and len(started_streams) == streams
 
 
 def test_laplace_ensemble_grid_mismatch_rejected(model_t1, stabs_t1):
@@ -384,8 +392,7 @@ def laplace_exponents(model_t1, stabs_t1):
     grid, u = Grid(1.0, 50), np.array([-0.05, -0.05])
     ens = simulate_variance_paths(model_t1, stabs_t1, grid, 1000, seed=5, initial="fixed",
                                   increments=False)
-    [total] = folded_integrals([ens])
-    return grid, u, total.T @ u
+    return grid, u, folded_integrals([ens]).T @ u
 
 
 def test_laplace_control_has_its_exact_mean(model_t1, laplace_exponents):
@@ -437,7 +444,7 @@ def test_laplace_row_integral_is_numpy_trapezoid(model_t1, stabs_t1):
     # (M, d, n+1) view
     ens = simulate_variance_paths(model_t1, stabs_t1, Grid(1.0, 130), 333, seed=2,
                                   initial="fixed")
-    [rows] = folded_integrals([ens])
+    rows = folded_integrals([ens])
     ref = np.trapezoid(ens.V, dx=ens.grid.dt, axis=2)
     assert np.array_equal(rows.T, ref)
     u = np.array([-0.05, -0.05])
@@ -480,7 +487,7 @@ def test_wealth_recursion_keeps_the_bits_of_the_step_loop(model_t1, stabs_t1, mo
     ens = simulate_variance_paths(model_t1, stabs_t1, grid, M, seed=23, initial="fixed")
     A, B, X, alpha = stepwise_wealth(model_t1, ens, sol, stabs_t1, 2.5)
     wealth = simulate_wealth(model_t1, ens, sol, stabs_t1, 2.5)
-    [terminal] = wealth_pairs(model_t1, sol, stabs_t1, [ens])
+    terminal = terminal_wealth(model_t1, sol, stabs_t1, [ens])
     for got, ref in zip((wealth.A_T, wealth.B_T, wealth.X, wealth.alpha_paths, *terminal),
                         (A, B, X, alpha, A, B)):
         assert np.array_equal(got.view(np.int64), ref.view(np.int64))

@@ -273,9 +273,10 @@ def test_frontier_experiment_reproducible():
 
 def test_frontier_rejects_a_grid_of_another_horizon():
     # psi is solved on the model's horizon; paths on another grid would
-    # step with one dt and the coefficients of the other
+    # step with one dt and the coefficients of the other, so the wealth
+    # fold is refused as it is made
     m = small_model()
-    with pytest.raises(ParameterError, match="horizon"):
+    with pytest.raises(ParameterError, match="psi grid"):
         frontier_experiment(m, [m.m0], 10, seed=6, grid=Grid(0.5, 40))
 
 

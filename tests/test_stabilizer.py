@@ -87,6 +87,14 @@ def test_stabilizer_zero_at_origin_and_limit(alpha, lam, c):
     assert st.eval(1e12) == pytest.approx(np.sqrt(c) * lam / density_l2_norm(alpha, lam), rel=1e-12)
 
 
+@pytest.mark.parametrize("lam", [1e-300, 1e300, np.float64(1e-300), np.float64(1e300)],
+                         ids=["small", "large", "small-numpy", "large-numpy"])
+def test_stabilizer_limit_beyond_the_floats_is_a_parameter_error(lam):
+    # the limit sqrt(c) lam / ||f||_L2 is inf or 0 there, for a Python or a numpy lam
+    with pytest.raises(ParameterError, match="not a positive float"):
+        build_stabilizer(0.6, lam, 0.01)
+
+
 def test_stabilizer_zero_dim_time_gives_a_float():
     # a 0-d array or numpy scalar is a scalar time, as control_coefficient
     # passes it, not a one-element grid
